@@ -8,7 +8,6 @@ acyclic complexes and mapping tori, and verifies the identities tying
 these together at desk scale.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .characters import (
     IrrepLabel,
     TorusElement,

@@ -14,9 +14,8 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 
-from .characters import IrrepLabel
 from .config import RunConfig
-from .continuation import dynamical_determinant, trace_sums
+from .continuation import check_resonance_at_zero, dynamical_determinant, trace_sums
 from .errors import (
     CapacityError,
     ConvergenceError,
@@ -92,14 +91,6 @@ def _zeta_row(kind: str, zv) -> dict:
     }
 
 
-def _parse_mu(text: str) -> list[IrrepLabel]:
-    labels = []
-    for token in text.split("*"):
-        kind, degree = token.strip().split(":")
-        labels.append(IrrepLabel(kind.strip(), int(degree), 2))
-    return labels
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -111,7 +102,7 @@ def cmd_orbits(cfg: RunConfig, args) -> int:
     tau = cfg.get_float("tau.value", 0.0)
     model.require_tau(tau)
     policy = cfg.policy(model, tau)
-    records = orbit_records(model, policy.max_period, tau=tau, workers=policy.workers)
+    records = orbit_records(model, policy.max_period, tau=tau)
     out = args.out or cfg.get("io.out", required=True)
     write_orbit_dump(out, records)
     report = Report("orbits", cfg.values, {"count": len(records), "path": out})
@@ -152,7 +143,7 @@ def cmd_zeta_eval(cfg: RunConfig, args) -> int:
                 )
         mu_raw = cfg.get("selberg.mu")
         if mu_raw and source == "spectrum":
-            zv = selberg_log_zeta(records, rep, _parse_mu(mu_raw), lam, policy, allow)
+            zv = selberg_log_zeta(records, rep, cfg.selberg_mu(), lam, policy, allow)
             rows.append(_zeta_row(f"selberg[{mu_raw}]", zv))
     report = Report("zeta-eval", cfg.values, {"rows": rows, "source": source})
     report.timing_seconds = time.perf_counter() - t0
@@ -171,15 +162,20 @@ def cmd_zeta_continue(cfg: RunConfig, args) -> int:
     policy = cfg.policy(model, tau)
     rows = []
     for lam in cfg.lambda_grid():
-        pre = trace_sums(model, rep, lam, policy.max_period, tau, policy.workers)
+        pre = trace_sums(model, rep, lam, policy.max_period, tau)
         dets = [
             dynamical_determinant(
                 model, rep, k, lam, policy.max_period, tau=tau,
-                tail_tol=policy.tail_tol, workers=policy.workers, _precomputed=pre,
+                tail_tol=policy.tail_tol, _precomputed=pre,
             )
             for k in range(3)
         ]
-        product = dets[1].value / (dets[0].value * dets[2].value)
+        if lam == 0:
+            check_resonance_at_zero(dets)
+        denominator = dets[0].value * dets[2].value
+        if denominator == 0:
+            raise ConvergenceError(f"pole at lambda={lam}: d_0 * d_2 = 0")
+        product = dets[1].value / denominator
         rows.append(
             {
                 "zeta_kind": "cycle-expansion",
@@ -255,9 +251,9 @@ def cmd_selberg_factorize(cfg: RunConfig, args) -> int:
     if cfg.get("policy.entropy") is None:
         cfg.values["policy.entropy"] = str(cfg.get_float("spectrum.h", 2.0))
     policy = cfg.policy()
-    lam = complex(cfg.get("lambda.value", "5.0").replace("i", "j"))
-    k_list = [int(x) for x in cfg.get("factorize.k", "0,1,2").split(",")]
-    p_grid = [int(x) for x in cfg.get("factorize.p_grid", "10,20,40").split(",")]
+    lam = cfg.get_complex("lambda.value", 5.0)
+    k_list = cfg.get_int_list("factorize.k", "0,1,2")
+    p_grid = cfg.get_int_list("factorize.p_grid", "10,20,40")
     results = {}
     for k in k_list:
         rep = factorization_check(records, None, k, lam, policy)
@@ -288,7 +284,7 @@ def cmd_variation(cfg: RunConfig, args) -> int:
     t0 = time.perf_counter()
     model = cfg.model()
     rep = cfg.character(model.automorphism)
-    lam = complex(cfg.get("lambda.value", "3.0").replace("i", "j"))
+    lam = cfg.get_complex("lambda.value", 3.0)
     taus = cfg.tau_grid(model)
     rows = []
     worst = 0.0
@@ -317,26 +313,17 @@ def cmd_variation(cfg: RunConfig, args) -> int:
 def cmd_ledger(cfg: RunConfig, args) -> int:
     t0 = time.perf_counter()
     results = {}
-    k_list = [int(x) for x in cfg.get("ledger.k_list", "0,1,2").split(",")]
+    k_list = cfg.get_int_list("ledger.k_list", "0,1,2")
     results["condition_cases"] = {f"k={k}": condition_enumerate(k) for k in k_list}
     h0 = cfg.get_int("ledger.h0", 0)
     h1 = cfg.get_int("ledger.h1", 0)
     results["multiplicities"] = resonance_multiplicity_ledger(h0, h1)
-    cases_raw = cfg.get("ledger.selberg_cases", "")
-    if cases_raw.strip():
-        orders = []
-        for block in cases_raw.split(";"):
-            n, m, s0, d = block.split(",")
-            orders.append(
-                {
-                    "n": int(n),
-                    "m": int(m),
-                    "s0": float(s0),
-                    "kernel_dim": int(d),
-                    "order": selberg_order_ledger(int(n), int(m), float(s0), int(d)),
-                }
-            )
-        results["selberg_orders"] = orders
+    cases = cfg.selberg_cases()
+    if cases:
+        results["selberg_orders"] = [
+            {"n": n, "m": m, "s0": s0, "kernel_dim": d, "order": selberg_order_ledger(n, m, s0, d)}
+            for n, m, s0, d in cases
+        ]
     report = Report("ledger", cfg.values, results)
     report.timing_seconds = time.perf_counter() - t0
     report.write(args.out or cfg.get("io.report"))
@@ -423,6 +410,9 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = RunConfig.load(args.config, args.set)
+        if cfg.get("policy.workers") is not None:
+            print("warning: policy.workers is ignored: the Birkhoff kernel runs on one thread",
+                  file=sys.stderr)
         return _COMMANDS[args.command](cfg, args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,9 +8,11 @@ report so a run can be reproduced exactly.
 
 from __future__ import annotations
 
+import cmath
 import os
 from dataclasses import dataclass, field
 
+from .characters import IrrepLabel
 from .errors import ValidationError
 from .kleinian import MobiusGenerator
 from .toral import Character, SuspensionModel, ToralAutomorphism
@@ -18,6 +20,25 @@ from .trig import TrigPolynomial
 from .zetas import TruncationPolicy
 
 __all__ = ["RunConfig", "parse_trig", "parse_complex_list"]
+
+
+def _finite(value, what: str, text: str):
+    if not cmath.isfinite(value):
+        raise ValidationError(f"{what}: {text!r} is not finite")
+    return value
+
+
+def _number(text: str, what: str, kind=float):
+    """``kind(text)`` as a finite number, or a ValidationError naming ``what``."""
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ValidationError(f"{what}: {text!r} is not a valid {kind.__name__}") from None
+    return _finite(value, what, text)
+
+
+def _int_list(text: str, what: str) -> list[int]:
+    return [_number(tok, what, int) for tok in text.split(",")]
 
 
 def parse_trig(text: str) -> TrigPolynomial:
@@ -30,12 +51,17 @@ def parse_trig(text: str) -> TrigPolynomial:
         if kind == "const":
             if len(parts) != 2:
                 raise ValidationError(f"bad trig token {token!r}")
-            constant += float(parts[1])
+            constant += _number(parts[1], f"trig token {token!r}")
         elif kind in ("cos", "sin"):
             if len(parts) != 3:
                 raise ValidationError(f"bad trig token {token!r}")
-            k1, k2 = (int(x) for x in parts[1].split(","))
-            amp = float(parts[2])
+            freq = _int_list(parts[1], f"trig token {token!r}")
+            if len(freq) != 2 or freq == [0, 0]:
+                raise ValidationError(
+                    f"trig token {token!r} needs a nonzero frequency k1,k2; put constants in const:"
+                )
+            k1, k2 = freq
+            amp = _number(parts[2], f"trig token {token!r}")
             slot = terms.setdefault((k1, k2), [0.0, 0.0])
             slot[0 if kind == "cos" else 1] += amp
         else:
@@ -46,17 +72,26 @@ def parse_trig(text: str) -> TrigPolynomial:
     )
 
 
-def parse_complex_list(text: str) -> list[complex]:
-    return [complex(tok.replace("i", "j")) for tok in text.replace(";", ",").split(",") if tok.strip()]
+def _parse_complex(text: str, what: str) -> complex:
+    """A finite complex number; a trailing ``i`` is read as ``j`` (``3+0.5i``)."""
+    text = text.strip()
+    return _number(text[:-1] + "j" if text.endswith("i") else text, what, complex)
 
 
-def _parse_grid(text: str) -> list[float]:
+def parse_complex_list(text: str, what: str = "lambda.grid") -> list[complex]:
+    return [_parse_complex(tok, what) for tok in text.replace(";", ",").split(",") if tok.strip()]
+
+
+def _parse_grid(text: str, what: str) -> list[float]:
     text = text.strip()
     if ":" in text:
-        start, step, count = text.split(":")
-        start, step, count = float(start), float(step), int(count)
-        return [start + i * step for i in range(count)]
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValidationError(f"{what}: {text!r} is not start:step:count")
+        start, step = _number(parts[0], what), _number(parts[1], what)
+        count = _number(parts[2], what, int)
+        return [_finite(start + i * step, what, text) for i in range(count)]
+    return [_number(tok, what) for tok in text.split(",") if tok.strip()]
 
 
 @dataclass
@@ -96,11 +131,18 @@ class RunConfig:
 
     def get_int(self, key: str, default: int | None = None) -> int | None:
         raw = self.get(key)
-        return int(raw) if raw is not None else default
+        return _number(raw, key, int) if raw is not None else default
 
     def get_float(self, key: str, default: float | None = None) -> float | None:
         raw = self.get(key)
-        return float(raw) if raw is not None else default
+        return _number(raw, key) if raw is not None else default
+
+    def get_complex(self, key: str, default: complex) -> complex:
+        raw = self.get(key)
+        return _parse_complex(raw, key) if raw is not None else complex(default)
+
+    def get_int_list(self, key: str, default: str) -> list[int]:
+        return _int_list(self.get(key, default), key)
 
     def require_path(self, key: str) -> str:
         path = self.get(key, required=True)
@@ -112,7 +154,7 @@ class RunConfig:
 
     def model(self) -> SuspensionModel:
         raw = self.get("model.matrix", required=True)
-        entries = [int(x) for x in raw.replace(",", " ").split()]
+        entries = [_number(x, "model.matrix", int) for x in raw.replace(",", " ").split()]
         if len(entries) != 4:
             raise ValidationError("model.matrix needs 4 integers")
         auto = ToralAutomorphism(((entries[0], entries[1]), (entries[2], entries[3])))
@@ -123,10 +165,12 @@ class RunConfig:
 
     def character(self, automorphism: ToralAutomorphism) -> Character:
         frac = self.get_float("rep.u_fraction", 0.0)
+        if not -1.0 <= frac <= 1.0:
+            raise ValidationError(f"rep.u_fraction = {frac!r} is not an angle fraction in [-1, 1]")
         exps_raw = self.get("rep.fiber_exponents", "")
         orders = automorphism.coker_orders
         if exps_raw.strip():
-            exps = tuple(int(x) for x in exps_raw.split())
+            exps = tuple(_number(x, "rep.fiber_exponents", int) for x in exps_raw.split())
             if len(exps) != len(orders):
                 raise ValidationError("rep.fiber_exponents length must match coker factor count")
         else:
@@ -139,7 +183,6 @@ class RunConfig:
             if model is None:
                 raise ValidationError("policy.entropy is required without a model section")
             entropy = model.default_entropy(tau)
-        workers = self.get_int("policy.workers")
         return TruncationPolicy(
             max_period=self.get_int("policy.n_max", 12),
             j_max=self.get_int("policy.j_max", 16),
@@ -147,11 +190,10 @@ class RunConfig:
             entropy=entropy,
             tail_tol=self.get_float("policy.tail_tol", 1e-12),
             quad_subdiv=self.get_int("policy.quad_subdiv", 16),
-            workers=workers,
         )
 
     def tau_grid(self, model: SuspensionModel | None = None) -> list[float]:
-        grid = _parse_grid(self.get("tau.grid", "0.0"))
+        grid = _parse_grid(self.get("tau.grid", "0.0"), "tau.grid")
         if model is not None:
             for t in grid:
                 model.require_tau(t)
@@ -160,11 +202,35 @@ class RunConfig:
     def lambda_grid(self) -> list[complex]:
         return parse_complex_list(self.get("lambda.grid", required=True))
 
+    def selberg_mu(self) -> list[IrrepLabel]:
+        """``selberg.mu``: ``kind:degree`` labels joined by ``*``, e.g. ``nu:1*sigma:2``."""
+        labels = []
+        for token in self.get("selberg.mu", required=True).split("*"):
+            fields = token.strip().split(":")
+            if len(fields) != 2:
+                raise ValidationError(f"selberg.mu: label {token!r} is not kind:degree")
+            labels.append(IrrepLabel(fields[0].strip(), _number(fields[1], "selberg.mu", int), 2))
+        return labels
+
+    def selberg_cases(self) -> list[tuple[int, int, float, int]]:
+        """``ledger.selberg_cases``: ``n,m,s0,kernel_dim`` blocks separated by ``;``."""
+        raw = self.get("ledger.selberg_cases", "")
+        cases = []
+        for block in raw.split(";") if raw.strip() else []:
+            fields = block.split(",")
+            if len(fields) != 4:
+                raise ValidationError(
+                    f"ledger.selberg_cases: block {block!r} needs 4 fields n,m,s0,kernel_dim"
+                )
+            n, m, d = (_number(fields[i], "ledger.selberg_cases", int) for i in (0, 1, 3))
+            cases.append((n, m, _number(fields[2], "ledger.selberg_cases"), d))
+        return cases
+
     def generators(self) -> list[MobiusGenerator]:
         raw = self.get("spectrum.generators", required=True)
         gens = []
         for block in raw.split(";"):
-            vals = [float(x) for x in block.replace(",", " ").split()]
+            vals = [_number(x, "spectrum.generators") for x in block.replace(",", " ").split()]
             if len(vals) != 8:
                 raise ValidationError("each generator needs 8 floats (re, im for 4 entries)")
             gens.append(

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import ResonanceAtZeroError, ValidationError
+from .errors import ConvergenceError, ResonanceAtZeroError, ValidationError
 from .summation import block_sum
 from .toral import Character, SuspensionModel, fixed_points
 from .zetas import TruncationPolicy
@@ -32,6 +32,7 @@ __all__ = [
     "dynamical_determinant",
     "zeta_at_zero",
     "ZetaAtZero",
+    "check_resonance_at_zero",
     "trace_sums",
 ]
 
@@ -55,13 +56,19 @@ class DynamicalDeterminant:
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
+def _out_of_range(lam: complex) -> ConvergenceError:
+    return ConvergenceError(
+        f"cycle expansion at lambda={lam} overflows floating point; raise Re(lambda) or lower n_max"
+    )
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported as ConvergenceError
 def trace_sums(
     model: SuspensionModel,
     representation: Character | None,
     lam: complex,
     n_max: int,
     tau: float = 0.0,
-    workers: int | None = None,
 ):
     """Circle-stripped fixed-point sums ``S_m`` and counts for m = 1..n_max.
 
@@ -91,7 +98,10 @@ def trace_sums(
             r0 = model.roof.constant
             if tau != 0.0 and model.time_change is not None:
                 r0 *= 1.0 + tau * model.time_change.constant
-            s_values.append(count * cmath.exp(-lam * r0 * m))
+            try:
+                s_values.append(count * cmath.exp(-lam * r0 * m))
+            except (OverflowError, ValueError):
+                raise _out_of_range(lam) from None
             continue
         pts = fixed_points(auto, m)
         if lam == 0:
@@ -106,7 +116,6 @@ def trace_sums(
                 model.roof,
                 model.time_change,
                 tau,
-                workers=workers,
             )
             weights = np.exp(-lam * birkhoff)
         if not fiber_trivial:
@@ -123,6 +132,8 @@ def trace_sums(
                     phase += (2.0 * math.pi * exp / order) * y
             weights = weights * np.exp(1j * phase)
         s_values.append(complex(block_sum(np.asarray(weights, dtype=complex))))
+    if not all(cmath.isfinite(s) for s in s_values):
+        raise _out_of_range(lam)
     return s_values, counts
 
 
@@ -157,7 +168,6 @@ def dynamical_determinant(
     n_max: int,
     tau: float = 0.0,
     tail_tol: float = 1e-12,
-    workers: int | None = None,
     _precomputed=None,
 ) -> DynamicalDeterminant:
     """Degree-``k`` cycle-expansion determinant at spectral parameter ``lam``.
@@ -169,25 +179,29 @@ def dynamical_determinant(
         raise ValidationError("n_max must be >= 1")
     auto = model.automorphism
     if _precomputed is None:
-        s_values, counts = trace_sums(model, representation, lam, n_max, tau, workers)
+        s_values, counts = trace_sums(model, representation, lam, n_max, tau)
     else:
         s_values, counts = _precomputed
     traces = [
         auto.wedge_trace_power(k, m) * (s_values[m - 1] / counts[m - 1])
         for m in range(1, n_max + 1)
     ]
-    coeffs, reliable, warnings = _plemelj_smithies(traces, tail_tol, n_max)
     u = 1.0 + 0.0j if representation is None else complex(representation.circle)
-    value = 0.0 + 0.0j
-    u_pow = 1.0 + 0.0j
-    re_parts = []
-    im_parts = []
-    for n, c in enumerate(coeffs):
-        term = u_pow * c
-        re_parts.append(term.real)
-        im_parts.append(term.imag)
-        u_pow *= u
-    value = complex(math.fsum(re_parts), math.fsum(im_parts))
+    try:
+        coeffs, reliable, warnings = _plemelj_smithies(traces, tail_tol, n_max)
+        u_pow = 1.0 + 0.0j
+        re_parts = []
+        im_parts = []
+        for n, c in enumerate(coeffs):
+            term = u_pow * c
+            re_parts.append(term.real)
+            im_parts.append(term.imag)
+            u_pow *= u
+        value = complex(math.fsum(re_parts), math.fsum(im_parts))
+    except (OverflowError, ValueError):  # math.fsum met inf - inf or overflowed
+        raise _out_of_range(lam) from None
+    if not cmath.isfinite(value):
+        raise _out_of_range(lam)
     return DynamicalDeterminant(
         grading=k,
         lam=complex(lam),
@@ -215,6 +229,15 @@ class ZetaAtZero:
         return tuple(d.value for d in self.determinants)
 
 
+def check_resonance_at_zero(dets, resonance_tol: float = 1e-9) -> None:
+    """Raise :class:`ResonanceAtZeroError` when a determinant at 0 vanishes within ``resonance_tol``."""
+    for d in dets:
+        if abs(d.value) < resonance_tol:
+            raise ResonanceAtZeroError(
+                f"resonance at zero: d_{d.grading}(0) = {d.value}; zeta value undefined"
+            )
+
+
 def zeta_at_zero(
     model: SuspensionModel,
     representation: Character | None,
@@ -228,9 +251,7 @@ def zeta_at_zero(
     within ``resonance_tol``: the value is undefined exactly in the
     excluded resonant case.
     """
-    pre = trace_sums(
-        model, representation, 0.0, policy.max_period, tau, policy.workers
-    )
+    pre = trace_sums(model, representation, 0.0, policy.max_period, tau)
     dets = tuple(
         dynamical_determinant(
             model,
@@ -240,16 +261,11 @@ def zeta_at_zero(
             policy.max_period,
             tau=tau,
             tail_tol=policy.tail_tol,
-            workers=policy.workers,
             _precomputed=pre,
         )
         for k in range(3)
     )
-    for d in dets:
-        if abs(d.value) < resonance_tol:
-            raise ResonanceAtZeroError(
-                f"resonance at zero: d_{d.grading}(0) = {d.value}; zeta value undefined"
-            )
+    check_resonance_at_zero(dets, resonance_tol)
     value = dets[1].value / (dets[0].value * dets[2].value)
     return ZetaAtZero(
         value=value,

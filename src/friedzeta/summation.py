@@ -3,7 +3,7 @@
 All orbit sums in the zeta engine accumulate in a fixed sorted order, and
 every data-parallel reduction goes through :func:`block_sum`, whose block
 structure depends only on the array length.  Results are therefore
-bit-stable across worker counts.
+bit-stable from run to run.
 """
 
 from __future__ import annotations

@@ -583,7 +583,6 @@ def orbit_records(
     model: SuspensionModel,
     n_max: int,
     tau: float = 0.0,
-    workers: int | None = None,
 ) -> list[OrbitRecord]:
     """Primitive orbit records with lengths at family parameter ``tau``.
 
@@ -604,7 +603,7 @@ def orbit_records(
         den = group[0].den
         _require_width(den)
         lengths = _kernels.birkhoff_sums(
-            num1, num2, den, auto.matrix, n, model.roof, model.time_change, tau, workers=workers
+            num1, num2, den, auto.matrix, n, model.roof, model.time_change, tau
         )
         lam_u_n = auto.lam_u**n
         lam_s_n = auto.lam_s**n

@@ -61,15 +61,12 @@ def _family_data(model: SuspensionModel, representation, policy: TruncationPolic
         num1 = np.array([o.num1 for o in group], dtype=np.int64)
         num2 = np.array([o.num2 for o in group], dtype=np.int64)
         den = group[0].den
-        b_r = _kernels.birkhoff_sums(
-            num1, num2, den, auto.matrix, n, model.roof, None, 0.0, workers=policy.workers
-        )
+        b_r = _kernels.birkhoff_sums(num1, num2, den, auto.matrix, n, model.roof, None, 0.0)
         if model.time_change is None:
             b_rg = np.zeros_like(b_r)
         else:
             b_tot = _kernels.birkhoff_sums(
-                num1, num2, den, auto.matrix, n, model.roof, model.time_change, 1.0,
-                workers=policy.workers,
+                num1, num2, den, auto.matrix, n, model.roof, model.time_change, 1.0
             )
             b_rg = b_tot - b_r
         for idx, o in enumerate(group):
@@ -193,8 +190,8 @@ def direct_quotient(
     policy: TruncationPolicy,
 ) -> complex:
     """Reference ratio from two truncated Euler products."""
-    rec_tau = orbit_records(model, policy.max_period, tau=tau, workers=policy.workers)
-    rec_0 = orbit_records(model, policy.max_period, tau=0.0, workers=policy.workers)
+    rec_tau = orbit_records(model, policy.max_period, tau=tau)
+    rec_0 = orbit_records(model, policy.max_period, tau=0.0)
     log_tau = ruelle_log_zeta(rec_tau, representation, lam, policy).log_value
     log_0 = ruelle_log_zeta(rec_0, representation, lam, policy).log_value
     return cmath.exp(log_tau - log_0)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class TruncationPolicy:
     entropy: float = 1.0
     tail_tol: float = 1e-12
     quad_subdiv: int = 16
-    workers: int | None = None
 
     def __post_init__(self):
         if self.max_period < 1 or self.j_max < 1 or self.p_max < 0:
@@ -449,16 +448,7 @@ def factorization_residual_curve(spectrum, representation, k, lam, policy, p_val
     """Max relative per-orbit residual for each truncation order."""
     out = []
     for p in p_values:
-        pol = TruncationPolicy(
-            max_period=policy.max_period,
-            j_max=policy.j_max,
-            p_max=int(p),
-            entropy=policy.entropy,
-            tail_tol=policy.tail_tol,
-            quad_subdiv=policy.quad_subdiv,
-            workers=policy.workers,
-        )
-        rep = factorization_check(spectrum, representation, k, lam, pol)
+        rep = factorization_check(spectrum, representation, k, lam, replace(policy, p_max=int(p)))
         out.append((int(p), rep.max_rel_residual))
     return out
 

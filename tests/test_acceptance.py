@@ -79,9 +79,7 @@ def test_criterion_2_local_constancy():
     taus = [0.02 * i for i in range(6)]
     values = []
     for tau in taus:
-        policy = TruncationPolicy(
-            max_period=14, entropy=model.default_entropy(tau), workers=2
-        )
+        policy = TruncationPolicy(max_period=14, entropy=model.default_entropy(tau))
         values.append(zeta_at_zero(model, rep, policy, tau=tau).modulus)
     spread = (max(values) - min(values)) / min(values)
     base = {(r.period, r.num1, r.num2): r.length for r in orbit_records(model, 6, tau=0.0)}

@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from friedzeta import (
     ComplexLengthRecord,
@@ -330,3 +332,88 @@ class TestSchottkyFactorizePipeline:
         for k in (0, 1, 2):
             assert payload["results"][f"k={k}"]["max_rel_residual"] < 1e-10
         assert elapsed < 60.0
+
+
+MALFORMED = [
+    ["zeta-eval", "policy.n_max=abc", "lambda.grid=4"],
+    ["zeta-eval", "model.roof=const:1 cos:1:0.1", "lambda.grid=4"],
+    ["zeta-eval", "model.roof=const:1 cos:0,0:0.1", "lambda.grid=4"],
+    ["ledger", "ledger.selberg_cases=2,2,1"],
+    ["zeta-eval", "lambda.grid=inf"],
+    ["zeta-eval", "lambda.grid=nan"],
+    ["zeta-continue", "lambda.grid=nan"],
+    ["zeta-eval", "tau.value=inf", "lambda.grid=4"],
+    ["fried-check", "tau.grid=0,nan"],
+    ["variation", "lambda.value=nan", "tau.grid=0.05"],
+    ["variation", "lambda.value=3", "tau.grid=0:inf:2"],
+    ["zeta-eval", "rep.u_fraction=1e308", "lambda.grid=4"],
+]
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("argv", MALFORMED, ids=lambda argv: " ".join(argv))
+    def test_malformed_value_is_one_error_line(self, argv, capsys):
+        assert run(argv[0], *CAT_SETTINGS, *argv[1:]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_resonance_at_zero_same_error_as_fried_check(self, capsys):
+        trivial = ["model.matrix=2 1 1 1", "rep.u_fraction=0", "policy.n_max=6"]
+        assert run("zeta-continue", *trivial, "lambda.grid=0") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: resonance at zero")
+        assert run("fried-check", *trivial) == 2
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (["model.roof=const:1 cos:1,0:0.1", "lambda.grid=-200"], "error: cycle expansion at lambda"),
+            (["model.roof=const:1e-300", "rep.u_fraction=0", "lambda.grid=4"], "error: pole at lambda"),
+        ],
+    )
+    def test_continuation_out_of_range_exit_2(self, settings, message, capsys):
+        assert run("zeta-continue", *CAT_SETTINGS, "policy.n_max=8", *settings) == 2
+        assert capsys.readouterr().err.startswith(message)
+
+    @pytest.mark.parametrize("workers", ["4", "many"])
+    def test_workers_key_is_accepted_and_ignored(self, workers, capsys):
+        settings = [*CAT_SETTINGS, "policy.n_max=6", "lambda.grid=1"]
+        assert run("zeta-continue", *settings) == 0
+        plain = json.loads(capsys.readouterr().out)["results"]
+        assert run("zeta-continue", *settings, f"policy.workers={workers}") == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: policy.workers is ignored: the Birkhoff kernel runs on one thread\n"
+        assert json.loads(captured.out)["results"] == plain
+
+
+FUZZ_KEYS = (
+    "policy.n_max",
+    "policy.j_max",
+    "policy.entropy",
+    "policy.workers",
+    "model.roof",
+    "model.time_change",
+    "rep.u_fraction",
+    "lambda.grid",
+    "tau.grid",
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["zeta-eval", "zeta-continue"]),
+    values=st.dictionaries(st.sampled_from(FUZZ_KEYS), st.text(max_size=24)),
+)
+def test_fuzzed_settings_exit_cleanly(command, values, capsys):
+    try:
+        if int(values["policy.n_max"]) > 4:
+            values["policy.n_max"] = "4"
+    except (KeyError, ValueError):
+        pass
+    pairs = ["model.matrix=2 1 1 1", "policy.n_max=4", "lambda.grid=4"]
+    pairs += [f"{key}={value}" for key, value in values.items()]
+    assert run(command, *pairs) in (0, 1, 2)
+    capsys.readouterr()

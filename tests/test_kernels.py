@@ -1,14 +1,11 @@
 import numpy as np
-import pytest
 
 from friedzeta import ToralAutomorphism, TrigPolynomial, fixed_points
-from friedzeta._kernels import available_backends, birkhoff_sums
+from friedzeta._kernels import birkhoff_sums
 
 CAT = ToralAutomorphism(((2, 1), (1, 1)))
 ROOF = TrigPolynomial(1.0, ((1, 0, 0.05, 0.0), (0, 1, 0.0, 0.04)))
 CHANGE = TrigPolynomial(0.1, ((1, 1, 0.03, 0.0),))
-
-BACKENDS = sorted(available_backends())
 
 
 def reference_birkhoff(num1, num2, den, matrix, steps, roof, change, tau):
@@ -29,35 +26,23 @@ def reference_birkhoff(num1, num2, den, matrix, steps, roof, change, tau):
     return np.array(out)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_against_reference(backend):
+def test_against_reference():
     pts = fixed_points(CAT, 5)
-    got = birkhoff_sums(
-        pts.num1, pts.num2, pts.den, CAT.matrix, 5, ROOF, CHANGE, 0.2, backend=backend
-    )
+    got = birkhoff_sums(pts.num1, pts.num2, pts.den, CAT.matrix, 5, ROOF, CHANGE, 0.2)
     want = reference_birkhoff(pts.num1, pts.num2, pts.den, CAT.matrix, 5, ROOF, CHANGE, 0.2)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_backends_match():
-    if len(BACKENDS) < 2:
-        pytest.skip("compiled backend unavailable")
-    pts = fixed_points(CAT, 9)
-    outs = [
-        birkhoff_sums(pts.num1, pts.num2, pts.den, CAT.matrix, 9, ROOF, CHANGE, 0.15, backend=b)
-        for b in BACKENDS
-    ]
-    assert np.max(np.abs(outs[0] - outs[1])) < 1e-13
-
-
-@pytest.mark.parametrize("workers", [1, 2, 7])
-def test_worker_count_invariance(workers):
-    pts = fixed_points(CAT, 10)
-    base = birkhoff_sums(pts.num1, pts.num2, pts.den, CAT.matrix, 10, ROOF, CHANGE, 0.1, workers=1)
-    out = birkhoff_sums(
-        pts.num1, pts.num2, pts.den, CAT.matrix, 10, ROOF, CHANGE, 0.1, workers=workers
-    )
-    assert np.array_equal(base, out)
+def test_blocks_do_not_change_per_point_sums():
+    pts = fixed_points(CAT, 11)  # 39,602 points: three kernel blocks
+    whole = birkhoff_sums(pts.num1, pts.num2, pts.den, CAT.matrix, 11, ROOF, CHANGE, 0.1)
+    for lo in (0, 16000, 39000):  # the middle slice straddles a block edge
+        sl = slice(lo, lo + 600)
+        part = birkhoff_sums(pts.num1[sl], pts.num2[sl], pts.den, CAT.matrix, 11, ROOF, CHANGE, 0.1)
+        assert np.array_equal(whole[sl], part)
+    edge = slice(16380, 16388)
+    want = reference_birkhoff(pts.num1[edge], pts.num2[edge], pts.den, CAT.matrix, 11, ROOF, CHANGE, 0.1)
+    assert np.max(np.abs(whole[edge] - want)) < 1e-12
 
 
 def test_constant_roof_counts_steps():

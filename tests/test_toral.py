@@ -291,8 +291,8 @@ class TestOrbitDump:
 
     def test_byte_determinism(self, cat_family, tmp_path):
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-        write_orbit_dump(p1, orbit_records(cat_family, 6, tau=0.05, workers=1))
-        write_orbit_dump(p2, orbit_records(cat_family, 6, tau=0.05, workers=4))
+        write_orbit_dump(p1, orbit_records(cat_family, 6, tau=0.05))
+        write_orbit_dump(p2, orbit_records(cat_family, 6, tau=0.05))
         assert p1.read_bytes() == p2.read_bytes()
 
 

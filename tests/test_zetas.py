@@ -307,11 +307,3 @@ class TestRecordContracts:
         with pytest.raises(ValidationError):
             graded_log_zeta(back, None, 0, 4.0, pol)
 
-
-class TestWorkerDeterminism:
-    def test_trace_sums_bitwise_stable(self, perturbed_model, rep_minus):
-        from friedzeta.continuation import trace_sums
-
-        one = trace_sums(perturbed_model, rep_minus, 1.5, 9, workers=1)[0]
-        many = trace_sums(perturbed_model, rep_minus, 1.5, 9, workers=5)[0]
-        assert one == many
