@@ -170,12 +170,8 @@ def cmd_zeta_continue(cfg: RunConfig, args) -> int:
             )
             for k in range(3)
         ]
-        if lam == 0:
-            check_resonance_at_zero(dets)
-        denominator = dets[0].value * dets[2].value
-        if denominator == 0:
-            raise ConvergenceError(f"pole at lambda={lam}: d_0 * d_2 = 0")
-        product = dets[1].value / denominator
+        check_resonance_at_zero(dets)
+        product = dets[1].value / (dets[0].value * dets[2].value)
         rows.append(
             {
                 "zeta_kind": "cycle-expansion",

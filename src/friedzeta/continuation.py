@@ -3,7 +3,7 @@
 Each graded determinant is the exponential-of-trace generating function
 ``d_k = sum_n c_n`` with the standard trace-to-coefficient recursion
 ``c_n = -(1/n) sum_m t_m c_{n-m}``, built from per-period fixed-point
-trace sums.  For analytic roof data the coefficients decay
+trace sums read off the orbit table.  For analytic roof data the coefficients decay
 super-exponentially and the sum evaluates the zeta factors at any
 spectral parameter, in particular at 0.
 
@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConvergenceError, ResonanceAtZeroError, ValidationError
 from .summation import block_sum
-from .toral import Character, SuspensionModel, fixed_points
+from .toral import Character, SuspensionModel, orbit_table
 from .zetas import TruncationPolicy
 
 __all__ = [
@@ -74,10 +73,13 @@ def trace_sums(
 
     ``S_m = sum_{x in Fix(A^m)} exp(-lam * r_m(x)) * fiber(x)`` where
     ``r_m`` is the effective-roof Birkhoff sum and ``fiber`` the finite
-    character part of the twist (the circle part is excluded).  When the
-    weight is point-independent (``lam = 0`` or constant effective roof)
-    and the fiber is trivial, ``S_m`` reduces to the exact fixed-point
-    count ``|det(A^m - I)|`` without enumeration.
+    character part of the twist (the circle part is excluded).  A point of
+    least period ``p | m`` lies on a primitive orbit with ``r_m = (m/p) *
+    length`` and ``fiber(x) = fiber(class)^(m/p)``, so the sum runs over the
+    orbit table: ``S_m = sum_{p | m} p sum_{period p} exp(-lam (m/p) l) fiber^(m/p)``.
+    When the weight is point-independent (``lam = 0`` or constant effective
+    roof) and the fiber is trivial, ``S_m`` reduces to the exact
+    fixed-point count ``|det(A^m - I)|`` without enumeration.
     """
     model.require_tau(tau)
     lam = complex(lam)
@@ -86,6 +88,9 @@ def trace_sums(
     const_roof = model.roof.is_constant and (
         tau == 0.0 or model.time_change is None or model.time_change.is_constant
     )
+    if not (fiber_trivial and (lam == 0 or const_roof)):
+        table = orbit_table(model, n_max)
+        lengths = table.lengths(tau)
     s_values: list[complex] = []
     counts: list[int] = []
     for m in range(1, n_max + 1):
@@ -103,35 +108,14 @@ def trace_sums(
             except (OverflowError, ValueError):
                 raise _out_of_range(lam) from None
             continue
-        pts = fixed_points(auto, m)
-        if lam == 0:
-            weights = np.ones(pts.count)
-        else:
-            birkhoff = _kernels.birkhoff_sums(
-                pts.num1,
-                pts.num2,
-                pts.den,
-                auto.matrix,
-                m,
-                model.roof,
-                model.time_change,
-                tau,
-            )
-            weights = np.exp(-lam * birkhoff)
-        if not fiber_trivial:
-            am = auto.power(m)
-            v1 = ((am[0][0] - 1) * pts.num1 + am[0][1] * pts.num2) // pts.den
-            v2 = (am[1][0] * pts.num1 + (am[1][1] - 1) * pts.num2) // pts.den
-            u_mat, d_mat, _ = auto._coker_snf
-            phase = np.zeros(pts.count)
-            for row, (order, exp) in enumerate(
-                zip(representation.fiber_orders, representation.fiber_exponents)
-            ):
-                if order > 1 and exp:
-                    y = (u_mat[row][0] * v1 + u_mat[row][1] * v2) % order
-                    phase += (2.0 * math.pi * exp / order) * y
-            weights = weights * np.exp(1j * phase)
-        s_values.append(complex(block_sum(np.asarray(weights, dtype=complex))))
+        parts = []
+        for p in (p for p in range(1, m + 1) if m % p == 0):
+            rows = table.period_slice(p)
+            weights = np.exp((-lam * (m // p)) * lengths[rows])
+            if not fiber_trivial:
+                weights = weights * representation.fiber_values((m // p) * table.class_exps[rows])
+            parts.append(p * weights)
+        s_values.append(complex(block_sum(np.concatenate(parts))))
     if not all(cmath.isfinite(s) for s in s_values):
         raise _out_of_range(lam)
     return s_values, counts
@@ -230,12 +214,19 @@ class ZetaAtZero:
 
 
 def check_resonance_at_zero(dets, resonance_tol: float = 1e-9) -> None:
-    """Raise :class:`ResonanceAtZeroError` when a determinant at 0 vanishes within ``resonance_tol``."""
+    """Reject determinants that vanish within ``resonance_tol`` at their own ``lam``.
+
+    At ``lam = 0`` that is the excluded resonance (:class:`ResonanceAtZeroError`);
+    elsewhere ``log zeta`` meets a pole or zero (:class:`ConvergenceError`).
+    """
     for d in dets:
         if abs(d.value) < resonance_tol:
-            raise ResonanceAtZeroError(
-                f"resonance at zero: d_{d.grading}(0) = {d.value}; zeta value undefined"
-            )
+            if d.lam == 0:
+                raise ResonanceAtZeroError(
+                    f"resonance at zero: d_{d.grading}(0) = {d.value}; zeta value undefined"
+                )
+            kind = "zero" if d.grading == 1 else "pole"
+            raise ConvergenceError(f"{kind} at lambda={d.lam}: d_{d.grading} = {d.value}; log zeta undefined")
 
 
 def zeta_at_zero(

@@ -3,8 +3,9 @@
 Periodic points of the base map are enumerated exactly through the Smith
 normal form of ``A^n - I``; every base quantity (counts, homology classes,
 orientation indices) is integer arithmetic.  Lengths under a time-change
-family are Birkhoff sums of the effective roof ``roof * (1 + tau*g)`` and
-go through the compiled kernel.
+family are Birkhoff sums of the effective roof ``roof * (1 + tau*g)``.
+Every consumer reads one cached :class:`OrbitTable` per (model, n_max);
+:func:`primitive_orbits` and :func:`orbit_records` are its row views.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,6 +33,8 @@ __all__ = [
     "FixedPointSet",
     "primitive_orbits",
     "orbit_records",
+    "OrbitTable",
+    "orbit_table",
     "orbit_length",
     "variation_coefficient",
     "homology_class",
@@ -46,6 +49,7 @@ __all__ = [
 # int64 kernels multiply residues below the denominator, so den**2 must fit.
 MAX_DENOMINATOR = 1 << 31
 MAX_ENUMERATED_POINTS = 1 << 27
+_WALK_BLOCK = 1 << 14
 
 ORBIT_DUMP_HEADER = "#fried-orbits v1"
 
@@ -272,6 +276,9 @@ class SuspensionModel:
     def __post_init__(self):
         if self.roof.lower_bound() <= 0:
             raise ValidationError("roof positivity certificate failed")
+        # the kernels form k1*x1 + k2*x2 in int64 with residues below 2^31
+        for poly in (self.roof, self.time_change or TrigPolynomial()):
+            _require_width(*(k for k1, k2, _, _ in poly.terms for k in (k1, k2)))
 
     def tau_range(self) -> tuple[float, float]:
         """Open interval of family parameters with ``1 + tau*g > 0`` certified."""
@@ -358,6 +365,15 @@ class Character:
     def value(self, exps: tuple[int, ...], winding: int) -> complex:
         return self.circle**winding * self.fiber_value(exps)
 
+    def fiber_values(self, class_exps: np.ndarray) -> np.ndarray:
+        """:meth:`fiber_value` over the rows of an integer array of class exponents."""
+        turns = np.zeros(len(class_exps))
+        for col, (e, d) in enumerate(zip(self.fiber_exponents, self.fiber_orders)):
+            if d > 1:
+                turns += (e * class_exps[:, col]) % d / d
+        ang = 2.0 * math.pi * turns
+        return np.cos(ang) + 1j * np.sin(ang)
+
 
 def holonomy(character: Character, homology: tuple[tuple[int, ...], int]) -> complex:
     """Character value on a homology class ``(fiber exponents, winding)``."""
@@ -366,7 +382,7 @@ def holonomy(character: Character, homology: tuple[tuple[int, ...], int]) -> com
 
 
 # ---------------------------------------------------------------------------
-# Fixed points and primitive orbits
+# Fixed points, orbit rows and their scalar references
 # ---------------------------------------------------------------------------
 
 
@@ -391,9 +407,11 @@ class FixedPointSet:
 def _require_width(*values: int):
     for v in values:
         if abs(int(v)) >= MAX_DENOMINATOR:
-            raise CapacityError(
-                f"integer data {v} exceeds the 31-bit denominator width supported by the int64 kernels"
-            )
+            raise CapacityError(f"integer data {v} exceeds the 31-bit width supported by the int64 kernels")
+
+
+def _automorphism(a) -> ToralAutomorphism:
+    return a if isinstance(a, ToralAutomorphism) else ToralAutomorphism(a)
 
 
 def fixed_points(automorphism: ToralAutomorphism | object, n: int) -> FixedPointSet:
@@ -403,7 +421,7 @@ def fixed_points(automorphism: ToralAutomorphism | object, n: int) -> FixedPoint
     ``Z_d1 x Z_d2`` through the Smith normal form; the output is sorted
     lexicographically by numerator pair.
     """
-    auto = automorphism if isinstance(automorphism, ToralAutomorphism) else ToralAutomorphism(automorphism)
+    auto = _automorphism(automorphism)
     if n < 1:
         raise ValidationError("period must be >= 1")
     an = auto.power(n)
@@ -429,32 +447,6 @@ def fixed_points(automorphism: ToralAutomorphism | object, n: int) -> FixedPoint
     return FixedPointSet(n, num1[order], num2[order], d2)
 
 
-def _least_period_mask(auto: ToralAutomorphism, pts: FixedPointSet) -> np.ndarray:
-    """True where the point's least period equals ``pts.period`` exactly."""
-    n = pts.period
-    mask = np.ones(pts.count, dtype=bool)
-    for p in {p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)}:
-        d = n // p
-        ad = auto.power(d)
-        m11, m12 = (ad[0][0] - 1) % pts.den, ad[0][1] % pts.den
-        m21, m22 = ad[1][0] % pts.den, (ad[1][1] - 1) % pts.den
-        k1 = (m11 * pts.num1 + m12 * pts.num2) % pts.den
-        k2 = (m21 * pts.num1 + m22 * pts.num2) % pts.den
-        mask &= ~((k1 == 0) & (k2 == 0))
-    return mask
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    q = 2
-    while q * q <= p:
-        if p % q == 0:
-            return False
-        q += 1
-    return True
-
-
 @dataclass(frozen=True)
 class PrimitiveOrbit:
     """Primitive base orbit: least period and canonical base point."""
@@ -463,57 +455,6 @@ class PrimitiveOrbit:
     num1: int
     num2: int
     den: int
-
-
-def primitive_orbits(automorphism, n_max: int) -> list[PrimitiveOrbit]:
-    """Primitive periodic orbits of the base map up to period ``n_max``.
-
-    Each orbit is represented by its lexicographically smallest point;
-    the output is sorted by ``(period, num1, num2)``.
-    """
-    auto = automorphism if isinstance(automorphism, ToralAutomorphism) else ToralAutomorphism(automorphism)
-    out: list[PrimitiveOrbit] = []
-    for n in range(1, n_max + 1):
-        pts = fixed_points(auto, n)
-        mask = _least_period_mask(auto, pts)
-        num1 = pts.num1[mask]
-        num2 = pts.num2[mask]
-        if len(num1) == 0:
-            continue
-        den = pts.den
-        keys = num1 * den + num2
-        order = np.argsort(keys)
-        keys = keys[order]
-        num1 = num1[order]
-        num2 = num2[order]
-        an = auto.matrix
-        a11, a12 = an[0][0] % den, an[0][1] % den
-        a21, a22 = an[1][0] % den, an[1][1] % den
-        next1 = (a11 * num1 + a12 * num2) % den
-        next2 = (a21 * num1 + a22 * num2) % den
-        succ = np.searchsorted(keys, next1 * den + next2)
-        visited = np.zeros(len(keys), dtype=bool)
-        for start in range(len(keys)):
-            if visited[start]:
-                continue
-            idx = start
-            best = int(keys[start])
-            length = 0
-            while not visited[idx]:
-                visited[idx] = True
-                best = min(best, int(keys[idx]))
-                idx = int(succ[idx])
-                length += 1
-            if length != n:
-                raise AssertionError("orbit length does not match least period")
-            out.append(PrimitiveOrbit(n, best // den, best % den, den))
-    out.sort(key=lambda o: (o.period, o.num1, o.num2))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Orbit records
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -552,14 +493,13 @@ def orientation_index(automorphism, n: int) -> int:
     The index of the j-th iterate of a primitive orbit is the j-th power
     of the primitive index.
     """
-    auto = automorphism if isinstance(automorphism, ToralAutomorphism) else ToralAutomorphism(automorphism)
-    s = 1 if auto.lam_u > 0 else -1
+    s = 1 if _automorphism(automorphism).lam_u > 0 else -1
     return s**n
 
 
 def homology_class(automorphism, base: tuple[int, int], den: int, n: int) -> tuple[tuple[int, int], int]:
     """Class of the period-``n`` orbit through ``base/den`` in ``coker(A-I) + Z``."""
-    auto = automorphism if isinstance(automorphism, ToralAutomorphism) else ToralAutomorphism(automorphism)
+    auto = _automorphism(automorphism)
     an = auto.power(n)
     v1 = (an[0][0] - 1) * base[0] + an[0][1] * base[1]
     v2 = an[1][0] * base[0] + (an[1][1] - 1) * base[1]
@@ -579,54 +519,151 @@ def transverse_wedge_traces(record: OrbitRecord, j: int, k: int) -> float:
     raise ValueError("k must be 0, 1 or 2")
 
 
-def orbit_records(
-    model: SuspensionModel,
-    n_max: int,
-    tau: float = 0.0,
-) -> list[OrbitRecord]:
-    """Primitive orbit records with lengths at family parameter ``tau``.
+# ---------------------------------------------------------------------------
+# The orbit table
+# ---------------------------------------------------------------------------
 
-    Deterministic: sorted by ``(period, base numerators)``; lengths come
-    from one kernel call per period over the sorted base points.
+
+def _orbit_minima(auto: ToralAutomorphism, pts: FixedPointSet) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest point of each orbit of least period ``pts.period``, sorted.
+
+    A point is kept when its key ``num1 * den + num2`` is below the key of
+    each later iterate; a point of smaller period meets its own key again.
+    Blocks of ``_WALK_BLOCK`` points bound the temporaries.
     """
-    model.require_tau(tau)
+    den = pts.den
+    (a11, a12), (a21, a22) = ((a % den for a in row) for row in auto.matrix)
+    keep = np.ones(pts.count, dtype=bool)
+    for lo in range(0, pts.count, _WALK_BLOCK):
+        block = slice(lo, lo + _WALK_BLOCK)
+        x1, x2 = pts.num1[block], pts.num2[block]
+        key = x1 * den + x2
+        for _ in range(pts.period - 1):
+            x1, x2 = (a11 * x1 + a12 * x2) % den, (a21 * x1 + a22 * x2) % den
+            keep[block] &= key < x1 * den + x2
+    return pts.num1[keep], pts.num2[keep]
+
+
+def _class_columns(auto: ToralAutomorphism, n: int, num1, num2, den: int) -> np.ndarray:
+    """:func:`homology_class` fiber exponents of period-``n`` points, one row per point.
+
+    ``y = U (A^n - I) x / den mod order`` (``U`` from the Smith form of
+    ``A - I``) is exact with ``U (A^n - I)`` reduced mod ``den * order``;
+    products use Python integers where int64 could overflow.
+    """
+    an = auto.power(n)
+    u, d, _ = auto._coker_snf
+    cols = []
+    for row, order in enumerate((d[0][0], d[1][1])):
+        if order <= 1:
+            cols.append(np.zeros(len(num1), dtype=np.int64))
+            continue
+        mod = den * order
+        w1 = (u[row][0] * (an[0][0] - 1) + u[row][1] * an[1][0]) % mod
+        w2 = (u[row][0] * an[0][1] + u[row][1] * (an[1][1] - 1)) % mod
+        dtype = np.int64 if 2 * mod * den < 1 << 63 else object
+        y = (w1 * num1.astype(dtype) + w2 * num2.astype(dtype)) % mod // den
+        cols.append(y.astype(np.int64))
+    return np.stack(cols, axis=1)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=4)
+def _primitive_columns(auto: ToralAutomorphism, n_max: int):
+    """``(period, num1, num2, den, class_exps)`` of every primitive orbit up to ``n_max``."""
+    parts = []
+    for n in range(1, n_max + 1):
+        pts = fixed_points(auto, n)
+        num1, num2 = _orbit_minima(auto, pts)
+        parts.append((np.full(len(num1), n), num1, num2, np.full(len(num1), pts.den),
+                      _class_columns(auto, n, num1, num2, pts.den)))
+    return _read_only(*(np.concatenate(col).astype(np.int64) for col in zip(*parts)))
+
+
+@dataclass(frozen=True, eq=False)
+class OrbitTable:
+    """Primitive orbits of a suspension up to period ``n_max``, one read-only column per field.
+
+    Rows are sorted by ``(period, num1, num2)``; each orbit is represented
+    by its lexicographically smallest base point ``(num1, num2) / den``.
+    ``length0`` is the Birkhoff sum of the roof and ``slope`` the length's
+    derivative in ``tau`` (0 without a time change).  ``class_exps`` holds
+    the fiber exponents of the class in ``coker(A - I)``, one column per
+    Smith factor; the winding is the period.
+    """
+
+    model: SuspensionModel
+    n_max: int
+    period: np.ndarray
+    num1: np.ndarray
+    num2: np.ndarray
+    den: np.ndarray
+    length0: np.ndarray
+    slope: np.ndarray
+    class_exps: np.ndarray
+
+    def period_slice(self, n: int) -> slice:
+        """Rows of the primitive orbits of period ``n``."""
+        lo, hi = np.searchsorted(self.period, (n, n + 1))
+        return slice(int(lo), int(hi))
+
+    def lengths(self, tau: float = 0.0) -> np.ndarray:
+        """Orbit lengths ``length0 + tau * slope`` at family parameter ``tau``."""
+        self.model.require_tau(tau)
+        return self.length0 + tau * self.slope
+
+    def records(self, tau: float = 0.0) -> list[OrbitRecord]:
+        """Row views with lengths at ``tau``, in table order."""
+        auto = self.model.automorphism
+        # (epsilon, lam_u, lam_s, det_power) depend on the period only
+        transverse = {
+            n: (orientation_index(auto, n), auto.lam_u**n, auto.lam_s**n, auto.det**n)
+            for n in range(1, self.n_max + 1)
+        }
+        rows = zip(self.period.tolist(), self.num1.tolist(), self.num2.tolist(), self.den.tolist(),
+                   self.lengths(tau).tolist(), map(tuple, self.class_exps.tolist()))
+        return [OrbitRecord(n, p, q, den, ell, *transverse[n], exps, n) for n, p, q, den, ell, exps in rows]
+
+
+@lru_cache(maxsize=4)
+def orbit_table(model: SuspensionModel, n_max: int) -> OrbitTable:
+    """The orbit table of ``model`` up to period ``n_max``, built once and cached.
+
+    Lengths take one kernel call per period over the representatives, two with a time change.
+    """
     auto = model.automorphism
-    orbits = primitive_orbits(auto, n_max)
-    records: list[OrbitRecord] = []
-    sign_u = 1 if auto.lam_u > 0 else -1
-    by_period: dict[int, list[PrimitiveOrbit]] = {}
-    for o in orbits:
-        by_period.setdefault(o.period, []).append(o)
-    for n, group in sorted(by_period.items()):
-        num1 = np.array([o.num1 for o in group], dtype=np.int64)
-        num2 = np.array([o.num2 for o in group], dtype=np.int64)
-        den = group[0].den
-        _require_width(den)
-        lengths = _kernels.birkhoff_sums(
-            num1, num2, den, auto.matrix, n, model.roof, model.time_change, tau
-        )
-        lam_u_n = auto.lam_u**n
-        lam_s_n = auto.lam_s**n
-        det_n = auto.det**n
-        eps = sign_u**n
-        for o, ell in zip(group, lengths):
-            exps, winding = homology_class(auto, (o.num1, o.num2), o.den, n)
-            records.append(
-                OrbitRecord(
-                    period=n,
-                    num1=o.num1,
-                    num2=o.num2,
-                    den=o.den,
-                    length=float(ell),
-                    epsilon=eps,
-                    lam_u=lam_u_n,
-                    lam_s=lam_s_n,
-                    det_power=det_n,
-                    class_exps=exps,
-                    winding=winding,
-                )
-            )
-    return records
+    period, num1, num2, den, class_exps = _primitive_columns(auto, n_max)
+    length0 = np.empty(len(period))
+    slope = np.zeros(len(period))
+    bounds = np.searchsorted(period, np.arange(1, n_max + 2)).tolist()
+    for n, lo, hi in zip(range(1, n_max + 1), bounds, bounds[1:]):
+        if lo == hi:
+            continue
+        args = (num1[lo:hi], num2[lo:hi], int(den[lo]), auto.matrix, n, model.roof)
+        length0[lo:hi] = _kernels.birkhoff_sums(*args)
+        if model.time_change is not None:
+            slope[lo:hi] = _kernels.birkhoff_sums(*args, model.time_change, 1.0) - length0[lo:hi]
+    return OrbitTable(model, n_max, period, num1, num2, den, *_read_only(length0, slope), class_exps)
+
+
+def primitive_orbits(automorphism, n_max: int) -> list[PrimitiveOrbit]:
+    """Primitive periodic orbits of the base map up to period ``n_max``.
+
+    Each orbit is represented by its lexicographically smallest point;
+    the output is sorted by ``(period, num1, num2)``.
+    """
+    period, num1, num2, den, _ = _primitive_columns(_automorphism(automorphism), n_max)
+    return [PrimitiveOrbit(*row) for row in zip(period.tolist(), num1.tolist(), num2.tolist(), den.tolist())]
+
+
+def orbit_records(model: SuspensionModel, n_max: int, tau: float = 0.0) -> list[OrbitRecord]:
+    """Primitive orbit records with lengths at ``tau``: row views of :func:`orbit_table`."""
+    return orbit_table(model, n_max).records(tau)
 
 
 def orbit_length(model: SuspensionModel, record: OrbitRecord | PrimitiveOrbit, tau: float) -> float:

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConvergenceError, ValidationError
 from .summation import block_sum
-from .toral import Character, SuspensionModel, orbit_records, primitive_orbits
+from .toral import Character, OrbitTable, SuspensionModel, orbit_table, orientation_index
 from .wedge import compound_derivative, compound_matrix
 from .zetas import TruncationPolicy, ruelle_log_zeta
 
@@ -31,69 +30,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class _FamilyData:
-    base_length: np.ndarray  # Birkhoff sum of the roof at tau = 0
-    length_slope: np.ndarray  # Birkhoff sum of roof*g: d(length)/d(tau)
-    epsilon: np.ndarray
-    rho: np.ndarray
-    lam_u: np.ndarray
-    lam_s: np.ndarray
+def _twist(table: OrbitTable, representation: Character | None) -> np.ndarray:
+    """``eps * rho`` of every primitive orbit."""
+    eps = orientation_index(table.model.automorphism, 1) ** table.period
+    if representation is None:
+        return eps.astype(complex)
+    return eps * representation.circle**table.period * representation.fiber_values(table.class_exps)
 
 
-def _family_data(model: SuspensionModel, representation, policy: TruncationPolicy) -> _FamilyData:
-    auto = model.automorphism
-    orbits = primitive_orbits(auto, policy.max_period)
-    sign_u = 1 if auto.lam_u > 0 else -1
-    base = np.empty(len(orbits))
-    slope = np.empty(len(orbits))
-    eps = np.empty(len(orbits))
-    rho = np.empty(len(orbits), dtype=complex)
-    lam_u = np.empty(len(orbits))
-    lam_s = np.empty(len(orbits))
-    from .toral import homology_class
-
-    pos = 0
-    by_period: dict[int, list] = {}
-    for o in orbits:
-        by_period.setdefault(o.period, []).append(o)
-    for n, group in sorted(by_period.items()):
-        num1 = np.array([o.num1 for o in group], dtype=np.int64)
-        num2 = np.array([o.num2 for o in group], dtype=np.int64)
-        den = group[0].den
-        b_r = _kernels.birkhoff_sums(num1, num2, den, auto.matrix, n, model.roof, None, 0.0)
-        if model.time_change is None:
-            b_rg = np.zeros_like(b_r)
-        else:
-            b_tot = _kernels.birkhoff_sums(
-                num1, num2, den, auto.matrix, n, model.roof, model.time_change, 1.0
-            )
-            b_rg = b_tot - b_r
-        for idx, o in enumerate(group):
-            base[pos] = b_r[idx]
-            slope[pos] = b_rg[idx]
-            eps[pos] = sign_u**n
-            if representation is None:
-                rho[pos] = 1.0
-            else:
-                cls = homology_class(auto, (o.num1, o.num2), o.den, n)
-                rho[pos] = representation.value(*cls)
-            lam_u[pos] = auto.lam_u**n
-            lam_s[pos] = auto.lam_s**n
-            pos += 1
-    return _FamilyData(base, slope, eps, rho, lam_u, lam_s)
-
-
-def _orbit_sum(data: _FamilyData, lam: complex, tau_prime: float, j_max: int) -> complex:
+def _orbit_sum(table: OrbitTable, twist, lam: complex, tau_prime: float, j_max: int) -> complex:
     """``sum_gamma (int_gamma q) sum_j eps^j rho^j exp(-lam*j*len(tau'))``."""
-    lengths = data.base_length + tau_prime * data.length_slope
-    e1 = data.epsilon * data.rho * np.exp(-lam * lengths)
+    e1 = twist * np.exp(-lam * table.lengths(tau_prime))
     power = np.ones_like(e1)
     total = np.zeros_like(e1)
     for _ in range(j_max):
         power = power * e1
         total += power
-    return complex(block_sum((-data.length_slope) * total))
+    return complex(block_sum((-table.slope) * total))
 
 
 def _simpson(values, h: float) -> complex:
@@ -136,13 +89,17 @@ def variation_rhs(
             f"Re(lambda)={lam.real} outside convergence region Re > {policy.entropy}"
         )
     model.require_tau(tau)
-    data = _family_data(model, representation, policy)
+    table = orbit_table(model, policy.max_period)
+    twist = _twist(table, representation)
 
     def eval_ratio(panels: int) -> complex:
         nodes = [tau * i / panels for i in range(panels + 1)]
-        values = [_orbit_sum(data, lam, t, policy.j_max) for t in nodes]
+        values = [_orbit_sum(table, twist, lam, t, policy.j_max) for t in nodes]
         integral = _simpson(values, tau / panels) if tau != 0.0 else 0.0
-        return cmath.exp(-lam * integral), integral
+        try:
+            return cmath.exp(-lam * integral), integral
+        except OverflowError:
+            raise ConvergenceError(f"variation at lambda={lam}, tau={tau} overflows floating point") from None
 
     ratio_coarse, _ = eval_ratio(policy.quad_subdiv)
     ratio_fine, integral = eval_ratio(2 * policy.quad_subdiv)
@@ -151,11 +108,11 @@ def variation_rhs(
         raise ConvergenceError(
             f"Richardson check failed: doubling quadrature moved the ratio by {diff:.3e}"
         )
-    residual = _integrand_residual(data, lam, tau / 2.0, min(3, policy.j_max))
+    residual = _integrand_residual(table, twist, lam, tau / 2.0, min(3, policy.j_max))
     return VariationResult(ratio_fine, integral, diff, residual, 2 * policy.quad_subdiv)
 
 
-def _integrand_residual(data: _FamilyData, lam: complex, tau_prime: float, j_top: int) -> float:
+def _integrand_residual(table: OrbitTable, twist, lam: complex, tau_prime: float, j_top: int) -> float:
     """Per-orbit agreement of the symbol form and the wedge-trace form.
 
     The wedge form is assembled literally from the alternating wedge
@@ -163,17 +120,19 @@ def _integrand_residual(data: _FamilyData, lam: complex, tau_prime: float, j_top
     the comparison exercises the determinant expansion, not a
     pre-simplified identity.
     """
-    sample = min(len(data.base_length), 64)
+    auto = table.model.automorphism
+    lengths = table.lengths(tau_prime)
     worst = 0.0
-    for i in range(sample):
-        ell = data.base_length[i] + tau_prime * data.length_slope[i]
-        int_q = -data.length_slope[i]
+    for i in range(min(len(table.period), 64)):
+        n = int(table.period[i])
+        eps = orientation_index(auto, n)
+        rho = twist[i] * eps  # twist = eps * rho with eps = +-1
+        int_q = -table.slope[i]
         for j in range(1, j_top + 1):
-            lu, ls = data.lam_u[i] ** j, data.lam_s[i] ** j
+            lu, ls = (auto.lam_u**n) ** j, (auto.lam_s**n) ** j
             det = (1.0 - lu) * (1.0 - ls)
-            rho_j = data.rho[i] ** j
-            weight = cmath.exp(-lam * j * ell) * rho_j
-            symbol_form = int_q * (data.epsilon[i] ** j) * weight
+            weight = cmath.exp(-lam * j * lengths[i]) * rho**j
+            symbol_form = int_q * eps**j * weight
             # sum_k (-1)^k (integral of Tr(A^(k) wedge^k dphi^j)) / |det(1-P^j)|
             elem = [1.0, ls + lu, ls * lu]  # e_0, e_1, e_2 of transverse eigenvalues
             alt = sum((-1.0) ** k * elem[k - 1] for k in range(1, 4))
@@ -189,11 +148,10 @@ def direct_quotient(
     tau: float,
     policy: TruncationPolicy,
 ) -> complex:
-    """Reference ratio from two truncated Euler products."""
-    rec_tau = orbit_records(model, policy.max_period, tau=tau)
-    rec_0 = orbit_records(model, policy.max_period, tau=0.0)
-    log_tau = ruelle_log_zeta(rec_tau, representation, lam, policy).log_value
-    log_0 = ruelle_log_zeta(rec_0, representation, lam, policy).log_value
+    """Reference ratio from two truncated Euler products over one orbit table."""
+    table = orbit_table(model, policy.max_period)
+    log_tau = ruelle_log_zeta(table.records(tau), representation, lam, policy).log_value
+    log_0 = ruelle_log_zeta(table.records(0.0), representation, lam, policy).log_value
     return cmath.exp(log_tau - log_0)
 
 

@@ -372,11 +372,30 @@ class TestInputBoundary:
         [
             (["model.roof=const:1 cos:1,0:0.1", "lambda.grid=-200"], "error: cycle expansion at lambda"),
             (["model.roof=const:1e-300", "rep.u_fraction=0", "lambda.grid=4"], "error: pole at lambda"),
+            # d_0(2*pi*i) = 1 - exp(-2*pi*i) is rounding noise: a pole away from lambda = 0
+            (["rep.u_fraction=0", "lambda.grid=6.283185307179586i"], "error: pole at lambda"),
         ],
     )
     def test_continuation_out_of_range_exit_2(self, settings, message, capsys):
         assert run("zeta-continue", *CAT_SETTINGS, "policy.n_max=8", *settings) == 2
         assert capsys.readouterr().err.startswith(message)
+
+    def test_variation_out_of_range_exit_2(self, capsys):
+        settings = ["policy.n_max=4", "tau.grid=0,0.01", "model.time_change=const:17625462.0"]
+        assert run("variation", "model.matrix=2 1 1 1", *settings) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: variation at lambda")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "roof", ["const:1 cos:2147483648,0:0.1", "const:1 cos:100000000000000000000,0:0.1"]
+    )
+    @pytest.mark.parametrize("command", ["zeta-eval", "zeta-continue"])
+    def test_frequency_beyond_kernel_width_exit_2(self, command, roof, capsys):
+        assert run(command, *CAT_SETTINGS, f"model.roof={roof}", "policy.n_max=4", "lambda.grid=4") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: integer data")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("workers", ["4", "many"])
     def test_workers_key_is_accepted_and_ignored(self, workers, capsys):
@@ -398,13 +417,14 @@ FUZZ_KEYS = (
     "model.time_change",
     "rep.u_fraction",
     "lambda.grid",
+    "lambda.value",
     "tau.grid",
 )
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    command=st.sampled_from(["zeta-eval", "zeta-continue"]),
+    command=st.sampled_from(["zeta-eval", "zeta-continue", "variation"]),
     values=st.dictionaries(st.sampled_from(FUZZ_KEYS), st.text(max_size=24)),
 )
 def test_fuzzed_settings_exit_cleanly(command, values, capsys):

@@ -14,6 +14,7 @@ from friedzeta import (
     ruelle_log_zeta,
     zeta_at_zero,
 )
+from friedzeta._kernels import birkhoff_sums
 from friedzeta.continuation import trace_sums
 
 
@@ -57,6 +58,21 @@ class TestTraceSums:
                 for p, q in zip(pts.num1, pts.num2)
             )
             assert s[m - 1] == pytest.approx(oracle, abs=1e-9)
+
+        # complex lambda and a non-constant roof: the per-fixed-point sum of
+        # exp(-lambda * Birkhoff sum) * holonomy is the oracle.  The odd-m sums
+        # cancel to rounding noise, so agreement is relative to sum |terms|.
+        roofed = SuspensionModel(a, TrigPolynomial(1.0, ((1, 0, 0.05, 0.0), (1, 1, 0.0, 0.03))))
+        lam = 1.3 + 0.4j
+        s, _ = trace_sums(roofed, chi, lam, 6)
+        for m in range(1, 7):
+            pts = fixed_points(a, m)
+            lengths = birkhoff_sums(pts.num1, pts.num2, pts.den, a.matrix, m, roofed.roof)
+            terms = [
+                cmath.exp(-lam * ell) * holonomy(chi, homology_class(a, (int(p), int(q)), pts.den, m))
+                for p, q, ell in zip(pts.num1, pts.num2, lengths)
+            ]
+            assert abs(s[m - 1] - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
 
 
 class TestDeterminants:

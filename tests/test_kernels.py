@@ -1,6 +1,6 @@
 import numpy as np
 
-from friedzeta import ToralAutomorphism, TrigPolynomial, fixed_points
+from friedzeta import SuspensionModel, ToralAutomorphism, TrigPolynomial, fixed_points
 from friedzeta._kernels import birkhoff_sums
 
 CAT = ToralAutomorphism(((2, 1), (1, 1)))
@@ -43,6 +43,20 @@ def test_blocks_do_not_change_per_point_sums():
     edge = slice(16380, 16388)
     want = reference_birkhoff(pts.num1[edge], pts.num2[edge], pts.den, CAT.matrix, 11, ROOF, CHANGE, 0.1)
     assert np.max(np.abs(whole[edge] - want)) < 1e-12
+
+
+def test_frequency_at_width_cap():
+    # the largest frequency and denominator a model admits, 2^31 - 1: every
+    # int64 product k*x and a*x stays below 2^62, each sum of two below 2^63
+    k = den = (1 << 31) - 1
+    roof = TrigPolynomial(1.0, ((k, 1, 0.05, 0.02), (-3, -k, 0.0, 0.04)))
+    change = TrigPolynomial(0.1, ((k, -k, 0.03, 0.0),))
+    SuspensionModel(CAT, roof, change)
+    rng = np.random.default_rng(3)
+    num1, num2 = rng.integers(den - 1000, den, size=(2, 200))
+    got = birkhoff_sums(num1, num2, den, CAT.matrix, 4, roof, change, 0.3)
+    want = reference_birkhoff(num1, num2, den, CAT.matrix, 4, roof, change, 0.3)
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_constant_roof_counts_steps():

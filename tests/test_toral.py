@@ -140,6 +140,23 @@ class TestPrimitiveOrbits:
             total = sum(d * prim.get(d, 0) for d in range(1, n + 1) if n % d == 0)
             assert total == abs(a.det_one_minus_power(n))
 
+    @pytest.mark.parametrize("matrix", [((2, 1), (1, 1)), ((1, 1), (1, 0)), ((-2, -1), (-1, -1))])
+    def test_representative_is_orbit_minimum(self, matrix):
+        # pure-Python walk: each representative is the smallest point of its
+        # orbit, which closes after exactly `period` steps
+        a = ToralAutomorphism(matrix)
+        for o in primitive_orbits(a, 8):
+            x, orbit = (o.num1, o.num2), []
+            for _ in range(o.period):
+                orbit.append(x)
+                x = (
+                    (a.matrix[0][0] * x[0] + a.matrix[0][1] * x[1]) % o.den,
+                    (a.matrix[1][0] * x[0] + a.matrix[1][1] * x[1]) % o.den,
+                )
+            assert x == (o.num1, o.num2)
+            assert len(set(orbit)) == o.period
+            assert min(orbit) == (o.num1, o.num2)
+
     def test_determinism(self, cat):
         a = primitive_orbits(cat, 6)
         b = primitive_orbits(cat, 6)
@@ -229,6 +246,14 @@ class TestHomologyAndHolonomy:
             cls = homology_class(a, (orbit.num1, orbit.num2), orbit.den, orbit.period)
             values.add(round(holonomy(chi, cls).real, 9))
         assert values == {-1.0, 1.0}
+
+    def test_record_classes_match_homology_class(self):
+        a = ToralAutomorphism(((3, 2), (1, 1)))
+        assert a.coker_orders != (1, 1)
+        records = orbit_records(SuspensionModel(a, TrigPolynomial.const(1.0)), 7)
+        for rec in records:
+            assert rec.homology == homology_class(a, (rec.num1, rec.num2), rec.den, rec.period)
+        assert {rec.class_exps for rec in records} == {(0, 0), (0, 1)}
 
     def test_holonomy_multiplicative(self):
         a = ToralAutomorphism(((3, 2), (1, 1)))
