@@ -30,13 +30,14 @@ from .kleinian import (
     write_spectrum,
 )
 from .ledgers import condition_enumerate, resonance_multiplicity_ledger, selberg_order_ledger
-from .toral import orbit_records, read_orbit_dump, write_orbit_dump
+from .toral import orbit_records, orbit_table, read_orbit_dump, write_orbit_dump
 from .torsion import fried_check
 from .variation import direct_quotient, variation_rhs
 from .zetas import (
     factorization_check,
     factorization_residual_curve,
     graded_log_zeta,
+    orbit_columns,
     ruelle_log_zeta,
     selberg_log_zeta,
 )
@@ -86,6 +87,7 @@ def _zeta_row(kind: str, zv) -> dict:
         "log_value_re": zv.log_value.real,
         "log_value_im": zv.log_value.imag,
         "tail_bound": zv.tail_bound,
+        "tail_kind": "heuristic",
         "policy": asdict(zv.policy),
         "warnings": list(zv.warnings),
     }
@@ -112,22 +114,20 @@ def cmd_orbits(cfg: RunConfig, args) -> int:
 
 
 def _load_records(cfg: RunConfig, args):
-    """Spectrum source: kleinian file, orbit dump, or the model section."""
+    """Orbit columns of the spectrum source: kleinian file, orbit dump, or the model section."""
     if cfg.get("io.spectrum"):
-        return read_spectrum(cfg.require_path("io.spectrum")), None, "spectrum"
+        return orbit_columns(read_spectrum(cfg.require_path("io.spectrum"))), "spectrum"
     if cfg.get("io.orbits"):
-        records = read_orbit_dump(cfg.require_path("io.orbits"))
-        return records, None, "orbit-dump"
+        return orbit_columns(read_orbit_dump(cfg.require_path("io.orbits"))), "orbit-dump"
     model = cfg.model()
     tau = cfg.get_float("tau.value", 0.0)
-    records = orbit_records(model, cfg.policy(model, tau).max_period, tau=tau)
-    rep = cfg.character(model.automorphism)
-    return records, rep, "model"
+    table = orbit_table(model, cfg.policy(model, tau).max_period)
+    return orbit_columns(table, cfg.character(model.automorphism), tau), "model"
 
 
 def cmd_zeta_eval(cfg: RunConfig, args) -> int:
     t0 = time.perf_counter()
-    records, rep, source = _load_records(cfg, args)
+    records, source = _load_records(cfg, args)
     model = cfg.model() if source == "model" else None
     if source == "spectrum" and cfg.get("policy.entropy") is None:
         cfg.values["policy.entropy"] = "2.0"
@@ -135,15 +135,15 @@ def cmd_zeta_eval(cfg: RunConfig, args) -> int:
     allow = bool(args.allow_formal or cfg.get("zeta.allow_formal"))
     rows = []
     for lam in cfg.lambda_grid():
-        rows.append(_zeta_row("ruelle", ruelle_log_zeta(records, rep, lam, policy, allow)))
+        rows.append(_zeta_row("ruelle", ruelle_log_zeta(records, None, lam, policy, allow)))
         if source != "orbit-dump":
             for k in range(3 if source == "model" else 5):
                 rows.append(
-                    _zeta_row(f"graded{k}", graded_log_zeta(records, rep, k, lam, policy, allow))
+                    _zeta_row(f"graded{k}", graded_log_zeta(records, None, k, lam, policy, allow))
                 )
         mu_raw = cfg.get("selberg.mu")
         if mu_raw and source == "spectrum":
-            zv = selberg_log_zeta(records, rep, cfg.selberg_mu(), lam, policy, allow)
+            zv = selberg_log_zeta(records, None, cfg.selberg_mu(), lam, policy, allow)
             rows.append(_zeta_row(f"selberg[{mu_raw}]", zv))
     report = Report("zeta-eval", cfg.values, {"rows": rows, "source": source})
     report.timing_seconds = time.perf_counter() - t0
@@ -180,6 +180,7 @@ def cmd_zeta_continue(cfg: RunConfig, args) -> int:
                 "log_value_re": cmath.log(product).real if product != 0 else float("-inf"),
                 "log_value_im": cmath.log(product).imag if product != 0 else 0.0,
                 "tail_bound": max(abs(d.coefficients[-1]) for d in dets),
+                "tail_kind": "heuristic",
                 "d_values": [d.value for d in dets],
                 "reliable": all(d.reliable for d in dets),
                 "policy": asdict(policy),
@@ -244,6 +245,7 @@ def cmd_selberg_factorize(cfg: RunConfig, args) -> int:
             cfg.get_int("spectrum.seed", 7),
             cfg.get_float("spectrum.min_length", 1.0),
         )
+    records = orbit_columns(records)
     if cfg.get("policy.entropy") is None:
         cfg.values["policy.entropy"] = str(cfg.get_float("spectrum.h", 2.0))
     policy = cfg.policy()

@@ -212,8 +212,10 @@ class ComplexLengthRecord:
     rho: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValidationError("length must be positive")
+        if not (math.isfinite(self.length) and self.length > 0):
+            raise ValidationError(f"length must be positive and finite, got {self.length!r}")
+        if not math.isfinite(self.theta):
+            raise ValidationError(f"theta must be finite, got {self.theta!r}")
         object.__setattr__(self, "theta", _reduce_angle(self.theta))
         if self.multiplicity < 1:
             raise ValidationError("multiplicity must be >= 1")
@@ -367,18 +369,24 @@ def write_spectrum(path, records: list[ComplexLengthRecord]):
 
 
 def read_spectrum(path) -> list[ComplexLengthRecord]:
+    """Read a ``#fried-spectrum v1`` file; a malformed line raises a ValidationError naming ``path:line``."""
     records = []
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if not header.startswith("#fried-spectrum v1"):
             raise ValidationError(f"bad spectrum header: {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            ell, theta = float(parts[0]), float(parts[1])
-            mult = int(parts[2]) if len(parts) > 2 else 1
-            label = parts[3] if len(parts) > 3 else ""
-            records.append(ComplexLengthRecord(length=ell, theta=theta, multiplicity=mult, label=label))
+            try:
+                if len(parts) < 2:
+                    raise ValidationError("a spectrum line needs at least ell and theta")
+                mult = int(parts[2]) if len(parts) > 2 else 1
+                label = parts[3] if len(parts) > 3 else ""
+                ell, theta = float(parts[0]), float(parts[1])
+                records.append(ComplexLengthRecord(ell, theta, multiplicity=mult, label=label))
+            except (ValueError, ValidationError) as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
     return records

@@ -365,6 +365,10 @@ class Character:
     def value(self, exps: tuple[int, ...], winding: int) -> complex:
         return self.circle**winding * self.fiber_value(exps)
 
+    def values(self, class_exps: np.ndarray, winding: np.ndarray) -> np.ndarray:
+        """:meth:`value` over rows of class exponents and an integer array of windings."""
+        return self.circle**winding * self.fiber_values(class_exps)
+
     def fiber_values(self, class_exps: np.ndarray) -> np.ndarray:
         """:meth:`fiber_value` over the rows of an integer array of class exponents."""
         turns = np.zeros(len(class_exps))
@@ -617,14 +621,15 @@ class OrbitTable:
         self.model.require_tau(tau)
         return self.length0 + tau * self.slope
 
+    def transverse(self) -> list[tuple[int, float, float, int]]:
+        """``(epsilon, lam_u, lam_s, det_power)`` of the return map ``A^n``, indexed by the period ``n``."""
+        auto = self.model.automorphism
+        return [(orientation_index(auto, n), auto.lam_u**n, auto.lam_s**n, auto.det**n)
+                for n in range(self.n_max + 1)]
+
     def records(self, tau: float = 0.0) -> list[OrbitRecord]:
         """Row views with lengths at ``tau``, in table order."""
-        auto = self.model.automorphism
-        # (epsilon, lam_u, lam_s, det_power) depend on the period only
-        transverse = {
-            n: (orientation_index(auto, n), auto.lam_u**n, auto.lam_s**n, auto.det**n)
-            for n in range(1, self.n_max + 1)
-        }
+        transverse = self.transverse()
         rows = zip(self.period.tolist(), self.num1.tolist(), self.num2.tolist(), self.den.tolist(),
                    self.lengths(tau).tolist(), map(tuple, self.class_exps.tolist()))
         return [OrbitRecord(n, p, q, den, ell, *transverse[n], exps, n) for n, p, q, den, ell, exps in rows]
@@ -723,23 +728,33 @@ def read_orbit_dump(path) -> list[OrbitRecord]:
 
     Transverse eigenvalue data is not part of the format; records read
     back support Ruelle sums (length, index, holonomy class) only and
-    carry ``nan`` eigenvalues.
+    carry ``nan`` eigenvalues.  A malformed line raises a ValidationError
+    naming ``path:line``.
     """
     records = []
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != ORBIT_DUMP_HEADER:
             raise ValidationError(f"bad orbit dump header: {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            period, n1, n2, den = (int(x) for x in parts[:4])
-            length = float(parts[4])
-            eps = int(parts[5])
-            winding = int(parts[6])
-            exps = tuple(int(x) for x in parts[7:])
+            try:
+                if len(parts) < 7:
+                    raise ValidationError("an orbit line needs period, base point, length, epsilon, winding")
+                period, n1, n2, den = (int(x) for x in parts[:4])
+                length = float(parts[4])
+                if not (math.isfinite(length) and length > 0):
+                    raise ValidationError(f"length must be positive and finite, got {parts[4]!r}")
+                eps, winding = int(parts[5]), int(parts[6])
+                exps = tuple(int(x) for x in parts[7:])
+                if records and len(exps) != len(records[0].class_exps):
+                    first = len(records[0].class_exps)
+                    raise ValidationError(f"{len(exps)} class exponents where the first orbit line has {first}")
+            except (ValueError, ValidationError) as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
             records.append(
                 OrbitRecord(
                     period=period,

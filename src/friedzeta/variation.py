@@ -19,7 +19,7 @@ from .errors import ConvergenceError, ValidationError
 from .summation import block_sum
 from .toral import Character, OrbitTable, SuspensionModel, orbit_table, orientation_index
 from .wedge import compound_derivative, compound_matrix
-from .zetas import TruncationPolicy, ruelle_log_zeta
+from .zetas import TruncationPolicy, orbit_columns, ruelle_log_zeta
 
 __all__ = [
     "variation_rhs",
@@ -35,7 +35,7 @@ def _twist(table: OrbitTable, representation: Character | None) -> np.ndarray:
     eps = orientation_index(table.model.automorphism, 1) ** table.period
     if representation is None:
         return eps.astype(complex)
-    return eps * representation.circle**table.period * representation.fiber_values(table.class_exps)
+    return eps * representation.values(table.class_exps, table.period)
 
 
 def _orbit_sum(table: OrbitTable, twist, lam: complex, tau_prime: float, j_max: int) -> complex:
@@ -148,10 +148,10 @@ def direct_quotient(
     tau: float,
     policy: TruncationPolicy,
 ) -> complex:
-    """Reference ratio from two truncated Euler products over one orbit table."""
+    """Reference ratio from two truncated Euler products over the columns of one orbit table."""
     table = orbit_table(model, policy.max_period)
-    log_tau = ruelle_log_zeta(table.records(tau), representation, lam, policy).log_value
-    log_0 = ruelle_log_zeta(table.records(0.0), representation, lam, policy).log_value
+    log_tau = ruelle_log_zeta(orbit_columns(table, representation, tau), None, lam, policy).log_value
+    log_0 = ruelle_log_zeta(orbit_columns(table, representation, 0.0), None, lam, policy).log_value
     return cmath.exp(log_tau - log_0)
 
 

@@ -1,28 +1,35 @@
 """Truncated Euler products: Ruelle, graded and Selberg zeta functions.
 
-All sums run over primitive-orbit records and iterate indices in a fixed
-sorted order with compensated accumulation, so values are reproducible
-bit for bit.  Tail bounds are Margulis-type geometric estimates anchored
-on the last length shell actually summed.
+Every product reads :class:`OrbitColumns`, built once per spectrum, and
+is one (orbit x iterate) array, with iterate powers taken by
+``np.cumprod``, summed by :func:`~friedzeta.summation.block_sum`, so values
+are reproducible bit for bit.  The n0 = 2 Poincaré data and characters are
+closed forms; ``poincare_data`` and ``char_sigma`` are their references in
+the tests.  Tail bounds are Margulis-type geometric estimates anchored on
+the last length shell actually summed.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
-from .characters import IrrepLabel, TorusElement, char_label, homogeneous_sums, rotation_eigenvalues
-from .errors import ConvergenceError, ValidationError
-from .kleinian import ComplexLengthRecord, poincare_data
-from .summation import kahan_complex_sum
-from .toral import Character, OrbitRecord, transverse_wedge_traces
+from .characters import IrrepLabel
+from .errors import CapacityError, ConvergenceError, ValidationError
+from .kleinian import ComplexLengthRecord
+from .summation import block_sum
+from .toral import Character, OrbitRecord, OrbitTable
 
 __all__ = [
     "TruncationPolicy",
     "ZetaValue",
+    "OrbitColumns",
+    "orbit_columns",
     "ruelle_log_zeta",
     "graded_log_zeta",
     "assemble_ruelle_from_graded",
@@ -35,6 +42,8 @@ __all__ = [
 ]
 
 N0 = 2  # transverse rotation rank for the hyperbolic 3-manifold model
+TWO_PI = 2.0 * math.pi
+MAX_CELLS = 1 << 24  # (orbit x iterate x order) array cells; bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -74,56 +83,157 @@ class ZetaValue:
 
 
 # ---------------------------------------------------------------------------
-# Record access helpers
+# Orbit columns and (orbit x iterate) arrays
 # ---------------------------------------------------------------------------
 
 
-def _sorted_records(spectrum):
-    return sorted(spectrum, key=lambda r: r.sort_key())
+@dataclass(frozen=True, eq=False)
+class OrbitColumns:
+    """Read-only columns of a spectrum, one row per primitive orbit in ``sort_key`` order.
+
+    ``rho`` is the twist's value on each orbit and ``epsilon`` its
+    orientation index.  Toral rows carry the eigenvalues ``lam_u``,
+    ``lam_s`` of the transverse return map and ``det_power = det(A)^period``
+    (``nan`` eigenvalues for orbit-dump rows); Kleinian rows carry the
+    holonomy angle ``theta`` instead.
+    """
+
+    length: np.ndarray
+    rho: np.ndarray
+    epsilon: np.ndarray
+    multiplicity: np.ndarray
+    lam_u: np.ndarray | None = None
+    lam_s: np.ndarray | None = None
+    det_power: np.ndarray | None = None
+    theta: np.ndarray | None = None
+
+    def __post_init__(self):
+        for column in (getattr(self, f.name) for f in fields(self)):
+            if column is not None:
+                column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.length)
 
 
-def _record_rho(record, representation) -> complex:
-    if isinstance(record, OrbitRecord):
-        if representation is None:
-            return 1.0 + 0.0j
-        if not isinstance(representation, Character):
-            raise ValidationError("toral orbit records take a Character twist")
-        return representation.value(record.class_exps, record.winding)
-    if isinstance(record, ComplexLengthRecord):
+def orbit_columns(spectrum, representation=None, tau: float = 0.0) -> OrbitColumns:
+    """Columns of an :class:`OrbitTable` (lengths at ``tau``) or of a list of records.
+
+    Toral orbits take a :class:`Character` twist (``None`` is trivial);
+    Kleinian records and columns carry their own ``rho`` and take ``None``.
+    """
+    if isinstance(spectrum, OrbitColumns):
         if representation is not None:
-            raise ValidationError(
-                "length records carry their own rho value; pass representation=None"
-            )
-        return complex(record.rho)
-    raise ValidationError(f"unsupported spectrum record {type(record).__name__}")
+            raise ValidationError("orbit columns carry their own rho values; pass representation=None")
+        return spectrum
+    if isinstance(spectrum, OrbitTable):
+        return _table_columns(spectrum, representation, float(tau))
+    if tau:
+        raise ValidationError("tau applies to an orbit table; records and columns carry their lengths")
+    records = list(spectrum)
+    if records and all(isinstance(r, OrbitRecord) for r in records):
+        names = ("length", "period", "num1", "num2", "epsilon", "lam_u", "lam_s", "det_power", "winding")
+        class_exps = np.array([r.class_exps for r in records], dtype=np.int64).reshape(len(records), -1)
+        columns = (np.array([getattr(r, name) for r in records]) for name in names)
+        return _toral_columns(representation, class_exps, *columns)
+    if not all(isinstance(r, ComplexLengthRecord) for r in records):
+        raise ValidationError("a spectrum holds OrbitRecord or ComplexLengthRecord rows of one kind")
+    if records and representation is not None:
+        raise ValidationError("length records carry their own rho value; pass representation=None")
+    records.sort(key=lambda r: r.sort_key())
+    rows = np.array([(r.length, r.theta, r.multiplicity) for r in records], dtype=float)
+    length, theta, multiplicity = rows.reshape(-1, 3).T
+    rho = np.array([r.rho for r in records], dtype=complex)
+    return OrbitColumns(length, rho, np.ones(len(records)), multiplicity, theta=theta)
 
 
-def _epsilon(record) -> int:
-    return record.epsilon if isinstance(record, OrbitRecord) else 1
+@lru_cache(maxsize=2)  # the tau = 0 columns and the current tau's
+def _table_columns(table: OrbitTable, representation, tau: float) -> OrbitColumns:
+    eps, lam_u, lam_s, det_power = np.array(table.transverse())[table.period].T
+    return _toral_columns(representation, table.class_exps, table.lengths(tau), table.period, table.num1,
+                          table.num2, eps, lam_u, lam_s, det_power, table.period)
 
 
-def _multiplicity(record) -> int:
-    return getattr(record, "multiplicity", 1)
+def _toral_columns(representation, class_exps, length, period, num1, num2, eps, lam_u, lam_s, det_power,
+                   winding):
+    if representation is None:
+        rho = np.ones(len(length), dtype=complex)
+    elif isinstance(representation, Character):
+        rho = representation.values(class_exps, winding)
+    else:
+        raise ValidationError("toral orbit records take a Character twist")
+    order = np.lexsort((num2, num1, period, length))  # sort_key order
+    return OrbitColumns(length[order], rho[order], eps[order], np.ones(len(order)),
+                        lam_u[order], lam_s[order], det_power[order])
 
 
-def _det_one_minus_p(record, j: int) -> float:
-    """Signed ``det(1 - P^j)`` of the transverse return map power."""
-    if isinstance(record, OrbitRecord):
-        if math.isnan(record.lam_u):
+def _powers(base: np.ndarray, j_max: int) -> np.ndarray:
+    """``base**j`` for j = 1..j_max along a new last axis, by repeated multiplication."""
+    _require_cells(base.size * j_max)
+    return np.cumprod(np.broadcast_to(base[:, None], (len(base), j_max)), axis=1)
+
+
+def _require_cells(cells: int):
+    if cells > MAX_CELLS:
+        raise CapacityError(f"{cells} array cells exceed the cap of {MAX_CELLS}; lower j_max, p_max or n_max")
+
+
+@contextmanager
+def _in_float_range(lam: complex):
+    """Report an overflow, invalid value or zero division as :class:`ConvergenceError`."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise ConvergenceError(f"Euler product at lambda={lam} leaves floating point: {exc}") from None
+
+
+def _phases(cols: OrbitColumns, lam: complex, j_max: int) -> np.ndarray:
+    """``rho^j exp(-lam j len)`` per (orbit, iterate)."""
+    return _powers(cols.rho * np.exp(-lam * cols.length), j_max)
+
+
+def _kleinian_iterates(cols: OrbitColumns, j_max: int):
+    """``(exp(-j l), exp(j l), cos(j theta))`` per (orbit, iterate) of a Kleinian spectrum."""
+    if len(cols) and j_max * float(cols.length.max()) > 300.0:
+        raise ValidationError("j*ell too large: expanding block overflows doubles")
+    cos = np.cos(np.arange(1, j_max + 1) * cols.theta[:, None])
+    return _powers(np.exp(-cols.length), j_max), _powers(np.exp(cols.length), j_max), cos
+
+
+def _class_angles(cols: OrbitColumns, j_max: int) -> np.ndarray:
+    """``j theta`` reduced exactly into (-pi, pi] as ``TorusElement`` does: the angle characters take.
+
+    The Poincaré map rotates by the unreduced angle, as in ``poincare_data``.
+    """
+    x = np.fmod(np.arange(1, j_max + 1) * cols.theta[:, None], TWO_PI)  # fmod is exact
+    x = np.where(x > math.pi, x - TWO_PI, x)
+    return np.where(x <= -math.pi, x + TWO_PI, x)
+
+
+def _det_one_minus_ps(a, c):
+    """``det(1 - P_s^j) = 1 - 2 e^{-jl} cos(j theta) + e^{-2jl}``."""
+    return 1.0 - 2.0 * a * c + a * a
+
+
+def _wedge_traces(cols: OrbitColumns, j_max: int):
+    """``(Tr(wedge^k P^j) for k = 0..dim, |det(1 - P^j)|)`` per (orbit, iterate).
+
+    Toral rows are divided through by ``|lam_u|^j``, which leaves every
+    ratio unchanged and keeps both sides finite at any ``j``.
+    """
+    if cols.theta is None:
+        if np.isnan(cols.lam_u).any():
             raise ValidationError("record lacks eigenvalue data (orbit dump round-trip)")
-        return (1.0 - record.lam_u**j) * (1.0 - record.lam_s**j)
-    pd = poincare_data(record.length, record.theta, j, 0)
-    return pd.det_one_minus_p
-
-
-def _wedge_trace(record, j: int, k: int) -> float:
-    if isinstance(record, OrbitRecord):
-        return transverse_wedge_traces(record, j, k)
-    return poincare_data(record.length, record.theta, j, k).wedge_trace
-
-
-def _transverse_dim(record) -> int:
-    return 2 if isinstance(record, OrbitRecord) else 4
+        r = _powers(1.0 / cols.lam_u, j_max)  # lam_u^-j
+        s = _powers(cols.lam_s, j_max)
+        r_abs = np.abs(r)
+        traces = (r_abs, np.sign(r) + s * r_abs, _powers(cols.det_power, j_max) * r_abs)
+        return traces, np.abs(r - 1.0) * np.abs(1.0 - s)
+    a, b, c = _kleinian_iterates(cols, j_max)
+    e1 = 2.0 * (a + b) * c  # 4 cosh(j l) cos(j theta)
+    traces = (1.0, e1, a * a + b * b + 4.0 * c * c, e1, 1.0)
+    return traces, np.abs(_det_one_minus_ps(a, c) * _det_one_minus_ps(b, c))
 
 
 def _require_convergence(lam: complex, threshold: float, allow_formal: bool, what: str):
@@ -139,25 +249,32 @@ def _tail_bound(lengths, first_terms_abs, sigma: float, h: float) -> float:
     Doubles the magnitude summed in the shell ``(L-1, L]`` and continues
     it at rate ``exp(-(sigma - h))`` per unit length.
     """
-    if not lengths:
+    lengths = np.asarray(lengths, dtype=float)
+    if not len(lengths):
         return 0.0
     if sigma <= h:
         return math.inf
-    top = max(lengths)
-    shell = sum(t for length, t in zip(lengths, first_terms_abs) if length > top - 1.0)
+    top = float(lengths.max())
+    shell = sum(np.asarray(first_terms_abs)[lengths > top - 1.0].tolist())
     q = math.exp(-(sigma - h))
     base = shell if shell > 0 else math.exp(-(sigma - h) * top)
     return 2.0 * base * q / (1.0 - q)
 
 
-def _check_iterate_truncation(last_term_abs: float, policy: TruncationPolicy, warnings: tuple) -> tuple:
-    """Flag runs whose iterate truncation could dominate the length tail."""
-    if last_term_abs > policy.tail_tol:
-        warnings = warnings + (
-            f"iterate truncation: largest j={policy.j_max} term is {last_term_abs:.2e}; "
-            "increase j_max or tail_tol",
-        )
-    return warnings
+def _zeta_value(cols: OrbitColumns, weights: np.ndarray, lam: complex, kind: str, policy: TruncationPolicy):
+    """Sum the (orbit, iterate) terms ``-multiplicity * weight / j``, with the tail from the j = 1 column.
+
+    A j = j_max term above ``tail_tol`` is flagged: the iterate truncation
+    could then dominate the length tail.
+    """
+    terms = -cols.multiplicity[:, None] * weights / np.arange(1, policy.j_max + 1)
+    warnings = () if len(cols) else ("empty spectrum",)
+    worst_last = float(np.abs(terms[:, -1]).max(initial=0.0))
+    if worst_last > policy.tail_tol:
+        warnings += (f"iterate truncation: largest j={policy.j_max} term is {worst_last:.2e}; "
+                     "increase j_max or tail_tol",)
+    tail = _tail_bound(cols.length, np.abs(terms[:, 0]), lam.real, policy.entropy)
+    return ZetaValue(complex(block_sum(terms.ravel())), tail, lam, kind, policy, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -179,30 +296,10 @@ def ruelle_log_zeta(
     """
     lam = complex(lam)
     _require_convergence(lam, policy.entropy, allow_formal, "orbit zeta")
-    records = _sorted_records(spectrum)
-    warnings = () if records else ("empty spectrum",)
-    terms = []
-    lengths = []
-    firsts = []
-    worst_last = 0.0
-    for rec in records:
-        rho = _record_rho(rec, representation)
-        eps = _epsilon(rec)
-        mult = _multiplicity(rec)
-        ell = rec.length
-        base = eps * rho * cmath.exp(-lam * ell)
-        power = 1.0 + 0.0j
-        for j in range(1, policy.j_max + 1):
-            power *= base
-            terms.append(-mult * power / j)
-            if j == 1:
-                lengths.append(ell)
-                firsts.append(abs(mult * power))
-        worst_last = max(worst_last, abs(terms[-1]))
-    log_value = kahan_complex_sum(terms)
-    warnings = _check_iterate_truncation(worst_last, policy, warnings)
-    tail = _tail_bound(lengths, firsts, lam.real, policy.entropy)
-    return ZetaValue(log_value, tail, lam, "ruelle", policy, warnings)
+    cols = orbit_columns(spectrum, representation)
+    with _in_float_range(lam):
+        base = cols.epsilon * cols.rho * np.exp(-lam * cols.length)
+        return _zeta_value(cols, _powers(base, policy.j_max), lam, "ruelle", policy)
 
 
 def graded_log_zeta(
@@ -221,30 +318,13 @@ def graded_log_zeta(
     """
     lam = complex(lam)
     _require_convergence(lam, policy.entropy, allow_formal, "graded zeta")
-    records = _sorted_records(spectrum)
-    warnings = () if records else ("empty spectrum",)
-    terms = []
-    lengths = []
-    firsts = []
-    worst_last = 0.0
-    for rec in records:
-        rho = _record_rho(rec, representation)
-        mult = _multiplicity(rec)
-        ell = rec.length
-        rho_j = 1.0 + 0.0j
-        for j in range(1, policy.j_max + 1):
-            rho_j *= rho
-            weight = _wedge_trace(rec, j, k) / abs(_det_one_minus_p(rec, j))
-            term = -mult * rho_j * cmath.exp(-lam * j * ell) * weight / j
-            terms.append(term)
-            if j == 1:
-                lengths.append(ell)
-                firsts.append(abs(term))
-        worst_last = max(worst_last, abs(terms[-1]))
-    log_value = kahan_complex_sum(terms)
-    warnings = _check_iterate_truncation(worst_last, policy, warnings)
-    tail = _tail_bound(lengths, firsts, lam.real, policy.entropy)
-    return ZetaValue(log_value, tail, lam, f"graded[{k}]", policy, warnings)
+    cols = orbit_columns(spectrum, representation)
+    with _in_float_range(lam):
+        traces, det = _wedge_traces(cols, policy.j_max)
+        if not 0 <= k < len(traces):
+            raise ValidationError(f"k must be in 0..{len(traces) - 1}")
+        weights = _phases(cols, lam, policy.j_max) * (traces[k] / det)
+        return _zeta_value(cols, weights, lam, f"graded[{k}]", policy)
 
 
 @dataclass(frozen=True)
@@ -270,39 +350,40 @@ def assemble_ruelle_from_graded(
     ``s = (-1)^(transverse dim / 2)``.  The assembled value is
     ``s * sum_k (-1)^k log Z_k``.
     """
-    records = _sorted_records(spectrum)
-    if not records:
+    cols = orbit_columns(spectrum, representation)
+    if not len(cols):
         raise ValidationError("cannot assemble over an empty spectrum")
-    dim = _transverse_dim(records[0])
-    if any(_transverse_dim(r) != dim for r in records):
-        raise ValidationError("mixed transverse dimensions in spectrum")
-    s = (-1) ** (dim // 2)
-    max_residual = 0.0
-    for rec in records:
-        eps = _epsilon(rec)
-        for j in range(1, policy.j_max + 1):
-            det = _det_one_minus_p(rec, j)
-            alt = sum((-1.0) ** k * _wedge_trace(rec, j, k) for k in range(dim + 1))
-            residual = abs(alt / abs(det) - s * eps**j)
-            max_residual = max(max_residual, residual)
+    with _in_float_range(lam):
+        traces, det = _wedge_traces(cols, policy.j_max)
+        dim = len(traces) - 1
+        s = (-1) ** (dim // 2)
+        alt = sum((-1.0) ** k * trace for k, trace in enumerate(traces))
+        max_residual = float(np.abs(alt / det - s * _powers(cols.epsilon, policy.j_max)).max())
     if max_residual > residual_tol:
         raise ValidationError(
             f"orientation convention violated: per-orbit residual {max_residual} > {residual_tol}"
         )
     graded = tuple(
-        graded_log_zeta(records, representation, k, lam, policy, allow_formal).log_value
-        for k in range(dim + 1)
+        graded_log_zeta(cols, None, k, lam, policy, allow_formal).log_value for k in range(dim + 1)
     )
     log_zeta = s * sum((-1) ** k * g for k, g in enumerate(graded))
     return AssemblyReport(log_zeta, s, max_residual, graded)
 
 
-def _sigma_chars_upto(p_max: int, element: TorusElement):
-    """``char_sigma(2, p, element)`` for all p in 0..p_max, one DP pass."""
-    h = homogeneous_sums(rotation_eigenvalues(element), p_max)
-    return [
-        (h[p] - (h[p - 2] if p >= 2 else 0.0)).real for p in range(p_max + 1)
-    ]
+def _label_character(label: IrrepLabel, x: np.ndarray) -> np.ndarray:
+    """SO(2) character at angle ``x``: ``nu = (1, 2 cos x, 1)``, ``sigma_0 = 1``, ``sigma_p = 2 cos px``."""
+    if label.n0 != N0:
+        raise ValidationError(f"Selberg zetas take SO({N0}) labels")
+    if label.kind == "nu" and label.degree == 1 or label.kind == "sigma" and label.degree > 0:
+        return 2.0 * np.cos(label.degree * x)
+    return np.ones_like(x)
+
+
+def _kleinian_columns(spectrum, representation, what: str) -> OrbitColumns:
+    cols = orbit_columns(spectrum, representation)
+    if cols.theta is None and len(cols):
+        raise ValidationError(f"{what} take complex-length records (n0 = 2)")
+    return cols
 
 
 def selberg_log_zeta(
@@ -323,36 +404,13 @@ def selberg_log_zeta(
     lam = complex(lam)
     _require_convergence(lam, float(N0), allow_formal, "Selberg zeta")
     labels = (mu,) if isinstance(mu, IrrepLabel) else tuple(mu)
-    records = _sorted_records(spectrum)
-    warnings = () if records else ("empty spectrum",)
-    terms = []
-    lengths = []
-    firsts = []
-    worst_last = 0.0
-    for rec in records:
-        if not isinstance(rec, ComplexLengthRecord):
-            raise ValidationError("Selberg zetas take complex-length records (n0 = 2)")
-        rho = _record_rho(rec, representation)
-        mult = _multiplicity(rec)
-        ell = rec.length
-        rho_j = 1.0 + 0.0j
-        for j in range(1, policy.j_max + 1):
-            rho_j *= rho
-            element = TorusElement(N0, j * rec.theta)
-            chi = 1.0
-            for lab in labels:
-                chi *= char_label(lab, element)
-            det_ps = poincare_data(ell, rec.theta, j, 0).det_one_minus_ps
-            term = -mult * rho_j * chi * cmath.exp(-lam * j * ell) / (j * det_ps)
-            terms.append(term)
-            if j == 1:
-                lengths.append(ell)
-                firsts.append(abs(term))
-        worst_last = max(worst_last, abs(terms[-1]))
-    log_value = kahan_complex_sum(terms)
-    warnings = _check_iterate_truncation(worst_last, policy, warnings)
-    tail = _tail_bound(lengths, firsts, lam.real, policy.entropy)
-    return ZetaValue(log_value, tail, lam, "selberg", policy, warnings)
+    cols = _kleinian_columns(spectrum, representation, "Selberg zetas")
+    with _in_float_range(lam):
+        a, _, c = _kleinian_iterates(cols, policy.j_max)
+        x = _class_angles(cols, policy.j_max)
+        chi = np.prod([_label_character(label, x) for label in labels], axis=0)
+        weights = _phases(cols, lam, policy.j_max) * chi / _det_one_minus_ps(a, c)
+        return _zeta_value(cols, weights, lam, "selberg", policy)
 
 
 @dataclass(frozen=True)
@@ -365,6 +423,43 @@ class FactorizationReport:
     max_abs_residual: float
     max_rel_residual: float
     tail_estimate: float
+
+
+def _factorization_weights(cols: OrbitColumns, k: int, j_max: int, p_values):
+    """Graded weights and their Selberg-product truncations at each order in ``p_values``.
+
+    The truncated sum ``sum_{p+2q<=P} sigma_p e^{-(p+2q) j l}`` equals
+    ``sum_{n<=P} h_n e^{-n j l}``, ``h_n = sin((n+1) x) / sin x``; ``h_n`` comes
+    from ``h_n = 2 cos x h_{n-1} - h_{n-2}`` (sound at ``x = 0``) and one
+    cumulative sum over ``n`` yields every order ``P``.
+    """
+    if not 0 <= k <= N0:
+        raise ValidationError("k must be in 0..n0")
+    if min(p_values) < 0:
+        raise ValidationError("truncation orders must be positive")
+    traces, det = _wedge_traces(cols, j_max)
+    lhs = traces[k] / det
+    a, _, c = _kleinian_iterates(cols, j_max)
+    c_class = np.cos(_class_angles(cols, j_max))
+    nu = (1.0, 2.0 * c_class, 1.0)
+    # e^{-(n0+k) j l} e^{2 l j l} = a^(n0+k-2l), a nonnegative power for k <= n0
+    ang = sum(a ** (N0 + k - 2 * l) * nu[l] * nu[k - l] for l in range(k + 1))
+    top = max(p_values)
+    _require_cells(c.size * (top + 1))
+    shells = np.empty(c.shape + (top + 1,))
+    h_prev, h, a_n = np.zeros_like(c), np.ones_like(c), np.ones_like(a)
+    for n in range(top + 1):
+        shells[..., n] = h * a_n
+        h_prev, h, a_n = h, 2.0 * c_class * h - h_prev, a_n * a
+    sym = np.cumsum(shells, axis=-1)
+    factor = ang / _det_one_minus_ps(a, c)
+    return lhs, [factor * sym[..., p] for p in p_values]
+
+
+def _relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, float]:
+    resid = np.abs(lhs - rhs)
+    rel = np.divide(resid, np.abs(lhs), out=resid.copy(), where=lhs != 0)
+    return float(resid.max()), float(rel.max())
 
 
 def factorization_check(
@@ -384,73 +479,37 @@ def factorization_check(
     truncated triple sum accumulated over orbits gives the right-hand log
     product.
     """
-    if not 0 <= k <= N0:
-        raise ValidationError("k must be in 0..n0")
     lam = complex(lam)
-    records = _sorted_records(spectrum)
-    if not records:
+    cols = _kleinian_columns(spectrum, representation, "factorization checks")
+    if not len(cols):
         raise ValidationError("empty spectrum")
-    ell_min = min(r.length for r in records)
+    ell_min = float(cols.length.min())
     tail_estimate = (policy.p_max + 2) ** 2 * math.exp(-(policy.p_max + 1) * ell_min)
     if required_tolerance is not None and tail_estimate > required_tolerance:
         raise ConvergenceError(
             f"insufficient p_max={policy.p_max}: residual estimate {tail_estimate:.3e} "
             f"exceeds requested tolerance {required_tolerance:.3e}"
         )
-    lhs_terms = []
-    rhs_terms = []
-    max_abs = 0.0
-    max_rel = 0.0
-    for rec in records:
-        if not isinstance(rec, ComplexLengthRecord):
-            raise ValidationError("factorization check takes complex-length records")
-        rho = _record_rho(rec, representation)
-        mult = _multiplicity(rec)
-        ell = rec.length
-        rho_j = 1.0 + 0.0j
-        for j in range(1, policy.j_max + 1):
-            rho_j *= rho
-            element = TorusElement(N0, j * rec.theta)
-            pd0 = poincare_data(ell, rec.theta, j, 0)
-            lhs_w = _wedge_trace(rec, j, k) / abs(pd0.det_one_minus_p)
-            # truncated sum over p + 2q <= p_max of exp(-(p+2q) j ell) chi_sigma_p
-            sigma = _sigma_chars_upto(policy.p_max, element)
-            x = math.exp(-2.0 * j * ell)
-            sym = 0.0
-            for p in range(policy.p_max, -1, -1):
-                q_top = (policy.p_max - p) // 2
-                geo = (1.0 - x ** (q_top + 1)) / (1.0 - x)
-                sym += sigma[p] * math.exp(-p * j * ell) * geo
-            nu = [char_label(IrrepLabel("nu", l, N0), element) for l in range(N0 + 1)]
-            ang = sum(
-                math.exp(2.0 * l * j * ell) * nu[l] * nu[k - l] for l in range(0, k + 1)
-            )
-            rhs_w = math.exp(-(N0 + k) * j * ell) / pd0.det_one_minus_ps * ang * sym
-            resid = abs(lhs_w - rhs_w)
-            max_abs = max(max_abs, resid)
-            max_rel = max(max_rel, resid / abs(lhs_w) if lhs_w else resid)
-            phase = rho_j * cmath.exp(-lam * j * ell)
-            lhs_terms.append(-mult * phase * lhs_w / j)
-            rhs_terms.append(-mult * phase * rhs_w / j)
-    return FactorizationReport(
-        k,
-        lam,
-        policy.p_max,
-        kahan_complex_sum(lhs_terms),
-        kahan_complex_sum(rhs_terms),
-        max_abs,
-        max_rel,
-        tail_estimate,
-    )
+    j = np.arange(1, policy.j_max + 1)
+    with _in_float_range(lam):
+        lhs, (rhs,) = _factorization_weights(cols, k, policy.j_max, [policy.p_max])
+        max_abs, max_rel = _relative_residual(lhs, rhs)
+        scale = -cols.multiplicity[:, None] * _phases(cols, lam, policy.j_max) / j
+        log_lhs, log_rhs = (complex(block_sum((scale * w).ravel())) for w in (lhs, rhs))
+    return FactorizationReport(k, lam, policy.p_max, log_lhs, log_rhs, max_abs, max_rel, tail_estimate)
 
 
 def factorization_residual_curve(spectrum, representation, k, lam, policy, p_values):
     """Max relative per-orbit residual for each truncation order."""
-    out = []
-    for p in p_values:
-        rep = factorization_check(spectrum, representation, k, lam, replace(policy, p_max=int(p)))
-        out.append((int(p), rep.max_rel_residual))
-    return out
+    p_values = [int(p) for p in p_values]
+    if not p_values:
+        return []
+    cols = _kleinian_columns(spectrum, representation, "factorization checks")
+    if not len(cols):
+        raise ValidationError("empty spectrum")
+    with _in_float_range(complex(lam)):
+        lhs, rhs_by_p = _factorization_weights(cols, k, policy.j_max, p_values)
+        return [(p, _relative_residual(lhs, rhs)[1]) for p, rhs in zip(p_values, rhs_by_p)]
 
 
 # ---------------------------------------------------------------------------
@@ -469,29 +528,23 @@ def guillemin_series(spectrum, representation, k: int, t_max: float, a_weights=N
     """
     from .wedge import compound_matrix
 
+    records = sorted(spectrum, key=lambda r: r.sort_key())
+    cols = orbit_columns(records, representation)
+    if records and cols.theta is not None:
+        raise ValidationError("trace series runs over suspension orbit records")
+    if records and np.isnan(cols.lam_u).any():
+        raise ValidationError("record lacks eigenvalue data (orbit dump round-trip)")
     entries = []
-    for rec in _sorted_records(spectrum):
-        if not isinstance(rec, OrbitRecord):
-            raise ValidationError("trace series runs over suspension orbit records")
-        rho = _record_rho(rec, representation)
-        ell = rec.length
-        rho_j = 1.0 + 0.0j
+    for rec, rho in zip(records, cols.rho.tolist()):
         j = 1
-        while j * ell <= t_max:
-            rho_j *= rho
-            det = abs(_det_one_minus_p(rec, j))
-            if a_weights is None:
-                eig = (1.0, rec.lam_s**j, rec.lam_u**j)
-                e = [1.0, 0.0, 0.0, 0.0]
-                for x in eig:
-                    for r in range(3, 0, -1):
-                        e[r] += x * e[r - 1]
-                wedge = e[k]
+        while j * rec.length <= t_max:
+            ls, lu = rec.lam_s**j, rec.lam_u**j
+            if a_weights is None:  # elementary symmetric functions of (1, ls, lu)
+                wedge = (1.0, 1.0 + ls + lu, ls + lu + ls * lu, ls * lu)[k]
             else:
-                dphi = np.diag([1.0, rec.lam_s**j, rec.lam_u**j])
                 w = np.asarray(a_weights(rec, j, k))
-                wedge = float(np.trace(w @ compound_matrix(dphi, k)).real)
-            entries.append((j * ell, rho_j * wedge / (det * j)))
+                wedge = float(np.trace(w @ compound_matrix(np.diag([1.0, ls, lu]), k)).real)
+            entries.append((j * rec.length, rho**j * wedge / (abs((1.0 - lu) * (1.0 - ls)) * j)))
             j += 1
     entries.sort(key=lambda e: e[0])
     return entries

@@ -105,6 +105,24 @@ class TestZetaEval:
         assert row["log_value_re"] == pytest.approx(math.log(1 - math.exp(-3.0)), rel=1e-12)
 
 
+ZETA_ROW_KEYS = {"zeta_kind", "lambda_re", "lambda_im", "log_value_re", "log_value_im",
+                 "tail_bound", "tail_kind", "policy", "warnings"}
+CONTINUE_ROW_KEYS = {"zeta_kind", "lambda_re", "lambda_im", "log_value_re", "log_value_im",
+                     "tail_bound", "tail_kind", "d_values", "reliable", "policy"}
+
+
+@pytest.mark.parametrize(
+    "command, keys", [("zeta-eval", ZETA_ROW_KEYS), ("zeta-continue", CONTINUE_ROW_KEYS)]
+)
+def test_zeta_row_schema(command, keys, capsys):
+    assert run(command, *CAT_SETTINGS, "policy.n_max=6", "lambda.grid=4,5") == 0
+    rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+    assert rows
+    for row in rows:
+        assert set(row) == keys
+        assert row["tail_kind"] == "heuristic"
+
+
 class TestFriedCheckCommand:
     def test_exact_case_deviation_zero(self, tmp_path, capsys):
         csv = tmp_path / "fried.csv"
@@ -350,6 +368,23 @@ MALFORMED = [
 ]
 
 
+# (input key, file header, malformed line): the reader must name the file and line
+VALID_LINE = {"io.spectrum": "1.2 0.3 1", "io.orbits": "1 0 0 1 1.0 1 1 0 0"}
+MALFORMED_FILES = [
+    ("io.spectrum", "#fried-spectrum v1 n0=2", "abc 0.1 1"),
+    ("io.spectrum", "#fried-spectrum v1 n0=2", "1.5 nan 1"),
+    ("io.spectrum", "#fried-spectrum v1 n0=2", "1.5"),
+    ("io.spectrum", "#fried-spectrum v1 n0=2", "inf 0.1 1"),
+    ("io.spectrum", "#fried-spectrum v1 n0=2", "-1.5 0.1 1"),
+    ("io.spectrum", "#fried-spectrum v1 n0=2", "1.5 0.1 x"),
+    ("io.orbits", "#fried-orbits v1", "1 0 0 1 nan 1 1 0 0"),
+    ("io.orbits", "#fried-orbits v1", "1 0 0"),
+    ("io.orbits", "#fried-orbits v1", "1 0 0 1 -2.0 1 1 0 0"),
+    ("io.orbits", "#fried-orbits v1", "1 0 0.5 1 1.0 1 1 0 0"),
+    ("io.orbits", "#fried-orbits v1", "2 0 1 5 2.0 1 2 0"),
+]
+
+
 class TestInputBoundary:
     @pytest.mark.parametrize("argv", MALFORMED, ids=lambda argv: " ".join(argv))
     def test_malformed_value_is_one_error_line(self, argv, capsys):
@@ -358,6 +393,29 @@ class TestInputBoundary:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, header, line", MALFORMED_FILES, ids=lambda v: str(v))
+    def test_malformed_file_line_is_one_error_line(self, key, header, line, tmp_path, capsys):
+        path = tmp_path / "input.txt"
+        path.write_text(f"{header}\n# comment\n{VALID_LINE[key]}\n{line}\n")
+        settings = [f"{key}={path}", "lambda.grid=4", "policy.entropy=1.0"]
+        assert run("zeta-eval", *settings) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:4: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_graded_weights_finite_at_large_j(self, capsys):
+        # lam_u^(6 * 200) overflows a double; the weights are taken divided through by it
+        settings = ["model.matrix=2 1 1 1", "policy.n_max=6", "policy.j_max=200", "lambda.grid=3"]
+        assert run("zeta-eval", *settings) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+        assert [r["zeta_kind"] for r in rows] == ["ruelle", "graded0", "graded1", "graded2"]
+        assert all(math.isfinite(r["log_value_re"]) and math.isfinite(r["tail_bound"]) for r in rows)
+        # the assembly identity log zeta = -(log Z_0 - log Z_1 + log Z_2) still holds
+        by_kind = {r["zeta_kind"]: r["log_value_re"] for r in rows}
+        assembled = -(by_kind["graded0"] - by_kind["graded1"] + by_kind["graded2"])
+        assert by_kind["ruelle"] == pytest.approx(assembled, rel=1e-12)
 
     def test_resonance_at_zero_same_error_as_fried_check(self, capsys):
         trivial = ["model.matrix=2 1 1 1", "rep.u_fraction=0", "policy.n_max=6"]
