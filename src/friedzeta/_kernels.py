@@ -8,19 +8,27 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["birkhoff_sums"]
+__all__ = ["birkhoff_sums", "trig_values"]
 
 TWO_PI = 2.0 * np.pi
 # Points per block: bounds the per-call temporaries, about ten arrays of this length.
 _KERNEL_BLOCK = 1 << 14
 
 
-def _trig_values(constant, k1, k2, cos_amp, sin_amp, x1, x2, den):
-    """Trig polynomial at the points ``(x1, x2) / den``, terms in order."""
+def trig_values(constant, k1, k2, cos_amp, sin_amp, x1, x2, den):
+    """Trig polynomial at the points ``(x1, x2) / den``, terms in order.
+
+    A zero amplitude skips its cos or sin; the sum is the same bit for bit.
+    """
     value = np.full(len(x1), float(constant))
     for t in range(len(k1)):
         ph = (TWO_PI / den) * ((k1[t] * x1 + k2[t] * x2) % den)
-        value += cos_amp[t] * np.cos(ph) + sin_amp[t] * np.sin(ph)
+        if sin_amp[t] == 0.0:
+            value += cos_amp[t] * np.cos(ph)
+        elif cos_amp[t] == 0.0:
+            value += sin_amp[t] * np.sin(ph)
+        else:
+            value += cos_amp[t] * np.cos(ph) + sin_amp[t] * np.sin(ph)
     return value
 
 
@@ -57,11 +65,11 @@ def birkhoff_sums(num1, num2, den, matrix, steps, roof, time_change=None, tau=0.
         x1, x2 = num1[lo : lo + _KERNEL_BLOCK], num2[lo : lo + _KERNEL_BLOCK]
         acc = np.zeros(len(x1))
         for _ in range(int(steps)):
-            r = _trig_values(*roof_arrays, x1, x2, den)
+            r = trig_values(*roof_arrays, x1, x2, den)
             if change is None:
                 acc += r
             else:
-                acc += r * (1.0 + tau * _trig_values(*change, x1, x2, den))
+                acc += r * (1.0 + tau * trig_values(*change, x1, x2, den))
             x1, x2 = (a11 * x1 + a12 * x2) % den, (a21 * x1 + a22 * x2) % den
         out[lo : lo + _KERNEL_BLOCK] = acc
     return out

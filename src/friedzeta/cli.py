@@ -415,6 +415,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # an input file that cannot be read, an output that cannot be written
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
+        return 1
     except (ConvergenceError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the line decoder of the input files.
 
 Validation errors map to CLI exit code 1, convergence and continuation
 failures to exit code 2.
@@ -12,6 +12,7 @@ __all__ = [
     "NotLoxodromicError",
     "ResonanceAtZeroError",
     "NotAcyclicError",
+    "ascii_line",
 ]
 
 
@@ -41,3 +42,15 @@ class ConvergenceError(FriedzetaError):
 
 class ResonanceAtZeroError(ConvergenceError):
     """A graded determinant vanishes at 0: the zeta value is undefined there."""
+
+
+def ascii_line(path, lineno: int, raw: bytes) -> str:
+    """Line ``lineno`` of the input file ``path``, decoded as ASCII.
+
+    A byte that is not ASCII raises a ValidationError naming ``path:line``.
+    """
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        byte, col = raw[exc.start], exc.start + 1
+        raise ValidationError(f"{path}:{lineno}: non-ASCII byte 0x{byte:02x} at column {col}") from None

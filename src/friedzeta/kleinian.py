@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotLoxodromicError, ValidationError
+from .errors import NotLoxodromicError, ValidationError, ascii_line
 
 __all__ = [
     "MobiusGenerator",
@@ -371,12 +371,12 @@ def write_spectrum(path, records: list[ComplexLengthRecord]):
 def read_spectrum(path) -> list[ComplexLengthRecord]:
     """Read a ``#fried-spectrum v1`` file; a malformed line raises a ValidationError naming ``path:line``."""
     records = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
+    with open(path, "rb") as fh:
+        header = ascii_line(path, 1, fh.readline()).strip()
         if not header.startswith("#fried-spectrum v1"):
             raise ValidationError(f"bad spectrum header: {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
+        for lineno, raw in enumerate(fh, start=2):
+            line = ascii_line(path, lineno, raw).strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()

@@ -6,6 +6,9 @@ orientation indices) is integer arithmetic.  Lengths under a time-change
 family are Birkhoff sums of the effective roof ``roof * (1 + tau*g)``.
 Every consumer reads one cached :class:`OrbitTable` per (model, n_max);
 :func:`primitive_orbits` and :func:`orbit_records` are its row views.
+The table is built in one pass per period: in Smith coordinates ``A`` is a
+successor permutation of the fixed points, pointer doubling labels its
+cycles, and the roof is evaluated once per point and summed per cycle.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import _kernels
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, ascii_line
 from .trig import TrigPolynomial
 
 __all__ = [
@@ -49,7 +52,8 @@ __all__ = [
 # int64 kernels multiply residues below the denominator, so den**2 must fit.
 MAX_DENOMINATOR = 1 << 31
 MAX_ENUMERATED_POINTS = 1 << 27
-_WALK_BLOCK = 1 << 14
+# Fixed points per block of a period pass: bounds its int64 and float temporaries.
+_PASS_BLOCK = 1 << 16
 
 ORBIT_DUMP_HEADER = "#fried-orbits v1"
 
@@ -418,14 +422,12 @@ def _automorphism(a) -> ToralAutomorphism:
     return a if isinstance(a, ToralAutomorphism) else ToralAutomorphism(a)
 
 
-def fixed_points(automorphism: ToralAutomorphism | object, n: int) -> FixedPointSet:
-    """Enumerate the fixed points of ``A^n`` on the 2-torus.
+def _fixed_point_lattice(auto: ToralAutomorphism, n: int):
+    """Smith parametrization ``(d1, d2, V)`` of the fixed points of ``A^n``.
 
-    The solution group of ``(A^n - I)x = 0 mod Z^2`` is parametrized by
-    ``Z_d1 x Z_d2`` through the Smith normal form; the output is sorted
-    lexicographically by numerator pair.
+    With ``U (A^n - I) V = diag(d1, d2)`` the fixed points are ``x / d2`` for
+    ``x = V (i * d2/d1, j) mod d2`` over ``(i, j)`` in ``Z_d1 x Z_d2``.
     """
-    auto = _automorphism(automorphism)
     if n < 1:
         raise ValidationError("period must be >= 1")
     an = auto.power(n)
@@ -438,6 +440,17 @@ def fixed_points(automorphism: ToralAutomorphism | object, n: int) -> FixedPoint
     _, d, v = smith_normal_form(m)
     d1, d2 = d[0][0], d[1][1]
     _require_width(d2)
+    return d1, d2, v
+
+
+def fixed_points(automorphism: ToralAutomorphism | object, n: int) -> FixedPointSet:
+    """Enumerate the fixed points of ``A^n`` on the 2-torus.
+
+    The solution group of ``(A^n - I)x = 0 mod Z^2`` is parametrized by
+    ``Z_d1 x Z_d2`` through the Smith normal form; the output is sorted
+    lexicographically by numerator pair.
+    """
+    d1, d2, v = _fixed_point_lattice(_automorphism(automorphism), n)
     stride = d2 // d1
     v = [[v[0][0] % d2, v[0][1] % d2], [v[1][0] % d2, v[1][1] % d2]]
     i = np.arange(d1, dtype=np.int64)
@@ -528,24 +541,67 @@ def transverse_wedge_traces(record: OrbitRecord, j: int, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _orbit_minima(auto: ToralAutomorphism, pts: FixedPointSet) -> tuple[np.ndarray, np.ndarray]:
-    """The smallest point of each orbit of least period ``pts.period``, sorted.
+def _index_blocks(d1: int, d2: int):
+    """``(lo, i, j)`` over blocks of the flat index ``i * d2 + j`` of ``Z_d1 x Z_d2``."""
+    count = d1 * d2
+    for lo in range(0, count, _PASS_BLOCK):
+        k = np.arange(lo, min(lo + _PASS_BLOCK, count), dtype=np.int64)
+        yield (lo, *np.divmod(k, d2)) if d1 > 1 else (lo, 0, k)
 
-    A point is kept when its key ``num1 * den + num2`` is below the key of
-    each later iterate; a point of smaller period meets its own key again.
-    Blocks of ``_WALK_BLOCK`` points bound the temporaries.
+
+def _period_pass(auto: ToralAutomorphism, n: int, roof: TrigPolynomial | None = None,
+                 time_change: TrigPolynomial | None = None):
+    """The primitive orbits of least period ``n``, in one pass over the fixed points of ``A^n``.
+
+    Points are indexed by ``Z_d1 x Z_d2`` (:func:`_fixed_point_lattice`), where
+    ``A`` acts as ``B = V^-1 A V``: that is the successor permutation.
+    ``ceil(log2 n)`` rounds of pointer doubling label each point with the
+    smallest index on its cycle, and a cycle of ``n`` points is a primitive
+    orbit.  Its representative is its lexicographically smallest point.
+    Returns ``(num1, num2, den, length, slope)`` sorted by ``(num1, num2)``:
+    the orbit sums of ``roof`` and of ``roof * time_change`` (0 where absent).
     """
-    den = pts.den
-    (a11, a12), (a21, a22) = ((a % den for a in row) for row in auto.matrix)
-    keep = np.ones(pts.count, dtype=bool)
-    for lo in range(0, pts.count, _WALK_BLOCK):
-        block = slice(lo, lo + _WALK_BLOCK)
-        x1, x2 = pts.num1[block], pts.num2[block]
-        key = x1 * den + x2
-        for _ in range(pts.period - 1):
-            x1, x2 = (a11 * x1 + a12 * x2) % den, (a21 * x1 + a22 * x2) % den
-            keep[block] &= key < x1 * den + x2
-    return pts.num1[keep], pts.num2[keep]
+    d1, d2, v = _fixed_point_lattice(auto, n)
+    count, stride = d1 * d2, d2 // d1
+    det_v = _det(v)
+    v_inv = ((det_v * v[1][1], -det_v * v[0][1]), (-det_v * v[1][0], det_v * v[0][0]))
+    (b11, b12), (b21, b22) = _mat_mul(_mat_mul(v_inv, auto.matrix), v)
+    # B maps the lattice (stride * Z_d1) x Z_d2 into itself, so stride | b12 mod d2
+    b11, b12, b21, b22 = b11 % d1, b12 % d2 // stride, b21 * stride % d2, b22 % d2
+    succ = np.empty(count, dtype=np.int32)  # count <= MAX_ENUMERATED_POINTS < 2^31
+    for lo, i, j in _index_blocks(d1, d2):
+        nxt = (b21 * i + b22 * j) % d2
+        if d1 > 1:
+            nxt += (b11 * i + b12 * j) % d1 * d2
+        succ[lo : lo + len(j)] = nxt
+    label = np.arange(count, dtype=np.int32)
+    rounds = (n - 1).bit_length()
+    for r in range(rounds):
+        np.minimum(label, label[succ], out=label)
+        if r + 1 < rounds:
+            succ = succ[succ]
+    del succ
+    heads = np.flatnonzero(np.bincount(label, minlength=count) == n)
+    # one row per primitive orbit, plus a spare row for the points of smaller period
+    row = np.full(count, len(heads), dtype=np.int32)
+    row[heads] = np.arange(len(heads), dtype=np.int32)
+    row = row[label]
+    del label
+    key = np.full(len(heads) + 1, np.iinfo(np.int64).max)
+    length, slope = np.zeros(len(heads) + 1), np.zeros(len(heads) + 1)
+    v11, v12, v21, v22 = v[0][0] * stride % d2, v[0][1] % d2, v[1][0] * stride % d2, v[1][1] % d2
+    for lo, i, j in _index_blocks(d1, d2):
+        x1, x2 = (v11 * i + v12 * j) % d2, (v21 * i + v22 * j) % d2
+        rows = row[lo : lo + len(j)]
+        np.minimum.at(key, rows, x1 * d2 + x2)
+        if roof is not None:
+            r = _kernels.trig_values(*roof.arrays(), x1, x2, d2)
+            np.add.at(length, rows, r)
+            if time_change is not None:
+                np.add.at(slope, rows, r * _kernels.trig_values(*time_change.arrays(), x1, x2, d2))
+    order = np.argsort(key[:-1])
+    key = key[order]
+    return key // d2, key % d2, d2, length[order], slope[order]
 
 
 def _class_columns(auto: ToralAutomorphism, n: int, num1, num2, den: int) -> np.ndarray:
@@ -577,16 +633,18 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-@lru_cache(maxsize=4)
-def _primitive_columns(auto: ToralAutomorphism, n_max: int):
-    """``(period, num1, num2, den, class_exps)`` of every primitive orbit up to ``n_max``."""
+def _orbit_columns(auto: ToralAutomorphism, n_max: int, roof=None, time_change=None):
+    """Read-only ``(period, num1, num2, den, length0, slope, class_exps)`` up to ``n_max``.
+
+    One :func:`_period_pass` per period; ``length0`` and ``slope`` are 0
+    without a roof or time change.
+    """
     parts = []
     for n in range(1, n_max + 1):
-        pts = fixed_points(auto, n)
-        num1, num2 = _orbit_minima(auto, pts)
-        parts.append((np.full(len(num1), n), num1, num2, np.full(len(num1), pts.den),
-                      _class_columns(auto, n, num1, num2, pts.den)))
-    return _read_only(*(np.concatenate(col).astype(np.int64) for col in zip(*parts)))
+        num1, num2, den, length, slope = _period_pass(auto, n, roof, time_change)
+        parts.append((np.full(len(num1), n), num1, num2, np.full(len(num1), den), length, slope,
+                      _class_columns(auto, n, num1, num2, den)))
+    return _read_only(*(np.concatenate(col) for col in zip(*parts)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -595,10 +653,10 @@ class OrbitTable:
 
     Rows are sorted by ``(period, num1, num2)``; each orbit is represented
     by its lexicographically smallest base point ``(num1, num2) / den``.
-    ``length0`` is the Birkhoff sum of the roof and ``slope`` the length's
-    derivative in ``tau`` (0 without a time change).  ``class_exps`` holds
-    the fiber exponents of the class in ``coker(A - I)``, one column per
-    Smith factor; the winding is the period.
+    ``length0`` is the Birkhoff sum of the roof and ``slope`` that of
+    ``roof * g``, the length's derivative in ``tau`` (0 without a time
+    change).  ``class_exps`` holds the fiber exponents of the class in
+    ``coker(A - I)``, one column per Smith factor; the winding is the period.
     """
 
     model: SuspensionModel
@@ -639,21 +697,10 @@ class OrbitTable:
 def orbit_table(model: SuspensionModel, n_max: int) -> OrbitTable:
     """The orbit table of ``model`` up to period ``n_max``, built once and cached.
 
-    Lengths take one kernel call per period over the representatives, two with a time change.
+    One pass per period evaluates the roof (and the time change) once at
+    every fixed point and sums it along each orbit.
     """
-    auto = model.automorphism
-    period, num1, num2, den, class_exps = _primitive_columns(auto, n_max)
-    length0 = np.empty(len(period))
-    slope = np.zeros(len(period))
-    bounds = np.searchsorted(period, np.arange(1, n_max + 2)).tolist()
-    for n, lo, hi in zip(range(1, n_max + 1), bounds, bounds[1:]):
-        if lo == hi:
-            continue
-        args = (num1[lo:hi], num2[lo:hi], int(den[lo]), auto.matrix, n, model.roof)
-        length0[lo:hi] = _kernels.birkhoff_sums(*args)
-        if model.time_change is not None:
-            slope[lo:hi] = _kernels.birkhoff_sums(*args, model.time_change, 1.0) - length0[lo:hi]
-    return OrbitTable(model, n_max, period, num1, num2, den, *_read_only(length0, slope), class_exps)
+    return OrbitTable(model, n_max, *_orbit_columns(model.automorphism, n_max, model.roof, model.time_change))
 
 
 def primitive_orbits(automorphism, n_max: int) -> list[PrimitiveOrbit]:
@@ -662,7 +709,7 @@ def primitive_orbits(automorphism, n_max: int) -> list[PrimitiveOrbit]:
     Each orbit is represented by its lexicographically smallest point;
     the output is sorted by ``(period, num1, num2)``.
     """
-    period, num1, num2, den, _ = _primitive_columns(_automorphism(automorphism), n_max)
+    period, num1, num2, den, *_ = _orbit_columns(_automorphism(automorphism), n_max)
     return [PrimitiveOrbit(*row) for row in zip(period.tolist(), num1.tolist(), num2.tolist(), den.tolist())]
 
 
@@ -732,12 +779,12 @@ def read_orbit_dump(path) -> list[OrbitRecord]:
     naming ``path:line``.
     """
     records = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
+    with open(path, "rb") as fh:
+        header = ascii_line(path, 1, fh.readline()).strip()
         if header != ORBIT_DUMP_HEADER:
             raise ValidationError(f"bad orbit dump header: {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
+        for lineno, raw in enumerate(fh, start=2):
+            line = ascii_line(path, lineno, raw).strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()

@@ -365,6 +365,8 @@ MALFORMED = [
     ["variation", "lambda.value=nan", "tau.grid=0.05"],
     ["variation", "lambda.value=3", "tau.grid=0:inf:2"],
     ["zeta-eval", "rep.u_fraction=1e308", "lambda.grid=4"],
+    ["zeta-eval", "io.spectrum=.", "lambda.grid=4"],
+    ["zeta-eval", "io.orbits=.", "lambda.grid=4"],
 ]
 
 
@@ -382,6 +384,8 @@ MALFORMED_FILES = [
     ("io.orbits", "#fried-orbits v1", "1 0 0 1 -2.0 1 1 0 0"),
     ("io.orbits", "#fried-orbits v1", "1 0 0.5 1 1.0 1 1 0 0"),
     ("io.orbits", "#fried-orbits v1", "2 0 1 5 2.0 1 2 0"),
+    ("io.spectrum", "#fried-spectrum v1 n0=2", "1.5 0.1 1 caf\u00e9"),
+    ("io.orbits", "#fried-orbits v1", "1 0 0 1 1.0 1 1 0 0 caf\u00e9"),
 ]
 
 
@@ -397,13 +401,20 @@ class TestInputBoundary:
     @pytest.mark.parametrize("key, header, line", MALFORMED_FILES, ids=lambda v: str(v))
     def test_malformed_file_line_is_one_error_line(self, key, header, line, tmp_path, capsys):
         path = tmp_path / "input.txt"
-        path.write_text(f"{header}\n# comment\n{VALID_LINE[key]}\n{line}\n")
+        path.write_text(f"{header}\n# comment\n{VALID_LINE[key]}\n{line}\n", encoding="utf-8")
         settings = [f"{key}={path}", "lambda.grid=4", "policy.entropy=1.0"]
         assert run("zeta-eval", *settings) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:4: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["zeta-eval", "orbits"])
+    def test_out_in_missing_directory_is_one_error_line(self, command, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.txt"
+        assert run(command, *CAT_SETTINGS, "policy.n_max=3", "lambda.grid=4", out=out) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {out}: No such file or directory\n"
 
     def test_graded_weights_finite_at_large_j(self, capsys):
         # lam_u^(6 * 200) overflows a double; the weights are taken divided through by it

@@ -127,6 +127,29 @@ class TestZetaAtZero:
         z = zeta_at_zero(perturbed_model, rep_minus, pol)
         assert z.modulus == pytest.approx(1.25, abs=1e-10)
 
+    def test_continued_zeta_tends_to_value_at_zero(self, cat, rep_minus):
+        # a non-constant roof and time change at tau != 0: away from 0 the
+        # trace sums read the orbit-table lengths, and (zeta(lam) - zeta(0)) / lam
+        # converges to a nonzero derivative (a constant roof has none here)
+        model = SuspensionModel(cat, TrigPolynomial(1.0, ((1, 0, 0.05, 0.0), (0, 1, 0.0, 0.04))),
+                                TrigPolynomial(0.1, ((1, 1, 0.04, 0.03),)))
+        tau, n_max = 0.1, 14
+        pol = TruncationPolicy(max_period=n_max, entropy=model.default_entropy(tau))
+        z0 = zeta_at_zero(model, rep_minus, pol, tau).value
+
+        def quotient(r):
+            lam = r * cmath.exp(0.7j)
+            pre = trace_sums(model, rep_minus, lam, n_max, tau)
+            d = [dynamical_determinant(model, rep_minus, k, lam, n_max, tau=tau, _precomputed=pre).value
+                 for k in range(3)]
+            return (d[1] / (d[0] * d[2]) - z0) / lam
+
+        q = [quotient(r) for r in (1e-2, 1e-3, 1e-4, 1e-5)]
+        steps = [abs(b - a) for a, b in zip(q, q[1:])]
+        assert all(b < 0.2 * a for a, b in zip(steps, steps[1:]))
+        assert steps[-1] < 1e-4 * abs(q[-1])
+        assert abs(q[-1]) > 1e-2
+
 
 class TestContinuationProductAgreement:
     def test_matches_euler_product(self, perturbed_model, rep_minus):

@@ -24,7 +24,8 @@ from friedzeta import (
     variation_coefficient,
     write_orbit_dump,
 )
-from friedzeta.toral import smith_normal_form
+from friedzeta.toral import orbit_table, smith_normal_form
+from test_kernels import reference_birkhoff
 
 
 def brute_force_fixed_count(matrix, n):
@@ -161,6 +162,86 @@ class TestPrimitiveOrbits:
         a = primitive_orbits(cat, 6)
         b = primitive_orbits(cat, 6)
         assert a == b
+
+
+def walk_table(auto, n_max, roof, change):
+    """Pure-Python oracle of the orbit table: walk the orbit of every fixed point.
+
+    Fixed points come sorted, so the first point met on an orbit is its
+    smallest.  Returns the rows ``(period, num1, num2, den, class_exps)``
+    and the orbit sums of ``roof * change`` in orbit order.
+    """
+    (a11, a12), (a21, a22) = auto.matrix
+    rows, slopes = [], []
+    for n in range(1, n_max + 1):
+        pts = fixed_points(auto, n)
+        den, seen = pts.den, set()
+        for start in zip(pts.num1.tolist(), pts.num2.tolist()):
+            if start in seen:
+                continue
+            orbit, x = [], start
+            while not orbit or x != start:
+                orbit.append(x)
+                x = ((a11 * x[0] + a12 * x[1]) % den, (a21 * x[0] + a22 * x[1]) % den)
+            seen.update(orbit)
+            if len(orbit) == n:
+                rows.append((n, *start, den, homology_class(auto, start, den, n)[0]))
+                slopes.append(sum(roof.value_at_rational(*p, den) * change.value_at_rational(*p, den)
+                                  for p in orbit))
+    return rows, slopes
+
+
+TABLE_CASES = [  # (matrix, n_max): the cat map has d1 = 144 at n = 12; 3 2 1 1 has coker Z/2
+    (((2, 1), (1, 1)), 12),
+    (((3, 2), (1, 1)), 8),
+    (((-2, -1), (-1, -1)), 10),
+    (((1, 1), (1, 0)), 18),
+    (((5, 2), (2, 1)), 6),
+]
+TABLE_ROOF = TrigPolynomial(1.0, ((1, 0, 0.05, 0.0), (0, 1, 0.0, 0.04), (1, -2, 0.02, 0.01)))
+TABLE_CHANGE = TrigPolynomial(0.1, ((1, 1, 0.04, 0.03),))
+
+
+class TestOrbitTable:
+    @pytest.fixture(scope="class", params=TABLE_CASES,
+                    ids=lambda case: f"{' '.join(str(a) for row in case[0] for a in row)} to {case[1]}")
+    def built(self, request):
+        matrix, n_max = request.param
+        model = SuspensionModel(ToralAutomorphism(matrix), TABLE_ROOF, TABLE_CHANGE)
+        return model, orbit_table(model, n_max), walk_table(model.automorphism, n_max, TABLE_ROOF, TABLE_CHANGE)
+
+    def test_rows_match_walk(self, built):
+        _, table, (rows, _) = built
+        got = zip(table.period.tolist(), table.num1.tolist(), table.num2.tolist(), table.den.tolist(),
+                  map(tuple, table.class_exps.tolist()))
+        assert list(got) == rows
+
+    def test_lengths_match_reference(self, built):
+        model, table, (_, slopes) = built
+        for n in range(1, table.n_max + 1):
+            rows = table.period_slice(n)
+            if rows.start == rows.stop:  # e.g. Fix(A^2) = Fix(A) for 1 1 1 0
+                continue
+            want = reference_birkhoff(table.num1[rows], table.num2[rows], int(table.den[rows][0]),
+                                      model.automorphism.matrix, n, TABLE_ROOF, None, 0.0)
+            assert np.max(np.abs(table.length0[rows] - want) / want) <= 1e-13
+        assert np.max(np.abs(table.slope - slopes) / np.abs(table.length0)) <= 1e-13
+
+    def test_orbit_count_identity(self, built):
+        model, table, _ = built
+        prim = Counter(table.period.tolist())
+        for n in range(1, table.n_max + 1):
+            total = sum(p * prim[p] for p in range(1, n + 1) if n % p == 0)
+            assert total == abs(model.automorphism.det_one_minus_power(n))
+
+    def test_deterministic_and_prefix_of_longer_table(self, built):
+        model, table, _ = built
+        again = orbit_table.__wrapped__(model, table.n_max)
+        longer = orbit_table.__wrapped__(model, table.n_max + 1)
+        for name in ("period", "num1", "num2", "den", "length0", "slope", "class_exps"):
+            col = getattr(table, name)
+            assert getattr(again, name).tobytes() == col.tobytes()
+            assert getattr(longer, name)[: len(col)].tobytes() == col.tobytes()
 
 
 class TestLengthsAndVariation:
