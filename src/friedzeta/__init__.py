@@ -44,6 +44,7 @@ from .kleinian import (
 from .ledgers import condition_enumerate, resonance_multiplicity_ledger, selberg_order_ledger
 from .toral import (
     Character,
+    OrbitDump,
     OrbitRecord,
     SuspensionModel,
     ToralAutomorphism,

@@ -30,7 +30,7 @@ from .kleinian import (
     write_spectrum,
 )
 from .ledgers import condition_enumerate, resonance_multiplicity_ledger, selberg_order_ledger
-from .toral import orbit_records, orbit_table, read_orbit_dump, write_orbit_dump
+from .toral import orbit_table, read_orbit_dump, write_orbit_dump
 from .torsion import fried_check
 from .variation import direct_quotient, variation_rhs
 from .zetas import (
@@ -104,10 +104,10 @@ def cmd_orbits(cfg: RunConfig, args) -> int:
     tau = cfg.get_float("tau.value", 0.0)
     model.require_tau(tau)
     policy = cfg.policy(model, tau)
-    records = orbit_records(model, policy.max_period, tau=tau)
+    table = orbit_table(model, policy.max_period)
     out = args.out or cfg.get("io.out", required=True)
-    write_orbit_dump(out, records)
-    report = Report("orbits", cfg.values, {"count": len(records), "path": out})
+    write_orbit_dump(out, table, tau)
+    report = Report("orbits", cfg.values, {"count": len(table.period), "path": out})
     report.timing_seconds = time.perf_counter() - t0
     report.write(cfg.get("io.report"))
     return 0
@@ -370,6 +370,25 @@ def cmd_spectrum_gen(cfg: RunConfig, args) -> int:
 # Parser and dispatch
 # ---------------------------------------------------------------------------
 
+# Config keys each command reads.  policy.workers is accepted everywhere and
+# warned about; model and rep keys are shared by every command on the model.
+_MODEL_KEYS = {"model.matrix", "model.roof", "model.time_change", "rep.u_fraction", "rep.fiber_exponents"}
+_POLICY_KEYS = {"policy.n_max", "policy.j_max", "policy.p_max", "policy.entropy", "policy.tail_tol",
+                "policy.quad_subdiv"}
+_SPECTRUM_KEYS = {"spectrum.h", "spectrum.count", "spectrum.seed", "spectrum.min_length"}
+_KNOWN_KEYS = {
+    "orbits": _MODEL_KEYS | _POLICY_KEYS | {"tau.value", "io.out"},
+    "zeta-eval": _MODEL_KEYS | _POLICY_KEYS | {"tau.value", "lambda.grid", "selberg.mu", "zeta.allow_formal",
+                                              "io.spectrum", "io.orbits", "io.csv"},
+    "zeta-continue": _MODEL_KEYS | _POLICY_KEYS | {"tau.value", "lambda.grid", "io.csv"},
+    "fried-check": _MODEL_KEYS | _POLICY_KEYS | {"tau.grid", "fried.tolerance", "io.csv"},
+    "selberg-factorize": _SPECTRUM_KEYS | _POLICY_KEYS | {"io.spectrum", "lambda.value", "factorize.k",
+                                                          "factorize.p_grid", "io.csv"},
+    "variation": _MODEL_KEYS | _POLICY_KEYS | {"lambda.value", "tau.grid"},
+    "ledger": {"ledger.k_list", "ledger.h0", "ledger.h1", "ledger.selberg_cases"},
+    "spectrum-gen": _SPECTRUM_KEYS | {"spectrum.kind", "spectrum.generators", "spectrum.l_max", "io.out"},
+}
+
 _COMMANDS = {
     "orbits": cmd_orbits,
     "zeta-eval": cmd_zeta_eval,
@@ -408,6 +427,9 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = RunConfig.load(args.config, args.set)
+        unknown = sorted(cfg.values.keys() - _KNOWN_KEYS[args.command] - {"io.report", "policy.workers"})
+        if unknown:
+            raise ValidationError(f"unknown config key {', '.join(map(repr, unknown))} for {args.command}")
         if cfg.get("policy.workers") is not None:
             print("warning: policy.workers is ignored: the Birkhoff kernel runs on one thread",
                   file=sys.stderr)

@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field
 
 from .characters import IrrepLabel
-from .errors import ValidationError
+from .errors import ValidationError, ascii_line
 from .kleinian import MobiusGenerator
 from .toral import Character, SuspensionModel, ToralAutomorphism
 from .trig import TrigPolynomial
@@ -104,8 +104,9 @@ class RunConfig:
         if path:
             if not os.path.exists(path):
                 raise ValidationError(f"config file {path!r} does not exist")
-            with open(path, "r", encoding="utf-8") as fh:
-                for raw in fh:
+            with open(path, "rb") as fh:
+                for lineno, raw in enumerate(fh, start=1):
+                    raw = ascii_line(path, lineno, raw, "utf-8")
                     line = raw.split("#", 1)[0].strip()
                     if not line:
                         continue

@@ -44,13 +44,14 @@ class ResonanceAtZeroError(ConvergenceError):
     """A graded determinant vanishes at 0: the zeta value is undefined there."""
 
 
-def ascii_line(path, lineno: int, raw: bytes) -> str:
-    """Line ``lineno`` of the input file ``path``, decoded as ASCII.
+def ascii_line(path, lineno: int, raw: bytes, encoding: str = "ascii") -> str:
+    """Line ``lineno`` of the input file ``path``, decoded as ASCII (or as ``encoding``).
 
-    A byte that is not ASCII raises a ValidationError naming ``path:line``.
+    A byte that does not decode raises a ValidationError naming ``path:line``.
     """
     try:
-        return raw.decode("ascii")
+        return raw.decode(encoding)
     except UnicodeDecodeError as exc:
         byte, col = raw[exc.start], exc.start + 1
-        raise ValidationError(f"{path}:{lineno}: non-ASCII byte 0x{byte:02x} at column {col}") from None
+        what = f"non-{encoding.upper()} byte 0x{byte:02x} at column {col}"
+        raise ValidationError(f"{path}:{lineno}: {what}") from None

@@ -185,7 +185,8 @@ def complex_length(matrix) -> tuple[float, float]:
     else:
         m = ((complex(matrix[0][0]), complex(matrix[0][1])), (complex(matrix[1][0]), complex(matrix[1][1])))
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if abs(det - 1.0) > 1e-9:
+    # word products grow like e^{ell/2}, and det's rounding error with the squared entries
+    if abs(det - 1.0) > 1e-9 * max(1.0, sum(abs(x) ** 2 for row in m for x in row)):
         raise ValidationError("matrix must have determinant 1")
     t = m[0][0] + m[1][1]
     if abs(t.imag) < 1e-12 and abs(t.real) <= 2.0:

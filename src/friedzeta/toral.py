@@ -44,6 +44,7 @@ __all__ = [
     "orientation_index",
     "holonomy",
     "transverse_wedge_traces",
+    "OrbitDump",
     "write_orbit_dump",
     "read_orbit_dump",
     "ORBIT_DUMP_HEADER",
@@ -757,28 +758,49 @@ def variation_coefficient(model: SuspensionModel, record: OrbitRecord | Primitiv
 # ---------------------------------------------------------------------------
 
 
-def write_orbit_dump(path, records: list[OrbitRecord]):
-    """Write ``#fried-orbits v1``: one whitespace-separated record per line."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(ORBIT_DUMP_HEADER + "\n")
-        for r in sorted(records, key=lambda x: (x.period, x.num1, x.num2)):
-            exps = " ".join(str(e) for e in r.class_exps)
-            fh.write(
-                f"{r.period} {r.num1} {r.num2} {r.den} {r.length!r} {r.epsilon} {r.winding}"
-                + (f" {exps}" if exps else "")
-                + "\n"
-            )
+@dataclass(frozen=True, eq=False)
+class OrbitDump:
+    """The orbit lines of a ``#fried-orbits v1`` file as read-only columns, in file order.
 
-
-def read_orbit_dump(path) -> list[OrbitRecord]:
-    """Read a ``#fried-orbits v1`` file.
-
-    Transverse eigenvalue data is not part of the format; records read
-    back support Ruelle sums (length, index, holonomy class) only and
-    carry ``nan`` eigenvalues.  A malformed line raises a ValidationError
-    naming ``path:line``.
+    ``class_exps`` holds one column per class exponent.  Transverse
+    eigenvalue data is not part of the format, so the columns support
+    Ruelle sums (length, index, holonomy class) only.
     """
-    records = []
+
+    period: np.ndarray
+    num1: np.ndarray
+    num2: np.ndarray
+    den: np.ndarray
+    length: np.ndarray
+    epsilon: np.ndarray
+    winding: np.ndarray
+    class_exps: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.length)
+
+
+def write_orbit_dump(path, table: OrbitTable, tau: float = 0.0):
+    """Write ``#fried-orbits v1``: one orbit of ``table`` per line, in table order, lengths at ``tau``.
+
+    Fields are whitespace separated: period, base point numerators and
+    denominator, length (its ``repr``), orientation index, winding and
+    the class exponents.
+    """
+    epsilon = np.array([row[0] for row in table.transverse()])[table.period]
+    columns = (table.period, table.num1, table.num2, table.den, table.lengths(tau), epsilon, table.period,
+               *table.class_exps.T)
+    lines = map(" ".join, zip(*(map(repr, column.tolist()) for column in columns)))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join((ORBIT_DUMP_HEADER, *lines)) + "\n")
+
+
+def read_orbit_dump(path) -> OrbitDump:
+    """Read a ``#fried-orbits v1`` file into columns.
+
+    A malformed line raises a ValidationError naming ``path:line``.
+    """
+    ints, lengths, width = [], [], None
     with open(path, "rb") as fh:
         header = ascii_line(path, 1, fh.readline()).strip()
         if header != ORBIT_DUMP_HEADER:
@@ -791,30 +813,20 @@ def read_orbit_dump(path) -> list[OrbitRecord]:
             try:
                 if len(parts) < 7:
                     raise ValidationError("an orbit line needs period, base point, length, epsilon, winding")
-                period, n1, n2, den = (int(x) for x in parts[:4])
+                row = [int(x) for x in parts[:4]]  # period, base point, denominator
                 length = float(parts[4])
                 if not (math.isfinite(length) and length > 0):
                     raise ValidationError(f"length must be positive and finite, got {parts[4]!r}")
-                eps, winding = int(parts[5]), int(parts[6])
-                exps = tuple(int(x) for x in parts[7:])
-                if records and len(exps) != len(records[0].class_exps):
-                    first = len(records[0].class_exps)
-                    raise ValidationError(f"{len(exps)} class exponents where the first orbit line has {first}")
+                row += [int(x) for x in parts[5:]]  # epsilon, winding, class exponents
+                if width is not None and len(row) != width:
+                    raise ValidationError(
+                        f"{len(row) - 6} class exponents where the first orbit line has {width - 6}")
+                if max(map(abs, row)) >= 1 << 63:
+                    raise ValidationError("integer field exceeds 64 bits")
             except (ValueError, ValidationError) as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from None
-            records.append(
-                OrbitRecord(
-                    period=period,
-                    num1=n1,
-                    num2=n2,
-                    den=den,
-                    length=length,
-                    epsilon=eps,
-                    lam_u=math.nan,
-                    lam_s=math.nan,
-                    det_power=0,
-                    class_exps=exps,
-                    winding=winding,
-                )
-            )
-    return records
+            width = len(row)
+            ints.append(row)
+            lengths.append(length)
+    ints = np.array(ints, dtype=np.int64).reshape(len(lengths), width or 6)
+    return OrbitDump(*_read_only(*ints[:, :4].T, np.array(lengths), *ints[:, 4:6].T, ints[:, 6:]))

@@ -3,10 +3,12 @@
 Every product reads :class:`OrbitColumns`, built once per spectrum, and
 is one (orbit x iterate) array, with iterate powers taken by
 ``np.cumprod``, summed by :func:`~friedzeta.summation.block_sum`, so values
-are reproducible bit for bit.  The n0 = 2 Poincaré data and characters are
-closed forms; ``poincare_data`` and ``char_sigma`` are their references in
-the tests.  Tail bounds are Margulis-type geometric estimates anchored on
-the last length shell actually summed.
+are reproducible bit for bit.  The λ-free graded factors are built once
+per columns and ``j_max``, the phases once per λ; both are kept on the
+columns.  The n0 = 2 Poincaré data and characters are closed forms;
+``poincare_data`` and ``char_sigma`` are their references in the tests.
+Tail bounds are Margulis-type geometric estimates anchored on the last
+length shell actually summed.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .characters import IrrepLabel
 from .errors import CapacityError, ConvergenceError, ValidationError
 from .kleinian import ComplexLengthRecord
 from .summation import block_sum
-from .toral import Character, OrbitRecord, OrbitTable
+from .toral import Character, OrbitDump, OrbitRecord, OrbitTable
 
 __all__ = [
     "TruncationPolicy",
@@ -95,7 +97,9 @@ class OrbitColumns:
     orientation index.  Toral rows carry the eigenvalues ``lam_u``,
     ``lam_s`` of the transverse return map and ``det_power = det(A)^period``
     (``nan`` eigenvalues for orbit-dump rows); Kleinian rows carry the
-    holonomy angle ``theta`` instead.
+    holonomy angle ``theta`` instead.  Arrays derived from the columns (the
+    graded factors, the current λ's phases) are kept with them and freed
+    with them.
     """
 
     length: np.ndarray
@@ -106,10 +110,11 @@ class OrbitColumns:
     lam_s: np.ndarray | None = None
     det_power: np.ndarray | None = None
     theta: np.ndarray | None = None
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for column in (getattr(self, f.name) for f in fields(self)):
-            if column is not None:
+            if isinstance(column, np.ndarray):
                 column.flags.writeable = False
 
     def __len__(self) -> int:
@@ -117,7 +122,7 @@ class OrbitColumns:
 
 
 def orbit_columns(spectrum, representation=None, tau: float = 0.0) -> OrbitColumns:
-    """Columns of an :class:`OrbitTable` (lengths at ``tau``) or of a list of records.
+    """Columns of an :class:`OrbitTable` (lengths at ``tau``), an :class:`OrbitDump` or a list of records.
 
     Toral orbits take a :class:`Character` twist (``None`` is trivial);
     Kleinian records and columns carry their own ``rho`` and take ``None``.
@@ -130,6 +135,11 @@ def orbit_columns(spectrum, representation=None, tau: float = 0.0) -> OrbitColum
         return _table_columns(spectrum, representation, float(tau))
     if tau:
         raise ValidationError("tau applies to an orbit table; records and columns carry their lengths")
+    if isinstance(spectrum, OrbitDump):
+        nan = np.full(len(spectrum), math.nan)
+        return _toral_columns(representation, spectrum.class_exps, spectrum.length, spectrum.period,
+                              spectrum.num1, spectrum.num2, spectrum.epsilon, nan, nan,
+                              np.zeros(len(spectrum), dtype=np.int64), spectrum.winding)
     records = list(spectrum)
     if records and all(isinstance(r, OrbitRecord) for r in records):
         names = ("length", "period", "num1", "num2", "epsilon", "lam_u", "lam_s", "det_power", "winding")
@@ -188,9 +198,26 @@ def _in_float_range(lam: complex):
             raise ConvergenceError(f"Euler product at lambda={lam} leaves floating point: {exc}") from None
 
 
+def _kept(cols: OrbitColumns, name: str, key, build) -> np.ndarray:
+    """``build()``, kept read-only on ``cols`` until ``name`` is asked for with another ``key``."""
+    kept = cols._derived.get(name)
+    if kept is None or kept[0] != key:
+        value = build()
+        value.flags.writeable = False
+        kept = cols._derived[name] = (key, value)
+    return kept[1]
+
+
 def _phases(cols: OrbitColumns, lam: complex, j_max: int) -> np.ndarray:
-    """``rho^j exp(-lam j len)`` per (orbit, iterate)."""
-    return _powers(cols.rho * np.exp(-lam * cols.length), j_max)
+    """``rho^j exp(-lam j len)`` per (orbit, iterate), built once per ``lam``."""
+    return _kept(cols, "phases", (lam, j_max), lambda: _powers(cols.rho * np.exp(-lam * cols.length), j_max))
+
+
+def _terms(cols: OrbitColumns, weights: np.ndarray) -> np.ndarray:
+    """``-multiplicity * weight / j`` per (orbit, iterate), written over ``weights``."""
+    weights *= -cols.multiplicity[:, None]
+    weights /= np.arange(1, weights.shape[1] + 1)
+    return weights
 
 
 def _kleinian_iterates(cols: OrbitColumns, j_max: int):
@@ -228,12 +255,36 @@ def _wedge_traces(cols: OrbitColumns, j_max: int):
         r = _powers(1.0 / cols.lam_u, j_max)  # lam_u^-j
         s = _powers(cols.lam_s, j_max)
         r_abs = np.abs(r)
-        traces = (r_abs, np.sign(r) + s * r_abs, _powers(cols.det_power, j_max) * r_abs)
-        return traces, np.abs(r - 1.0) * np.abs(1.0 - s)
+        e1 = s * r_abs
+        e1 += np.sign(r)
+        e2 = _powers(cols.det_power, j_max) * r_abs
+        # |det| = |r - 1| |s - 1|, built over r and s so fewer (orbit x iterate) arrays are live at once
+        r -= 1.0
+        s -= 1.0
+        det = np.abs(r, out=r)
+        det *= np.abs(s, out=s)
+        return (r_abs, e1, e2), det
     a, b, c = _kleinian_iterates(cols, j_max)
     e1 = 2.0 * (a + b) * c  # 4 cosh(j l) cos(j theta)
     traces = (1.0, e1, a * a + b * b + 4.0 * c * c, e1, 1.0)
     return traces, np.abs(_det_one_minus_ps(a, c) * _det_one_minus_ps(b, c))
+
+
+def _graded_factors(cols: OrbitColumns, j_max: int) -> np.ndarray:
+    """``-multiplicity Tr(wedge^k P^j) / (j |det(1 - P^j)|)`` per (k, orbit, iterate), built once per ``j_max``.
+
+    This is the λ-free part of every graded term: a term is its phase times this factor.
+    """
+    def build():
+        traces, scale = _wedge_traces(cols, j_max)
+        scale *= np.arange(1, j_max + 1)  # the det array is ours: the scale is built over it
+        np.divide(-cols.multiplicity[:, None], scale, out=scale)
+        factors = np.empty((len(traces),) + scale.shape)
+        for factor, trace in zip(factors, traces):
+            np.multiply(trace, scale, out=factor)
+        return factors
+
+    return _kept(cols, "graded", j_max, build)
 
 
 def _require_convergence(lam: complex, threshold: float, allow_formal: bool, what: str):
@@ -261,13 +312,12 @@ def _tail_bound(lengths, first_terms_abs, sigma: float, h: float) -> float:
     return 2.0 * base * q / (1.0 - q)
 
 
-def _zeta_value(cols: OrbitColumns, weights: np.ndarray, lam: complex, kind: str, policy: TruncationPolicy):
-    """Sum the (orbit, iterate) terms ``-multiplicity * weight / j``, with the tail from the j = 1 column.
+def _zeta_value(cols: OrbitColumns, terms: np.ndarray, lam: complex, kind: str, policy: TruncationPolicy):
+    """Sum the (orbit, iterate) ``terms``, with the tail from the j = 1 column.
 
     A j = j_max term above ``tail_tol`` is flagged: the iterate truncation
     could then dominate the length tail.
     """
-    terms = -cols.multiplicity[:, None] * weights / np.arange(1, policy.j_max + 1)
     warnings = () if len(cols) else ("empty spectrum",)
     worst_last = float(np.abs(terms[:, -1]).max(initial=0.0))
     if worst_last > policy.tail_tol:
@@ -299,7 +349,7 @@ def ruelle_log_zeta(
     cols = orbit_columns(spectrum, representation)
     with _in_float_range(lam):
         base = cols.epsilon * cols.rho * np.exp(-lam * cols.length)
-        return _zeta_value(cols, _powers(base, policy.j_max), lam, "ruelle", policy)
+        return _zeta_value(cols, _terms(cols, _powers(base, policy.j_max)), lam, "ruelle", policy)
 
 
 def graded_log_zeta(
@@ -320,11 +370,10 @@ def graded_log_zeta(
     _require_convergence(lam, policy.entropy, allow_formal, "graded zeta")
     cols = orbit_columns(spectrum, representation)
     with _in_float_range(lam):
-        traces, det = _wedge_traces(cols, policy.j_max)
-        if not 0 <= k < len(traces):
-            raise ValidationError(f"k must be in 0..{len(traces) - 1}")
-        weights = _phases(cols, lam, policy.j_max) * (traces[k] / det)
-        return _zeta_value(cols, weights, lam, f"graded[{k}]", policy)
+        factors = _graded_factors(cols, policy.j_max)
+        if not 0 <= k < len(factors):
+            raise ValidationError(f"k must be in 0..{len(factors) - 1}")
+        return _zeta_value(cols, _phases(cols, lam, policy.j_max) * factors[k], lam, f"graded[{k}]", policy)
 
 
 @dataclass(frozen=True)
@@ -354,11 +403,13 @@ def assemble_ruelle_from_graded(
     if not len(cols):
         raise ValidationError("cannot assemble over an empty spectrum")
     with _in_float_range(lam):
-        traces, det = _wedge_traces(cols, policy.j_max)
-        dim = len(traces) - 1
+        factors = _graded_factors(cols, policy.j_max)
+        dim = len(factors) - 1
         s = (-1) ** (dim // 2)
-        alt = sum((-1.0) ** k * trace for k, trace in enumerate(traces))
-        max_residual = float(np.abs(alt / det - s * _powers(cols.epsilon, policy.j_max)).max())
+        # each factor carries -multiplicity / j; dividing it out leaves sum_k (-1)^k Tr / |det|
+        alt = sum((-1.0) ** k * factor for k, factor in enumerate(factors))
+        alt = alt / (-cols.multiplicity[:, None] / np.arange(1, policy.j_max + 1))
+        max_residual = float(np.abs(alt - s * _powers(cols.epsilon, policy.j_max)).max())
     if max_residual > residual_tol:
         raise ValidationError(
             f"orientation convention violated: per-orbit residual {max_residual} > {residual_tol}"
@@ -410,7 +461,7 @@ def selberg_log_zeta(
         x = _class_angles(cols, policy.j_max)
         chi = np.prod([_label_character(label, x) for label in labels], axis=0)
         weights = _phases(cols, lam, policy.j_max) * chi / _det_one_minus_ps(a, c)
-        return _zeta_value(cols, weights, lam, "selberg", policy)
+        return _zeta_value(cols, _terms(cols, weights), lam, "selberg", policy)
 
 
 @dataclass(frozen=True)
@@ -490,11 +541,10 @@ def factorization_check(
             f"insufficient p_max={policy.p_max}: residual estimate {tail_estimate:.3e} "
             f"exceeds requested tolerance {required_tolerance:.3e}"
         )
-    j = np.arange(1, policy.j_max + 1)
     with _in_float_range(lam):
         lhs, (rhs,) = _factorization_weights(cols, k, policy.j_max, [policy.p_max])
         max_abs, max_rel = _relative_residual(lhs, rhs)
-        scale = -cols.multiplicity[:, None] * _phases(cols, lam, policy.j_max) / j
+        scale = _terms(cols, _phases(cols, lam, policy.j_max).copy())
         log_lhs, log_rhs = (complex(block_sum((scale * w).ravel())) for w in (lhs, rhs))
     return FactorizationReport(k, lam, policy.p_max, log_lhs, log_rhs, max_abs, max_rel, tail_estimate)
 
@@ -528,6 +578,8 @@ def guillemin_series(spectrum, representation, k: int, t_max: float, a_weights=N
     """
     from .wedge import compound_matrix
 
+    if isinstance(spectrum, OrbitDump):
+        raise ValidationError("record lacks eigenvalue data (orbit dump round-trip)")
     records = sorted(spectrum, key=lambda r: r.sort_key())
     cols = orbit_columns(records, representation)
     if records and cols.theta is not None:

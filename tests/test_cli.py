@@ -1,21 +1,29 @@
+import importlib.util
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import friedzeta
 from friedzeta import (
     ComplexLengthRecord,
+    OrbitRecord,
     TruncationPolicy,
+    ValidationError,
     read_orbit_dump,
     read_spectrum,
     ruelle_log_zeta,
     write_spectrum,
 )
-from friedzeta.cli import main
+from friedzeta.cli import _KNOWN_KEYS, main
+
+from dump_oracle import read_records_dump
 
 CAT_SETTINGS = [
     "model.matrix=2 1 1 1",
@@ -280,17 +288,71 @@ class TestConfigFile:
     def test_missing_config_file(self):
         assert main(["orbits", "--config", "/nonexistent/path.cfg"]) == 1
 
+    def test_config_byte_not_utf8_is_one_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"model.matrix = 2 1 1 1\n# caf\xff\n")
+        assert main(["orbits", "--config", str(cfg), "--out", str(tmp_path / "o.txt")]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: non-UTF-8 byte 0xff at column 6\n"
+
+    def test_config_utf8_comment_is_read(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model.matrix = 2 1 1 1  # \u03bb-free\npolicy.n_max = 3\n", encoding="utf-8")
+        assert main(["orbits", "--config", str(cfg), "--out", str(tmp_path / "o.txt")]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["count"] == 8
+
+
+class TestConfigKeys:
+    def test_unknown_key_is_one_error_line(self, capsys):
+        settings = ["policy.n_max=4", "polcy.j_max=3", "lambda.grid=9"]
+        assert run("zeta-eval", *CAT_SETTINGS, *settings) == 1
+        assert capsys.readouterr().err == "error: unknown config key 'polcy.j_max' for zeta-eval\n"
+
+    def test_key_of_another_command_is_unknown(self, tmp_path, capsys):
+        assert run("orbits", *CAT_SETTINGS, "policy.n_max=3", "lambda.grid=4", out=tmp_path / "o.txt") == 1
+        assert capsys.readouterr().err == "error: unknown config key 'lambda.grid' for orbits\n"
+
+    def test_benchmark_keys_are_known(self, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+        spec.loader.exec_module(workloads)
+        seen = set()
+        for name in workloads.WORKLOADS:
+            workload = workloads.build(name, 0, tmp_path, "smoke")
+            for job in workload.prepare + workload.jobs:
+                keys = {job.argv[i + 1].split("=", 1)[0] for i, arg in enumerate(job.argv) if arg == "--set"}
+                assert keys <= _KNOWN_KEYS[job.argv[0]] | {"io.report"}, job.name
+                seen |= keys
+        assert {"model.time_change", "io.orbits", "selberg.mu", "factorize.k", "spectrum.seed"} <= seen
+
 
 def test_module_invocation_smoke():
+    # the child imports the package from where this process found it (pytest's pythonpath or PYTHONPATH)
+    src = str(Path(friedzeta.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "friedzeta", "ledger", "--set", "ledger.h0=0", "--set", "ledger.h1=0"],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["results"]["multiplicities"] == {str(k): 0 for k in range(5)}
+
+
+def test_cli_builds_no_orbit_records(tmp_path, monkeypatch, capsys):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an OrbitRecord was built")
+
+    monkeypatch.setattr(OrbitRecord, "__init__", refuse)
+    dump = tmp_path / "orbits.txt"
+    assert run("orbits", *CAT_SETTINGS, "policy.n_max=6", out=dump) == 0
+    assert run("zeta-eval", *CAT_SETTINGS, "policy.n_max=6", "lambda.grid=4,5") == 0
+    assert run("zeta-eval", f"io.orbits={dump}", "policy.entropy=1.0", "lambda.grid=4,5") == 0
+    capsys.readouterr()
 
 
 class TestOrbitDumpPipeline:
@@ -387,6 +449,15 @@ MALFORMED_FILES = [
     ("io.spectrum", "#fried-spectrum v1 n0=2", "1.5 0.1 1 caf\u00e9"),
     ("io.orbits", "#fried-orbits v1", "1 0 0 1 1.0 1 1 0 0 caf\u00e9"),
 ]
+# every malformed dump of MALFORMED_FILES, and a wrong header
+DUMP_ERRORS = [(header, line) for key, header, line in MALFORMED_FILES if key == "io.orbits"]
+DUMP_ERRORS += [("#fried-orbits v2", VALID_LINE["io.orbits"])]
+# integers beyond int64, which the record reader let through to a traceback or a wrapped value
+WIDE_DUMP_LINES = [
+    ("io.orbits", "#fried-orbits v1", "99999999999999999999 0 0 1 1.0 1 1 0 0"),
+    ("io.orbits", "#fried-orbits v1", "1 0 0 1 1.0 99999999999999999999 1 0 0"),
+    ("io.orbits", "#fried-orbits v1", "1 0 0 1 1.0 1 1 -99999999999999999999 0"),
+]
 
 
 class TestInputBoundary:
@@ -398,7 +469,7 @@ class TestInputBoundary:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("key, header, line", MALFORMED_FILES, ids=lambda v: str(v))
+    @pytest.mark.parametrize("key, header, line", MALFORMED_FILES + WIDE_DUMP_LINES, ids=lambda v: str(v))
     def test_malformed_file_line_is_one_error_line(self, key, header, line, tmp_path, capsys):
         path = tmp_path / "input.txt"
         path.write_text(f"{header}\n# comment\n{VALID_LINE[key]}\n{line}\n", encoding="utf-8")
@@ -409,10 +480,21 @@ class TestInputBoundary:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("header, line", DUMP_ERRORS, ids=lambda v: str(v))
+    def test_column_reader_message_matches_record_reader(self, header, line, tmp_path):
+        path = tmp_path / "input.txt"
+        path.write_text(f"{header}\n# comment\n{VALID_LINE['io.orbits']}\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as oracle:
+            read_records_dump(path)
+        with pytest.raises(ValidationError) as columns:
+            read_orbit_dump(path)
+        assert str(columns.value) == str(oracle.value)
+
     @pytest.mark.parametrize("command", ["zeta-eval", "orbits"])
     def test_out_in_missing_directory_is_one_error_line(self, command, tmp_path, capsys):
         out = tmp_path / "missing" / "out.txt"
-        assert run(command, *CAT_SETTINGS, "policy.n_max=3", "lambda.grid=4", out=out) == 1
+        grid = ["lambda.grid=4"] if command == "zeta-eval" else []
+        assert run(command, *CAT_SETTINGS, "policy.n_max=3", *grid, out=out) == 1
         err = capsys.readouterr().err
         assert err == f"error: {out}: No such file or directory\n"
 
@@ -491,12 +573,14 @@ FUZZ_KEYS = (
 )
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+# about half the examples add an unknown key; the others run the fuzz of the known keys
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     command=st.sampled_from(["zeta-eval", "zeta-continue", "variation"]),
     values=st.dictionaries(st.sampled_from(FUZZ_KEYS), st.text(max_size=24)),
+    extra=st.none() | st.from_regex(r"[a-z]{1,8}\.[a-z_0-9]{1,12}", fullmatch=True),
 )
-def test_fuzzed_settings_exit_cleanly(command, values, capsys):
+def test_fuzzed_settings_exit_cleanly(command, values, extra, capsys):
     try:
         if int(values["policy.n_max"]) > 4:
             values["policy.n_max"] = "4"
@@ -504,5 +588,11 @@ def test_fuzzed_settings_exit_cleanly(command, values, capsys):
         pass
     pairs = ["model.matrix=2 1 1 1", "policy.n_max=4", "lambda.grid=4"]
     pairs += [f"{key}={value}" for key, value in values.items()]
+    if extra is not None and extra not in _KNOWN_KEYS[command] | {"io.report", "policy.workers"}:
+        assert run(command, *pairs, f"{extra}=1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config key") and repr(extra) in err
+        assert err.count("\n") == 1
+        return
     assert run(command, *pairs) in (0, 1, 2)
     capsys.readouterr()

@@ -1,3 +1,4 @@
+import cmath
 import math
 from collections import Counter
 
@@ -11,6 +12,7 @@ from friedzeta import (
     CyclicWord,
     MobiusGenerator,
     NotLoxodromicError,
+    ValidationError,
     complex_length,
     enumerate_conjugacy_classes,
     poincare_data,
@@ -211,6 +213,23 @@ class TestSchottky:
             ell, theta = complex_length(word_matrix(w, gens))
             assert by_label[label].length == pytest.approx(ell)
             assert by_label[label].theta == pytest.approx(theta)
+
+    def test_long_words_pass_the_determinant_check(self):
+        # entries of a word product grow like e^{ell/2}; det = 1 holds only to rounding of their squares
+        t = 2.2 * (1 + 0.15j)
+        c, s = cmath.cosh(t), cmath.sinh(t)
+        gens = [MobiusGenerator(((c, s), (s, c))), MobiusGenerator(((c, 1j * s), (-1j * s, c)))]
+        assert disc_separation_report(gens).separated
+        records = schottky_spectrum(gens, 4)
+        by_label = {r.label: r for r in records}
+        for w in enumerate_conjugacy_classes(2, 4):
+            if w.primitive:
+                m = word_matrix(w, gens)
+                lam = max(abs(np.linalg.eigvals(m / np.sqrt(np.linalg.det(m)))))
+                label = ".".join(str(x) for x in w.letters)
+                assert by_label[label].length == pytest.approx(2 * math.log(lam), rel=1e-9)
+        with pytest.raises(ValidationError, match="determinant 1"):
+            complex_length(((2.0, 0.0), (0.0, 1.0)))
 
     def test_counts(self):
         records = schottky_spectrum(standard_schottky(), 4)

@@ -25,6 +25,7 @@ from friedzeta import (
     write_orbit_dump,
 )
 from friedzeta.toral import orbit_table, smith_normal_form
+from dump_oracle import read_records_dump, write_records_dump
 from test_kernels import reference_birkhoff
 
 
@@ -384,22 +385,37 @@ class TestOrbitDump:
     def test_round_trip(self, cat_family, tmp_path):
         records = orbit_records(cat_family, 5, tau=0.08)
         path = tmp_path / "orbits.txt"
-        write_orbit_dump(path, records)
+        write_orbit_dump(path, orbit_table(cat_family, 5), 0.08)
         text = path.read_text()
         assert text.startswith("#fried-orbits v1\n")
         back = read_orbit_dump(path)
         assert len(back) == len(records)
-        for a, b in zip(records, back):
-            assert (a.period, a.num1, a.num2, a.den) == (b.period, b.num1, b.num2, b.den)
-            assert a.length == b.length
-            assert a.epsilon == b.epsilon
-            assert a.class_exps == b.class_exps
+        for i, a in enumerate(records):
+            assert (a.period, a.num1, a.num2, a.den) == tuple(getattr(back, f)[i] for f in ("period", "num1", "num2", "den"))
+            assert a.length == back.length[i]
+            assert a.epsilon == back.epsilon[i]
+            assert a.class_exps == tuple(back.class_exps[i].tolist())
 
     def test_byte_determinism(self, cat_family, tmp_path):
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-        write_orbit_dump(p1, orbit_records(cat_family, 6, tau=0.05))
-        write_orbit_dump(p2, orbit_records(cat_family, 6, tau=0.05))
+        write_orbit_dump(p1, orbit_table(cat_family, 6), 0.05)
+        write_orbit_dump(p2, orbit_table(cat_family, 6), 0.05)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("tau", [0.0, 0.05])
+    @pytest.mark.parametrize("matrix, n_max", TABLE_CASES)
+    def test_table_writer_and_column_reader_match_records(self, matrix, n_max, tau, tmp_path):
+        model = SuspensionModel(ToralAutomorphism(matrix), TABLE_ROOF, TABLE_CHANGE)
+        table = orbit_table(model, n_max)
+        columns, records = tmp_path / "columns.txt", tmp_path / "records.txt"
+        write_orbit_dump(columns, table, tau)
+        write_records_dump(records, table.records(tau))
+        assert columns.read_bytes() == records.read_bytes()
+        back, oracle = read_orbit_dump(columns), read_records_dump(columns)
+        assert len(back) == len(oracle) == len(table.period)
+        for name in ("period", "num1", "num2", "den", "length", "epsilon", "winding", "class_exps"):
+            want = np.array([getattr(r, name) for r in oracle]).reshape(getattr(back, name).shape)
+            assert np.array_equal(getattr(back, name), want), name
 
 
 class TestFractions:

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 from dataclasses import replace
 
@@ -33,6 +34,8 @@ from friedzeta import (
 from friedzeta.characters import char_label, char_tensor
 from friedzeta.toral import orbit_table
 from friedzeta.zetas import _class_angles, _tail_bound, orbit_columns
+
+from dump_oracle import read_records_dump
 
 
 def cat_closed_form(lam, u, lam_u, lam_s):
@@ -309,7 +312,7 @@ class TestRecordContracts:
         from friedzeta import read_orbit_dump, write_orbit_dump
 
         path = tmp_path / "orbits.txt"
-        write_orbit_dump(path, orbit_records(cat_family, 3))
+        write_orbit_dump(path, orbit_table(cat_family, 3))
         back = read_orbit_dump(path)
         pol = TruncationPolicy(j_max=2, entropy=1.0)
         ruelle_log_zeta(back, None, 4.0, pol)  # fine: needs no eigenvalues
@@ -492,11 +495,14 @@ class TestArrayPathAgainstLoops:
         from friedzeta import read_orbit_dump, write_orbit_dump
 
         path = tmp_path / "orbits.txt"
-        write_orbit_dump(path, orbit_records(cat_family, 8, tau=0.05))
-        back = read_orbit_dump(path)
+        write_orbit_dump(path, orbit_table(cat_family, 8), 0.05)
+        back, records = read_orbit_dump(path), read_records_dump(path)
         pol = TruncationPolicy(j_max=16, entropy=1.0)
         for rep in (None, rep_minus):
-            assert _close(ruelle_log_zeta(back, rep, 3.0, pol).log_value, loop_ruelle(back, rep, 3.0, 16))
+            assert _close(ruelle_log_zeta(back, rep, 3.0, pol).log_value, loop_ruelle(records, rep, 3.0, 16))
+        for name in ("length", "rho", "epsilon", "multiplicity", "lam_u", "lam_s", "det_power"):
+            want = getattr(orbit_columns(records, rep_minus), name)
+            assert np.array_equal(getattr(orbit_columns(back, rep_minus), name), want, equal_nan=True)
 
     def test_kleinian_graded_and_selberg(self):
         spectrum = _mixed_spectrum()
@@ -513,6 +519,35 @@ class TestArrayPathAgainstLoops:
                 assert _close(zv.log_value, loop_selberg(spectrum, labels, lam, 8))
         report = assemble_ruelle_from_graded(spectrum, None, 3.2, pol)
         assert report.max_residual == pytest.approx(loop_assembly_residual(spectrum, 8), abs=1e-13)
+
+    def test_graded_factors_kept_per_grid(self, rep_minus):
+        """One columns object across a λ grid and a j_max change: kept factors and phases are never stale."""
+        model = SuspensionModel(ToralAutomorphism(((2, 1), (1, 1))),
+                                TrigPolynomial.cosine((1, 0), 0.05, constant=1.0))
+        records, spectrum = orbit_records(model, 6), _mixed_spectrum()
+        toral, kleinian = orbit_columns(records, rep_minus), orbit_columns(spectrum)
+        h = model.default_entropy()
+        labels = [IrrepLabel("sigma", 2, 2), IrrepLabel("nu", 1, 2)]
+        loop_graded_kept, residual_kept = functools.cache(loop_graded), functools.cache(loop_assembly_residual)
+        for j_max in (12, 5, 12):
+            pol, kpol = TruncationPolicy(j_max=j_max, entropy=h), TruncationPolicy(j_max=j_max, entropy=2.0)
+            for lam in (h + 1.5, 4.0 + 2.5j, h + 1.5):
+                graded = [loop_graded_kept(tuple(records), rep_minus, k, lam, j_max) for k in range(3)]
+                for k in range(3):
+                    assert _close(graded_log_zeta(toral, None, k, lam, pol).log_value, graded[k])
+                assembled = -sum((-1) ** k * value for k, (value, _) in enumerate(graded))
+                scale = sum(scale for _, scale in graded)
+                report = assemble_ruelle_from_graded(toral, None, lam, pol)
+                assert abs(report.log_zeta - assembled) <= ORACLE_TOL * scale
+                assert report.max_residual == pytest.approx(residual_kept(tuple(records), j_max), abs=1e-14)
+            for lam in (3.2, 4.0 - 1.5j, 3.2):
+                for k in range(5):
+                    zv = graded_log_zeta(kleinian, None, k, lam, kpol)
+                    assert _close(zv.log_value, loop_graded_kept(tuple(spectrum), None, k, lam, j_max))
+                zv = selberg_log_zeta(kleinian, None, labels, lam, kpol)
+                assert _close(zv.log_value, loop_selberg(spectrum, labels, lam, j_max))
+                report = assemble_ruelle_from_graded(kleinian, None, lam, kpol)
+                assert report.max_residual == pytest.approx(residual_kept(tuple(spectrum), j_max), abs=1e-13)
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_factorization(self, k):
@@ -563,11 +598,12 @@ class TestArrayPathGuards:
         from friedzeta import read_orbit_dump, write_orbit_dump
 
         path = tmp_path / "orbits.txt"
-        write_orbit_dump(path, orbit_records(cat_family, 3))
+        write_orbit_dump(path, orbit_table(cat_family, 3))
         back = read_orbit_dump(path)
         pol = TruncationPolicy(j_max=2, entropy=1.0)
         for call in (lambda: graded_log_zeta(back, None, 1, 4.0, pol),
                      lambda: assemble_ruelle_from_graded(back, None, 4.0, pol),
+                     lambda: guillemin_series(read_records_dump(path), None, 0, 3.0),
                      lambda: guillemin_series(back, None, 0, 3.0)):
             with pytest.raises(ValidationError, match="eigenvalue data"):
                 call()
