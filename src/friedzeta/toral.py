@@ -6,9 +6,13 @@ orientation indices) is integer arithmetic.  Lengths under a time-change
 family are Birkhoff sums of the effective roof ``roof * (1 + tau*g)``.
 Every consumer reads one cached :class:`OrbitTable` per (model, n_max);
 :func:`primitive_orbits` and :func:`orbit_records` are its row views.
-The table is built in one pass per period: in Smith coordinates ``A`` is a
-successor permutation of the fixed points, pointer doubling labels its
-cycles, and the roof is evaluated once per point and summed per cycle.
+The table is built in one pass per period over the fixed points of ``A^n``
+in Smith coordinates ``(i, j)``.  There ``A`` is a successor permutation
+whose cycles pointer doubling labels.  The successor, the point and every
+roof phase are linear in ``(i, j)``, so each is an outer sum of two
+per-axis residue vectors.  The roof is summed per cycle; when the common
+denominator fits in one block, its values are gathered from one cos and one
+sin table per period.
 """
 
 from __future__ import annotations
@@ -542,12 +546,41 @@ def transverse_wedge_traces(record: OrbitRecord, j: int, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _index_blocks(d1: int, d2: int):
-    """``(lo, i, j)`` over blocks of the flat index ``i * d2 + j`` of ``Z_d1 x Z_d2``."""
-    count = d1 * d2
-    for lo in range(0, count, _PASS_BLOCK):
-        k = np.arange(lo, min(lo + _PASS_BLOCK, count), dtype=np.int64)
-        yield (lo, *np.divmod(k, d2)) if d1 > 1 else (lo, 0, k)
+def _axis_blocks(d1: int, d2: int):
+    """``(lo, i, j)``: blocks ``i x j`` of ``Z_d1 x Z_d2``, contiguous in the flat index ``i * d2 + j``.
+
+    A block is several whole rows of ``i`` when ``d2 < _PASS_BLOCK``, else one row cut in ``j``.
+    """
+    rows, cut = max(_PASS_BLOCK // d2, 1), min(d2, _PASS_BLOCK)
+    for i0 in range(0, d1, rows):
+        i = np.arange(i0, min(i0 + rows, d1), dtype=np.int64)
+        for lo in range(0, d2, cut):
+            yield i0 * d2 + lo, i, np.arange(lo, min(lo + cut, d2), dtype=np.int64)
+
+
+def _outer_mod(ci: int, cj: int, i: np.ndarray, j: np.ndarray, m: int) -> np.ndarray:
+    """``(ci * i + cj * j) mod m`` over the block ``i x j``, int32: an outer sum of per-axis residues."""
+    s = np.add.outer((ci % m * i % m).astype(np.int32), (cj % m * j % m).astype(np.int32))
+    np.subtract(s, m, out=s, where=s >= m)  # both residues are below m
+    return s
+
+
+def _trig_block(poly: TrigPolynomial, w, i: np.ndarray, j: np.ndarray, m: int, cos, sin) -> np.ndarray:
+    """``poly`` at the points ``w (i, j) / m`` of a block, flat; ``cos`` and ``sin`` map phase indices mod ``m``.
+
+    Terms are added in order and a zero amplitude skips its cos or sin, so
+    every value is the same bit for bit as one cos or sin per point per term.
+    """
+    value = np.full((len(i), len(j)), float(poly.constant))
+    for k1, k2, a, b in poly.terms:
+        k = _outer_mod(k1 * w[0][0] + k2 * w[1][0], k1 * w[0][1] + k2 * w[1][1], i, j, m)  # k . x mod m
+        if b == 0.0:
+            value += a * cos(k)
+        elif a == 0.0:
+            value += b * sin(k)
+        else:
+            value += a * cos(k) + b * sin(k)
+    return value.ravel()
 
 
 def _period_pass(auto: ToralAutomorphism, n: int, roof: TrigPolynomial | None = None,
@@ -559,6 +592,10 @@ def _period_pass(auto: ToralAutomorphism, n: int, roof: TrigPolynomial | None = 
     ``ceil(log2 n)`` rounds of pointer doubling label each point with the
     smallest index on its cycle, and a cycle of ``n`` points is a primitive
     orbit.  Its representative is its lexicographically smallest point.
+    The successor, the point ``x = V (i * stride, j) mod d2`` and every roof
+    phase ``k . x mod d2`` are linear in ``(i, j)``, so each is an outer sum
+    of two per-axis residue vectors.  When ``d2`` is at most a block, the
+    phases index one cos and one sin table over ``2 pi / d2 * arange(d2)``.
     Returns ``(num1, num2, den, length, slope)`` sorted by ``(num1, num2)``:
     the orbit sums of ``roof`` and of ``roof * time_change`` (0 where absent).
     """
@@ -567,14 +604,13 @@ def _period_pass(auto: ToralAutomorphism, n: int, roof: TrigPolynomial | None = 
     det_v = _det(v)
     v_inv = ((det_v * v[1][1], -det_v * v[0][1]), (-det_v * v[1][0], det_v * v[0][0]))
     (b11, b12), (b21, b22) = _mat_mul(_mat_mul(v_inv, auto.matrix), v)
-    # B maps the lattice (stride * Z_d1) x Z_d2 into itself, so stride | b12 mod d2
-    b11, b12, b21, b22 = b11 % d1, b12 % d2 // stride, b21 * stride % d2, b22 % d2
+    b12 = b12 % d2 // stride  # B maps the lattice (stride * Z_d1) x Z_d2 into itself, so stride | b12 mod d2
     succ = np.empty(count, dtype=np.int32)  # count <= MAX_ENUMERATED_POINTS < 2^31
-    for lo, i, j in _index_blocks(d1, d2):
-        nxt = (b21 * i + b22 * j) % d2
-        if d1 > 1:
-            nxt += (b11 * i + b12 * j) % d1 * d2
-        succ[lo : lo + len(j)] = nxt
+    for lo, i, j in _axis_blocks(d1, d2):
+        nxt = _outer_mod(b21 * stride, b22, i, j, d2)
+        if d1 > 1:  # plus d2 times the successor's row, (b11 * i + b12 * j) mod d1
+            nxt += _outer_mod(b11 * d2, b12 * d2, i, j, count)
+        succ[lo : lo + nxt.size] = nxt.ravel()
     label = np.arange(count, dtype=np.int32)
     rounds = (n - 1).bit_length()
     for r in range(rounds):
@@ -590,16 +626,25 @@ def _period_pass(auto: ToralAutomorphism, n: int, roof: TrigPolynomial | None = 
     del label
     key = np.full(len(heads) + 1, np.iinfo(np.int64).max)
     length, slope = np.zeros(len(heads) + 1), np.zeros(len(heads) + 1)
-    v11, v12, v21, v22 = v[0][0] * stride % d2, v[0][1] % d2, v[1][0] * stride % d2, v[1][1] % d2
-    for lo, i, j in _index_blocks(d1, d2):
-        x1, x2 = (v11 * i + v12 * j) % d2, (v21 * i + v22 * j) % d2
-        rows = row[lo : lo + len(j)]
-        np.minimum.at(key, rows, x1 * d2 + x2)
+    w = ((v[0][0] * stride, v[0][1]), (v[1][0] * stride, v[1][1]))  # x = w (i, j) mod d2
+    # every phase is a residue k mod d2: tables of cos and sin at k * (2 pi / d2) give the same bits as
+    # evaluating there, and cost no more than one block's temporaries; past that (as when d1 = 1 and the
+    # tables would hold a value per point) each block evaluates its own phases
+    step = _kernels.TWO_PI / d2
+    if d2 <= _PASS_BLOCK:
+        angle = np.arange(d2 if roof is not None else 0) * step
+        cos, sin = np.cos(angle).take, np.sin(angle).take
+    else:
+        cos, sin = (lambda k: np.cos(k * step)), (lambda k: np.sin(k * step))
+    for lo, i, j in _axis_blocks(d1, d2):
+        x1, x2 = _outer_mod(*w[0], i, j, d2), _outer_mod(*w[1], i, j, d2)
+        rows = row[lo : lo + x1.size]
+        np.minimum.at(key, rows, (x1.astype(np.int64) * d2 + x2).ravel())
         if roof is not None:
-            r = _kernels.trig_values(*roof.arrays(), x1, x2, d2)
+            r = _trig_block(roof, w, i, j, d2, cos, sin)
             np.add.at(length, rows, r)
             if time_change is not None:
-                np.add.at(slope, rows, r * _kernels.trig_values(*time_change.arrays(), x1, x2, d2))
+                np.add.at(slope, rows, r * _trig_block(time_change, w, i, j, d2, cos, sin))
     order = np.argsort(key[:-1])
     key = key[order]
     return key // d2, key % d2, d2, length[order], slope[order]
@@ -798,7 +843,8 @@ def write_orbit_dump(path, table: OrbitTable, tau: float = 0.0):
 def read_orbit_dump(path) -> OrbitDump:
     """Read a ``#fried-orbits v1`` file into columns.
 
-    A malformed line raises a ValidationError naming ``path:line``.
+    A malformed line, or one whose epsilon is not -1 or 1 or whose winding
+    is not its period, raises a ValidationError naming ``path:line``.
     """
     ints, lengths, width = [], [], None
     with open(path, "rb") as fh:
@@ -823,6 +869,10 @@ def read_orbit_dump(path) -> OrbitDump:
                         f"{len(row) - 6} class exponents where the first orbit line has {width - 6}")
                 if max(map(abs, row)) >= 1 << 63:
                     raise ValidationError("integer field exceeds 64 bits")
+                if row[4] not in (-1, 1):
+                    raise ValidationError(f"epsilon must be -1 or 1, got {row[4]}")
+                if row[5] != row[0]:
+                    raise ValidationError(f"winding {row[5]} differs from the period {row[0]}")
             except (ValueError, ValidationError) as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from None
             width = len(row)

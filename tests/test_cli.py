@@ -458,6 +458,13 @@ WIDE_DUMP_LINES = [
     ("io.orbits", "#fried-orbits v1", "1 0 0 1 1.0 99999999999999999999 1 0 0"),
     ("io.orbits", "#fried-orbits v1", "1 0 0 1 1.0 1 1 -99999999999999999999 0"),
 ]
+# well-formed fields without meaning (an orientation index other than -1 or 1, a winding other
+# than the period), which the column reader once summed with and exited 0
+MEANINGLESS_DUMP_LINES = [
+    ("io.orbits", "#fried-orbits v1", "1 0 0 1 1.0 5 1 0 0"),
+    ("io.orbits", "#fried-orbits v1", "1 0 0 1 1.0 0 1 0 0"),
+    ("io.orbits", "#fried-orbits v1", "1 0 0 1 1.0 1 2 0 0"),
+]
 
 
 class TestInputBoundary:
@@ -469,7 +476,8 @@ class TestInputBoundary:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("key, header, line", MALFORMED_FILES + WIDE_DUMP_LINES, ids=lambda v: str(v))
+    @pytest.mark.parametrize("key, header, line", MALFORMED_FILES + WIDE_DUMP_LINES + MEANINGLESS_DUMP_LINES,
+                             ids=lambda v: str(v))
     def test_malformed_file_line_is_one_error_line(self, key, header, line, tmp_path, capsys):
         path = tmp_path / "input.txt"
         path.write_text(f"{header}\n# comment\n{VALID_LINE[key]}\n{line}\n", encoding="utf-8")

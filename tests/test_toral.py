@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -24,8 +25,10 @@ from friedzeta import (
     variation_coefficient,
     write_orbit_dump,
 )
+from friedzeta import toral
 from friedzeta.toral import orbit_table, smith_normal_form
 from dump_oracle import read_records_dump, write_records_dump
+from pass_oracle import flat_period_pass
 from test_kernels import reference_birkhoff
 
 
@@ -201,6 +204,14 @@ TABLE_CASES = [  # (matrix, n_max): the cat map has d1 = 144 at n = 12; 3 2 1 1 
 ]
 TABLE_ROOF = TrigPolynomial(1.0, ((1, 0, 0.05, 0.0), (0, 1, 0.0, 0.04), (1, -2, 0.02, 0.01)))
 TABLE_CHANGE = TrigPolynomial(0.1, ((1, 1, 0.04, 0.03),))
+PASS_CASES = TABLE_CASES + [(((0, 1), (1, 3)), 11)]  # Fix(A^11) of 0 1 1 3 is cyclic: d1 = 1, d2 = 510,117
+PASS_ROOFS = {  # (roof, time change); the last one has negative frequencies and a term with both cos and sin
+    "no roof": (None, None),
+    "roof": (TABLE_ROOF, None),
+    "roof and time change": (TABLE_ROOF, TABLE_CHANGE),
+    "negative frequencies": (TrigPolynomial(1.0, ((-3, 2, 0.05, 0.02), (2, -5, 0.0, 0.04), (-1, 0, 0.03, 0.0))),
+                             TrigPolynomial(0.1, ((-2, 1, 0.01, -0.03),))),
+}
 
 
 class TestOrbitTable:
@@ -243,6 +254,42 @@ class TestOrbitTable:
             col = getattr(table, name)
             assert getattr(again, name).tobytes() == col.tobytes()
             assert getattr(longer, name)[: len(col)].tobytes() == col.tobytes()
+
+    @pytest.mark.parametrize("block", [None, 64], ids=["default blocks", "blocks of 64"])
+    @pytest.mark.parametrize("roofs", PASS_ROOFS.values(), ids=PASS_ROOFS.keys())
+    @pytest.mark.parametrize("matrix, n_max", PASS_CASES,
+                             ids=[f"{' '.join(str(a) for row in m for a in row)} to {n}" for m, n in PASS_CASES])
+    def test_pass_matches_flat_index_oracle(self, matrix, n_max, roofs, block, monkeypatch):
+        # blocks of 64 points cut every row with d2 >= 64 and join whole rows below that
+        auto = ToralAutomorphism(matrix)
+        if block is not None:
+            monkeypatch.setattr(toral, "_PASS_BLOCK", block)
+        for n in range(1, n_max + 1):
+            if block is not None and abs(auto.det_one_minus_power(n)) > 1 << 16:
+                continue  # a thousand blocks and up only slow the test down
+            got, want = toral._period_pass(auto, n, *roofs), flat_period_pass(auto, n, *roofs)
+            assert got[2] == want[2]
+            for a, b in zip(got[:2] + got[3:], want[:2] + want[3:]):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("matrix, n, bound", [
+        (((2, 1), (1, 1)), 13, 26.0),  # 271,441 points, Z_521 x Z_521
+        (((0, 1), (1, 3)), 11, 21.6),  # 510,117 points, cyclic: no trig table can pay for itself
+    ], ids=["cat map at 13", "0 1 1 3 at 11"])
+    def test_pass_peak_memory_per_fixed_point(self, matrix, n, bound):
+        # the bound is the flat-index pass's peak in bytes per fixed point; the per-axis pass must not exceed it
+        auto = ToralAutomorphism(matrix)
+        roof = TrigPolynomial(1.0, ((1, 0, 0.05, 0.0), (0, 1, 0.0, 0.04)))
+        count = abs(auto.det_one_minus_power(n))
+        toral._period_pass(auto, n, roof)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            toral._period_pass(auto, n, roof)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * count
 
 
 class TestLengthsAndVariation:
