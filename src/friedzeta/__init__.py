@@ -19,7 +19,7 @@ from .characters import (
     symmetric_trace_expansion,
     tensor_decomposition_check,
 )
-from .continuation import DynamicalDeterminant, dynamical_determinant, zeta_at_zero
+from .continuation import CycleZeta, DynamicalDeterminant, cycle_zeta, dynamical_determinant, zeta_at_zero
 from .errors import (
     CapacityError,
     ConvergenceError,

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .trig import TWO_PI
+
 __all__ = ["birkhoff_sums", "trig_values"]
 
-TWO_PI = 2.0 * np.pi
 # Points per block: bounds the per-call temporaries, about ten arrays of this length.
 _KERNEL_BLOCK = 1 << 14
 

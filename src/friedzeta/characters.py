@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ValidationError
+from .trig import TWO_PI
 
 __all__ = [
     "TorusElement",
@@ -39,9 +40,9 @@ __all__ = [
 
 
 def _reduce_angle(theta: float) -> float:
-    t = math.remainder(theta, 2.0 * math.pi)
+    t = math.remainder(theta, TWO_PI)
     if t <= -math.pi:
-        t += 2.0 * math.pi
+        t += TWO_PI
     return t
 
 

@@ -1,5 +1,11 @@
 """Command-line surface: thin wrappers over the library operations.
 
+Each command returns its report's results and its CSV; ``main`` times
+the run from config load on and writes both.  A command accepts the config
+keys of its ``_KNOWN_KEYS`` entry, and its flags follow from them:
+``--csv`` where ``io.csv`` is a key, ``--allow-formal`` where
+``zeta.allow_formal`` is.
+
 Exit codes: 0 success, 1 validation or usage error, 2 convergence,
 capacity or continuation failure.  Every report echoes the resolved
 configuration so the run can be reproduced exactly.
@@ -12,10 +18,10 @@ import cmath
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from .config import RunConfig
-from .continuation import check_resonance_at_zero, dynamical_determinant, trace_sums
+from .continuation import cycle_zeta
 from .errors import (
     CapacityError,
     ConvergenceError,
@@ -26,7 +32,6 @@ from .kleinian import (
     disc_separation_report,
     read_spectrum,
     schottky_spectrum,
-    synthetic_spectrum,
     write_spectrum,
 )
 from .ledgers import condition_enumerate, resonance_multiplicity_ledger, selberg_order_ledger
@@ -49,8 +54,8 @@ __all__ = ["main", "entrypoint"]
 class Report:
     command: str
     config: dict[str, str]
-    results: dict = field(default_factory=dict)
-    timing_seconds: float = 0.0
+    results: dict
+    timing_seconds: float
 
     def write(self, path: str | None):
         payload = json.dumps(asdict(self), indent=2, default=_jsonify)
@@ -69,14 +74,9 @@ def _jsonify(obj):
     return str(obj)
 
 
-def _write_zeta_csv(path: str, rows: list[dict]):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("lambda_re,lambda_im,log_zeta_re,log_zeta_im,tail\n")
-        for r in rows:
-            fh.write(
-                f"{r['lambda_re']!r},{r['lambda_im']!r},"
-                f"{r['log_value_re']!r},{r['log_value_im']!r},{r['tail_bound']!r}\n"
-            )
+def _zeta_csv(rows: list[dict]):
+    fields = ("lambda_re", "lambda_im", "log_value_re", "log_value_im", "tail_bound")
+    return "lambda_re,lambda_im,log_zeta_re,log_zeta_im,tail", [[r[f] for f in fields] for r in rows]
 
 
 def _zeta_row(kind: str, zv) -> dict:
@@ -94,12 +94,12 @@ def _zeta_row(kind: str, zv) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns its report's results and its CSV as (header, rows),
+# or None for a command without one
 # ---------------------------------------------------------------------------
 
 
-def cmd_orbits(cfg: RunConfig, args) -> int:
-    t0 = time.perf_counter()
+def cmd_orbits(cfg: RunConfig, args):
     model = cfg.model()
     tau = cfg.get_float("tau.value", 0.0)
     model.require_tau(tau)
@@ -107,31 +107,29 @@ def cmd_orbits(cfg: RunConfig, args) -> int:
     table = orbit_table(model, policy.max_period)
     out = args.out or cfg.get("io.out", required=True)
     write_orbit_dump(out, table, tau)
-    report = Report("orbits", cfg.values, {"count": len(table.period), "path": out})
-    report.timing_seconds = time.perf_counter() - t0
-    report.write(cfg.get("io.report"))
-    return 0
+    return {"count": len(table.period), "path": out}, None
 
 
-def _load_records(cfg: RunConfig, args):
-    """Orbit columns of the spectrum source: kleinian file, orbit dump, or the model section."""
+def _load_records(cfg: RunConfig, tau: float):
+    """Orbit columns, source name and truncation policy of the spectrum source.
+
+    The source is a kleinian file, an orbit dump or the model section; only
+    the model gives a default entropy, taken at ``tau``.
+    """
     if cfg.get("io.spectrum"):
-        return orbit_columns(read_spectrum(cfg.require_path("io.spectrum"))), "spectrum"
+        records = orbit_columns(read_spectrum(cfg.require_path("io.spectrum")))
+        cfg.values.setdefault("policy.entropy", "2.0")
+        return records, "spectrum", cfg.policy()
     if cfg.get("io.orbits"):
-        return orbit_columns(read_orbit_dump(cfg.require_path("io.orbits"))), "orbit-dump"
+        return orbit_columns(read_orbit_dump(cfg.require_path("io.orbits"))), "orbit-dump", cfg.policy()
     model = cfg.model()
-    tau = cfg.get_float("tau.value", 0.0)
-    table = orbit_table(model, cfg.policy(model, tau).max_period)
-    return orbit_columns(table, cfg.character(model.automorphism), tau), "model"
+    policy = cfg.policy(model, tau)
+    table = orbit_table(model, policy.max_period)
+    return orbit_columns(table, cfg.character(model.automorphism), tau), "model", policy
 
 
-def cmd_zeta_eval(cfg: RunConfig, args) -> int:
-    t0 = time.perf_counter()
-    records, source = _load_records(cfg, args)
-    model = cfg.model() if source == "model" else None
-    if source == "spectrum" and cfg.get("policy.entropy") is None:
-        cfg.values["policy.entropy"] = "2.0"
-    policy = cfg.policy(model)
+def cmd_zeta_eval(cfg: RunConfig, args):
+    records, source, policy = _load_records(cfg, cfg.get_float("tau.value", 0.0))
     allow = bool(args.allow_formal or cfg.get("zeta.allow_formal"))
     rows = []
     for lam in cfg.lambda_grid():
@@ -145,58 +143,36 @@ def cmd_zeta_eval(cfg: RunConfig, args) -> int:
         if mu_raw and source == "spectrum":
             zv = selberg_log_zeta(records, None, cfg.selberg_mu(), lam, policy, allow)
             rows.append(_zeta_row(f"selberg[{mu_raw}]", zv))
-    report = Report("zeta-eval", cfg.values, {"rows": rows, "source": source})
-    report.timing_seconds = time.perf_counter() - t0
-    report.write(args.out or cfg.get("io.report"))
-    csv_path = args.csv or cfg.get("io.csv")
-    if csv_path:
-        _write_zeta_csv(csv_path, rows)
-    return 0
+    return {"rows": rows, "source": source}, _zeta_csv(rows)
 
 
-def cmd_zeta_continue(cfg: RunConfig, args) -> int:
-    t0 = time.perf_counter()
+def cmd_zeta_continue(cfg: RunConfig, args):
     model = cfg.model()
     rep = cfg.character(model.automorphism)
     tau = cfg.get_float("tau.value", 0.0)
     policy = cfg.policy(model, tau)
     rows = []
     for lam in cfg.lambda_grid():
-        pre = trace_sums(model, rep, lam, policy.max_period, tau)
-        dets = [
-            dynamical_determinant(
-                model, rep, k, lam, policy.max_period, tau=tau,
-                tail_tol=policy.tail_tol, _precomputed=pre,
-            )
-            for k in range(3)
-        ]
-        check_resonance_at_zero(dets)
-        product = dets[1].value / (dets[0].value * dets[2].value)
+        z = cycle_zeta(model, rep, lam, policy, tau)
+        log_value = cmath.log(z.value) if z.value != 0 else complex(float("-inf"), 0.0)
         rows.append(
             {
                 "zeta_kind": "cycle-expansion",
                 "lambda_re": lam.real,
                 "lambda_im": lam.imag,
-                "log_value_re": cmath.log(product).real if product != 0 else float("-inf"),
-                "log_value_im": cmath.log(product).imag if product != 0 else 0.0,
-                "tail_bound": max(abs(d.coefficients[-1]) for d in dets),
+                "log_value_re": log_value.real,
+                "log_value_im": log_value.imag,
+                "tail_bound": z.tail_bound,
                 "tail_kind": "heuristic",
-                "d_values": [d.value for d in dets],
-                "reliable": all(d.reliable for d in dets),
+                "d_values": list(z.d_values),
+                "reliable": z.reliable,
                 "policy": asdict(policy),
             }
         )
-    report = Report("zeta-continue", cfg.values, {"rows": rows})
-    report.timing_seconds = time.perf_counter() - t0
-    report.write(args.out or cfg.get("io.report"))
-    csv_path = args.csv or cfg.get("io.csv")
-    if csv_path:
-        _write_zeta_csv(csv_path, rows)
-    return 0
+    return {"rows": rows}, _zeta_csv(rows)
 
 
-def cmd_fried_check(cfg: RunConfig, args) -> int:
-    t0 = time.perf_counter()
+def cmd_fried_check(cfg: RunConfig, args):
     model = cfg.model()
     rep = cfg.character(model.automorphism)
     taus = cfg.tau_grid(model)
@@ -217,35 +193,16 @@ def cmd_fried_check(cfg: RunConfig, args) -> int:
                 "reliable": fr.reliable,
             }
         )
-    exceeded = worst > tolerance
-    report = Report(
-        "fried-check",
-        cfg.values,
-        {"rows": rows, "max_deviation": worst, "tolerance": tolerance, "tolerance_exceeded": exceeded},
-    )
-    report.timing_seconds = time.perf_counter() - t0
-    report.write(args.out or cfg.get("io.report"))
-    csv_path = args.csv or cfg.get("io.csv")
-    if csv_path:
-        with open(csv_path, "w", encoding="ascii") as fh:
-            fh.write("tau,zeta_modulus,deviation\n")
-            for r in rows:
-                fh.write(f"{r['tau']!r},{r['zeta_modulus']!r},{r['deviation']!r}\n")
-    return 0
+    results = {"rows": rows, "max_deviation": worst, "tolerance": tolerance, "tolerance_exceeded": worst > tolerance}
+    csv_rows = [[r["tau"], r["zeta_modulus"], r["deviation"]] for r in rows]
+    return results, ("tau,zeta_modulus,deviation", csv_rows)
 
 
-def cmd_selberg_factorize(cfg: RunConfig, args) -> int:
-    t0 = time.perf_counter()
+def cmd_selberg_factorize(cfg: RunConfig, args):
     if cfg.get("io.spectrum"):
-        records = read_spectrum(cfg.require_path("io.spectrum"))
+        records = orbit_columns(read_spectrum(cfg.require_path("io.spectrum")))
     else:
-        records = synthetic_spectrum(
-            cfg.get_float("spectrum.h", 2.0),
-            cfg.get_int("spectrum.count", 200),
-            cfg.get_int("spectrum.seed", 7),
-            cfg.get_float("spectrum.min_length", 1.0),
-        )
-    records = orbit_columns(records)
+        records = orbit_columns(cfg.synthetic_spectrum())
     if cfg.get("policy.entropy") is None:
         cfg.values["policy.entropy"] = str(cfg.get_float("spectrum.h", 2.0))
     policy = cfg.policy()
@@ -253,6 +210,7 @@ def cmd_selberg_factorize(cfg: RunConfig, args) -> int:
     k_list = cfg.get_int_list("factorize.k", "0,1,2")
     p_grid = cfg.get_int_list("factorize.p_grid", "10,20,40")
     results = {}
+    csv_rows = []
     for k in k_list:
         rep = factorization_check(records, None, k, lam, policy)
         curve = factorization_residual_curve(records, None, k, lam, policy, p_grid)
@@ -265,21 +223,11 @@ def cmd_selberg_factorize(cfg: RunConfig, args) -> int:
             "p_max": rep.p_max,
             "residual_curve": curve,
         }
-    report = Report("selberg-factorize", cfg.values, results)
-    report.timing_seconds = time.perf_counter() - t0
-    report.write(args.out or cfg.get("io.report"))
-    csv_path = args.csv or cfg.get("io.csv")
-    if csv_path:
-        with open(csv_path, "w", encoding="ascii") as fh:
-            fh.write("k,p_max,max_rel_residual\n")
-            for k in k_list:
-                for p, r in results[f"k={k}"]["residual_curve"]:
-                    fh.write(f"{k},{p},{r!r}\n")
-    return 0
+        csv_rows += [[k, p, r] for p, r in curve]
+    return results, ("k,p_max,max_rel_residual", csv_rows)
 
 
-def cmd_variation(cfg: RunConfig, args) -> int:
-    t0 = time.perf_counter()
+def cmd_variation(cfg: RunConfig, args):
     model = cfg.model()
     rep = cfg.character(model.automorphism)
     lam = cfg.get_complex("lambda.value", 3.0)
@@ -302,14 +250,10 @@ def cmd_variation(cfg: RunConfig, args) -> int:
                 "integrand_residual": vr.integrand_residual,
             }
         )
-    report = Report("variation", cfg.values, {"rows": rows, "max_relative_error": worst})
-    report.timing_seconds = time.perf_counter() - t0
-    report.write(args.out or cfg.get("io.report"))
-    return 0
+    return {"rows": rows, "max_relative_error": worst}, None
 
 
-def cmd_ledger(cfg: RunConfig, args) -> int:
-    t0 = time.perf_counter()
+def cmd_ledger(cfg: RunConfig, args):
     results = {}
     k_list = cfg.get_int_list("ledger.k_list", "0,1,2")
     results["condition_cases"] = {f"k={k}": condition_enumerate(k) for k in k_list}
@@ -322,23 +266,14 @@ def cmd_ledger(cfg: RunConfig, args) -> int:
             {"n": n, "m": m, "s0": s0, "kernel_dim": d, "order": selberg_order_ledger(n, m, s0, d)}
             for n, m, s0, d in cases
         ]
-    report = Report("ledger", cfg.values, results)
-    report.timing_seconds = time.perf_counter() - t0
-    report.write(args.out or cfg.get("io.report"))
-    return 0
+    return results, None
 
 
-def cmd_spectrum_gen(cfg: RunConfig, args) -> int:
-    t0 = time.perf_counter()
+def cmd_spectrum_gen(cfg: RunConfig, args):
     kind = cfg.get("spectrum.kind", "synthetic")
     results: dict = {"kind": kind}
     if kind == "synthetic":
-        records = synthetic_spectrum(
-            cfg.get_float("spectrum.h", 2.0),
-            cfg.get_int("spectrum.count", 200),
-            cfg.get_int("spectrum.seed", 7),
-            cfg.get_float("spectrum.min_length", 1.0),
-        )
+        records = cfg.synthetic_spectrum()
     elif kind == "schottky":
         gens = cfg.generators()
         records = schottky_spectrum(gens, cfg.get_int("spectrum.l_max", 4))
@@ -360,10 +295,7 @@ def cmd_spectrum_gen(cfg: RunConfig, args) -> int:
             "path": out,
         }
     )
-    report = Report("spectrum-gen", cfg.values, results)
-    report.timing_seconds = time.perf_counter() - t0
-    report.write(cfg.get("io.report"))
-    return 0
+    return results, None
 
 
 # ---------------------------------------------------------------------------
@@ -401,39 +333,64 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are validation errors: one ``error:`` line, exit 1."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="friedzeta",
         description="Dynamical zeta functions, cycle-expansion continuation and torsion checks.",
     )
     sub = parser.add_subparsers(dest="command")
-    for name in _COMMANDS:
+    for name, known in _KNOWN_KEYS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (wins over the file)")
         p.add_argument("--out", help="output path (overrides io.out / report path)")
-        p.add_argument("--csv", help="CSV output path (overrides io.csv)")
-        p.add_argument("--allow-formal", action="store_true",
-                       help="acknowledge evaluation outside the convergence region")
+        if "io.csv" in known:
+            p.add_argument("--csv", help="CSV output path (overrides io.csv)")
+        if "zeta.allow_formal" in known:
+            p.add_argument("--allow-formal", action="store_true",
+                           help="acknowledge evaluation outside the convergence region")
     return parser
+
+
+def _write_csv(path: str, header: str, rows) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if not args.command:
-        parser.print_usage(sys.stderr)
-        return 1
     try:
+        args = parser.parse_args(argv)
+        if not args.command:
+            parser.print_usage(sys.stderr)
+            return 1
+        t0 = time.perf_counter()
         cfg = RunConfig.load(args.config, args.set)
-        unknown = sorted(cfg.values.keys() - _KNOWN_KEYS[args.command] - {"io.report", "policy.workers"})
+        known = _KNOWN_KEYS[args.command]
+        unknown = sorted(cfg.values.keys() - known - {"io.report", "policy.workers"})
         if unknown:
             raise ValidationError(f"unknown config key {', '.join(map(repr, unknown))} for {args.command}")
         if cfg.get("policy.workers") is not None:
             print("warning: policy.workers is ignored: the Birkhoff kernel runs on one thread",
                   file=sys.stderr)
-        return _COMMANDS[args.command](cfg, args)
+        results, csv = _COMMANDS[args.command](cfg, args)
+        report = Report(args.command, cfg.values, results, time.perf_counter() - t0)
+        # a command that writes a data file to --out sends its report to io.report only
+        report.write(cfg.get("io.report") if "io.out" in known else args.out or cfg.get("io.report"))
+        csv_path = getattr(args, "csv", None) or cfg.get("io.csv")
+        if csv and csv_path:
+            _write_csv(csv_path, *csv)
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

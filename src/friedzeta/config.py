@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .characters import IrrepLabel
 from .errors import ValidationError, ascii_line
-from .kleinian import MobiusGenerator
+from .kleinian import ComplexLengthRecord, MobiusGenerator, synthetic_spectrum
 from .toral import Character, SuspensionModel, ToralAutomorphism
 from .trig import TrigPolynomial
 from .zetas import TruncationPolicy
@@ -78,8 +78,15 @@ def _parse_complex(text: str, what: str) -> complex:
     return _number(text[:-1] + "j" if text.endswith("i") else text, what, complex)
 
 
+def _nonempty(grid: list, what: str, text: str) -> list:
+    if not grid:
+        raise ValidationError(f"{what}: {text!r} holds no value")
+    return grid
+
+
 def parse_complex_list(text: str, what: str = "lambda.grid") -> list[complex]:
-    return [_parse_complex(tok, what) for tok in text.replace(";", ",").split(",") if tok.strip()]
+    grid = [_parse_complex(tok, what) for tok in text.replace(";", ",").split(",") if tok.strip()]
+    return _nonempty(grid, what, text)
 
 
 def _parse_grid(text: str, what: str) -> list[float]:
@@ -90,8 +97,10 @@ def _parse_grid(text: str, what: str) -> list[float]:
             raise ValidationError(f"{what}: {text!r} is not start:step:count")
         start, step = _number(parts[0], what), _number(parts[1], what)
         count = _number(parts[2], what, int)
-        return [_finite(start + i * step, what, text) for i in range(count)]
-    return [_number(tok, what) for tok in text.split(",") if tok.strip()]
+        grid = [_finite(start + i * step, what, text) for i in range(count)]
+    else:
+        grid = [_number(tok, what) for tok in text.split(",") if tok.strip()]
+    return _nonempty(grid, what, text)
 
 
 @dataclass
@@ -226,6 +235,15 @@ class RunConfig:
             n, m, d = (_number(fields[i], "ledger.selberg_cases", int) for i in (0, 1, 3))
             cases.append((n, m, _number(fields[2], "ledger.selberg_cases"), d))
         return cases
+
+    def synthetic_spectrum(self) -> list[ComplexLengthRecord]:
+        """The seeded synthetic spectrum of the ``spectrum.h/count/seed/min_length`` keys."""
+        return synthetic_spectrum(
+            self.get_float("spectrum.h", 2.0),
+            self.get_int("spectrum.count", 200),
+            self.get_int("spectrum.seed", 7),
+            self.get_float("spectrum.min_length", 1.0),
+        )
 
     def generators(self) -> list[MobiusGenerator]:
         raw = self.get("spectrum.generators", required=True)

@@ -29,8 +29,9 @@ from .zetas import TruncationPolicy
 __all__ = [
     "DynamicalDeterminant",
     "dynamical_determinant",
+    "cycle_zeta",
+    "CycleZeta",
     "zeta_at_zero",
-    "ZetaAtZero",
     "check_resonance_at_zero",
     "trace_sums",
 ]
@@ -200,8 +201,8 @@ def dynamical_determinant(
 
 
 @dataclass(frozen=True)
-class ZetaAtZero:
-    """Zeta value at 0 assembled from the graded determinants."""
+class CycleZeta:
+    """Zeta value at ``lam`` assembled from the graded determinants."""
 
     value: complex
     modulus: float
@@ -211,6 +212,11 @@ class ZetaAtZero:
     @property
     def d_values(self) -> tuple[complex, ...]:
         return tuple(d.value for d in self.determinants)
+
+    @property
+    def tail_bound(self) -> float:
+        """Heuristic truncation error: the largest last coefficient magnitude."""
+        return max(abs(d.coefficients[-1]) for d in self.determinants)
 
 
 def check_resonance_at_zero(dets, resonance_tol: float = 1e-9) -> None:
@@ -229,38 +235,45 @@ def check_resonance_at_zero(dets, resonance_tol: float = 1e-9) -> None:
             raise ConvergenceError(f"{kind} at lambda={d.lam}: d_{d.grading} = {d.value}; log zeta undefined")
 
 
+def cycle_zeta(
+    model: SuspensionModel,
+    representation: Character | None,
+    lam: complex,
+    policy: TruncationPolicy,
+    tau: float = 0.0,
+    resonance_tol: float = 1e-9,
+) -> CycleZeta:
+    """``zeta(lam) = d_1(lam) / (d_0(lam) d_2(lam))`` from the cycle expansions.
+
+    The three determinants share one set of trace sums.  A determinant
+    that vanishes within ``resonance_tol`` raises
+    :class:`ResonanceAtZeroError` at ``lam = 0``, the excluded resonant
+    case, and :class:`ConvergenceError` elsewhere.
+    """
+    pre = trace_sums(model, representation, lam, policy.max_period, tau)
+    dets = tuple(
+        dynamical_determinant(
+            model, representation, k, lam, policy.max_period, tau=tau,
+            tail_tol=policy.tail_tol, _precomputed=pre,
+        )
+        for k in range(3)
+    )
+    check_resonance_at_zero(dets, resonance_tol)
+    value = dets[1].value / (dets[0].value * dets[2].value)
+    return CycleZeta(
+        value=value,
+        modulus=abs(value),
+        determinants=dets,
+        reliable=all(d.reliable for d in dets),
+    )
+
+
 def zeta_at_zero(
     model: SuspensionModel,
     representation: Character | None,
     policy: TruncationPolicy,
     tau: float = 0.0,
     resonance_tol: float = 1e-9,
-) -> ZetaAtZero:
-    """``zeta(0) = d_1(0) / (d_0(0) d_2(0))`` from the cycle expansions.
-
-    Raises :class:`ResonanceAtZeroError` when a determinant vanishes
-    within ``resonance_tol``: the value is undefined exactly in the
-    excluded resonant case.
-    """
-    pre = trace_sums(model, representation, 0.0, policy.max_period, tau)
-    dets = tuple(
-        dynamical_determinant(
-            model,
-            representation,
-            k,
-            0.0,
-            policy.max_period,
-            tau=tau,
-            tail_tol=policy.tail_tol,
-            _precomputed=pre,
-        )
-        for k in range(3)
-    )
-    check_resonance_at_zero(dets, resonance_tol)
-    value = dets[1].value / (dets[0].value * dets[2].value)
-    return ZetaAtZero(
-        value=value,
-        modulus=abs(value),
-        determinants=dets,
-        reliable=all(d.reliable for d in dets),
-    )
+) -> CycleZeta:
+    """``zeta(0)``: :func:`cycle_zeta` at ``lam = 0``."""
+    return cycle_zeta(model, representation, 0.0, policy, tau, resonance_tol)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .characters import _reduce_angle
 from .errors import NotLoxodromicError, ValidationError, ascii_line
 
 __all__ = [
@@ -35,13 +36,6 @@ __all__ = [
 ]
 
 SPECTRUM_HEADER = "#fried-spectrum v1 n0=2"
-
-
-def _reduce_angle(theta: float) -> float:
-    t = math.remainder(theta, 2.0 * math.pi)
-    if t <= -math.pi:
-        t += 2.0 * math.pi
-    return t
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import CapacityError, ValidationError, ascii_line
-from .trig import TrigPolynomial
+from .trig import TWO_PI, TrigPolynomial
 
 __all__ = [
     "ToralAutomorphism",
@@ -358,7 +358,7 @@ class Character:
     @classmethod
     def from_angle_fraction(cls, fraction: float, fiber_orders=(1, 1), fiber_exponents=(0, 0)) -> "Character":
         """Character with circle part ``exp(2*pi*i*fraction)``."""
-        ang = 2.0 * math.pi * float(fraction)
+        ang = TWO_PI * float(fraction)
         return cls(complex(math.cos(ang), math.sin(ang)), tuple(fiber_orders), tuple(fiber_exponents))
 
     @property
@@ -366,7 +366,7 @@ class Character:
         return all(e == 0 for e in self.fiber_exponents)
 
     def fiber_value(self, exps: tuple[int, ...]) -> complex:
-        ang = 2.0 * math.pi * sum(
+        ang = TWO_PI * sum(
             (e * y) % d / d for e, y, d in zip(self.fiber_exponents, exps, self.fiber_orders) if d > 1
         )
         return complex(math.cos(ang), math.sin(ang))
@@ -384,7 +384,7 @@ class Character:
         for col, (e, d) in enumerate(zip(self.fiber_exponents, self.fiber_orders)):
             if d > 1:
                 turns += (e * class_exps[:, col]) % d / d
-        ang = 2.0 * math.pi * turns
+        ang = TWO_PI * turns
         return np.cos(ang) + 1j * np.sin(ang)
 
 
@@ -630,7 +630,7 @@ def _period_pass(auto: ToralAutomorphism, n: int, roof: TrigPolynomial | None = 
     # every phase is a residue k mod d2: tables of cos and sin at k * (2 pi / d2) give the same bits as
     # evaluating there, and cost no more than one block's temporaries; past that (as when d1 = 1 and the
     # tables would hold a value per point) each block evaluates its own phases
-    step = _kernels.TWO_PI / d2
+    step = TWO_PI / d2
     if d2 <= _PASS_BLOCK:
         angle = np.arange(d2 if roof is not None else 0) * step
         cos, sin = np.cos(angle).take, np.sin(angle).take

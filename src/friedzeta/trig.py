@@ -19,6 +19,8 @@ import numpy as np
 
 __all__ = ["TrigPolynomial"]
 
+TWO_PI = 2.0 * math.pi
+
 
 @dataclass(frozen=True)
 class TrigPolynomial:
@@ -63,14 +65,14 @@ class TrigPolynomial:
     def value(self, x1: float, x2: float) -> float:
         v = self.constant
         for k1, k2, a, b in self.terms:
-            ph = 2.0 * math.pi * (k1 * x1 + k2 * x2)
+            ph = TWO_PI * (k1 * x1 + k2 * x2)
             v += a * math.cos(ph) + b * math.sin(ph)
         return v
 
     def value_at_rational(self, num1: int, num2: int, den: int) -> float:
         v = self.constant
         for k1, k2, a, b in self.terms:
-            ph = 2.0 * math.pi * ((k1 * num1 + k2 * num2) % den) / den
+            ph = TWO_PI * ((k1 * num1 + k2 * num2) % den) / den
             v += a * math.cos(ph) + b * math.sin(ph)
         return v
 

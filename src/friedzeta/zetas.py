@@ -26,6 +26,7 @@ from .errors import CapacityError, ConvergenceError, ValidationError
 from .kleinian import ComplexLengthRecord
 from .summation import block_sum
 from .toral import Character, OrbitDump, OrbitRecord, OrbitTable
+from .trig import TWO_PI
 
 __all__ = [
     "TruncationPolicy",
@@ -44,7 +45,6 @@ __all__ = [
 ]
 
 N0 = 2  # transverse rotation rank for the hyperbolic 3-manifold model
-TWO_PI = 2.0 * math.pi
 MAX_CELLS = 1 << 24  # (orbit x iterate x order) array cells; bounds the temporaries
 
 

@@ -1,3 +1,4 @@
+import cmath
 import importlib.util
 import json
 import math
@@ -16,12 +17,14 @@ from friedzeta import (
     OrbitRecord,
     TruncationPolicy,
     ValidationError,
+    cycle_zeta,
     read_orbit_dump,
     read_spectrum,
     ruelle_log_zeta,
     write_spectrum,
 )
-from friedzeta.cli import _KNOWN_KEYS, main
+from friedzeta.cli import _COMMANDS, _KNOWN_KEYS, build_parser, main
+from friedzeta.config import RunConfig
 
 from dump_oracle import read_records_dump
 
@@ -97,6 +100,18 @@ class TestZetaEval:
         )
         assert code == 0
         capsys.readouterr()
+
+    def test_default_entropy_taken_at_tau(self, capsys):
+        # the certified entropy at tau = 1.5 is 3.85; at tau = 0 it would be 0.962
+        settings = ["model.matrix=2 1 1 1", "model.roof=const:1", "model.time_change=cos:1,0:0.5",
+                    "tau.value=1.5", "lambda.grid=1"]
+        assert run("zeta-eval", *settings) == 2
+        assert capsys.readouterr().err.startswith("error: Re(lambda)=1.0 outside convergence region")
+        assert main(["zeta-eval", "--allow-formal"] + sum((["--set", s] for s in settings), [])) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+        entropy = RunConfig.load(None, settings).model().default_entropy(1.5)
+        assert entropy > 3.8
+        assert [r["policy"]["entropy"] for r in rows] == [entropy] * len(rows)
 
     def test_single_orbit_spectrum_hand_sum(self, tmp_path, capsys):
         spec = tmp_path / "one.txt"
@@ -267,6 +282,22 @@ class TestZetaContinue:
         assert value == pytest.approx(1.25, rel=1e-10)
         assert row["reliable"]
 
+    def test_rows_are_cycle_zeta(self, capsys):
+        settings = ["model.matrix=2 1 1 1", "model.roof=const:1 cos:1,0:0.05 sin:0,1:0.04",
+                    "model.time_change=cos:1,1:0.03", "rep.u_fraction=0.5", "tau.value=0.1", "policy.n_max=10"]
+        assert run("zeta-continue", *settings, "lambda.grid=0,0.4+0.3i,1.7") == 0
+        rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+        cfg = RunConfig.load(None, settings)
+        model = cfg.model()
+        rep, policy = cfg.character(model.automorphism), cfg.policy(model, 0.1)
+        assert len(rows) == 3
+        for row, lam in zip(rows, (0.0, 0.4 + 0.3j, 1.7)):
+            z = cycle_zeta(model, rep, lam, policy, 0.1)
+            log_value = cmath.log(z.value)
+            assert (row["log_value_re"], row["log_value_im"]) == (log_value.real, log_value.imag)
+            assert row["tail_bound"] == z.tail_bound
+            assert row["d_values"] == [{"re": d.real, "im": d.imag} for d in z.d_values]
+
 
 class TestConfigFile:
     def test_file_plus_override(self, tmp_path, capsys):
@@ -429,6 +460,12 @@ MALFORMED = [
     ["zeta-eval", "rep.u_fraction=1e308", "lambda.grid=4"],
     ["zeta-eval", "io.spectrum=.", "lambda.grid=4"],
     ["zeta-eval", "io.orbits=.", "lambda.grid=4"],
+    # empty grids, which once ran nothing and exited 0
+    ["fried-check", "tau.grid=0:0.1:0"],
+    ["variation", "lambda.value=3", "tau.grid=0:0.1:-2"],
+    ["fried-check", "tau.grid=,"],
+    ["zeta-eval", "lambda.grid=,"],
+    ["zeta-continue", "lambda.grid=;"],
 ]
 
 
@@ -465,6 +502,31 @@ MEANINGLESS_DUMP_LINES = [
     ("io.orbits", "#fried-orbits v1", "1 0 0 1 1.0 0 1 0 0"),
     ("io.orbits", "#fried-orbits v1", "1 0 0 1 1.0 1 2 0 0"),
 ]
+
+
+class TestUsage:
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_flags_follow_the_registry(self, command, tmp_path, capsys):
+        for key, flag in (("io.csv", ["--csv", str(tmp_path / "out.csv")]), ("zeta.allow_formal", ["--allow-formal"])):
+            if key in _KNOWN_KEYS[command]:
+                assert build_parser().parse_args([command, *flag]).command == command
+            else:
+                assert main([command, *flag]) == 1
+                assert capsys.readouterr().err == f"error: unrecognized arguments: {' '.join(flag)}\n"
+
+    @pytest.mark.parametrize("argv", [["zeta-eval", "--bogus"], ["no-such-command"], ["zeta-eval", "--set"],
+                                      ["orbits", "--out"]], ids=" ".join)
+    def test_usage_error_is_one_error_line(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["zeta-eval", "--help"])
+        assert exc.value.code == 0
+        assert "--allow-formal" in capsys.readouterr().out
 
 
 class TestInputBoundary:

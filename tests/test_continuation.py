@@ -9,6 +9,7 @@ from friedzeta import (
     ToralAutomorphism,
     TrigPolynomial,
     TruncationPolicy,
+    cycle_zeta,
     dynamical_determinant,
     orbit_records,
     ruelle_log_zeta,
@@ -139,16 +140,22 @@ class TestZetaAtZero:
 
         def quotient(r):
             lam = r * cmath.exp(0.7j)
-            pre = trace_sums(model, rep_minus, lam, n_max, tau)
-            d = [dynamical_determinant(model, rep_minus, k, lam, n_max, tau=tau, _precomputed=pre).value
-                 for k in range(3)]
-            return (d[1] / (d[0] * d[2]) - z0) / lam
+            return (cycle_zeta(model, rep_minus, lam, pol, tau).value - z0) / lam
 
         q = [quotient(r) for r in (1e-2, 1e-3, 1e-4, 1e-5)]
         steps = [abs(b - a) for a, b in zip(q, q[1:])]
         assert all(b < 0.2 * a for a, b in zip(steps, steps[1:]))
         assert steps[-1] < 1e-4 * abs(q[-1])
         assert abs(q[-1]) > 1e-2
+
+    def test_is_cycle_zeta_at_zero(self):
+        # a fiber twist and a time change at tau != 0, so the trace sums read the orbit table
+        a = ToralAutomorphism(((3, 2), (1, 1)))
+        model = SuspensionModel(a, TrigPolynomial.cosine((1, 0), 0.05, constant=1.0),
+                                TrigPolynomial.cosine((0, 1), 0.04))
+        chi = Character.from_angle_fraction(0.3, a.coker_orders, tuple(1 if d == 2 else 0 for d in a.coker_orders))
+        pol = TruncationPolicy(max_period=10, entropy=model.default_entropy(0.1))
+        assert zeta_at_zero(model, chi, pol, 0.1) == cycle_zeta(model, chi, 0.0, pol, 0.1)
 
 
 class TestContinuationProductAgreement:
@@ -158,14 +165,7 @@ class TestContinuationProductAgreement:
         pol = TruncationPolicy(max_period=14, j_max=60, entropy=h)
         records = orbit_records(perturbed_model, 14)
         euler = ruelle_log_zeta(records, rep_minus, lam, pol)
-        pre = trace_sums(perturbed_model, rep_minus, lam, 14)
-        dets = [
-            dynamical_determinant(
-                perturbed_model, rep_minus, k, lam, 14, _precomputed=pre
-            )
-            for k in range(3)
-        ]
-        product = dets[1].value / (dets[0].value * dets[2].value)
+        product = cycle_zeta(perturbed_model, rep_minus, lam, pol).value
         assert abs(product - cmath.exp(euler.log_value)) <= euler.tail_bound
 
     def test_coefficient_decay_super_exponential(self, cat):
