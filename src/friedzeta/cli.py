@@ -110,18 +110,31 @@ def cmd_orbits(cfg: RunConfig, args):
     return {"count": len(table.period), "path": out}, None
 
 
-def _load_records(cfg: RunConfig, tau: float):
+def _refuse_ignored(cfg: RunConfig, source: str, ignored: tuple[str, ...]):
+    """Refuse a set key that ``source`` does not read; an entry ending in ``.`` covers its section."""
+    for key in sorted(cfg.values):
+        if key.startswith(ignored):
+            raise ValidationError(f"config key {key!r} does not apply to the {source} source")
+
+
+def _load_records(cfg: RunConfig):
     """Orbit columns, source name and truncation policy of the spectrum source.
 
-    The source is a kleinian file, an orbit dump or the model section; only
-    the model gives a default entropy, taken at ``tau``.
+    The source is a kleinian file, an orbit dump or the model section; a
+    key the source does not read is refused.  Only the model gives a
+    default entropy, taken at ``tau.value``.
     """
     if cfg.get("io.spectrum"):
         records = orbit_columns(read_spectrum(cfg.require_path("io.spectrum")))
+        _refuse_ignored(cfg, "io.spectrum", ("model.", "rep.", "tau.value", "io.orbits"))
         cfg.values.setdefault("policy.entropy", "2.0")
         return records, "spectrum", cfg.policy()
     if cfg.get("io.orbits"):
-        return orbit_columns(read_orbit_dump(cfg.require_path("io.orbits"))), "orbit-dump", cfg.policy()
+        records = orbit_columns(read_orbit_dump(cfg.require_path("io.orbits")))
+        _refuse_ignored(cfg, "io.orbits", ("model.", "tau.value", "selberg.mu"))
+        return records, "orbit-dump", cfg.policy()
+    _refuse_ignored(cfg, "model", ("selberg.mu",))
+    tau = cfg.get_float("tau.value", 0.0)
     model = cfg.model()
     policy = cfg.policy(model, tau)
     table = orbit_table(model, policy.max_period)
@@ -129,7 +142,7 @@ def _load_records(cfg: RunConfig, tau: float):
 
 
 def cmd_zeta_eval(cfg: RunConfig, args):
-    records, source, policy = _load_records(cfg, cfg.get_float("tau.value", 0.0))
+    records, source, policy = _load_records(cfg)
     allow = bool(args.allow_formal or cfg.get("zeta.allow_formal"))
     rows = []
     for lam in cfg.lambda_grid():
@@ -140,7 +153,7 @@ def cmd_zeta_eval(cfg: RunConfig, args):
                     _zeta_row(f"graded{k}", graded_log_zeta(records, None, k, lam, policy, allow))
                 )
         mu_raw = cfg.get("selberg.mu")
-        if mu_raw and source == "spectrum":
+        if mu_raw:
             zv = selberg_log_zeta(records, None, cfg.selberg_mu(), lam, policy, allow)
             rows.append(_zeta_row(f"selberg[{mu_raw}]", zv))
     return {"rows": rows, "source": source}, _zeta_csv(rows)
@@ -201,6 +214,7 @@ def cmd_fried_check(cfg: RunConfig, args):
 def cmd_selberg_factorize(cfg: RunConfig, args):
     if cfg.get("io.spectrum"):
         records = orbit_columns(read_spectrum(cfg.require_path("io.spectrum")))
+        _refuse_ignored(cfg, "io.spectrum", ("spectrum.count", "spectrum.seed", "spectrum.min_length"))
     else:
         records = orbit_columns(cfg.synthetic_spectrum())
     if cfg.get("policy.entropy") is None:

@@ -725,18 +725,20 @@ class OrbitTable:
         self.model.require_tau(tau)
         return self.length0 + tau * self.slope
 
-    def transverse(self) -> list[tuple[int, float, float, int]]:
-        """``(epsilon, lam_u, lam_s, det_power)`` of the return map ``A^n``, indexed by the period ``n``."""
+    def transverse(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(epsilon, lam_u, lam_s, det_power)`` of ``A^n`` per row, n its period; int64 epsilon and det_power."""
         auto = self.model.automorphism
-        return [(orientation_index(auto, n), auto.lam_u**n, auto.lam_s**n, auto.det**n)
-                for n in range(self.n_max + 1)]
+        periods = range(self.n_max + 1)
+        per_period = ([orientation_index(auto, n) for n in periods], [auto.lam_u**n for n in periods],
+                      [auto.lam_s**n for n in periods], [auto.det**n for n in periods])
+        return tuple(np.array(column)[self.period] for column in per_period)
 
     def records(self, tau: float = 0.0) -> list[OrbitRecord]:
         """Row views with lengths at ``tau``, in table order."""
-        transverse = self.transverse()
         rows = zip(self.period.tolist(), self.num1.tolist(), self.num2.tolist(), self.den.tolist(),
-                   self.lengths(tau).tolist(), map(tuple, self.class_exps.tolist()))
-        return [OrbitRecord(n, p, q, den, ell, *transverse[n], exps, n) for n, p, q, den, ell, exps in rows]
+                   self.lengths(tau).tolist(), *(column.tolist() for column in self.transverse()),
+                   map(tuple, self.class_exps.tolist()), self.period.tolist())
+        return [OrbitRecord(*row) for row in rows]
 
 
 @lru_cache(maxsize=4)
@@ -832,7 +834,7 @@ def write_orbit_dump(path, table: OrbitTable, tau: float = 0.0):
     denominator, length (its ``repr``), orientation index, winding and
     the class exponents.
     """
-    epsilon = np.array([row[0] for row in table.transverse()])[table.period]
+    epsilon = table.transverse()[0]
     columns = (table.period, table.num1, table.num2, table.den, table.lengths(tau), epsilon, table.period,
                *table.class_exps.T)
     lines = map(" ".join, zip(*(map(repr, column.tolist()) for column in columns)))

@@ -75,14 +75,14 @@ class BasedChainComplex:
         return len(self.dims) - 1
 
 
-def _column_pivot_elimination(m: np.ndarray, rel_tol: float = 1e-10):
-    """Greedy maximal-modulus elimination: rank and pivot column indices."""
+def _column_pivot_elimination(m: np.ndarray, rel_tol: float = 1e-10) -> list[int]:
+    """Greedy maximal-modulus elimination: the sorted pivot column indices, as many as the rank."""
     if m.size == 0:
-        return 0, []
+        return []
     a = np.array(m, dtype=complex)
     scale = float(np.abs(a).max())
     if scale == 0.0:
-        return 0, []
+        return []
     rows_free = list(range(a.shape[0]))
     cols_free = list(range(a.shape[1]))
     pivots = []
@@ -99,17 +99,19 @@ def _column_pivot_elimination(m: np.ndarray, rel_tol: float = 1e-10):
                 a[r, :] -= (a[r, j] / piv) * a[i, :]
         rows_free.remove(i)
         cols_free.remove(j)
-    return len(pivots), sorted(pivots)
+    return sorted(pivots)
+
+
+def _pivots_and_homology(complex_: BasedChainComplex, rel_tol: float):
+    """Pivot columns of ``d_k`` at index k (none at 0 and top + 1), one elimination per boundary; homology ranks."""
+    pivots = [[], *(_column_pivot_elimination(b, rel_tol) for b in complex_.boundaries), []]
+    homology = [complex_.dims[k] - len(pivots[k]) - len(pivots[k + 1]) for k in range(complex_.top_degree + 1)]
+    return pivots, homology
 
 
 def is_acyclic(complex_: BasedChainComplex, rel_tol: float = 1e-10):
     """Acyclicity flag plus the per-degree homology ranks."""
-    dims = complex_.dims
-    top = complex_.top_degree
-    ranks = [0] * (top + 2)
-    for k, b in enumerate(complex_.boundaries, start=1):
-        ranks[k], _ = _column_pivot_elimination(b, rel_tol)
-    homology = [dims[k] - ranks[k] - ranks[k + 1] for k in range(top + 1)]
+    _, homology = _pivots_and_homology(complex_, rel_tol)
     return all(h == 0 for h in homology), homology
 
 
@@ -135,14 +137,11 @@ def chain_torsion(complex_: BasedChainComplex, rel_tol: float = 1e-10) -> Torsio
     acyclicity and ``torsion = prod_k det(T_k)^((-1)^(k+1))``.  The
     modulus is independent of the pivot choices.
     """
-    acyclic, homology = is_acyclic(complex_, rel_tol)
-    if not acyclic:
+    pivots, homology = _pivots_and_homology(complex_, rel_tol)
+    if any(homology):
         raise NotAcyclicError(f"complex is not acyclic; homology ranks {homology}")
     dims = complex_.dims
     top = complex_.top_degree
-    pivots: list[list[int]] = [[] for _ in range(top + 2)]
-    for k, b in enumerate(complex_.boundaries, start=1):
-        _, pivots[k] = _column_pivot_elimination(b, rel_tol)
     log_mod = 0.0
     phase = 1.0 + 0.0j
     for k in range(top + 1):

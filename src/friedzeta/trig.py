@@ -62,13 +62,6 @@ class TrigPolynomial:
         """Certified lower bound: constant minus the l1 norm of the rest."""
         return self.constant - sum(abs(a) + abs(b) for _, _, a, b in self.terms)
 
-    def value(self, x1: float, x2: float) -> float:
-        v = self.constant
-        for k1, k2, a, b in self.terms:
-            ph = TWO_PI * (k1 * x1 + k2 * x2)
-            v += a * math.cos(ph) + b * math.sin(ph)
-        return v
-
     def value_at_rational(self, num1: int, num2: int, den: int) -> float:
         v = self.constant
         for k1, k2, a, b in self.terms:
@@ -86,11 +79,3 @@ class TrigPolynomial:
         for i, (f1, f2, a, b) in enumerate(self.terms):
             k1[i], k2[i], ca[i], sa[i] = f1, f2, a, b
         return self.constant, k1, k2, ca, sa
-
-    def __mul__(self, scalar: float) -> "TrigPolynomial":
-        return TrigPolynomial(
-            constant=self.constant * scalar,
-            terms=tuple((k1, k2, a * scalar, b * scalar) for k1, k2, a, b in self.terms),
-        )
-
-    __rmul__ = __mul__

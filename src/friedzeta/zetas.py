@@ -159,9 +159,8 @@ def orbit_columns(spectrum, representation=None, tau: float = 0.0) -> OrbitColum
 
 @lru_cache(maxsize=2)  # the tau = 0 columns and the current tau's
 def _table_columns(table: OrbitTable, representation, tau: float) -> OrbitColumns:
-    eps, lam_u, lam_s, det_power = np.array(table.transverse())[table.period].T
     return _toral_columns(representation, table.class_exps, table.lengths(tau), table.period, table.num1,
-                          table.num2, eps, lam_u, lam_s, det_power, table.period)
+                          table.num2, *table.transverse(), table.period)
 
 
 def _toral_columns(representation, class_exps, length, period, num1, num2, eps, lam_u, lam_s, det_power,

@@ -332,6 +332,25 @@ class TestConfigFile:
         assert json.loads(capsys.readouterr().out)["results"]["count"] == 8
 
 
+# (command, source, setting): a key the source does not read; "model" is the model section
+REFUSED = [
+    ("selberg-factorize", "io.spectrum", "spectrum.count=5"),
+    ("selberg-factorize", "io.spectrum", "spectrum.seed=99"),
+    ("selberg-factorize", "io.spectrum", "spectrum.min_length=0.5"),
+    ("zeta-eval", "io.orbits", "model.matrix=2 1 1 1"),
+    ("zeta-eval", "io.orbits", "model.roof=const:7"),
+    ("zeta-eval", "io.orbits", "model.time_change=cos:1,0:0.05"),
+    ("zeta-eval", "io.orbits", "tau.value=0.3"),
+    ("zeta-eval", "io.orbits", "selberg.mu=sigma:2*nu:1"),
+    ("zeta-eval", "io.spectrum", "model.roof=const:7"),
+    ("zeta-eval", "io.spectrum", "tau.value=0.3"),
+    ("zeta-eval", "io.spectrum", "rep.u_fraction=0.5"),
+    ("zeta-eval", "io.spectrum", "rep.fiber_exponents=0 0"),
+    ("zeta-eval", "io.spectrum", "io.orbits={orbits}"),
+    ("zeta-eval", "model", "selberg.mu=sigma:2*nu:1"),
+]
+
+
 class TestConfigKeys:
     def test_unknown_key_is_one_error_line(self, capsys):
         settings = ["policy.n_max=4", "polcy.j_max=3", "lambda.grid=9"]
@@ -343,11 +362,7 @@ class TestConfigKeys:
         assert capsys.readouterr().err == "error: unknown config key 'lambda.grid' for orbits\n"
 
     def test_benchmark_keys_are_known(self, tmp_path, monkeypatch):
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
-        spec.loader.exec_module(workloads)
+        workloads = load_perfbench("workloads", monkeypatch)
         seen = set()
         for name in workloads.WORKLOADS:
             workload = workloads.build(name, 0, tmp_path, "smoke")
@@ -356,6 +371,52 @@ class TestConfigKeys:
                 assert keys <= _KNOWN_KEYS[job.argv[0]] | {"io.report"}, job.name
                 seen |= keys
         assert {"model.time_change", "io.orbits", "selberg.mu", "factorize.k", "spectrum.seed"} <= seen
+
+    def test_traced_names_resolve(self, monkeypatch):
+        tracing = load_perfbench("tracing", monkeypatch)
+        for metric, module, attribute, _ in tracing.TARGETS:
+            assert callable(getattr(importlib.import_module(module), attribute, None)), metric
+
+    @pytest.mark.parametrize("command, source, setting", REFUSED, ids=lambda v: str(v))
+    def test_key_the_source_does_not_read_is_refused(self, command, source, setting, source_files, capsys):
+        settings = [setting.format(orbits=source_files["io.orbits"])]
+        settings += CAT_SETTINGS if source == "model" else [f"{source}={source_files[source]}", "policy.entropy=1.0"]
+        if command == "zeta-eval":
+            settings.append("lambda.grid=4")
+        assert run(command, *settings) == 1
+        key = setting.split("=", 1)[0]
+        assert capsys.readouterr().err == f"error: config key {key!r} does not apply to the {source} source\n"
+
+    @pytest.mark.parametrize("command, source, settings", [
+        # the euler benchmark's dump job passes rep.u_fraction, which the dump reader still drops
+        ("zeta-eval", "io.orbits", ["rep.u_fraction=0.5", "rep.fiber_exponents=0 0", "policy.n_max=4",
+                                    "lambda.grid=4"]),
+        ("zeta-eval", "io.spectrum", ["selberg.mu=sigma:2*nu:1", "policy.j_max=4", "lambda.grid=4"]),
+        ("selberg-factorize", "io.spectrum", ["spectrum.h=2.0", "policy.j_max=4", "factorize.k=0"]),
+    ])
+    def test_keys_the_source_reads_are_accepted(self, command, source, settings, source_files, capsys):
+        assert run(command, f"{source}={source_files[source]}", "policy.entropy=1.0", *settings) == 0
+        capsys.readouterr()
+
+
+def load_perfbench(name, monkeypatch):
+    """Import ``perfbench/<name>.py`` of this checkout by its path."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def source_files(tmp_path, capsys):
+    """An orbit dump of the cat map and a one-record kleinian spectrum."""
+    files = {"io.orbits": tmp_path / "orbits.txt", "io.spectrum": tmp_path / "spectrum.txt"}
+    assert run("orbits", *CAT_SETTINGS, "policy.n_max=4", out=files["io.orbits"]) == 0
+    write_spectrum(files["io.spectrum"], [ComplexLengthRecord(length=1.0, theta=0.0)])
+    capsys.readouterr()
+    return files
 
 
 def test_module_invocation_smoke():

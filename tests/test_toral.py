@@ -239,6 +239,16 @@ class TestOrbitTable:
             assert np.max(np.abs(table.length0[rows] - want) / want) <= 1e-13
         assert np.max(np.abs(table.slope - slopes) / np.abs(table.length0)) <= 1e-13
 
+    def test_transverse_rows_match_per_orbit_data(self, built):
+        model, table, _ = built
+        auto = model.automorphism
+        epsilon, lam_u, lam_s, det_power = table.transverse()
+        assert epsilon.dtype == det_power.dtype == np.int64
+        assert len(epsilon) == len(lam_u) == len(lam_s) == len(det_power) == len(table.period)
+        for i, n in enumerate(table.period.tolist()):
+            assert epsilon[i] == orientation_index(auto, n)
+            assert (lam_u[i], lam_s[i], det_power[i]) == (auto.lam_u**n, auto.lam_s**n, auto.det**n)
+
     def test_orbit_count_identity(self, built):
         model, table, _ = built
         prim = Counter(table.period.tolist())

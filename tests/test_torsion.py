@@ -15,6 +15,7 @@ from friedzeta import (
     mapping_cone_complex,
     mapping_torus_torsion,
 )
+from friedzeta import torsion
 from friedzeta.torsion import FRIED_EXPONENT, dump_chain_complex
 
 
@@ -93,6 +94,17 @@ class TestChainTorsion:
     def test_non_acyclic_rejected(self):
         with pytest.raises(NotAcyclicError):
             chain_torsion(BasedChainComplex((1, 1), (np.array([[0.0]]),)))
+
+    def test_one_elimination_per_boundary(self, monkeypatch):
+        eliminate, calls = torsion._column_pivot_elimination, []
+        monkeypatch.setattr(torsion, "_column_pivot_elimination",
+                            lambda m, rel_tol: calls.append(m.shape) or eliminate(m, rel_tol))
+        rng = np.random.default_rng(13)
+        for _ in range(5):
+            cpx = random_acyclic_complex(rng)
+            calls.clear()
+            chain_torsion(cpx)
+            assert calls == [b.shape for b in cpx.boundaries]
 
     def test_mapping_cone_example(self):
         a = ToralAutomorphism(((2, 1), (1, 1)))

@@ -1,16 +1,23 @@
+import cmath
+
 import numpy as np
 import pytest
 
 from friedzeta import (
+    Character,
     ConvergenceError,
     SuspensionModel,
+    ToralAutomorphism,
     TrigPolynomial,
     TruncationPolicy,
     ValidationError,
     direct_quotient,
+    orientation_index,
     variation_rhs,
     wedge_derivative_check,
 )
+from friedzeta import variation
+from friedzeta.toral import orbit_table
 
 
 def policy_for(model, **kw):
@@ -55,6 +62,146 @@ class TestVariationRHS:
         model = SuspensionModel(cat, TrigPolynomial.const(1.0), TrigPolynomial.const(1.0))
         with pytest.raises(ValidationError):
             variation_rhs(model, None, 3.0, -2.0, policy_for(model))
+
+
+def loop_twist(table, representation):
+    """``eps * rho`` of every primitive orbit, with the index from ``orientation_index``."""
+    eps = orientation_index(table.model.automorphism, 1) ** table.period
+    if representation is None:
+        return eps.astype(complex)
+    return eps * representation.values(table.class_exps, table.period)
+
+
+def two_grid_ratio(model, representation, lam, tau, policy):
+    """Oracle: Simpson on ``quad_subdiv`` panels and again on twice as many, each grid evaluated anew.
+
+    Returns ``(ratio, integral, richardson_diff)`` of the finer rule.
+    """
+    lam = complex(lam)
+    table = orbit_table(model, policy.max_period)
+    twist = loop_twist(table, representation)
+
+    def eval_ratio(panels):
+        nodes = [tau * i / panels for i in range(panels + 1)]
+        values = [variation._orbit_sum(table, twist, lam, t, policy.j_max) for t in nodes]
+        integral = variation._simpson(values, tau / panels) if tau != 0.0 else 0.0
+        return cmath.exp(-lam * integral), integral
+
+    ratio_coarse, _ = eval_ratio(policy.quad_subdiv)
+    ratio_fine, integral = eval_ratio(2 * policy.quad_subdiv)
+    return ratio_fine, integral, abs(ratio_fine - ratio_coarse)
+
+
+def loop_residual(table, twist, lam, tau_prime, j_top):
+    """Oracle: the symbol form against the wedge-trace form, one orbit and one iterate at a time."""
+    auto = table.model.automorphism
+    lengths = table.lengths(tau_prime)
+    worst = 0.0
+    for i in range(min(len(table.period), 64)):
+        n = int(table.period[i])
+        eps = orientation_index(auto, n)
+        rho = twist[i] * eps
+        int_q = -table.slope[i]
+        for j in range(1, j_top + 1):
+            lu, ls = (auto.lam_u**n) ** j, (auto.lam_s**n) ** j
+            det = (1.0 - lu) * (1.0 - ls)
+            weight = cmath.exp(-lam * j * lengths[i]) * rho**j
+            symbol_form = int_q * eps**j * weight
+            elem = [1.0, ls + lu, ls * lu]
+            alt = sum((-1.0) ** k * elem[k - 1] for k in range(1, 4))
+            wedge_form = (j * int_q) * alt * weight / (j * abs(det))
+            worst = max(worst, abs(symbol_form - wedge_form))
+    return worst
+
+
+def _cat_half():
+    cat = ToralAutomorphism(((2, 1), (1, 1)))
+    model = SuspensionModel(cat, TrigPolynomial.const(1.0), TrigPolynomial.cosine((1, 0), 0.05))
+    return model, Character.from_angle_fraction(0.5, cat.coker_orders, (0, 0)), 3.0, 0.1
+
+
+def _twisted_3211():
+    a = ToralAutomorphism(((3, 2), (1, 1)))
+    model = SuspensionModel(a, TrigPolynomial(1.0, ((1, 0, 0.05, 0.0),)), TrigPolynomial(0.0, ((1, 1, 0.04, 0.0),)))
+    return model, Character.from_angle_fraction(0.3, a.coker_orders, (1, 1)), 3.0 + 0.7j, 0.12
+
+
+def _sin_change():
+    cat = ToralAutomorphism(((2, 1), (1, 1)))
+    model = SuspensionModel(cat, TrigPolynomial(1.0, ((1, 0, 0.05, 0.0), (0, 1, 0.0, 0.03))),
+                            TrigPolynomial(0.0, ((0, 1, 0.0, 0.04),)))
+    return model, None, 3.2, 0.15
+
+
+def _negative_index():
+    a = ToralAutomorphism(((-2, -1), (-1, -1)))  # lam_u < 0: odd periods have index -1
+    model = SuspensionModel(a, TrigPolynomial(1.0, ((0, 1, 0.04, 0.0),)), TrigPolynomial.cosine((1, 0), 0.05))
+    return model, Character.from_angle_fraction(0.25, a.coker_orders, (0, 0)), 3.5, 0.1
+
+
+def _tau_zero():
+    model, rep, lam, _ = _cat_half()
+    return model, rep, lam, 0.0
+
+
+ONE_GRID_CASES = {"cat u=1/2": _cat_half, "3 2 1 1 fiber twist, complex lambda": _twisted_3211,
+                  "non-constant roof, sin change": _sin_change, "-2 -1 -1 -1, u=1/4": _negative_index,
+                  "tau = 0": _tau_zero}
+
+
+class TestOneQuadratureGrid:
+    @pytest.mark.parametrize("case", ONE_GRID_CASES.values(), ids=ONE_GRID_CASES.keys())
+    def test_equals_two_grid_oracle_bit_for_bit(self, case):
+        model, rep, lam, tau = case()
+        pol = policy_for(model, max_period=10)
+        vr = variation_rhs(model, rep, lam, tau, pol)
+        assert (vr.ratio, vr.integral, vr.richardson_diff) == two_grid_ratio(model, rep, lam, tau, pol)
+        assert vr.subdivisions == 2 * pol.quad_subdiv
+
+    @pytest.mark.parametrize("case", ONE_GRID_CASES.values(), ids=ONE_GRID_CASES.keys())
+    def test_residual_equals_loop_oracle(self, case):
+        model, rep, lam, tau = case()
+        pol = policy_for(model, max_period=10)
+        table = orbit_table(model, pol.max_period)
+        want = loop_residual(table, loop_twist(table, rep), complex(lam), tau / 2.0, 3)
+        got = variation_rhs(model, rep, lam, tau, pol).integrand_residual
+        if complex(lam).imag == 0.0:
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-18
+        assert got < 1e-12
+
+    def test_residual_reads_the_first_64_rows_at_tau_prime(self):
+        # row r scaled by 2^r (rows past 79 by 2^80): exact scalings that put the maximum in the last rows read
+        model, rep, lam, _ = _cat_half()
+        table = orbit_table(model, 10)
+        rows = np.arange(len(table.period))
+        twist = loop_twist(table, rep) * 2.0 ** np.minimum(rows, 80)
+        want = loop_residual(table, twist, complex(lam), 5.0, 3)
+        assert variation._integrand_residual(table, twist, complex(lam), 5.0, 3) == want
+        assert want > loop_residual(table, np.where(rows < 48, twist, 0.0), complex(lam), 5.0, 3)
+        assert want != loop_residual(table, twist, complex(lam), 0.0, 3)
+
+    def test_twist_equals_loop_twist(self):
+        for case in ONE_GRID_CASES.values():
+            model, rep, _, _ = case()
+            table = orbit_table(model, 10)
+            assert variation._twist(table, rep).tobytes() == loop_twist(table, rep).tobytes()
+
+    @pytest.mark.parametrize("quad_subdiv", [2, 4, 16])
+    def test_orbit_sum_calls_per_tau(self, quad_subdiv, monkeypatch):
+        model, rep, lam, _ = _cat_half()
+        pol = policy_for(model, max_period=8, quad_subdiv=quad_subdiv)
+        calls = []
+        orbit_sum = variation._orbit_sum
+        monkeypatch.setattr(variation, "_orbit_sum", lambda *args: calls.append(args[3]) or orbit_sum(*args))
+        for tau in (0.0, 0.05, 0.1):
+            calls.clear()
+            variation_rhs(model, rep, lam, tau, pol)
+            assert len(calls) == 2 * quad_subdiv + 1
+            calls.clear()
+            two_grid_ratio(model, rep, lam, tau, pol)
+            assert len(calls) == 3 * quad_subdiv + 2
 
 
 class TestWedgeDerivativeCheck:
