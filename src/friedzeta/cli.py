@@ -121,18 +121,22 @@ def _load_records(cfg: RunConfig):
     """Orbit columns, source name and truncation policy of the spectrum source.
 
     The source is a kleinian file, an orbit dump or the model section; a
-    key the source does not read is refused.  Only the model gives a
-    default entropy, taken at ``tau.value``.
+    key the source does not read is refused.  A set ``policy.n_max`` drops
+    the dump's orbits of longer period.  Only the model gives a default
+    entropy, taken at ``tau.value``.
     """
     if cfg.get("io.spectrum"):
         records = orbit_columns(read_spectrum(cfg.require_path("io.spectrum")))
-        _refuse_ignored(cfg, "io.spectrum", ("model.", "rep.", "tau.value", "io.orbits"))
+        _refuse_ignored(cfg, "io.spectrum", ("model.", "rep.", "tau.value", "io.orbits", "policy.n_max"))
         cfg.values.setdefault("policy.entropy", "2.0")
         return records, "spectrum", cfg.policy()
     if cfg.get("io.orbits"):
-        records = orbit_columns(read_orbit_dump(cfg.require_path("io.orbits")))
+        dump = read_orbit_dump(cfg.require_path("io.orbits"))
         _refuse_ignored(cfg, "io.orbits", ("model.", "tau.value", "selberg.mu"))
-        return records, "orbit-dump", cfg.policy()
+        policy = cfg.policy()
+        if cfg.get("policy.n_max") is not None:
+            dump = dump.up_to(policy.max_period)
+        return orbit_columns(dump), "orbit-dump", policy
     _refuse_ignored(cfg, "model", ("selberg.mu",))
     tau = cfg.get_float("tau.value", 0.0)
     model = cfg.model()
@@ -214,7 +218,8 @@ def cmd_fried_check(cfg: RunConfig, args):
 def cmd_selberg_factorize(cfg: RunConfig, args):
     if cfg.get("io.spectrum"):
         records = orbit_columns(read_spectrum(cfg.require_path("io.spectrum")))
-        _refuse_ignored(cfg, "io.spectrum", ("spectrum.count", "spectrum.seed", "spectrum.min_length"))
+        _refuse_ignored(cfg, "io.spectrum", ("spectrum.count", "spectrum.seed", "spectrum.min_length",
+                                             "policy.n_max"))
     else:
         records = orbit_columns(cfg.synthetic_spectrum())
     if cfg.get("policy.entropy") is None:

@@ -378,6 +378,8 @@ def read_spectrum(path) -> list[ComplexLengthRecord]:
             try:
                 if len(parts) < 2:
                     raise ValidationError("a spectrum line needs at least ell and theta")
+                if len(parts) > 4:
+                    raise ValidationError("a spectrum line has at most ell, theta, multiplicity and label")
                 mult = int(parts[2]) if len(parts) > 2 else 1
                 label = parts[3] if len(parts) > 3 else ""
                 ell, theta = float(parts[0]), float(parts[1])

@@ -17,8 +17,11 @@ sin table per period.
 
 from __future__ import annotations
 
+import io
 import math
-from dataclasses import dataclass
+import re
+import warnings
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -61,6 +64,13 @@ MAX_ENUMERATED_POINTS = 1 << 27
 _PASS_BLOCK = 1 << 16
 
 ORBIT_DUMP_HEADER = "#fried-orbits v1"
+# A dump holds printable ASCII, tabs and LF or CRLF line ends; any other byte is refused.
+_DUMP_BYTES = bytes(range(0x20, 0x7F)) + b"\t\r\n"
+_CONTROL_BYTE = re.compile(rb"[\x00-\x08\x0a-\x1f\x7f]")  # within a line: every control byte but tab
+_FIRST_ORBIT_LINE = re.compile(rb"^[ \t]*([^#\s][^\n]*)", re.M)
+# a '#' after a field, which np.loadtxt would take for the start of a comment
+_INLINE_HASH = re.compile(rb"^[ \t]*[^#\s][^\n]*#", re.M)
+_INT64_MIN = np.iinfo(np.int64).min
 
 
 # ---------------------------------------------------------------------------
@@ -826,6 +836,11 @@ class OrbitDump:
     def __len__(self) -> int:
         return len(self.length)
 
+    def up_to(self, n_max: int) -> OrbitDump:
+        """The orbits of period at most ``n_max``."""
+        keep = self.period <= n_max
+        return OrbitDump(*_read_only(*(getattr(self, f.name)[keep] for f in fields(self))))
+
 
 def write_orbit_dump(path, table: OrbitTable, tau: float = 0.0):
     """Write ``#fried-orbits v1``: one orbit of ``table`` per line, in table order, lengths at ``tau``.
@@ -843,42 +858,106 @@ def write_orbit_dump(path, table: OrbitTable, tau: float = 0.0):
 
 
 def read_orbit_dump(path) -> OrbitDump:
-    """Read a ``#fried-orbits v1`` file into columns.
+    """Read a ``#fried-orbits v1`` file into read-only contiguous columns.
 
-    A malformed line, or one whose epsilon is not -1 or 1 or whose winding
-    is not its period, raises a ValidationError naming ``path:line``.
+    A good file is one ``np.loadtxt`` parse and one check of every row at
+    once.  Otherwise :func:`_refuse_dump_line` names the first line the
+    format refuses in a ValidationError: a malformed line, a length that is
+    not positive and finite, an epsilon other than -1 or 1, a winding other
+    than the period, a period or denominator below 1, an integer beyond 64
+    bits, a ``_`` in a number, or a byte that is neither printable ASCII
+    nor a tab or line end.
     """
-    ints, lengths, width = [], [], None
     with open(path, "rb") as fh:
-        header = ascii_line(path, 1, fh.readline()).strip()
-        if header != ORBIT_DUMP_HEADER:
-            raise ValidationError(f"bad orbit dump header: {header!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            line = ascii_line(path, lineno, raw).strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                if len(parts) < 7:
-                    raise ValidationError("an orbit line needs period, base point, length, epsilon, winding")
-                row = [int(x) for x in parts[:4]]  # period, base point, denominator
-                length = float(parts[4])
-                if not (math.isfinite(length) and length > 0):
-                    raise ValidationError(f"length must be positive and finite, got {parts[4]!r}")
-                row += [int(x) for x in parts[5:]]  # epsilon, winding, class exponents
-                if width is not None and len(row) != width:
-                    raise ValidationError(
-                        f"{len(row) - 6} class exponents where the first orbit line has {width - 6}")
-                if max(map(abs, row)) >= 1 << 63:
-                    raise ValidationError("integer field exceeds 64 bits")
-                if row[4] not in (-1, 1):
-                    raise ValidationError(f"epsilon must be -1 or 1, got {row[4]}")
-                if row[5] != row[0]:
-                    raise ValidationError(f"winding {row[5]} differs from the period {row[0]}")
-            except (ValueError, ValidationError) as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
-            width = len(row)
-            ints.append(row)
-            lengths.append(length)
-    ints = np.array(ints, dtype=np.int64).reshape(len(lengths), width or 6)
-    return OrbitDump(*_read_only(*ints[:, :4].T, np.array(lengths), *ints[:, 4:6].T, ints[:, 6:]))
+        data = fh.read()
+    rows = _dump_rows(data)
+    if rows is None:
+        _refuse_dump_line(path, data)
+    return OrbitDump(*_read_only(*(np.ascontiguousarray(rows[f.name]) for f in fields(OrbitDump))))
+
+
+def _dump_dtype(exps: int) -> np.dtype:
+    """One orbit line with ``exps`` class exponents, its fields named as in :class:`OrbitDump`."""
+    ints = [(name, np.int64) for name in ("period", "num1", "num2", "den")]
+    return np.dtype([*ints, ("length", np.float64), ("epsilon", np.int64), ("winding", np.int64),
+                     ("class_exps", np.int64, (exps,))])
+
+
+def _dump_rows(data: bytes) -> np.ndarray | None:
+    """The orbit lines as one structured array, or None where :func:`_refuse_dump_line` refuses a line.
+
+    Each check is the column form of one of that function's, so the two
+    refuse the same files.
+    """
+    head, _, body = data.partition(b"\n")
+    if (head.strip() != ORBIT_DUMP_HEADER.encode() or data.translate(None, _DUMP_BYTES)
+            or data.count(b"\r") != data.count(b"\r\n") + data.endswith(b"\r")
+            or b"#" in body and _INLINE_HASH.search(body)):
+        return None
+    first = _FIRST_ORBIT_LINE.search(body)
+    if first is None:
+        return np.empty(0, _dump_dtype(0))
+    width = len(first[1].split())
+    if width < 7:
+        return None
+    try:
+        # numpy releases that keep the 1.23 deprecation read "0.5" or "1e3" in an integer column as a
+        # truncated float and only warn; as an error, loadtxt raises ValueError whatever the caller's filters
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(io.BytesIO(body), _dump_dtype(width - 7), comments="#", ndmin=1)
+    except ValueError:
+        return None
+    period, length, epsilon = rows["period"], rows["length"], rows["epsilon"]
+    if not ((length > 0) & (length < np.inf) & (np.abs(epsilon) == 1) & (rows["winding"] == period)
+            & (period >= 1) & (rows["den"] >= 1)).all():
+        return None
+    # -2**63 passes np.loadtxt but not the 64-bit check; the mask above already bounds the other fields
+    if any((rows[name] == _INT64_MIN).any() for name in ("num1", "num2", "class_exps")):
+        return None
+    return rows
+
+
+def _refuse_dump_line(path, data: bytes):
+    """Raise the ValidationError, naming ``path:line``, for the first line of ``data`` the dump format refuses."""
+    width = None
+    for lineno, raw in enumerate(data.split(b"\n"), start=1):
+        text = ascii_line(path, lineno, raw)
+        stray = _CONTROL_BYTE.search(raw.removesuffix(b"\r"))
+        if stray:
+            col = stray.start() + 1
+            raise ValidationError(f"{path}:{lineno}: control byte 0x{raw[col - 1]:02x} at column {col}")
+        line = text.strip()
+        if lineno == 1:
+            if line != ORBIT_DUMP_HEADER:
+                raise ValidationError(f"bad orbit dump header: {line!r}")
+            continue
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        try:
+            if len(parts) < 7:
+                raise ValidationError("an orbit line needs period, base point, length, epsilon, winding")
+            row = [int(x) for x in parts[:4]]  # period, base point, denominator
+            length = float(parts[4])
+            if not (math.isfinite(length) and length > 0):
+                raise ValidationError(f"length must be positive and finite, got {parts[4]!r}")
+            row += [int(x) for x in parts[5:]]  # epsilon, winding, class exponents
+            if width is not None and len(row) != width:
+                raise ValidationError(
+                    f"{len(row) - 6} class exponents where the first orbit line has {width - 6}")
+            if max(map(abs, row)) >= 1 << 63:
+                raise ValidationError("integer field exceeds 64 bits")
+            if row[4] not in (-1, 1):
+                raise ValidationError(f"epsilon must be -1 or 1, got {row[4]}")
+            if row[5] != row[0]:
+                raise ValidationError(f"winding {row[5]} differs from the period {row[0]}")
+            if row[0] < 1 or row[3] < 1:
+                raise ValidationError(f"period and denominator must be at least 1, got {row[0]} and {row[3]}")
+            for x in parts:
+                if "_" in x:  # int() and float() read it as a digit separator; np.loadtxt does not
+                    raise ValidationError(f"digit separator '_' in {x!r}")
+        except (ValueError, ValidationError) as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        width = len(row)
+    raise ValidationError(f"{path}: the column parser refused a dump whose every line checks out")

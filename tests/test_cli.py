@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from friedzeta import (
 from friedzeta.cli import _COMMANDS, _KNOWN_KEYS, build_parser, main
 from friedzeta.config import RunConfig
 
-from dump_oracle import read_records_dump
+from dump_oracle import read_lines_dump, read_records_dump
 
 CAT_SETTINGS = [
     "model.matrix=2 1 1 1",
@@ -347,6 +348,8 @@ REFUSED = [
     ("zeta-eval", "io.spectrum", "rep.u_fraction=0.5"),
     ("zeta-eval", "io.spectrum", "rep.fiber_exponents=0 0"),
     ("zeta-eval", "io.spectrum", "io.orbits={orbits}"),
+    ("zeta-eval", "io.spectrum", "policy.n_max=3"),
+    ("selberg-factorize", "io.spectrum", "policy.n_max=3"),
     ("zeta-eval", "model", "selberg.mu=sigma:2*nu:1"),
 ]
 
@@ -474,6 +477,25 @@ class TestOrbitDumpPipeline:
     def test_missing_file_exit_1(self):
         assert run("zeta-eval", "io.orbits=/nonexistent", "lambda.grid=4.0") == 1
 
+    def test_n_max_drops_longer_orbits_of_a_dump(self, tmp_path, capsys):
+        roof = "model.roof=const:1 cos:1,0:0.05"
+
+        def log_zeta(*settings):
+            assert run("zeta-eval", *settings, "lambda.grid=3") == 0
+            return json.loads(capsys.readouterr().out)["results"]["rows"][0]["log_value_re"]
+
+        dumps = {n: tmp_path / f"orbits{n}.txt" for n in (4, 8)}
+        for n, path in dumps.items():
+            assert run("orbits", "model.matrix=2 1 1 1", roof, f"policy.n_max={n}", out=path) == 0
+        capsys.readouterr()
+        entropy = "policy.entropy=1.0"
+        deep_at_4 = log_zeta(f"io.orbits={dumps[8]}", "policy.n_max=4", entropy)
+        assert deep_at_4 == log_zeta(f"io.orbits={dumps[4]}", entropy)
+        assert deep_at_4 == pytest.approx(log_zeta("model.matrix=2 1 1 1", roof, "policy.n_max=4", entropy), rel=1e-12)
+        # without the key every row is read, whatever the policy's default depth
+        assert log_zeta(f"io.orbits={dumps[8]}", entropy) == log_zeta(f"io.orbits={dumps[8]}", "policy.n_max=8",
+                                                                        entropy) != deep_at_4
+
 
 class TestSchottkyFactorizePipeline:
     def test_rank2_l6_under_60s(self, tmp_path, capsys):
@@ -542,10 +564,13 @@ MALFORMED_FILES = [
     ("io.orbits", "#fried-orbits v1", "1 0 0 1 nan 1 1 0 0"),
     ("io.orbits", "#fried-orbits v1", "1 0 0"),
     ("io.orbits", "#fried-orbits v1", "1 0 0 1 -2.0 1 1 0 0"),
+    ("io.orbits", "#fried-orbits v1", "1 0 0 1 inf 1 1 0 0"),
     ("io.orbits", "#fried-orbits v1", "1 0 0.5 1 1.0 1 1 0 0"),
     ("io.orbits", "#fried-orbits v1", "2 0 1 5 2.0 1 2 0"),
     ("io.spectrum", "#fried-spectrum v1 n0=2", "1.5 0.1 1 caf\u00e9"),
     ("io.orbits", "#fried-orbits v1", "1 0 0 1 1.0 1 1 0 0 caf\u00e9"),
+    ("io.spectrum", "#fried-spectrum v1 n0=2", "1.5 0.1 1 a b"),
+    ("io.spectrum", "#fried-spectrum v1 n0=2", "1.5 0.1 1 a b c"),
 ]
 # every malformed dump of MALFORMED_FILES, and a wrong header
 DUMP_ERRORS = [(header, line) for key, header, line in MALFORMED_FILES if key == "io.orbits"]
@@ -557,12 +582,18 @@ WIDE_DUMP_LINES = [
     ("io.orbits", "#fried-orbits v1", "1 0 0 1 1.0 1 1 -99999999999999999999 0"),
 ]
 # well-formed fields without meaning (an orientation index other than -1 or 1, a winding other
-# than the period), which the column reader once summed with and exited 0
+# than the period, a period or denominator below 1), which the column reader once summed with and exited 0
 MEANINGLESS_DUMP_LINES = [
     ("io.orbits", "#fried-orbits v1", "1 0 0 1 1.0 5 1 0 0"),
     ("io.orbits", "#fried-orbits v1", "1 0 0 1 1.0 0 1 0 0"),
     ("io.orbits", "#fried-orbits v1", "1 0 0 1 1.0 1 2 0 0"),
+    ("io.orbits", "#fried-orbits v1", "0 0 0 1 1.0 1 0 0 0"),
+    ("io.orbits", "#fried-orbits v1", "-1 0 0 1 1.0 1 -1 0 0"),
+    ("io.orbits", "#fried-orbits v1", "1 0 0 0 1.0 1 1 0 0"),
 ]
+
+# a float spelling in an integer column, which numpy's loadtxt once read truncated with only a warning
+FLOAT_IN_INTEGER_LINES = ["1 0 0.5 1 1.0 1 1 0 0", "1 0 0 1 1.0 1.9 1 0 0", "1 0 0 1e3 2.0 1 1 0 0"]
 
 
 class TestUsage:
@@ -611,15 +642,37 @@ class TestInputBoundary:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("header, line", DUMP_ERRORS, ids=lambda v: str(v))
+    @pytest.mark.parametrize("header, line", DUMP_ERRORS + [(h, ln) for _, h, ln in WIDE_DUMP_LINES + MEANINGLESS_DUMP_LINES],
+                             ids=lambda v: str(v))
     def test_column_reader_message_matches_record_reader(self, header, line, tmp_path):
+        # the record reader checks no width, epsilon, winding, period or denominator; the line reader does
         path = tmp_path / "input.txt"
         path.write_text(f"{header}\n# comment\n{VALID_LINE['io.orbits']}\n{line}\n", encoding="utf-8")
-        with pytest.raises(ValidationError) as oracle:
-            read_records_dump(path)
+        oracles = [read_lines_dump, read_records_dump] if (header, line) in DUMP_ERRORS else [read_lines_dump]
         with pytest.raises(ValidationError) as columns:
             read_orbit_dump(path)
-        assert str(columns.value) == str(oracle.value)
+        for oracle in oracles:
+            with pytest.raises(ValidationError) as expected:
+                oracle(path)
+            assert str(columns.value) == str(expected.value), oracle.__name__
+
+    @pytest.mark.parametrize("line", FLOAT_IN_INTEGER_LINES)
+    def test_float_in_integer_column_refused_without_warning_filters(self, line, tmp_path, capsys):
+        # the refusal must not rest on the test suite's error::DeprecationWarning filter
+        path = tmp_path / "orbits.txt"
+        path.write_text(f"#fried-orbits v1\n# comment\n{VALID_LINE['io.orbits']}\n{line}\n")
+        with pytest.raises(ValidationError) as expected:
+            read_lines_dump(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run("zeta-eval", f"io.orbits={path}", "lambda.grid=4", "policy.entropy=1.0") == 1
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+
+    def test_digit_separator_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "orbits.txt"
+        path.write_text(f"#fried-orbits v1\n{VALID_LINE['io.orbits']}\n1 0 0 1 1_0.5 1 1 0 0\n")
+        assert run("zeta-eval", f"io.orbits={path}", "lambda.grid=4", "policy.entropy=1.0") == 1
+        assert capsys.readouterr().err == f"error: {path}:3: digit separator '_' in '1_0.5'\n"
 
     @pytest.mark.parametrize("command", ["zeta-eval", "orbits"])
     def test_out_in_missing_directory_is_one_error_line(self, command, tmp_path, capsys):

@@ -1,10 +1,13 @@
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from friedzeta import (
     Character,
@@ -27,7 +30,7 @@ from friedzeta import (
 )
 from friedzeta import toral
 from friedzeta.toral import orbit_table, smith_normal_form
-from dump_oracle import read_records_dump, write_records_dump
+from dump_oracle import read_lines_dump, read_records_dump, write_records_dump
 from pass_oracle import flat_period_pass
 from test_kernels import reference_birkhoff
 
@@ -473,6 +476,145 @@ class TestOrbitDump:
         for name in ("period", "num1", "num2", "den", "length", "epsilon", "winding", "class_exps"):
             want = np.array([getattr(r, name) for r in oracle]).reshape(getattr(back, name).shape)
             assert np.array_equal(getattr(back, name), want), name
+
+
+def dump_outcome(reader, path):
+    """The columns ``reader`` returns for ``path`` as (name, dtype, shape, bytes), or its error message."""
+    try:
+        dump = reader(path)
+    except ValidationError as exc:
+        return str(exc)
+    return [(f.name, getattr(dump, f.name).dtype.str, getattr(dump, f.name).shape, getattr(dump, f.name).tobytes())
+            for f in fields(dump)]
+
+
+def assert_matches_oracles(path):
+    """The columns read from ``path`` equal the line reader's bit for bit and the record reader's rows."""
+    assert dump_outcome(read_orbit_dump, path) == dump_outcome(read_lines_dump, path)
+    back, records = read_orbit_dump(path), read_records_dump(path)
+    assert len(back) == len(records)
+    for f in fields(back):
+        column = getattr(back, f.name)
+        assert column.flags.c_contiguous and not column.flags.writeable, f.name
+        want = np.array([getattr(r, f.name) for r in records]).reshape(column.shape)
+        assert np.array_equal(column, want), f.name
+
+
+GOOD_LINE = "2 1 2 5 2.024721359549996 1 2 0 1"
+# spellings a dump field may take, well formed or not; '_' and control bytes are refused separately
+SPELLINGS = ["0", "-0", "+1", "-1", "1", "2", "007", "9223372036854775807", "-9223372036854775807",
+             "-9223372036854775808", "9223372036854775808", "1.0", "1.", ".5", "+.5", "1e3", "1E-3", "inf",
+             "-inf", "nan", "Infinity", "1e-400", "1e400", "x", "#", "0#", "1.5.", "0x10", "--1", "+", "e5"]
+
+
+@st.composite
+def dump_texts(draw):
+    """A dump of orbit lines, comments and blank lines, some fields replaced by other spellings."""
+    lines = ["#fried-orbits v1"]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["orbit", "orbit", "orbit", "comment", "blank"]))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# note", "  #", "#1 0 0"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        else:
+            p, den = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+            length = draw(st.floats(1e-3, 1e3))
+            parts = [str(p), str(draw(st.integers(0, 4))), str(draw(st.integers(0, 4))), str(den), repr(length),
+                     draw(st.sampled_from(["1", "-1"])), str(p), "0", str(draw(st.integers(-2, 2)))]
+            for _ in range(draw(st.integers(0, 2))):
+                at = draw(st.integers(0, len(parts)))
+                edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+                if edit == "insert" or at == len(parts):
+                    parts.insert(at, draw(st.sampled_from(SPELLINGS)))
+                elif edit == "replace":
+                    parts[at] = draw(st.sampled_from(SPELLINGS))
+                else:
+                    del parts[at]
+            lines.append(draw(st.sampled_from([" ", "\t", "  "])).join(parts))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, "", "\r"]))
+
+
+class TestOneParseReader:
+    """``read_orbit_dump`` parses a good dump in one ``np.loadtxt`` call; the line readers are its oracles."""
+
+    @pytest.mark.parametrize("matrix, n_max", TABLE_CASES)
+    def test_table_dumps_match_line_and_record_readers(self, matrix, n_max, tmp_path):
+        model = SuspensionModel(ToralAutomorphism(matrix), TABLE_ROOF, TABLE_CHANGE)
+        path = tmp_path / "orbits.txt"
+        write_orbit_dump(path, orbit_table(model, n_max), 0.05)
+        assert_matches_oracles(path)
+
+    @pytest.mark.parametrize("body", [
+        "",  # header only: zero rows
+        "\n# a comment\n\n",
+        f"# comment\n{GOOD_LINE}\n\n   # indented comment\n\t\n1 0 0 1 1.04 1 1 0 0\n",
+        f"{GOOD_LINE}\r\n1 0 0 1 1.04 1 1 0 0\r\n",
+        f"   {GOOD_LINE}   \n1\t0\t0\t1\t1.04\t1\t1\t0\t0",  # no final newline
+        "1 0 0 1 1.04 1 1 0 0\r",
+        "1 9223372036854775807 -9223372036854775807 1 1.0 -1 1 9223372036854775807 -9223372036854775807\n",
+        "1 +0 -0 0001 +1.5e0 +1 1\n3 1 2 7 .5 -1 3\n",  # no class exponents
+    ], ids=["header-only", "comments-only", "comments-between", "crlf", "tabs-no-eol", "cr-at-eof", "int64-extremes",
+            "spellings"])
+    def test_layouts_match_line_and_record_readers(self, body, tmp_path):
+        path = tmp_path / "orbits.txt"
+        path.write_bytes(f"#fried-orbits v1\n{body}".encode())
+        assert_matches_oracles(path)
+
+    def test_int64_minimum_is_refused(self, tmp_path):
+        path = tmp_path / "orbits.txt"
+        path.write_text("#fried-orbits v1\n1 0 0 1 1.0 1 1 -9223372036854775808 0\n")
+        with pytest.raises(ValidationError, match=f"^{path}:2: integer field exceeds 64 bits$"):
+            read_orbit_dump(path)
+
+    def test_first_of_two_bad_lines_is_named(self, tmp_path):
+        path = tmp_path / "orbits.txt"
+        path.write_text(f"#fried-orbits v1\n{GOOD_LINE}\n1 0 0 1 1.0 5 1 0 0\n{GOOD_LINE}\n1 0 0 1 nan 1 1 0 0\n")
+        with pytest.raises(ValidationError, match=f"^{path}:3: epsilon must be -1 or 1, got 5$"):
+            read_orbit_dump(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("1 0 0 1 1_0.5 1 1 0 0", "digit separator '_' in '1_0.5'"),
+        ("1 0 0 1_0 1.0 1 1 0 0", "digit separator '_' in '1_0'"),
+    ])
+    def test_digit_separator_is_refused(self, line, message, tmp_path):
+        # int() and float() read '_' as a digit separator; the one-parse format has none
+        path = tmp_path / "orbits.txt"
+        path.write_text(f"#fried-orbits v1\n{GOOD_LINE}\n{line}\n")
+        assert isinstance(dump_outcome(read_lines_dump, path), list)
+        with pytest.raises(ValidationError) as exc:
+            read_orbit_dump(path)
+        assert str(exc.value) == f"{path}:3: {message}"
+
+    @pytest.mark.parametrize("text, lineno, byte, col", [
+        (f"{GOOD_LINE}\n1\x0c0 0 1 1.0 1 1 0 0\n", 3, 0x0C, 2),
+        (f"{GOOD_LINE}\x00\n", 2, 0x00, len(GOOD_LINE) + 1),
+        (f"{GOOD_LINE}\r{GOOD_LINE}\n", 2, 0x0D, len(GOOD_LINE) + 1),
+        (f"# a note\x7f\n{GOOD_LINE}\n", 2, 0x7F, 9),
+        (f"# a note\r# another\n{GOOD_LINE}\n", 2, 0x0D, 9),  # np.loadtxt would skip it as two comments
+        (f"{GOOD_LINE}\r\r\n", 2, 0x0D, len(GOOD_LINE) + 1),
+    ], ids=["form-feed", "nul", "lone-cr", "del-in-comment", "lone-cr-in-comment", "cr-before-crlf"])
+    def test_control_byte_is_refused(self, text, lineno, byte, col, tmp_path):
+        path = tmp_path / "orbits.txt"
+        path.write_bytes(f"#fried-orbits v1\n{text}".encode())
+        with pytest.raises(ValidationError) as exc:
+            read_orbit_dump(path)
+        assert str(exc.value) == f"{path}:{lineno}: control byte 0x{byte:02x} at column {col}"
+
+    def test_parser_refusal_without_a_bad_line_is_an_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "orbits.txt"
+        path.write_text(f"#fried-orbits v1\n{GOOD_LINE}\n")
+        monkeypatch.setattr(toral, "_dump_rows", lambda data: None)
+        with pytest.raises(ValidationError, match="every line checks out"):
+            read_orbit_dump(path)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=dump_texts())
+    def test_outcome_matches_line_reader(self, text, tmp_path):
+        path = tmp_path / "orbits.txt"
+        path.write_bytes(text.encode())
+        assert dump_outcome(read_orbit_dump, path) == dump_outcome(read_lines_dump, path)
 
 
 class TestFractions:
