@@ -18,7 +18,7 @@ import cmath
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from .config import RunConfig
 from .continuation import cycle_zeta
@@ -39,6 +39,7 @@ from .toral import orbit_table, read_orbit_dump, write_orbit_dump
 from .torsion import fried_check
 from .variation import direct_quotient, variation_rhs
 from .zetas import (
+    TruncationPolicy,
     factorization_check,
     factorization_residual_curve,
     graded_log_zeta,
@@ -122,20 +123,22 @@ def _load_records(cfg: RunConfig):
 
     The source is a kleinian file, an orbit dump or the model section; a
     key the source does not read is refused.  A set ``policy.n_max`` drops
-    the dump's orbits of longer period.  Only the model gives a default
-    entropy, taken at ``tau.value``.
+    the dump's orbits of longer period; without it the policy's depth is
+    the dump's deepest period.  The entropy defaults to 2 for a kleinian
+    file and to the model's own at ``tau.value``; a dump needs it set.
     """
     if cfg.get("io.spectrum"):
         records = orbit_columns(read_spectrum(cfg.require_path("io.spectrum")))
         _refuse_ignored(cfg, "io.spectrum", ("model.", "rep.", "tau.value", "io.orbits", "policy.n_max"))
-        cfg.values.setdefault("policy.entropy", "2.0")
-        return records, "spectrum", cfg.policy()
+        return records, "spectrum", cfg.policy(entropy=2.0)
     if cfg.get("io.orbits"):
         dump = read_orbit_dump(cfg.require_path("io.orbits"))
         _refuse_ignored(cfg, "io.orbits", ("model.", "tau.value", "selberg.mu"))
         policy = cfg.policy()
         if cfg.get("policy.n_max") is not None:
             dump = dump.up_to(policy.max_period)
+        elif len(dump):
+            policy = replace(policy, max_period=int(dump.period.max()))
         return orbit_columns(dump), "orbit-dump", policy
     _refuse_ignored(cfg, "model", ("selberg.mu",))
     tau = cfg.get_float("tau.value", 0.0)
@@ -218,13 +221,10 @@ def cmd_fried_check(cfg: RunConfig, args):
 def cmd_selberg_factorize(cfg: RunConfig, args):
     if cfg.get("io.spectrum"):
         records = orbit_columns(read_spectrum(cfg.require_path("io.spectrum")))
-        _refuse_ignored(cfg, "io.spectrum", ("spectrum.count", "spectrum.seed", "spectrum.min_length",
-                                             "policy.n_max"))
+        _refuse_ignored(cfg, "io.spectrum", ("spectrum.",))
     else:
         records = orbit_columns(cfg.synthetic_spectrum())
-    if cfg.get("policy.entropy") is None:
-        cfg.values["policy.entropy"] = str(cfg.get_float("spectrum.h", 2.0))
-    policy = cfg.policy()
+    policy = cfg.policy(entropy=TruncationPolicy.entropy)  # the factorization reads j_max and p_max only
     lam = cfg.get_complex("lambda.value", 5.0)
     k_list = cfg.get_int_list("factorize.k", "0,1,2")
     p_grid = cfg.get_int_list("factorize.p_grid", "10,20,40")
@@ -266,7 +266,6 @@ def cmd_variation(cfg: RunConfig, args):
                 "direct_quotient": dq,
                 "relative_error": rel,
                 "richardson_diff": vr.richardson_diff,
-                "integrand_residual": vr.integrand_residual,
             }
         )
     return {"rows": rows, "max_relative_error": worst}, None
@@ -292,8 +291,10 @@ def cmd_spectrum_gen(cfg: RunConfig, args):
     kind = cfg.get("spectrum.kind", "synthetic")
     results: dict = {"kind": kind}
     if kind == "synthetic":
+        _refuse_ignored(cfg, kind, ("spectrum.generators", "spectrum.l_max"))
         records = cfg.synthetic_spectrum()
     elif kind == "schottky":
+        _refuse_ignored(cfg, kind, tuple(_SPECTRUM_KEYS))
         gens = cfg.generators()
         records = schottky_spectrum(gens, cfg.get_int("spectrum.l_max", 4))
         disc = disc_separation_report(gens)
@@ -321,21 +322,21 @@ def cmd_spectrum_gen(cfg: RunConfig, args):
 # Parser and dispatch
 # ---------------------------------------------------------------------------
 
-# Config keys each command reads.  policy.workers is accepted everywhere and
-# warned about; model and rep keys are shared by every command on the model.
+# Config keys each command reads; model and rep keys are shared by every
+# command on the model.
 _MODEL_KEYS = {"model.matrix", "model.roof", "model.time_change", "rep.u_fraction", "rep.fiber_exponents"}
-_POLICY_KEYS = {"policy.n_max", "policy.j_max", "policy.p_max", "policy.entropy", "policy.tail_tol",
-                "policy.quad_subdiv"}
 _SPECTRUM_KEYS = {"spectrum.h", "spectrum.count", "spectrum.seed", "spectrum.min_length"}
 _KNOWN_KEYS = {
-    "orbits": _MODEL_KEYS | _POLICY_KEYS | {"tau.value", "io.out"},
-    "zeta-eval": _MODEL_KEYS | _POLICY_KEYS | {"tau.value", "lambda.grid", "selberg.mu", "zeta.allow_formal",
-                                              "io.spectrum", "io.orbits", "io.csv"},
-    "zeta-continue": _MODEL_KEYS | _POLICY_KEYS | {"tau.value", "lambda.grid", "io.csv"},
-    "fried-check": _MODEL_KEYS | _POLICY_KEYS | {"tau.grid", "fried.tolerance", "io.csv"},
-    "selberg-factorize": _SPECTRUM_KEYS | _POLICY_KEYS | {"io.spectrum", "lambda.value", "factorize.k",
-                                                          "factorize.p_grid", "io.csv"},
-    "variation": _MODEL_KEYS | _POLICY_KEYS | {"lambda.value", "tau.grid"},
+    "orbits": _MODEL_KEYS | {"policy.n_max", "tau.value", "io.out"},
+    "zeta-eval": _MODEL_KEYS | {"policy.n_max", "policy.j_max", "policy.entropy", "policy.tail_tol", "tau.value",
+                                "lambda.grid", "selberg.mu", "zeta.allow_formal", "io.spectrum", "io.orbits",
+                                "io.csv"},
+    "zeta-continue": _MODEL_KEYS | {"policy.n_max", "policy.tail_tol", "tau.value", "lambda.grid", "io.csv"},
+    "fried-check": _MODEL_KEYS | {"policy.n_max", "policy.tail_tol", "tau.grid", "fried.tolerance", "io.csv"},
+    "selberg-factorize": _SPECTRUM_KEYS | {"policy.j_max", "policy.p_max", "io.spectrum", "lambda.value",
+                                           "factorize.k", "factorize.p_grid", "io.csv"},
+    "variation": _MODEL_KEYS | {"policy.n_max", "policy.j_max", "policy.entropy", "policy.quad_subdiv",
+                                "lambda.value", "tau.grid"},
     "ledger": {"ledger.k_list", "ledger.h0", "ledger.h1", "ledger.selberg_cases"},
     "spectrum-gen": _SPECTRUM_KEYS | {"spectrum.kind", "spectrum.generators", "spectrum.l_max", "io.out"},
 }
@@ -396,12 +397,9 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         cfg = RunConfig.load(args.config, args.set)
         known = _KNOWN_KEYS[args.command]
-        unknown = sorted(cfg.values.keys() - known - {"io.report", "policy.workers"})
+        unknown = sorted(cfg.values.keys() - known - {"io.report"})
         if unknown:
             raise ValidationError(f"unknown config key {', '.join(map(repr, unknown))} for {args.command}")
-        if cfg.get("policy.workers") is not None:
-            print("warning: policy.workers is ignored: the Birkhoff kernel runs on one thread",
-                  file=sys.stderr)
         results, csv = _COMMANDS[args.command](cfg, args)
         report = Report(args.command, cfg.values, results, time.perf_counter() - t0)
         # a command that writes a data file to --out sends its report to io.report only

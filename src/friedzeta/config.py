@@ -187,8 +187,10 @@ class RunConfig:
             exps = tuple(0 for _ in orders)
         return Character.from_angle_fraction(frac, orders, exps)
 
-    def policy(self, model: SuspensionModel | None = None, tau: float = 0.0) -> TruncationPolicy:
-        entropy = self.get_float("policy.entropy")
+    def policy(self, model: SuspensionModel | None = None, tau: float = 0.0,
+               entropy: float | None = None) -> TruncationPolicy:
+        """The ``policy.*`` keys; an unset entropy is ``entropy``, else the model's at ``tau``."""
+        entropy = self.get_float("policy.entropy", entropy)
         if entropy is None:
             if model is None:
                 raise ValidationError("policy.entropy is required without a model section")

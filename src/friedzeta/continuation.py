@@ -53,6 +53,7 @@ class DynamicalDeterminant:
     value: complex
     n_used: int
     reliable: bool
+    tail_bound: float
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
@@ -122,8 +123,15 @@ def trace_sums(
     return s_values, counts
 
 
-def _plemelj_smithies(traces: list[complex], tail_tol: float, n_max: int):
-    """Coefficient recursion with compensated sums and decay-based stop."""
+def _plemelj_smithies(traces: list[complex], tail_tol: float, n_max: int, window: int):
+    """Coefficient recursion with compensated sums and a decay-based stop.
+
+    Past n = 2 it stops at an exact zero, or once the last ``window``
+    coefficients are all below ``tail_tol``: under a fiber character of
+    order q the coefficients off multiples of q can vanish by symmetry,
+    so one small coefficient does not show decay.  The tail bound is 0
+    after an exact zero and else the largest of the last ``window``.
+    """
     coeffs: list[complex] = [1.0 + 0.0j]
     warnings: list[str] = []
     reliable = True
@@ -138,11 +146,20 @@ def _plemelj_smithies(traces: list[complex], tail_tol: float, n_max: int):
         coeffs.append(c)
         if n >= 4 and abs(coeffs[n]) > abs(coeffs[n - 1]) >= tail_tol:
             reliable = False
-        if n >= 3 and abs(c) < tail_tol:
+        if n >= 3 and (c == 0 or all(abs(x) < tail_tol for x in coeffs[-window:])):
             break
     if not reliable:
         warnings.append("continuation unreliable: coefficient decay is not monotone past n=4")
-    return coeffs, reliable, warnings
+    tail = 0.0 if coeffs[-1] == 0 else max(abs(x) for x in coeffs[-window:])
+    return coeffs, tail, reliable, warnings
+
+
+def _fiber_order(representation: Character | None) -> int:
+    """Order of the fiber part of the character (1 when trivial)."""
+    if representation is None:
+        return 1
+    pairs = zip(representation.fiber_exponents, representation.fiber_orders)
+    return math.lcm(*(d // math.gcd(e, d) for e, d in pairs))
 
 
 def dynamical_determinant(
@@ -172,8 +189,9 @@ def dynamical_determinant(
         for m in range(1, n_max + 1)
     ]
     u = 1.0 + 0.0j if representation is None else complex(representation.circle)
+    window = max(2, _fiber_order(representation))
     try:
-        coeffs, reliable, warnings = _plemelj_smithies(traces, tail_tol, n_max)
+        coeffs, tail, reliable, warnings = _plemelj_smithies(traces, tail_tol, n_max, window)
         u_pow = 1.0 + 0.0j
         re_parts = []
         im_parts = []
@@ -196,6 +214,7 @@ def dynamical_determinant(
         value=value,
         n_used=len(coeffs) - 1,
         reliable=reliable,
+        tail_bound=tail,
         warnings=tuple(warnings),
     )
 
@@ -215,8 +234,8 @@ class CycleZeta:
 
     @property
     def tail_bound(self) -> float:
-        """Heuristic truncation error: the largest last coefficient magnitude."""
-        return max(abs(d.coefficients[-1]) for d in self.determinants)
+        """Heuristic truncation error: the largest tail bound of the three determinants."""
+        return max(d.tail_bound for d in self.determinants)
 
 
 def check_resonance_at_zero(dets, resonance_tol: float = 1e-9) -> None:

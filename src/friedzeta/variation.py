@@ -62,7 +62,6 @@ class VariationResult:
     ratio: complex
     integral: complex
     richardson_diff: float
-    integrand_residual: float
     subdivisions: int
 
 
@@ -80,9 +79,7 @@ def variation_rhs(
     orbit sum of :func:`_orbit_sum`, with composite Simpson quadrature on
     ``2 * policy.quad_subdiv`` panels.  The rule on ``policy.quad_subdiv``
     panels reads the even nodes of the same grid, and the two ratios must
-    agree to ``richardson_tol``.  Also reports the worst disagreement
-    between the time-change-symbol integrand and its wedge-trace
-    determinant form on sampled orbit iterates.
+    agree to ``richardson_tol``.
     """
     lam = complex(lam)
     if lam.real <= policy.entropy:
@@ -108,32 +105,7 @@ def variation_rhs(
         raise ConvergenceError(
             f"Richardson check failed: doubling quadrature moved the ratio by {diff:.3e}"
         )
-    residual = _integrand_residual(table, twist, lam, tau / 2.0, min(3, policy.j_max))
-    return VariationResult(ratio, integral, diff, residual, panels)
-
-
-def _integrand_residual(table: OrbitTable, twist, lam: complex, tau_prime: float, j_top: int) -> float:
-    """Agreement of the symbol form and the wedge-trace form on the first 64 orbits, iterates 1..j_top.
-
-    The wedge form is assembled literally from the alternating wedge
-    traces with the time-change derivation inserted in the flow slot, so
-    the comparison exercises the determinant expansion, not a
-    pre-simplified identity.
-    """
-    rows = slice(0, 64)
-    eps, lam_u, lam_s, _ = (column[rows, None] for column in table.transverse())
-    rho = twist[rows, None] * eps  # twist = eps * rho with eps = +-1
-    int_q = -table.slope[rows, None]
-    j = np.arange(1, j_top + 1)
-    lu, ls = lam_u**j, lam_s**j
-    det = (1.0 - lu) * (1.0 - ls)
-    weight = np.exp(-lam * j * table.lengths(tau_prime)[rows, None]) * rho**j
-    symbol_form = int_q * eps**j * weight
-    # sum_k (-1)^k (integral of Tr(A^(k) wedge^k dphi^j)) / |det(1-P^j)|
-    elem = [1.0, ls + lu, ls * lu]  # e_0, e_1, e_2 of transverse eigenvalues
-    alt = sum((-1.0) ** k * elem[k - 1] for k in range(1, 4))
-    wedge_form = (j * int_q) * alt * weight / (j * np.abs(det))
-    return float(np.abs(symbol_form - wedge_form).max(initial=0.0))
+    return VariationResult(ratio, integral, diff, panels)
 
 
 def direct_quotient(

@@ -34,6 +34,9 @@ CAT_SETTINGS = [
     "model.roof=const:1.0",
     "rep.u_fraction=0.5",
 ]
+# the two generators of a rank-2 Schottky group
+SCHOTTKY_GENERATORS = ("3 0 0 0 0 0 0.3333333333333333 0;"
+                       "1.6666666666666667 0 1.3333333333333333 0 1.3333333333333333 0 1.6666666666666667 0")
 
 
 def run(command, *settings, out=None, csv=None):
@@ -233,9 +236,8 @@ class TestSpectrumGen:
 
     def test_schottky_round_trip(self, tmp_path, capsys):
         out = tmp_path / "schottky.txt"
-        gens = "3 0 0 0 0 0 0.3333333333333333 0;1.6666666666666667 0 1.3333333333333333 0 1.3333333333333333 0 1.6666666666666667 0"
         code = run(
-            "spectrum-gen", "spectrum.kind=schottky", f"spectrum.generators={gens}",
+            "spectrum-gen", "spectrum.kind=schottky", f"spectrum.generators={SCHOTTKY_GENERATORS}",
             "spectrum.l_max=3", out=out,
         )
         assert code == 0
@@ -299,6 +301,18 @@ class TestZetaContinue:
             assert row["tail_bound"] == z.tail_bound
             assert row["d_values"] == [{"re": d.real, "im": d.imag} for d in z.d_values]
 
+    def test_fiber_twist_row_matches_a_tight_tolerance(self, capsys):
+        # odd coefficients vanish under the order-2 fiber character; the row once stopped at c_3
+        settings = ["model.matrix=3 2 1 1", "model.roof=const:1 cos:1,0:0.05", "rep.u_fraction=0.5",
+                    "rep.fiber_exponents=0 1", "policy.n_max=12", "lambda.grid=0.7+0.4i"]
+        rows = {}
+        for tol in ("1e-12", "1e-30"):
+            assert run("zeta-continue", *settings, f"policy.tail_tol={tol}") == 0
+            rows[tol] = json.loads(capsys.readouterr().out)["results"]["rows"][0]
+        got, want = (complex(rows[t]["log_value_re"], rows[t]["log_value_im"]) for t in ("1e-12", "1e-30"))
+        assert abs(got - want) < 1e-13
+        assert rows["1e-12"]["reliable"] and rows["1e-12"]["tail_bound"] < 1e-12
+
 
 class TestConfigFile:
     def test_file_plus_override(self, tmp_path, capsys):
@@ -349,9 +363,42 @@ REFUSED = [
     ("zeta-eval", "io.spectrum", "rep.fiber_exponents=0 0"),
     ("zeta-eval", "io.spectrum", "io.orbits={orbits}"),
     ("zeta-eval", "io.spectrum", "policy.n_max=3"),
-    ("selberg-factorize", "io.spectrum", "policy.n_max=3"),
     ("zeta-eval", "model", "selberg.mu=sigma:2*nu:1"),
 ]
+
+
+# (command, source, setting): a setting that changes no output of the command.  Source None: no
+# code of the command reads the key (a policy field, or policy.workers), so it is unknown; else
+# only the other source reads it.
+UNREAD_POLICY = {
+    "orbits": ("j_max=4", "p_max=5", "entropy=9", "tail_tol=1e-3", "quad_subdiv=4"),
+    "zeta-eval": ("p_max=5", "quad_subdiv=4"),
+    "zeta-continue": ("j_max=2", "p_max=5", "entropy=9", "quad_subdiv=4"),
+    "fried-check": ("j_max=2", "p_max=5", "entropy=9", "quad_subdiv=4"),
+    "selberg-factorize": ("n_max=3", "entropy=9", "tail_tol=1e-3", "quad_subdiv=4"),
+    "variation": ("p_max=5", "tail_tol=1e-3"),
+}
+UNREAD = [(command, None, f"policy.{s}") for command, fields in UNREAD_POLICY.items() for s in fields]
+UNREAD += [(command, None, "policy.workers=2") for command in _KNOWN_KEYS]
+UNREAD += [("selberg-factorize", "io.spectrum", "spectrum.h=7")]
+UNREAD += [("spectrum-gen", "schottky", s)
+           for s in ("spectrum.h=9", "spectrum.count=5", "spectrum.seed=3", "spectrum.min_length=0.5")]
+UNREAD += [("spectrum-gen", "synthetic", s)
+           for s in (f"spectrum.generators={SCHOTTKY_GENERATORS}", "spectrum.l_max=2")]
+# settings under which each command, or each source, runs and exits 0
+RUNS = {
+    "orbits": [*CAT_SETTINGS, "policy.n_max=3"],
+    "zeta-eval": [*CAT_SETTINGS, "policy.n_max=4", "lambda.grid=4"],
+    "zeta-continue": [*CAT_SETTINGS, "policy.n_max=4", "lambda.grid=1"],
+    "fried-check": [*CAT_SETTINGS, "policy.n_max=4"],
+    "selberg-factorize": ["spectrum.count=20", "factorize.k=0"],
+    "variation": [*CAT_SETTINGS, "policy.n_max=4", "tau.grid=0.05"],
+    "ledger": [],
+    "spectrum-gen": ["spectrum.count=5"],
+    "io.spectrum": ["io.spectrum={spectrum}", "factorize.k=0"],
+    "schottky": ["spectrum.kind=schottky", f"spectrum.generators={SCHOTTKY_GENERATORS}", "spectrum.l_max=2"],
+    "synthetic": ["spectrum.kind=synthetic", "spectrum.count=5"],
+}
 
 
 class TestConfigKeys:
@@ -380,25 +427,55 @@ class TestConfigKeys:
         for metric, module, attribute, _ in tracing.TARGETS:
             assert callable(getattr(importlib.import_module(module), attribute, None)), metric
 
+    @pytest.mark.parametrize("workload", ["euler", "variation", "continue", "selberg"])
+    def test_traced_run_measures_every_per_layer_metric(self, workload):
+        # a traced function that is gone, or whose work counter no longer fits its call, drops its
+        # metric from the result and prints an "absent:" line; the benchmark refuses such a run
+        root = Path(__file__).resolve().parent.parent
+        spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "1", "--size", "smoke",
+             "--seconds", "1"],
+            capture_output=True, text=True, cwd=root, timeout=170,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert not [line for line in lines if line.startswith("absent:")]
+        assert set(json.loads(lines[-1])["metrics"]) == {m["name"] for m in spec["per_layer"]}
+
     @pytest.mark.parametrize("command, source, setting", REFUSED, ids=lambda v: str(v))
     def test_key_the_source_does_not_read_is_refused(self, command, source, setting, source_files, capsys):
         settings = [setting.format(orbits=source_files["io.orbits"])]
-        settings += CAT_SETTINGS if source == "model" else [f"{source}={source_files[source]}", "policy.entropy=1.0"]
+        settings += CAT_SETTINGS if source == "model" else [f"{source}={source_files[source]}"]
         if command == "zeta-eval":
             settings.append("lambda.grid=4")
         assert run(command, *settings) == 1
         key = setting.split("=", 1)[0]
         assert capsys.readouterr().err == f"error: config key {key!r} does not apply to the {source} source\n"
 
+    @pytest.mark.parametrize("command, source, setting", UNREAD, ids=lambda v: str(v))
+    def test_setting_no_code_reads_is_refused(self, command, source, setting, source_files, tmp_path, capsys):
+        settings = [s.format(spectrum=source_files["io.spectrum"]) for s in RUNS[source or command]]
+        assert run(command, *settings, out=tmp_path / "out.txt") == 0
+        capsys.readouterr()
+        assert run(command, *settings, setting, out=tmp_path / "out.txt") == 1
+        key = setting.split("=", 1)[0]
+        if source:
+            message = f"config key {key!r} does not apply to the {source} source"
+        else:
+            message = f"unknown config key {key!r} for {command}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("command, source, settings", [
         # the euler benchmark's dump job passes rep.u_fraction, which the dump reader still drops
         ("zeta-eval", "io.orbits", ["rep.u_fraction=0.5", "rep.fiber_exponents=0 0", "policy.n_max=4",
-                                    "lambda.grid=4"]),
-        ("zeta-eval", "io.spectrum", ["selberg.mu=sigma:2*nu:1", "policy.j_max=4", "lambda.grid=4"]),
-        ("selberg-factorize", "io.spectrum", ["spectrum.h=2.0", "policy.j_max=4", "factorize.k=0"]),
+                                    "policy.entropy=1.0", "lambda.grid=4"]),
+        ("zeta-eval", "io.spectrum", ["selberg.mu=sigma:2*nu:1", "policy.j_max=4", "policy.entropy=1.0",
+                                      "lambda.grid=4"]),
+        ("selberg-factorize", "io.spectrum", ["policy.j_max=4", "policy.p_max=30", "factorize.k=0"]),
     ])
     def test_keys_the_source_reads_are_accepted(self, command, source, settings, source_files, capsys):
-        assert run(command, f"{source}={source_files[source]}", "policy.entropy=1.0", *settings) == 0
+        assert run(command, f"{source}={source_files[source]}", *settings) == 0
         capsys.readouterr()
 
 
@@ -496,18 +573,26 @@ class TestOrbitDumpPipeline:
         assert log_zeta(f"io.orbits={dumps[8]}", entropy) == log_zeta(f"io.orbits={dumps[8]}", "policy.n_max=8",
                                                                         entropy) != deep_at_4
 
+    def test_max_period_is_the_depth_summed(self, tmp_path, capsys):
+        dump, empty = tmp_path / "orbits.txt", tmp_path / "empty.txt"
+        assert run("orbits", *CAT_SETTINGS, "policy.n_max=5", out=dump) == 0
+        empty.write_text("#fried-orbits v1\n", encoding="ascii")
+        capsys.readouterr()
+        depths = []
+        # the dump's deepest period, a set n_max, and the default for a dump without orbits
+        for settings in ([f"io.orbits={dump}"], [f"io.orbits={dump}", "policy.n_max=3"], [f"io.orbits={empty}"]):
+            assert run("zeta-eval", *settings, "policy.entropy=1.0", "lambda.grid=4") == 0
+            depths.append(json.loads(capsys.readouterr().out)["results"]["rows"][0]["policy"]["max_period"])
+        assert depths == [5, 3, 12]
+
 
 class TestSchottkyFactorizePipeline:
     def test_rank2_l6_under_60s(self, tmp_path, capsys):
         import time
 
         spec = tmp_path / "schottky.txt"
-        gens = (
-            "3 0 0 0 0 0 0.3333333333333333 0;"
-            "1.6666666666666667 0 1.3333333333333333 0 1.3333333333333333 0 1.6666666666666667 0"
-        )
         assert run(
-            "spectrum-gen", "spectrum.kind=schottky", f"spectrum.generators={gens}",
+            "spectrum-gen", "spectrum.kind=schottky", f"spectrum.generators={SCHOTTKY_GENERATORS}",
             "spectrum.l_max=6", out=spec,
         ) == 0
         capsys.readouterr()
@@ -515,7 +600,6 @@ class TestSchottkyFactorizePipeline:
         code = run(
             "selberg-factorize",
             f"io.spectrum={spec}",
-            "policy.entropy=2.0",
             "policy.j_max=4",
             "factorize.p_grid=10,20",
             "lambda.value=5.0",
@@ -732,22 +816,11 @@ class TestInputBoundary:
         assert err.startswith("error: integer data")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("workers", ["4", "many"])
-    def test_workers_key_is_accepted_and_ignored(self, workers, capsys):
-        settings = [*CAT_SETTINGS, "policy.n_max=6", "lambda.grid=1"]
-        assert run("zeta-continue", *settings) == 0
-        plain = json.loads(capsys.readouterr().out)["results"]
-        assert run("zeta-continue", *settings, f"policy.workers={workers}") == 0
-        captured = capsys.readouterr()
-        assert captured.err == "warning: policy.workers is ignored: the Birkhoff kernel runs on one thread\n"
-        assert json.loads(captured.out)["results"] == plain
-
 
 FUZZ_KEYS = (
     "policy.n_max",
     "policy.j_max",
     "policy.entropy",
-    "policy.workers",
     "model.roof",
     "model.time_change",
     "rep.u_fraction",
@@ -772,7 +845,7 @@ def test_fuzzed_settings_exit_cleanly(command, values, extra, capsys):
         pass
     pairs = ["model.matrix=2 1 1 1", "policy.n_max=4", "lambda.grid=4"]
     pairs += [f"{key}={value}" for key, value in values.items()]
-    if extra is not None and extra not in _KNOWN_KEYS[command] | {"io.report", "policy.workers"}:
+    if extra is not None and extra not in _KNOWN_KEYS[command] | {"io.report"}:
         assert run(command, *pairs, f"{extra}=1") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: unknown config key") and repr(extra) in err

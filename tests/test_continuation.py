@@ -101,6 +101,23 @@ class TestDeterminants:
         assert all(c == 0 for c in d.coefficients[3:])
         assert d.reliable
 
+    def test_fiber_twist_does_not_stop_on_one_small_coefficient(self):
+        # under an order-2 fiber character the odd coefficients of d_1 vanish by symmetry: c_3 is
+        # rounding noise while c_4 is 4.9e-7, so a stop at the first small coefficient drops c_4
+        a = ToralAutomorphism(((3, 2), (1, 1)))
+        model = SuspensionModel(a, TrigPolynomial(1.0, ((1, 0, 0.05, 0.0),)))
+        chi = Character.from_angle_fraction(0.5, a.coker_orders, (0, 1))
+        lam = 0.7 + 0.4j
+        z = cycle_zeta(model, chi, lam, TruncationPolicy(max_period=12))
+        exact = cycle_zeta(model, chi, lam, TruncationPolicy(max_period=12, tail_tol=1e-30))
+        assert abs(cmath.log(z.value) - cmath.log(exact.value)) < 1e-13
+        assert z.reliable
+        d1 = z.determinants[1]
+        assert d1.n_used > 4 and abs(d1.coefficients[4]) > 1e-7
+        # the bound is the largest of the last two coefficients, both below the tolerance
+        assert d1.tail_bound == max(abs(c) for c in d1.coefficients[-2:]) < 1e-12
+        assert z.tail_bound == max(d.tail_bound for d in z.determinants)
+
     def test_recursion_invariant(self, perturbed_model, rep_minus):
         d = dynamical_determinant(perturbed_model, rep_minus, 1, 1.2, 10, tail_tol=1e-30)
         t, c = d.traces, d.coefficients

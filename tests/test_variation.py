@@ -41,7 +41,6 @@ class TestVariationRHS:
         dq = direct_quotient(cat_family, rep_minus, 3.0, 0.1, pol)
         assert abs(vr.ratio - dq) / abs(dq) < 1e-6
         assert vr.richardson_diff < 1e-8
-        assert vr.integrand_residual < 1e-12
 
     def test_nonconstant_roof_family(self, cat):
         model = SuspensionModel(
@@ -92,28 +91,6 @@ def two_grid_ratio(model, representation, lam, tau, policy):
     return ratio_fine, integral, abs(ratio_fine - ratio_coarse)
 
 
-def loop_residual(table, twist, lam, tau_prime, j_top):
-    """Oracle: the symbol form against the wedge-trace form, one orbit and one iterate at a time."""
-    auto = table.model.automorphism
-    lengths = table.lengths(tau_prime)
-    worst = 0.0
-    for i in range(min(len(table.period), 64)):
-        n = int(table.period[i])
-        eps = orientation_index(auto, n)
-        rho = twist[i] * eps
-        int_q = -table.slope[i]
-        for j in range(1, j_top + 1):
-            lu, ls = (auto.lam_u**n) ** j, (auto.lam_s**n) ** j
-            det = (1.0 - lu) * (1.0 - ls)
-            weight = cmath.exp(-lam * j * lengths[i]) * rho**j
-            symbol_form = int_q * eps**j * weight
-            elem = [1.0, ls + lu, ls * lu]
-            alt = sum((-1.0) ** k * elem[k - 1] for k in range(1, 4))
-            wedge_form = (j * int_q) * alt * weight / (j * abs(det))
-            worst = max(worst, abs(symbol_form - wedge_form))
-    return worst
-
-
 def _cat_half():
     cat = ToralAutomorphism(((2, 1), (1, 1)))
     model = SuspensionModel(cat, TrigPolynomial.const(1.0), TrigPolynomial.cosine((1, 0), 0.05))
@@ -157,30 +134,6 @@ class TestOneQuadratureGrid:
         vr = variation_rhs(model, rep, lam, tau, pol)
         assert (vr.ratio, vr.integral, vr.richardson_diff) == two_grid_ratio(model, rep, lam, tau, pol)
         assert vr.subdivisions == 2 * pol.quad_subdiv
-
-    @pytest.mark.parametrize("case", ONE_GRID_CASES.values(), ids=ONE_GRID_CASES.keys())
-    def test_residual_equals_loop_oracle(self, case):
-        model, rep, lam, tau = case()
-        pol = policy_for(model, max_period=10)
-        table = orbit_table(model, pol.max_period)
-        want = loop_residual(table, loop_twist(table, rep), complex(lam), tau / 2.0, 3)
-        got = variation_rhs(model, rep, lam, tau, pol).integrand_residual
-        if complex(lam).imag == 0.0:
-            assert got == want
-        else:
-            assert abs(got - want) <= 1e-18
-        assert got < 1e-12
-
-    def test_residual_reads_the_first_64_rows_at_tau_prime(self):
-        # row r scaled by 2^r (rows past 79 by 2^80): exact scalings that put the maximum in the last rows read
-        model, rep, lam, _ = _cat_half()
-        table = orbit_table(model, 10)
-        rows = np.arange(len(table.period))
-        twist = loop_twist(table, rep) * 2.0 ** np.minimum(rows, 80)
-        want = loop_residual(table, twist, complex(lam), 5.0, 3)
-        assert variation._integrand_residual(table, twist, complex(lam), 5.0, 3) == want
-        assert want > loop_residual(table, np.where(rows < 48, twist, 0.0), complex(lam), 5.0, 3)
-        assert want != loop_residual(table, twist, complex(lam), 0.0, 3)
 
     def test_twist_equals_loop_twist(self):
         for case in ONE_GRID_CASES.values():
