@@ -59,7 +59,7 @@ class Report:
     timing_seconds: float
 
     def write(self, path: str | None):
-        payload = json.dumps(asdict(self), indent=2, default=_jsonify)
+        payload = json.dumps(vars(self), indent=2, default=_jsonify)  # vars: asdict would deep-copy the results
         if path:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(payload + "\n")
@@ -226,7 +226,7 @@ def cmd_selberg_factorize(cfg: RunConfig, args):
         records = orbit_columns(cfg.synthetic_spectrum())
     policy = cfg.policy(entropy=TruncationPolicy.entropy)  # the factorization reads j_max and p_max only
     lam = cfg.get_complex("lambda.value", 5.0)
-    k_list = cfg.get_int_list("factorize.k", "0,1,2")
+    k_list = cfg.get_int_list("factorize.k", "0,1,2", distinct=True)
     p_grid = cfg.get_int_list("factorize.p_grid", "10,20,40")
     results = {}
     csv_rows = []
@@ -273,7 +273,7 @@ def cmd_variation(cfg: RunConfig, args):
 
 def cmd_ledger(cfg: RunConfig, args):
     results = {}
-    k_list = cfg.get_int_list("ledger.k_list", "0,1,2")
+    k_list = cfg.get_int_list("ledger.k_list", "0,1,2", distinct=True)
     results["condition_cases"] = {f"k={k}": condition_enumerate(k) for k in k_list}
     h0 = cfg.get_int("ledger.h0", 0)
     h1 = cfg.get_int("ledger.h1", 0)
@@ -360,13 +360,15 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; with a known ``command`` it holds only that command's subparser."""
     parser = _Parser(
         prog="friedzeta",
         description="Dynamical zeta functions, cycle-expansion continuation and torsion checks.",
     )
     sub = parser.add_subparsers(dest="command")
-    for name, known in _KNOWN_KEYS.items():
+    for name in [command] if command in _KNOWN_KEYS else _KNOWN_KEYS:
+        known = _KNOWN_KEYS[name]
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -388,7 +390,8 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if not args.command:

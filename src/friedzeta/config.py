@@ -151,8 +151,11 @@ class RunConfig:
         raw = self.get(key)
         return _parse_complex(raw, key) if raw is not None else complex(default)
 
-    def get_int_list(self, key: str, default: str) -> list[int]:
-        return _int_list(self.get(key, default), key)
+    def get_int_list(self, key: str, default: str, distinct: bool = False) -> list[int]:
+        values = _int_list(self.get(key, default), key)
+        if distinct and len(set(values)) < len(values):
+            raise ValidationError(f"{key} = {self.get(key)!r} lists an entry twice")
+        return values
 
     def require_path(self, key: str) -> str:
         path = self.get(key, required=True)

@@ -3,10 +3,10 @@
 Every product reads :class:`OrbitColumns`, built once per spectrum, and
 is one (orbit x iterate) array, with iterate powers taken by
 ``np.cumprod``, summed by :func:`~friedzeta.summation.block_sum`, so values
-are reproducible bit for bit.  The λ-free graded factors are built once
-per columns and ``j_max``, the phases once per λ; both are kept on the
-columns.  The n0 = 2 Poincaré data and characters are closed forms;
-``poincare_data`` and ``char_sigma`` are their references in the tests.
+are reproducible bit for bit.  The λ-free graded factors and Kleinian
+tables are built once per columns and ``j_max``, the phases once per λ; all
+are kept on the columns.  The n0 = 2 Poincaré data and characters are closed
+forms; ``poincare_data`` and ``char_sigma`` are their references in the tests.
 Tail bounds are Margulis-type geometric estimates anchored on the last
 length shell actually summed.
 """
@@ -98,8 +98,8 @@ class OrbitColumns:
     ``lam_s`` of the transverse return map and ``det_power = det(A)^period``
     (``nan`` eigenvalues for orbit-dump rows); Kleinian rows carry the
     holonomy angle ``theta`` instead.  Arrays derived from the columns (the
-    graded factors, the current λ's phases) are kept with them and freed
-    with them.
+    graded factors, the current λ's phases, the Kleinian iterates and the
+    factorization's tables) are kept with them and freed with them.
     """
 
     length: np.ndarray
@@ -197,12 +197,13 @@ def _in_float_range(lam: complex):
             raise ConvergenceError(f"Euler product at lambda={lam} leaves floating point: {exc}") from None
 
 
-def _kept(cols: OrbitColumns, name: str, key, build) -> np.ndarray:
-    """``build()``, kept read-only on ``cols`` until ``name`` is asked for with another ``key``."""
+def _kept(cols: OrbitColumns, name: str, key, build):
+    """``build()`` (an array or a tuple of them), kept read-only on ``cols`` until ``name`` has another ``key``."""
     kept = cols._derived.get(name)
     if kept is None or kept[0] != key:
         value = build()
-        value.flags.writeable = False
+        for array in value if isinstance(value, tuple) else (value,):
+            array.flags.writeable = False
         kept = cols._derived[name] = (key, value)
     return kept[1]
 
@@ -237,6 +238,11 @@ def _class_angles(cols: OrbitColumns, j_max: int) -> np.ndarray:
     return np.where(x <= -math.pi, x + TWO_PI, x)
 
 
+def _iterates(cols: OrbitColumns, j_max: int):
+    """``_kleinian_iterates`` and ``_class_angles``, built once per ``j_max``."""
+    return _kept(cols, "iterates", j_max, lambda: (*_kleinian_iterates(cols, j_max), _class_angles(cols, j_max)))
+
+
 def _det_one_minus_ps(a, c):
     """``det(1 - P_s^j) = 1 - 2 e^{-jl} cos(j theta) + e^{-2jl}``."""
     return 1.0 - 2.0 * a * c + a * a
@@ -263,7 +269,7 @@ def _wedge_traces(cols: OrbitColumns, j_max: int):
         det = np.abs(r, out=r)
         det *= np.abs(s, out=s)
         return (r_abs, e1, e2), det
-    a, b, c = _kleinian_iterates(cols, j_max)
+    a, b, c, _ = _iterates(cols, j_max)
     e1 = 2.0 * (a + b) * c  # 4 cosh(j l) cos(j theta)
     traces = (1.0, e1, a * a + b * b + 4.0 * c * c, e1, 1.0)
     return traces, np.abs(_det_one_minus_ps(a, c) * _det_one_minus_ps(b, c))
@@ -456,8 +462,7 @@ def selberg_log_zeta(
     labels = (mu,) if isinstance(mu, IrrepLabel) else tuple(mu)
     cols = _kleinian_columns(spectrum, representation, "Selberg zetas")
     with _in_float_range(lam):
-        a, _, c = _kleinian_iterates(cols, policy.j_max)
-        x = _class_angles(cols, policy.j_max)
+        a, _, c, x = _iterates(cols, policy.j_max)
         chi = np.prod([_label_character(label, x) for label in labels], axis=0)
         weights = _phases(cols, lam, policy.j_max) * chi / _det_one_minus_ps(a, c)
         return _zeta_value(cols, _terms(cols, weights), lam, "selberg", policy)
@@ -481,29 +486,38 @@ def _factorization_weights(cols: OrbitColumns, k: int, j_max: int, p_values):
     The truncated sum ``sum_{p+2q<=P} sigma_p e^{-(p+2q) j l}`` equals
     ``sum_{n<=P} h_n e^{-n j l}``, ``h_n = sin((n+1) x) / sin x``; ``h_n`` comes
     from ``h_n = 2 cos x h_{n-1} - h_{n-2}`` (sound at ``x = 0``) and one
-    cumulative sum over ``n`` yields every order ``P``.
+    cumulative sum over ``n`` yields every order ``P``.  The k-free arrays
+    are kept per ``j_max``, the sums up to the highest ``P`` asked so far.
     """
     if not 0 <= k <= N0:
         raise ValidationError("k must be in 0..n0")
     if min(p_values) < 0:
         raise ValidationError("truncation orders must be positive")
-    traces, det = _wedge_traces(cols, j_max)
-    lhs = traces[k] / det
-    a, _, c = _kleinian_iterates(cols, j_max)
-    c_class = np.cos(_class_angles(cols, j_max))
+    a, _, c, x = _iterates(cols, j_max)
+
+    def k_free():  # Tr(wedge^k P^j) / |det(1 - P^j)| for k <= n0, cos x and det(1 - P_s^j)
+        traces, det = _wedge_traces(cols, j_max)
+        return np.stack([trace / det for trace in traces[:N0 + 1]]), np.cos(x), _det_one_minus_ps(a, c)
+
+    lhs, c_class, det_ps = _kept(cols, "factorization", j_max, k_free)
     nu = (1.0, 2.0 * c_class, 1.0)
     # e^{-(n0+k) j l} e^{2 l j l} = a^(n0+k-2l), a nonnegative power for k <= n0
     ang = sum(a ** (N0 + k - 2 * l) * nu[l] * nu[k - l] for l in range(k + 1))
-    top = max(p_values)
-    _require_cells(c.size * (top + 1))
-    shells = np.empty(c.shape + (top + 1,))
-    h_prev, h, a_n = np.zeros_like(c), np.ones_like(c), np.ones_like(a)
-    for n in range(top + 1):
-        shells[..., n] = h * a_n
-        h_prev, h, a_n = h, 2.0 * c_class * h - h_prev, a_n * a
-    sym = np.cumsum(shells, axis=-1)
-    factor = ang / _det_one_minus_ps(a, c)
-    return lhs, [factor * sym[..., p] for p in p_values]
+    kept = cols._derived.get("shells")
+    top = max(max(p_values), kept[0][1]) if kept and kept[0][0] == j_max else max(p_values)
+
+    def shell_sums():
+        _require_cells(c.size * (top + 1))
+        shells = np.empty(c.shape + (top + 1,))
+        h_prev, h, a_n = np.zeros_like(c), np.ones_like(c), np.ones_like(a)
+        for n in range(top + 1):
+            shells[..., n] = h * a_n
+            h_prev, h, a_n = h, 2.0 * c_class * h - h_prev, a_n * a
+        return np.cumsum(shells, axis=-1)
+
+    sym = _kept(cols, "shells", (j_max, top), shell_sums)
+    factor = ang / det_ps
+    return lhs[k], [factor * sym[..., p] for p in p_values]
 
 
 def _relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, float]:

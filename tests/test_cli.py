@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,8 @@ from friedzeta import (
     ruelle_log_zeta,
     write_spectrum,
 )
-from friedzeta.cli import _COMMANDS, _KNOWN_KEYS, build_parser, main
+from friedzeta import cli, zetas
+from friedzeta.cli import _COMMANDS, _KNOWN_KEYS, _jsonify, build_parser, main
 from friedzeta.config import RunConfig
 
 from dump_oracle import read_lines_dump, read_records_dump
@@ -273,6 +275,15 @@ class TestSelbergFactorizeCommand:
         for k in (0, 1, 2):
             assert payload["results"][f"k={k}"]["max_rel_residual"] < 1e-10
         assert csv.read_text().startswith("k,p_max,max_rel_residual\n")
+
+    def test_iterates_are_built_once_per_run(self, monkeypatch, capsys):
+        # the check and the residual curve of every k read one set of kept arrays
+        calls = []
+        build = zetas._kleinian_iterates
+        monkeypatch.setattr(zetas, "_kleinian_iterates", lambda *args: calls.append(args) or build(*args))
+        assert run("selberg-factorize", "spectrum.count=20", "factorize.k=0,1,2") == 0
+        capsys.readouterr()
+        assert len(calls) == 1
 
 
 class TestZetaContinue:
@@ -633,6 +644,9 @@ MALFORMED = [
     ["fried-check", "tau.grid=,"],
     ["zeta-eval", "lambda.grid=,"],
     ["zeta-continue", "lambda.grid=;"],
+    # a repeated k, which once ran and reported one entry for it (and two CSV rows)
+    ["selberg-factorize", "spectrum.count=5", "factorize.k=0,0"],
+    ["ledger", "ledger.k_list=0,1,0"],
 ]
 
 
@@ -704,15 +718,90 @@ class TestUsage:
         assert exc.value.code == 0
         assert "--allow-formal" in capsys.readouterr().out
 
+    @staticmethod
+    def parsed(parser, argv, capsys):
+        """What ``parser`` makes of ``argv``: the parsed values, the usage error or the exit with its output."""
+        try:
+            return vars(parser.parse_args(argv))
+        except ValidationError as exc:
+            return f"error: {exc}"
+        except SystemExit as exc:
+            return exc.code, capsys.readouterr()
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_one_command_parser_parses_as_the_full_one(self, command, tmp_path, capsys):
+        argvs = [["--help"], ["--bogus"], ["--set"], ["--out"], ["--se", "a.b=1"], ["--set", "a.b=1", "--se", "c=2"],
+                 ["--csv", str(tmp_path / "out.csv")], ["--allow-formal"], ["--config"], []]
+        for argv in argvs:
+            want = self.parsed(build_parser(), [command, *argv], capsys)
+            assert self.parsed(build_parser(command), [command, *argv], capsys) == want, argv
+        assert "--help" in build_parser(command).format_help()
+        assert self.parsed(build_parser(command), [command, "--help"], capsys)[1].out.startswith(
+            f"usage: friedzeta {command} [-h]")
+
+    def test_no_command_sees_every_command(self, capsys):
+        for command in (None, "no-such-command", "--help"):
+            assert build_parser(command).format_help() == build_parser().format_help()
+        usage = build_parser().format_usage()
+        assert "{" + ",".join(_COMMANDS) + "}" in usage
+        assert main([]) == 1
+        assert capsys.readouterr().err == usage
+        assert main(["no-such-command"]) == 1
+        choices = ", ".join(map(repr, _COMMANDS))
+        assert capsys.readouterr().err == (
+            f"error: argument command: invalid choice: 'no-such-command' (choose from {choices})\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == build_parser().format_help()
+
+
+def _dataclass_fields_differ(obj):
+    """Dataclasses inside ``obj`` whose ``__dict__`` is not their fields, which ``_jsonify`` would encode
+    otherwise than ``asdict``."""
+    if is_dataclass(obj):
+        own = [] if vars(obj) == {f.name: getattr(obj, f.name) for f in fields(obj)} else [obj]
+        return own + [d for f in fields(obj) for d in _dataclass_fields_differ(getattr(obj, f.name))]
+    if isinstance(obj, dict):
+        obj = [*obj.keys(), *obj.values()]
+    if isinstance(obj, (list, tuple)):
+        return [d for item in obj for d in _dataclass_fields_differ(item)]
+    return []
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_report_bytes_are_the_dataclass_encoding(command, source_files, tmp_path, monkeypatch, capsys):
+    # the report is encoded from its four fields; asdict, which deep-copies the results, is the oracle
+    reports = []
+    write = cli.Report.write
+    monkeypatch.setattr(cli.Report, "write", lambda self, path: reports.append(self) or write(self, path))
+    settings = [s.format(spectrum=source_files["io.spectrum"]) for s in RUNS[command]]
+    path = tmp_path / "report.json"
+    assert run(command, *settings, f"io.report={path}", out=tmp_path / "out.txt") == 0
+    (report,) = reports
+    written = (tmp_path / ("report.json" if "io.out" in _KNOWN_KEYS[command] else "out.txt")).read_text()
+    assert written == json.dumps(asdict(report), indent=2, default=_jsonify) + "\n"
+    assert not _dataclass_fields_differ(report.results)
+    capsys.readouterr()
+
 
 class TestInputBoundary:
     @pytest.mark.parametrize("argv", MALFORMED, ids=lambda argv: " ".join(argv))
     def test_malformed_value_is_one_error_line(self, argv, capsys):
-        assert run(argv[0], *CAT_SETTINGS, *argv[1:]) == 1
+        model = CAT_SETTINGS if "model.matrix" in _KNOWN_KEYS[argv[0]] else []
+        assert run(argv[0], *model, *argv[1:]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+        assert "unknown config key" not in err  # refused for its value, not for a key the command lacks
+
+    def test_repeated_p_grid_entry_is_its_own_curve_point(self, tmp_path, capsys):
+        csv = tmp_path / "curve.csv"
+        assert run("selberg-factorize", "spectrum.count=5", "factorize.k=1", "factorize.p_grid=10,10", csv=csv) == 0
+        curve = json.loads(capsys.readouterr().out)["results"]["k=1"]["residual_curve"]
+        assert len(curve) == 2 and curve[0] == curve[1]
+        assert len(csv.read_text().splitlines()) == 3
 
     @pytest.mark.parametrize("key, header, line", MALFORMED_FILES + WIDE_DUMP_LINES + MEANINGLESS_DUMP_LINES,
                              ids=lambda v: str(v))

@@ -30,10 +30,11 @@ from friedzeta import (
     selberg_log_zeta,
     synthetic_spectrum,
     transverse_wedge_traces,
+    zetas,
 )
 from friedzeta.characters import char_label, char_tensor
 from friedzeta.toral import orbit_table
-from friedzeta.zetas import _class_angles, _tail_bound, orbit_columns
+from friedzeta.zetas import _class_angles, _det_one_minus_ps, _kleinian_iterates, _tail_bound, orbit_columns
 
 from dump_oracle import read_records_dump
 
@@ -582,6 +583,86 @@ class TestArrayPathAgainstLoops:
                      lambda: assemble_ruelle_from_graded([], None, 3.0, pol)):
             with pytest.raises(ValidationError):
                 call()
+
+
+def per_call_factorization_weights(cols, k, j_max, p_values):
+    """The factorization weights built afresh on every call from the per-iterate helpers: the oracle of the
+    kept tables."""
+    if not 0 <= k <= 2:
+        raise ValidationError("k must be in 0..n0")
+    if min(p_values) < 0:
+        raise ValidationError("truncation orders must be positive")
+    a, b, c = _kleinian_iterates(cols, j_max)
+    traces = (1.0, 2.0 * (a + b) * c, a * a + b * b + 4.0 * c * c)
+    lhs = traces[k] / np.abs(_det_one_minus_ps(a, c) * _det_one_minus_ps(b, c))
+    c_class = np.cos(_class_angles(cols, j_max))
+    nu = (1.0, 2.0 * c_class, 1.0)
+    ang = sum(a ** (2 + k - 2 * l) * nu[l] * nu[k - l] for l in range(k + 1))
+    top = max(p_values)
+    shells = np.empty(c.shape + (top + 1,))
+    h_prev, h, a_n = np.zeros_like(c), np.ones_like(c), np.ones_like(a)
+    for n in range(top + 1):
+        shells[..., n] = h * a_n
+        h_prev, h, a_n = h, 2.0 * c_class * h - h_prev, a_n * a
+    sym = np.cumsum(shells, axis=-1)
+    factor = ang / _det_one_minus_ps(a, c)
+    return lhs, [factor * sym[..., p] for p in p_values]
+
+
+class TestKeptFactorizationTables:
+    """One columns object keeps the factorization's k-free arrays; every value stays bit for bit the per-call one."""
+
+    # (j_max, policy p_max, curve orders, order the kept shell table then holds)
+    STEPS = [
+        (16, 60, [10, 20, 40], 60),  # the CLI's order: the check builds to 60, the curve reads below it
+        (16, 60, [60], 60),  # equal to the kept order
+        (16, 30, [5, 80], 80),  # above it: rebuilt to 80
+        (16, 60, [0, 40], 80),  # below the new kept order
+        (9, 20, [10], 20),  # another j_max: rebuilt
+        (16, 12, [12], 12),  # back to the first j_max: rebuilt to what is asked
+    ]
+
+    def test_check_and_curve_match_the_per_call_oracle(self, monkeypatch):
+        cols = orbit_columns(_mixed_spectrum())
+        lam = 5.0 + 0.5j
+        for j_max, p_max, p_grid, kept_order in self.STEPS:
+            pol = TruncationPolicy(j_max=j_max, p_max=p_max, entropy=2.0)
+            for k in (0, 1, 2):
+                with monkeypatch.context() as m:
+                    m.setattr(zetas, "_factorization_weights", per_call_factorization_weights)
+                    want = factorization_check(cols, None, k, lam, pol)
+                    want_curve = factorization_residual_curve(cols, None, k, lam, pol, p_grid)
+                assert factorization_check(cols, None, k, lam, pol) == want
+                assert factorization_residual_curve(cols, None, k, lam, pol, p_grid) == want_curve
+                for orders in ([p_max], p_grid):
+                    lhs, rhs = zetas._factorization_weights(cols, k, j_max, orders)
+                    want_lhs, want_rhs = per_call_factorization_weights(cols, k, j_max, orders)
+                    assert np.array_equal(lhs, want_lhs)
+                    assert all(np.array_equal(got, w) for got, w in zip(rhs, want_rhs, strict=True))
+            assert cols._derived["shells"][0] == (j_max, kept_order)
+
+    def test_lower_orders_and_other_k_reuse_the_table(self):
+        cols = orbit_columns(_mixed_spectrum())
+        pol = TruncationPolicy(j_max=16, p_max=60, entropy=2.0)
+        factorization_check(cols, None, 0, 5.0, pol)
+        kept = {name: value for name, (_, value) in cols._derived.items()}
+        assert {"iterates", "factorization", "shells"} <= kept.keys()
+        for k in (0, 1, 2):
+            factorization_check(cols, None, k, 5.0, pol)
+            factorization_residual_curve(cols, None, k, 5.0, pol, [10, 20, 40])
+        assert all(cols._derived[name][1] is value for name, value in kept.items())
+
+    def test_kept_arrays_are_read_only(self):
+        cols = orbit_columns(_mixed_spectrum())
+        pol = TruncationPolicy(j_max=8, p_max=20, entropy=2.0)
+        factorization_check(cols, None, 1, 5.0, pol)
+        selberg_log_zeta(cols, None, IrrepLabel("sigma", 1, 2), 5.0, pol)
+        assert {"iterates", "factorization", "shells", "phases"} <= cols._derived.keys()
+        for _, value in cols._derived.values():
+            for array in value if isinstance(value, tuple) else (value,):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[...] = 0.0
 
 
 class TestArrayPathGuards:
