@@ -10,13 +10,11 @@ trace-free ones.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
+from ._record import record
 from .errors import ValidationError
 from .trig import TWO_PI
 
@@ -46,7 +44,7 @@ def _reduce_angle(theta: float) -> float:
     return t
 
 
-@dataclass(frozen=True)
+@record
 class TorusElement:
     """Maximal-torus representative of an SO(n0) class.
 
@@ -70,14 +68,13 @@ class TorusElement:
                 raise ValidationError("SO(3) torus element needs exactly 1 angle")
         else:
             raise ValidationError("odd n0 supported only for n0 = 3")
-        object.__setattr__(self, "n0", int(n0))
-        object.__setattr__(self, "angles", angles)
+        self.__dict__.update(n0=int(n0), angles=angles)
 
     def power(self, j: int) -> "TorusElement":
         return TorusElement(self.n0, tuple(j * a for a in self.angles))
 
 
-@dataclass(frozen=True)
+@record
 class IrrepLabel:
     """Label ``nu(l)`` (l-forms) or ``sigma(p)`` (trace-free symmetric)."""
 
@@ -194,6 +191,7 @@ def dim_sigma(n: int, m: int) -> int:
 
 def casimir_constant(n: int, m: int) -> Fraction:
     """Casimir normalization ``n^2/4 - m(m + n - 2)`` as an exact rational."""
+    from fractions import Fraction  # here, not at the top: no command needs it, and it loads decimal
     return Fraction(n * n, 4) - m * (m + n - 2)
 
 
@@ -211,6 +209,7 @@ def symmetric_trace_expansion(b, r: int) -> float:
 
 def character_table_csv(path, n0: int, labels, angles):
     """Dump a character table (rows: angles, columns: labels) as CSV."""
+    import csv  # here, not at the top: no command writes a character table
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["theta"] + [f"{lab.kind}{lab.degree}" for lab in labels])

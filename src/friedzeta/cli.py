@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import gc
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
 
+from ._record import asdict, record, replace
 from .config import RunConfig
 from .continuation import cycle_zeta
 from .errors import (
@@ -48,10 +49,12 @@ from .zetas import (
     selberg_log_zeta,
 )
 
+gc.freeze()  # what the imports built lives as long as the process: no collection, nor the one at exit, walks it
+
 __all__ = ["main", "entrypoint"]
 
 
-@dataclass
+@record
 class Report:
     command: str
     config: dict[str, str]
@@ -59,7 +62,7 @@ class Report:
     timing_seconds: float
 
     def write(self, path: str | None):
-        payload = json.dumps(vars(self), indent=2, default=_jsonify)  # vars: asdict would deep-copy the results
+        payload = json.dumps(vars(self), indent=2, default=_jsonify)  # the fields, in order
         if path:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(payload + "\n")

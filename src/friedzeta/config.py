@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import cmath
 import os
-from dataclasses import dataclass, field
 
+from ._record import record
 from .characters import IrrepLabel
 from .errors import ValidationError, ascii_line
 from .kleinian import ComplexLengthRecord, MobiusGenerator, synthetic_spectrum
@@ -103,9 +103,9 @@ def _parse_grid(text: str, what: str) -> list[float]:
     return _nonempty(grid, what, text)
 
 
-@dataclass
+@record
 class RunConfig:
-    values: dict[str, str] = field(default_factory=dict)
+    values: dict[str, str]
 
     @classmethod
     def load(cls, path: str | None, overrides: list[str] | None = None) -> "RunConfig":

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import record
 from .errors import ConvergenceError, ResonanceAtZeroError, ValidationError
 from .summation import block_sum
 from .toral import Character, SuspensionModel, orbit_table
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class DynamicalDeterminant:
     """Graded determinant value with its trace and coefficient sequences.
 
@@ -54,7 +54,7 @@ class DynamicalDeterminant:
     n_used: int
     reliable: bool
     tail_bound: float
-    warnings: tuple[str, ...] = field(default_factory=tuple)
+    warnings: tuple[str, ...] = ()
 
 
 def _out_of_range(lam: complex) -> ConvergenceError:
@@ -219,7 +219,7 @@ def dynamical_determinant(
     )
 
 
-@dataclass(frozen=True)
+@record
 class CycleZeta:
     """Zeta value at ``lam`` assembled from the graded determinants."""
 

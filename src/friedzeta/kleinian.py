@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from cmath import phase, sqrt as csqrt
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import record
 from .characters import _reduce_angle
 from .errors import NotLoxodromicError, ValidationError, ascii_line
 
@@ -38,7 +38,7 @@ __all__ = [
 SPECTRUM_HEADER = "#fried-spectrum v1 n0=2"
 
 
-@dataclass(frozen=True)
+@record
 class MobiusGenerator:
     """SL(2, C) matrix with unit determinant."""
 
@@ -70,19 +70,28 @@ class MobiusGenerator:
         return np.array(self.matrix, dtype=complex)
 
 
-@dataclass(frozen=True, order=True)
+@record
 class CyclicWord:
     """Cyclically reduced word in canonical (lexicographically minimal) rotation.
 
     Letters are nonzero ints: ``+i`` is the i-th generator (1-based),
-    ``-i`` its inverse.
+    ``-i`` its inverse.  Words compare, order and hash by their letters alone.
     """
 
     letters: tuple[int, ...]
-    primitive: bool = field(compare=False, default=True)
+    primitive: bool = True
 
     def __len__(self) -> int:
         return len(self.letters)
+
+    def __eq__(self, other):
+        return self.letters == other.letters if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
+
+    def __lt__(self, other):
+        return self.letters < other.letters if other.__class__ is self.__class__ else NotImplemented
 
     @staticmethod
     def _cyclic_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -142,7 +151,7 @@ def enumerate_conjugacy_classes(rank: int, l_max: int) -> list[CyclicWord]:
                 canon = CyclicWord._min_rotation(tuple(word))
                 if canon not in seen:
                     seen.add(canon)
-                    out.append(CyclicWord(canon, primitive=_is_primitive(canon)))
+                    out.append(CyclicWord(canon, _is_primitive(canon)))
             return
         for x in alphabet:
             if word and x == -word[-1]:
@@ -195,7 +204,7 @@ def complex_length(matrix) -> tuple[float, float]:
     return ell, theta
 
 
-@dataclass(frozen=True)
+@record
 class ComplexLengthRecord:
     """Closed geodesic datum: length, holonomy angle, multiplicity."""
 
@@ -206,20 +215,22 @@ class ComplexLengthRecord:
     label: str = ""
     rho: complex = 1.0 + 0.0j
 
-    def __post_init__(self):
-        if not (math.isfinite(self.length) and self.length > 0):
-            raise ValidationError(f"length must be positive and finite, got {self.length!r}")
-        if not math.isfinite(self.theta):
-            raise ValidationError(f"theta must be finite, got {self.theta!r}")
-        object.__setattr__(self, "theta", _reduce_angle(self.theta))
-        if self.multiplicity < 1:
+    def __init__(self, length, theta, primitive=True, multiplicity=1, label="", rho=1.0 + 0.0j):
+        # written out, not the record's generic __init__: spectra build these by keyword, by the thousand
+        if not (math.isfinite(length) and length > 0):
+            raise ValidationError(f"length must be positive and finite, got {length!r}")
+        if not math.isfinite(theta):
+            raise ValidationError(f"theta must be finite, got {theta!r}")
+        if multiplicity < 1:
             raise ValidationError("multiplicity must be >= 1")
+        self.__dict__.update(length=length, theta=_reduce_angle(theta), primitive=primitive,
+                             multiplicity=multiplicity, label=label, rho=rho)
 
     def sort_key(self):
         return (self.length, self.label)
 
 
-@dataclass(frozen=True)
+@record
 class PoincareData:
     """Determinants and wedge trace of the 4x4 geodesic Poincare map power."""
 
@@ -321,7 +332,7 @@ def schottky_spectrum(generators: list[MobiusGenerator], l_max: int) -> list[Com
     return records
 
 
-@dataclass(frozen=True)
+@record
 class DiscReport:
     applicable: bool
     separated: bool

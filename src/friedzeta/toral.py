@@ -21,13 +21,12 @@ import io
 import math
 import re
 import warnings
-from dataclasses import dataclass, fields
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import _kernels
+from ._record import fields, record
 from .errors import CapacityError, ValidationError, ascii_line
 from .trig import TWO_PI, TrigPolynomial
 
@@ -174,7 +173,7 @@ def smith_normal_form(m):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class AnosovDiagnostics:
     hyperbolic: bool
     det: int
@@ -205,7 +204,7 @@ def validate_anosov(matrix) -> AnosovDiagnostics:
     return AnosovDiagnostics(True, d, t, lam_u, lam_s, "hyperbolic")
 
 
-@dataclass(frozen=True)
+@record
 class ToralAutomorphism:
     """Hyperbolic unimodular integer 2x2 matrix acting on the 2-torus."""
 
@@ -277,7 +276,7 @@ class ToralAutomorphism:
         return _det(((am[0][0] - 1, am[0][1]), (am[1][0], am[1][1] - 1)))
 
 
-@dataclass(frozen=True)
+@record
 class SuspensionModel:
     """Suspension flow of a toral automorphism, with a time-change family.
 
@@ -342,7 +341,7 @@ class SuspensionModel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Character:
     """Rank-1 unitary character of ``coker(A - I) + Z`` (winding factor).
 
@@ -359,11 +358,8 @@ class Character:
             raise ValidationError("circle part must be a unit complex number")
         if len(self.fiber_orders) != len(self.fiber_exponents):
             raise ValidationError("fiber orders and exponents must have equal length")
-        object.__setattr__(
-            self,
-            "fiber_exponents",
-            tuple(e % d if d > 1 else 0 for e, d in zip(self.fiber_exponents, self.fiber_orders)),
-        )
+        exponents = tuple(e % d if d > 1 else 0 for e, d in zip(self.fiber_exponents, self.fiber_orders))
+        object.__setattr__(self, "fiber_exponents", exponents)
 
     @classmethod
     def from_angle_fraction(cls, fraction: float, fiber_orders=(1, 1), fiber_exponents=(0, 0)) -> "Character":
@@ -409,7 +405,7 @@ def holonomy(character: Character, homology: tuple[tuple[int, ...], int]) -> com
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class FixedPointSet:
     """Fixed points of ``A^n`` as numerators over a common denominator."""
 
@@ -423,6 +419,7 @@ class FixedPointSet:
         return len(self.num1)
 
     def as_fractions(self) -> list[tuple[Fraction, Fraction]]:
+        from fractions import Fraction  # here, not at the top: no command needs it, and it loads decimal
         d = self.den
         return [(Fraction(int(p), d), Fraction(int(q), d)) for p, q in zip(self.num1, self.num2)]
 
@@ -479,7 +476,7 @@ def fixed_points(automorphism: ToralAutomorphism | object, n: int) -> FixedPoint
     return FixedPointSet(n, num1[order], num2[order], d2)
 
 
-@dataclass(frozen=True)
+@record
 class PrimitiveOrbit:
     """Primitive base orbit: least period and canonical base point."""
 
@@ -489,7 +486,7 @@ class PrimitiveOrbit:
     den: int
 
 
-@dataclass(frozen=True)
+@record
 class OrbitRecord:
     """Primitive closed orbit of the suspension flow.
 
@@ -703,7 +700,7 @@ def _orbit_columns(auto: ToralAutomorphism, n_max: int, roof=None, time_change=N
     return _read_only(*(np.concatenate(col) for col in zip(*parts)))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class OrbitTable:
     """Primitive orbits of a suspension up to period ``n_max``, one read-only column per field.
 
@@ -815,7 +812,7 @@ def variation_coefficient(model: SuspensionModel, record: OrbitRecord | Primitiv
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class OrbitDump:
     """The orbit lines of a ``#fried-orbits v1`` file as read-only columns, in file order.
 
@@ -839,7 +836,7 @@ class OrbitDump:
     def up_to(self, n_max: int) -> OrbitDump:
         """The orbits of period at most ``n_max``."""
         keep = self.period <= n_max
-        return OrbitDump(*_read_only(*(getattr(self, f.name)[keep] for f in fields(self))))
+        return OrbitDump(*_read_only(*(getattr(self, name)[keep] for name in fields(self))))
 
 
 def write_orbit_dump(path, table: OrbitTable, tau: float = 0.0):
@@ -873,7 +870,7 @@ def read_orbit_dump(path) -> OrbitDump:
     rows = _dump_rows(data)
     if rows is None:
         _refuse_dump_line(path, data)
-    return OrbitDump(*_read_only(*(np.ascontiguousarray(rows[f.name]) for f in fields(OrbitDump))))
+    return OrbitDump(*_read_only(*(np.ascontiguousarray(rows[name]) for name in fields(OrbitDump))))
 
 
 def _dump_dtype(exps: int) -> np.dtype:

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .continuation import zeta_at_zero
 from .errors import NotAcyclicError, ValidationError
 from .toral import Character, SuspensionModel, ToralAutomorphism
@@ -45,7 +45,7 @@ CONVENTION_TAG = "alternating-minors/odd-degree-numerator"
 FRIED_EXPONENT = -1
 
 
-@dataclass(frozen=True)
+@record
 class BasedChainComplex:
     """Finite based complex: ``boundaries[k]`` maps degree k+1 to degree k."""
 
@@ -61,8 +61,7 @@ class BasedChainComplex:
             if b.shape != expected:
                 raise ValidationError(f"boundary {k + 1} has shape {b.shape}, expected {expected}")
             mats.append(b)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "boundaries", tuple(mats))
+        self.__dict__.update(dims=dims, boundaries=tuple(mats))
         scale = max((float(np.abs(b).max()) for b in mats if b.size), default=0.0)
         for k in range(len(mats) - 1):
             if mats[k].size and mats[k + 1].size:
@@ -115,7 +114,7 @@ def is_acyclic(complex_: BasedChainComplex, rel_tol: float = 1e-10):
     return all(h == 0 for h in homology), homology
 
 
-@dataclass(frozen=True)
+@record
 class TorsionValue:
     """Torsion modulus with a representative phase and convention tag."""
 
@@ -226,7 +225,7 @@ def mapping_torus_torsion(automorphism: ToralAutomorphism, character: Character)
     return TorsionValue(abs(value), value / abs(value))
 
 
-@dataclass(frozen=True)
+@record
 class FriedReport:
     zeta_modulus: float
     torsion_modulus: float

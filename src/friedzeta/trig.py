@@ -13,16 +13,17 @@ of the point is supplied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
+
+from ._record import record
 
 __all__ = ["TrigPolynomial"]
 
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
+@record
 class TrigPolynomial:
     """Finite trigonometric polynomial on the 2-torus.
 
@@ -36,7 +37,7 @@ class TrigPolynomial:
     """
 
     constant: float = 0.0
-    terms: tuple[tuple[int, int, float, float], ...] = field(default_factory=tuple)
+    terms: tuple[tuple[int, int, float, float], ...] = ()
 
     def __post_init__(self):
         for k1, k2, _, _ in self.terms:

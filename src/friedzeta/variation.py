@@ -11,10 +11,10 @@ same integrand.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .errors import ConvergenceError, ValidationError
 from .summation import block_sum
 from .toral import Character, OrbitTable, SuspensionModel, orbit_table
@@ -57,7 +57,7 @@ def _simpson(values, h: float) -> complex:
     return acc * h / 3.0
 
 
-@dataclass(frozen=True)
+@record
 class VariationResult:
     ratio: complex
     integral: complex
@@ -127,7 +127,7 @@ def direct_quotient(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class WedgeCheckResult:
     q_wedge: complex
     q_difference: complex

@@ -16,11 +16,11 @@ from __future__ import annotations
 import cmath
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
 
+from ._record import fields, record
 from .characters import IrrepLabel
 from .errors import CapacityError, ConvergenceError, ValidationError
 from .kleinian import ComplexLengthRecord
@@ -48,7 +48,7 @@ N0 = 2  # transverse rotation rank for the hyperbolic 3-manifold model
 MAX_CELLS = 1 << 24  # (orbit x iterate x order) array cells; bounds the temporaries
 
 
-@dataclass(frozen=True)
+@record
 class TruncationPolicy:
     """Truncation and tolerance knobs shared by the zeta operations."""
 
@@ -68,7 +68,7 @@ class TruncationPolicy:
             raise ValidationError("quad_subdiv must be a positive even count")
 
 
-@dataclass(frozen=True)
+@record
 class ZetaValue:
     """Log-domain zeta value with its truncation tail estimate."""
 
@@ -77,7 +77,7 @@ class ZetaValue:
     lam: complex
     kind: str
     policy: TruncationPolicy
-    warnings: tuple[str, ...] = field(default_factory=tuple)
+    warnings: tuple[str, ...] = ()
 
     @property
     def value(self) -> complex:
@@ -89,7 +89,7 @@ class ZetaValue:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class OrbitColumns:
     """Read-only columns of a spectrum, one row per primitive orbit in ``sort_key`` order.
 
@@ -110,12 +110,12 @@ class OrbitColumns:
     lam_s: np.ndarray | None = None
     det_power: np.ndarray | None = None
     theta: np.ndarray | None = None
-    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        for column in (getattr(self, f.name) for f in fields(self)):
+        for column in (getattr(self, name) for name in fields(self)):
             if isinstance(column, np.ndarray):
                 column.flags.writeable = False
+        object.__setattr__(self, "_derived", {})
 
     def __len__(self) -> int:
         return len(self.length)
@@ -381,7 +381,7 @@ def graded_log_zeta(
         return _zeta_value(cols, _phases(cols, lam, policy.j_max) * factors[k], lam, f"graded[{k}]", policy)
 
 
-@dataclass(frozen=True)
+@record
 class AssemblyReport:
     log_zeta: complex
     global_sign: int
@@ -468,7 +468,7 @@ def selberg_log_zeta(
         return _zeta_value(cols, _terms(cols, weights), lam, "selberg", policy)
 
 
-@dataclass(frozen=True)
+@record
 class FactorizationReport:
     k: int
     lam: complex

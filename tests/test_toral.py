@@ -1,7 +1,6 @@
 import math
 import tracemalloc
 from collections import Counter
-from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +28,7 @@ from friedzeta import (
     write_orbit_dump,
 )
 from friedzeta import toral
+from friedzeta._record import fields
 from friedzeta.toral import orbit_table, smith_normal_form
 from dump_oracle import read_lines_dump, read_records_dump, write_records_dump
 from pass_oracle import flat_period_pass
@@ -484,8 +484,8 @@ def dump_outcome(reader, path):
         dump = reader(path)
     except ValidationError as exc:
         return str(exc)
-    return [(f.name, getattr(dump, f.name).dtype.str, getattr(dump, f.name).shape, getattr(dump, f.name).tobytes())
-            for f in fields(dump)]
+    return [(name, getattr(dump, name).dtype.str, getattr(dump, name).shape, getattr(dump, name).tobytes())
+            for name in fields(dump)]
 
 
 def assert_matches_oracles(path):
@@ -493,11 +493,11 @@ def assert_matches_oracles(path):
     assert dump_outcome(read_orbit_dump, path) == dump_outcome(read_lines_dump, path)
     back, records = read_orbit_dump(path), read_records_dump(path)
     assert len(back) == len(records)
-    for f in fields(back):
-        column = getattr(back, f.name)
-        assert column.flags.c_contiguous and not column.flags.writeable, f.name
-        want = np.array([getattr(r, f.name) for r in records]).reshape(column.shape)
-        assert np.array_equal(column, want), f.name
+    for name in fields(back):
+        column = getattr(back, name)
+        assert column.flags.c_contiguous and not column.flags.writeable, name
+        want = np.array([getattr(r, name) for r in records]).reshape(column.shape)
+        assert np.array_equal(column, want), name
 
 
 GOOD_LINE = "2 1 2 5 2.024721359549996 1 2 0 1"

@@ -1,7 +1,6 @@
 import cmath
 import functools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +31,7 @@ from friedzeta import (
     transverse_wedge_traces,
     zetas,
 )
+from friedzeta._record import replace
 from friedzeta.characters import char_label, char_tensor
 from friedzeta.toral import orbit_table
 from friedzeta.zetas import _class_angles, _det_one_minus_ps, _kleinian_iterates, _tail_bound, orbit_columns
