@@ -49,16 +49,12 @@ from .toral import (
     SuspensionModel,
     ToralAutomorphism,
     fixed_points,
-    holonomy,
     homology_class,
-    orbit_length,
     orbit_records,
     orientation_index,
     primitive_orbits,
     read_orbit_dump,
-    transverse_wedge_traces,
     validate_anosov,
-    variation_coefficient,
     write_orbit_dump,
 )
 from .torsion import (
@@ -67,7 +63,6 @@ from .torsion import (
     chain_torsion,
     fried_check,
     is_acyclic,
-    load_chain_complex,
     mapping_cone_complex,
     mapping_torus_torsion,
 )

@@ -1,7 +1,8 @@
 """Birkhoff sums of the effective roof over rational points of the torus.
 
 Per point, the step loop runs sequentially and each trig term is added in
-declaration order, so every sum is reproducible bit for bit.
+declaration order, so every sum is reproducible bit for bit.  No command
+calls it: it is the period pass's test oracle and a perfbench trace target.
 """
 
 from __future__ import annotations

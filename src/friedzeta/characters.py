@@ -33,7 +33,6 @@ __all__ = [
     "casimir_constant",
     "symmetric_trace_expansion",
     "homogeneous_sums",
-    "character_table_csv",
 ]
 
 
@@ -69,9 +68,6 @@ class TorusElement:
         else:
             raise ValidationError("odd n0 supported only for n0 = 3")
         self.__dict__.update(n0=int(n0), angles=angles)
-
-    def power(self, j: int) -> "TorusElement":
-        return TorusElement(self.n0, tuple(j * a for a in self.angles))
 
 
 @record
@@ -205,14 +201,3 @@ def symmetric_trace_expansion(b, r: int) -> float:
     eig = np.linalg.eigvals(b)
     h = homogeneous_sums(list(eig), r)
     return complex(h[r]).real
-
-
-def character_table_csv(path, n0: int, labels, angles):
-    """Dump a character table (rows: angles, columns: labels) as CSV."""
-    import csv  # here, not at the top: no command writes a character table
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta"] + [f"{lab.kind}{lab.degree}" for lab in labels])
-        for theta in angles:
-            el = TorusElement(n0, theta)
-            writer.writerow([f"{theta!r}"] + [f"{char_label(lab, el)!r}" for lab in labels])

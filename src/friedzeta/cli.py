@@ -190,6 +190,7 @@ def cmd_zeta_continue(cfg: RunConfig, args):
                 "d_values": list(z.d_values),
                 "reliable": z.reliable,
                 "policy": asdict(policy),
+                "warnings": list(dict.fromkeys(w for d in z.determinants for w in d.warnings)),
             }
         )
     return {"rows": rows}, _zeta_csv(rows)

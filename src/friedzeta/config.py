@@ -13,13 +13,15 @@ import os
 
 from ._record import record
 from .characters import IrrepLabel
-from .errors import ValidationError, ascii_line
+from .errors import CapacityError, ValidationError, ascii_line
 from .kleinian import ComplexLengthRecord, MobiusGenerator, synthetic_spectrum
 from .toral import Character, SuspensionModel, ToralAutomorphism
 from .trig import TrigPolynomial
 from .zetas import TruncationPolicy
 
 __all__ = ["RunConfig", "parse_trig", "parse_complex_list"]
+
+MAX_GRID_POINTS = 1 << 12  # points of a start:step:count grid, checked before it is built
 
 
 def _finite(value, what: str, text: str):
@@ -97,6 +99,8 @@ def _parse_grid(text: str, what: str) -> list[float]:
             raise ValidationError(f"{what}: {text!r} is not start:step:count")
         start, step = _number(parts[0], what), _number(parts[1], what)
         count = _number(parts[2], what, int)
+        if count > MAX_GRID_POINTS:
+            raise CapacityError(f"{what}: {count} points exceed the cap of {MAX_GRID_POINTS}")
         grid = [_finite(start + i * step, what, text) for i in range(count)]
     else:
         grid = [_number(tok, what) for tok in text.split(",") if tok.strip()]

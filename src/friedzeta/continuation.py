@@ -36,6 +36,9 @@ __all__ = [
     "trace_sums",
 ]
 
+# A determinant below this modulus at its own lambda is a zero: a resonance at 0, else a pole or zero of zeta
+RESONANCE_TOL = 1e-9
+
 
 @record
 class DynamicalDeterminant:
@@ -238,14 +241,14 @@ class CycleZeta:
         return max(d.tail_bound for d in self.determinants)
 
 
-def check_resonance_at_zero(dets, resonance_tol: float = 1e-9) -> None:
-    """Reject determinants that vanish within ``resonance_tol`` at their own ``lam``.
+def check_resonance_at_zero(dets) -> None:
+    """Reject determinants that vanish within :data:`RESONANCE_TOL` at their own ``lam``.
 
     At ``lam = 0`` that is the excluded resonance (:class:`ResonanceAtZeroError`);
     elsewhere ``log zeta`` meets a pole or zero (:class:`ConvergenceError`).
     """
     for d in dets:
-        if abs(d.value) < resonance_tol:
+        if abs(d.value) < RESONANCE_TOL:
             if d.lam == 0:
                 raise ResonanceAtZeroError(
                     f"resonance at zero: d_{d.grading}(0) = {d.value}; zeta value undefined"
@@ -260,12 +263,11 @@ def cycle_zeta(
     lam: complex,
     policy: TruncationPolicy,
     tau: float = 0.0,
-    resonance_tol: float = 1e-9,
 ) -> CycleZeta:
     """``zeta(lam) = d_1(lam) / (d_0(lam) d_2(lam))`` from the cycle expansions.
 
     The three determinants share one set of trace sums.  A determinant
-    that vanishes within ``resonance_tol`` raises
+    that vanishes within :data:`RESONANCE_TOL` raises
     :class:`ResonanceAtZeroError` at ``lam = 0``, the excluded resonant
     case, and :class:`ConvergenceError` elsewhere.
     """
@@ -277,7 +279,7 @@ def cycle_zeta(
         )
         for k in range(3)
     )
-    check_resonance_at_zero(dets, resonance_tol)
+    check_resonance_at_zero(dets)
     value = dets[1].value / (dets[0].value * dets[2].value)
     return CycleZeta(
         value=value,
@@ -292,7 +294,6 @@ def zeta_at_zero(
     representation: Character | None,
     policy: TruncationPolicy,
     tau: float = 0.0,
-    resonance_tol: float = 1e-9,
 ) -> CycleZeta:
     """``zeta(0)``: :func:`cycle_zeta` at ``lam = 0``."""
-    return cycle_zeta(model, representation, 0.0, policy, tau, resonance_tol)
+    return cycle_zeta(model, representation, 0.0, policy, tau)

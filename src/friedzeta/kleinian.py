@@ -16,7 +16,7 @@ import numpy as np
 
 from ._record import record
 from .characters import _reduce_angle
-from .errors import NotLoxodromicError, ValidationError, ascii_line
+from .errors import CapacityError, NotLoxodromicError, ValidationError, ascii_line
 
 __all__ = [
     "MobiusGenerator",
@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 SPECTRUM_HEADER = "#fried-spectrum v1 n0=2"
+# Words the Schottky walk visits, 2r(2r-1)^(L-1) per length L: rank 2 to length 11 is 354,292.
+MAX_WALKED_WORDS = 1 << 20
+# Records of a synthetic spectrum, each one root solve in Python.
+MAX_SYNTHETIC_RECORDS = 1 << 18
 
 
 @record
@@ -54,17 +58,9 @@ class MobiusGenerator:
             raise ValidationError(f"determinant must be 1, got {det}")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def trace(self) -> complex:
-        return self.matrix[0][0] + self.matrix[1][1]
-
     def inverse(self) -> "MobiusGenerator":
         (a, b), (c, d) = self.matrix
         return MobiusGenerator(((d, -b), (-c, a)))
-
-    def is_loxodromic(self) -> bool:
-        t = self.trace
-        return not (abs(t.imag) < 1e-12 and abs(t.real) <= 2.0)
 
     def array(self) -> np.ndarray:
         return np.array(self.matrix, dtype=complex)
@@ -80,9 +76,6 @@ class CyclicWord:
 
     letters: tuple[int, ...]
     primitive: bool = True
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
     def __eq__(self, other):
         return self.letters == other.letters if other.__class__ is self.__class__ else NotImplemented
@@ -141,6 +134,11 @@ def enumerate_conjugacy_classes(rank: int, l_max: int) -> list[CyclicWord]:
         raise ValidationError("need at least 2 generators")
     if l_max < 1:
         raise ValidationError("l_max must be >= 1")
+    walked = 0
+    for length in range(1, l_max + 1):  # stops at the cap, a few lengths in
+        walked += 2 * rank * (2 * rank - 1) ** (length - 1)
+        if walked > MAX_WALKED_WORDS:
+            raise CapacityError(f"words up to length {l_max} at rank {rank} exceed the cap of {MAX_WALKED_WORDS}")
     alphabet = [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)]
     seen: set[tuple[int, ...]] = set()
     out: list[CyclicWord] = []
@@ -301,6 +299,8 @@ def synthetic_spectrum(
         raise ValidationError("entropy h must be positive")
     if count < 0:
         raise ValidationError("count must be >= 0")
+    if count > MAX_SYNTHETIC_RECORDS:
+        raise CapacityError(f"{count} synthetic records exceed the cap of {MAX_SYNTHETIC_RECORDS}")
     rng = np.random.default_rng(seed)
     ell_lo = max(min_length, 1.5 / h)
     k0 = math.ceil(math.exp(h * ell_lo) / ell_lo)

@@ -5,7 +5,8 @@ normal form of ``A^n - I``; every base quantity (counts, homology classes,
 orientation indices) is integer arithmetic.  Lengths under a time-change
 family are Birkhoff sums of the effective roof ``roof * (1 + tau*g)``.
 Every consumer reads one cached :class:`OrbitTable` per (model, n_max);
-:func:`primitive_orbits` and :func:`orbit_records` are its row views.
+:func:`fixed_points`, :func:`primitive_orbits`, :func:`homology_class` and
+:func:`orbit_records` serve only test oracles and perfbench trace targets.
 The table is built in one pass per period over the fixed points of ``A^n``
 in Smith coordinates ``(i, j)``.  There ``A`` is a successor permutation
 whose cycles pointer doubling labels.  The successor, the point and every
@@ -25,7 +26,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import _kernels
 from ._record import fields, record
 from .errors import CapacityError, ValidationError, ascii_line
 from .trig import TWO_PI, TrigPolynomial
@@ -44,12 +44,8 @@ __all__ = [
     "orbit_records",
     "OrbitTable",
     "orbit_table",
-    "orbit_length",
-    "variation_coefficient",
     "homology_class",
     "orientation_index",
-    "holonomy",
-    "transverse_wedge_traces",
     "OrbitDump",
     "write_orbit_dump",
     "read_orbit_dump",
@@ -221,10 +217,6 @@ class ToralAutomorphism:
     def det(self) -> int:
         return _det(self.matrix)
 
-    @property
-    def trace(self) -> int:
-        return self.matrix[0][0] + self.matrix[1][1]
-
     @cached_property
     def diagnostics(self) -> AnosovDiagnostics:
         return validate_anosov(self.matrix)
@@ -371,21 +363,19 @@ class Character:
     def fiber_is_trivial(self) -> bool:
         return all(e == 0 for e in self.fiber_exponents)
 
-    def fiber_value(self, exps: tuple[int, ...]) -> complex:
+    def value(self, exps: tuple[int, ...], winding: int) -> complex:
+        """The character on the class ``(exps, winding)``: the scalar oracle of :meth:`values`."""
         ang = TWO_PI * sum(
             (e * y) % d / d for e, y, d in zip(self.fiber_exponents, exps, self.fiber_orders) if d > 1
         )
-        return complex(math.cos(ang), math.sin(ang))
-
-    def value(self, exps: tuple[int, ...], winding: int) -> complex:
-        return self.circle**winding * self.fiber_value(exps)
+        return self.circle**winding * complex(math.cos(ang), math.sin(ang))
 
     def values(self, class_exps: np.ndarray, winding: np.ndarray) -> np.ndarray:
         """:meth:`value` over rows of class exponents and an integer array of windings."""
         return self.circle**winding * self.fiber_values(class_exps)
 
     def fiber_values(self, class_exps: np.ndarray) -> np.ndarray:
-        """:meth:`fiber_value` over the rows of an integer array of class exponents."""
+        """The fiber part of :meth:`value` over the rows of an integer array of class exponents."""
         turns = np.zeros(len(class_exps))
         for col, (e, d) in enumerate(zip(self.fiber_exponents, self.fiber_orders)):
             if d > 1:
@@ -394,14 +384,8 @@ class Character:
         return np.cos(ang) + 1j * np.sin(ang)
 
 
-def holonomy(character: Character, homology: tuple[tuple[int, ...], int]) -> complex:
-    """Character value on a homology class ``(fiber exponents, winding)``."""
-    exps, winding = homology
-    return character.value(tuple(exps), int(winding))
-
-
 # ---------------------------------------------------------------------------
-# Fixed points, orbit rows and their scalar references
+# Fixed points and orbit rows
 # ---------------------------------------------------------------------------
 
 
@@ -417,11 +401,6 @@ class FixedPointSet:
     @property
     def count(self) -> int:
         return len(self.num1)
-
-    def as_fractions(self) -> list[tuple[Fraction, Fraction]]:
-        from fractions import Fraction  # here, not at the top: no command needs it, and it loads decimal
-        d = self.den
-        return [(Fraction(int(p), d), Fraction(int(q), d)) for p, q in zip(self.num1, self.num2)]
 
 
 def _require_width(*values: int):
@@ -506,11 +485,6 @@ class OrbitRecord:
     det_power: int
     class_exps: tuple[int, ...]
     winding: int
-    primitive: bool = True
-
-    @property
-    def homology(self) -> tuple[tuple[int, ...], int]:
-        return (self.class_exps, self.winding)
 
     def sort_key(self):
         return (self.length, self.period, self.num1, self.num2)
@@ -535,17 +509,6 @@ def homology_class(automorphism, base: tuple[int, int], den: int, n: int) -> tup
     if v1 % den or v2 % den:
         raise ValidationError("base point is not fixed by A^n: inconsistent orbit data")
     return auto.reduce_translation((v1 // den, v2 // den)), n
-
-
-def transverse_wedge_traces(record: OrbitRecord, j: int, k: int) -> float:
-    """``Tr(wedge^k P(gamma)^j)`` of the transverse return map, k in {0,1,2}."""
-    if k == 0:
-        return 1.0
-    if k == 1:
-        return record.lam_u**j + record.lam_s**j
-    if k == 2:
-        return float(record.det_power**j)
-    raise ValueError("k must be 0, 1 or 2")
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +568,7 @@ def _period_pass(auto: ToralAutomorphism, n: int, roof: TrigPolynomial | None = 
     phases index one cos and one sin table over ``2 pi / d2 * arange(d2)``.
     Returns ``(num1, num2, den, length, slope)`` sorted by ``(num1, num2)``:
     the orbit sums of ``roof`` and of ``roof * time_change`` (0 where absent).
+    A sum beyond the float range is a :class:`CapacityError`.
     """
     d1, d2, v = _fixed_point_lattice(auto, n)
     count, stride = d1 * d2, d2 // d1
@@ -643,18 +607,21 @@ def _period_pass(auto: ToralAutomorphism, n: int, roof: TrigPolynomial | None = 
         cos, sin = np.cos(angle).take, np.sin(angle).take
     else:
         cos, sin = (lambda k: np.cos(k * step)), (lambda k: np.sin(k * step))
-    for lo, i, j in _axis_blocks(d1, d2):
-        x1, x2 = _outer_mod(*w[0], i, j, d2), _outer_mod(*w[1], i, j, d2)
-        rows = row[lo : lo + x1.size]
-        np.minimum.at(key, rows, (x1.astype(np.int64) * d2 + x2).ravel())
-        if roof is not None:
-            r = _trig_block(roof, w, i, j, d2, cos, sin)
-            np.add.at(length, rows, r)
-            if time_change is not None:
-                np.add.at(slope, rows, r * _trig_block(time_change, w, i, j, d2, cos, sin))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for lo, i, j in _axis_blocks(d1, d2):
+            x1, x2 = _outer_mod(*w[0], i, j, d2), _outer_mod(*w[1], i, j, d2)
+            rows = row[lo : lo + x1.size]
+            np.minimum.at(key, rows, (x1.astype(np.int64) * d2 + x2).ravel())
+            if roof is not None:
+                r = _trig_block(roof, w, i, j, d2, cos, sin)
+                np.add.at(length, rows, r)
+                if time_change is not None:
+                    np.add.at(slope, rows, r * _trig_block(time_change, w, i, j, d2, cos, sin))
     order = np.argsort(key[:-1])
-    key = key[order]
-    return key // d2, key % d2, d2, length[order], slope[order]
+    key, length, slope = key[order], length[order], slope[order]
+    if not (np.isfinite(length).all() and np.isfinite(slope).all()):
+        raise CapacityError(f"orbit lengths of period {n} exceed the floating-point range")
+    return key // d2, key % d2, d2, length, slope
 
 
 def _class_columns(auto: ToralAutomorphism, n: int, num1, num2, den: int) -> np.ndarray:
@@ -728,9 +695,13 @@ class OrbitTable:
         return slice(int(lo), int(hi))
 
     def lengths(self, tau: float = 0.0) -> np.ndarray:
-        """Orbit lengths ``length0 + tau * slope`` at family parameter ``tau``."""
+        """Orbit lengths ``length0 + tau * slope`` at family parameter ``tau``, all finite or a CapacityError."""
         self.model.require_tau(tau)
-        return self.length0 + tau * self.slope
+        with np.errstate(over="ignore"):
+            lengths = self.length0 + tau * self.slope
+        if not np.isfinite(lengths).all():
+            raise CapacityError(f"orbit lengths at tau={tau} exceed the floating-point range")
+        return lengths
 
     def transverse(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(epsilon, lam_u, lam_s, det_power)`` of ``A^n`` per row, n its period; int64 epsilon and det_power."""
@@ -771,40 +742,6 @@ def primitive_orbits(automorphism, n_max: int) -> list[PrimitiveOrbit]:
 def orbit_records(model: SuspensionModel, n_max: int, tau: float = 0.0) -> list[OrbitRecord]:
     """Primitive orbit records with lengths at ``tau``: row views of :func:`orbit_table`."""
     return orbit_table(model, n_max).records(tau)
-
-
-def orbit_length(model: SuspensionModel, record: OrbitRecord | PrimitiveOrbit, tau: float) -> float:
-    """Period of the orbit under the time-changed flow at ``tau``.
-
-    Equals ``sum_i roof(A^i x) * (1 + tau*g(A^i x))`` over the base orbit;
-    exactly linear in ``tau``.
-    """
-    model.require_tau(tau)
-    num1 = np.array([record.num1], dtype=np.int64)
-    num2 = np.array([record.num2], dtype=np.int64)
-    out = _kernels.birkhoff_sums(
-        num1, num2, record.den, model.automorphism.matrix, record.period, model.roof, model.time_change, tau
-    )
-    return float(out[0])
-
-
-def variation_coefficient(model: SuspensionModel, record: OrbitRecord | PrimitiveOrbit, tau: float) -> float:
-    """Orbit integral of the time-change symbol: ``-d(length)/d(tau)``.
-
-    Closed form ``-sum_i roof(A^i x) * g(A^i x)``; independent of ``tau``
-    for the admitted families since the length is linear in ``tau``.
-    """
-    model.require_tau(tau)
-    if model.time_change is None:
-        return 0.0
-    a = model.automorphism.matrix
-    den = record.den
-    x1, x2 = record.num1 % den, record.num2 % den
-    total = 0.0
-    for _ in range(record.period):
-        total += model.roof.value_at_rational(x1, x2, den) * model.time_change.value_at_rational(x1, x2, den)
-        x1, x2 = (a[0][0] * x1 + a[0][1] * x2) % den, (a[1][0] * x1 + a[1][1] * x2) % den
-    return -total
 
 
 # ---------------------------------------------------------------------------

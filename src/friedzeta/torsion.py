@@ -11,7 +11,6 @@ constant-roof case and frozen below.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -32,8 +31,6 @@ __all__ = [
     "fried_check",
     "FriedReport",
     "FRIED_EXPONENT",
-    "load_chain_complex",
-    "dump_chain_complex",
     "CONVENTION_TAG",
 ]
 
@@ -259,40 +256,3 @@ def fried_check(
         zeta_value=z.value,
         reliable=z.reliable,
     )
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange
-# ---------------------------------------------------------------------------
-
-
-def dump_chain_complex(complex_: BasedChainComplex, path):
-    payload = {
-        "degrees": list(complex_.dims),
-        "matrices": {
-            str(k + 1): [[[z.real, z.imag] for z in row] for row in b]
-            for k, b in enumerate(complex_.boundaries)
-        },
-    }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh)
-
-
-def load_chain_complex(source) -> BasedChainComplex:
-    """Load ``{degrees, matrices}`` JSON; entries are ``[re, im]`` pairs."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="ascii") as fh:
-            payload = json.load(fh)
-    else:
-        payload = source
-    dims = [int(n) for n in payload["degrees"]]
-    boundaries = []
-    for k in range(1, len(dims)):
-        raw = payload["matrices"].get(str(k))
-        if raw is None:
-            boundaries.append(np.zeros((dims[k - 1], dims[k]), dtype=complex))
-            continue
-        mat = np.array([[complex(e[0], e[1]) for e in row] for row in raw], dtype=complex)
-        mat = mat.reshape((dims[k - 1], dims[k]))
-        boundaries.append(mat)
-    return BasedChainComplex(dims, boundaries)

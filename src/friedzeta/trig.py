@@ -64,6 +64,7 @@ class TrigPolynomial:
         return self.constant - sum(abs(a) + abs(b) for _, _, a, b in self.terms)
 
     def value_at_rational(self, num1: int, num2: int, den: int) -> float:
+        """The value at ``(num1, num2) / den``, one term at a time: the tests' scalar oracle."""
         v = self.constant
         for k1, k2, a, b in self.terms:
             ph = TWO_PI * ((k1 * num1 + k2 * num2) % den) / den
@@ -71,7 +72,7 @@ class TrigPolynomial:
         return v
 
     def arrays(self):
-        """Coefficient arrays ``(constant, k1, k2, cos, sin)`` for the kernels."""
+        """Coefficient arrays ``(constant, k1, k2, cos, sin)`` for :mod:`friedzeta._kernels`."""
         n = len(self.terms)
         k1 = np.empty(n, dtype=np.int64)
         k2 = np.empty(n, dtype=np.int64)

@@ -46,6 +46,8 @@ __all__ = [
 
 N0 = 2  # transverse rotation rank for the hyperbolic 3-manifold model
 MAX_CELLS = 1 << 24  # (orbit x iterate x order) array cells; bounds the temporaries
+# |sum_k (-1)^k Tr(wedge^k P^j) / |det(1 - P^j)| - eps^j| above this breaks the sign convention
+RESIDUAL_TOL = 1e-12
 
 
 @record
@@ -141,7 +143,7 @@ def orbit_columns(spectrum, representation=None, tau: float = 0.0) -> OrbitColum
                               spectrum.num1, spectrum.num2, spectrum.epsilon, nan, nan,
                               np.zeros(len(spectrum), dtype=np.int64), spectrum.winding)
     records = list(spectrum)
-    if records and all(isinstance(r, OrbitRecord) for r in records):
+    if records and all(isinstance(r, OrbitRecord) for r in records):  # the tests' per-record oracles
         names = ("length", "period", "num1", "num2", "epsilon", "lam_u", "lam_s", "det_power", "winding")
         class_exps = np.array([r.class_exps for r in records], dtype=np.int64).reshape(len(records), -1)
         columns = (np.array([getattr(r, name) for r in records]) for name in names)
@@ -395,7 +397,6 @@ def assemble_ruelle_from_graded(
     lam: complex,
     policy: TruncationPolicy,
     allow_formal: bool = False,
-    residual_tol: float = 1e-12,
 ) -> AssemblyReport:
     """Rebuild the flow zeta from graded zetas and machine-check the signs.
 
@@ -415,9 +416,9 @@ def assemble_ruelle_from_graded(
         alt = sum((-1.0) ** k * factor for k, factor in enumerate(factors))
         alt = alt / (-cols.multiplicity[:, None] / np.arange(1, policy.j_max + 1))
         max_residual = float(np.abs(alt - s * _powers(cols.epsilon, policy.j_max)).max())
-    if max_residual > residual_tol:
+    if max_residual > RESIDUAL_TOL:
         raise ValidationError(
-            f"orientation convention violated: per-orbit residual {max_residual} > {residual_tol}"
+            f"orientation convention violated: per-orbit residual {max_residual} > {RESIDUAL_TOL}"
         )
     graded = tuple(
         graded_log_zeta(cols, None, k, lam, policy, allow_formal).log_value for k in range(dim + 1)

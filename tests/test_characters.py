@@ -16,7 +16,7 @@ from friedzeta import (
     symmetric_trace_expansion,
     tensor_decomposition_check,
 )
-from friedzeta.characters import char_label, char_tensor, character_table_csv, dim_nu
+from friedzeta.characters import char_label, char_tensor, dim_nu
 
 
 def oracle_h(p, theta):
@@ -143,11 +143,3 @@ class TestTensorAndTable:
         assert char_tensor(labels, el) == pytest.approx(
             char_label(labels[0], el) * char_label(labels[1], el)
         )
-
-    def test_csv_dump(self, tmp_path):
-        path = tmp_path / "table.csv"
-        labels = [IrrepLabel("nu", 1, 2), IrrepLabel("sigma", 1, 2)]
-        character_table_csv(path, 2, labels, [0.0, 0.5])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "theta,nu1,sigma1"
-        assert len(lines) == 3

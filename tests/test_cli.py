@@ -25,7 +25,7 @@ from friedzeta import (
     ruelle_log_zeta,
     write_spectrum,
 )
-from friedzeta import cli, zetas
+from friedzeta import cli, config, kleinian, zetas
 from friedzeta._record import fields
 from friedzeta.cli import _COMMANDS, _KNOWN_KEYS, _jsonify, build_parser, main
 from friedzeta.config import RunConfig
@@ -138,7 +138,7 @@ class TestZetaEval:
 ZETA_ROW_KEYS = {"zeta_kind", "lambda_re", "lambda_im", "log_value_re", "log_value_im",
                  "tail_bound", "tail_kind", "policy", "warnings"}
 CONTINUE_ROW_KEYS = {"zeta_kind", "lambda_re", "lambda_im", "log_value_re", "log_value_im",
-                     "tail_bound", "tail_kind", "d_values", "reliable", "policy"}
+                     "tail_bound", "tail_kind", "d_values", "reliable", "policy", "warnings"}
 
 
 @pytest.mark.parametrize(
@@ -324,6 +324,21 @@ class TestZetaContinue:
         got, want = (complex(rows[t]["log_value_re"], rows[t]["log_value_im"]) for t in ("1e-12", "1e-30"))
         assert abs(got - want) < 1e-13
         assert rows["1e-12"]["reliable"] and rows["1e-12"]["tail_bound"] < 1e-12
+
+    def test_unreliable_row_says_why(self, capsys):
+        settings = ["model.matrix=2 1 1 1", "model.roof=const:1 cos:1,0:0.3", "rep.u_fraction=0.5",
+                    "policy.n_max=8", "lambda.grid=-3,0"]
+        assert run("zeta-continue", *settings) == 0
+        unreliable, reliable = json.loads(capsys.readouterr().out)["results"]["rows"]
+        cfg = RunConfig.load(None, settings)
+        model = cfg.model()
+        z = cycle_zeta(model, cfg.character(model.automorphism), -3.0, cfg.policy(model))
+        flagged = [d for d in z.determinants if not d.reliable]
+        assert not unreliable["reliable"] and len(flagged) > 1
+        # the determinants' warnings in k order, each once
+        assert unreliable["warnings"] == ["continuation unreliable: coefficient decay is not monotone past n=4"]
+        assert [w for d in flagged for w in d.warnings] == unreliable["warnings"] * len(flagged)
+        assert reliable["reliable"] and reliable["warnings"] == []
 
 
 class TestConfigFile:
@@ -890,6 +905,32 @@ class TestInputBoundary:
     def test_continuation_out_of_range_exit_2(self, settings, message, capsys):
         assert run("zeta-continue", *CAT_SETTINGS, "policy.n_max=8", *settings) == 2
         assert capsys.readouterr().err.startswith(message)
+
+    @pytest.mark.parametrize("command", ["orbits", "zeta-eval"])
+    def test_length_beyond_float_range_exit_2(self, command, tmp_path, capsys):
+        # the period-2 orbit sums overflow a double; orbits once wrote inf into the dump and exited 0
+        out = tmp_path / "out.txt"
+        grid = ["lambda.grid=4", "policy.entropy=1.0"] if command == "zeta-eval" else []
+        roof = "model.roof=const:1e308 cos:1,0:1e307"
+        assert run(command, "model.matrix=2 1 1 1", roof, "policy.n_max=4", *grid, out=out) == 2
+        assert capsys.readouterr().err == "error: orbit lengths of period 2 exceed the floating-point range\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum-gen", f"spectrum.count={kleinian.MAX_SYNTHETIC_RECORDS + 1}"],
+        ["spectrum-gen", "spectrum.kind=schottky", f"spectrum.generators={SCHOTTKY_GENERATORS}", "spectrum.l_max=12"],
+        ["selberg-factorize", f"spectrum.count={kleinian.MAX_SYNTHETIC_RECORDS + 1}"],
+        ["fried-check", *CAT_SETTINGS, f"tau.grid=0:0.01:{config.MAX_GRID_POINTS + 1}"],
+    ], ids=lambda argv: argv[0] + " " + argv[-1].split("=")[0])
+    def test_count_beyond_its_cap_exit_2(self, argv, tmp_path, capsys):
+        assert run(*argv, out=tmp_path / "out.txt") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "exceed the cap of" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out.txt").exists()
+
+    def test_grid_at_its_cap_is_built(self):
+        assert len(config._parse_grid(f"0:1e-6:{config.MAX_GRID_POINTS}", "tau.grid")) == config.MAX_GRID_POINTS
 
     def test_variation_out_of_range_exit_2(self, capsys):
         settings = ["policy.n_max=4", "tau.grid=0,0.01", "model.time_change=const:17625462.0"]

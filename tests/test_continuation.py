@@ -50,12 +50,12 @@ class TestTraceSums:
         s, counts = trace_sums(model, chi, 0.0, 5)
         # oracle: sum the character over fixed points directly
         from friedzeta import fixed_points
-        from friedzeta.toral import homology_class, holonomy
+        from friedzeta.toral import homology_class
 
         for m in range(1, 6):
             pts = fixed_points(a, m)
             oracle = sum(
-                holonomy(chi, homology_class(a, (int(p), int(q)), pts.den, m))
+                chi.value(*homology_class(a, (int(p), int(q)), pts.den, m))
                 for p, q in zip(pts.num1, pts.num2)
             )
             assert s[m - 1] == pytest.approx(oracle, abs=1e-9)
@@ -70,7 +70,7 @@ class TestTraceSums:
             pts = fixed_points(a, m)
             lengths = birkhoff_sums(pts.num1, pts.num2, pts.den, a.matrix, m, roofed.roof)
             terms = [
-                cmath.exp(-lam * ell) * holonomy(chi, homology_class(a, (int(p), int(q)), pts.den, m))
+                cmath.exp(-lam * ell) * chi.value(*homology_class(a, (int(p), int(q)), pts.den, m))
                 for p, q, ell in zip(pts.num1, pts.num2, lengths)
             ]
             assert abs(s[m - 1] - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from friedzeta import (
+    CapacityError,
     ComplexLengthRecord,
     CyclicWord,
     MobiusGenerator,
@@ -21,6 +22,7 @@ from friedzeta import (
     synthetic_spectrum,
     write_spectrum,
 )
+from friedzeta import kleinian
 from friedzeta.kleinian import disc_separation_report, word_matrix
 
 
@@ -190,6 +192,30 @@ class TestSyntheticSpectrum:
     def test_angles_in_branch(self):
         for r in synthetic_spectrum(2.0, 200, 5):
             assert -math.pi < r.theta <= math.pi
+
+    def test_count_cap(self, monkeypatch):
+        with pytest.raises(CapacityError, match="exceed the cap"):
+            synthetic_spectrum(2.0, kleinian.MAX_SYNTHETIC_RECORDS + 1, 1)
+        monkeypatch.setattr(kleinian, "MAX_SYNTHETIC_RECORDS", 5)
+        assert len(synthetic_spectrum(2.0, 5, 1)) == 5
+        with pytest.raises(CapacityError):
+            synthetic_spectrum(2.0, 6, 1)
+
+
+class TestWordCap:
+    def test_rank_2_length_11_is_admitted(self):
+        assert sum(4 * 3 ** (length - 1) for length in range(1, 12)) <= kleinian.MAX_WALKED_WORDS
+        with pytest.raises(CapacityError, match="exceed the cap"):
+            enumerate_conjugacy_classes(2, 12)
+
+    def test_cap_is_the_words_walked(self, monkeypatch):
+        monkeypatch.setattr(kleinian, "MAX_WALKED_WORDS", 4 + 12 + 36)  # rank 2 to length 3
+        assert max(len(w.letters) for w in enumerate_conjugacy_classes(2, 3)) == 3
+        for rank, l_max in ((2, 4), (3, 3)):  # 52 + 108 and 6 + 30 + 150 words
+            with pytest.raises(CapacityError):
+                enumerate_conjugacy_classes(rank, l_max)
+        with pytest.raises(CapacityError):
+            enumerate_conjugacy_classes(2, 10**18)  # refused before the walk, whatever the length
 
 
 def standard_schottky():

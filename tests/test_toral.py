@@ -1,30 +1,26 @@
 import math
 import tracemalloc
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from friedzeta import (
+    CapacityError,
     Character,
     SuspensionModel,
     ToralAutomorphism,
     TrigPolynomial,
     ValidationError,
     fixed_points,
-    holonomy,
     homology_class,
-    orbit_length,
     orbit_records,
     orientation_index,
     primitive_orbits,
     read_orbit_dump,
-    transverse_wedge_traces,
     validate_anosov,
-    variation_coefficient,
     write_orbit_dump,
 )
 from friedzeta import toral
@@ -75,26 +71,35 @@ class TestValidation:
         assert validate_anosov(((1, 1), (1, 0))).hyperbolic
 
 
+def check_smith_form(m):
+    """``U m V = diag(d1, d2)`` with U, V unimodular, ``d1 = gcd`` of the entries and ``d1 | d2``."""
+    u, d, v = smith_normal_form(m)
+
+    def mul(a, b):
+        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)) for i in range(2))
+
+    assert mul(mul(u, m), v) == d
+    assert abs(u[0][0] * u[1][1] - u[0][1] * u[1][0]) == 1
+    assert abs(v[0][0] * v[1][1] - v[0][1] * v[1][0]) == 1
+    assert d[0][1] == d[1][0] == 0
+    d1, d2 = d[0][0], d[1][1]
+    assert d1 >= 0 and d2 >= 0
+    assert d1 == math.gcd(*m[0], *m[1])
+    assert d1 * d2 == abs(m[0][0] * m[1][1] - m[0][1] * m[1][0])
+    assert d2 == 0 if d1 == 0 else d2 % d1 == 0
+
+
 class TestSmithNormalForm:
     @pytest.mark.parametrize(
         "m", [((1, 1), (1, 0)), ((2, 2), (1, 0)), ((4, 3), (3, 1)), ((0, 0), (0, 0)), ((6, 4), (2, 8))]
     )
     def test_decomposition(self, m):
-        u, d, v = smith_normal_form(m)
+        check_smith_form(m)
 
-        def mul(a, b):
-            return tuple(
-                tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)) for i in range(2)
-            )
-
-        assert mul(mul(u, m), v) == d
-        assert abs(u[0][0] * u[1][1] - u[0][1] * u[1][0]) == 1
-        assert abs(v[0][0] * v[1][1] - v[0][1] * v[1][0]) == 1
-        assert d[0][1] == d[1][0] == 0
-        d1, d2 = d[0][0], d[1][1]
-        assert d1 >= 0 and d2 >= 0
-        if d1 > 0:
-            assert d2 % d1 == 0
+    @example(m=((0, 2), (0, 3)))  # a zero first column: the column swap before the reduction
+    @given(m=st.tuples(*[st.tuples(st.integers(-50, 50), st.integers(-50, 50))] * 2))
+    def test_random_matrices(self, m):
+        check_smith_form(m)
 
     def test_cat_coker_trivial(self, cat):
         assert cat.coker_orders == (1, 1)
@@ -131,6 +136,11 @@ class TestFixedPoints:
         keys = [(int(p), int(q)) for p, q in zip(pts.num1, pts.num2)]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+
+    def test_numerators_below_denominator(self, cat):
+        pts = fixed_points(cat, 2)
+        assert (pts.num1[0], pts.num2[0]) == (0, 0)
+        assert ((0 <= pts.num1) & (pts.num1 < pts.den) & (0 <= pts.num2) & (pts.num2 < pts.den)).all()
 
 
 class TestPrimitiveOrbits:
@@ -320,15 +330,14 @@ class TestLengthsAndVariation:
         assert rec.length == pytest.approx(1.005, abs=1e-15)
 
     def test_variation_coefficient_examples(self, cat_family, cat_model):
-        rec = orbit_records(cat_family, 1, tau=0.0)[0]
-        assert variation_coefficient(cat_family, rec, 0.0) == pytest.approx(-0.05, abs=1e-15)
-        assert variation_coefficient(cat_model, rec, 0.0) == 0.0
+        # the orbit integral of the time-change symbol is -slope
+        assert -orbit_table(cat_family, 1).slope[0] == pytest.approx(-0.05, abs=1e-15)
+        assert -orbit_table(cat_model, 1).slope[0] == 0.0
 
     def test_constant_time_change_linearity(self, cat):
         model = SuspensionModel(cat, TrigPolynomial.const(1.0), TrigPolynomial.const(0.25))
-        recs = orbit_records(model, 3)
-        for rec in recs:
-            assert variation_coefficient(model, rec, 0.0) == pytest.approx(-0.25 * rec.period)
+        table = orbit_table(model, 3)
+        assert -table.slope == pytest.approx(-0.25 * table.period)
 
     def test_matches_finite_differences(self, cat):
         rng = np.random.default_rng(5)
@@ -337,21 +346,26 @@ class TestLengthsAndVariation:
             TrigPolynomial(1.0, ((1, 0, 0.07, 0.0), (0, 1, 0.0, 0.05))),
             TrigPolynomial(0.2, ((1, 1, 0.04, 0.03),)),
         )
-        recs = orbit_records(model, 6)
+        table = orbit_table(model, 6)
         step = 1e-5
-        for rec in rng.choice(len(recs), size=min(100, len(recs)), replace=False):
-            rec = recs[int(rec)]
+        for row in rng.choice(len(table.period), size=min(100, len(table.period)), replace=False):
             tau = float(rng.uniform(-0.5, 0.5))
-            fd = (orbit_length(model, rec, tau + step) - orbit_length(model, rec, tau - step)) / (
-                2 * step
-            )
-            coeff = variation_coefficient(model, rec, tau)
-            assert coeff == pytest.approx(-fd, rel=1e-8)
+            fd = (table.lengths(tau + step)[row] - table.lengths(tau - step)[row]) / (2 * step)
+            assert table.slope[row] == pytest.approx(fd, rel=1e-8)
+
+    def test_length_beyond_float_range_refused(self, cat):
+        model = SuspensionModel(cat, TrigPolynomial.const(1e308), TrigPolynomial.const(1.0))
+        table = orbit_table(model, 1)
+        assert table.lengths(0.5)[0] == 1.5e308
+        with pytest.raises(CapacityError, match="at tau=0.9 exceed the floating-point range"):
+            table.lengths(0.9)
+        with pytest.raises(CapacityError, match="of period 2 exceed the floating-point range"):
+            orbit_table(model, 2)
 
     def test_tau_outside_range_rejected(self, cat):
         model = SuspensionModel(cat, TrigPolynomial.const(1.0), TrigPolynomial.const(1.0))
         with pytest.raises(ValidationError):
-            orbit_length(model, orbit_records(model, 1)[0], -1.5)
+            orbit_table(model, 1).lengths(-1.5)
 
     def test_roof_positivity_enforced(self, cat):
         with pytest.raises(ValidationError):
@@ -386,7 +400,7 @@ class TestHomologyAndHolonomy:
         values = set()
         for orbit in primitive_orbits(a, 4):
             cls = homology_class(a, (orbit.num1, orbit.num2), orbit.den, orbit.period)
-            values.add(round(holonomy(chi, cls).real, 9))
+            values.add(round(chi.value(*cls).real, 9))
         assert values == {-1.0, 1.0}
 
     def test_record_classes_match_homology_class(self):
@@ -394,7 +408,7 @@ class TestHomologyAndHolonomy:
         assert a.coker_orders != (1, 1)
         records = orbit_records(SuspensionModel(a, TrigPolynomial.const(1.0)), 7)
         for rec in records:
-            assert rec.homology == homology_class(a, (rec.num1, rec.num2), rec.den, rec.period)
+            assert (rec.class_exps, rec.winding) == homology_class(a, (rec.num1, rec.num2), rec.den, rec.period)
         assert {rec.class_exps for rec in records} == {(0, 0), (0, 1)}
 
     def test_holonomy_multiplicative(self):
@@ -403,12 +417,12 @@ class TestHomologyAndHolonomy:
         c1 = ((0, 1), 2)
         c2 = ((0, 1), 3)
         csum = ((0, 0), 5)  # exponents add mod 2
-        assert holonomy(chi, c1) * holonomy(chi, c2) == pytest.approx(holonomy(chi, csum))
+        assert chi.value(*c1) * chi.value(*c2) == pytest.approx(chi.value(*csum))
 
     def test_winding_character(self, cat):
         chi = Character.from_angle_fraction(0.5)
-        assert holonomy(chi, ((0, 0), 3)).real == pytest.approx(-1.0)
-        assert holonomy(Character.from_angle_fraction(0.0), ((0, 0), 7)) == pytest.approx(1.0)
+        assert chi.value((0, 0), 3).real == pytest.approx(-1.0)
+        assert Character.from_angle_fraction(0.0).value((0, 0), 7) == pytest.approx(1.0)
 
 
 class TestOrientationAndWedge:
@@ -422,17 +436,15 @@ class TestOrientationAndWedge:
         assert orientation_index(a, 2) == 1
 
     def test_wedge_traces(self, cat_model):
-        rec = orbit_records(cat_model, 1)[0]
-        assert transverse_wedge_traces(rec, 1, 0) == 1.0
-        assert transverse_wedge_traces(rec, 1, 1) == pytest.approx(3.0)
-        assert transverse_wedge_traces(rec, 1, 2) == pytest.approx(1.0)
+        _, lam_u, lam_s, det_power = orbit_table(cat_model, 1).transverse()
+        assert lam_u[0] + lam_s[0] == pytest.approx(3.0)  # Tr A
+        assert det_power[0] == 1
 
     def test_alternating_identity(self, cat_model):
-        for rec in orbit_records(cat_model, 10):
-            for j in (1, 2, 3):
-                alt = sum((-1) ** k * transverse_wedge_traces(rec, j, k) for k in range(3))
-                det = (1 - rec.lam_u**j) * (1 - rec.lam_s**j)
-                assert alt == pytest.approx(det, rel=1e-12)
+        _, lam_u, lam_s, det_power = orbit_table(cat_model, 10).transverse()
+        for j in (1, 2, 3):
+            alt = 1 - (lam_u**j + lam_s**j) + det_power.astype(float) ** j
+            assert alt == pytest.approx((1 - lam_u**j) * (1 - lam_s**j), rel=1e-12)
 
     def test_epsilon_matches_eigenvalue_sign(self):
         a = ToralAutomorphism(((-2, -1), (-1, -1)))
@@ -617,17 +629,7 @@ class TestOneParseReader:
         assert dump_outcome(read_orbit_dump, path) == dump_outcome(read_lines_dump, path)
 
 
-class TestFractions:
-    def test_fraction_view(self, cat):
-        pts = fixed_points(cat, 2)
-        fracs = pts.as_fractions()
-        assert fracs[0] == (Fraction(0), Fraction(0))
-        assert all(0 <= f1 < 1 and 0 <= f2 < 1 for f1, f2 in fracs)
-
-
 class TestCapacity:
     def test_enumeration_cap(self, cat):
-        from friedzeta import CapacityError
-
         with pytest.raises(CapacityError):
             fixed_points(cat, 50)

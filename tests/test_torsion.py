@@ -11,12 +11,11 @@ from friedzeta import (
     chain_torsion,
     fried_check,
     is_acyclic,
-    load_chain_complex,
     mapping_cone_complex,
     mapping_torus_torsion,
 )
 from friedzeta import torsion
-from friedzeta.torsion import FRIED_EXPONENT, dump_chain_complex
+from friedzeta.torsion import FRIED_EXPONENT
 
 
 def random_unitary(rng, n):
@@ -220,24 +219,3 @@ class TestFried:
         r0 = fried_check(cat_family, rep_minus, pol, tau=0.0)
         r1 = fried_check(cat_family, rep_minus, pol, tau=0.1)
         assert r0.torsion_modulus == r1.torsion_modulus
-
-
-class TestJSONInterchange:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(31)
-        cpx = random_acyclic_complex(rng)
-        path = tmp_path / "complex.json"
-        dump_chain_complex(cpx, path)
-        back = load_chain_complex(path)
-        assert back.dims == cpx.dims
-        for a, b in zip(back.boundaries, cpx.boundaries):
-            assert np.allclose(a, b)
-        assert chain_torsion(back).modulus == pytest.approx(chain_torsion(cpx).modulus)
-
-    def test_dict_source(self):
-        payload = {
-            "degrees": [1, 1],
-            "matrices": {"1": [[[2.0, 0.0]]]},
-        }
-        cpx = load_chain_complex(payload)
-        assert chain_torsion(cpx).modulus == pytest.approx(0.5)

@@ -28,7 +28,6 @@ from friedzeta import (
     ruelle_log_zeta,
     selberg_log_zeta,
     synthetic_spectrum,
-    transverse_wedge_traces,
     zetas,
 )
 from friedzeta._record import replace
@@ -342,8 +341,8 @@ def _loop_det_one_minus_p(rec, j):
 
 
 def _loop_wedge_trace(rec, j, k):
-    if isinstance(rec, OrbitRecord):
-        return transverse_wedge_traces(rec, j, k)
+    if isinstance(rec, OrbitRecord):  # wedge^k of diag(lam_u, lam_s), to the j-th power
+        return (1.0, rec.lam_u**j + rec.lam_s**j, float(rec.det_power**j))[k]
     return poincare_data(rec.length, rec.theta, j, k).wedge_trace
 
 
