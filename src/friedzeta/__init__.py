@@ -69,6 +69,7 @@ from .torsion import (
 from .trig import TrigPolynomial
 from .variation import direct_quotient, variation_rhs, wedge_derivative_check
 from .zetas import (
+    OrbitColumns,
     TruncationPolicy,
     ZetaValue,
     assemble_ruelle_from_graded,
@@ -76,6 +77,7 @@ from .zetas import (
     factorization_residual_curve,
     graded_log_zeta,
     guillemin_series,
+    orbit_columns,
     ruelle_log_zeta,
     selberg_log_zeta,
 )

@@ -14,7 +14,6 @@ configuration so the run can be reproduced exactly.
 from __future__ import annotations
 
 import argparse
-import cmath
 import gc
 import json
 import sys
@@ -131,9 +130,9 @@ def _load_records(cfg: RunConfig):
     file and to the model's own at ``tau.value``; a dump needs it set.
     """
     if cfg.get("io.spectrum"):
-        records = orbit_columns(read_spectrum(cfg.require_path("io.spectrum")))
+        cols = orbit_columns(read_spectrum(cfg.require_path("io.spectrum")))
         _refuse_ignored(cfg, "io.spectrum", ("model.", "rep.", "tau.value", "io.orbits", "policy.n_max"))
-        return records, "spectrum", cfg.policy(entropy=2.0)
+        return cols, "spectrum", cfg.policy(entropy=2.0)
     if cfg.get("io.orbits"):
         dump = read_orbit_dump(cfg.require_path("io.orbits"))
         _refuse_ignored(cfg, "io.orbits", ("model.", "tau.value", "selberg.mu"))
@@ -152,19 +151,17 @@ def _load_records(cfg: RunConfig):
 
 
 def cmd_zeta_eval(cfg: RunConfig, args):
-    records, source, policy = _load_records(cfg)
-    allow = bool(args.allow_formal or cfg.get("zeta.allow_formal"))
+    cols, source, policy = _load_records(cfg)
+    allow = cfg.get_bool("zeta.allow_formal", False) or args.allow_formal
     rows = []
     for lam in cfg.lambda_grid():
-        rows.append(_zeta_row("ruelle", ruelle_log_zeta(records, None, lam, policy, allow)))
+        rows.append(_zeta_row("ruelle", ruelle_log_zeta(cols, lam, policy, allow)))
         if source != "orbit-dump":
             for k in range(3 if source == "model" else 5):
-                rows.append(
-                    _zeta_row(f"graded{k}", graded_log_zeta(records, None, k, lam, policy, allow))
-                )
+                rows.append(_zeta_row(f"graded{k}", graded_log_zeta(cols, k, lam, policy, allow)))
         mu_raw = cfg.get("selberg.mu")
         if mu_raw:
-            zv = selberg_log_zeta(records, None, cfg.selberg_mu(), lam, policy, allow)
+            zv = selberg_log_zeta(cols, cfg.selberg_mu(), lam, policy, allow)
             rows.append(_zeta_row(f"selberg[{mu_raw}]", zv))
     return {"rows": rows, "source": source}, _zeta_csv(rows)
 
@@ -177,14 +174,13 @@ def cmd_zeta_continue(cfg: RunConfig, args):
     rows = []
     for lam in cfg.lambda_grid():
         z = cycle_zeta(model, rep, lam, policy, tau)
-        log_value = cmath.log(z.value) if z.value != 0 else complex(float("-inf"), 0.0)
         rows.append(
             {
                 "zeta_kind": "cycle-expansion",
                 "lambda_re": lam.real,
                 "lambda_im": lam.imag,
-                "log_value_re": log_value.real,
-                "log_value_im": log_value.imag,
+                "log_value_re": z.log_value.real,
+                "log_value_im": z.log_value.imag,
                 "tail_bound": z.tail_bound,
                 "tail_kind": "heuristic",
                 "d_values": list(z.d_values),
@@ -224,10 +220,10 @@ def cmd_fried_check(cfg: RunConfig, args):
 
 def cmd_selberg_factorize(cfg: RunConfig, args):
     if cfg.get("io.spectrum"):
-        records = orbit_columns(read_spectrum(cfg.require_path("io.spectrum")))
+        cols = orbit_columns(read_spectrum(cfg.require_path("io.spectrum")))
         _refuse_ignored(cfg, "io.spectrum", ("spectrum.",))
     else:
-        records = orbit_columns(cfg.synthetic_spectrum())
+        cols = orbit_columns(cfg.synthetic_spectrum())
     policy = cfg.policy(entropy=TruncationPolicy.entropy)  # the factorization reads j_max and p_max only
     lam = cfg.get_complex("lambda.value", 5.0)
     k_list = cfg.get_int_list("factorize.k", "0,1,2", distinct=True)
@@ -235,8 +231,8 @@ def cmd_selberg_factorize(cfg: RunConfig, args):
     results = {}
     csv_rows = []
     for k in k_list:
-        rep = factorization_check(records, None, k, lam, policy)
-        curve = factorization_residual_curve(records, None, k, lam, policy, p_grid)
+        rep = factorization_check(cols, k, lam, policy)
+        curve = factorization_residual_curve(cols, k, lam, policy, p_grid)
         results[f"k={k}"] = {
             "max_rel_residual": rep.max_rel_residual,
             "max_abs_residual": rep.max_abs_residual,

@@ -22,6 +22,7 @@ from .zetas import TruncationPolicy
 __all__ = ["RunConfig", "parse_trig", "parse_complex_list"]
 
 MAX_GRID_POINTS = 1 << 12  # points of a start:step:count grid, checked before it is built
+_BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
 
 
 def _finite(value, what: str, text: str):
@@ -150,6 +151,12 @@ class RunConfig:
     def get_float(self, key: str, default: float | None = None) -> float | None:
         raw = self.get(key)
         return _number(raw, key) if raw is not None else default
+
+    def get_bool(self, key: str, default: bool) -> bool:
+        raw = self.get(key)
+        if raw is not None and raw not in _BOOLEANS:
+            raise ValidationError(f"{key} = {raw!r} is not a boolean: true, false, 1 or 0")
+        return default if raw is None else _BOOLEANS[raw]
 
     def get_complex(self, key: str, default: complex) -> complex:
         raw = self.get(key)

@@ -21,6 +21,7 @@ import math
 import numpy as np
 
 from ._record import record
+from .characters import _reduce_angle
 from .errors import ConvergenceError, ResonanceAtZeroError, ValidationError
 from .summation import block_sum
 from .toral import Character, SuspensionModel, orbit_table
@@ -234,6 +235,16 @@ class CycleZeta:
     @property
     def d_values(self) -> tuple[complex, ...]:
         return tuple(d.value for d in self.determinants)
+
+    @property
+    def log_value(self) -> complex:
+        """``log d_1 - log d_0 - log d_2`` with the imaginary part in (-pi, pi].
+
+        Finite where ``value`` is not: ``d_0 d_2`` can overflow while the log stays moderate.
+        """
+        log_d0, log_d1, log_d2 = (cmath.log(d) for d in self.d_values)
+        log_value = log_d1 - log_d0 - log_d2
+        return complex(log_value.real, _reduce_angle(log_value.imag))
 
     @property
     def tail_bound(self) -> float:

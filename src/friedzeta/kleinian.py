@@ -208,12 +208,11 @@ class ComplexLengthRecord:
 
     length: float
     theta: float
-    primitive: bool = True
     multiplicity: int = 1
     label: str = ""
     rho: complex = 1.0 + 0.0j
 
-    def __init__(self, length, theta, primitive=True, multiplicity=1, label="", rho=1.0 + 0.0j):
+    def __init__(self, length, theta, multiplicity=1, label="", rho=1.0 + 0.0j):
         # written out, not the record's generic __init__: spectra build these by keyword, by the thousand
         if not (math.isfinite(length) and length > 0):
             raise ValidationError(f"length must be positive and finite, got {length!r}")
@@ -221,8 +220,8 @@ class ComplexLengthRecord:
             raise ValidationError(f"theta must be finite, got {theta!r}")
         if multiplicity < 1:
             raise ValidationError("multiplicity must be >= 1")
-        self.__dict__.update(length=length, theta=_reduce_angle(theta), primitive=primitive,
-                             multiplicity=multiplicity, label=label, rho=rho)
+        self.__dict__.update(length=length, theta=_reduce_angle(theta), multiplicity=multiplicity, label=label,
+                             rho=rho)
 
     def sort_key(self):
         return (self.length, self.label)
@@ -334,10 +333,11 @@ def schottky_spectrum(generators: list[MobiusGenerator], l_max: int) -> list[Com
 
 @record
 class DiscReport:
+    """Isometric-circle gaps; ``min_gap`` is ``None`` where the heuristic does not apply."""
+
     applicable: bool
     separated: bool
-    min_gap: float
-    detail: str
+    min_gap: float | None
 
 
 def disc_separation_report(generators: list[MobiusGenerator]) -> DiscReport:
@@ -348,7 +348,7 @@ def disc_separation_report(generators: list[MobiusGenerator]) -> DiscReport:
             c = m[1][0]
             d = m[1][1]
             if abs(c) < 1e-12:
-                return DiscReport(False, False, math.nan, "a generator fixes infinity; heuristic not applicable")
+                return DiscReport(False, False, None)  # a generator fixes infinity: no isometric circle
             circles.append((-d / c, 1.0 / abs(c)))
     min_gap = math.inf
     for i in range(len(circles)):
@@ -356,7 +356,7 @@ def disc_separation_report(generators: list[MobiusGenerator]) -> DiscReport:
             z1, r1 = circles[i]
             z2, r2 = circles[j]
             min_gap = min(min_gap, abs(z1 - z2) - (r1 + r2))
-    return DiscReport(True, min_gap > 0, min_gap, "pairwise isometric circle gaps")
+    return DiscReport(True, min_gap > 0, min_gap)
 
 
 # ---------------------------------------------------------------------------

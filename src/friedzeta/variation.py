@@ -19,7 +19,7 @@ from .errors import ConvergenceError, ValidationError
 from .summation import block_sum
 from .toral import Character, OrbitTable, SuspensionModel, orbit_table
 from .wedge import compound_derivative, compound_matrix
-from .zetas import TruncationPolicy, orbit_columns, ruelle_log_zeta
+from .zetas import TruncationPolicy, _in_float_range, orbit_columns, ruelle_log_zeta
 
 __all__ = [
     "variation_rhs",
@@ -90,8 +90,10 @@ def variation_rhs(
     table = orbit_table(model, policy.max_period)
     twist = _twist(table, representation)
     panels = 2 * policy.quad_subdiv
-    # node 2i of this grid is bit for bit node i of the grid of quad_subdiv panels
-    values = [_orbit_sum(table, twist, lam, tau * i / panels, policy.j_max) for i in range(panels + 1)]
+    # node 2i of this grid is bit for bit node i of the grid of quad_subdiv panels; an overflowing
+    # orbit sum raises the Euler product's ConvergenceError, not a warning and an inf that passes Richardson
+    with _in_float_range(lam):
+        values = [_orbit_sum(table, twist, lam, tau * i / panels, policy.j_max) for i in range(panels + 1)]
     integral = integral_coarse = 0.0
     if tau != 0.0:
         integral = _simpson(values, tau / panels)
@@ -117,8 +119,8 @@ def direct_quotient(
 ) -> complex:
     """Reference ratio from two truncated Euler products over the columns of one orbit table."""
     table = orbit_table(model, policy.max_period)
-    log_tau = ruelle_log_zeta(orbit_columns(table, representation, tau), None, lam, policy).log_value
-    log_0 = ruelle_log_zeta(orbit_columns(table, representation, 0.0), None, lam, policy).log_value
+    log_tau = ruelle_log_zeta(orbit_columns(table, representation, tau), lam, policy).log_value
+    log_0 = ruelle_log_zeta(orbit_columns(table, representation, 0.0), lam, policy).log_value
     return cmath.exp(log_tau - log_0)
 
 

@@ -1,12 +1,16 @@
 """Truncated Euler products: Ruelle, graded and Selberg zeta functions.
 
-Every product reads :class:`OrbitColumns`, built once per spectrum, and
-is one (orbit x iterate) array, with iterate powers taken by
-``np.cumprod``, summed by :func:`~friedzeta.summation.block_sum`, so values
-are reproducible bit for bit.  The λ-free graded factors and Kleinian
-tables are built once per columns and ``j_max``, the phases once per λ; all
-are kept on the columns.  The n0 = 2 Poincaré data and characters are closed
-forms; ``poincare_data`` and ``char_sigma`` are their references in the tests.
+Every product takes :class:`OrbitColumns`, built once per spectrum by
+:func:`orbit_columns`, and is one (orbit x iterate) array, with iterate
+powers taken by ``np.cumprod``, summed by
+:func:`~friedzeta.summation.block_sum`, so values are reproducible bit for
+bit.  A graded, Selberg or factorization term is a phase
+``-multiplicity rho^j exp(-lam j len) / j``, built once per λ, times a
+λ-free weight; the wedge-trace ratios
+``Tr(wedge^k P^j) / |det(1 - P^j)|`` and the Kleinian tables are built once
+per columns and ``j_max``.  All are kept on the columns.  The n0 = 2
+Poincaré data and characters are closed forms; ``poincare_data`` and
+``char_sigma`` are their references in the tests.
 Tail bounds are Margulis-type geometric estimates anchored on the last
 length shell actually summed.
 """
@@ -100,7 +104,7 @@ class OrbitColumns:
     ``lam_s`` of the transverse return map and ``det_power = det(A)^period``
     (``nan`` eigenvalues for orbit-dump rows); Kleinian rows carry the
     holonomy angle ``theta`` instead.  Arrays derived from the columns (the
-    graded factors, the current λ's phases, the Kleinian iterates and the
+    wedge-trace ratios, the current λ's phases, the Kleinian iterates and the
     factorization's tables) are kept with them and freed with them.
     """
 
@@ -126,17 +130,14 @@ class OrbitColumns:
 def orbit_columns(spectrum, representation=None, tau: float = 0.0) -> OrbitColumns:
     """Columns of an :class:`OrbitTable` (lengths at ``tau``), an :class:`OrbitDump` or a list of records.
 
-    Toral orbits take a :class:`Character` twist (``None`` is trivial);
-    Kleinian records and columns carry their own ``rho`` and take ``None``.
+    This is where a spectrum and its twist become the columns every Euler
+    product takes.  Toral orbits take a :class:`Character` twist (``None``
+    is trivial); Kleinian records carry their own ``rho`` and take none.
     """
-    if isinstance(spectrum, OrbitColumns):
-        if representation is not None:
-            raise ValidationError("orbit columns carry their own rho values; pass representation=None")
-        return spectrum
     if isinstance(spectrum, OrbitTable):
         return _table_columns(spectrum, representation, float(tau))
     if tau:
-        raise ValidationError("tau applies to an orbit table; records and columns carry their lengths")
+        raise ValidationError("tau applies to an orbit table; dumps and records carry their lengths")
     if isinstance(spectrum, OrbitDump):
         nan = np.full(len(spectrum), math.nan)
         return _toral_columns(representation, spectrum.class_exps, spectrum.length, spectrum.period,
@@ -151,7 +152,7 @@ def orbit_columns(spectrum, representation=None, tau: float = 0.0) -> OrbitColum
     if not all(isinstance(r, ComplexLengthRecord) for r in records):
         raise ValidationError("a spectrum holds OrbitRecord or ComplexLengthRecord rows of one kind")
     if records and representation is not None:
-        raise ValidationError("length records carry their own rho value; pass representation=None")
+        raise ValidationError("length records carry their own rho value and take no twist")
     records.sort(key=lambda r: r.sort_key())
     rows = np.array([(r.length, r.theta, r.multiplicity) for r in records], dtype=float)
     length, theta, multiplicity = rows.reshape(-1, 3).T
@@ -210,16 +211,21 @@ def _kept(cols: OrbitColumns, name: str, key, build):
     return kept[1]
 
 
+def _terms(cols: OrbitColumns, base: np.ndarray, j_max: int) -> np.ndarray:
+    """``-multiplicity base^j / j`` per (orbit, iterate)."""
+    terms = _powers(base, j_max)
+    terms *= -cols.multiplicity[:, None]
+    terms /= np.arange(1, j_max + 1)
+    return terms
+
+
 def _phases(cols: OrbitColumns, lam: complex, j_max: int) -> np.ndarray:
-    """``rho^j exp(-lam j len)`` per (orbit, iterate), built once per ``lam``."""
-    return _kept(cols, "phases", (lam, j_max), lambda: _powers(cols.rho * np.exp(-lam * cols.length), j_max))
+    """``-multiplicity rho^j exp(-lam j len) / j`` per (orbit, iterate), built once per ``lam``.
 
-
-def _terms(cols: OrbitColumns, weights: np.ndarray) -> np.ndarray:
-    """``-multiplicity * weight / j`` per (orbit, iterate), written over ``weights``."""
-    weights *= -cols.multiplicity[:, None]
-    weights /= np.arange(1, weights.shape[1] + 1)
-    return weights
+    The λ-dependent factor of every graded, Selberg and factorization term: a term is its phase times a
+    λ-free weight.
+    """
+    return _kept(cols, "phases", (lam, j_max), lambda: _terms(cols, cols.rho * np.exp(-lam * cols.length), j_max))
 
 
 def _kleinian_iterates(cols: OrbitColumns, j_max: int):
@@ -250,48 +256,43 @@ def _det_one_minus_ps(a, c):
     return 1.0 - 2.0 * a * c + a * a
 
 
-def _wedge_traces(cols: OrbitColumns, j_max: int):
-    """``(Tr(wedge^k P^j) for k = 0..dim, |det(1 - P^j)|)`` per (orbit, iterate).
+def _trace_ratios(cols: OrbitColumns, j_max: int) -> np.ndarray:
+    """``Tr(wedge^k P^j) / |det(1 - P^j)|`` per (k, orbit, iterate), k = 0..dim, built once per ``j_max``.
 
-    Toral rows are divided through by ``|lam_u|^j``, which leaves every
-    ratio unchanged and keeps both sides finite at any ``j``.
-    """
-    if cols.theta is None:
-        if np.isnan(cols.lam_u).any():
-            raise ValidationError("record lacks eigenvalue data (orbit dump round-trip)")
-        r = _powers(1.0 / cols.lam_u, j_max)  # lam_u^-j
-        s = _powers(cols.lam_s, j_max)
-        r_abs = np.abs(r)
-        e1 = s * r_abs
-        e1 += np.sign(r)
-        e2 = _powers(cols.det_power, j_max) * r_abs
-        # |det| = |r - 1| |s - 1|, built over r and s so fewer (orbit x iterate) arrays are live at once
-        r -= 1.0
-        s -= 1.0
-        det = np.abs(r, out=r)
-        det *= np.abs(s, out=s)
-        return (r_abs, e1, e2), det
-    a, b, c, _ = _iterates(cols, j_max)
-    e1 = 2.0 * (a + b) * c  # 4 cosh(j l) cos(j theta)
-    traces = (1.0, e1, a * a + b * b + 4.0 * c * c, e1, 1.0)
-    return traces, np.abs(_det_one_minus_ps(a, c) * _det_one_minus_ps(b, c))
-
-
-def _graded_factors(cols: OrbitColumns, j_max: int) -> np.ndarray:
-    """``-multiplicity Tr(wedge^k P^j) / (j |det(1 - P^j)|)`` per (k, orbit, iterate), built once per ``j_max``.
-
-    This is the λ-free part of every graded term: a term is its phase times this factor.
+    The one λ-free array of the graded terms, the factorization's left side
+    and the sign check.  Toral traces and determinants are divided through
+    by ``|lam_u|^j``, which leaves every ratio unchanged and keeps both
+    finite at any ``j``.
     """
     def build():
-        traces, scale = _wedge_traces(cols, j_max)
-        scale *= np.arange(1, j_max + 1)  # the det array is ours: the scale is built over it
-        np.divide(-cols.multiplicity[:, None], scale, out=scale)
-        factors = np.empty((len(traces),) + scale.shape)
-        for factor, trace in zip(factors, traces):
-            np.multiply(trace, scale, out=factor)
-        return factors
+        if cols.theta is None:
+            if np.isnan(cols.lam_u).any():
+                raise ValidationError("record lacks eigenvalue data (orbit dump round-trip)")
+            r = _powers(1.0 / cols.lam_u, j_max)  # lam_u^-j
+            s = _powers(cols.lam_s, j_max)
+            r_abs = np.abs(r)
+            e1 = s * r_abs
+            e1 += np.sign(r)
+            traces = (r_abs, e1, _powers(cols.det_power, j_max) * r_abs)
+            # |det| = |r - 1| |s - 1|, built over r and s so fewer (orbit x iterate) arrays are live at once
+            r -= 1.0
+            s -= 1.0
+            det = np.abs(r, out=r)
+            det *= np.abs(s, out=s)
+            # toral tables are the large ones: one division per cell, then products
+            scale, combine = np.divide(1.0, det, out=det), np.multiply
+        else:
+            a, b, c, _ = _iterates(cols, j_max)
+            e1 = 2.0 * (a + b) * c  # 4 cosh(j l) cos(j theta)
+            traces = (1.0, e1, a * a + b * b + 4.0 * c * c, e1, 1.0)
+            # the correctly rounded quotient: the factorization's residual reads it at the rounding floor
+            scale, combine = np.abs(_det_one_minus_ps(a, c) * _det_one_minus_ps(b, c)), np.divide
+        ratios = np.empty((len(traces),) + scale.shape)
+        for ratio, trace in zip(ratios, traces):
+            combine(trace, scale, out=ratio)
+        return ratios
 
-    return _kept(cols, "graded", j_max, build)
+    return _kept(cols, "ratios", j_max, build)
 
 
 def _require_convergence(lam: complex, threshold: float, allow_formal: bool, what: str):
@@ -339,34 +340,22 @@ def _zeta_value(cols: OrbitColumns, terms: np.ndarray, lam: complex, kind: str, 
 # ---------------------------------------------------------------------------
 
 
-def ruelle_log_zeta(
-    spectrum,
-    representation,
-    lam: complex,
-    policy: TruncationPolicy,
-    allow_formal: bool = False,
-) -> ZetaValue:
-    """Log of the twisted flow zeta over primitive orbit records.
+def ruelle_log_zeta(cols: OrbitColumns, lam: complex, policy: TruncationPolicy,
+                    allow_formal: bool = False) -> ZetaValue:
+    """Log of the twisted flow zeta over primitive orbits.
 
     ``log zeta = -sum_gamma sum_j (1/j) eps^j rho^j exp(-lam*j*len)``;
     requires ``Re(lam) > policy.entropy`` unless ``allow_formal``.
     """
     lam = complex(lam)
     _require_convergence(lam, policy.entropy, allow_formal, "orbit zeta")
-    cols = orbit_columns(spectrum, representation)
     with _in_float_range(lam):
         base = cols.epsilon * cols.rho * np.exp(-lam * cols.length)
-        return _zeta_value(cols, _terms(cols, _powers(base, policy.j_max)), lam, "ruelle", policy)
+        return _zeta_value(cols, _terms(cols, base, policy.j_max), lam, "ruelle", policy)
 
 
-def graded_log_zeta(
-    spectrum,
-    representation,
-    k: int,
-    lam: complex,
-    policy: TruncationPolicy,
-    allow_formal: bool = False,
-) -> ZetaValue:
+def graded_log_zeta(cols: OrbitColumns, k: int, lam: complex, policy: TruncationPolicy,
+                    allow_formal: bool = False) -> ZetaValue:
     """Log of the degree-``k`` graded zeta.
 
     Orbit-iterate weights ``Tr(wedge^k P^j) / |det(1 - P^j)|`` carry no
@@ -375,12 +364,11 @@ def graded_log_zeta(
     """
     lam = complex(lam)
     _require_convergence(lam, policy.entropy, allow_formal, "graded zeta")
-    cols = orbit_columns(spectrum, representation)
     with _in_float_range(lam):
-        factors = _graded_factors(cols, policy.j_max)
-        if not 0 <= k < len(factors):
-            raise ValidationError(f"k must be in 0..{len(factors) - 1}")
-        return _zeta_value(cols, _phases(cols, lam, policy.j_max) * factors[k], lam, f"graded[{k}]", policy)
+        ratios = _trace_ratios(cols, policy.j_max)
+        if not 0 <= k < len(ratios):
+            raise ValidationError(f"k must be in 0..{len(ratios) - 1}")
+        return _zeta_value(cols, _phases(cols, lam, policy.j_max) * ratios[k], lam, f"graded[{k}]", policy)
 
 
 @record
@@ -391,13 +379,8 @@ class AssemblyReport:
     graded_logs: tuple[complex, ...]
 
 
-def assemble_ruelle_from_graded(
-    spectrum,
-    representation,
-    lam: complex,
-    policy: TruncationPolicy,
-    allow_formal: bool = False,
-) -> AssemblyReport:
+def assemble_ruelle_from_graded(cols: OrbitColumns, lam: complex, policy: TruncationPolicy,
+                                allow_formal: bool = False) -> AssemblyReport:
     """Rebuild the flow zeta from graded zetas and machine-check the signs.
 
     Per orbit iterate, ``sum_k (-1)^k Tr(wedge^k P^j) = det(1 - P^j)``
@@ -405,24 +388,19 @@ def assemble_ruelle_from_graded(
     ``s = (-1)^(transverse dim / 2)``.  The assembled value is
     ``s * sum_k (-1)^k log Z_k``.
     """
-    cols = orbit_columns(spectrum, representation)
     if not len(cols):
         raise ValidationError("cannot assemble over an empty spectrum")
     with _in_float_range(lam):
-        factors = _graded_factors(cols, policy.j_max)
-        dim = len(factors) - 1
+        ratios = _trace_ratios(cols, policy.j_max)
+        dim = len(ratios) - 1
         s = (-1) ** (dim // 2)
-        # each factor carries -multiplicity / j; dividing it out leaves sum_k (-1)^k Tr / |det|
-        alt = sum((-1.0) ** k * factor for k, factor in enumerate(factors))
-        alt = alt / (-cols.multiplicity[:, None] / np.arange(1, policy.j_max + 1))
+        alt = sum((-1.0) ** k * ratio for k, ratio in enumerate(ratios))
         max_residual = float(np.abs(alt - s * _powers(cols.epsilon, policy.j_max)).max())
     if max_residual > RESIDUAL_TOL:
         raise ValidationError(
             f"orientation convention violated: per-orbit residual {max_residual} > {RESIDUAL_TOL}"
         )
-    graded = tuple(
-        graded_log_zeta(cols, None, k, lam, policy, allow_formal).log_value for k in range(dim + 1)
-    )
+    graded = tuple(graded_log_zeta(cols, k, lam, policy, allow_formal).log_value for k in range(dim + 1))
     log_zeta = s * sum((-1) ** k * g for k, g in enumerate(graded))
     return AssemblyReport(log_zeta, s, max_residual, graded)
 
@@ -436,21 +414,13 @@ def _label_character(label: IrrepLabel, x: np.ndarray) -> np.ndarray:
     return np.ones_like(x)
 
 
-def _kleinian_columns(spectrum, representation, what: str) -> OrbitColumns:
-    cols = orbit_columns(spectrum, representation)
-    if cols.theta is None and len(cols):
+def _require_kleinian(cols: OrbitColumns, what: str):
+    if cols.theta is None:
         raise ValidationError(f"{what} take complex-length records (n0 = 2)")
-    return cols
 
 
-def selberg_log_zeta(
-    spectrum,
-    representation,
-    mu,
-    lam: complex,
-    policy: TruncationPolicy,
-    allow_formal: bool = False,
-) -> ZetaValue:
+def selberg_log_zeta(cols: OrbitColumns, mu, lam: complex, policy: TruncationPolicy,
+                     allow_formal: bool = False) -> ZetaValue:
     """Log of the Selberg zeta twisted by SO(2) irrep data ``mu``.
 
     ``mu`` is an :class:`IrrepLabel` or an iterable of labels, whose
@@ -461,12 +431,12 @@ def selberg_log_zeta(
     lam = complex(lam)
     _require_convergence(lam, float(N0), allow_formal, "Selberg zeta")
     labels = (mu,) if isinstance(mu, IrrepLabel) else tuple(mu)
-    cols = _kleinian_columns(spectrum, representation, "Selberg zetas")
+    _require_kleinian(cols, "Selberg zetas")
     with _in_float_range(lam):
         a, _, c, x = _iterates(cols, policy.j_max)
         chi = np.prod([_label_character(label, x) for label in labels], axis=0)
-        weights = _phases(cols, lam, policy.j_max) * chi / _det_one_minus_ps(a, c)
-        return _zeta_value(cols, _terms(cols, weights), lam, "selberg", policy)
+        terms = _phases(cols, lam, policy.j_max) * chi / _det_one_minus_ps(a, c)
+        return _zeta_value(cols, terms, lam, "selberg", policy)
 
 
 @record
@@ -487,7 +457,8 @@ def _factorization_weights(cols: OrbitColumns, k: int, j_max: int, p_values):
     The truncated sum ``sum_{p+2q<=P} sigma_p e^{-(p+2q) j l}`` equals
     ``sum_{n<=P} h_n e^{-n j l}``, ``h_n = sin((n+1) x) / sin x``; ``h_n`` comes
     from ``h_n = 2 cos x h_{n-1} - h_{n-2}`` (sound at ``x = 0``) and one
-    cumulative sum over ``n`` yields every order ``P``.  The k-free arrays
+    cumulative sum over ``n`` yields every order ``P``.  The graded weights
+    are the kept wedge-trace ratios; the k-free arrays of the right side
     are kept per ``j_max``, the sums up to the highest ``P`` asked so far.
     """
     if not 0 <= k <= N0:
@@ -495,12 +466,7 @@ def _factorization_weights(cols: OrbitColumns, k: int, j_max: int, p_values):
     if min(p_values) < 0:
         raise ValidationError("truncation orders must be positive")
     a, _, c, x = _iterates(cols, j_max)
-
-    def k_free():  # Tr(wedge^k P^j) / |det(1 - P^j)| for k <= n0, cos x and det(1 - P_s^j)
-        traces, det = _wedge_traces(cols, j_max)
-        return np.stack([trace / det for trace in traces[:N0 + 1]]), np.cos(x), _det_one_minus_ps(a, c)
-
-    lhs, c_class, det_ps = _kept(cols, "factorization", j_max, k_free)
+    c_class, det_ps = _kept(cols, "factorization", j_max, lambda: (np.cos(x), _det_one_minus_ps(a, c)))
     nu = (1.0, 2.0 * c_class, 1.0)
     # e^{-(n0+k) j l} e^{2 l j l} = a^(n0+k-2l), a nonnegative power for k <= n0
     ang = sum(a ** (N0 + k - 2 * l) * nu[l] * nu[k - l] for l in range(k + 1))
@@ -518,7 +484,7 @@ def _factorization_weights(cols: OrbitColumns, k: int, j_max: int, p_values):
 
     sym = _kept(cols, "shells", (j_max, top), shell_sums)
     factor = ang / det_ps
-    return lhs[k], [factor * sym[..., p] for p in p_values]
+    return _trace_ratios(cols, j_max)[k], [factor * sym[..., p] for p in p_values]
 
 
 def _relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, float]:
@@ -527,15 +493,8 @@ def _relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, float]:
     return float(resid.max()), float(rel.max())
 
 
-def factorization_check(
-    spectrum,
-    representation,
-    k: int,
-    lam: complex,
-    policy: TruncationPolicy,
-    allow_formal: bool = False,
-    required_tolerance: float | None = None,
-) -> FactorizationReport:
+def factorization_check(cols: OrbitColumns, k: int, lam: complex, policy: TruncationPolicy,
+                        required_tolerance: float | None = None) -> FactorizationReport:
     """Compare the graded zeta against its Selberg-product factorization.
 
     Per orbit iterate the graded weight is matched against the triple sum
@@ -545,7 +504,7 @@ def factorization_check(
     product.
     """
     lam = complex(lam)
-    cols = _kleinian_columns(spectrum, representation, "factorization checks")
+    _require_kleinian(cols, "factorization checks")
     if not len(cols):
         raise ValidationError("empty spectrum")
     ell_min = float(cols.length.min())
@@ -558,17 +517,17 @@ def factorization_check(
     with _in_float_range(lam):
         lhs, (rhs,) = _factorization_weights(cols, k, policy.j_max, [policy.p_max])
         max_abs, max_rel = _relative_residual(lhs, rhs)
-        scale = _terms(cols, _phases(cols, lam, policy.j_max).copy())
-        log_lhs, log_rhs = (complex(block_sum((scale * w).ravel())) for w in (lhs, rhs))
+        phases = _phases(cols, lam, policy.j_max)
+        log_lhs, log_rhs = (complex(block_sum((phases * w).ravel())) for w in (lhs, rhs))
     return FactorizationReport(k, lam, policy.p_max, log_lhs, log_rhs, max_abs, max_rel, tail_estimate)
 
 
-def factorization_residual_curve(spectrum, representation, k, lam, policy, p_values):
+def factorization_residual_curve(cols: OrbitColumns, k, lam, policy, p_values):
     """Max relative per-orbit residual for each truncation order."""
     p_values = [int(p) for p in p_values]
     if not p_values:
         return []
-    cols = _kleinian_columns(spectrum, representation, "factorization checks")
+    _require_kleinian(cols, "factorization checks")
     if not len(cols):
         raise ValidationError("empty spectrum")
     with _in_float_range(complex(lam)):

@@ -29,6 +29,7 @@ from friedzeta import (
     factorization_residual_curve,
     mapping_cone_complex,
     mapping_torus_torsion,
+    orbit_columns,
     orbit_records,
     primitive_orbits,
     resonance_multiplicity_ledger,
@@ -122,12 +123,13 @@ def test_criterion_4_selberg_factorization():
     ell_min = min(r.length for r in spectrum)
     assert ell_min >= 1.0
     policy = TruncationPolicy(j_max=5, p_max=60, entropy=2.0)
+    cols = orbit_columns(spectrum)
     worst = 0.0
     for k in (0, 1, 2):
-        rep = factorization_check(spectrum, None, k, 5.0, policy)
+        rep = factorization_check(cols, k, 5.0, policy)
         worst = max(worst, rep.max_rel_residual)
         assert rep.max_rel_residual < 1e-10
-    curve = factorization_residual_curve(spectrum, None, 1, 5.0, policy, [10, 20, 40])
+    curve = factorization_residual_curve(cols, 1, 5.0, policy, [10, 20, 40])
     usable = [(p, r) for p, r in curve if r > 1e-12]  # above the double-precision floor
     ps = np.array([p for p, _ in usable], dtype=float)
     rs = np.log([r for _, r in usable])

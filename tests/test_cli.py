@@ -16,11 +16,14 @@ from hypothesis import strategies as st
 import friedzeta
 from friedzeta import (
     ComplexLengthRecord,
+    CycleZeta,
+    DynamicalDeterminant,
     OrbitRecord,
     TruncationPolicy,
     ValidationError,
     cycle_zeta,
     read_orbit_dump,
+    orbit_columns,
     read_spectrum,
     ruelle_log_zeta,
     write_spectrum,
@@ -40,6 +43,17 @@ CAT_SETTINGS = [
 # the two generators of a rank-2 Schottky group
 SCHOTTKY_GENERATORS = ("3 0 0 0 0 0 0.3333333333333333 0;"
                        "1.6666666666666667 0 1.3333333333333333 0 1.3333333333333333 0 1.6666666666666667 0")
+
+
+# variation whose orbit sum overflows though every length is finite; zeta-continue whose zeta underflows
+VARIATION_OVERFLOW = ["model.matrix=2 1 1 1", "model.roof=const:1e308", "model.time_change=const:1",
+                      "policy.n_max=1", "tau.grid=0.5", "policy.entropy=1"]
+CONTINUE_UNDERFLOW = ["model.matrix=2 1 1 1", "model.roof=const:1 cos:1,0:0.05", "policy.n_max=10",
+                      "lambda.grid=-45"]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite number {name} in a report")
 
 
 def run(command, *settings, out=None, csv=None):
@@ -91,7 +105,7 @@ class TestZetaEval:
         recs = orbit_records(model, 8)
         rep = Character.from_angle_fraction(0.5)
         for row, lam in zip(ruelle_rows, (4.0, 5.0)):
-            direct = ruelle_log_zeta(recs, rep, lam, pol)
+            direct = ruelle_log_zeta(orbit_columns(recs, rep), lam, pol)
             assert row["log_value_re"] == direct.log_value.real
             assert row["log_value_im"] == direct.log_value.imag
         header = csv.read_text().splitlines()[0]
@@ -107,6 +121,22 @@ class TestZetaEval:
         )
         assert code == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("value, code", [("false", 2), ("0", 2), ("true", 0), ("1", 0), (None, 2)])
+    def test_allow_formal_is_a_boolean(self, value, code, capsys):
+        setting = [] if value is None else [f"zeta.allow_formal={value}"]
+        assert run("zeta-eval", "model.matrix=2 1 1 1", "policy.n_max=4", "lambda.grid=0.5", *setting) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: Re(lambda)=0.5 outside convergence region") if code else err == ""
+
+    @pytest.mark.parametrize("flag", [[], ["--allow-formal"]])
+    @pytest.mark.parametrize("value", ["yes", "False", "", "2"])
+    def test_allow_formal_other_values_are_refused(self, value, flag, capsys):
+        argv = ["zeta-eval", *flag, "--set", "model.matrix=2 1 1 1", "--set", "policy.n_max=4",
+                "--set", "lambda.grid=4", "--set", f"zeta.allow_formal={value}"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: zeta.allow_formal = {value!r} is not a boolean: true, false, 1 or 0\n")
 
     def test_default_entropy_taken_at_tau(self, capsys):
         # the certified entropy at tau = 1.5 is 3.85; at tau = 0 it would be 0.962
@@ -216,6 +246,16 @@ class TestVariationCommand:
         )
         assert code == 2
 
+    def test_overflowing_orbit_sum_is_one_error_line(self, capsys):
+        # every length is finite (up to 1.5e308), so only the product with lambda overflows
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("variation", *VARIATION_OVERFLOW) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: Euler product at lambda=(3+0j) leaves floating point: overflow")
+        assert err.count("\n") == 1
+
 
 class TestLedgerCommand:
     def test_case_lists_and_formulas(self, capsys):
@@ -248,6 +288,13 @@ class TestSpectrumGen:
         assert records[0].length == pytest.approx(2 * math.log(3))
         payload = json.loads(capsys.readouterr().out)
         assert payload["results"]["count"] == len(records)
+
+    def test_min_gap_is_null_when_a_generator_fixes_infinity(self, tmp_path, capsys):
+        # the first generator, diag(3, 1/3), fixes infinity and has no isometric circle
+        assert run("spectrum-gen", "spectrum.kind=schottky", f"spectrum.generators={SCHOTTKY_GENERATORS}",
+                   "spectrum.l_max=2", out=tmp_path / "s.txt") == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+        assert payload["results"]["disc_separation"] == {"applicable": False, "separated": False, "min_gap": None}
 
     def test_counting_check(self, tmp_path):
         out = tmp_path / "s.txt"
@@ -308,8 +355,8 @@ class TestZetaContinue:
         assert len(rows) == 3
         for row, lam in zip(rows, (0.0, 0.4 + 0.3j, 1.7)):
             z = cycle_zeta(model, rep, lam, policy, 0.1)
-            log_value = cmath.log(z.value)
-            assert (row["log_value_re"], row["log_value_im"]) == (log_value.real, log_value.imag)
+            assert (row["log_value_re"], row["log_value_im"]) == (z.log_value.real, z.log_value.imag)
+            assert abs(z.log_value - cmath.log(z.value)) <= 1e-14 * max(1.0, abs(z.log_value))
             assert row["tail_bound"] == z.tail_bound
             assert row["d_values"] == [{"re": d.real, "im": d.imag} for d in z.d_values]
 
@@ -339,6 +386,29 @@ class TestZetaContinue:
         assert unreliable["warnings"] == ["continuation unreliable: coefficient decay is not monotone past n=4"]
         assert [w for d in flagged for w in d.warnings] == unreliable["warnings"] * len(flagged)
         assert reliable["reliable"] and reliable["warnings"] == []
+
+
+    def test_log_is_finite_where_the_quotient_underflows(self, tmp_path, capsys):
+        # d = (1.80e193, 1.46e200, 1.80e193): d_0 d_2 overflows, so d_1 / (d_0 d_2) reads 0
+        csv = tmp_path / "continue.csv"
+        assert run("zeta-continue", *CONTINUE_UNDERFLOW, csv=csv) == 0
+        (row,) = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)["results"]["rows"]
+        d0, d1, d2 = (complex(d["re"], d["im"]) for d in row["d_values"])
+        assert d0 * d2 == math.inf
+        assert row["log_value_re"] == pytest.approx(-429.082, abs=1e-3)
+        logs = (cmath.log(d1) - cmath.log(d0) - cmath.log(d2)).real
+        assert row["log_value_re"] == pytest.approx(logs, rel=1e-15) and row["log_value_im"] == 0.0
+        assert csv.read_text().splitlines()[1].split(",")[2] == repr(row["log_value_re"])
+
+    def test_log_imaginary_part_is_reduced(self):
+        def determinant(value):
+            return DynamicalDeterminant(1, 0.0, 1.0, (), (1.0,), value, 1, True, 0.0)
+
+        # phase sums of -3pi, -pi and 2pi
+        for d0, d1, d2 in [(-1.0, -1.0 - 1e-300j, -1.0), (-1.0 + 1e-300j, -1.0, -1.0 + 1e-300j), (-1j, -1.0, -1j)]:
+            z = CycleZeta(d1 / (d0 * d2), abs(d1 / (d0 * d2)), tuple(map(determinant, (d0, d1, d2))), True)
+            assert -math.pi < z.log_value.imag <= math.pi
+            assert cmath.exp(z.log_value) == pytest.approx(z.value, rel=1e-15)
 
 
 class TestConfigFile:
@@ -526,20 +596,44 @@ def source_files(tmp_path, capsys):
     return files
 
 
-def test_module_invocation_smoke():
-    # the child imports the package from where this process found it (pytest's pythonpath or PYTHONPATH)
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    """``python <args> -m friedzeta ...`` in a child that imports the package from where this process found it
+    (pytest's pythonpath or PYTHONPATH)."""
     src = str(Path(friedzeta.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "friedzeta", "ledger", "--set", "ledger.h0=0", "--set", "ledger.h1=0"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_module_invocation_smoke():
+    proc = _run_module("-m", "friedzeta", "ledger", "--set", "ledger.h0=0", "--set", "ledger.h1=0")
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["results"]["multiplicities"] == {str(k): 0 for k in range(5)}
+
+
+# (command, settings, exit code): runs that once warned, wrote a non-finite number or exited 0 wrongly
+REPRODUCTIONS = [
+    ("zeta-eval", ["model.matrix=2 1 1 1", "policy.n_max=4", "lambda.grid=0.5", "zeta.allow_formal=false"], 2),
+    ("zeta-eval", ["model.matrix=2 1 1 1", "policy.n_max=4", "lambda.grid=4", "zeta.allow_formal=yes"], 1),
+    ("zeta-continue", CONTINUE_UNDERFLOW, 0),
+    ("variation", VARIATION_OVERFLOW, 2),
+    ("spectrum-gen", ["spectrum.kind=schottky", f"spectrum.generators={SCHOTTKY_GENERATORS}", "spectrum.l_max=2"], 0),
+]
+
+
+@pytest.mark.parametrize("command, settings, code", REPRODUCTIONS, ids=lambda v: v if isinstance(v, str) else None)
+def test_module_run_warns_nothing_and_reports_finite_json(command, settings, code, tmp_path):
+    # a warning printed by a child process escapes the in-process filters; -W error makes it fail the run
+    out = ["--out", str(tmp_path / "spectrum.txt")] if command == "spectrum-gen" else []
+    proc = _run_module("-W", "error", "-m", "friedzeta", command, *out,
+                       *(arg for s in settings for arg in ("--set", s)))
+    assert proc.returncode == code, proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) <= 1 and all(line.startswith("error:") for line in err), proc.stderr
+    assert bool(err) == bool(code)
+    if code == 0:
+        json.loads(proc.stdout, parse_constant=_refuse_constant)
 
 
 def test_cli_builds_no_orbit_records(tmp_path, monkeypatch, capsys):
@@ -575,7 +669,7 @@ class TestOrbitDumpPipeline:
         model = SuspensionModel(ToralAutomorphism(((2, 1), (1, 1))), TrigPolynomial.const(1.0))
         pol = TruncationPolicy(max_period=6, entropy=0.963)
         # dump carries no twist application; trivial rho on read-back
-        direct = ruelle_log_zeta(orbit_records(model, 6), None, 4.0, pol)
+        direct = ruelle_log_zeta(orbit_columns(orbit_records(model, 6)), 4.0, pol)
         assert rows[0]["log_value_re"] == pytest.approx(direct.log_value.real, rel=1e-12)
 
     def test_missing_file_exit_1(self):

@@ -11,6 +11,7 @@ from friedzeta import (
     TruncationPolicy,
     cycle_zeta,
     dynamical_determinant,
+    orbit_columns,
     orbit_records,
     ruelle_log_zeta,
     zeta_at_zero,
@@ -181,7 +182,7 @@ class TestContinuationProductAgreement:
         lam = h + 2.0
         pol = TruncationPolicy(max_period=14, j_max=60, entropy=h)
         records = orbit_records(perturbed_model, 14)
-        euler = ruelle_log_zeta(records, rep_minus, lam, pol)
+        euler = ruelle_log_zeta(orbit_columns(records, rep_minus), lam, pol)
         product = cycle_zeta(perturbed_model, rep_minus, lam, pol).value
         assert abs(product - cmath.exp(euler.log_value)) <= euler.tail_bound
 

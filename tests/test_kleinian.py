@@ -265,14 +265,14 @@ class TestSchottky:
 
     def test_disc_report(self):
         rep = disc_separation_report(standard_schottky())
-        # the diagonal generator fixes infinity: heuristic must say so
-        assert not rep.applicable
+        # the diagonal generator fixes infinity: heuristic must say so, with no gap to report
+        assert not rep.applicable and not rep.separated and rep.min_gap is None
         shifted = [
             MobiusGenerator(((2.0, 1.0), (1.0, 1.0))),
             MobiusGenerator(((2.0, -3.0), (-1.0, 2.0))),
         ]
         rep2 = disc_separation_report(shifted)
-        assert rep2.applicable
+        assert rep2.applicable and math.isfinite(rep2.min_gap)
 
 
 class TestSpectrumFile:

@@ -176,7 +176,7 @@ def test_cyclic_words_compare_order_and_hash_by_letters_alone():
 
 def test_complex_length_record_init_binds_like_the_generic_one():
     by_keyword = ComplexLengthRecord(length=2.0, theta=7.0, label="a")
-    assert by_keyword == ComplexLengthRecord(2.0, 7.0, True, 1, "a", 1.0 + 0.0j)
+    assert by_keyword == ComplexLengthRecord(2.0, 7.0, 1, "a", 1.0 + 0.0j)
     assert list(vars(by_keyword)) == list(fields(ComplexLengthRecord))
     assert by_keyword.theta == pytest.approx(7.0 - 2 * math.pi)
     for args, kwargs in [((2.0,), {}), ((2.0, 0.0), {"size": 1}), ((2.0, 0.0), {"theta": 1.0})]:

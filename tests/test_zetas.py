@@ -45,19 +45,19 @@ def cat_closed_form(lam, u, lam_u, lam_s):
 
 class TestRuelle:
     def test_empty_spectrum(self):
-        zv = ruelle_log_zeta([], None, 3.0, TruncationPolicy(entropy=1.0))
+        zv = ruelle_log_zeta(orbit_columns([]), 3.0, TruncationPolicy(entropy=1.0))
         assert zv.log_value == 0
         assert "empty spectrum" in zv.warnings
 
     def test_single_euler_factor(self):
         rec = [ComplexLengthRecord(length=1.0, theta=0.0)]
-        zv = ruelle_log_zeta(rec, None, 1.0, TruncationPolicy(j_max=80, entropy=0.5))
+        zv = ruelle_log_zeta(orbit_columns(rec), 1.0, TruncationPolicy(j_max=80, entropy=0.5))
         assert zv.log_value.real == pytest.approx(math.log(1 - math.exp(-1)), rel=1e-14)
 
     def test_cat_map_closed_form(self, cat, cat_model, rep_minus, policy14):
         lam = cat_model.default_entropy() + 2.0
         records = orbit_records(cat_model, 14)
-        zv = ruelle_log_zeta(records, rep_minus, lam, policy14)
+        zv = ruelle_log_zeta(orbit_columns(records, rep_minus), lam, policy14)
         closed = cat_closed_form(lam, rep_minus.circle, cat.lam_u, cat.lam_s)
         assert abs(zv.log_value - closed) < zv.tail_bound
         assert abs(zv.log_value - closed) < 1e-12
@@ -65,7 +65,7 @@ class TestRuelle:
     def test_euler_product_consistency(self, cat_model, rep_minus, policy14):
         lam = cat_model.default_entropy() + 2.0
         records = orbit_records(cat_model, 10)
-        zv = ruelle_log_zeta(records, rep_minus, lam, policy14)
+        zv = ruelle_log_zeta(orbit_columns(records, rep_minus), lam, policy14)
         product = 1.0 + 0.0j
         for rec in records:
             rho = rep_minus.value(rec.class_exps, rec.winding)
@@ -73,17 +73,17 @@ class TestRuelle:
         assert cmath.exp(zv.log_value) == pytest.approx(product, rel=1e-12)
 
     def test_convergence_region_enforced(self, cat_model, rep_minus, policy14):
-        records = orbit_records(cat_model, 3)
+        cols = orbit_columns(orbit_records(cat_model, 3), rep_minus)
         with pytest.raises(ConvergenceError):
-            ruelle_log_zeta(records, rep_minus, 0.5, policy14)
-        ruelle_log_zeta(records, rep_minus, 0.5, policy14, allow_formal=True)
+            ruelle_log_zeta(cols, 0.5, policy14)
+        ruelle_log_zeta(cols, 0.5, policy14, allow_formal=True)
 
     def test_tail_bound_decreases(self, cat_model, rep_minus):
         lam = cat_model.default_entropy() + 2.0
         tails = []
         for n_max in (6, 9, 12):
             pol = TruncationPolicy(max_period=n_max, entropy=cat_model.default_entropy())
-            zv = ruelle_log_zeta(orbit_records(cat_model, n_max), rep_minus, lam, pol)
+            zv = ruelle_log_zeta(orbit_columns(orbit_records(cat_model, n_max), rep_minus), lam, pol)
             tails.append(zv.tail_bound)
         assert tails[0] > tails[1] > tails[2] > 0
 
@@ -95,7 +95,7 @@ class TestGraded:
     def test_single_orbit_k0_weight(self):
         rec = [ComplexLengthRecord(length=1.0, theta=0.0)]
         pol = TruncationPolicy(j_max=1, entropy=2.0)
-        zv = graded_log_zeta(rec, None, 0, 4.0, pol)
+        zv = graded_log_zeta(orbit_columns(rec), 0, 4.0, pol)
         expected = -math.exp(-4.0) / abs(poincare_data(1.0, 0.0, 1, 0).det_one_minus_p)
         assert zv.log_value.real == pytest.approx(expected, rel=1e-14)
 
@@ -103,7 +103,7 @@ class TestGraded:
         records = orbit_records(cat_model, 4)
         pol = TruncationPolicy(j_max=1, entropy=cat_model.default_entropy())
         lam = 4.0
-        zv = graded_log_zeta(records, rep_minus, 0, lam, pol)
+        zv = graded_log_zeta(orbit_columns(records, rep_minus), 0, lam, pol)
         manual = sum(
             -rep_minus.value(r.class_exps, r.winding)
             * cmath.exp(-lam * r.length)
@@ -116,11 +116,11 @@ class TestGraded:
 class TestAssembly:
     def test_suspension_sign_and_match(self, cat_model, rep_minus, policy14):
         lam = cat_model.default_entropy() + 2.0
-        records = orbit_records(cat_model, 10)
-        report = assemble_ruelle_from_graded(records, rep_minus, lam, policy14)
+        cols = orbit_columns(orbit_records(cat_model, 10), rep_minus)
+        report = assemble_ruelle_from_graded(cols, lam, policy14)
         assert report.global_sign == -1
         assert report.max_residual < 1e-12
-        direct = ruelle_log_zeta(records, rep_minus, lam, policy14)
+        direct = ruelle_log_zeta(cols, lam, policy14)
         assert abs(report.log_zeta - direct.log_value) < 1e-12
 
     def test_negative_eigenvalue_model(self):
@@ -129,17 +129,17 @@ class TestAssembly:
             __import__("friedzeta").ToralAutomorphism(a), TrigPolynomial.const(1.0)
         )
         pol = TruncationPolicy(j_max=10, entropy=model.default_entropy())
-        records = orbit_records(model, 6)
+        cols = orbit_columns(orbit_records(model, 6))
         lam = model.default_entropy() + 2.0
-        report = assemble_ruelle_from_graded(records, None, lam, pol)
+        report = assemble_ruelle_from_graded(cols, lam, pol)
         assert report.global_sign == -1
-        direct = ruelle_log_zeta(records, None, lam, pol)
+        direct = ruelle_log_zeta(cols, lam, pol)
         assert abs(report.log_zeta - direct.log_value) < 1e-12
 
     def test_kleinian_sign_positive(self):
         spectrum = synthetic_spectrum(2.0, 30, 5)
         pol = TruncationPolicy(j_max=6, entropy=2.0)
-        report = assemble_ruelle_from_graded(spectrum, None, 4.0, pol)
+        report = assemble_ruelle_from_graded(orbit_columns(spectrum), 4.0, pol)
         assert report.global_sign == 1
         assert report.max_residual < 1e-12
 
@@ -149,7 +149,7 @@ class TestSelberg:
         rec = [ComplexLengthRecord(length=1.2, theta=0.0)]
         pol = TruncationPolicy(j_max=4, entropy=2.0)
         lam = 3.5
-        zv = selberg_log_zeta(rec, None, IrrepLabel("sigma", 0, 2), lam, pol)
+        zv = selberg_log_zeta(orbit_columns(rec), IrrepLabel("sigma", 0, 2), lam, pol)
         manual = -sum(
             math.exp(-lam * j * 1.2) / (j * (1 - math.exp(-j * 1.2)) ** 2) for j in (1, 2, 3, 4)
         )
@@ -158,7 +158,7 @@ class TestSelberg:
     def test_hand_summed_example(self):
         rec = [ComplexLengthRecord(length=2.0, theta=1.0)]
         pol = TruncationPolicy(j_max=3, entropy=2.0)
-        zv = selberg_log_zeta(rec, None, IrrepLabel("sigma", 1, 2), 3.0, pol)
+        zv = selberg_log_zeta(orbit_columns(rec), IrrepLabel("sigma", 1, 2), 3.0, pol)
         hand = -sum(
             2 * math.cos(j * 1.0) * math.exp(-3.0 * 2.0 * j)
             / (j * poincare_data(2.0, 1.0, j, 0).det_one_minus_ps)
@@ -170,25 +170,25 @@ class TestSelberg:
         rec = [ComplexLengthRecord(length=1.4, theta=0.6)]
         pol = TruncationPolicy(j_max=1, entropy=2.0)
         mu = [IrrepLabel("nu", 1, 2), IrrepLabel("nu", 1, 2)]
-        zv = selberg_log_zeta(rec, None, mu, 4.0, pol)
+        zv = selberg_log_zeta(orbit_columns(rec), mu, 4.0, pol)
         manual = -((2 * math.cos(0.6)) ** 2) * math.exp(-4.0 * 1.4) / poincare_data(
             1.4, 0.6, 1, 0
         ).det_one_minus_ps
         assert zv.log_value.real == pytest.approx(manual, rel=1e-13)
 
     def test_convergence_needs_n0(self):
-        rec = [ComplexLengthRecord(length=1.0, theta=0.0)]
+        cols = orbit_columns([ComplexLengthRecord(length=1.0, theta=0.0)])
         pol = TruncationPolicy(j_max=2, entropy=1.0)
         with pytest.raises(ConvergenceError):
-            selberg_log_zeta(rec, None, IrrepLabel("sigma", 0, 2), 1.5, pol)
-        selberg_log_zeta(rec, None, IrrepLabel("sigma", 0, 2), 1.5, pol, allow_formal=True)
+            selberg_log_zeta(cols, IrrepLabel("sigma", 0, 2), 1.5, pol)
+        selberg_log_zeta(cols, IrrepLabel("sigma", 0, 2), 1.5, pol, allow_formal=True)
 
     def test_branch_choice_invisible(self):
         # characters used downstream are even in theta
         pol = TruncationPolicy(j_max=5, entropy=2.0)
         for mu in (IrrepLabel("sigma", 2, 2), [IrrepLabel("nu", 1, 2), IrrepLabel("nu", 1, 2)]):
-            a = selberg_log_zeta([ComplexLengthRecord(length=1.0, theta=0.9)], None, mu, 3.0, pol)
-            b = selberg_log_zeta([ComplexLengthRecord(length=1.0, theta=-0.9)], None, mu, 3.0, pol)
+            a = selberg_log_zeta(orbit_columns([ComplexLengthRecord(length=1.0, theta=0.9)]), mu, 3.0, pol)
+            b = selberg_log_zeta(orbit_columns([ComplexLengthRecord(length=1.0, theta=-0.9)]), mu, 3.0, pol)
             assert a.log_value == pytest.approx(b.log_value, rel=1e-13)
 
 
@@ -222,7 +222,7 @@ class TestFactorization:
         ell, theta, k = 1.5, 0.8, 1
         pol = TruncationPolicy(j_max=3, p_max=60, entropy=2.0)
         rec = [ComplexLengthRecord(length=ell, theta=theta)]
-        report = factorization_check(rec, None, k, 5.0, pol)
+        report = factorization_check(orbit_columns(rec), k, 5.0, pol)
         assert report.max_rel_residual < 1e-10
         for j in (1, 2, 3):
             lhs = poincare_data(ell, theta, j, k).wedge_trace / abs(
@@ -232,25 +232,25 @@ class TestFactorization:
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_log_products_match(self):
-        spectrum = synthetic_spectrum(2.0, 60, 3)
+        cols = orbit_columns(synthetic_spectrum(2.0, 60, 3))
         pol = TruncationPolicy(j_max=5, p_max=60, entropy=2.0)
         for k in (0, 1, 2):
-            report = factorization_check(spectrum, None, k, 5.0, pol)
+            report = factorization_check(cols, k, 5.0, pol)
             assert abs(report.log_lhs - report.log_rhs) < 1e-12
             assert report.max_rel_residual < 1e-10
 
     def test_nu2_equivalent_to_nu0(self):
         # honoring the rank-2 equivalence: characters coincide pointwise
         pol = TruncationPolicy(j_max=3, entropy=2.0)
-        rec = [ComplexLengthRecord(length=1.1, theta=0.7)]
-        a = selberg_log_zeta(rec, None, IrrepLabel("nu", 2, 2), 3.0, pol)
-        b = selberg_log_zeta(rec, None, IrrepLabel("nu", 0, 2), 3.0, pol)
+        cols = orbit_columns([ComplexLengthRecord(length=1.1, theta=0.7)])
+        a = selberg_log_zeta(cols, IrrepLabel("nu", 2, 2), 3.0, pol)
+        b = selberg_log_zeta(cols, IrrepLabel("nu", 0, 2), 3.0, pol)
         assert a.log_value == b.log_value
 
     def test_residual_decays_with_p_max(self):
         spectrum = synthetic_spectrum(2.0, 40, 17)
         pol = TruncationPolicy(j_max=4, entropy=2.0)
-        curve = factorization_residual_curve(spectrum, None, 1, 5.0, pol, [10, 20, 40])
+        curve = factorization_residual_curve(orbit_columns(spectrum), 1, 5.0, pol, [10, 20, 40])
         ell_min = min(r.length for r in spectrum)
         usable = [(p, r) for p, r in curve if r > 1e-13]
         assert len(usable) >= 2
@@ -263,7 +263,7 @@ class TestFactorization:
         spectrum = synthetic_spectrum(2.0, 10, 3)
         pol = TruncationPolicy(j_max=2, p_max=5, entropy=2.0)
         with pytest.raises(ConvergenceError):
-            factorization_check(spectrum, None, 0, 5.0, pol, required_tolerance=1e-10)
+            factorization_check(orbit_columns(spectrum), 0, 5.0, pol, required_tolerance=1e-10)
 
     def test_theta_zero_coefficient_count(self):
         # at theta=0 the symmetric block sums to r+1 copies per exponent shell,
@@ -271,7 +271,7 @@ class TestFactorization:
         ell = 1.3
         rec = [ComplexLengthRecord(length=ell, theta=0.0)]
         pol = TruncationPolicy(j_max=1, p_max=200, entropy=2.0)
-        report = factorization_check(rec, None, 0, 5.0, pol)
+        report = factorization_check(orbit_columns(rec), 0, 5.0, pol)
         assert report.max_rel_residual < 1e-12
 
 
@@ -313,11 +313,11 @@ class TestRecordContracts:
 
         path = tmp_path / "orbits.txt"
         write_orbit_dump(path, orbit_table(cat_family, 3))
-        back = read_orbit_dump(path)
+        cols = orbit_columns(read_orbit_dump(path))
         pol = TruncationPolicy(j_max=2, entropy=1.0)
-        ruelle_log_zeta(back, None, 4.0, pol)  # fine: needs no eigenvalues
+        ruelle_log_zeta(cols, 4.0, pol)  # fine: needs no eigenvalues
         with pytest.raises(ValidationError):
-            graded_log_zeta(back, None, 0, 4.0, pol)
+            graded_log_zeta(cols, 0, 4.0, pol)
 
 
 
@@ -463,14 +463,15 @@ class TestArrayPathAgainstLoops:
             model = SuspensionModel(ToralAutomorphism(matrix), TrigPolynomial.const(1.0))
             rep = Character.from_angle_fraction(0.2)
         records = orbit_records(model, 7)
+        cols = orbit_columns(records, rep)
         pol = TruncationPolicy(j_max=12, entropy=model.default_entropy())
         for lam in (model.default_entropy() + 1.5, 4.0 + 2.5j):
-            zv = ruelle_log_zeta(records, rep, lam, pol)
+            zv = ruelle_log_zeta(cols, lam, pol)
             assert _close(zv.log_value, loop_ruelle(records, rep, lam, 12))
             for k in range(3):
-                zv = graded_log_zeta(records, rep, k, lam, pol)
+                zv = graded_log_zeta(cols, k, lam, pol)
                 assert _close(zv.log_value, loop_graded(records, rep, k, lam, 12))
-        assert assemble_ruelle_from_graded(records, rep, 4.0, pol).max_residual == pytest.approx(
+        assert assemble_ruelle_from_graded(cols, 4.0, pol).max_residual == pytest.approx(
             loop_assembly_residual(records, 12), abs=1e-14
         )
 
@@ -478,8 +479,8 @@ class TestArrayPathAgainstLoops:
         pol = TruncationPolicy(j_max=10, entropy=cat_family.default_entropy(0.1))
         table = orbit_table(cat_family, 8)
         for tau in (0.0, 0.1):
-            from_table = ruelle_log_zeta(orbit_columns(table, rep_minus, tau), None, 3.5, pol)
-            from_records = ruelle_log_zeta(orbit_records(cat_family, 8, tau), rep_minus, 3.5, pol)
+            from_table = ruelle_log_zeta(orbit_columns(table, rep_minus, tau), 3.5, pol)
+            from_records = ruelle_log_zeta(orbit_columns(orbit_records(cat_family, 8, tau), rep_minus), 3.5, pol)
             assert from_table.log_value == from_records.log_value
             assert from_table.tail_bound == from_records.tail_bound
         # a constant roof ties every length within a period; the fiber twist tells the rows apart
@@ -499,29 +500,31 @@ class TestArrayPathAgainstLoops:
         back, records = read_orbit_dump(path), read_records_dump(path)
         pol = TruncationPolicy(j_max=16, entropy=1.0)
         for rep in (None, rep_minus):
-            assert _close(ruelle_log_zeta(back, rep, 3.0, pol).log_value, loop_ruelle(records, rep, 3.0, 16))
+            zv = ruelle_log_zeta(orbit_columns(back, rep), 3.0, pol)
+            assert _close(zv.log_value, loop_ruelle(records, rep, 3.0, 16))
         for name in ("length", "rho", "epsilon", "multiplicity", "lam_u", "lam_s", "det_power"):
             want = getattr(orbit_columns(records, rep_minus), name)
             assert np.array_equal(getattr(orbit_columns(back, rep_minus), name), want, equal_nan=True)
 
     def test_kleinian_graded_and_selberg(self):
         spectrum = _mixed_spectrum()
+        cols = orbit_columns(spectrum)
         pol = TruncationPolicy(j_max=8, entropy=2.0)
         for lam in (3.2, 4.0 - 1.5j):
-            zv = ruelle_log_zeta(spectrum, None, lam, pol)
+            zv = ruelle_log_zeta(cols, lam, pol)
             assert _close(zv.log_value, loop_ruelle(spectrum, None, lam, 8))
             for k in range(5):
-                zv = graded_log_zeta(spectrum, None, k, lam, pol)
+                zv = graded_log_zeta(cols, k, lam, pol)
                 assert _close(zv.log_value, loop_graded(spectrum, None, k, lam, 8))
             for labels in ([IrrepLabel("sigma", 0, 2)], [IrrepLabel("sigma", 3, 2)],
                            [IrrepLabel("sigma", 2, 2), IrrepLabel("nu", 1, 2)], [IrrepLabel("nu", 2, 2)]):
-                zv = selberg_log_zeta(spectrum, None, labels, lam, pol)
+                zv = selberg_log_zeta(cols, labels, lam, pol)
                 assert _close(zv.log_value, loop_selberg(spectrum, labels, lam, 8))
-        report = assemble_ruelle_from_graded(spectrum, None, 3.2, pol)
+        report = assemble_ruelle_from_graded(cols, 3.2, pol)
         assert report.max_residual == pytest.approx(loop_assembly_residual(spectrum, 8), abs=1e-13)
 
     def test_graded_factors_kept_per_grid(self, rep_minus):
-        """One columns object across a λ grid and a j_max change: kept factors and phases are never stale."""
+        """One columns object across a λ grid and a j_max change: kept ratios and phases are never stale."""
         model = SuspensionModel(ToralAutomorphism(((2, 1), (1, 1))),
                                 TrigPolynomial.cosine((1, 0), 0.05, constant=1.0))
         records, spectrum = orbit_records(model, 6), _mixed_spectrum()
@@ -534,32 +537,33 @@ class TestArrayPathAgainstLoops:
             for lam in (h + 1.5, 4.0 + 2.5j, h + 1.5):
                 graded = [loop_graded_kept(tuple(records), rep_minus, k, lam, j_max) for k in range(3)]
                 for k in range(3):
-                    assert _close(graded_log_zeta(toral, None, k, lam, pol).log_value, graded[k])
+                    assert _close(graded_log_zeta(toral, k, lam, pol).log_value, graded[k])
                 assembled = -sum((-1) ** k * value for k, (value, _) in enumerate(graded))
                 scale = sum(scale for _, scale in graded)
-                report = assemble_ruelle_from_graded(toral, None, lam, pol)
+                report = assemble_ruelle_from_graded(toral, lam, pol)
                 assert abs(report.log_zeta - assembled) <= ORACLE_TOL * scale
                 assert report.max_residual == pytest.approx(residual_kept(tuple(records), j_max), abs=1e-14)
             for lam in (3.2, 4.0 - 1.5j, 3.2):
                 for k in range(5):
-                    zv = graded_log_zeta(kleinian, None, k, lam, kpol)
+                    zv = graded_log_zeta(kleinian, k, lam, kpol)
                     assert _close(zv.log_value, loop_graded_kept(tuple(spectrum), None, k, lam, j_max))
-                zv = selberg_log_zeta(kleinian, None, labels, lam, kpol)
+                zv = selberg_log_zeta(kleinian, labels, lam, kpol)
                 assert _close(zv.log_value, loop_selberg(spectrum, labels, lam, j_max))
-                report = assemble_ruelle_from_graded(kleinian, None, lam, kpol)
+                report = assemble_ruelle_from_graded(kleinian, lam, kpol)
                 assert report.max_residual == pytest.approx(residual_kept(tuple(spectrum), j_max), abs=1e-13)
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_factorization(self, k):
         spectrum = _mixed_spectrum()
+        cols = orbit_columns(spectrum)
         pol = TruncationPolicy(j_max=4, p_max=24, entropy=2.0)
-        report = factorization_check(spectrum, None, k, 5.0 + 0.5j, pol)
+        report = factorization_check(cols, k, 5.0 + 0.5j, pol)
         log_lhs, log_rhs, scale, max_abs, max_rel = loop_factorization(spectrum, k, 5.0 + 0.5j, 4, 24)
         assert abs(report.log_lhs - log_lhs) <= ORACLE_TOL * scale
         assert abs(report.log_rhs - log_rhs) <= ORACLE_TOL * scale
         assert report.max_rel_residual == pytest.approx(max_rel, rel=1e-6, abs=1e-13)
         assert report.max_abs_residual == pytest.approx(max_abs, rel=1e-6, abs=1e-13)
-        curve = factorization_residual_curve(spectrum, None, k, 5.0, pol, [0, 1, 2, 5, 9, 16])
+        curve = factorization_residual_curve(cols, k, 5.0, pol, [0, 1, 2, 5, 9, 16])
         assert [p for p, _ in curve] == [0, 1, 2, 5, 9, 16]
         for p, rel in curve:
             assert rel == pytest.approx(loop_factorization(spectrum, k, 5.0, 4, p)[4], rel=1e-6, abs=1e-13)
@@ -572,14 +576,15 @@ class TestArrayPathAgainstLoops:
 
     def test_empty_spectrum(self):
         pol = TruncationPolicy(j_max=4, entropy=2.0)
-        for zv in (ruelle_log_zeta([], None, 3.0, pol), graded_log_zeta([], None, 1, 3.0, pol),
-                   selberg_log_zeta([], None, IrrepLabel("sigma", 1, 2), 3.0, pol)):
+        empty = orbit_columns([])
+        for zv in (ruelle_log_zeta(empty, 3.0, pol), graded_log_zeta(empty, 1, 3.0, pol),
+                   selberg_log_zeta(empty, IrrepLabel("sigma", 1, 2), 3.0, pol)):
             assert zv.log_value == 0 and zv.tail_bound == 0.0
             assert zv.warnings == ("empty spectrum",)
-        assert factorization_residual_curve([], None, 0, 5.0, pol, []) == []
-        for call in (lambda: factorization_check([], None, 0, 5.0, pol),
-                     lambda: factorization_residual_curve([], None, 0, 5.0, pol, [10]),
-                     lambda: assemble_ruelle_from_graded([], None, 3.0, pol)):
+        assert factorization_residual_curve(empty, 0, 5.0, pol, []) == []
+        for call in (lambda: factorization_check(empty, 0, 5.0, pol),
+                     lambda: factorization_residual_curve(empty, 0, 5.0, pol, [10]),
+                     lambda: assemble_ruelle_from_graded(empty, 3.0, pol)):
             with pytest.raises(ValidationError):
                 call()
 
@@ -629,10 +634,10 @@ class TestKeptFactorizationTables:
             for k in (0, 1, 2):
                 with monkeypatch.context() as m:
                     m.setattr(zetas, "_factorization_weights", per_call_factorization_weights)
-                    want = factorization_check(cols, None, k, lam, pol)
-                    want_curve = factorization_residual_curve(cols, None, k, lam, pol, p_grid)
-                assert factorization_check(cols, None, k, lam, pol) == want
-                assert factorization_residual_curve(cols, None, k, lam, pol, p_grid) == want_curve
+                    want = factorization_check(cols, k, lam, pol)
+                    want_curve = factorization_residual_curve(cols, k, lam, pol, p_grid)
+                assert factorization_check(cols, k, lam, pol) == want
+                assert factorization_residual_curve(cols, k, lam, pol, p_grid) == want_curve
                 for orders in ([p_max], p_grid):
                     lhs, rhs = zetas._factorization_weights(cols, k, j_max, orders)
                     want_lhs, want_rhs = per_call_factorization_weights(cols, k, j_max, orders)
@@ -643,20 +648,33 @@ class TestKeptFactorizationTables:
     def test_lower_orders_and_other_k_reuse_the_table(self):
         cols = orbit_columns(_mixed_spectrum())
         pol = TruncationPolicy(j_max=16, p_max=60, entropy=2.0)
-        factorization_check(cols, None, 0, 5.0, pol)
+        factorization_check(cols, 0, 5.0, pol)
         kept = {name: value for name, (_, value) in cols._derived.items()}
-        assert {"iterates", "factorization", "shells"} <= kept.keys()
+        assert {"iterates", "ratios", "factorization", "shells"} <= kept.keys()
         for k in (0, 1, 2):
-            factorization_check(cols, None, k, 5.0, pol)
-            factorization_residual_curve(cols, None, k, 5.0, pol, [10, 20, 40])
+            factorization_check(cols, k, 5.0, pol)
+            factorization_residual_curve(cols, k, 5.0, pol, [10, 20, 40])
         assert all(cols._derived[name][1] is value for name, value in kept.items())
+
+    def test_one_ratio_and_one_phase_array_feed_every_product(self):
+        cols = orbit_columns(_mixed_spectrum())
+        pol = TruncationPolicy(j_max=8, p_max=20, entropy=2.0)
+        graded_log_zeta(cols, 1, 5.0, pol)
+        ratios, phases = cols._derived["ratios"][1], cols._derived["phases"][1]
+        assert ratios.shape == (5, len(cols), 8)
+        selberg_log_zeta(cols, IrrepLabel("sigma", 1, 2), 5.0, pol)
+        assemble_ruelle_from_graded(cols, 5.0, pol)
+        lhs, _ = zetas._factorization_weights(cols, 2, 8, [20])
+        assert lhs.base is ratios and np.array_equal(lhs, ratios[2])
+        factorization_check(cols, 2, 5.0, pol)
+        assert cols._derived["ratios"][1] is ratios and cols._derived["phases"][1] is phases
 
     def test_kept_arrays_are_read_only(self):
         cols = orbit_columns(_mixed_spectrum())
         pol = TruncationPolicy(j_max=8, p_max=20, entropy=2.0)
-        factorization_check(cols, None, 1, 5.0, pol)
-        selberg_log_zeta(cols, None, IrrepLabel("sigma", 1, 2), 5.0, pol)
-        assert {"iterates", "factorization", "shells", "phases"} <= cols._derived.keys()
+        factorization_check(cols, 1, 5.0, pol)
+        selberg_log_zeta(cols, IrrepLabel("sigma", 1, 2), 5.0, pol)
+        assert {"iterates", "ratios", "factorization", "shells", "phases"} <= cols._derived.keys()
         for _, value in cols._derived.values():
             for array in value if isinstance(value, tuple) else (value,):
                 assert not array.flags.writeable
@@ -666,11 +684,11 @@ class TestKeptFactorizationTables:
 
 class TestArrayPathGuards:
     def test_convergence_region(self):
-        spectrum = synthetic_spectrum(2.0, 5, 1)
+        cols = orbit_columns(synthetic_spectrum(2.0, 5, 1))
         pol = TruncationPolicy(j_max=3, entropy=2.0)
-        for call in (lambda: ruelle_log_zeta(spectrum, None, 1.5, pol),
-                     lambda: graded_log_zeta(spectrum, None, 2, 1.5, pol),
-                     lambda: selberg_log_zeta(spectrum, None, IrrepLabel("nu", 1, 2), 1.9, pol)):
+        for call in (lambda: ruelle_log_zeta(cols, 1.5, pol),
+                     lambda: graded_log_zeta(cols, 2, 1.5, pol),
+                     lambda: selberg_log_zeta(cols, IrrepLabel("nu", 1, 2), 1.9, pol)):
             with pytest.raises(ConvergenceError):
                 call()
 
@@ -680,23 +698,24 @@ class TestArrayPathGuards:
         path = tmp_path / "orbits.txt"
         write_orbit_dump(path, orbit_table(cat_family, 3))
         back = read_orbit_dump(path)
+        cols = orbit_columns(back)
         pol = TruncationPolicy(j_max=2, entropy=1.0)
-        for call in (lambda: graded_log_zeta(back, None, 1, 4.0, pol),
-                     lambda: assemble_ruelle_from_graded(back, None, 4.0, pol),
+        for call in (lambda: graded_log_zeta(cols, 1, 4.0, pol),
+                     lambda: assemble_ruelle_from_graded(cols, 4.0, pol),
                      lambda: guillemin_series(read_records_dump(path), None, 0, 3.0),
                      lambda: guillemin_series(back, None, 0, 3.0)):
             with pytest.raises(ValidationError, match="eigenvalue data"):
                 call()
 
     def test_expanding_block_limit(self):
-        spectrum = [ComplexLengthRecord(length=30.0, theta=0.5)]
+        cols = orbit_columns([ComplexLengthRecord(length=30.0, theta=0.5)])
         fine = TruncationPolicy(j_max=10, p_max=10, entropy=2.0)
         too_long = TruncationPolicy(j_max=11, p_max=10, entropy=2.0)
         calls = (
-            lambda pol: graded_log_zeta(spectrum, None, 2, 3.0, pol),
-            lambda pol: selberg_log_zeta(spectrum, None, IrrepLabel("sigma", 1, 2), 3.0, pol),
-            lambda pol: factorization_check(spectrum, None, 2, 5.0, pol),
-            lambda pol: assemble_ruelle_from_graded(spectrum, None, 3.0, pol),
+            lambda pol: graded_log_zeta(cols, 2, 3.0, pol),
+            lambda pol: selberg_log_zeta(cols, IrrepLabel("sigma", 1, 2), 3.0, pol),
+            lambda pol: factorization_check(cols, 2, 5.0, pol),
+            lambda pol: assemble_ruelle_from_graded(cols, 3.0, pol),
         )
         for call in calls:
             call(fine)
@@ -704,39 +723,39 @@ class TestArrayPathGuards:
                 call(too_long)
 
     def test_k_out_of_range(self, cat_model):
-        records = orbit_records(cat_model, 3)
-        spectrum = synthetic_spectrum(2.0, 5, 1)
+        toral = orbit_columns(orbit_records(cat_model, 3))
+        kleinian = orbit_columns(synthetic_spectrum(2.0, 5, 1))
         pol = TruncationPolicy(j_max=3, entropy=2.0)
-        for call in (lambda: graded_log_zeta(records, None, 3, 4.0, pol),
-                     lambda: graded_log_zeta(spectrum, None, 5, 4.0, pol),
-                     lambda: graded_log_zeta(spectrum, None, -1, 4.0, pol),
-                     lambda: factorization_check(spectrum, None, 3, 5.0, pol),
-                     lambda: factorization_residual_curve(spectrum, None, 3, 5.0, pol, [10])):
+        for call in (lambda: graded_log_zeta(toral, 3, 4.0, pol),
+                     lambda: graded_log_zeta(kleinian, 5, 4.0, pol),
+                     lambda: graded_log_zeta(kleinian, -1, 4.0, pol),
+                     lambda: factorization_check(kleinian, 3, 5.0, pol),
+                     lambda: factorization_residual_curve(kleinian, 3, 5.0, pol, [10])):
             with pytest.raises(ValidationError):
                 call()
 
     def test_insufficient_p_max(self):
-        spectrum = synthetic_spectrum(2.0, 10, 3)
+        cols = orbit_columns(synthetic_spectrum(2.0, 10, 3))
         enough = TruncationPolicy(j_max=2, p_max=40, entropy=2.0)
-        factorization_check(spectrum, None, 0, 5.0, enough, required_tolerance=1e-10)
+        factorization_check(cols, 0, 5.0, enough, required_tolerance=1e-10)
         with pytest.raises(ConvergenceError, match="insufficient p_max"):
-            factorization_check(spectrum, None, 0, 5.0, replace(enough, p_max=5), required_tolerance=1e-10)
+            factorization_check(cols, 0, 5.0, replace(enough, p_max=5), required_tolerance=1e-10)
 
     def test_array_cells_are_capped(self):
         from friedzeta import CapacityError
 
-        spectrum = synthetic_spectrum(2.0, 2, 1)
+        cols = orbit_columns(synthetic_spectrum(2.0, 2, 1))
         pol = TruncationPolicy(j_max=10_000_000, entropy=2.0)
         with pytest.raises(CapacityError):
-            ruelle_log_zeta(spectrum, None, 3.0, pol)
+            ruelle_log_zeta(cols, 3.0, pol)
         with pytest.raises(CapacityError):
-            factorization_residual_curve(spectrum, None, 0, 5.0, replace(pol, j_max=1), [10_000_000])
+            factorization_residual_curve(cols, 0, 5.0, replace(pol, j_max=1), [10_000_000])
 
     def test_overflow_is_convergence_error(self, cat_model):
         records = orbit_records(cat_model, 6)
         pol = TruncationPolicy(j_max=16, entropy=cat_model.default_entropy())
         with pytest.raises(ConvergenceError, match="leaves floating point"):
-            ruelle_log_zeta(records, None, -200.0, pol, allow_formal=True)
+            ruelle_log_zeta(orbit_columns(records), -200.0, pol, allow_formal=True)
 
     def test_twist_rules(self, cat_model, rep_minus):
         records = orbit_records(cat_model, 3)
@@ -744,12 +763,11 @@ class TestArrayPathGuards:
         pol = TruncationPolicy(j_max=3, entropy=2.0)
         cols = orbit_columns(records, rep_minus)
         assert not cols.length.flags.writeable and not cols.rho.flags.writeable
-        assert ruelle_log_zeta(cols, None, 4.0, pol) == ruelle_log_zeta(records, rep_minus, 4.0, pol)
-        for call in (lambda: ruelle_log_zeta(cols, rep_minus, 4.0, pol),
-                     lambda: ruelle_log_zeta(spectrum, rep_minus, 4.0, pol),
-                     lambda: ruelle_log_zeta(records, 0.5, 4.0, pol),
-                     lambda: ruelle_log_zeta(records + spectrum, None, 4.0, pol),
+        for call in (lambda: orbit_columns(spectrum, rep_minus),
+                     lambda: orbit_columns(records, 0.5),
+                     lambda: orbit_columns(records + spectrum),
                      lambda: orbit_columns(records, rep_minus, tau=0.1),
-                     lambda: selberg_log_zeta(records, None, IrrepLabel("nu", 0, 2), 4.0, pol)):
+                     lambda: selberg_log_zeta(cols, IrrepLabel("nu", 0, 2), 4.0, pol),
+                     lambda: factorization_check(orbit_columns(orbit_table(cat_model, 2)), 0, 5.0, pol)):
             with pytest.raises(ValidationError):
                 call()
