@@ -186,6 +186,7 @@ def cmd_zeta_continue(cfg: RunConfig, args):
                 "d_values": list(z.d_values),
                 "reliable": z.reliable,
                 "policy": asdict(policy),
+                "n_used": [d.n_used for d in z.determinants],
                 "warnings": list(dict.fromkeys(w for d in z.determinants for w in d.warnings)),
             }
         )

@@ -3,9 +3,18 @@
 Each graded determinant is the exponential-of-trace generating function
 ``d_k = sum_n c_n`` with the standard trace-to-coefficient recursion
 ``c_n = -(1/n) sum_m t_m c_{n-m}``, built from per-period fixed-point
-trace sums read off the orbit table.  For analytic roof data the coefficients decay
-super-exponentially and the sum evaluates the zeta factors at any
-spectral parameter, in particular at 0.
+trace sums read off the orbit table.  For analytic roof data the
+coefficients decay super-exponentially and the sum evaluates the zeta
+factors at any spectral parameter, in particular at 0.
+
+The recursion stops once the coefficients have decayed, usually well
+before ``n_max``, so traces are pulled one at a time: ``c_n`` reads
+``t_n`` only, ``S_n`` reads the orbits of the periods dividing ``n``,
+and the model's orbit table grows to period ``n`` only when ``S_n`` is
+first read.  The three determinants of one zeta share the sums.  The
+cost of a value thus follows the depth the recursion reads, not
+``n_max``; the values are those of the whole-table computation, since
+``c_1..c_n`` depend on ``t_1..t_n`` alone.
 
 The circle part ``u`` of the twist is factored out of the traces
 (``t_m = u^m * t_hat_m``) and restored as ``c_n = u^n * c_hat_n``; with
@@ -45,8 +54,9 @@ RESONANCE_TOL = 1e-9
 class DynamicalDeterminant:
     """Graded determinant value with its trace and coefficient sequences.
 
-    ``traces`` and ``coefficients`` are the circle-stripped sequences;
-    ``circle`` restores them (``t_m = circle^m * traces[m-1]``).
+    ``traces`` and ``coefficients`` are the circle-stripped sequences, the
+    ``n_used`` traces the recursion read and ``c_0..c_{n_used}``; ``circle``
+    restores them (``t_m = circle^m * traces[m-1]``).
     """
 
     grading: int
@@ -67,15 +77,8 @@ def _out_of_range(lam: complex) -> ConvergenceError:
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow is reported as ConvergenceError
-def trace_sums(
-    model: SuspensionModel,
-    representation: Character | None,
-    lam: complex,
-    n_max: int,
-    tau: float = 0.0,
-):
-    """Circle-stripped fixed-point sums ``S_m`` and counts for m = 1..n_max.
+class _TraceStream:
+    """Circle-stripped fixed-point sums ``S_m`` and counts, each computed the first time it is read.
 
     ``S_m = sum_{x in Fix(A^m)} exp(-lam * r_m(x)) * fiber(x)`` where
     ``r_m`` is the effective-roof Birkhoff sum and ``fiber`` the finite
@@ -83,63 +86,91 @@ def trace_sums(
     least period ``p | m`` lies on a primitive orbit with ``r_m = (m/p) *
     length`` and ``fiber(x) = fiber(class)^(m/p)``, so the sum runs over the
     orbit table: ``S_m = sum_{p | m} p sum_{period p} exp(-lam (m/p) l) fiber^(m/p)``.
-    When the weight is point-independent (``lam = 0`` or constant effective
-    roof) and the fiber is trivial, ``S_m`` reduces to the exact
-    fixed-point count ``|det(A^m - I)|`` without enumeration.
+    Reading ``S_m`` grows the model's table to period ``m`` when it is not
+    that deep yet.  When the weight is point-independent (``lam = 0`` or
+    constant effective roof) and the fiber is trivial, ``S_m`` reduces to
+    the exact fixed-point count ``|det(A^m - I)|`` without enumeration.
     """
-    model.require_tau(tau)
-    lam = complex(lam)
-    auto = model.automorphism
-    fiber_trivial = representation is None or representation.fiber_is_trivial
-    const_roof = model.roof.is_constant and (
-        tau == 0.0 or model.time_change is None or model.time_change.is_constant
-    )
-    if not (fiber_trivial and (lam == 0 or const_roof)):
-        table = orbit_table(model, n_max)
-        lengths = table.lengths(tau)
-    s_values: list[complex] = []
-    counts: list[int] = []
-    for m in range(1, n_max + 1):
-        count = abs(auto.det_one_minus_power(m))
-        counts.append(count)
-        if fiber_trivial and lam == 0:
-            s_values.append(complex(count))
-            continue
-        if fiber_trivial and const_roof:
+
+    def __init__(self, model: SuspensionModel, representation: Character | None, lam: complex, tau: float):
+        model.require_tau(tau)
+        self.model, self.representation, self.lam, self.tau = model, representation, complex(lam), tau
+        self.fiber_trivial = representation is None or representation.fiber_is_trivial
+        self.const_roof = model.roof.is_constant and (
+            tau == 0.0 or model.time_change is None or model.time_change.is_constant
+        )
+        self.sums: list[complex] = []
+        self.counts: list[int] = []
+        self.lengths = None  # orbit lengths at tau, as deep as the last sum read from the table
+
+    def __call__(self, m: int) -> tuple[complex, int]:
+        """``(S_m, |det(A^m - I)|)``; the sums below ``m`` are computed first."""
+        while len(self.sums) < m:
+            self._append(len(self.sums) + 1)
+        return self.sums[m - 1], self.counts[m - 1]
+
+    @np.errstate(over="ignore", invalid="ignore")  # overflow is reported as ConvergenceError
+    def _append(self, m: int):
+        model, lam = self.model, self.lam
+        count = abs(model.automorphism.det_one_minus_power(m))
+        if self.fiber_trivial and lam == 0:
+            s = complex(count)
+        elif self.fiber_trivial and self.const_roof:
             r0 = model.roof.constant
-            if tau != 0.0 and model.time_change is not None:
-                r0 *= 1.0 + tau * model.time_change.constant
+            if self.tau != 0.0 and model.time_change is not None:
+                r0 *= 1.0 + self.tau * model.time_change.constant
             try:
-                s_values.append(count * cmath.exp(-lam * r0 * m))
+                s = count * cmath.exp(-lam * r0 * m)
             except (OverflowError, ValueError):
                 raise _out_of_range(lam) from None
-            continue
-        parts = []
-        for p in (p for p in range(1, m + 1) if m % p == 0):
-            rows = table.period_slice(p)
-            weights = np.exp((-lam * (m // p)) * lengths[rows])
-            if not fiber_trivial:
-                weights = weights * representation.fiber_values((m // p) * table.class_exps[rows])
-            parts.append(p * weights)
-        s_values.append(complex(block_sum(np.concatenate(parts))))
-    if not all(cmath.isfinite(s) for s in s_values):
-        raise _out_of_range(lam)
-    return s_values, counts
+        else:
+            table = orbit_table(model, m)
+            if self.lengths is None or len(self.lengths) < len(table.period):
+                self.lengths = table.lengths(self.tau)
+            parts = []
+            for p in (p for p in range(1, m + 1) if m % p == 0):
+                rows = table.period_slice(p)
+                weights = np.exp((-lam * (m // p)) * self.lengths[rows])
+                if not self.fiber_trivial:
+                    weights = weights * self.representation.fiber_values((m // p) * table.class_exps[rows])
+                parts.append(p * weights)
+            s = complex(block_sum(np.concatenate(parts)))
+        if not cmath.isfinite(s):
+            raise _out_of_range(lam)
+        self.sums.append(s)
+        self.counts.append(count)
 
 
-def _plemelj_smithies(traces: list[complex], tail_tol: float, n_max: int, window: int):
+def trace_sums(
+    model: SuspensionModel,
+    representation: Character | None,
+    lam: complex,
+    n_max: int,
+    tau: float = 0.0,
+):
+    """Circle-stripped fixed-point sums ``S_m`` and counts for m = 1..n_max (see :class:`_TraceStream`)."""
+    stream = _TraceStream(model, representation, lam, tau)
+    stream(n_max)
+    return stream.sums, stream.counts
+
+
+def _plemelj_smithies(trace, tail_tol: float, n_max: int, window: int):
     """Coefficient recursion with compensated sums and a decay-based stop.
 
-    Past n = 2 it stops at an exact zero, or once the last ``window``
-    coefficients are all below ``tail_tol``: under a fiber character of
-    order q the coefficients off multiples of q can vanish by symmetry,
-    so one small coefficient does not show decay.  The tail bound is 0
-    after an exact zero and else the largest of the last ``window``.
+    ``trace(m)`` is read when the recursion reaches ``c_m``, so the traces
+    past the stop are never computed.  Past n = 2 it stops at an exact
+    zero, or once the last ``window`` coefficients are all below
+    ``tail_tol``: under a fiber character of order q the coefficients off
+    multiples of q can vanish by symmetry, so one small coefficient does
+    not show decay.  The tail bound is 0 after an exact zero and else the
+    largest of the last ``window``.
     """
+    traces: list[complex] = []
     coeffs: list[complex] = [1.0 + 0.0j]
     warnings: list[str] = []
     reliable = True
     for n in range(1, n_max + 1):
+        traces.append(trace(n))
         parts_re = []
         parts_im = []
         for m in range(1, n + 1):
@@ -155,7 +186,7 @@ def _plemelj_smithies(traces: list[complex], tail_tol: float, n_max: int, window
     if not reliable:
         warnings.append("continuation unreliable: coefficient decay is not monotone past n=4")
     tail = 0.0 if coeffs[-1] == 0 else max(abs(x) for x in coeffs[-window:])
-    return coeffs, tail, reliable, warnings
+    return traces, coeffs, tail, reliable, warnings
 
 
 def _fiber_order(representation: Character | None) -> int:
@@ -174,28 +205,29 @@ def dynamical_determinant(
     n_max: int,
     tau: float = 0.0,
     tail_tol: float = 1e-12,
-    _precomputed=None,
+    _stream: _TraceStream | None = None,
 ) -> DynamicalDeterminant:
     """Degree-``k`` cycle-expansion determinant at spectral parameter ``lam``.
 
     Traces are ``t_m = Tr(wedge^k A^m) * S_m / |det(A^m - I)|`` with the
     circle part of the twist stripped; the value is ``sum_n u^n c_n``.
+    ``traces`` holds the ``n_used`` traces the recursion read; ``_stream``
+    is a :class:`_TraceStream` of the same model, character, ``lam`` and
+    ``tau`` whose sums other determinants share.
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
     auto = model.automorphism
-    if _precomputed is None:
-        s_values, counts = trace_sums(model, representation, lam, n_max, tau)
-    else:
-        s_values, counts = _precomputed
-    traces = [
-        auto.wedge_trace_power(k, m) * (s_values[m - 1] / counts[m - 1])
-        for m in range(1, n_max + 1)
-    ]
+    stream = _TraceStream(model, representation, lam, tau) if _stream is None else _stream
+
+    def trace(m: int) -> complex:
+        s, count = stream(m)
+        return auto.wedge_trace_power(k, m) * (s / count)
+
     u = 1.0 + 0.0j if representation is None else complex(representation.circle)
     window = max(2, _fiber_order(representation))
     try:
-        coeffs, tail, reliable, warnings = _plemelj_smithies(traces, tail_tol, n_max, window)
+        traces, coeffs, tail, reliable, warnings = _plemelj_smithies(trace, tail_tol, n_max, window)
         u_pow = 1.0 + 0.0j
         re_parts = []
         im_parts = []
@@ -277,16 +309,19 @@ def cycle_zeta(
 ) -> CycleZeta:
     """``zeta(lam) = d_1(lam) / (d_0(lam) d_2(lam))`` from the cycle expansions.
 
-    The three determinants share one set of trace sums.  A determinant
-    that vanishes within :data:`RESONANCE_TOL` raises
-    :class:`ResonanceAtZeroError` at ``lam = 0``, the excluded resonant
-    case, and :class:`ConvergenceError` elsewhere.
+    The three determinants share one stream of trace sums, each sum
+    computed the first time a recursion reads it, so the periods past the
+    deepest stop are never enumerated and their errors (the enumeration
+    cap, an overflow) never raised.  A determinant that vanishes within
+    :data:`RESONANCE_TOL` raises :class:`ResonanceAtZeroError` at
+    ``lam = 0``, the excluded resonant case, and :class:`ConvergenceError`
+    elsewhere.
     """
-    pre = trace_sums(model, representation, lam, policy.max_period, tau)
+    stream = _TraceStream(model, representation, lam, tau)
     dets = tuple(
         dynamical_determinant(
             model, representation, k, lam, policy.max_period, tau=tau,
-            tail_tol=policy.tail_tol, _precomputed=pre,
+            tail_tol=policy.tail_tol, _stream=stream,
         )
         for k in range(3)
     )

@@ -4,7 +4,8 @@ Periodic points of the base map are enumerated exactly through the Smith
 normal form of ``A^n - I``; every base quantity (counts, homology classes,
 orientation indices) is integer arithmetic.  Lengths under a time-change
 family are Birkhoff sums of the effective roof ``roof * (1 + tau*g)``.
-Every consumer reads one cached :class:`OrbitTable` per (model, n_max);
+Every consumer reads one :class:`OrbitTable` per model, which grows by
+whole periods as deeper periods are asked for;
 :func:`fixed_points`, :func:`primitive_orbits`, :func:`homology_class` and
 :func:`orbit_records` serve only test oracles and perfbench trace targets.
 The table is built in one pass per period over the fixed points of ``A^n``
@@ -528,9 +529,9 @@ def _axis_blocks(d1: int, d2: int):
             yield i0 * d2 + lo, i, np.arange(lo, min(lo + cut, d2), dtype=np.int64)
 
 
-def _outer_mod(ci: int, cj: int, i: np.ndarray, j: np.ndarray, m: int) -> np.ndarray:
-    """``(ci * i + cj * j) mod m`` over the block ``i x j``, int32: an outer sum of per-axis residues."""
-    s = np.add.outer((ci % m * i % m).astype(np.int32), (cj % m * j % m).astype(np.int32))
+def _outer_mod(ci: int, cj: int, i: np.ndarray, j: np.ndarray, m: int, dtype=np.int32) -> np.ndarray:
+    """``(ci * i + cj * j) mod m`` over the block ``i x j``: an outer sum of per-axis residues."""
+    s = np.add.outer((ci % m * i % m).astype(dtype), (cj % m * j % m).astype(dtype))
     np.subtract(s, m, out=s, where=s >= m)  # both residues are below m
     return s
 
@@ -539,11 +540,12 @@ def _trig_block(poly: TrigPolynomial, w, i: np.ndarray, j: np.ndarray, m: int, c
     """``poly`` at the points ``w (i, j) / m`` of a block, flat; ``cos`` and ``sin`` map phase indices mod ``m``.
 
     Terms are added in order and a zero amplitude skips its cos or sin, so
-    every value is the same bit for bit as one cos or sin per point per term.
+    every value is the same bit for bit as one cos or sin per point per term.  Phases are intp, the
+    index type ``take`` would otherwise convert them to on every call.
     """
     value = np.full((len(i), len(j)), float(poly.constant))
     for k1, k2, a, b in poly.terms:
-        k = _outer_mod(k1 * w[0][0] + k2 * w[1][0], k1 * w[0][1] + k2 * w[1][1], i, j, m)  # k . x mod m
+        k = _outer_mod(k1 * w[0][0] + k2 * w[1][0], k1 * w[0][1] + k2 * w[1][1], i, j, m, np.intp)  # k . x mod m
         if b == 0.0:
             value += a * cos(k)
         elif a == 0.0:
@@ -553,6 +555,26 @@ def _trig_block(poly: TrigPolynomial, w, i: np.ndarray, j: np.ndarray, m: int, c
     return value.ravel()
 
 
+def _index_map(auto: ToralAutomorphism, k: int, d1: int, d2: int, v) -> tuple[int, int, int, int]:
+    """``B^k`` on the flat index ``i * d2 + j`` of :func:`_fixed_point_lattice`, ``B = V^-1 A V``.
+
+    Returns ``(c1, c2, r1, r2)``: the image is ``(c1 i + c2 j) mod d2 + d2 ((r1 i + r2 j) mod d1)``.
+    """
+    stride = d2 // d1
+    det_v = _det(v)
+    v_inv = ((det_v * v[1][1], -det_v * v[0][1]), (-det_v * v[1][0], det_v * v[0][0]))
+    (b11, b12), (b21, b22) = _mat_mul(_mat_mul(v_inv, auto.power(k)), v)
+    # B^k maps the lattice (stride * Z_d1) x Z_d2 into itself, so stride | b12 mod d2
+    return b21 * stride, b22, b11, b12 % d2 // stride
+
+
+def _index_image(auto: ToralAutomorphism, k: int, d1: int, d2: int, v, index: np.ndarray) -> np.ndarray:
+    """The flat indices that ``B^k`` maps ``index`` to; int64 products stay below ``d2**2``."""
+    c1, c2, r1, r2 = _index_map(auto, k, d1, d2, v)
+    i, j = np.divmod(index, d2)
+    return (c1 % d2 * i + c2 % d2 * j) % d2 + (r1 % d1 * i + r2 % d1 * j) % d1 * d2
+
+
 def _period_pass(auto: ToralAutomorphism, n: int, roof: TrigPolynomial | None = None,
                  time_change: TrigPolynomial | None = None):
     """The primitive orbits of least period ``n``, in one pass over the fixed points of ``A^n``.
@@ -560,8 +582,10 @@ def _period_pass(auto: ToralAutomorphism, n: int, roof: TrigPolynomial | None = 
     Points are indexed by ``Z_d1 x Z_d2`` (:func:`_fixed_point_lattice`), where
     ``A`` acts as ``B = V^-1 A V``: that is the successor permutation.
     ``ceil(log2 n)`` rounds of pointer doubling label each point with the
-    smallest index on its cycle, and a cycle of ``n`` points is a primitive
-    orbit.  Its representative is its lexicographically smallest point.
+    smallest index on its cycle, its head.  A cycle is a primitive orbit
+    when its head is not fixed by ``B^(n/q)`` for any prime ``q | n``, a
+    test on the heads alone.  Its representative is its lexicographically
+    smallest point.
     The successor, the point ``x = V (i * stride, j) mod d2`` and every roof
     phase ``k . x mod d2`` are linear in ``(i, j)``, so each is an outer sum
     of two per-axis residue vectors.  When ``d2`` is at most a block, the
@@ -572,15 +596,12 @@ def _period_pass(auto: ToralAutomorphism, n: int, roof: TrigPolynomial | None = 
     """
     d1, d2, v = _fixed_point_lattice(auto, n)
     count, stride = d1 * d2, d2 // d1
-    det_v = _det(v)
-    v_inv = ((det_v * v[1][1], -det_v * v[0][1]), (-det_v * v[1][0], det_v * v[0][0]))
-    (b11, b12), (b21, b22) = _mat_mul(_mat_mul(v_inv, auto.matrix), v)
-    b12 = b12 % d2 // stride  # B maps the lattice (stride * Z_d1) x Z_d2 into itself, so stride | b12 mod d2
+    c1, c2, r1, r2 = _index_map(auto, 1, d1, d2, v)
     succ = np.empty(count, dtype=np.int32)  # count <= MAX_ENUMERATED_POINTS < 2^31
     for lo, i, j in _axis_blocks(d1, d2):
-        nxt = _outer_mod(b21 * stride, b22, i, j, d2)
-        if d1 > 1:  # plus d2 times the successor's row, (b11 * i + b12 * j) mod d1
-            nxt += _outer_mod(b11 * d2, b12 * d2, i, j, count)
+        nxt = _outer_mod(c1, c2, i, j, d2)
+        if d1 > 1:  # plus d2 times the successor's row, (r1 * i + r2 * j) mod d1
+            nxt += _outer_mod(r1 * d2, r2 * d2, i, j, count)
         succ[lo : lo + nxt.size] = nxt.ravel()
     label = np.arange(count, dtype=np.int32)
     rounds = (n - 1).bit_length()
@@ -589,7 +610,10 @@ def _period_pass(auto: ToralAutomorphism, n: int, roof: TrigPolynomial | None = 
         if r + 1 < rounds:
             succ = succ[succ]
     del succ
-    heads = np.flatnonzero(np.bincount(label, minlength=count) == n)
+    heads = np.flatnonzero(label == np.arange(count, dtype=np.int32))  # one per cycle, of any length q | n
+    primes = (q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q)))
+    for q in primes:  # a cycle shorter than n is fixed by B^(n/q) for some prime q | n
+        heads = heads[_index_image(auto, n // q, d1, d2, v, heads) != heads]
     # one row per primitive orbit, plus a spare row for the points of smaller period
     row = np.full(count, len(heads), dtype=np.int32)
     row[heads] = np.arange(len(heads), dtype=np.int32)
@@ -653,14 +677,15 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _orbit_columns(auto: ToralAutomorphism, n_max: int, roof=None, time_change=None):
+def _orbit_columns(auto: ToralAutomorphism, n_max: int, roof=None, time_change=None, shallower=None):
     """Read-only ``(period, num1, num2, den, length0, slope, class_exps)`` up to ``n_max``.
 
-    One :func:`_period_pass` per period; ``length0`` and ``slope`` are 0
-    without a roof or time change.
+    One :func:`_period_pass` per period past those of ``shallower``, an
+    :class:`OrbitTable` whose columns the result extends when given.
+    ``length0`` and ``slope`` are 0 without a roof or time change.
     """
-    parts = []
-    for n in range(1, n_max + 1):
+    depth, parts = (0, []) if shallower is None else (shallower.n_max, [shallower.columns()])
+    for n in range(depth + 1, n_max + 1):
         num1, num2, den, length, slope = _period_pass(auto, n, roof, time_change)
         parts.append((np.full(len(num1), n), num1, num2, np.full(len(num1), den), length, slope,
                       _class_columns(auto, n, num1, num2, den)))
@@ -688,6 +713,15 @@ class OrbitTable:
     length0: np.ndarray
     slope: np.ndarray
     class_exps: np.ndarray
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """``(period, num1, num2, den, length0, slope, class_exps)``."""
+        return tuple(getattr(self, name) for name in fields(self)[2:])
+
+    def up_to(self, n_max: int) -> OrbitTable:
+        """The orbits of period at most ``n_max``, as prefix views of the columns."""
+        stop = int(np.searchsorted(self.period, n_max, side="right"))
+        return OrbitTable(self.model, n_max, *(column[:stop] for column in self.columns()))
 
     def period_slice(self, n: int) -> slice:
         """Rows of the primitive orbits of period ``n``."""
@@ -720,13 +754,32 @@ class OrbitTable:
 
 
 @lru_cache(maxsize=4)
-def orbit_table(model: SuspensionModel, n_max: int) -> OrbitTable:
-    """The orbit table of ``model`` up to period ``n_max``, built once and cached.
+def _deepest_table(model: SuspensionModel) -> list:
+    """One slot per model (the four latest models kept) holding its deepest table built so far, or None."""
+    return [None]
 
-    One pass per period evaluates the roof (and the time change) once at
-    every fixed point and sums it along each orbit.
+
+def orbit_table(model: SuspensionModel, n_max: int) -> OrbitTable:
+    """The orbit table of ``model`` up to period ``n_max``, each period built once per process.
+
+    One table per model grows by whole periods: rows are sorted by
+    period, so a shallower table is a prefix of a deeper one.  A request
+    at the built depth returns the cached table, one below it prefix views
+    of its columns, and one beyond it runs a pass for each new period
+    only.  A pass evaluates the roof (and the time change) once at every
+    fixed point and sums it along each orbit.
     """
-    return OrbitTable(model, n_max, *_orbit_columns(model.automorphism, n_max, model.roof, model.time_change))
+    slot = _deepest_table(model)
+    table = slot[0]
+    if table is None or n_max > table.n_max:
+        slot[0] = table = _build_table(model, n_max, table)
+    return table if n_max == table.n_max else table.up_to(n_max)
+
+
+def _build_table(model: SuspensionModel, n_max: int, shallower: OrbitTable | None = None) -> OrbitTable:
+    """The orbit table of ``model`` up to ``n_max``, uncached: ``shallower`` extended when given."""
+    return OrbitTable(model, n_max, *_orbit_columns(model.automorphism, n_max, model.roof, model.time_change,
+                                                    shallower))
 
 
 def primitive_orbits(automorphism, n_max: int) -> list[PrimitiveOrbit]:

@@ -1,6 +1,6 @@
 import pytest
 
-from friedzeta import Character, SuspensionModel, ToralAutomorphism, TrigPolynomial, TruncationPolicy
+from friedzeta import Character, SuspensionModel, ToralAutomorphism, TrigPolynomial, TruncationPolicy, toral
 
 CAT = ((2, 1), (1, 1))
 
@@ -34,3 +34,12 @@ def rep_minus(cat):
 @pytest.fixture
 def policy14(cat_model):
     return TruncationPolicy(max_period=14, j_max=40, entropy=cat_model.default_entropy())
+
+
+@pytest.fixture
+def period_passes(monkeypatch):
+    """The period of every ``toral._period_pass`` call the test makes, in call order."""
+    built = []
+    period_pass = toral._period_pass
+    monkeypatch.setattr(toral, "_period_pass", lambda auto, n, *roofs: built.append(n) or period_pass(auto, n, *roofs))
+    return built

@@ -28,10 +28,11 @@ from friedzeta import (
     ruelle_log_zeta,
     write_spectrum,
 )
-from friedzeta import cli, config, kleinian, zetas
+from friedzeta import cli, config, kleinian, toral, zetas
 from friedzeta._record import fields
 from friedzeta.cli import _COMMANDS, _KNOWN_KEYS, _jsonify, build_parser, main
 from friedzeta.config import RunConfig
+from friedzeta.toral import orbit_table
 
 from dump_oracle import read_lines_dump, read_records_dump
 
@@ -168,7 +169,7 @@ class TestZetaEval:
 ZETA_ROW_KEYS = {"zeta_kind", "lambda_re", "lambda_im", "log_value_re", "log_value_im",
                  "tail_bound", "tail_kind", "policy", "warnings"}
 CONTINUE_ROW_KEYS = {"zeta_kind", "lambda_re", "lambda_im", "log_value_re", "log_value_im",
-                     "tail_bound", "tail_kind", "d_values", "reliable", "policy", "warnings"}
+                     "tail_bound", "tail_kind", "d_values", "reliable", "policy", "n_used", "warnings"}
 
 
 @pytest.mark.parametrize(
@@ -409,6 +410,49 @@ class TestZetaContinue:
             z = CycleZeta(d1 / (d0 * d2), abs(d1 / (d0 * d2)), tuple(map(determinant, (d0, d1, d2))), True)
             assert -math.pi < z.log_value.imag <= math.pi
             assert cmath.exp(z.log_value) == pytest.approx(z.value, rel=1e-15)
+
+
+    def test_periods_are_built_as_the_recursion_reads_them(self, period_passes, capsys):
+        # the cycle expansion stops long before n_max: the table holds the periods it read, each built once
+        # a roof no other test uses, so no table of this model is built yet
+        settings = ["model.matrix=2 1 1 1", "model.roof=const:1 cos:1,0:0.0437 sin:0,1:0.0219",
+                    "rep.u_fraction=0.5", "policy.n_max=16", "lambda.grid=0,0.3,0.9,1.4+0.5i,2"]
+        built = period_passes
+        assert run("zeta-continue", *settings) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+        depth = max(n for row in rows for n in row["n_used"])
+        assert [len(row["n_used"]) for row in rows] == [3] * 5 and depth < 16
+        assert built == list(range(1, depth + 1))
+        model = RunConfig.load(None, settings).model()
+        tables = [orbit_table(model, n) for n in range(1, depth + 1)]
+        assert built == list(range(1, depth + 1))
+        for n, table in enumerate(tables, start=1):
+            fresh = toral._build_table(model, n)
+            for name in ("period", "num1", "num2", "den", "length0", "slope", "class_exps"):
+                assert getattr(table, name).tobytes() == getattr(fresh, name).tobytes()
+
+    def test_errors_only_from_periods_read(self, monkeypatch, capsys):
+        # period 20 of the cat map holds 228,826,125 fixed points, past the enumeration cap; the default
+        # tolerance stops the recursion by period 9, so n_max 30 reads the rows of n_max 14
+        settings = ["model.matrix=2 1 1 1", "model.roof=const:1 cos:1,0:0.05", "lambda.grid=1"]
+        rows = {}
+        for n_max in (14, 30):
+            assert run("zeta-continue", *settings, f"policy.n_max={n_max}") == 0
+            rows[n_max] = json.loads(capsys.readouterr().out)["results"]["rows"]
+        for row in rows[14] + rows[30]:
+            del row["policy"]
+        assert rows[30] == rows[14] and max(rows[30][0]["n_used"]) < 14
+        # a tolerance the coefficients never meet reads every period up to n_max, so the cap stops the
+        # command; with the cap lowered to 2^16 that is period 12, 103,680 fixed points
+        monkeypatch.setattr(toral, "MAX_ENUMERATED_POINTS", 1 << 16)
+        assert run("zeta-continue", *settings, "policy.n_max=30", "policy.tail_tol=1e-30") == 2
+        assert capsys.readouterr().err == "error: |det(A^n - I)| = 103680 fixed points exceeds the enumeration cap\n"
+
+    def test_overflow_message(self, capsys):
+        assert run("zeta-continue", *CAT_SETTINGS, "model.roof=const:1 cos:1,0:0.1", "policy.n_max=8",
+                   "lambda.grid=-200") == 2
+        assert capsys.readouterr().err == ("error: cycle expansion at lambda=(-200+0j) overflows floating point; "
+                                           "raise Re(lambda) or lower n_max\n")
 
 
 class TestConfigFile:

@@ -18,6 +18,10 @@ from friedzeta import (
 )
 from friedzeta._kernels import birkhoff_sums
 from friedzeta.continuation import trace_sums
+from friedzeta.errors import FriedzetaError
+
+from continuation_oracle import eager_cycle_zeta, eager_trace_sums
+from test_toral import TABLE_CASES, TABLE_CHANGE, TABLE_ROOF
 
 
 @pytest.fixture
@@ -203,3 +207,54 @@ class TestContinuationProductAgreement:
         # floor and the magnitude decay diagnostic stays clean
         d_default = dynamical_determinant(model, Character.from_angle_fraction(0.5), 1, 1.0, 12)
         assert d_default.reliable
+
+
+ORACLE_LAMBDAS = (0.0, 0.3, 2.0, 0.5 + 2.0j, -0.3)
+TWISTS = {  # the character of a base map from its coker(A - I) orders
+    "untwisted": lambda orders: None,
+    "circle twist": lambda orders: Character.from_angle_fraction(0.3, orders, (0, 0)),
+    "circle and fiber twist": lambda orders: Character.from_angle_fraction(
+        0.3, orders, tuple(1 if d > 1 else 0 for d in orders)),
+}
+
+
+def _outcome(zeta):
+    """The zeta, or ``(error type, message)`` where it raises."""
+    try:
+        return zeta()
+    except FriedzetaError as exc:
+        return type(exc), str(exc)
+
+
+class TestLazyTracesMatchWholeTable:
+    """Traces pulled as the recursion reads them give the whole-table expansion bit for bit."""
+
+    @pytest.mark.parametrize("tail_tol", [1e-12, 1e-30])
+    @pytest.mark.parametrize("twist", TWISTS.values(), ids=TWISTS.keys())
+    @pytest.mark.parametrize("matrix, n_max", TABLE_CASES,
+                             ids=[f"{' '.join(str(a) for row in m for a in row)} to {n}" for m, n in TABLE_CASES])
+    def test_cycle_zeta_matches_oracle(self, matrix, n_max, twist, tail_tol):
+        auto = ToralAutomorphism(matrix)
+        model = SuspensionModel(auto, TABLE_ROOF, TABLE_CHANGE)
+        rep, tau = twist(auto.coker_orders), 0.1
+        policy = TruncationPolicy(max_period=n_max, tail_tol=tail_tol)
+        for lam in ORACLE_LAMBDAS:
+            got = _outcome(lambda: cycle_zeta(model, rep, lam, policy, tau))
+            want = _outcome(lambda: eager_cycle_zeta(model, rep, lam, policy, tau))
+            if isinstance(want, tuple):
+                assert got == want
+                continue
+            assert repr((got.d_values, got.tail_bound, got.reliable)) == \
+                repr((want.d_values, want.tail_bound, want.reliable))
+            for d, e in zip(got.determinants, want.determinants):
+                assert repr(d.coefficients) == repr(e.coefficients)
+                assert repr((d.value, d.tail_bound, d.reliable, d.warnings, d.n_used)) == \
+                    repr((e.value, e.tail_bound, e.reliable, e.warnings, e.n_used))
+                assert repr(d.traces) == repr(e.traces[: d.n_used])
+
+    def test_trace_sums_match_oracle(self):
+        a = ToralAutomorphism(((3, 2), (1, 1)))
+        model = SuspensionModel(a, TABLE_ROOF, TABLE_CHANGE)
+        chi = TWISTS["circle and fiber twist"](a.coker_orders)
+        for lam in ORACLE_LAMBDAS:
+            assert repr(trace_sums(model, chi, lam, 8, 0.1)) == repr(eager_trace_sums(model, chi, lam, 8, 0.1))

@@ -271,12 +271,29 @@ class TestOrbitTable:
 
     def test_deterministic_and_prefix_of_longer_table(self, built):
         model, table, _ = built
-        again = orbit_table.__wrapped__(model, table.n_max)
-        longer = orbit_table.__wrapped__(model, table.n_max + 1)
+        again = toral._build_table(model, table.n_max)
+        longer = toral._build_table(model, table.n_max + 1)
         for name in ("period", "num1", "num2", "den", "length0", "slope", "class_exps"):
             col = getattr(table, name)
             assert getattr(again, name).tobytes() == col.tobytes()
             assert getattr(longer, name)[: len(col)].tobytes() == col.tobytes()
+
+    def test_table_grows_by_whole_periods(self, period_passes):
+        # a roof no other test uses, so no table of this model is built yet
+        model = SuspensionModel(ToralAutomorphism(((3, 2), (1, 1))), TrigPolynomial.cosine((1, 1), 0.0371, 1.0))
+        built = period_passes
+        orbit_table(model, 4)
+        deep = orbit_table(model, 7)
+        assert built == list(range(1, 8))
+        assert orbit_table(model, 7) is deep
+        for n in range(1, 7):
+            table = orbit_table(model, n)
+            assert table.n_max == n and set(table.period.tolist()) <= set(range(1, n + 1))
+            for name in ("period", "num1", "num2", "den", "length0", "slope", "class_exps"):
+                col, full = getattr(table, name), getattr(deep, name)
+                assert np.shares_memory(col, full) and not col.flags.writeable
+                assert col.tobytes() == full[: len(col)].tobytes()
+        assert built == list(range(1, 8))
 
     @pytest.mark.parametrize("block", [None, 64], ids=["default blocks", "blocks of 64"])
     @pytest.mark.parametrize("roofs", PASS_ROOFS.values(), ids=PASS_ROOFS.keys())
