@@ -4,7 +4,10 @@ Each command returns its report's results and its CSV; ``main`` times
 the run from config load on and writes both.  A command accepts the config
 keys of its ``_KNOWN_KEYS`` entry, and its flags follow from them:
 ``--csv`` where ``io.csv`` is a key, ``--allow-formal`` where
-``zeta.allow_formal`` is.
+``zeta.allow_formal`` is.  ``main`` reads a command and its flags in their
+plain spelling (each flag in full, its value in the next token) directly;
+help, abbreviations, ``--flag=value`` and usage errors go to argparse,
+which is imported only then.
 
 Exit codes: 0 success, 1 validation or usage error, 2 convergence,
 capacity or continuation failure.  Every report echoes the resolved
@@ -13,11 +16,12 @@ configuration so the run can be reproduced exactly.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import sys
 import time
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from ._record import asdict, record, replace
 from .config import RunConfig
@@ -47,6 +51,9 @@ from .zetas import (
     ruelle_log_zeta,
     selberg_log_zeta,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 gc.freeze()  # what the imports built lives as long as the process: no collection, nor the one at exit, walks it
 
@@ -354,33 +361,68 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors are validation errors: one ``error:`` line, exit 1."""
-
-    def error(self, message):
-        raise ValidationError(message)
+def _flags(known: set[str]) -> dict[str, dict]:
+    """The ``add_argument`` keywords of each flag of a command that reads the config keys ``known``."""
+    flags = {
+        "--config": {"default": None, "help": "flat key=value config file"},
+        "--set": {"action": "append", "default": [], "metavar": "KEY=VALUE",
+                  "help": "override a config key (wins over the file)"},
+        "--out": {"default": None, "help": "output path (overrides io.out / report path)"},
+    }
+    if "io.csv" in known:
+        flags["--csv"] = {"default": None, "help": "CSV output path (overrides io.csv)"}
+    if "zeta.allow_formal" in known:
+        flags["--allow-formal"] = {"action": "store_true", "default": False,
+                                   "help": "acknowledge evaluation outside the convergence region"}
+    return flags
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI's parser; with a known ``command`` it holds only that command's subparser."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Argument parser whose usage errors are validation errors: one ``error:`` line, exit 1."""
+
+        def error(self, message):
+            raise ValidationError(message)
+
     parser = _Parser(
         prog="friedzeta",
         description="Dynamical zeta functions, cycle-expansion continuation and torsion checks.",
     )
     sub = parser.add_subparsers(dest="command")
     for name in [command] if command in _KNOWN_KEYS else _KNOWN_KEYS:
-        known = _KNOWN_KEYS[name]
         p = sub.add_parser(name)
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="override a config key (wins over the file)")
-        p.add_argument("--out", help="output path (overrides io.out / report path)")
-        if "io.csv" in known:
-            p.add_argument("--csv", help="CSV output path (overrides io.csv)")
-        if "zeta.allow_formal" in known:
-            p.add_argument("--allow-formal", action="store_true",
-                           help="acknowledge evaluation outside the convergence region")
+        for flag, spec in _flags(_KNOWN_KEYS[name]).items():
+            p.add_argument(flag, **spec)
     return parser
+
+
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns for a command and its flags in their plain spelling.
+
+    Plain is each flag of :func:`_flags` in full, with its value, not starting
+    with ``-``, in the next token.  Any other ``argv`` gives None.
+    """
+    if not argv or argv[0] not in _KNOWN_KEYS:
+        return None
+    flags = _flags(_KNOWN_KEYS[argv[0]])
+    dests = {flag: flag[2:].replace("-", "_") for flag in flags}  # argparse's attribute names
+    args = {"command": argv[0]} | {dests[flag]: spec["default"] for flag, spec in flags.items()}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag not in flags:
+            return None
+        dest, action = dests[flag], flags[flag].get("action")
+        if action == "store_true":
+            args[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        args[dest] = [*args[dest], value] if action == "append" else value
+    return SimpleNamespace(**args)
 
 
 def _write_csv(path: str, header: str, rows) -> None:
@@ -392,12 +434,14 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
+    args = _plain_args(argv)
     try:
-        args = parser.parse_args(argv)
-        if not args.command:
-            parser.print_usage(sys.stderr)
-            return 1
+        if args is None:
+            parser = build_parser(argv[0] if argv else None)
+            args = parser.parse_args(argv)
+            if not args.command:
+                parser.print_usage(sys.stderr)
+                return 1
         t0 = time.perf_counter()
         cfg = RunConfig.load(args.config, args.set)
         known = _KNOWN_KEYS[args.command]

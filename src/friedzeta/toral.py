@@ -576,7 +576,7 @@ def _index_image(auto: ToralAutomorphism, k: int, d1: int, d2: int, v, index: np
 
 
 def _period_pass(auto: ToralAutomorphism, n: int, roof: TrigPolynomial | None = None,
-                 time_change: TrigPolynomial | None = None):
+                 time_change: TrigPolynomial | None = None, lattice=None):
     """The primitive orbits of least period ``n``, in one pass over the fixed points of ``A^n``.
 
     Points are indexed by ``Z_d1 x Z_d2`` (:func:`_fixed_point_lattice`), where
@@ -592,9 +592,10 @@ def _period_pass(auto: ToralAutomorphism, n: int, roof: TrigPolynomial | None = 
     phases index one cos and one sin table over ``2 pi / d2 * arange(d2)``.
     Returns ``(num1, num2, den, length, slope)`` sorted by ``(num1, num2)``:
     the orbit sums of ``roof`` and of ``roof * time_change`` (0 where absent).
-    A sum beyond the float range is a :class:`CapacityError`.
+    A sum beyond the float range is a :class:`CapacityError`.  ``lattice``
+    is ``_fixed_point_lattice(auto, n)`` when the caller has it already.
     """
-    d1, d2, v = _fixed_point_lattice(auto, n)
+    d1, d2, v = lattice or _fixed_point_lattice(auto, n)
     count, stride = d1 * d2, d2 // d1
     c1, c2, r1, r2 = _index_map(auto, 1, d1, d2, v)
     succ = np.empty(count, dtype=np.int32)  # count <= MAX_ENUMERATED_POINTS < 2^31
@@ -681,12 +682,15 @@ def _orbit_columns(auto: ToralAutomorphism, n_max: int, roof=None, time_change=N
     """Read-only ``(period, num1, num2, den, length0, slope, class_exps)`` up to ``n_max``.
 
     One :func:`_period_pass` per period past those of ``shallower``, an
-    :class:`OrbitTable` whose columns the result extends when given.
-    ``length0`` and ``slope`` are 0 without a roof or time change.
+    :class:`OrbitTable` whose columns the result extends when given.  Every
+    new period's lattice comes first, so a period past the enumeration cap
+    is refused before any pass.  ``length0`` and ``slope`` are 0 without a
+    roof or time change.
     """
     depth, parts = (0, []) if shallower is None else (shallower.n_max, [shallower.columns()])
-    for n in range(depth + 1, n_max + 1):
-        num1, num2, den, length, slope = _period_pass(auto, n, roof, time_change)
+    lattices = {n: _fixed_point_lattice(auto, n) for n in range(depth + 1, n_max + 1)}
+    for n, lattice in lattices.items():
+        num1, num2, den, length, slope = _period_pass(auto, n, roof, time_change, lattice)
         parts.append((np.full(len(num1), n), num1, num2, np.full(len(num1), den), length, slope,
                       _class_columns(auto, n, num1, num2, den)))
     return _read_only(*(np.concatenate(col) for col in zip(*parts)))

@@ -30,7 +30,7 @@ from friedzeta import (
 )
 from friedzeta import cli, config, kleinian, toral, zetas
 from friedzeta._record import fields
-from friedzeta.cli import _COMMANDS, _KNOWN_KEYS, _jsonify, build_parser, main
+from friedzeta.cli import _COMMANDS, _KNOWN_KEYS, _jsonify, _plain_args, build_parser, main
 from friedzeta.config import RunConfig
 from friedzeta.toral import orbit_table
 
@@ -448,6 +448,19 @@ class TestZetaContinue:
         assert run("zeta-continue", *settings, "policy.n_max=30", "policy.tail_tol=1e-30") == 2
         assert capsys.readouterr().err == "error: |det(A^n - I)| = 103680 fixed points exceeds the enumeration cap\n"
 
+    @pytest.mark.parametrize("command", ["orbits", "zeta-eval", "variation"])
+    def test_whole_table_request_refused_before_any_pass(self, command, period_passes, monkeypatch, tmp_path,
+                                                         capsys):
+        # these commands ask for every period up to n_max at once: with the cap lowered to 2^16 period 12 is
+        # past it, and the request exits 2 without building periods 1-11 first; a roof no other test uses,
+        # so no table of this model is built yet
+        monkeypatch.setattr(toral, "MAX_ENUMERATED_POINTS", 1 << 16)
+        settings = ["model.matrix=2 1 1 1", "model.roof=const:1 cos:1,0:0.0373", "policy.n_max=12"]
+        out = tmp_path / "orbits.txt" if command == "orbits" else None
+        assert run(command, *settings, out=out) == 2
+        assert capsys.readouterr().err == "error: |det(A^n - I)| = 103680 fixed points exceeds the enumeration cap\n"
+        assert period_passes == []
+
     def test_overflow_message(self, capsys):
         assert run("zeta-continue", *CAT_SETTINGS, "model.roof=const:1 cos:1,0:0.1", "policy.n_max=8",
                    "lambda.grid=-200") == 2
@@ -560,6 +573,7 @@ class TestConfigKeys:
             for job in workload.prepare + workload.jobs:
                 keys = {job.argv[i + 1].split("=", 1)[0] for i, arg in enumerate(job.argv) if arg == "--set"}
                 assert keys <= _KNOWN_KEYS[job.argv[0]] | {"io.report"}, job.name
+                assert _plain_args(job.argv) is not None, job.name  # timed on the path without argparse
                 seen |= keys
         assert {"model.time_change", "io.orbits", "selberg.mu", "factorize.k", "spectrum.seed"} <= seen
 
@@ -892,6 +906,24 @@ class TestUsage:
         assert "--help" in build_parser(command).format_help()
         assert self.parsed(build_parser(command), [command, "--help"], capsys)[1].out.startswith(
             f"usage: friedzeta {command} [-h]")
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from([*_COMMANDS, None]),
+           tokens=st.lists(st.sampled_from(["--set", "--config", "--out", "--csv", "--allow-formal", "--se",
+                                             "--out=x", "--", "-h", "--bogus", *_COMMANDS, "a.b=1", "", "-1", "-x",
+                                             "2 1 1 1"]), max_size=7))
+    def test_plain_parse_agrees_with_argparse(self, command, tokens, capsys):
+        # the plain parse declines (None) whatever argparse rejects, exits on or might read otherwise
+        argv = [command, *tokens] if command else tokens
+        plain = _plain_args(argv)
+        assert plain is None or vars(plain) == self.parsed(build_parser(), argv, capsys), argv
+
+    def test_plain_parse_reads_every_flag(self):
+        argv = ["zeta-eval", "--set", "a.b=1", "--out", "", "--allow-formal", "--set", "2 1 1 1", "--csv", "a.b=1",
+                "--config", "x", "--config", "y"]
+        assert vars(_plain_args(argv)) == vars(build_parser().parse_args(argv)) == {
+            "command": "zeta-eval", "config": "y", "set": ["a.b=1", "2 1 1 1"], "out": "", "csv": "a.b=1",
+            "allow_formal": True}
 
     def test_no_command_sees_every_command(self, capsys):
         for command in (None, "no-such-command", "--help"):

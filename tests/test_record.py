@@ -154,12 +154,17 @@ def _fresh_interpreter(code: str) -> dict:
 
 
 def test_cli_import_skips_unused_stdlib_and_freezes():
+    # a command in its plain spelling is parsed without argparse, which would load gettext and locale
     seen = _fresh_interpreter(
-        "import gc, json, sys; import friedzeta.cli; "
-        "print(json.dumps({'loaded': [m for m in ('dataclasses', 'fractions', 'decimal', 'csv') if m in sys.modules],"
-        " 'frozen': gc.get_freeze_count()}))")
+        "import gc, json, os, sys; import friedzeta.cli; "
+        "loaded = [m for m in ('dataclasses', 'fractions', 'decimal', 'csv') if m in sys.modules]; "
+        "frozen = gc.get_freeze_count(); "
+        "code = friedzeta.cli.main(['ledger', '--set', 'ledger.h0=1', '--out', os.devnull]); "
+        "print(json.dumps({'loaded': loaded, 'frozen': frozen, 'code': code,"
+        " 'parser': [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]}))")
     assert seen["loaded"] == []
     assert seen["frozen"] > 0
+    assert seen["code"] == 0 and seen["parser"] == []
 
 
 def test_library_import_does_not_freeze():
