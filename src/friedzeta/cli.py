@@ -219,6 +219,9 @@ def cmd_fried_check(cfg: RunConfig, args):
                 "deviation": fr.deviation,
                 "exponent": fr.exponent,
                 "reliable": fr.reliable,
+                "zeta_value": fr.zeta_value,
+                "torsion_value": fr.torsion_value,
+                "phase_deviation": fr.phase_deviation,
             }
         )
     results = {"rows": rows, "max_deviation": worst, "tolerance": tolerance, "tolerance_exceeded": worst > tolerance}

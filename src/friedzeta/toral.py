@@ -759,8 +759,9 @@ class OrbitTable:
 
 @lru_cache(maxsize=4)
 def _deepest_table(model: SuspensionModel) -> list:
-    """One slot per model (the four latest models kept) holding its deepest table built so far, or None."""
-    return [None]
+    """One slot per model (the four latest models kept): its deepest table built so far, or None, and the
+    prefix views handed out from that table by depth."""
+    return [None, {}]
 
 
 def orbit_table(model: SuspensionModel, n_max: int) -> OrbitTable:
@@ -769,15 +770,21 @@ def orbit_table(model: SuspensionModel, n_max: int) -> OrbitTable:
     One table per model grows by whole periods: rows are sorted by
     period, so a shallower table is a prefix of a deeper one.  A request
     at the built depth returns the cached table, one below it prefix views
-    of its columns, and one beyond it runs a pass for each new period
+    of its columns (the same views for the same depth, so what is kept on
+    them is found again), and one beyond it runs a pass for each new period
     only.  A pass evaluates the roof (and the time change) once at every
     fixed point and sums it along each orbit.
     """
     slot = _deepest_table(model)
-    table = slot[0]
+    table, views = slot
     if table is None or n_max > table.n_max:
-        slot[0] = table = _build_table(model, n_max, table)
-    return table if n_max == table.n_max else table.up_to(n_max)
+        table, views = _build_table(model, n_max, table), {}
+        slot[:] = table, views
+    if n_max == table.n_max:
+        return table
+    if n_max not in views:
+        views[n_max] = table.up_to(n_max)
+    return views[n_max]
 
 
 def _build_table(model: SuspensionModel, n_max: int, shallower: OrbitTable | None = None) -> OrbitTable:

@@ -11,6 +11,7 @@ constant-roof case and frozen below.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -167,14 +168,6 @@ def chain_torsion(complex_: BasedChainComplex, rel_tol: float = 1e-10) -> Torsio
 # ---------------------------------------------------------------------------
 
 
-def _require_fiber_trivial(character: Character):
-    if not character.fiber_is_trivial:
-        raise ValidationError(
-            "mapping-torus closed form supports circle characters only "
-            "(trivial finite fiber part)"
-        )
-
-
 def _torus_action(automorphism: ToralAutomorphism):
     """Induced maps on the cohomology of the 2-torus in degrees 0, 1, 2."""
     a = automorphism.matrix
@@ -190,7 +183,8 @@ def mapping_cone_complex(automorphism: ToralAutomorphism, character: Character) 
     The cellular complex (1, 2, 1 cells) has zero differentials, so the
     cone boundaries are the blocks ``I - u A_k`` placed off-diagonally.
     """
-    _require_fiber_trivial(character)
+    if not character.fiber_is_trivial:
+        raise ValidationError("the mapping cone supports circle characters only (trivial finite fiber part)")
     u = complex(character.circle)
     blocks = [np.eye(b.shape[0], dtype=complex) - u * b for b in _torus_action(automorphism)]
     dims = (1, 3, 3, 1)
@@ -208,9 +202,13 @@ def mapping_torus_torsion(automorphism: ToralAutomorphism, character: Character)
 
     ``prod_k det(I - u H^k(A))^((-1)^(k+1))`` with ``H^0 = 1``,
     ``H^1 = A^T`` and ``H^2 = det A``; the exponent offset matches
-    :func:`chain_torsion` on the explicit mapping cone.
+    :func:`chain_torsion` on the explicit mapping cone.  A character that is
+    non-trivial on the fiber has torsion 1.
     """
-    _require_fiber_trivial(character)
+    if not character.fiber_is_trivial:
+        # the character restricts to a non-trivial character of H_1(T^2), so the fiber's twisted
+        # complex is acyclic with torsion 1, and by the Wang sequence so is the mapping torus's
+        return TorsionValue(1.0, 1.0 + 0.0j)
     u = complex(character.circle)
     value = 1.0 + 0.0j
     for k, h in enumerate(_torus_action(automorphism)):
@@ -230,6 +228,8 @@ class FriedReport:
     deviation: float
     zeta_value: complex
     reliable: bool
+    torsion_value: complex
+    phase_deviation: float
 
 
 def fried_check(
@@ -238,21 +238,23 @@ def fried_check(
     policy: TruncationPolicy,
     tau: float = 0.0,
 ) -> FriedReport:
-    """Compare ``|zeta(0)|`` with the mapping-torus torsion.
+    """Compare ``zeta(0)`` with the mapping-torus torsion.
 
-    Reports ``| |zeta(0)|**e * torsion - 1 |`` for the frozen global
-    exponent ``e = FRIED_EXPONENT``.  The torsion side never sees the
-    roof or the time change, so a deviation sweep over ``tau`` isolates
-    the variation of ``zeta(0)`` alone.
+    Reports the modulus deviation ``| |zeta(0)|**e * |torsion| - 1 |`` for
+    the frozen global exponent ``e = FRIED_EXPONENT`` and the phase
+    deviation ``|arg(zeta(0)**e * torsion)|``, both complex values beside
+    them.  The torsion side never sees the roof or the time change, so a
+    deviation sweep over ``tau`` isolates the variation of ``zeta(0)`` alone.
     """
     z = zeta_at_zero(model, representation, policy, tau=tau)
     t = mapping_torus_torsion(model.automorphism, representation)
-    deviation = abs(z.modulus**FRIED_EXPONENT * t.modulus - 1.0)
     return FriedReport(
         zeta_modulus=z.modulus,
         torsion_modulus=t.modulus,
         exponent=FRIED_EXPONENT,
-        deviation=deviation,
+        deviation=abs(z.modulus**FRIED_EXPONENT * t.modulus - 1.0),
         zeta_value=z.value,
         reliable=z.reliable,
+        torsion_value=t.value,
+        phase_deviation=abs(cmath.phase(z.value**FRIED_EXPONENT * t.value)),
     )

@@ -3,9 +3,12 @@
 The log-derivative of the flow zeta in the family parameter is an orbit
 sum weighted by the orbit integrals of the time-change symbol; its
 parameter integral is evaluated by composite Simpson quadrature with a
-Richardson doubling check.  A separate matrix-calculus verifier checks
-the determinant-expansion identity behind the wedge-trace form of the
-same integrand.
+Richardson doubling check.  Each node's iterate sum is taken by binary
+splitting, one array expression per bit of ``j_max``.  The direct quotient
+it is checked against takes the τ = 0 Euler product once per λ and
+``j_max``, not once per τ.  A separate matrix-calculus verifier checks the
+determinant-expansion identity behind the wedge-trace form of the same
+integrand.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import ConvergenceError, ValidationError
 from .summation import block_sum
 from .toral import Character, OrbitTable, SuspensionModel, orbit_table
 from .wedge import compound_derivative, compound_matrix
-from .zetas import TruncationPolicy, _in_float_range, orbit_columns, ruelle_log_zeta
+from .zetas import TruncationPolicy, _in_float_range, _kept, orbit_columns, ruelle_log_zeta
 
 __all__ = [
     "variation_rhs",
@@ -39,13 +42,22 @@ def _twist(table: OrbitTable, representation: Character | None) -> np.ndarray:
 
 
 def _orbit_sum(table: OrbitTable, twist, lam: complex, tau_prime: float, j_max: int) -> complex:
-    """``sum_gamma (int_gamma q) sum_j eps^j rho^j exp(-lam*j*len(tau'))``."""
-    e1 = twist * np.exp(-lam * table.lengths(tau_prime))
-    power = np.ones_like(e1)
-    total = np.zeros_like(e1)
-    for _ in range(j_max):
-        power = power * e1
-        total += power
+    """``sum_gamma (int_gamma q) sum_j eps^j rho^j exp(-lam*j*len(tau'))``.
+
+    The iterate sum ``S_J = sum_{j=1..J} z^j`` is taken by binary splitting,
+    ``S_2m = S_m + z^m S_m`` and ``S_2m+1 = S_2m + z^(2m+1)``, reading the bits of
+    ``j_max`` from the top: about ``2 log2(J) + popcount(J)`` array products in
+    place of ``2J``, no division, and no power above ``z^J``.
+    """
+    z = twist * np.exp(-lam * table.lengths(tau_prime))
+    total = z.copy()  # S_1
+    power = z.copy()  # z^m
+    for bit in bin(j_max)[3:]:
+        total += power * total
+        power *= power
+        if bit == "1":
+            power *= z
+            total += power
     return complex(block_sum((-table.slope) * total))
 
 
@@ -117,10 +129,18 @@ def direct_quotient(
     tau: float,
     policy: TruncationPolicy,
 ) -> complex:
-    """Reference ratio from two truncated Euler products over the columns of one orbit table."""
+    """Reference ratio from two truncated Euler products over the columns of one orbit table.
+
+    The τ = 0 log is kept on the τ = 0 columns per ``(lam, j_max)``, so a τ
+    grid takes that product once.  The τ product still runs first, under this
+    τ's policy, and the τ = 0 product runs whenever none is kept, so each
+    raises what it raised when both ran per τ.
+    """
     table = orbit_table(model, policy.max_period)
     log_tau = ruelle_log_zeta(orbit_columns(table, representation, tau), lam, policy).log_value
-    log_0 = ruelle_log_zeta(orbit_columns(table, representation, 0.0), lam, policy).log_value
+    cols_0 = orbit_columns(table, representation, 0.0)
+    log_0 = _kept(cols_0, "ruelle_log", (lam, policy.j_max),
+                  lambda: ruelle_log_zeta(cols_0, lam, policy).log_value)
     return cmath.exp(log_tau - log_0)
 
 

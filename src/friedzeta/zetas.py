@@ -105,7 +105,8 @@ class OrbitColumns:
     (``nan`` eigenvalues for orbit-dump rows); Kleinian rows carry the
     holonomy angle ``theta`` instead.  Arrays derived from the columns (the
     wedge-trace ratios, the current λ's phases, the Kleinian iterates and the
-    factorization's tables) are kept with them and freed with them.
+    factorization's tables) are kept with them and freed with them, as is
+    ``variation.direct_quotient``'s τ = 0 Ruelle log.
     """
 
     length: np.ndarray
@@ -201,12 +202,16 @@ def _in_float_range(lam: complex):
 
 
 def _kept(cols: OrbitColumns, name: str, key, build):
-    """``build()`` (an array or a tuple of them), kept read-only on ``cols`` until ``name`` has another ``key``."""
+    """``build()`` (an array, a tuple of them or a number), kept on ``cols`` until ``name`` has another ``key``.
+
+    Kept arrays are read-only.
+    """
     kept = cols._derived.get(name)
     if kept is None or kept[0] != key:
         value = build()
         for array in value if isinstance(value, tuple) else (value,):
-            array.flags.writeable = False
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
         kept = cols._derived[name] = (key, value)
     return kept[1]
 
@@ -215,7 +220,7 @@ def _terms(cols: OrbitColumns, base: np.ndarray, j_max: int) -> np.ndarray:
     """``-multiplicity base^j / j`` per (orbit, iterate)."""
     terms = _powers(base, j_max)
     terms *= -cols.multiplicity[:, None]
-    terms /= np.arange(1, j_max + 1)
+    terms *= 1.0 / np.arange(1, j_max + 1)  # numpy's complex division by j + 0i multiplies by 1/j too
     return terms
 
 

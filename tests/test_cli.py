@@ -214,6 +214,30 @@ class TestFriedCheckCommand:
         assert payload["results"]["max_deviation"] < 1e-6
         assert len(payload["results"]["rows"]) == 6
 
+    def test_rows_compare_complex_values(self, capsys):
+        # det A = -1 and u = exp(0.6 pi i): zeta(0) and the torsion are 1 - 0.5257i, not real
+        assert run("fried-check", "model.matrix=1 1 1 0", "model.roof=const:1 cos:1,0:0.05",
+                   "rep.u_fraction=0.3", "policy.n_max=14") == 0
+        (row,) = json.loads(capsys.readouterr().out)["results"]["rows"]
+        zeta, torsion = (complex(row[key]["re"], row[key]["im"]) for key in ("zeta_value", "torsion_value"))
+        assert abs(zeta) == pytest.approx(row["zeta_modulus"], rel=1e-15)
+        assert abs(torsion) == pytest.approx(row["torsion_modulus"], rel=1e-15)
+        assert torsion == pytest.approx(1 - 0.5257311121191336j, rel=1e-12)
+        assert row["phase_deviation"] == pytest.approx(abs(cmath.phase(torsion / zeta)), abs=1e-16)
+        assert row["phase_deviation"] < 1e-12 and row["deviation"] < 1e-12
+
+    def test_fiber_twist_has_torsion_one(self, tmp_path, capsys):
+        # a fiber character makes the twisted complex acyclic: torsion 1, and zeta(0) = 1 with it
+        csv = tmp_path / "fried.csv"
+        assert run("fried-check", "model.matrix=3 2 1 1", "rep.u_fraction=0.5", "rep.fiber_exponents=0 1",
+                   "policy.n_max=12", csv=csv) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        (row,) = results["rows"]
+        assert row["torsion_value"] == {"re": 1.0, "im": 0.0} and row["torsion_modulus"] == 1.0
+        assert row["deviation"] <= 1e-12 and row["phase_deviation"] <= 1e-12
+        assert not results["tolerance_exceeded"]
+        assert csv.read_text().splitlines()[0] == "tau,zeta_modulus,deviation"
+
 
 class TestVariationCommand:
     def test_zero_time_change_ratios_one(self, capsys):
@@ -632,6 +656,21 @@ class TestConfigKeys:
     def test_keys_the_source_reads_are_accepted(self, command, source, settings, source_files, capsys):
         assert run(command, f"{source}={source_files[source]}", *settings) == 0
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["euler", "variation", "continue", "selberg"])
+def test_seed_zero_jobs_match_the_frozen_values(name, tmp_path, monkeypatch, capsys):
+    # the benchmark's frozen gate on every full-size job of the default seed, run in process
+    workloads = load_perfbench("workloads", monkeypatch)
+    workload = workloads.build(name, workloads.DEFAULT_SEED, tmp_path)
+    done = {}
+    for job in workload.prepare + workload.jobs:
+        assert main(job.argv) == 0, job.name
+        done[job.name] = json.loads(job.report.read_text(encoding="utf-8"))
+    capsys.readouterr()
+    frozen = workloads.load_frozen(Path(workloads.__file__).parent / "frozen.json", name)
+    assert frozen
+    assert workloads.check_frozen(workload.frozen(done), frozen) == []
 
 
 def load_perfbench(name, monkeypatch):

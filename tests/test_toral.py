@@ -295,6 +295,16 @@ class TestOrbitTable:
                 assert col.tobytes() == full[: len(col)].tobytes()
         assert built == list(range(1, 8))
 
+    def test_shallower_request_returns_one_view_per_depth(self):
+        # what is cached on a table (orbit columns, kept products) is found again by the next request
+        model = SuspensionModel(ToralAutomorphism(((3, 2), (1, 1))), TrigPolynomial.cosine((1, 1), 0.0373, 1.0))
+        orbit_table(model, 6)
+        view = orbit_table(model, 4)
+        assert orbit_table(model, 4) is view and orbit_table(model, 3) is not view
+        deeper = orbit_table(model, 7)
+        assert orbit_table(model, 4) is not view and orbit_table(model, 4).n_max == 4
+        assert orbit_table(model, 7) is deeper
+
     @pytest.mark.parametrize("block", [None, 64], ids=["default blocks", "blocks of 64"])
     @pytest.mark.parametrize("roofs", PASS_ROOFS.values(), ids=PASS_ROOFS.keys())
     @pytest.mark.parametrize("matrix, n_max", PASS_CASES,

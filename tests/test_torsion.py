@@ -180,11 +180,15 @@ class TestMappingTorus:
         with pytest.raises(NotAcyclicError):
             mapping_torus_torsion(a, Character.from_angle_fraction(0.0))
 
-    def test_fiber_part_rejected(self):
+    def test_fiber_part_has_torsion_one(self):
+        # the fiber's twisted complex is acyclic, so the mapping torus's torsion is 1 at every circle part
         a = ToralAutomorphism(((3, 2), (1, 1)))
-        chi = Character(1.0 + 0j, a.coker_orders, tuple(1 if d > 1 else 0 for d in a.coker_orders))
+        fiber = tuple(1 if d > 1 else 0 for d in a.coker_orders)
+        for circle in (1.0 + 0j, -1.0 + 0j, 1j):
+            t = mapping_torus_torsion(a, Character(circle, a.coker_orders, fiber))
+            assert (t.modulus, t.phase, t.value) == (1.0, 1.0, 1.0)
         with pytest.raises(ValidationError):
-            mapping_torus_torsion(a, chi)
+            mapping_cone_complex(a, Character(-1.0 + 0j, a.coker_orders, fiber))
 
     def test_cone_agreement_random(self):
         rng = np.random.default_rng(21)

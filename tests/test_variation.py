@@ -1,4 +1,5 @@
 import cmath
+import json
 
 import numpy as np
 import pytest
@@ -16,8 +17,13 @@ from friedzeta import (
     variation_rhs,
     wedge_derivative_check,
 )
-from friedzeta import variation
+from friedzeta import cli, variation
+from friedzeta.config import RunConfig
+from friedzeta.summation import block_sum
 from friedzeta.toral import orbit_table
+from friedzeta.zetas import orbit_columns, ruelle_log_zeta
+
+from variation_oracle import loop_orbit_sum, orbit_sum_scale
 
 
 def policy_for(model, **kw):
@@ -155,6 +161,61 @@ class TestOneQuadratureGrid:
             calls.clear()
             two_grid_ratio(model, rep, lam, tau, pol)
             assert len(calls) == 3 * quad_subdiv + 2
+
+
+class TestBinarySplittingOrbitSum:
+    @pytest.mark.parametrize("case", ONE_GRID_CASES.values(), ids=ONE_GRID_CASES.keys())
+    def test_matches_the_iterate_loop(self, case):
+        # the orbit sum cancels to near rounding level, so its error is read against the size of its terms
+        model, rep, lam, tau = case()
+        table = orbit_table(model, 10)
+        twist = variation._twist(table, rep)
+        for j_max in (1, 2, 3, 5, 16, 17, 31, 40):
+            for node in (0.0, tau / 2, tau):
+                got = variation._orbit_sum(table, twist, lam, node, j_max)
+                want = loop_orbit_sum(table, twist, lam, node, j_max)
+                assert abs(got - want) <= 1e-15 * orbit_sum_scale(table, twist, lam, node), (j_max, node)
+
+    def test_unit_base_sums_exactly_j_max_terms(self):
+        # at lambda = 0 without a character z = eps = +-1: each iterate sum is an exact integer
+        model = _negative_index()[0]
+        table = orbit_table(model, 8)
+        twist = variation._twist(table, None)
+        for j_max in range(1, 41):
+            per_orbit = np.where(twist.real > 0, j_max, -(j_max % 2))
+            want = complex(block_sum((-table.slope) * per_orbit.astype(complex)))
+            assert variation._orbit_sum(table, twist, 0.0, 0.05, j_max) == want, j_max
+
+
+class TestDirectQuotient:
+    SETTINGS = ["model.matrix=2 1 1 1", "model.roof=const:1", "model.time_change=cos:1,0:0.05",
+                "rep.u_fraction=0.5", "policy.n_max=8", "lambda.value=3"]
+
+    def test_tau_zero_product_taken_once_per_command(self, monkeypatch, capsys):
+        calls = []
+        ruelle = variation.ruelle_log_zeta
+        monkeypatch.setattr(variation, "ruelle_log_zeta", lambda *args: calls.append(args[0]) or ruelle(*args))
+        settings = [*self.SETTINGS, "tau.grid=0.05,0.1,0.15"]
+        assert cli.main(["variation", *(arg for s in settings for arg in ("--set", s))]) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+        assert len(calls) == 4 and len(rows) == 3
+        cfg = RunConfig.load(None, settings)
+        model = cfg.model()
+        rep = cfg.character(model.automorphism)
+        for row in rows:
+            policy = cfg.policy(model, row["tau"])
+            table = orbit_table(model, policy.max_period)
+            fresh = cmath.exp(ruelle(orbit_columns(table, rep, row["tau"]), 3.0, policy).log_value
+                              - ruelle(orbit_columns(table, rep, 0.0), 3.0, policy).log_value)
+            assert complex(row["direct_quotient"]["re"], row["direct_quotient"]["im"]) == fresh
+
+    def test_kept_product_follows_lambda_and_j_max(self, cat_family, rep_minus):
+        table = orbit_table(cat_family, 8)
+        for lam, j_max in ((3.0, 16), (3.5, 16), (3.5, 7), (3.0 + 0.5j, 7)):
+            policy = policy_for(cat_family, max_period=8, j_max=j_max)
+            fresh = cmath.exp(ruelle_log_zeta(orbit_columns(table, rep_minus, 0.1), lam, policy).log_value
+                              - ruelle_log_zeta(orbit_columns(table, rep_minus, 0.0), lam, policy).log_value)
+            assert direct_quotient(cat_family, rep_minus, lam, 0.1, policy) == fresh
 
 
 class TestWedgeDerivativeCheck:

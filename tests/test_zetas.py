@@ -681,6 +681,19 @@ class TestKeptFactorizationTables:
                 with pytest.raises(ValueError):
                     array[...] = 0.0
 
+    def test_terms_scale_by_reciprocal_bit_for_bit(self):
+        # numpy divides a complex array by j + 0i as a product with 1/j, so the reciprocal row loses no bit
+        rng = np.random.default_rng(35)
+        for j_max in range(1, 41):
+            n = int(rng.integers(1, 200))
+            base = rng.normal(size=n) + 1j * rng.normal(size=n)
+            cols = zetas.OrbitColumns(rng.uniform(0.5, 5.0, n), np.ones(n, dtype=complex), np.ones(n),
+                                      rng.integers(1, 4, n).astype(float))
+            divided = zetas._powers(base, j_max)
+            divided *= -cols.multiplicity[:, None]
+            divided /= np.arange(1, j_max + 1)
+            assert zetas._terms(cols, base, j_max).tobytes() == divided.tobytes(), j_max
+
 
 class TestArrayPathGuards:
     def test_convergence_region(self):
