@@ -1,9 +1,11 @@
 """Deterministic compensated summation.
 
-Every orbit sum is one array in a fixed row order (the zeta engine's
-orbit columns are sorted by ``sort_key``), reduced by :func:`block_sum`,
-whose block structure depends only on the array length.  Results are
-therefore bit-stable from run to run.
+Every Euler product ends in one array in a fixed order, reduced by
+:func:`block_sum`, whose block structure depends only on the array length:
+the (group x iterate) terms of a toral product, whose weight groups and the
+rows within them keep the ``sort_key`` order of the orbit columns, or the
+(orbit x iterate) terms of a Kleinian one.  Results are therefore bit-stable
+from run to run.
 """
 
 from __future__ import annotations

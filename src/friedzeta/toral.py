@@ -850,7 +850,8 @@ def write_orbit_dump(path, table: OrbitTable, tau: float = 0.0):
     epsilon = table.transverse()[0]
     columns = (table.period, table.num1, table.num2, table.den, table.lengths(tau), epsilon, table.period,
                *table.class_exps.T)
-    lines = map(" ".join, zip(*(map(repr, column.tolist()) for column in columns)))
+    line = " ".join(("%d",) * 4 + ("%r",) + ("%d",) * (len(columns) - 5))  # %r is the length's repr
+    lines = map(line.__mod__, zip(*(column.tolist() for column in columns)))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join((ORBIT_DUMP_HEADER, *lines)) + "\n")
 

@@ -100,14 +100,14 @@ def variation_rhs(
         )
     model.require_tau(tau)
     table = orbit_table(model, policy.max_period)
-    twist = _twist(table, representation)
     panels = 2 * policy.quad_subdiv
-    # node 2i of this grid is bit for bit node i of the grid of quad_subdiv panels; an overflowing
-    # orbit sum raises the Euler product's ConvergenceError, not a warning and an inf that passes Richardson
-    with _in_float_range(lam):
-        values = [_orbit_sum(table, twist, lam, tau * i / panels, policy.j_max) for i in range(panels + 1)]
     integral = integral_coarse = 0.0
-    if tau != 0.0:
+    if tau != 0.0:  # the integral over [0, 0] is 0: no orbit sum is taken
+        twist = _twist(table, representation)
+        # node 2i of this grid is bit for bit node i of the grid of quad_subdiv panels; an overflowing
+        # orbit sum raises the Euler product's ConvergenceError, not a warning and an inf that passes Richardson
+        with _in_float_range(lam):
+            values = [_orbit_sum(table, twist, lam, tau * i / panels, policy.j_max) for i in range(panels + 1)]
         integral = _simpson(values, tau / panels)
         integral_coarse = _simpson(values[::2], tau / policy.quad_subdiv)
     try:

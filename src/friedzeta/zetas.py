@@ -1,16 +1,25 @@
 """Truncated Euler products: Ruelle, graded and Selberg zeta functions.
 
 Every product takes :class:`OrbitColumns`, built once per spectrum by
-:func:`orbit_columns`, and is one (orbit x iterate) array, with iterate
-powers taken by ``np.cumprod``, summed by
-:func:`~friedzeta.summation.block_sum`, so values are reproducible bit for
-bit.  A graded, Selberg or factorization term is a phase
-``-multiplicity rho^j exp(-lam j len) / j``, built once per λ, times a
-λ-free weight; the wedge-trace ratios
-``Tr(wedge^k P^j) / |det(1 - P^j)|`` and the Kleinian tables are built once
-per columns and ``j_max``.  All are kept on the columns.  The n0 = 2
-Poincaré data and characters are closed forms; ``poincare_data`` and
-``char_sigma`` are their references in the tests.
+:func:`orbit_columns`, and ends in one :func:`~friedzeta.summation.block_sum`
+of phases times λ-free weights, so values are reproducible bit for bit.
+
+Toral products reduce by weight group: the rows whose λ-free inputs
+(orientation index, eigenvalues of the return map, ``det(A)^n``) are equal,
+one group per period of an orbit table.  Per λ, one exp per orbit gives
+``z = rho exp(-lam len)``; ``j_max`` vector products ``z^j`` in group order,
+each followed by one segmented sum, give the (group x iterate) phases
+``-(multiplicity / j) sum z^j``.  The weights ``eps^j`` (Ruelle) and
+``Tr(wedge^k P^j) / |det(1 - P^j)|`` (graded k, and the sign check) are
+(group x iterate) tables too, so no (orbit x iterate) array is built.
+
+Kleinian weights differ per orbit: a Kleinian term is a phase
+``-multiplicity rho^j exp(-lam j len) / j`` times a weight, each an
+(orbit x iterate) array with iterate powers taken by ``np.cumprod``.  Phases
+are built once per λ, weights and the Kleinian tables once per columns and
+``j_max``, all kept on the columns.  The n0 = 2 Poincaré data and characters
+are closed forms; ``poincare_data`` and ``char_sigma`` are their references
+in the tests.
 Tail bounds are Margulis-type geometric estimates anchored on the last
 length shell actually summed.
 """
@@ -49,7 +58,8 @@ __all__ = [
 ]
 
 N0 = 2  # transverse rotation rank for the hyperbolic 3-manifold model
-MAX_CELLS = 1 << 24  # (orbit x iterate x order) array cells; bounds the temporaries
+# orbits x iterates (x orders) per product: bounds the Kleinian arrays and the toral power loop alike
+MAX_CELLS = 1 << 24
 # |sum_k (-1)^k Tr(wedge^k P^j) / |det(1 - P^j)| - eps^j| above this breaks the sign convention
 RESIDUAL_TOL = 1e-12
 
@@ -91,7 +101,7 @@ class ZetaValue:
 
 
 # ---------------------------------------------------------------------------
-# Orbit columns and (orbit x iterate) arrays
+# Orbit columns, toral weight groups and Kleinian (orbit x iterate) arrays
 # ---------------------------------------------------------------------------
 
 
@@ -104,8 +114,9 @@ class OrbitColumns:
     ``lam_s`` of the transverse return map and ``det_power = det(A)^period``
     (``nan`` eigenvalues for orbit-dump rows); Kleinian rows carry the
     holonomy angle ``theta`` instead.  Arrays derived from the columns (the
-    wedge-trace ratios, the current λ's phases, the Kleinian iterates and the
-    factorization's tables) are kept with them and freed with them, as is
+    toral weight groups, the wedge-trace ratios, the current λ's phases, the
+    Kleinian iterates and the factorization's tables) are kept with them and
+    freed with them, as is
     ``variation.direct_quotient``'s τ = 0 Ruelle log.
     """
 
@@ -217,7 +228,7 @@ def _kept(cols: OrbitColumns, name: str, key, build):
 
 
 def _terms(cols: OrbitColumns, base: np.ndarray, j_max: int) -> np.ndarray:
-    """``-multiplicity base^j / j`` per (orbit, iterate)."""
+    """``-multiplicity base^j / j`` per (orbit, iterate) of Kleinian columns."""
     terms = _powers(base, j_max)
     terms *= -cols.multiplicity[:, None]
     terms *= 1.0 / np.arange(1, j_max + 1)  # numpy's complex division by j + 0i multiplies by 1/j too
@@ -225,12 +236,83 @@ def _terms(cols: OrbitColumns, base: np.ndarray, j_max: int) -> np.ndarray:
 
 
 def _phases(cols: OrbitColumns, lam: complex, j_max: int) -> np.ndarray:
-    """``-multiplicity rho^j exp(-lam j len) / j`` per (orbit, iterate), built once per ``lam``.
+    """``-multiplicity rho^j exp(-lam j len) / j`` per (orbit, iterate) of Kleinian columns, built once per ``lam``.
 
-    The λ-dependent factor of every graded, Selberg and factorization term: a term is its phase times a
-    λ-free weight.
+    The λ-dependent factor of every Kleinian graded, Selberg and factorization term: a term is its phase
+    times a λ-free weight.
     """
     return _kept(cols, "phases", (lam, j_max), lambda: _terms(cols, cols.rho * np.exp(-lam * cols.length), j_max))
+
+
+def _groups(cols: OrbitColumns):
+    """``(order, starts, rows, in_shell)``: the weight groups of toral columns, built once per columns.
+
+    A weight group is the rows whose λ-free inputs (``epsilon``, ``lam_u``, ``lam_s``, ``det_power``,
+    ``multiplicity``) are equal, compared bit for bit so that the ``nan`` eigenvalues of dump rows tie: a
+    table has one group per period, a dump one per orientation index.  ``order`` sorts the rows into
+    group order (stably, so each group keeps ``sort_key`` order), ``starts`` holds the first position of
+    each group in it and ``rows`` one row of each group.  ``in_shell`` marks, in group order, the rows of
+    the last length shell ``(L - 1, L]`` that the tail bound reads.
+    """
+    def build():
+        inputs = (cols.multiplicity, cols.det_power, cols.lam_s, cols.lam_u, cols.epsilon)
+        keys = [key.view(np.int64) if key.dtype == np.float64 else key for key in inputs]
+        order = np.lexsort(keys)
+        first = np.zeros(len(order), dtype=bool)
+        first[:1] = True
+        for key in keys:
+            ordered = key[order]
+            first[1:] |= ordered[1:] != ordered[:-1]
+        starts = np.flatnonzero(first)
+        top = cols.length.max(initial=-math.inf)
+        return order, starts, order[starts], cols.length[order] > top - 1.0
+
+    return _kept(cols, "groups", None, build)
+
+
+def _weight_rows(cols: OrbitColumns, j_max: int):
+    """The rows the λ-free weights are taken on: one per weight group of toral columns, every Kleinian row.
+
+    Toral columns are first held to the (orbit x iterate) cap of the Kleinian arrays, so the cap refuses
+    the same requests on both.
+    """
+    if cols.theta is not None:
+        return slice(None)
+    _require_cells(len(cols) * j_max)
+    return _groups(cols)[2]
+
+
+def _signs(cols: OrbitColumns, j_max: int) -> np.ndarray:
+    """``eps^j`` per (weight row, iterate): the toral Ruelle weight and the sign check's target."""
+    return _powers(cols.epsilon[_weight_rows(cols, j_max)], j_max)
+
+
+def _group_phases(cols: OrbitColumns, lam: complex, j_max: int):
+    """``Phi[g, j] = -(m_g / j) sum_{gamma in g} z^j``, ``z = rho exp(-lam len)``, per (weight group, iterate).
+
+    Built once per ``lam`` from one exp per orbit, ``j_max`` vector products ``z^j`` in group order and,
+    after each, one segmented sum over the groups; no (orbit x iterate) array is built.  Returned with
+    two magnitudes per group: ``m_g sum |z|`` over its rows in the last length shell, which the tail
+    bound reads, and ``m_g max |z^j_max| / j_max``, which the iterate-truncation warning reads.
+    """
+    def build():
+        _require_cells(len(cols) * j_max)
+        order, starts, rows, in_shell = _groups(cols)
+        z = (cols.rho * np.exp(-lam * cols.length))[order]
+        sums = np.empty((len(starts), j_max), dtype=complex)
+        power = z.copy()
+        sums[:, 0] = np.add.reduceat(power, starts)
+        for j in range(1, j_max):
+            power *= z
+            sums[:, j] = np.add.reduceat(power, starts)
+        multiplicity = cols.multiplicity[rows]
+        sums *= -multiplicity[:, None]
+        sums *= 1.0 / np.arange(1, j_max + 1)
+        shell = np.add.reduceat(np.where(in_shell, np.abs(z), 0.0), starts) * multiplicity
+        last = np.maximum.reduceat(np.abs(power), starts) * multiplicity / j_max
+        return sums, shell, last
+
+    return _kept(cols, "group_phases", (lam, j_max), build)
 
 
 def _kleinian_iterates(cols: OrbitColumns, j_max: int):
@@ -262,30 +344,25 @@ def _det_one_minus_ps(a, c):
 
 
 def _trace_ratios(cols: OrbitColumns, j_max: int) -> np.ndarray:
-    """``Tr(wedge^k P^j) / |det(1 - P^j)|`` per (k, orbit, iterate), k = 0..dim, built once per ``j_max``.
+    """``Tr(wedge^k P^j) / |det(1 - P^j)|`` per (k, weight row, iterate), k = 0..dim, built once per ``j_max``.
 
     The one λ-free array of the graded terms, the factorization's left side
-    and the sign check.  Toral traces and determinants are divided through
-    by ``|lam_u|^j``, which leaves every ratio unchanged and keeps both
-    finite at any ``j``.
+    and the sign check, taken on the rows of :func:`_weight_rows`: one per
+    weight group of toral columns.  Toral traces and determinants are
+    divided through by ``|lam_u|^j``, which leaves every ratio unchanged and
+    keeps both finite at any ``j``.
     """
     def build():
         if cols.theta is None:
             if np.isnan(cols.lam_u).any():
                 raise ValidationError("record lacks eigenvalue data (orbit dump round-trip)")
-            r = _powers(1.0 / cols.lam_u, j_max)  # lam_u^-j
-            s = _powers(cols.lam_s, j_max)
+            rows = _weight_rows(cols, j_max)
+            r = _powers(1.0 / cols.lam_u[rows], j_max)  # lam_u^-j
+            s = _powers(cols.lam_s[rows], j_max)
             r_abs = np.abs(r)
-            e1 = s * r_abs
-            e1 += np.sign(r)
-            traces = (r_abs, e1, _powers(cols.det_power, j_max) * r_abs)
-            # |det| = |r - 1| |s - 1|, built over r and s so fewer (orbit x iterate) arrays are live at once
-            r -= 1.0
-            s -= 1.0
-            det = np.abs(r, out=r)
-            det *= np.abs(s, out=s)
-            # toral tables are the large ones: one division per cell, then products
-            scale, combine = np.divide(1.0, det, out=det), np.multiply
+            traces = (r_abs, s * r_abs + np.sign(r), _powers(cols.det_power[rows], j_max) * r_abs)
+            # |det| = |r - 1| |s - 1|; a reciprocal, then products
+            scale, combine = 1.0 / (np.abs(r - 1.0) * np.abs(s - 1.0)), np.multiply
         else:
             a, b, c, _ = _iterates(cols, j_max)
             e1 = 2.0 * (a + b) * c  # 4 cosh(j l) cos(j theta)
@@ -308,36 +385,60 @@ def _require_convergence(lam: complex, threshold: float, allow_formal: bool, wha
 
 
 def _tail_bound(lengths, first_terms_abs, sigma: float, h: float) -> float:
-    """Geometric tail from the last length shell.
-
-    Doubles the magnitude summed in the shell ``(L-1, L]`` and continues
-    it at rate ``exp(-(sigma - h))`` per unit length.
-    """
+    """Geometric tail from the last length shell, given each row's j = 1 term magnitude."""
     lengths = np.asarray(lengths, dtype=float)
     if not len(lengths):
         return 0.0
+    top = float(lengths.max())
+    return _shell_tail(top, sum(np.asarray(first_terms_abs)[lengths > top - 1.0].tolist()), sigma, h)
+
+
+def _shell_tail(top: float, shell: float, sigma: float, h: float) -> float:
+    """Twice the magnitude ``shell`` summed in the shell ``(top-1, top]``, continued at rate
+    ``exp(-(sigma - h))`` per unit length.
+    """
     if sigma <= h:
         return math.inf
-    top = float(lengths.max())
-    shell = sum(np.asarray(first_terms_abs)[lengths > top - 1.0].tolist())
     q = math.exp(-(sigma - h))
     base = shell if shell > 0 else math.exp(-(sigma - h) * top)
     return 2.0 * base * q / (1.0 - q)
 
 
-def _zeta_value(cols: OrbitColumns, terms: np.ndarray, lam: complex, kind: str, policy: TruncationPolicy):
-    """Sum the (orbit, iterate) ``terms``, with the tail from the j = 1 column.
+def _zeta_value(cols: OrbitColumns, total: complex, tail: float, worst_last: float, lam: complex, kind: str,
+                policy: TruncationPolicy) -> ZetaValue:
+    """The sum ``total`` of the (orbit, iterate) terms with its ``tail``.
 
-    A j = j_max term above ``tail_tol`` is flagged: the iterate truncation
-    could then dominate the length tail.
+    A j = j_max term above ``tail_tol`` (``worst_last`` is the largest) is
+    flagged: the iterate truncation could then dominate the length tail.
     """
     warnings = () if len(cols) else ("empty spectrum",)
-    worst_last = float(np.abs(terms[:, -1]).max(initial=0.0))
     if worst_last > policy.tail_tol:
         warnings += (f"iterate truncation: largest j={policy.j_max} term is {worst_last:.2e}; "
                      "increase j_max or tail_tol",)
+    return ZetaValue(complex(total), tail, lam, kind, policy, warnings)
+
+
+def _terms_value(cols: OrbitColumns, terms: np.ndarray, lam: complex, kind: str, policy: TruncationPolicy):
+    """Sum the (orbit, iterate) ``terms`` of Kleinian columns, with the tail from the j = 1 column."""
     tail = _tail_bound(cols.length, np.abs(terms[:, 0]), lam.real, policy.entropy)
-    return ZetaValue(complex(block_sum(terms.ravel())), tail, lam, kind, policy, warnings)
+    return _zeta_value(cols, block_sum(terms.ravel()), tail, float(np.abs(terms[:, -1]).max(initial=0.0)),
+                       lam, kind, policy)
+
+
+def _group_value(cols: OrbitColumns, weights: np.ndarray, lam: complex, kind: str, policy: TruncationPolicy):
+    """Sum ``Phi * weights`` over (weight group, iterate) of toral columns.
+
+    An orbit's j = 1 and j = j_max terms are ``|m z|`` and ``|m z^j_max| / j_max`` times its group's
+    weight, so the tail and the truncation warning read :func:`_group_phases`' per-group magnitudes.
+    """
+    phases, shell, last = _group_phases(cols, lam, policy.j_max)
+    magnitude = np.abs(weights)
+    tail = 0.0
+    if len(cols):
+        top = float(cols.length.max())
+        tail = _shell_tail(top, float((shell * magnitude[:, 0]).sum()), lam.real, policy.entropy)
+    return _zeta_value(cols, block_sum((phases * weights).ravel()), tail,
+                       float((last * magnitude[:, -1]).max(initial=0.0)), lam, kind, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +456,10 @@ def ruelle_log_zeta(cols: OrbitColumns, lam: complex, policy: TruncationPolicy,
     lam = complex(lam)
     _require_convergence(lam, policy.entropy, allow_formal, "orbit zeta")
     with _in_float_range(lam):
+        if cols.theta is None:
+            return _group_value(cols, _signs(cols, policy.j_max), lam, "ruelle", policy)
         base = cols.epsilon * cols.rho * np.exp(-lam * cols.length)
-        return _zeta_value(cols, _terms(cols, base, policy.j_max), lam, "ruelle", policy)
+        return _terms_value(cols, _terms(cols, base, policy.j_max), lam, "ruelle", policy)
 
 
 def graded_log_zeta(cols: OrbitColumns, k: int, lam: complex, policy: TruncationPolicy,
@@ -373,7 +476,9 @@ def graded_log_zeta(cols: OrbitColumns, k: int, lam: complex, policy: Truncation
         ratios = _trace_ratios(cols, policy.j_max)
         if not 0 <= k < len(ratios):
             raise ValidationError(f"k must be in 0..{len(ratios) - 1}")
-        return _zeta_value(cols, _phases(cols, lam, policy.j_max) * ratios[k], lam, f"graded[{k}]", policy)
+        if cols.theta is None:
+            return _group_value(cols, ratios[k], lam, f"graded[{k}]", policy)
+        return _terms_value(cols, _phases(cols, lam, policy.j_max) * ratios[k], lam, f"graded[{k}]", policy)
 
 
 @record
@@ -400,7 +505,7 @@ def assemble_ruelle_from_graded(cols: OrbitColumns, lam: complex, policy: Trunca
         dim = len(ratios) - 1
         s = (-1) ** (dim // 2)
         alt = sum((-1.0) ** k * ratio for k, ratio in enumerate(ratios))
-        max_residual = float(np.abs(alt - s * _powers(cols.epsilon, policy.j_max)).max())
+        max_residual = float(np.abs(alt - s * _signs(cols, policy.j_max)).max())
     if max_residual > RESIDUAL_TOL:
         raise ValidationError(
             f"orientation convention violated: per-orbit residual {max_residual} > {RESIDUAL_TOL}"
@@ -441,7 +546,7 @@ def selberg_log_zeta(cols: OrbitColumns, mu, lam: complex, policy: TruncationPol
         a, _, c, x = _iterates(cols, policy.j_max)
         chi = np.prod([_label_character(label, x) for label in labels], axis=0)
         terms = _phases(cols, lam, policy.j_max) * chi / _det_one_minus_ps(a, c)
-        return _zeta_value(cols, terms, lam, "selberg", policy)
+        return _terms_value(cols, terms, lam, "selberg", policy)
 
 
 @record

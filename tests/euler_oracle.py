@@ -1,0 +1,89 @@
+"""The per-orbit toral Euler products that the weight-group reduction replaced, kept as its references.
+
+Each product builds the full (orbit x iterate) array of its terms: powers by
+``np.cumprod``, ``-multiplicity base^j / j`` per cell, the wedge-trace ratios
+``Tr(wedge^k P^j) / |det(1 - P^j)|`` taken on every orbit, one
+:func:`~friedzeta.summation.block_sum` over the whole array, the tail bound
+from the j = 1 column and the iterate-truncation warning from the j = j_max
+column.  Each returns its :class:`~friedzeta.zetas.ZetaValue` and the sum of
+its term magnitudes, the scale its rounding is read against.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from friedzeta.errors import ValidationError
+from friedzeta.summation import block_sum
+from friedzeta.zetas import ZetaValue
+
+
+def powers(base, j_max):
+    """``base**j`` for j = 1..j_max along a new last axis."""
+    return np.cumprod(np.broadcast_to(base[:, None], (len(base), j_max)), axis=1)
+
+
+def terms(cols, base, j_max):
+    """``-multiplicity base^j / j`` per (orbit, iterate)."""
+    out = powers(base, j_max)
+    out *= -cols.multiplicity[:, None]
+    out *= 1.0 / np.arange(1, j_max + 1)
+    return out
+
+
+def trace_ratios(cols, j_max):
+    """``Tr(wedge^k P^j) / |det(1 - P^j)|`` per (k, orbit, iterate), k = 0..2, divided through by ``|lam_u|^j``."""
+    if np.isnan(cols.lam_u).any():
+        raise ValidationError("record lacks eigenvalue data (orbit dump round-trip)")
+    r = powers(1.0 / cols.lam_u, j_max)
+    s = powers(cols.lam_s, j_max)
+    r_abs = np.abs(r)
+    traces = (r_abs, s * r_abs + np.sign(r), powers(cols.det_power, j_max) * r_abs)
+    scale = 1.0 / (np.abs(r - 1.0) * np.abs(s - 1.0))
+    return np.array([trace * scale for trace in traces])
+
+
+def tail_bound(lengths, first_terms_abs, sigma, h):
+    """Twice the magnitude in the last length shell ``(L-1, L]``, continued at rate ``exp(-(sigma - h))``."""
+    if not len(lengths):
+        return 0.0
+    if sigma <= h:
+        return math.inf
+    top = float(lengths.max())
+    shell = sum(first_terms_abs[lengths > top - 1.0].tolist())
+    q = math.exp(-(sigma - h))
+    base = shell if shell > 0 else math.exp(-(sigma - h) * top)
+    return 2.0 * base * q / (1.0 - q)
+
+
+def zeta_value(cols, array, lam, kind, policy):
+    """``(ZetaValue, sum of |terms|)`` of the (orbit, iterate) term ``array``."""
+    warnings = () if len(cols) else ("empty spectrum",)
+    worst_last = float(np.abs(array[:, -1]).max(initial=0.0))
+    if worst_last > policy.tail_tol:
+        warnings += (f"iterate truncation: largest j={policy.j_max} term is {worst_last:.2e}; "
+                     "increase j_max or tail_tol",)
+    tail = tail_bound(cols.length, np.abs(array[:, 0]), lam.real, policy.entropy)
+    value = ZetaValue(complex(block_sum(array.ravel())), tail, lam, kind, policy, warnings)
+    return value, float(np.abs(array).sum())
+
+
+def ruelle(cols, lam, policy):
+    lam = complex(lam)
+    base = cols.epsilon * cols.rho * np.exp(-lam * cols.length)
+    return zeta_value(cols, terms(cols, base, policy.j_max), lam, "ruelle", policy)
+
+
+def graded(cols, k, lam, policy):
+    lam = complex(lam)
+    ratios = trace_ratios(cols, policy.j_max)
+    phases = terms(cols, cols.rho * np.exp(-lam * cols.length), policy.j_max)
+    return zeta_value(cols, phases * ratios[k], lam, f"graded[{k}]", policy)
+
+
+def assembly_residual(cols, j_max):
+    """``max |sum_k (-1)^k Tr(wedge^k P^j) / |det(1 - P^j)| + eps^j|`` over every (orbit, iterate)."""
+    alt = sum((-1.0) ** k * ratio for k, ratio in enumerate(trace_ratios(cols, j_max)))
+    return float(np.abs(alt + powers(cols.epsilon, j_max)).max())

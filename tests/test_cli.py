@@ -271,11 +271,13 @@ class TestVariationCommand:
         )
         assert code == 2
 
-    def test_overflowing_orbit_sum_is_one_error_line(self, capsys):
-        # every length is finite (up to 1.5e308), so only the product with lambda overflows
+    @pytest.mark.parametrize("tau", ["0.5", "0"])
+    def test_overflowing_orbit_sum_is_one_error_line(self, tau, capsys):
+        # every length is finite (up to 1.5e308), so only the product with lambda overflows; at tau = 0
+        # no orbit sum is taken and the direct quotient's Euler product raises the same line
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert run("variation", *VARIATION_OVERFLOW) == 2
+            assert run("variation", *VARIATION_OVERFLOW, f"tau.grid={tau}") == 2
         assert caught == []
         err = capsys.readouterr().err
         assert err.startswith("error: Euler product at lambda=(3+0j) leaves floating point: overflow")

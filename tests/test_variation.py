@@ -157,7 +157,7 @@ class TestOneQuadratureGrid:
         for tau in (0.0, 0.05, 0.1):
             calls.clear()
             variation_rhs(model, rep, lam, tau, pol)
-            assert len(calls) == 2 * quad_subdiv + 1
+            assert len(calls) == (2 * quad_subdiv + 1 if tau else 0)  # the integral over [0, 0] is 0
             calls.clear()
             two_grid_ratio(model, rep, lam, tau, pol)
             assert len(calls) == 3 * quad_subdiv + 2

@@ -35,7 +35,9 @@ from friedzeta.characters import char_label, char_tensor
 from friedzeta.toral import orbit_table
 from friedzeta.zetas import _class_angles, _det_one_minus_ps, _kleinian_iterates, _tail_bound, orbit_columns
 
+import euler_oracle
 from dump_oracle import read_records_dump
+from test_toral import TABLE_CASES, TABLE_CHANGE, TABLE_ROOF
 
 
 def cat_closed_form(lam, u, lam_u, lam_s):
@@ -589,6 +591,81 @@ class TestArrayPathAgainstLoops:
                 call()
 
 
+GROUP_TOL = 1e-14  # relative to the sum of term magnitudes: the weight groups change only the summation order
+
+
+class TestWeightGroupsAgainstPerOrbitOracle:
+    """Toral products reduced per weight group agree with the per-orbit (orbit x iterate) arrays they replaced."""
+
+    @staticmethod
+    def _sources(matrix, n_max, tmp_path):
+        """(name, columns) from an orbit table, a record list and a dump, with a roof, a time change at
+        tau = 0.1 and a fiber twist."""
+        from friedzeta import read_orbit_dump, write_orbit_dump
+
+        model = SuspensionModel(ToralAutomorphism(matrix), TABLE_ROOF, TABLE_CHANGE)
+        rep = Character.from_angle_fraction(0.3, model.automorphism.coker_orders, (1, 1))
+        table = orbit_table(model, n_max)
+        path = tmp_path / "orbits.txt"
+        write_orbit_dump(path, table, 0.1)
+        return model, [("table", orbit_columns(table, rep, 0.1)),
+                       ("records", orbit_columns(orbit_records(model, n_max, 0.1), rep)),
+                       ("dump", orbit_columns(read_orbit_dump(path), rep))]
+
+    @staticmethod
+    def _agree(got, want):
+        value, scale = want
+        assert abs(got.log_value - value.log_value) <= GROUP_TOL * scale
+        assert got.tail_bound == pytest.approx(value.tail_bound, rel=GROUP_TOL)
+        assert got.warnings == value.warnings
+        assert (got.lam, got.kind) == (value.lam, value.kind)
+
+    @pytest.mark.parametrize("j_max", [1, 5, 16, 17])
+    @pytest.mark.parametrize("matrix, n_max", [(matrix, min(n_max, 8)) for matrix, n_max in TABLE_CASES],
+                             ids=lambda case: " ".join(str(a) for row in case for a in row)
+                             if isinstance(case, tuple) else str(case))
+    def test_products_match_the_oracle(self, matrix, n_max, j_max, tmp_path):
+        model, sources = self._sources(matrix, n_max, tmp_path)
+        h = model.default_entropy(0.1)
+        pol = TruncationPolicy(max_period=n_max, j_max=j_max, entropy=h)
+        for name, cols in sources:
+            for lam in (h + 0.3, h + 1.5, 4.0 + 2.5j):
+                self._agree(ruelle_log_zeta(cols, lam, pol), euler_oracle.ruelle(cols, lam, pol))
+                if name == "dump":
+                    continue
+                graded = [euler_oracle.graded(cols, k, lam, pol) for k in range(3)]
+                for k in range(3):
+                    self._agree(graded_log_zeta(cols, k, lam, pol), graded[k])
+                report = assemble_ruelle_from_graded(cols, lam, pol)
+                assert report.max_residual == euler_oracle.assembly_residual(cols, j_max)
+                assembled = -sum((-1) ** k * value.log_value for k, (value, _) in enumerate(graded))
+                assert abs(report.log_zeta - assembled) <= GROUP_TOL * sum(scale for _, scale in graded)
+            if name == "dump":
+                with pytest.raises(ValidationError, match="eigenvalue data"):
+                    graded_log_zeta(cols, 0, h + 1.5, pol)
+
+    def test_truncation_warnings_fire_on_both(self, tmp_path):
+        model, sources = self._sources(((2, 1), (1, 1)), 6, tmp_path)
+        pol = TruncationPolicy(max_period=6, j_max=1, entropy=model.default_entropy(0.1))
+        for _, cols in sources:
+            got, want = ruelle_log_zeta(cols, 2.0, pol), euler_oracle.ruelle(cols, 2.0, pol)
+            assert got.warnings and got.warnings == want[0].warnings
+
+    def test_no_orbit_by_iterate_array_per_lambda(self, tmp_path):
+        # every array kept on toral columns has one row per weight group (one per period), never one per orbit
+        _, sources = self._sources(((2, 1), (1, 1)), 8, tmp_path)
+        cols = sources[0][1]
+        pol = TruncationPolicy(max_period=8, j_max=16, entropy=1.0)
+        for lam in (3.0, 4.0 + 1j):
+            assemble_ruelle_from_graded(cols, lam, pol)
+            ruelle_log_zeta(cols, lam, pol)
+        groups = len(cols._derived["groups"][1][1])
+        assert groups == 8 < len(cols)
+        assert cols._derived["ratios"][1].shape == (3, groups, 16)
+        assert cols._derived["group_phases"][1][0].shape == (groups, 16)
+        assert "phases" not in cols._derived
+
+
 def per_call_factorization_weights(cols, k, j_max, p_values):
     """The factorization weights built afresh on every call from the per-iterate helpers: the oracle of the
     kept tables."""
@@ -763,6 +840,16 @@ class TestArrayPathGuards:
             ruelle_log_zeta(cols, 3.0, pol)
         with pytest.raises(CapacityError):
             factorization_residual_curve(cols, 0, 5.0, replace(pol, j_max=1), [10_000_000])
+        # toral columns reduce per weight group, yet orbits x j_max is refused before any group or power is built
+        toral = orbit_columns(orbit_table(SuspensionModel(ToralAutomorphism(((2, 1), (1, 1))),
+                                                          TrigPolynomial.const(1.0)), 6))
+        j_max = zetas.MAX_CELLS // len(toral) + 1
+        message = f"^{len(toral) * j_max} array cells exceed the cap of {zetas.MAX_CELLS}"
+        for call in (lambda: ruelle_log_zeta(toral, 3.0, replace(pol, j_max=j_max)),
+                     lambda: graded_log_zeta(toral, 1, 3.0, replace(pol, j_max=j_max))):
+            with pytest.raises(CapacityError, match=message):
+                call()
+            assert toral._derived == {}
 
     def test_overflow_is_convergence_error(self, cat_model):
         records = orbit_records(cat_model, 6)
