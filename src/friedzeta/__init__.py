@@ -76,7 +76,6 @@ from .zetas import (
     factorization_check,
     factorization_residual_curve,
     graded_log_zeta,
-    guillemin_series,
     orbit_columns,
     ruelle_log_zeta,
     selberg_log_zeta,

@@ -2,10 +2,9 @@
 
 Every Euler product ends in one array in a fixed order, reduced by
 :func:`block_sum`, whose block structure depends only on the array length:
-the (group x iterate) terms of a toral product, whose weight groups and the
-rows within them keep the ``sort_key`` order of the orbit columns, or the
-(orbit x iterate) terms of a Kleinian one.  Results are therefore bit-stable
-from run to run.
+its (weight group x iterate) terms, whose groups are summed in the row order
+of the orbit columns (a Kleinian group is one row).  Results are therefore
+bit-stable from run to run.
 """
 
 from __future__ import annotations

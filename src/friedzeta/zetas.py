@@ -4,22 +4,20 @@ Every product takes :class:`OrbitColumns`, built once per spectrum by
 :func:`orbit_columns`, and ends in one :func:`~friedzeta.summation.block_sum`
 of phases times λ-free weights, so values are reproducible bit for bit.
 
-Toral products reduce by weight group: the rows whose λ-free inputs
-(orientation index, eigenvalues of the return map, ``det(A)^n``) are equal,
-one group per period of an orbit table.  Per λ, one exp per orbit gives
-``z = rho exp(-lam len)``; ``j_max`` vector products ``z^j`` in group order,
-each followed by one segmented sum, give the (group x iterate) phases
-``-(multiplicity / j) sum z^j``.  The weights ``eps^j`` (Ruelle) and
-``Tr(wedge^k P^j) / |det(1 - P^j)|`` (graded k, and the sign check) are
-(group x iterate) tables too, so no (orbit x iterate) array is built.
-
-Kleinian weights differ per orbit: a Kleinian term is a phase
-``-multiplicity rho^j exp(-lam j len) / j`` times a weight, each an
-(orbit x iterate) array with iterate powers taken by ``np.cumprod``.  Phases
-are built once per λ, weights and the Kleinian tables once per columns and
-``j_max``, all kept on the columns.  The n0 = 2 Poincaré data and characters
-are closed forms; ``poincare_data`` and ``char_sigma`` are their references
-in the tests.
+The products share one shape, ``-sum_gamma sum_j (m / j) z^j w_j`` with
+``z = rho exp(-lam len)`` and a λ-free weight ``w_j``, and one reduction, by
+weight group: the rows whose λ-free inputs are equal.  Toral rows group by
+orientation index, eigenvalues of the return map and ``det(A)^n``, one
+group per period of an orbit table; Kleinian weights differ per orbit, so
+each Kleinian row is its own group, in row order.  Per λ, one exp per orbit
+gives ``z``; ``j_max`` vector products ``z^j`` in group order, each followed
+by one segmented sum, give the (group x iterate) phases
+``-(multiplicity / j) sum z^j``.  The weights ``eps^j`` (Ruelle),
+``Tr(wedge^k P^j) / |det(1 - P^j)|`` (graded k, and the sign check) and
+``chi / det(1 - P_s^j)`` (Selberg) are (group x iterate) tables.  Phases are built once per λ, weights and the Kleinian iterate
+tables once per columns and ``j_max``, all kept on the columns.  The n0 = 2
+Poincaré data and characters are closed forms; ``poincare_data`` and
+``char_sigma`` are their references in the tests.
 Tail bounds are Margulis-type geometric estimates anchored on the last
 length shell actually summed.
 """
@@ -54,11 +52,10 @@ __all__ = [
     "factorization_check",
     "factorization_residual_curve",
     "FactorizationReport",
-    "guillemin_series",
 ]
 
 N0 = 2  # transverse rotation rank for the hyperbolic 3-manifold model
-# orbits x iterates (x orders) per product: bounds the Kleinian arrays and the toral power loop alike
+# orbits x iterates (x orders) per product: bounds the power loop and the Kleinian iterate tables alike
 MAX_CELLS = 1 << 24
 # |sum_k (-1)^k Tr(wedge^k P^j) / |det(1 - P^j)| - eps^j| above this breaks the sign convention
 RESIDUAL_TOL = 1e-12
@@ -101,20 +98,24 @@ class ZetaValue:
 
 
 # ---------------------------------------------------------------------------
-# Orbit columns, toral weight groups and Kleinian (orbit x iterate) arrays
+# Orbit columns, weight groups and λ-free weights
 # ---------------------------------------------------------------------------
 
 
 @record(eq=False)
 class OrbitColumns:
-    """Read-only columns of a spectrum, one row per primitive orbit in ``sort_key`` order.
+    """Read-only columns of a spectrum, one row per primitive orbit.
+
+    Toral rows keep the order of their table, dump or record list; Kleinian
+    rows are in ``sort_key`` order.  The weight groups fix the order every
+    reduction reads, so the row order only has to be deterministic.
 
     ``rho`` is the twist's value on each orbit and ``epsilon`` its
     orientation index.  Toral rows carry the eigenvalues ``lam_u``,
     ``lam_s`` of the transverse return map and ``det_power = det(A)^period``
     (``nan`` eigenvalues for orbit-dump rows); Kleinian rows carry the
     holonomy angle ``theta`` instead.  Arrays derived from the columns (the
-    toral weight groups, the wedge-trace ratios, the current λ's phases, the
+    weight groups, the wedge-trace ratios, the current λ's phases, the
     Kleinian iterates and the factorization's tables) are kept with them and
     freed with them, as is
     ``variation.direct_quotient``'s τ = 0 Ruelle log.
@@ -152,12 +153,11 @@ def orbit_columns(spectrum, representation=None, tau: float = 0.0) -> OrbitColum
         raise ValidationError("tau applies to an orbit table; dumps and records carry their lengths")
     if isinstance(spectrum, OrbitDump):
         nan = np.full(len(spectrum), math.nan)
-        return _toral_columns(representation, spectrum.class_exps, spectrum.length, spectrum.period,
-                              spectrum.num1, spectrum.num2, spectrum.epsilon, nan, nan,
+        return _toral_columns(representation, spectrum.class_exps, spectrum.length, spectrum.epsilon, nan, nan,
                               np.zeros(len(spectrum), dtype=np.int64), spectrum.winding)
     records = list(spectrum)
     if records and all(isinstance(r, OrbitRecord) for r in records):  # the tests' per-record oracles
-        names = ("length", "period", "num1", "num2", "epsilon", "lam_u", "lam_s", "det_power", "winding")
+        names = ("length", "epsilon", "lam_u", "lam_s", "det_power", "winding")
         class_exps = np.array([r.class_exps for r in records], dtype=np.int64).reshape(len(records), -1)
         columns = (np.array([getattr(r, name) for r in records]) for name in names)
         return _toral_columns(representation, class_exps, *columns)
@@ -174,21 +174,17 @@ def orbit_columns(spectrum, representation=None, tau: float = 0.0) -> OrbitColum
 
 @lru_cache(maxsize=2)  # the tau = 0 columns and the current tau's
 def _table_columns(table: OrbitTable, representation, tau: float) -> OrbitColumns:
-    return _toral_columns(representation, table.class_exps, table.lengths(tau), table.period, table.num1,
-                          table.num2, *table.transverse(), table.period)
+    return _toral_columns(representation, table.class_exps, table.lengths(tau), *table.transverse(), table.period)
 
 
-def _toral_columns(representation, class_exps, length, period, num1, num2, eps, lam_u, lam_s, det_power,
-                   winding):
+def _toral_columns(representation, class_exps, length, eps, lam_u, lam_s, det_power, winding):
     if representation is None:
         rho = np.ones(len(length), dtype=complex)
     elif isinstance(representation, Character):
         rho = representation.values(class_exps, winding)
     else:
         raise ValidationError("toral orbit records take a Character twist")
-    order = np.lexsort((num2, num1, period, length))  # sort_key order
-    return OrbitColumns(length[order], rho[order], eps[order], np.ones(len(order)),
-                        lam_u[order], lam_s[order], det_power[order])
+    return OrbitColumns(length, rho, eps, np.ones(len(length)), lam_u, lam_s, det_power)
 
 
 def _powers(base: np.ndarray, j_max: int) -> np.ndarray:
@@ -227,43 +223,30 @@ def _kept(cols: OrbitColumns, name: str, key, build):
     return kept[1]
 
 
-def _terms(cols: OrbitColumns, base: np.ndarray, j_max: int) -> np.ndarray:
-    """``-multiplicity base^j / j`` per (orbit, iterate) of Kleinian columns."""
-    terms = _powers(base, j_max)
-    terms *= -cols.multiplicity[:, None]
-    terms *= 1.0 / np.arange(1, j_max + 1)  # numpy's complex division by j + 0i multiplies by 1/j too
-    return terms
-
-
-def _phases(cols: OrbitColumns, lam: complex, j_max: int) -> np.ndarray:
-    """``-multiplicity rho^j exp(-lam j len) / j`` per (orbit, iterate) of Kleinian columns, built once per ``lam``.
-
-    The λ-dependent factor of every Kleinian graded, Selberg and factorization term: a term is its phase
-    times a λ-free weight.
-    """
-    return _kept(cols, "phases", (lam, j_max), lambda: _terms(cols, cols.rho * np.exp(-lam * cols.length), j_max))
-
-
 def _groups(cols: OrbitColumns):
-    """``(order, starts, rows, in_shell)``: the weight groups of toral columns, built once per columns.
+    """``(order, starts, rows, in_shell)``: the weight groups of the columns, built once per columns.
 
-    A weight group is the rows whose λ-free inputs (``epsilon``, ``lam_u``, ``lam_s``, ``det_power``,
+    A toral weight group is the rows whose λ-free inputs (``epsilon``, ``lam_u``, ``lam_s``, ``det_power``,
     ``multiplicity``) are equal, compared bit for bit so that the ``nan`` eigenvalues of dump rows tie: a
-    table has one group per period, a dump one per orientation index.  ``order`` sorts the rows into
-    group order (stably, so each group keeps ``sort_key`` order), ``starts`` holds the first position of
+    table has one group per period, a dump one per orientation index.  Kleinian weights differ per orbit,
+    so each Kleinian row is a group of its own, in row order.  ``order`` sorts the rows into group order
+    (stably, so each group keeps the row order of the columns), ``starts`` holds the first position of
     each group in it and ``rows`` one row of each group.  ``in_shell`` marks, in group order, the rows of
     the last length shell ``(L - 1, L]`` that the tail bound reads.
     """
     def build():
-        inputs = (cols.multiplicity, cols.det_power, cols.lam_s, cols.lam_u, cols.epsilon)
-        keys = [key.view(np.int64) if key.dtype == np.float64 else key for key in inputs]
-        order = np.lexsort(keys)
-        first = np.zeros(len(order), dtype=bool)
-        first[:1] = True
-        for key in keys:
-            ordered = key[order]
-            first[1:] |= ordered[1:] != ordered[:-1]
-        starts = np.flatnonzero(first)
+        if cols.theta is not None:
+            order = starts = np.arange(len(cols))
+        else:
+            inputs = (cols.multiplicity, cols.det_power, cols.lam_s, cols.lam_u, cols.epsilon)
+            keys = [key.view(np.int64) if key.dtype == np.float64 else key for key in inputs]
+            order = np.lexsort(keys)
+            first = np.zeros(len(order), dtype=bool)
+            first[:1] = True
+            for key in keys:
+                ordered = key[order]
+                first[1:] |= ordered[1:] != ordered[:-1]
+            starts = np.flatnonzero(first)
         top = cols.length.max(initial=-math.inf)
         return order, starts, order[starts], cols.length[order] > top - 1.0
 
@@ -271,19 +254,17 @@ def _groups(cols: OrbitColumns):
 
 
 def _weight_rows(cols: OrbitColumns, j_max: int):
-    """The rows the λ-free weights are taken on: one per weight group of toral columns, every Kleinian row.
+    """The rows the λ-free weights are taken on: one per weight group.
 
-    Toral columns are first held to the (orbit x iterate) cap of the Kleinian arrays, so the cap refuses
-    the same requests on both.
+    The columns are first held to the (orbit x iterate) cap, so the cap refuses the same requests however
+    many groups there are.
     """
-    if cols.theta is not None:
-        return slice(None)
     _require_cells(len(cols) * j_max)
     return _groups(cols)[2]
 
 
 def _signs(cols: OrbitColumns, j_max: int) -> np.ndarray:
-    """``eps^j`` per (weight row, iterate): the toral Ruelle weight and the sign check's target."""
+    """``eps^j`` per (weight row, iterate): the Ruelle weight and the sign check's target."""
     return _powers(cols.epsilon[_weight_rows(cols, j_max)], j_max)
 
 
@@ -348,9 +329,9 @@ def _trace_ratios(cols: OrbitColumns, j_max: int) -> np.ndarray:
 
     The one λ-free array of the graded terms, the factorization's left side
     and the sign check, taken on the rows of :func:`_weight_rows`: one per
-    weight group of toral columns.  Toral traces and determinants are
-    divided through by ``|lam_u|^j``, which leaves every ratio unchanged and
-    keeps both finite at any ``j``.
+    weight group, so every row of Kleinian columns.  Toral traces and
+    determinants are divided through by ``|lam_u|^j``, which leaves every
+    ratio unchanged and keeps both finite at any ``j``.
     """
     def build():
         if cols.theta is None:
@@ -384,15 +365,6 @@ def _require_convergence(lam: complex, threshold: float, allow_formal: bool, wha
         )
 
 
-def _tail_bound(lengths, first_terms_abs, sigma: float, h: float) -> float:
-    """Geometric tail from the last length shell, given each row's j = 1 term magnitude."""
-    lengths = np.asarray(lengths, dtype=float)
-    if not len(lengths):
-        return 0.0
-    top = float(lengths.max())
-    return _shell_tail(top, sum(np.asarray(first_terms_abs)[lengths > top - 1.0].tolist()), sigma, h)
-
-
 def _shell_tail(top: float, shell: float, sigma: float, h: float) -> float:
     """Twice the magnitude ``shell`` summed in the shell ``(top-1, top]``, continued at rate
     ``exp(-(sigma - h))`` per unit length.
@@ -404,41 +376,25 @@ def _shell_tail(top: float, shell: float, sigma: float, h: float) -> float:
     return 2.0 * base * q / (1.0 - q)
 
 
-def _zeta_value(cols: OrbitColumns, total: complex, tail: float, worst_last: float, lam: complex, kind: str,
-                policy: TruncationPolicy) -> ZetaValue:
-    """The sum ``total`` of the (orbit, iterate) terms with its ``tail``.
-
-    A j = j_max term above ``tail_tol`` (``worst_last`` is the largest) is
-    flagged: the iterate truncation could then dominate the length tail.
-    """
-    warnings = () if len(cols) else ("empty spectrum",)
-    if worst_last > policy.tail_tol:
-        warnings += (f"iterate truncation: largest j={policy.j_max} term is {worst_last:.2e}; "
-                     "increase j_max or tail_tol",)
-    return ZetaValue(complex(total), tail, lam, kind, policy, warnings)
-
-
-def _terms_value(cols: OrbitColumns, terms: np.ndarray, lam: complex, kind: str, policy: TruncationPolicy):
-    """Sum the (orbit, iterate) ``terms`` of Kleinian columns, with the tail from the j = 1 column."""
-    tail = _tail_bound(cols.length, np.abs(terms[:, 0]), lam.real, policy.entropy)
-    return _zeta_value(cols, block_sum(terms.ravel()), tail, float(np.abs(terms[:, -1]).max(initial=0.0)),
-                       lam, kind, policy)
-
-
 def _group_value(cols: OrbitColumns, weights: np.ndarray, lam: complex, kind: str, policy: TruncationPolicy):
-    """Sum ``Phi * weights`` over (weight group, iterate) of toral columns.
+    """Sum ``Phi * weights`` over (weight group, iterate), with the tail from the last length shell.
 
     An orbit's j = 1 and j = j_max terms are ``|m z|`` and ``|m z^j_max| / j_max`` times its group's
-    weight, so the tail and the truncation warning read :func:`_group_phases`' per-group magnitudes.
+    weight, so the tail and the truncation warning read :func:`_group_phases`' per-group magnitudes.  A
+    j = j_max term above ``tail_tol`` is flagged: the iterate truncation could then dominate the length tail.
     """
     phases, shell, last = _group_phases(cols, lam, policy.j_max)
     magnitude = np.abs(weights)
-    tail = 0.0
+    tail, warnings = 0.0, ("empty spectrum",)
     if len(cols):
         top = float(cols.length.max())
         tail = _shell_tail(top, float((shell * magnitude[:, 0]).sum()), lam.real, policy.entropy)
-    return _zeta_value(cols, block_sum((phases * weights).ravel()), tail,
-                       float((last * magnitude[:, -1]).max(initial=0.0)), lam, kind, policy)
+        warnings = ()
+    worst_last = float((last * magnitude[:, -1]).max(initial=0.0))
+    if worst_last > policy.tail_tol:
+        warnings += (f"iterate truncation: largest j={policy.j_max} term is {worst_last:.2e}; "
+                     "increase j_max or tail_tol",)
+    return ZetaValue(complex(block_sum((phases * weights).ravel())), tail, lam, kind, policy, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +412,7 @@ def ruelle_log_zeta(cols: OrbitColumns, lam: complex, policy: TruncationPolicy,
     lam = complex(lam)
     _require_convergence(lam, policy.entropy, allow_formal, "orbit zeta")
     with _in_float_range(lam):
-        if cols.theta is None:
-            return _group_value(cols, _signs(cols, policy.j_max), lam, "ruelle", policy)
-        base = cols.epsilon * cols.rho * np.exp(-lam * cols.length)
-        return _terms_value(cols, _terms(cols, base, policy.j_max), lam, "ruelle", policy)
+        return _group_value(cols, _signs(cols, policy.j_max), lam, "ruelle", policy)
 
 
 def graded_log_zeta(cols: OrbitColumns, k: int, lam: complex, policy: TruncationPolicy,
@@ -476,9 +429,7 @@ def graded_log_zeta(cols: OrbitColumns, k: int, lam: complex, policy: Truncation
         ratios = _trace_ratios(cols, policy.j_max)
         if not 0 <= k < len(ratios):
             raise ValidationError(f"k must be in 0..{len(ratios) - 1}")
-        if cols.theta is None:
-            return _group_value(cols, ratios[k], lam, f"graded[{k}]", policy)
-        return _terms_value(cols, _phases(cols, lam, policy.j_max) * ratios[k], lam, f"graded[{k}]", policy)
+        return _group_value(cols, ratios[k], lam, f"graded[{k}]", policy)
 
 
 @record
@@ -545,8 +496,7 @@ def selberg_log_zeta(cols: OrbitColumns, mu, lam: complex, policy: TruncationPol
     with _in_float_range(lam):
         a, _, c, x = _iterates(cols, policy.j_max)
         chi = np.prod([_label_character(label, x) for label in labels], axis=0)
-        terms = _phases(cols, lam, policy.j_max) * chi / _det_one_minus_ps(a, c)
-        return _terms_value(cols, terms, lam, "selberg", policy)
+        return _group_value(cols, chi / _det_one_minus_ps(a, c), lam, "selberg", policy)
 
 
 @record
@@ -627,7 +577,7 @@ def factorization_check(cols: OrbitColumns, k: int, lam: complex, policy: Trunca
     with _in_float_range(lam):
         lhs, (rhs,) = _factorization_weights(cols, k, policy.j_max, [policy.p_max])
         max_abs, max_rel = _relative_residual(lhs, rhs)
-        phases = _phases(cols, lam, policy.j_max)
+        phases = _group_phases(cols, lam, policy.j_max)[0]
         log_lhs, log_rhs = (complex(block_sum((phases * w).ravel())) for w in (lhs, rhs))
     return FactorizationReport(k, lam, policy.p_max, log_lhs, log_rhs, max_abs, max_rel, tail_estimate)
 
@@ -643,43 +593,3 @@ def factorization_residual_curve(cols: OrbitColumns, k, lam, policy, p_values):
     with _in_float_range(complex(lam)):
         lhs, rhs_by_p = _factorization_weights(cols, k, policy.j_max, p_values)
         return [(p, _relative_residual(lhs, rhs)[1]) for p, rhs in zip(p_values, rhs_by_p)]
-
-
-# ---------------------------------------------------------------------------
-# Trace-formula series
-# ---------------------------------------------------------------------------
-
-
-def guillemin_series(spectrum, representation, k: int, t_max: float, a_weights=None):
-    """Orbit side of the flat-trace formula: entries ``(t, coefficient)``.
-
-    One entry per orbit iterate with ``j*len <= t_max``; the coefficient is
-    ``(1/j) Tr(W wedge^k dphi^j) / |det(1 - P^j)| * Tr(rho^j)`` where
-    ``dphi`` includes the flow direction (eigenvalue 1) and ``W`` is an
-    optional weight ``a_weights(record, j, k)`` on the wedge power
-    (identity when omitted).
-    """
-    from .wedge import compound_matrix
-
-    if isinstance(spectrum, OrbitDump):
-        raise ValidationError("record lacks eigenvalue data (orbit dump round-trip)")
-    records = sorted(spectrum, key=lambda r: r.sort_key())
-    cols = orbit_columns(records, representation)
-    if records and cols.theta is not None:
-        raise ValidationError("trace series runs over suspension orbit records")
-    if records and np.isnan(cols.lam_u).any():
-        raise ValidationError("record lacks eigenvalue data (orbit dump round-trip)")
-    entries = []
-    for rec, rho in zip(records, cols.rho.tolist()):
-        j = 1
-        while j * rec.length <= t_max:
-            ls, lu = rec.lam_s**j, rec.lam_u**j
-            if a_weights is None:  # elementary symmetric functions of (1, ls, lu)
-                wedge = (1.0, 1.0 + ls + lu, ls + lu + ls * lu, ls * lu)[k]
-            else:
-                w = np.asarray(a_weights(rec, j, k))
-                wedge = float(np.trace(w @ compound_matrix(np.diag([1.0, ls, lu]), k)).real)
-            entries.append((j * rec.length, rho**j * wedge / (abs((1.0 - lu) * (1.0 - ls)) * j)))
-            j += 1
-    entries.sort(key=lambda e: e[0])
-    return entries

@@ -1,8 +1,10 @@
-"""The per-orbit toral Euler products that the weight-group reduction replaced, kept as its references.
+"""The per-orbit Euler products that the weight-group reduction replaced, kept as its references.
 
 Each product builds the full (orbit x iterate) array of its terms: powers by
 ``np.cumprod``, ``-multiplicity base^j / j`` per cell, the wedge-trace ratios
-``Tr(wedge^k P^j) / |det(1 - P^j)|`` taken on every orbit, one
+``Tr(wedge^k P^j) / |det(1 - P^j)|`` taken on every orbit (toral ones by this
+module's arithmetic, Kleinian ones from ``zetas._trace_ratios``, which takes
+them per orbit), the Selberg weights ``chi / det(1 - P_s^j)``, one
 :func:`~friedzeta.summation.block_sum` over the whole array, the tail bound
 from the j = 1 column and the iterate-truncation warning from the j = j_max
 column.  Each returns its :class:`~friedzeta.zetas.ZetaValue` and the sum of
@@ -15,6 +17,7 @@ import math
 
 import numpy as np
 
+from friedzeta import zetas
 from friedzeta.errors import ValidationError
 from friedzeta.summation import block_sum
 from friedzeta.zetas import ZetaValue
@@ -33,8 +36,19 @@ def terms(cols, base, j_max):
     return out
 
 
+def phases(cols, lam, j_max):
+    """``-multiplicity rho^j exp(-lam j len) / j`` per (orbit, iterate): the λ-dependent factor of a term."""
+    return terms(cols, cols.rho * np.exp(-lam * cols.length), j_max)
+
+
 def trace_ratios(cols, j_max):
-    """``Tr(wedge^k P^j) / |det(1 - P^j)|`` per (k, orbit, iterate), k = 0..2, divided through by ``|lam_u|^j``."""
+    """``Tr(wedge^k P^j) / |det(1 - P^j)|`` per (k, orbit, iterate).
+
+    Toral ratios (k = 0..2) are divided through by ``|lam_u|^j``; Kleinian
+    ones (k = 0..4) are ``zetas._trace_ratios``, one row per orbit.
+    """
+    if cols.theta is not None:
+        return zetas._trace_ratios(cols, j_max)
     if np.isnan(cols.lam_u).any():
         raise ValidationError("record lacks eigenvalue data (orbit dump round-trip)")
     r = powers(1.0 / cols.lam_u, j_max)
@@ -79,11 +93,29 @@ def ruelle(cols, lam, policy):
 def graded(cols, k, lam, policy):
     lam = complex(lam)
     ratios = trace_ratios(cols, policy.j_max)
-    phases = terms(cols, cols.rho * np.exp(-lam * cols.length), policy.j_max)
-    return zeta_value(cols, phases * ratios[k], lam, f"graded[{k}]", policy)
+    return zeta_value(cols, phases(cols, lam, policy.j_max) * ratios[k], lam, f"graded[{k}]", policy)
+
+
+def selberg(cols, labels, lam, policy):
+    """Kleinian Selberg product: phases times ``chi / det(1 - P_s^j)`` per (orbit, iterate)."""
+    lam = complex(lam)
+    a, _, c, x = zetas._iterates(cols, policy.j_max)
+    chi = np.prod([zetas._label_character(label, x) for label in labels], axis=0)
+    array = phases(cols, lam, policy.j_max) * chi / zetas._det_one_minus_ps(a, c)
+    return zeta_value(cols, array, lam, "selberg", policy)
+
+
+def factorization_logs(cols, k, lam, policy):
+    """``((log lhs, scale), (log rhs, scale))`` of the factorization check from per-orbit phases."""
+    lhs, (rhs,) = zetas._factorization_weights(cols, k, policy.j_max, [policy.p_max])
+    phase = phases(cols, complex(lam), policy.j_max)
+    return tuple((complex(block_sum((phase * w).ravel())), float(np.abs(phase * w).sum())) for w in (lhs, rhs))
 
 
 def assembly_residual(cols, j_max):
-    """``max |sum_k (-1)^k Tr(wedge^k P^j) / |det(1 - P^j)| + eps^j|`` over every (orbit, iterate)."""
-    alt = sum((-1.0) ** k * ratio for k, ratio in enumerate(trace_ratios(cols, j_max)))
-    return float(np.abs(alt + powers(cols.epsilon, j_max)).max())
+    """``max |sum_k (-1)^k Tr(wedge^k P^j) / |det(1 - P^j)| - s eps^j|`` over every (orbit, iterate),
+    ``s = (-1)^(dim / 2)``."""
+    ratios = trace_ratios(cols, j_max)
+    alt = sum((-1.0) ** k * ratio for k, ratio in enumerate(ratios))
+    s = (-1) ** ((len(ratios) - 1) // 2)
+    return float(np.abs(alt - s * powers(cols.epsilon, j_max)).max())

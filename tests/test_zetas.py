@@ -22,7 +22,6 @@ from friedzeta import (
     factorization_check,
     factorization_residual_curve,
     graded_log_zeta,
-    guillemin_series,
     orbit_records,
     poincare_data,
     ruelle_log_zeta,
@@ -33,7 +32,7 @@ from friedzeta import (
 from friedzeta._record import replace
 from friedzeta.characters import char_label, char_tensor
 from friedzeta.toral import orbit_table
-from friedzeta.zetas import _class_angles, _det_one_minus_ps, _kleinian_iterates, _tail_bound, orbit_columns
+from friedzeta.zetas import _class_angles, _det_one_minus_ps, _kleinian_iterates, _shell_tail, orbit_columns
 
 import euler_oracle
 from dump_oracle import read_records_dump
@@ -90,7 +89,7 @@ class TestRuelle:
         assert tails[0] > tails[1] > tails[2] > 0
 
     def test_tail_bound_infinite_below_entropy(self):
-        assert _tail_bound([1.0], [0.5], 1.0, 2.0) == math.inf
+        assert _shell_tail(1.0, 0.5, 1.0, 2.0) == math.inf
 
 
 class TestGraded:
@@ -277,38 +276,6 @@ class TestFactorization:
         assert report.max_rel_residual < 1e-12
 
 
-class TestGuilleminSeries:
-    def test_empty(self):
-        assert guillemin_series([], None, 0, 5.0) == []
-
-    def test_identity_weights_k0(self, cat_model, rep_minus):
-        records = orbit_records(cat_model, 3)
-        entries = guillemin_series(records, rep_minus, 0, 3.5)
-        times = [round(t, 9) for t, _ in entries]
-        # periods 1,2,3 with multiplicities 1,2,5 plus iterates of the fixed point
-        assert times.count(1.0) == 1
-        assert times.count(2.0) == 3  # j=2 of the fixed point + two primitive orbits
-        assert times.count(3.0) == 6  # j=3 of the fixed point + five primitive orbits
-        assert times == sorted(times)
-
-    def test_coefficient_value(self, cat_model, rep_minus):
-        records = [r for r in orbit_records(cat_model, 1)]
-        entries = guillemin_series(records, rep_minus, 0, 1.0)
-        rec = records[0]
-        expected = rep_minus.value(rec.class_exps, rec.winding) / abs(
-            (1 - rec.lam_u) * (1 - rec.lam_s)
-        )
-        assert entries[0][1] == pytest.approx(expected, rel=1e-13)
-
-    def test_matrix_weights(self, cat_model):
-        records = orbit_records(cat_model, 2)
-        ident = guillemin_series(records, None, 1, 2.5)
-        via_matrix = guillemin_series(records, None, 1, 2.5, a_weights=lambda r, j, k: np.eye(3))
-        for (t1, c1), (t2, c2) in zip(ident, via_matrix):
-            assert t1 == t2
-            assert c1 == pytest.approx(c2, rel=1e-12)
-
-
 class TestRecordContracts:
     def test_dump_records_lack_eigendata_for_graded(self, cat_family, tmp_path):
         from friedzeta import read_orbit_dump, write_orbit_dump
@@ -450,6 +417,16 @@ def _mixed_spectrum():
     return hand + synthetic
 
 
+def _synthetic_200():
+    """200 synthetic records with multiplicities 1..3 and rho on the unit circle."""
+    return [replace(r, multiplicity=1 + i % 3, rho=cmath.exp(0.7j * i))
+            for i, r in enumerate(synthetic_spectrum(2.0, 200, 3))]
+
+
+SELBERG_LABELS = ([IrrepLabel("sigma", 0, 2)], [IrrepLabel("sigma", 3, 2)],
+                  [IrrepLabel("sigma", 2, 2), IrrepLabel("nu", 1, 2)], [IrrepLabel("nu", 2, 2)])
+
+
 class TestArrayPathAgainstLoops:
     """The array reductions agree with the per-record loops they replaced."""
 
@@ -518,8 +495,7 @@ class TestArrayPathAgainstLoops:
             for k in range(5):
                 zv = graded_log_zeta(cols, k, lam, pol)
                 assert _close(zv.log_value, loop_graded(spectrum, None, k, lam, 8))
-            for labels in ([IrrepLabel("sigma", 0, 2)], [IrrepLabel("sigma", 3, 2)],
-                           [IrrepLabel("sigma", 2, 2), IrrepLabel("nu", 1, 2)], [IrrepLabel("nu", 2, 2)]):
+            for labels in SELBERG_LABELS:
                 zv = selberg_log_zeta(cols, labels, lam, pol)
                 assert _close(zv.log_value, loop_selberg(spectrum, labels, lam, 8))
         report = assemble_ruelle_from_graded(cols, 3.2, pol)
@@ -595,7 +571,7 @@ GROUP_TOL = 1e-14  # relative to the sum of term magnitudes: the weight groups c
 
 
 class TestWeightGroupsAgainstPerOrbitOracle:
-    """Toral products reduced per weight group agree with the per-orbit (orbit x iterate) arrays they replaced."""
+    """Products reduced per weight group agree with the per-orbit (orbit x iterate) arrays they replaced."""
 
     @staticmethod
     def _sources(matrix, n_max, tmp_path):
@@ -643,6 +619,30 @@ class TestWeightGroupsAgainstPerOrbitOracle:
             if name == "dump":
                 with pytest.raises(ValidationError, match="eigenvalue data"):
                     graded_log_zeta(cols, 0, h + 1.5, pol)
+
+    @pytest.mark.parametrize("j_max", [1, 5, 16, 17])
+    @pytest.mark.parametrize("spectrum", [_mixed_spectrum, _synthetic_200], ids=["mixed", "synthetic_200"])
+    def test_kleinian_products_match_the_oracle(self, spectrum, j_max):
+        cols = orbit_columns(spectrum())
+        order, starts, rows, _ = zetas._groups(cols)  # one group per row, in row order
+        assert all(np.array_equal(index, np.arange(len(cols))) for index in (order, starts, rows))
+        pol = TruncationPolicy(j_max=j_max, p_max=24, entropy=2.0)
+        for lam in (2.3, 4.0, 4.0 - 1.5j):
+            self._agree(ruelle_log_zeta(cols, lam, pol), euler_oracle.ruelle(cols, lam, pol))
+            graded = [euler_oracle.graded(cols, k, lam, pol) for k in range(5)]
+            for k in range(5):
+                self._agree(graded_log_zeta(cols, k, lam, pol), graded[k])
+            for labels in SELBERG_LABELS:
+                self._agree(selberg_log_zeta(cols, labels, lam, pol), euler_oracle.selberg(cols, labels, lam, pol))
+            report = assemble_ruelle_from_graded(cols, lam, pol)
+            assert report.max_residual == euler_oracle.assembly_residual(cols, j_max)
+            assembled = sum((-1) ** k * value.log_value for k, (value, _) in enumerate(graded))
+            assert abs(report.log_zeta - assembled) <= GROUP_TOL * sum(scale for _, scale in graded)
+            for k in range(3):
+                check = factorization_check(cols, k, lam, pol)
+                (lhs, lhs_scale), (rhs, rhs_scale) = euler_oracle.factorization_logs(cols, k, lam, pol)
+                assert abs(check.log_lhs - lhs) <= GROUP_TOL * lhs_scale
+                assert abs(check.log_rhs - rhs) <= GROUP_TOL * rhs_scale
 
     def test_truncation_warnings_fire_on_both(self, tmp_path):
         model, sources = self._sources(((2, 1), (1, 1)), 6, tmp_path)
@@ -737,21 +737,21 @@ class TestKeptFactorizationTables:
         cols = orbit_columns(_mixed_spectrum())
         pol = TruncationPolicy(j_max=8, p_max=20, entropy=2.0)
         graded_log_zeta(cols, 1, 5.0, pol)
-        ratios, phases = cols._derived["ratios"][1], cols._derived["phases"][1]
+        ratios, phases = cols._derived["ratios"][1], cols._derived["group_phases"][1]
         assert ratios.shape == (5, len(cols), 8)
         selberg_log_zeta(cols, IrrepLabel("sigma", 1, 2), 5.0, pol)
         assemble_ruelle_from_graded(cols, 5.0, pol)
         lhs, _ = zetas._factorization_weights(cols, 2, 8, [20])
         assert lhs.base is ratios and np.array_equal(lhs, ratios[2])
         factorization_check(cols, 2, 5.0, pol)
-        assert cols._derived["ratios"][1] is ratios and cols._derived["phases"][1] is phases
+        assert cols._derived["ratios"][1] is ratios and cols._derived["group_phases"][1] is phases
 
     def test_kept_arrays_are_read_only(self):
         cols = orbit_columns(_mixed_spectrum())
         pol = TruncationPolicy(j_max=8, p_max=20, entropy=2.0)
         factorization_check(cols, 1, 5.0, pol)
         selberg_log_zeta(cols, IrrepLabel("sigma", 1, 2), 5.0, pol)
-        assert {"iterates", "ratios", "factorization", "shells", "phases"} <= cols._derived.keys()
+        assert {"iterates", "ratios", "factorization", "shells", "group_phases"} <= cols._derived.keys()
         for _, value in cols._derived.values():
             for array in value if isinstance(value, tuple) else (value,):
                 assert not array.flags.writeable
@@ -759,17 +759,23 @@ class TestKeptFactorizationTables:
                     array[...] = 0.0
 
     def test_terms_scale_by_reciprocal_bit_for_bit(self):
-        # numpy divides a complex array by j + 0i as a product with 1/j, so the reciprocal row loses no bit
+        # numpy divides a complex array by j + 0i as a product with 1/j, so the reciprocal row loses no bit;
+        # Kleinian rows are one-row weight groups, so their phases are the per-orbit terms themselves
         rng = np.random.default_rng(35)
+        lam = 0.3 + 0.2j
         for j_max in range(1, 41):
             n = int(rng.integers(1, 200))
-            base = rng.normal(size=n) + 1j * rng.normal(size=n)
-            cols = zetas.OrbitColumns(rng.uniform(0.5, 5.0, n), np.ones(n, dtype=complex), np.ones(n),
-                                      rng.integers(1, 4, n).astype(float))
-            divided = zetas._powers(base, j_max)
+            cols = zetas.OrbitColumns(rng.uniform(0.5, 5.0, n), rng.normal(size=n) + 1j * rng.normal(size=n),
+                                      np.ones(n), rng.integers(1, 4, n).astype(float), theta=np.zeros(n))
+            z = cols.rho * np.exp(-lam * cols.length)
+            divided, power = np.empty((n, j_max), dtype=complex), z.copy()
+            divided[:, 0] = power
+            for j in range(1, j_max):  # powers by in-place products, as the phases take them
+                power *= z
+                divided[:, j] = power
             divided *= -cols.multiplicity[:, None]
             divided /= np.arange(1, j_max + 1)
-            assert zetas._terms(cols, base, j_max).tobytes() == divided.tobytes(), j_max
+            assert zetas._group_phases(cols, lam, j_max)[0].tobytes() == divided.tobytes(), j_max
 
 
 class TestArrayPathGuards:
@@ -787,13 +793,10 @@ class TestArrayPathGuards:
 
         path = tmp_path / "orbits.txt"
         write_orbit_dump(path, orbit_table(cat_family, 3))
-        back = read_orbit_dump(path)
-        cols = orbit_columns(back)
+        cols = orbit_columns(read_orbit_dump(path))
         pol = TruncationPolicy(j_max=2, entropy=1.0)
         for call in (lambda: graded_log_zeta(cols, 1, 4.0, pol),
-                     lambda: assemble_ruelle_from_graded(cols, 4.0, pol),
-                     lambda: guillemin_series(read_records_dump(path), None, 0, 3.0),
-                     lambda: guillemin_series(back, None, 0, 3.0)):
+                     lambda: assemble_ruelle_from_graded(cols, 4.0, pol)):
             with pytest.raises(ValidationError, match="eigenvalue data"):
                 call()
 
