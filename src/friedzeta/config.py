@@ -21,7 +21,7 @@ from .zetas import TruncationPolicy
 
 __all__ = ["RunConfig", "parse_trig", "parse_complex_list"]
 
-MAX_GRID_POINTS = 1 << 12  # points of a start:step:count grid, checked before it is built
+MAX_GRID_POINTS = 1 << 12  # points of a start:step:count grid or a quadrature grid, checked before it is built
 _BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
 
 
@@ -203,7 +203,15 @@ class RunConfig:
 
     def policy(self, model: SuspensionModel | None = None, tau: float = 0.0,
                entropy: float | None = None) -> TruncationPolicy:
-        """The ``policy.*`` keys; an unset entropy is ``entropy``, else the model's at ``tau``."""
+        """The ``policy.*`` keys; an unset entropy is ``entropy``, else the model's at ``tau``.
+
+        ``policy.quad_subdiv`` is capped like a grid: its ``2 * quad_subdiv + 1`` quadrature nodes at
+        ``MAX_GRID_POINTS``.
+        """
+        quad_subdiv = self.get_int("policy.quad_subdiv", 16)
+        if 2 * quad_subdiv + 1 > MAX_GRID_POINTS:
+            raise CapacityError(f"policy.quad_subdiv: {2 * quad_subdiv + 1} quadrature nodes exceed the cap "
+                                f"of {MAX_GRID_POINTS}")
         entropy = self.get_float("policy.entropy", entropy)
         if entropy is None:
             if model is None:
@@ -215,7 +223,7 @@ class RunConfig:
             p_max=self.get_int("policy.p_max", 60),
             entropy=entropy,
             tail_tol=self.get_float("policy.tail_tol", 1e-12),
-            quad_subdiv=self.get_int("policy.quad_subdiv", 16),
+            quad_subdiv=quad_subdiv,
         )
 
     def tau_grid(self, model: SuspensionModel | None = None) -> list[float]:

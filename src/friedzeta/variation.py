@@ -4,7 +4,10 @@ The log-derivative of the flow zeta in the family parameter is an orbit
 sum weighted by the orbit integrals of the time-change symbol; its
 parameter integral is evaluated by composite Simpson quadrature with a
 Richardson doubling check.  Each node's iterate sum is taken by binary
-splitting, one array expression per bit of ``j_max``.  The direct quotient
+splitting, one array expression per bit of ``j_max``.  The orbit lengths are
+checked once per τ, at the outermost node: rounding is monotone, so every
+node's lengths lie between those at 0 and there.  At real λ each node
+exponentiates a real array, not a complex one.  The direct quotient
 it is checked against takes the τ = 0 Euler product once per λ and
 ``j_max``, not once per τ.  A separate matrix-calculus verifier checks the
 determinant-expansion identity behind the wedge-trace form of the same
@@ -44,12 +47,23 @@ def _twist(table: OrbitTable, representation: Character | None) -> np.ndarray:
 def _orbit_sum(table: OrbitTable, twist, lam: complex, tau_prime: float, j_max: int) -> complex:
     """``sum_gamma (int_gamma q) sum_j eps^j rho^j exp(-lam*j*len(tau'))``.
 
+    The lengths ``length0 + tau' * slope`` are bit for bit those of
+    ``table.lengths(tau')``, unchecked: the caller checks them once at a node
+    at least as far from 0 as ``tau'`` on its side, and since rounding is
+    monotone in ``tau'``, every length here lies between its values there and
+    at 0, so all are finite.  At ``Im(lam) = 0`` the exponent is real, and the
+    exponential is taken of the real array ``-Re(lam) * len``: the value of the
+    complex one up to its rounding (within an ulp), at a fraction of its cost,
+    and one value whether ``lam`` is a float or a complex with either sign of
+    zero.  Complex ``lam`` keeps the complex exponential.
+
     The iterate sum ``S_J = sum_{j=1..J} z^j`` is taken by binary splitting,
     ``S_2m = S_m + z^m S_m`` and ``S_2m+1 = S_2m + z^(2m+1)``, reading the bits of
     ``j_max`` from the top: about ``2 log2(J) + popcount(J)`` array products in
     place of ``2J``, no division, and no power above ``z^J``.
     """
-    z = twist * np.exp(-lam * table.lengths(tau_prime))
+    lengths = table.length0 + tau_prime * table.slope
+    z = twist * (np.exp(-lam.real * lengths) if lam.imag == 0 else np.exp(-lam * lengths))
     total = z.copy()  # S_1
     power = z.copy()  # z^m
     for bit in bin(j_max)[3:]:
@@ -104,10 +118,14 @@ def variation_rhs(
     integral = integral_coarse = 0.0
     if tau != 0.0:  # the integral over [0, 0] is 0: no orbit sum is taken
         twist = _twist(table, representation)
-        # node 2i of this grid is bit for bit node i of the grid of quad_subdiv panels; an overflowing
-        # orbit sum raises the Euler product's ConvergenceError, not a warning and an inf that passes Richardson
+        # node 2i of this grid is bit for bit node i of the grid of quad_subdiv panels
+        nodes = [tau * i / panels for i in range(panels + 1)]
+        # the one length check for every node: tau * panels / panels can round one ulp past tau
+        table.lengths(max(tau, nodes[-1], key=abs))
+        # an overflowing orbit sum raises the Euler product's ConvergenceError, not a warning and an inf
+        # that passes Richardson
         with _in_float_range(lam):
-            values = [_orbit_sum(table, twist, lam, tau * i / panels, policy.j_max) for i in range(panels + 1)]
+            values = [_orbit_sum(table, twist, lam, t, policy.j_max) for t in nodes]
         integral = _simpson(values, tau / panels)
         integral_coarse = _simpson(values[::2], tau / policy.quad_subdiv)
     try:

@@ -28,7 +28,7 @@ from friedzeta import (
     ruelle_log_zeta,
     write_spectrum,
 )
-from friedzeta import cli, config, kleinian, toral, zetas
+from friedzeta import cli, config, kleinian, toral, variation, zetas
 from friedzeta._record import fields
 from friedzeta.cli import _COMMANDS, _KNOWN_KEYS, _jsonify, _plain_args, build_parser, main
 from friedzeta.config import RunConfig
@@ -1140,6 +1140,21 @@ class TestInputBoundary:
         assert err.count("\n") == 1
         assert not (tmp_path / "out.txt").exists()
 
+    def test_quad_subdiv_beyond_its_cap_exit_2(self, monkeypatch, capsys):
+        # 2 * 2048 + 1 nodes: once a Simpson grid of any size was built, and a large one ran for minutes
+        settings = ["model.time_change=cos:1,0:0.05", "policy.n_max=4", "tau.grid=0.05"]
+        tables = []
+        build = variation.orbit_table
+        monkeypatch.setattr(variation, "orbit_table", lambda *args: tables.append(args) or build(*args))
+        assert run("variation", *CAT_SETTINGS, *settings, "policy.quad_subdiv=2048") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: policy.quad_subdiv: ") and "exceed the cap of" in err
+        assert err.count("\n") == 1
+        assert tables == []
+        # 2 * 2046 + 1 nodes are within the cap
+        assert run("variation", *CAT_SETTINGS, *settings, "policy.quad_subdiv=2046") == 0
+        assert tables
+
     def test_grid_at_its_cap_is_built(self):
         assert len(config._parse_grid(f"0:1e-6:{config.MAX_GRID_POINTS}", "tau.grid")) == config.MAX_GRID_POINTS
 
@@ -1165,6 +1180,7 @@ FUZZ_KEYS = (
     "policy.n_max",
     "policy.j_max",
     "policy.entropy",
+    "policy.quad_subdiv",
     "model.roof",
     "model.time_change",
     "rep.u_fraction",

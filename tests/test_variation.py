@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from friedzeta import (
+    CapacityError,
     Character,
     ConvergenceError,
     SuspensionModel,
@@ -23,7 +24,7 @@ from friedzeta.summation import block_sum
 from friedzeta.toral import orbit_table
 from friedzeta.zetas import orbit_columns, ruelle_log_zeta
 
-from variation_oracle import loop_orbit_sum, orbit_sum_scale
+from variation_oracle import checked_orbit_sum, loop_orbit_sum, orbit_sum_scale
 
 
 def policy_for(model, **kw):
@@ -162,6 +163,24 @@ class TestOneQuadratureGrid:
             two_grid_ratio(model, rep, lam, tau, pol)
             assert len(calls) == 3 * quad_subdiv + 2
 
+    def test_lengths_checked_once_before_any_node(self, cat, monkeypatch):
+        # period-1 lengths are 1e308 (1 + tau): past the float range at tau = 0.9, 1e307 at tau = -0.9
+        model = SuspensionModel(cat, TrigPolynomial.const(1e308), TrigPolynomial.const(1.0))
+        pol = policy_for(model, max_period=1)
+        calls = []
+        orbit_sum = variation._orbit_sum
+        monkeypatch.setattr(variation, "_orbit_sum", lambda *args: calls.append(args[3]) or orbit_sum(*args))
+        with pytest.raises(CapacityError, match="at tau=0.9 exceed the floating-point range"):
+            variation_rhs(model, None, 3.0, 0.9, pol)
+        assert calls == []
+        # at lambda = 1.5 every lam * len is finite and every exp(-lam * len) is 0
+        vr = variation_rhs(model, None, 1.5, -0.9, pol)
+        assert len(calls) == 2 * pol.quad_subdiv + 1 and calls[-1] == -0.9
+        assert vr.ratio == 1.0
+
+
+J_MAXES = (1, 2, 3, 5, 16, 17, 31, 40)
+
 
 class TestBinarySplittingOrbitSum:
     @pytest.mark.parametrize("case", ONE_GRID_CASES.values(), ids=ONE_GRID_CASES.keys())
@@ -170,11 +189,33 @@ class TestBinarySplittingOrbitSum:
         model, rep, lam, tau = case()
         table = orbit_table(model, 10)
         twist = variation._twist(table, rep)
-        for j_max in (1, 2, 3, 5, 16, 17, 31, 40):
+        for j_max in J_MAXES:
             for node in (0.0, tau / 2, tau):
                 got = variation._orbit_sum(table, twist, lam, node, j_max)
                 want = loop_orbit_sum(table, twist, lam, node, j_max)
                 assert abs(got - want) <= 1e-15 * orbit_sum_scale(table, twist, lam, node), (j_max, node)
+
+    def test_complex_lambda_equals_the_checked_sum_bit_for_bit(self):
+        model, rep, lam, tau = _twisted_3211()
+        table = orbit_table(model, 10)
+        twist = variation._twist(table, rep)
+        for j_max in J_MAXES:
+            for node in (0.0, tau / 2, tau):
+                got = variation._orbit_sum(table, twist, lam, node, j_max)
+                assert got == checked_orbit_sum(table, twist, lam, node, j_max), (j_max, node)
+
+    @pytest.mark.parametrize("case", ONE_GRID_CASES.values(), ids=ONE_GRID_CASES.keys())
+    def test_real_lambda_is_one_value_near_the_iterate_loop(self, case):
+        # 3.0, 3+0j and 3-0j (a negative zero) exponentiate the same real array, within rounding of the complex exp
+        model, rep, _, tau = case()
+        table = orbit_table(model, 10)
+        twist = variation._twist(table, rep)
+        for j_max in J_MAXES:
+            for node in (0.0, tau / 2, tau):
+                got = {variation._orbit_sum(table, twist, lam, node, j_max) for lam in (3.0, 3 + 0j, complex(3, -0.0))}
+                assert len(got) == 1, (j_max, node)
+                want = loop_orbit_sum(table, twist, 3.0, node, j_max)
+                assert abs(got.pop() - want) <= 1e-15 * orbit_sum_scale(table, twist, 3.0, node), (j_max, node)
 
     def test_unit_base_sums_exactly_j_max_terms(self):
         # at lambda = 0 without a character z = eps = +-1: each iterate sum is an exact integer

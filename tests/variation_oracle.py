@@ -1,8 +1,11 @@
-"""The per-node iterate loop the binary-splitting orbit sum replaced, kept as its reference.
+"""Earlier forms of the variation's per-node orbit sum, kept as its references.
 
-``sum_j z^j`` is built one power at a time, ``j_max`` array products and
-``j_max`` array additions per quadrature node, with
-``z = eps rho exp(-lam len(tau'))`` as in :func:`friedzeta.variation._orbit_sum`.
+In :func:`loop_orbit_sum`, ``sum_j z^j`` is built one power at a time,
+``j_max`` array products and ``j_max`` array additions per quadrature node,
+with ``z = eps rho exp(-lam len(tau'))`` as in
+:func:`friedzeta.variation._orbit_sum`.  :func:`checked_orbit_sum` is the
+binary-splitting form that checked each node's lengths and took the complex
+exponential at every ``lam``.
 """
 
 import numpy as np
@@ -18,6 +21,20 @@ def loop_orbit_sum(table, twist, lam, tau_prime, j_max):
     for _ in range(j_max):
         power = power * e1
         total += power
+    return complex(block_sum((-table.slope) * total))
+
+
+def checked_orbit_sum(table, twist, lam, tau_prime, j_max):
+    """The binary-splitting orbit sum with ``table.lengths(tau')`` and a complex ``exp`` at every node."""
+    z = twist * np.exp(-lam * table.lengths(tau_prime))
+    total = z.copy()  # S_1
+    power = z.copy()  # z^m
+    for bit in bin(j_max)[3:]:
+        total += power * total
+        power *= power
+        if bit == "1":
+            power *= z
+            total += power
     return complex(block_sum((-table.slope) * total))
 
 
