@@ -1,17 +1,18 @@
 """Command-line surface: thin wrappers over the library operations.
 
-Each command returns its report's results and its CSV; ``main`` times
-the run from config load on and writes both.  A command accepts the config
-keys of its ``_KNOWN_KEYS`` entry, and its flags follow from them:
-``--csv`` where ``io.csv`` is a key, ``--allow-formal`` where
-``zeta.allow_formal`` is.  ``main`` reads a command and its flags in their
-plain spelling (each flag in full, its value in the next token) directly;
-help, abbreviations, ``--flag=value`` and usage errors go to argparse,
-which is imported only then.
+Each command takes the resolved :class:`RunConfig` alone and returns its
+report's results and its CSV; ``main`` times the run from config load on
+and writes both.  A command accepts the config keys of its ``_KNOWN_KEYS``
+entry.  One parser reads ``argv`` into a command, a config file and
+overrides: ``--set key=value`` sets any key, and every other flag is an
+alias of one key, which a command takes exactly when it reads that key
+(``--out`` is ``io.out`` where that is a key, else ``io.report``).  A flag
+wins over ``--set``, which wins over the file.
 
-Exit codes: 0 success, 1 validation or usage error, 2 convergence,
-capacity or continuation failure.  Every report echoes the resolved
-configuration so the run can be reproduced exactly.
+Exit codes: 0 success or help, 1 validation or usage error, 2
+convergence, capacity or continuation failure.  Every report echoes the
+resolved configuration, flags included, so ``--set`` of its keys alone
+reproduces the run.
 """
 
 from __future__ import annotations
@@ -20,18 +21,11 @@ import gc
 import json
 import sys
 import time
-from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 from ._record import asdict, record, replace
 from .config import RunConfig
 from .continuation import cycle_zeta
-from .errors import (
-    CapacityError,
-    ConvergenceError,
-    FriedzetaError,
-    ValidationError,
-)
+from .errors import FriedzetaError, ValidationError
 from .kleinian import (
     disc_separation_report,
     read_spectrum,
@@ -51,9 +45,6 @@ from .zetas import (
     ruelle_log_zeta,
     selberg_log_zeta,
 )
-
-if TYPE_CHECKING:
-    import argparse
 
 gc.freeze()  # what the imports built lives as long as the process: no collection, nor the one at exit, walks it
 
@@ -109,13 +100,13 @@ def _zeta_row(kind: str, zv) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_orbits(cfg: RunConfig, args):
+def cmd_orbits(cfg: RunConfig):
     model = cfg.model()
     tau = cfg.get_float("tau.value", 0.0)
     model.require_tau(tau)
     policy = cfg.policy(model, tau)
     table = orbit_table(model, policy.max_period)
-    out = args.out or cfg.get("io.out", required=True)
+    out = cfg.get("io.out", required=True)
     write_orbit_dump(out, table, tau)
     return {"count": len(table.period), "path": out}, None
 
@@ -157,9 +148,9 @@ def _load_records(cfg: RunConfig):
     return orbit_columns(table, cfg.character(model.automorphism), tau), "model", policy
 
 
-def cmd_zeta_eval(cfg: RunConfig, args):
+def cmd_zeta_eval(cfg: RunConfig):
     cols, source, policy = _load_records(cfg)
-    allow = cfg.get_bool("zeta.allow_formal", False) or args.allow_formal
+    allow = cfg.get_bool("zeta.allow_formal", False)
     rows = []
     for lam in cfg.lambda_grid():
         rows.append(_zeta_row("ruelle", ruelle_log_zeta(cols, lam, policy, allow)))
@@ -173,7 +164,7 @@ def cmd_zeta_eval(cfg: RunConfig, args):
     return {"rows": rows, "source": source}, _zeta_csv(rows)
 
 
-def cmd_zeta_continue(cfg: RunConfig, args):
+def cmd_zeta_continue(cfg: RunConfig):
     model = cfg.model()
     rep = cfg.character(model.automorphism)
     tau = cfg.get_float("tau.value", 0.0)
@@ -200,7 +191,7 @@ def cmd_zeta_continue(cfg: RunConfig, args):
     return {"rows": rows}, _zeta_csv(rows)
 
 
-def cmd_fried_check(cfg: RunConfig, args):
+def cmd_fried_check(cfg: RunConfig):
     model = cfg.model()
     rep = cfg.character(model.automorphism)
     taus = cfg.tau_grid(model)
@@ -229,7 +220,7 @@ def cmd_fried_check(cfg: RunConfig, args):
     return results, ("tau,zeta_modulus,deviation", csv_rows)
 
 
-def cmd_selberg_factorize(cfg: RunConfig, args):
+def cmd_selberg_factorize(cfg: RunConfig):
     if cfg.get("io.spectrum"):
         cols = orbit_columns(read_spectrum(cfg.require_path("io.spectrum")))
         _refuse_ignored(cfg, "io.spectrum", ("spectrum.",))
@@ -257,7 +248,7 @@ def cmd_selberg_factorize(cfg: RunConfig, args):
     return results, ("k,p_max,max_rel_residual", csv_rows)
 
 
-def cmd_variation(cfg: RunConfig, args):
+def cmd_variation(cfg: RunConfig):
     model = cfg.model()
     rep = cfg.character(model.automorphism)
     lam = cfg.get_complex("lambda.value", 3.0)
@@ -282,7 +273,7 @@ def cmd_variation(cfg: RunConfig, args):
     return {"rows": rows, "max_relative_error": worst}, None
 
 
-def cmd_ledger(cfg: RunConfig, args):
+def cmd_ledger(cfg: RunConfig):
     results = {}
     k_list = cfg.get_int_list("ledger.k_list", "0,1,2", distinct=True)
     results["condition_cases"] = {f"k={k}": condition_enumerate(k) for k in k_list}
@@ -298,7 +289,7 @@ def cmd_ledger(cfg: RunConfig, args):
     return results, None
 
 
-def cmd_spectrum_gen(cfg: RunConfig, args):
+def cmd_spectrum_gen(cfg: RunConfig):
     kind = cfg.get("spectrum.kind", "synthetic")
     results: dict = {"kind": kind}
     if kind == "synthetic":
@@ -316,7 +307,7 @@ def cmd_spectrum_gen(cfg: RunConfig, args):
         }
     else:
         raise ValidationError(f"unknown spectrum.kind {kind!r}")
-    out = args.out or cfg.get("io.out", required=True)
+    out = cfg.get("io.out", required=True)
     write_spectrum(out, records)
     results.update(
         {
@@ -334,10 +325,10 @@ def cmd_spectrum_gen(cfg: RunConfig, args):
 # ---------------------------------------------------------------------------
 
 # Config keys each command reads; model and rep keys are shared by every
-# command on the model.
+# command on the model, and every command reads io.report, its report's path.
 _MODEL_KEYS = {"model.matrix", "model.roof", "model.time_change", "rep.u_fraction", "rep.fiber_exponents"}
 _SPECTRUM_KEYS = {"spectrum.h", "spectrum.count", "spectrum.seed", "spectrum.min_length"}
-_KNOWN_KEYS = {
+_KNOWN_KEYS = {command: keys | {"io.report"} for command, keys in {
     "orbits": _MODEL_KEYS | {"policy.n_max", "tau.value", "io.out"},
     "zeta-eval": _MODEL_KEYS | {"policy.n_max", "policy.j_max", "policy.entropy", "policy.tail_tol", "tau.value",
                                 "lambda.grid", "selberg.mu", "zeta.allow_formal", "io.spectrum", "io.orbits",
@@ -350,7 +341,7 @@ _KNOWN_KEYS = {
                                 "lambda.value", "tau.grid"},
     "ledger": {"ledger.k_list", "ledger.h0", "ledger.h1", "ledger.selberg_cases"},
     "spectrum-gen": _SPECTRUM_KEYS | {"spectrum.kind", "spectrum.generators", "spectrum.l_max", "io.out"},
-}
+}.items()}
 
 _COMMANDS = {
     "orbits": cmd_orbits,
@@ -364,68 +355,74 @@ _COMMANDS = {
 }
 
 
-def _flags(known: set[str]) -> dict[str, dict]:
-    """The ``add_argument`` keywords of each flag of a command that reads the config keys ``known``."""
-    flags = {
-        "--config": {"default": None, "help": "flat key=value config file"},
-        "--set": {"action": "append", "default": [], "metavar": "KEY=VALUE",
-                  "help": "override a config key (wins over the file)"},
-        "--out": {"default": None, "help": "output path (overrides io.out / report path)"},
-    }
-    if "io.csv" in known:
-        flags["--csv"] = {"default": None, "help": "CSV output path (overrides io.csv)"}
-    if "zeta.allow_formal" in known:
-        flags["--allow-formal"] = {"action": "store_true", "default": False,
-                                   "help": "acknowledge evaluation outside the convergence region"}
-    return flags
+_HELP = ("-h", "--help")
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser; with a known ``command`` it holds only that command's subparser."""
-    import argparse
+def _flag_keys(command: str) -> dict[str, str]:
+    """Each flag of ``command`` but ``--config`` and ``--set``, and the ``key=value`` it sets (``{}`` its value).
 
-    class _Parser(argparse.ArgumentParser):
-        """Argument parser whose usage errors are validation errors: one ``error:`` line, exit 1."""
-
-        def error(self, message):
-            raise ValidationError(message)
-
-    parser = _Parser(
-        prog="friedzeta",
-        description="Dynamical zeta functions, cycle-expansion continuation and torsion checks.",
-    )
-    sub = parser.add_subparsers(dest="command")
-    for name in [command] if command in _KNOWN_KEYS else _KNOWN_KEYS:
-        p = sub.add_parser(name)
-        for flag, spec in _flags(_KNOWN_KEYS[name]).items():
-            p.add_argument(flag, **spec)
-    return parser
-
-
-def _plain_args(argv: list[str]) -> SimpleNamespace | None:
-    """What ``build_parser().parse_args(argv)`` returns for a command and its flags in their plain spelling.
-
-    Plain is each flag of :func:`_flags` in full, with its value, not starting
-    with ``-``, in the next token.  Any other ``argv`` gives None.
+    A flag is one config key, and a command takes it exactly when it reads that key.
     """
-    if not argv or argv[0] not in _KNOWN_KEYS:
-        return None
-    flags = _flags(_KNOWN_KEYS[argv[0]])
-    dests = {flag: flag[2:].replace("-", "_") for flag in flags}  # argparse's attribute names
-    args = {"command": argv[0]} | {dests[flag]: spec["default"] for flag, spec in flags.items()}
-    tokens = iter(argv[1:])
-    for flag in tokens:
-        if flag not in flags:
-            return None
-        dest, action = dests[flag], flags[flag].get("action")
-        if action == "store_true":
-            args[dest] = True
-            continue
-        value = next(tokens, "-")
-        if value.startswith("-"):
-            return None
-        args[dest] = [*args[dest], value] if action == "append" else value
-    return SimpleNamespace(**args)
+    known = _KNOWN_KEYS[command]
+    keys = {"--out": "io.out={}" if "io.out" in known else "io.report={}", "--csv": "io.csv={}",
+            "--allow-formal": "zeta.allow_formal=true"}
+    return {flag: key for flag, key in keys.items() if key.split("=")[0] in known}
+
+
+def _match(token: str, flags) -> str | None:
+    """The flag of ``flags`` that ``token`` spells in full or by a unique prefix (``--se``), else None."""
+    prefix = token.startswith("--") and token != "--"
+    matches = [flag for flag in flags if flag == token or prefix and flag.startswith(token)]
+    if len(matches) > 1:
+        raise ValidationError(f"ambiguous option: {token} could match {', '.join(matches)}")
+    return matches[0] if matches else None
+
+
+def _help(command: str | None) -> str:
+    """The usage; for a command, its flags and the config keys it accepts."""
+    usage = f"usage: friedzeta {command or 'COMMAND'} [-h] [--config PATH] [--set KEY=VALUE]... [FLAG]...\n\n"
+    if command is None:
+        return f"{usage}commands: {', '.join(_COMMANDS)}\nfriedzeta COMMAND --help lists its flags and config keys."
+    flags = [f"  {flag + ' VALUE' * ('{}' in key):<18} sets {key.format('VALUE')}"
+             for flag, key in _flag_keys(command).items()]
+    return "\n".join([usage + "flags (a flag wins over --set, which wins over the --config file):", *flags,
+                      "config keys:", *(f"  {key}" for key in sorted(_KNOWN_KEYS[command]))])
+
+
+def _parse(argv: list[str]) -> tuple[str, str | None, list[str]] | str:
+    """``argv`` as ``(command, config file, overrides)``, or the help text that ``-h`` or ``--help`` asks for.
+
+    A flag is spelled in full or by a unique prefix, its value in the next token (not starting with ``-``)
+    or after ``=``.  The overrides are the ``--set`` items, then each flag's ``key=value``, so a flag wins.
+    A usage error raises :class:`ValidationError`.
+    """
+    if argv and argv[0] not in _COMMANDS and _match(argv[0], _HELP):
+        return _help(None)
+    if not argv or argv[0] not in _COMMANDS:
+        raise ValidationError(f"{f'unknown command {argv[0]!r}' if argv else 'no command'}: choose from "
+                              f"{', '.join(_COMMANDS)}")
+    command, tokens = argv[0], iter(argv[1:])
+    options = {"--config": "{}", "--set": "{}"} | _flag_keys(command)
+    config, sets, flag_sets = None, [], []
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        flag = _match(name, [*_HELP, *options])
+        if flag is None:
+            raise ValidationError(f"unrecognized argument {token!r} for {command}")
+        takes_value = "{}" in options.get(flag, "")
+        if eq and not takes_value:
+            raise ValidationError(f"argument {flag}: takes no value")
+        if flag in _HELP:
+            return _help(command)
+        if takes_value and not eq:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                raise ValidationError(f"argument {flag}: expected one value")
+        if flag == "--config":
+            config = value
+        else:
+            (sets if flag == "--set" else flag_sets).append(options[flag].format(value))
+    return command, config, sets + flag_sets
 
 
 def _write_csv(path: str, header: str, rows) -> None:
@@ -437,27 +434,21 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _plain_args(argv)
     try:
-        if args is None:
-            parser = build_parser(argv[0] if argv else None)
-            args = parser.parse_args(argv)
-            if not args.command:
-                parser.print_usage(sys.stderr)
-                return 1
+        parsed = _parse(argv)
+        if isinstance(parsed, str):
+            print(parsed)
+            return 0
+        command, config, overrides = parsed
         t0 = time.perf_counter()
-        cfg = RunConfig.load(args.config, args.set)
-        known = _KNOWN_KEYS[args.command]
-        unknown = sorted(cfg.values.keys() - known - {"io.report"})
+        cfg = RunConfig.load(config, overrides)
+        unknown = sorted(cfg.values.keys() - _KNOWN_KEYS[command])
         if unknown:
-            raise ValidationError(f"unknown config key {', '.join(map(repr, unknown))} for {args.command}")
-        results, csv = _COMMANDS[args.command](cfg, args)
-        report = Report(args.command, cfg.values, results, time.perf_counter() - t0)
-        # a command that writes a data file to --out sends its report to io.report only
-        report.write(cfg.get("io.report") if "io.out" in known else args.out or cfg.get("io.report"))
-        csv_path = getattr(args, "csv", None) or cfg.get("io.csv")
-        if csv and csv_path:
-            _write_csv(csv_path, *csv)
+            raise ValidationError(f"unknown config key {', '.join(map(repr, unknown))} for {command}")
+        results, csv = _COMMANDS[command](cfg)
+        Report(command, cfg.values, results, time.perf_counter() - t0).write(cfg.get("io.report"))
+        if csv and cfg.get("io.csv"):
+            _write_csv(cfg.get("io.csv"), *csv)
         return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -465,10 +456,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # an input file that cannot be read, an output that cannot be written
         print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FriedzetaError as exc:  # pragma: no cover - safety net
+    except FriedzetaError as exc:  # a convergence, capacity or continuation failure
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,9 +9,10 @@ checked once per τ, at the outermost node: rounding is monotone, so every
 node's lengths lie between those at 0 and there.  At real λ each node
 exponentiates a real array, not a complex one.  The direct quotient
 it is checked against takes the τ = 0 Euler product once per λ and
-``j_max``, not once per τ.  A separate matrix-calculus verifier checks the
-determinant-expansion identity behind the wedge-trace form of the same
-integrand.
+``j_max``, not once per τ, and the orbit sums read the twist ε·ρ kept on
+the same τ = 0 columns, built once per orbit table and twist.  A separate
+matrix-calculus verifier checks the determinant-expansion identity behind
+the wedge-trace form of the same integrand.
 """
 
 from __future__ import annotations
@@ -34,14 +35,6 @@ __all__ = [
     "wedge_derivative_check",
     "WedgeCheckResult",
 ]
-
-
-def _twist(table: OrbitTable, representation: Character | None) -> np.ndarray:
-    """``eps * rho`` of every primitive orbit."""
-    eps = table.transverse()[0]
-    if representation is None:
-        return eps.astype(complex)
-    return eps * representation.values(table.class_exps, table.period)
 
 
 def _orbit_sum(table: OrbitTable, twist, lam: complex, tau_prime: float, j_max: int) -> complex:
@@ -117,7 +110,9 @@ def variation_rhs(
     panels = 2 * policy.quad_subdiv
     integral = integral_coarse = 0.0
     if tau != 0.0:  # the integral over [0, 0] is 0: no orbit sum is taken
-        twist = _twist(table, representation)
+        # eps * rho does not depend on tau: one array per table and twist, kept on the tau = 0 columns
+        cols_0 = orbit_columns(table, representation)
+        twist = _kept(cols_0, "twist", None, lambda: cols_0.epsilon * cols_0.rho)
         # node 2i of this grid is bit for bit node i of the grid of quad_subdiv panels
         nodes = [tau * i / panels for i in range(panels + 1)]
         # the one length check for every node: tau * panels / panels can round one ulp past tau

@@ -117,8 +117,9 @@ class OrbitColumns:
     holonomy angle ``theta`` instead.  Arrays derived from the columns (the
     weight groups, the wedge-trace ratios, the current λ's phases, the
     Kleinian iterates and the factorization's tables) are kept with them and
-    freed with them, as is
-    ``variation.direct_quotient``'s τ = 0 Ruelle log.
+    freed with them, as are
+    ``variation.direct_quotient``'s τ = 0 Ruelle log and the twist
+    ``epsilon * rho`` of ``variation.variation_rhs``.
     """
 
     length: np.ndarray

@@ -30,7 +30,7 @@ from friedzeta import (
 )
 from friedzeta import cli, config, kleinian, toral, variation, zetas
 from friedzeta._record import fields
-from friedzeta.cli import _COMMANDS, _KNOWN_KEYS, _jsonify, _plain_args, build_parser, main
+from friedzeta.cli import _COMMANDS, _KNOWN_KEYS, _flag_keys, _jsonify, _parse, main
 from friedzeta.config import RunConfig
 from friedzeta.toral import orbit_table
 
@@ -133,8 +133,13 @@ class TestZetaEval:
     @pytest.mark.parametrize("flag", [[], ["--allow-formal"]])
     @pytest.mark.parametrize("value", ["yes", "False", "", "2"])
     def test_allow_formal_other_values_are_refused(self, value, flag, capsys):
+        # the flag is zeta.allow_formal=true, applied after --set: it replaces the value set there
         argv = ["zeta-eval", *flag, "--set", "model.matrix=2 1 1 1", "--set", "policy.n_max=4",
-                "--set", "lambda.grid=4", "--set", f"zeta.allow_formal={value}"]
+                "--set", "lambda.grid=0.5", "--set", f"zeta.allow_formal={value}"]
+        if flag:
+            assert main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["config"]["zeta.allow_formal"] == "true"
+            return
         assert main(argv) == 1
         assert capsys.readouterr().err == (
             f"error: zeta.allow_formal = {value!r} is not a boolean: true, false, 1 or 0\n")
@@ -597,11 +602,13 @@ class TestConfigKeys:
         for name in workloads.WORKLOADS:
             workload = workloads.build(name, 0, tmp_path, "smoke")
             for job in workload.prepare + workload.jobs:
-                keys = {job.argv[i + 1].split("=", 1)[0] for i, arg in enumerate(job.argv) if arg == "--set"}
-                assert keys <= _KNOWN_KEYS[job.argv[0]] | {"io.report"}, job.name
-                assert _plain_args(job.argv) is not None, job.name  # timed on the path without argparse
+                # every --set and every flag of the job, read by the parser, is a key its command knows
+                command, config, overrides = _parse(job.argv)
+                keys = {item.split("=", 1)[0] for item in overrides}
+                assert config is None and keys <= _KNOWN_KEYS[command], job.name
                 seen |= keys
-        assert {"model.time_change", "io.orbits", "selberg.mu", "factorize.k", "spectrum.seed"} <= seen
+        assert {"model.time_change", "io.orbits", "selberg.mu", "factorize.k", "spectrum.seed", "io.out",
+                "io.report"} <= seen
 
     def test_traced_names_resolve(self, monkeypatch):
         tracing = load_perfbench("tracing", monkeypatch)
@@ -702,6 +709,13 @@ def _run_module(*args: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["zeta-eval", "-h"]], ids=" ".join)
+def test_module_help_exits_0_on_stdout(argv):
+    proc = _run_module("-m", "friedzeta", *argv)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith(f"usage: friedzeta {argv[0] if len(argv) > 1 else 'COMMAND'} [-h]")
 
 
 def test_module_invocation_smoke():
@@ -906,81 +920,124 @@ FLOAT_IN_INTEGER_LINES = ["1 0 0.5 1 1.0 1 1 0 0", "1 0 0 1 1.0 1.9 1 0 0", "1 0
 class TestUsage:
     @pytest.mark.parametrize("command", list(_COMMANDS))
     def test_flags_follow_the_registry(self, command, tmp_path, capsys):
-        for key, flag in (("io.csv", ["--csv", str(tmp_path / "out.csv")]), ("zeta.allow_formal", ["--allow-formal"])):
+        path = str(tmp_path / "out.txt")
+        out_key = "io.out" if command in ("orbits", "spectrum-gen") else "io.report"
+        assert _parse([command, "--out", path]) == (command, None, [f"{out_key}={path}"])
+        for key, flag, value in (("io.csv", ["--csv", path], path), ("zeta.allow_formal", ["--allow-formal"], "true")):
             if key in _KNOWN_KEYS[command]:
-                assert build_parser().parse_args([command, *flag]).command == command
+                assert _parse([command, *flag]) == (command, None, [f"{key}={value}"])
             else:
                 assert main([command, *flag]) == 1
-                assert capsys.readouterr().err == f"error: unrecognized arguments: {' '.join(flag)}\n"
+                assert capsys.readouterr().err == f"error: unrecognized argument {flag[0]!r} for {command}\n"
 
     @pytest.mark.parametrize("argv", [["zeta-eval", "--bogus"], ["no-such-command"], ["zeta-eval", "--set"],
-                                      ["orbits", "--out"]], ids=" ".join)
+                                      ["orbits", "--out"], [], ["--set", "a.b=1"], ["zeta-eval", "--allow-formal=1"],
+                                      ["zeta-eval", "--", "x"], ["orbits", "--out", "-x"]], ids=" ".join)
     def test_usage_error_is_one_error_line(self, argv, capsys):
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
         assert err.count("\n") == 1
 
-    def test_help_exits_0(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["zeta-eval", "--help"])
-        assert exc.value.code == 0
-        assert "--allow-formal" in capsys.readouterr().out
-
-    @staticmethod
-    def parsed(parser, argv, capsys):
-        """What ``parser`` makes of ``argv``: the parsed values, the usage error or the exit with its output."""
-        try:
-            return vars(parser.parse_args(argv))
-        except ValidationError as exc:
-            return f"error: {exc}"
-        except SystemExit as exc:
-            return exc.code, capsys.readouterr()
-
     @pytest.mark.parametrize("command", list(_COMMANDS))
-    def test_one_command_parser_parses_as_the_full_one(self, command, tmp_path, capsys):
-        argvs = [["--help"], ["--bogus"], ["--set"], ["--out"], ["--se", "a.b=1"], ["--set", "a.b=1", "--se", "c=2"],
-                 ["--csv", str(tmp_path / "out.csv")], ["--allow-formal"], ["--config"], []]
-        for argv in argvs:
-            want = self.parsed(build_parser(), [command, *argv], capsys)
-            assert self.parsed(build_parser(command), [command, *argv], capsys) == want, argv
-        assert "--help" in build_parser(command).format_help()
-        assert self.parsed(build_parser(command), [command, "--help"], capsys)[1].out.startswith(
-            f"usage: friedzeta {command} [-h]")
+    def test_help_lists_flags_and_keys(self, command, capsys):
+        for spelling in ("-h", "--help", "--he"):
+            assert main([command, "--set", "a.b=1", spelling, "--bogus"]) == 0
+            out, err = capsys.readouterr()
+            assert out.startswith(f"usage: friedzeta {command} [-h]") and err == ""
+            assert all(flag in out for flag in ["--config", "--set", *_flag_keys(command)])
+            assert all(f"  {key}\n" in out for key in _KNOWN_KEYS[command])
+
+    def test_no_command_lists_every_command(self, capsys):
+        for argv in ([], ["no-such-command"]):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            assert all(command in err for command in _COMMANDS)
+        for spelling in ("-h", "--help", "--h"):
+            assert main([spelling]) == 0
+            out, err = capsys.readouterr()
+            assert out.startswith("usage: friedzeta COMMAND") and err == ""
+            assert f"commands: {', '.join(_COMMANDS)}\n" in out
+
+    def test_plain_form_reads_every_flag(self):
+        argv = ["zeta-eval", "--set", "a.b=1", "--out", "", "--allow-formal", "--set", "2 1 1 1", "--csv", "a.b=1",
+                "--config", "x", "--config", "y"]
+        # the --set items in order, then each flag's key: a flag wins
+        assert _parse(argv) == ("zeta-eval", "y", ["a.b=1", "2 1 1 1", "io.report=", "zeta.allow_formal=true",
+                                                   "io.csv=a.b=1"])
+        assert RunConfig.load(None, _parse(["orbits", "--out", "x", "--set", "io.out=y"])[2]).values == {"io.out": "x"}
+        # a value starting with - is taken after = only: in the next token it is the next flag
+        assert _parse(["orbits", "--out=-x"]) == ("orbits", None, ["io.out=-x"])
+        for argv in (["orbits", "--out", "-x"], ["zeta-eval", "--set", "--csv", "x"]):
+            with pytest.raises(ValidationError, match="expected one value"):
+                _parse(argv)
+
+    def test_prefix_and_equals_spellings(self, capsys):
+        assert _parse(["zeta-eval", "--se", "a.b=1"]) == _parse(["zeta-eval", "--set", "a.b=1"])
+        assert _parse(["zeta-eval", "--se=a.b=1"]) == ("zeta-eval", None, ["a.b=1"])
+        assert _parse(["zeta-eval", "--out=x"]) == _parse(["zeta-eval", "--out", "x"]) == (
+            "zeta-eval", None, ["io.report=x"])
+        assert _parse(["variation", "--c", "x"]) == ("variation", "x", [])  # variation has no --csv
+        assert main(["zeta-eval", "--c", "x"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: ambiguous option: --c could match --config, --csv\n"
 
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(command=st.sampled_from([*_COMMANDS, None]),
            tokens=st.lists(st.sampled_from(["--set", "--config", "--out", "--csv", "--allow-formal", "--se",
                                              "--out=x", "--", "-h", "--bogus", *_COMMANDS, "a.b=1", "", "-1", "-x",
                                              "2 1 1 1"]), max_size=7))
-    def test_plain_parse_agrees_with_argparse(self, command, tokens, capsys):
-        # the plain parse declines (None) whatever argparse rejects, exits on or might read otherwise
+    def test_every_argv_parses_helps_or_is_one_error_line(self, command, tokens, capsys):
         argv = [command, *tokens] if command else tokens
-        plain = _plain_args(argv)
-        assert plain is None or vars(plain) == self.parsed(build_parser(), argv, capsys), argv
+        try:
+            parsed = _parse(argv)
+        except ValidationError:
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+            return
+        if isinstance(parsed, str):
+            assert main(argv) == 0
+            out, err = capsys.readouterr()
+            assert out == parsed + "\n" and out.startswith("usage: friedzeta ") and err == "", argv
+            return
+        # a parse is its own canonical spelling: --config and one --set per override
+        command, config, overrides = parsed
+        canonical = [command, *(["--config", config] if config is not None else [])]
+        assert _parse(canonical + [arg for item in overrides for arg in ("--set", item)]) == parsed, argv
 
-    def test_plain_parse_reads_every_flag(self):
-        argv = ["zeta-eval", "--set", "a.b=1", "--out", "", "--allow-formal", "--set", "2 1 1 1", "--csv", "a.b=1",
-                "--config", "x", "--config", "y"]
-        assert vars(_plain_args(argv)) == vars(build_parser().parse_args(argv)) == {
-            "command": "zeta-eval", "config": "y", "set": ["a.b=1", "2 1 1 1"], "out": "", "csv": "a.b=1",
-            "allow_formal": True}
 
-    def test_no_command_sees_every_command(self, capsys):
-        for command in (None, "no-such-command", "--help"):
-            assert build_parser(command).format_help() == build_parser().format_help()
-        usage = build_parser().format_usage()
-        assert "{" + ",".join(_COMMANDS) + "}" in usage
-        assert main([]) == 1
-        assert capsys.readouterr().err == usage
-        assert main(["no-such-command"]) == 1
-        choices = ", ".join(map(repr, _COMMANDS))
-        assert capsys.readouterr().err == (
-            f"error: argument command: invalid choice: 'no-such-command' (choose from {choices})\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["--help"])
-        assert exc.value.code == 0
-        assert capsys.readouterr().out == build_parser().format_help()
+def _report_and_files(argv, report, files, capsys):
+    """Run ``argv``; return its report (from stdout or the file ``report``) and the bytes of ``files``, removed."""
+    assert main(argv) == 0, capsys.readouterr().err
+    out = capsys.readouterr().out
+    payload = json.loads(report.read_text() if report else out)
+    data = {path.name: path.read_bytes() for path in files}
+    for path in [*files, *([report] if report else [])]:
+        path.unlink()
+    return payload, data
+
+
+@pytest.mark.parametrize("case", ["zeta-eval --allow-formal --csv", "orbits --out", "fried-check --out --csv"])
+def test_report_config_reproduces_its_run(case, tmp_path, capsys):
+    # --set of each key of the echoed config alone runs the same command to the same results and files
+    csv, out = tmp_path / "out.csv", tmp_path / "out.txt"
+    argv = {
+        "zeta-eval --allow-formal --csv": ["zeta-eval", "--allow-formal", "--set", "model.matrix=2 1 1 1",
+                                            "--set", "policy.n_max=4", "--set", "lambda.grid=0.5", "--csv", str(csv)],
+        "orbits --out": ["orbits", "--set", "model.matrix=2 1 1 1", "--set", "policy.n_max=4", "--out", str(out)],
+        "fried-check --out --csv": ["fried-check", *(arg for s in RUNS["fried-check"] for arg in ("--set", s)),
+                                    "--out", str(out), "--csv", str(csv)],
+    }[case]
+    report = out if case.startswith("fried-check") else None
+    files = [path for path, flag in ((csv, "--csv"), (out, "--out")) if flag in argv and path != report]
+    first, first_files = _report_and_files(argv, report, files, capsys)
+    again = [argv[0], *(arg for key, value in first["config"].items() for arg in ("--set", f"{key}={value}"))]
+    second, second_files = _report_and_files(again, report, files, capsys)
+    assert first["config"] == second["config"]
+    assert first["results"] == second["results"]
+    assert first_files == second_files and len(first_files) == len(files) > 0
 
 
 def _record_fields_differ(obj):

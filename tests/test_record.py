@@ -154,17 +154,21 @@ def _fresh_interpreter(code: str) -> dict:
 
 
 def test_cli_import_skips_unused_stdlib_and_freezes():
-    # a command in its plain spelling is parsed without argparse, which would load gettext and locale
+    # the one parser reads a run, help and usage errors alike: argparse, gettext and locale are never loaded
     seen = _fresh_interpreter(
-        "import gc, json, os, sys; import friedzeta.cli; "
-        "loaded = [m for m in ('dataclasses', 'fractions', 'decimal', 'csv') if m in sys.modules]; "
-        "frozen = gc.get_freeze_count(); "
-        "code = friedzeta.cli.main(['ledger', '--set', 'ledger.h0=1', '--out', os.devnull]); "
-        "print(json.dumps({'loaded': loaded, 'frozen': frozen, 'code': code,"
+        "import contextlib, gc, io, json, os, sys; import friedzeta.cli\n"
+        "loaded = [m for m in ('dataclasses', 'fractions', 'decimal', 'csv') if m in sys.modules]\n"
+        "frozen = gc.get_freeze_count()\n"
+        "code = friedzeta.cli.main(['ledger', '--set', 'ledger.h0=1', '--out', os.devnull])\n"
+        "argvs = [['--help'], ['zeta-eval', '-h'], ['zeta-eval', '--he'], [], ['zeta-eval', '--c', 'x'], ['nope']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [friedzeta.cli.main(argv) for argv in argvs]\n"
+        "print(json.dumps({'loaded': loaded, 'frozen': frozen, 'code': code, 'codes': codes,"
         " 'parser': [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]}))")
     assert seen["loaded"] == []
     assert seen["frozen"] > 0
-    assert seen["code"] == 0 and seen["parser"] == []
+    assert seen["code"] == 0 and seen["codes"] == [0, 0, 0, 1, 1, 1]
+    assert seen["parser"] == []
 
 
 def test_library_import_does_not_freeze():

@@ -18,7 +18,7 @@ from friedzeta import (
     variation_rhs,
     wedge_derivative_check,
 )
-from friedzeta import cli, variation
+from friedzeta import cli, variation, zetas
 from friedzeta.config import RunConfig
 from friedzeta.summation import block_sum
 from friedzeta.toral import orbit_table
@@ -142,11 +142,18 @@ class TestOneQuadratureGrid:
         assert (vr.ratio, vr.integral, vr.richardson_diff) == two_grid_ratio(model, rep, lam, tau, pol)
         assert vr.subdivisions == 2 * pol.quad_subdiv
 
-    def test_twist_equals_loop_twist(self):
+    def test_twist_equals_loop_twist(self, monkeypatch):
+        # the orbit sums read eps * rho of the tau = 0 columns
+        twists = []
+        orbit_sum = variation._orbit_sum
+        monkeypatch.setattr(variation, "_orbit_sum", lambda *args: twists.append(args[1]) or orbit_sum(*args))
         for case in ONE_GRID_CASES.values():
-            model, rep, _, _ = case()
+            model, rep, lam, _ = case()
             table = orbit_table(model, 10)
-            assert variation._twist(table, rep).tobytes() == loop_twist(table, rep).tobytes()
+            twists.clear()
+            variation_rhs(model, rep, lam, 0.05, policy_for(model, max_period=10, quad_subdiv=2))
+            assert twists and all(twist is twists[0] for twist in twists)
+            assert twists[0].dtype == complex and twists[0].tobytes() == loop_twist(table, rep).tobytes()
 
     @pytest.mark.parametrize("quad_subdiv", [2, 4, 16])
     def test_orbit_sum_calls_per_tau(self, quad_subdiv, monkeypatch):
@@ -188,7 +195,7 @@ class TestBinarySplittingOrbitSum:
         # the orbit sum cancels to near rounding level, so its error is read against the size of its terms
         model, rep, lam, tau = case()
         table = orbit_table(model, 10)
-        twist = variation._twist(table, rep)
+        twist = loop_twist(table, rep)
         for j_max in J_MAXES:
             for node in (0.0, tau / 2, tau):
                 got = variation._orbit_sum(table, twist, lam, node, j_max)
@@ -198,7 +205,7 @@ class TestBinarySplittingOrbitSum:
     def test_complex_lambda_equals_the_checked_sum_bit_for_bit(self):
         model, rep, lam, tau = _twisted_3211()
         table = orbit_table(model, 10)
-        twist = variation._twist(table, rep)
+        twist = loop_twist(table, rep)
         for j_max in J_MAXES:
             for node in (0.0, tau / 2, tau):
                 got = variation._orbit_sum(table, twist, lam, node, j_max)
@@ -209,7 +216,7 @@ class TestBinarySplittingOrbitSum:
         # 3.0, 3+0j and 3-0j (a negative zero) exponentiate the same real array, within rounding of the complex exp
         model, rep, _, tau = case()
         table = orbit_table(model, 10)
-        twist = variation._twist(table, rep)
+        twist = loop_twist(table, rep)
         for j_max in J_MAXES:
             for node in (0.0, tau / 2, tau):
                 got = {variation._orbit_sum(table, twist, lam, node, j_max) for lam in (3.0, 3 + 0j, complex(3, -0.0))}
@@ -221,7 +228,7 @@ class TestBinarySplittingOrbitSum:
         # at lambda = 0 without a character z = eps = +-1: each iterate sum is an exact integer
         model = _negative_index()[0]
         table = orbit_table(model, 8)
-        twist = variation._twist(table, None)
+        twist = loop_twist(table, None)
         for j_max in range(1, 41):
             per_orbit = np.where(twist.real > 0, j_max, -(j_max % 2))
             want = complex(block_sum((-table.slope) * per_orbit.astype(complex)))
@@ -249,6 +256,26 @@ class TestDirectQuotient:
             fresh = cmath.exp(ruelle(orbit_columns(table, rep, row["tau"]), 3.0, policy).log_value
                               - ruelle(orbit_columns(table, rep, 0.0), 3.0, policy).log_value)
             assert complex(row["direct_quotient"]["re"], row["direct_quotient"]["im"]) == fresh
+
+    def test_twist_built_once_per_command(self, monkeypatch, capsys):
+        # every tau's orbit sums read one eps * rho, kept on the tau = 0 columns
+        zetas._table_columns.cache_clear()
+        built = []
+        kept = variation._kept
+        monkeypatch.setattr(variation, "_kept", lambda cols, name, key, build: kept(
+            cols, name, key, lambda: built.append(name) or build()))
+        settings = [*self.SETTINGS, "tau.grid=0.05,0.1,0.15"]
+        assert cli.main(["variation", *(arg for s in settings for arg in ("--set", s))]) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+        assert built.count("twist") == 1 and len(rows) == 3
+        cfg = RunConfig.load(None, settings)
+        model = cfg.model()
+        rep = cfg.character(model.automorphism)
+        for row in rows:
+            # the two-grid oracle builds its twist by the loop, per tau
+            ratio, integral, diff = two_grid_ratio(model, rep, 3.0, row["tau"], cfg.policy(model, row["tau"]))
+            assert complex(row["ratio"]["re"], row["ratio"]["im"]) == ratio
+            assert row["richardson_diff"] == diff
 
     def test_kept_product_follows_lambda_and_j_max(self, cat_family, rep_minus):
         table = orbit_table(cat_family, 8)
