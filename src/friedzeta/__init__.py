@@ -19,7 +19,7 @@ from .characters import (
     symmetric_trace_expansion,
     tensor_decomposition_check,
 )
-from .continuation import CycleZeta, DynamicalDeterminant, cycle_zeta, dynamical_determinant, zeta_at_zero
+from .continuation import CycleZeta, DynamicalDeterminant, cycle_zeta, cycle_zetas, dynamical_determinant, zeta_at_zero
 from .errors import (
     CapacityError,
     ConvergenceError,
@@ -62,6 +62,7 @@ from .torsion import (
     TorsionValue,
     chain_torsion,
     fried_check,
+    fried_checks,
     is_acyclic,
     mapping_cone_complex,
     mapping_torus_torsion,

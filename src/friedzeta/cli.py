@@ -24,7 +24,7 @@ import time
 
 from ._record import asdict, record, replace
 from .config import RunConfig
-from .continuation import cycle_zeta
+from .continuation import cycle_zetas
 from .errors import FriedzetaError, ValidationError
 from .kleinian import (
     disc_separation_report,
@@ -34,7 +34,7 @@ from .kleinian import (
 )
 from .ledgers import condition_enumerate, resonance_multiplicity_ledger, selberg_order_ledger
 from .toral import orbit_table, read_orbit_dump, write_orbit_dump
-from .torsion import fried_check
+from .torsion import fried_checks
 from .variation import direct_quotient, variation_rhs
 from .zetas import (
     TruncationPolicy,
@@ -170,8 +170,8 @@ def cmd_zeta_continue(cfg: RunConfig):
     tau = cfg.get_float("tau.value", 0.0)
     policy = cfg.policy(model, tau)
     rows = []
-    for lam in cfg.lambda_grid():
-        z = cycle_zeta(model, rep, lam, policy, tau)
+    lams = cfg.lambda_grid()
+    for lam, z in zip(lams, cycle_zetas(model, rep, lams, policy, tau)):
         rows.append(
             {
                 "zeta_kind": "cycle-expansion",
@@ -196,11 +196,11 @@ def cmd_fried_check(cfg: RunConfig):
     rep = cfg.character(model.automorphism)
     taus = cfg.tau_grid(model)
     tolerance = cfg.get_float("fried.tolerance", 1e-6)
+    if tolerance <= 0:
+        raise ValidationError("fried.tolerance must be positive")
     rows = []
     worst = 0.0
-    for tau in taus:
-        policy = cfg.policy(model, tau)
-        fr = fried_check(model, rep, policy, tau=tau)
+    for tau, fr in zip(taus, fried_checks(model, rep, cfg.policy(model, taus[0]), taus)):
         worst = max(worst, fr.deviation)
         rows.append(
             {

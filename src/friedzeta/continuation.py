@@ -11,10 +11,14 @@ The recursion stops once the coefficients have decayed, usually well
 before ``n_max``, so traces are pulled one at a time: ``c_n`` reads
 ``t_n`` only, ``S_n`` reads the orbits of the periods dividing ``n``,
 and the model's orbit table grows to period ``n`` only when ``S_n`` is
-first read.  The three determinants of one zeta share the sums.  The
-cost of a value thus follows the depth the recursion reads, not
-``n_max``; the values are those of the whole-table computation, since
-``c_1..c_n`` depend on ``t_1..t_n`` alone.
+first read.  One stream of sums serves a whole grid of ``lambda``
+(:func:`cycle_zetas`; :func:`cycle_zeta` is a grid of one): the three
+determinants of every ``lambda`` read it, each ``S_n`` is computed once
+per ``lambda`` that reads it, and the ``lambda``-free parts of ``S_n``
+once for the grid.  The cost of a value thus follows the depth its
+recursion reads, not ``n_max`` nor the depth of another ``lambda``; the
+values are those of the whole-table computation at each ``lambda``
+alone, since ``c_1..c_n`` depend on ``t_1..t_n`` alone.
 
 The circle part ``u`` of the twist is factored out of the traces
 (``t_m = u^m * t_hat_m``) and restored as ``c_n = u^n * c_hat_n``; with
@@ -33,15 +37,17 @@ from ._record import record
 from .characters import _reduce_angle
 from .errors import ConvergenceError, ResonanceAtZeroError, ValidationError
 from .summation import block_sum
-from .toral import Character, SuspensionModel, orbit_table
+from .toral import Character, OrbitTable, SuspensionModel, orbit_table
 from .zetas import TruncationPolicy
 
 __all__ = [
     "DynamicalDeterminant",
     "dynamical_determinant",
     "cycle_zeta",
+    "cycle_zetas",
     "CycleZeta",
     "zeta_at_zero",
+    "zeta_at_zero_at",
     "check_resonance_at_zero",
     "trace_sums",
 ]
@@ -78,7 +84,7 @@ def _out_of_range(lam: complex) -> ConvergenceError:
 
 
 class _TraceStream:
-    """Circle-stripped fixed-point sums ``S_m`` and counts, each computed the first time it is read.
+    """Circle-stripped fixed-point sums ``S_m`` over a grid of ``lam``, each computed the first time its ``lam`` reads it.
 
     ``S_m = sum_{x in Fix(A^m)} exp(-lam * r_m(x)) * fiber(x)`` where
     ``r_m`` is the effective-roof Birkhoff sum and ``fiber`` the finite
@@ -86,59 +92,95 @@ class _TraceStream:
     least period ``p | m`` lies on a primitive orbit with ``r_m = (m/p) *
     length`` and ``fiber(x) = fiber(class)^(m/p)``, so the sum runs over the
     orbit table: ``S_m = sum_{p | m} p sum_{period p} exp(-lam (m/p) l) fiber^(m/p)``.
-    Reading ``S_m`` grows the model's table to period ``m`` when it is not
-    that deep yet.  When the weight is point-independent (``lam = 0`` or
-    constant effective roof) and the fiber is trivial, ``S_m`` reduces to
-    the exact fixed-point count ``|det(A^m - I)|`` without enumeration.
+    When the weight is point-independent (``lam = 0`` or constant effective
+    roof) and the fiber is trivial, ``S_m`` reduces to the exact fixed-point
+    count ``|det(A^m - I)|`` without enumeration.  The other ``lam`` read the
+    table: the first ``S_m`` read grows it to period ``m`` and gathers the
+    ``lam``-free columns of the rows of the periods ``p | m`` (the multiple
+    ``m/p``, the lengths at ``tau``, the fiber values, ``p``) once for the
+    grid, and each ``lam`` takes its own exponential over them, so the work
+    follows the depth each ``lam`` reads and the memory the table, not the
+    grid.  The integers ``|det(A^m - I)|`` and ``Tr(wedge^k A^m)`` come from
+    one ``A^m`` per ``m``.
     """
 
-    def __init__(self, model: SuspensionModel, representation: Character | None, lam: complex, tau: float):
+    def __init__(self, model: SuspensionModel, representation: Character | None, lams, tau: float):
         model.require_tau(tau)
-        self.model, self.representation, self.lam, self.tau = model, representation, complex(lam), tau
+        self.model, self.representation, self.tau = model, representation, tau
+        self.lams = [complex(lam) for lam in lams]
         self.fiber_trivial = representation is None or representation.fiber_is_trivial
         self.const_roof = model.roof.is_constant and (
             tau == 0.0 or model.time_change is None or model.time_change.is_constant
         )
-        self.sums: list[complex] = []
-        self.counts: list[int] = []
-        self.lengths = None  # orbit lengths at tau, as deep as the last sum read from the table
+        self.integers: list[tuple[int, int, int, int]] = []  # per m: |det(A^m - I)|, Tr(wedge^k A^m) for k = 0, 1, 2
+        self.sums: list[list[complex]] = [[] for _ in self.lams]  # per lam: S_1, S_2, ... as far as it read
+        self.columns: dict[int, tuple] = {}  # per m read from the table: (m/p, lengths, fiber values or None, p)
+        self.lengths = None  # orbit lengths at tau, as deep as the last period read from the table
 
-    def __call__(self, m: int) -> tuple[complex, int]:
-        """``(S_m, |det(A^m - I)|)``; the sums below ``m`` are computed first."""
-        while len(self.sums) < m:
-            self._append(len(self.sums) + 1)
-        return self.sums[m - 1], self.counts[m - 1]
+    def reads_table(self, lam: complex) -> bool:
+        """Whether ``S_m`` at ``lam`` sums over the orbit table rather than taking the fixed-point count."""
+        return not (self.fiber_trivial and (lam == 0 or self.const_roof))
 
-    @np.errstate(over="ignore", invalid="ignore")  # overflow is reported as ConvergenceError
-    def _append(self, m: int):
-        model, lam = self.model, self.lam
-        count = abs(model.automorphism.det_one_minus_power(m))
-        if self.fiber_trivial and lam == 0:
-            s = complex(count)
-        elif self.fiber_trivial and self.const_roof:
-            r0 = model.roof.constant
-            if self.tau != 0.0 and model.time_change is not None:
-                r0 *= 1.0 + self.tau * model.time_change.constant
+    def __call__(self, i: int, m: int) -> tuple[complex, int]:
+        """``(S_m, |det(A^m - I)|)`` at the ``i``-th ``lam``; its sums below ``m`` are computed first."""
+        sums = self.sums[i]
+        while len(sums) < m:
+            sums.append(self._sum(self.lams[i], len(sums) + 1))
+        return sums[m - 1], self.integers[m - 1][0]
+
+    def trace(self, i: int, k: int, m: int) -> complex:
+        """``t_m = Tr(wedge^k A^m) * S_m / |det(A^m - I)|`` at the ``i``-th ``lam``, circle part stripped."""
+        s, count = self(i, m)
+        return self.integers[m - 1][1 + k] * (s / count)
+
+    def table(self, m: int) -> OrbitTable:
+        """The orbit table to period ``m``, with its lengths at ``tau`` checked finite (else :class:`CapacityError`)."""
+        table = orbit_table(self.model, m)
+        if self.lengths is None or len(self.lengths) < len(table.period):
+            self.lengths = table.lengths(self.tau)
+        return table
+
+    def _sum(self, lam: complex, m: int) -> complex:
+        while len(self.integers) < m:
+            am = self.model.automorphism.power(len(self.integers) + 1)
+            trace, det = am[0][0] + am[1][1], am[0][0] * am[1][1] - am[0][1] * am[1][0]
+            self.integers.append((abs(det - trace + 1), 1, trace, det))  # det(A^m - I) = det A^m - Tr A^m + 1
+        if self.reads_table(lam):
+            k, lengths, fiber, period = self._columns(m)
+            with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported as ConvergenceError
+                terms = -lam * k
+                terms *= lengths
+                np.exp(terms, out=terms)
+                if fiber is not None:
+                    terms *= fiber
+                terms *= period
+            s = complex(block_sum(terms))
+        elif lam == 0:
+            s = complex(self.integers[m - 1][0])
+        else:
+            r0 = self.model.roof.constant
+            if self.tau != 0.0 and self.model.time_change is not None:
+                r0 *= 1.0 + self.tau * self.model.time_change.constant
             try:
-                s = count * cmath.exp(-lam * r0 * m)
+                s = self.integers[m - 1][0] * cmath.exp(-lam * r0 * m)
             except (OverflowError, ValueError):
                 raise _out_of_range(lam) from None
-        else:
-            table = orbit_table(model, m)
-            if self.lengths is None or len(self.lengths) < len(table.period):
-                self.lengths = table.lengths(self.tau)
-            parts = []
-            for p in (p for p in range(1, m + 1) if m % p == 0):
-                rows = table.period_slice(p)
-                weights = np.exp((-lam * (m // p)) * self.lengths[rows])
-                if not self.fiber_trivial:
-                    weights = weights * self.representation.fiber_values((m // p) * table.class_exps[rows])
-                parts.append(p * weights)
-            s = complex(block_sum(np.concatenate(parts)))
         if not cmath.isfinite(s):
             raise _out_of_range(lam)
-        self.sums.append(s)
-        self.counts.append(count)
+        return s
+
+    def _columns(self, m: int) -> tuple:
+        """The ``lam``-free columns of ``S_m`` over the rows of the periods ``p | m``, in order, gathered once."""
+        if m not in self.columns:
+            table = self.table(m)
+            rows = [table.period_slice(p) for p in range(1, m + 1) if m % p == 0]
+            period = np.concatenate([table.period[r] for r in rows])
+            k = m // period  # a point of least period p | m has r_m = (m/p) * length
+            fiber = None
+            if not self.fiber_trivial:
+                fiber = self.representation.fiber_values(k[:, None] * np.concatenate([table.class_exps[r] for r in rows]))
+            self.columns[m] = (k, np.concatenate([self.lengths[r] for r in rows]), fiber, period)
+        return self.columns[m]
 
 
 def trace_sums(
@@ -149,9 +191,9 @@ def trace_sums(
     tau: float = 0.0,
 ):
     """Circle-stripped fixed-point sums ``S_m`` and counts for m = 1..n_max (see :class:`_TraceStream`)."""
-    stream = _TraceStream(model, representation, lam, tau)
-    stream(n_max)
-    return stream.sums, stream.counts
+    stream = _TraceStream(model, representation, (lam,), tau)
+    stream(0, n_max)
+    return stream.sums[0], [count for count, *_ in stream.integers]
 
 
 def _plemelj_smithies(trace, tail_tol: float, n_max: int, window: int):
@@ -205,24 +247,22 @@ def dynamical_determinant(
     n_max: int,
     tau: float = 0.0,
     tail_tol: float = 1e-12,
-    _stream: _TraceStream | None = None,
+    _stream: tuple[_TraceStream, int] | None = None,
 ) -> DynamicalDeterminant:
     """Degree-``k`` cycle-expansion determinant at spectral parameter ``lam``.
 
     Traces are ``t_m = Tr(wedge^k A^m) * S_m / |det(A^m - I)|`` with the
     circle part of the twist stripped; the value is ``sum_n u^n c_n``.
     ``traces`` holds the ``n_used`` traces the recursion read; ``_stream``
-    is a :class:`_TraceStream` of the same model, character, ``lam`` and
-    ``tau`` whose sums other determinants share.
+    is a :class:`_TraceStream` of the same model, character and ``tau``,
+    whose sums other determinants share, and the index of ``lam`` in its grid.
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
-    auto = model.automorphism
-    stream = _TraceStream(model, representation, lam, tau) if _stream is None else _stream
+    stream, i = (_TraceStream(model, representation, (lam,), tau), 0) if _stream is None else _stream
 
     def trace(m: int) -> complex:
-        s, count = stream(m)
-        return auto.wedge_trace_power(k, m) * (s / count)
+        return stream.trace(i, k, m)
 
     u = 1.0 + 0.0j if representation is None else complex(representation.circle)
     window = max(2, _fiber_order(representation))
@@ -300,6 +340,40 @@ def check_resonance_at_zero(dets) -> None:
             raise ConvergenceError(f"{kind} at lambda={d.lam}: d_{d.grading} = {d.value}; log zeta undefined")
 
 
+def cycle_zetas(
+    model: SuspensionModel,
+    representation: Character | None,
+    lams,
+    policy: TruncationPolicy,
+    tau: float = 0.0,
+) -> list[CycleZeta]:
+    """:func:`cycle_zeta` at each ``lam`` of ``lams``, in order, from one stream of trace sums.
+
+    Every determinant of every ``lam`` reads the same :class:`_TraceStream`,
+    so each ``S_m`` is computed once per ``lam`` that reads it, over columns
+    gathered once for the grid; the periods past the deepest stop are never
+    enumerated, and their errors (the enumeration cap, an overflow) never
+    raised.  A ``lam`` raises what :func:`cycle_zeta` raises at it alone,
+    once the ``lam`` before it have their values.
+    """
+    lams = tuple(lams)
+    stream = _TraceStream(model, representation, lams, tau)
+    zetas = []
+    for i, lam in enumerate(lams):
+        dets = tuple(
+            dynamical_determinant(
+                model, representation, k, lam, policy.max_period, tau=tau,
+                tail_tol=policy.tail_tol, _stream=(stream, i),
+            )
+            for k in range(3)
+        )
+        check_resonance_at_zero(dets)
+        value = dets[1].value / (dets[0].value * dets[2].value)
+        zetas.append(CycleZeta(value=value, modulus=abs(value), determinants=dets,
+                               reliable=all(d.reliable for d in dets)))
+    return zetas
+
+
 def cycle_zeta(
     model: SuspensionModel,
     representation: Character | None,
@@ -307,32 +381,15 @@ def cycle_zeta(
     policy: TruncationPolicy,
     tau: float = 0.0,
 ) -> CycleZeta:
-    """``zeta(lam) = d_1(lam) / (d_0(lam) d_2(lam))`` from the cycle expansions.
+    """``zeta(lam) = d_1(lam) / (d_0(lam) d_2(lam))`` from the cycle expansions: :func:`cycle_zetas` on a grid of one.
 
     The three determinants share one stream of trace sums, each sum
-    computed the first time a recursion reads it, so the periods past the
-    deepest stop are never enumerated and their errors (the enumeration
-    cap, an overflow) never raised.  A determinant that vanishes within
-    :data:`RESONANCE_TOL` raises :class:`ResonanceAtZeroError` at
-    ``lam = 0``, the excluded resonant case, and :class:`ConvergenceError`
-    elsewhere.
+    computed the first time a recursion reads it.  A determinant that
+    vanishes within :data:`RESONANCE_TOL` raises
+    :class:`ResonanceAtZeroError` at ``lam = 0``, the excluded resonant
+    case, and :class:`ConvergenceError` elsewhere.
     """
-    stream = _TraceStream(model, representation, lam, tau)
-    dets = tuple(
-        dynamical_determinant(
-            model, representation, k, lam, policy.max_period, tau=tau,
-            tail_tol=policy.tail_tol, _stream=stream,
-        )
-        for k in range(3)
-    )
-    check_resonance_at_zero(dets)
-    value = dets[1].value / (dets[0].value * dets[2].value)
-    return CycleZeta(
-        value=value,
-        modulus=abs(value),
-        determinants=dets,
-        reliable=all(d.reliable for d in dets),
-    )
+    return cycle_zetas(model, representation, (lam,), policy, tau)[0]
 
 
 def zeta_at_zero(
@@ -343,3 +400,19 @@ def zeta_at_zero(
 ) -> CycleZeta:
     """``zeta(0)``: :func:`cycle_zeta` at ``lam = 0``."""
     return cycle_zeta(model, representation, 0.0, policy, tau)
+
+
+def zeta_at_zero_at(model: SuspensionModel, representation: Character | None, z: CycleZeta, tau: float) -> CycleZeta:
+    """:func:`zeta_at_zero` at ``tau``, given its value ``z`` at another ``tau`` of the same model, character and policy.
+
+    At ``lam = 0`` every weight ``exp(-0 * length)`` is 1 exactly, so the
+    value does not depend on ``tau``.  What ``tau`` decides is whether the
+    sums can be read: ``tau`` must be admissible, and where the sums read
+    the orbit table (a non-trivial fiber) a length at ``tau`` out of the
+    float range, to the deepest period ``z`` read, raises the
+    :class:`CapacityError` that :func:`zeta_at_zero` raises at ``tau``.
+    """
+    stream = _TraceStream(model, representation, (0.0,), tau)
+    if stream.reads_table(0.0):
+        stream.table(max(d.n_used for d in z.determinants))
+    return z

@@ -606,10 +606,10 @@ def _period_pass(auto: ToralAutomorphism, n: int, roof: TrigPolynomial | None = 
         succ[lo : lo + nxt.size] = nxt.ravel()
     label = np.arange(count, dtype=np.int32)
     rounds = (n - 1).bit_length()
-    for r in range(rounds):
-        np.minimum(label, label[succ], out=label)
+    for r in range(rounds):  # take reads the int32 index as it is, where indexing would convert it each round
+        np.minimum(label, label.take(succ), out=label)
         if r + 1 < rounds:
-            succ = succ[succ]
+            succ = succ.take(succ)
     del succ
     heads = np.flatnonzero(label == np.arange(count, dtype=np.int32))  # one per cycle, of any length q | n
     primes = (q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q)))

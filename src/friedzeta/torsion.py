@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from ._record import record
-from .continuation import zeta_at_zero
+from .continuation import zeta_at_zero, zeta_at_zero_at
 from .errors import NotAcyclicError, ValidationError
 from .toral import Character, SuspensionModel, ToralAutomorphism
 from .zetas import TruncationPolicy
@@ -30,6 +30,7 @@ __all__ = [
     "mapping_cone_complex",
     "mapping_torus_torsion",
     "fried_check",
+    "fried_checks",
     "FriedReport",
     "FRIED_EXPONENT",
     "CONVENTION_TAG",
@@ -232,23 +233,26 @@ class FriedReport:
     phase_deviation: float
 
 
-def fried_check(
+def fried_checks(
     model: SuspensionModel,
     representation: Character,
     policy: TruncationPolicy,
-    tau: float = 0.0,
-) -> FriedReport:
-    """Compare ``zeta(0)`` with the mapping-torus torsion.
+    taus,
+) -> list[FriedReport]:
+    """:func:`fried_check` at each ``tau`` of ``taus``, with ``zeta(0)`` and the torsion computed once.
 
-    Reports the modulus deviation ``| |zeta(0)|**e * |torsion| - 1 |`` for
-    the frozen global exponent ``e = FRIED_EXPONENT`` and the phase
-    deviation ``|arg(zeta(0)**e * torsion)|``, both complex values beside
-    them.  The torsion side never sees the roof or the time change, so a
-    deviation sweep over ``tau`` isolates the variation of ``zeta(0)`` alone.
+    ``zeta(0)`` is the same at every ``tau`` (see :func:`zeta_at_zero_at`,
+    which still raises what a ``tau`` raises alone), and the torsion never
+    sees ``tau``.  An empty grid gives no reports.
     """
-    z = zeta_at_zero(model, representation, policy, tau=tau)
+    taus = tuple(taus)
+    if not taus:
+        return []
+    z = zeta_at_zero(model, representation, policy, tau=taus[0])
     t = mapping_torus_torsion(model.automorphism, representation)
-    return FriedReport(
+    for tau in taus[1:]:
+        zeta_at_zero_at(model, representation, z, tau)
+    report = FriedReport(
         zeta_modulus=z.modulus,
         torsion_modulus=t.modulus,
         exponent=FRIED_EXPONENT,
@@ -258,3 +262,21 @@ def fried_check(
         torsion_value=t.value,
         phase_deviation=abs(cmath.phase(z.value**FRIED_EXPONENT * t.value)),
     )
+    return [report] * len(taus)
+
+
+def fried_check(
+    model: SuspensionModel,
+    representation: Character,
+    policy: TruncationPolicy,
+    tau: float = 0.0,
+) -> FriedReport:
+    """Compare ``zeta(0)`` with the mapping-torus torsion: :func:`fried_checks` on a grid of one.
+
+    Reports the modulus deviation ``| |zeta(0)|**e * |torsion| - 1 |`` for
+    the frozen global exponent ``e = FRIED_EXPONENT`` and the phase
+    deviation ``|arg(zeta(0)**e * torsion)|``, both complex values beside
+    them.  The torsion side never sees the roof or the time change, so a
+    deviation sweep over ``tau`` isolates the variation of ``zeta(0)`` alone.
+    """
+    return fried_checks(model, representation, policy, (tau,))[0]

@@ -43,3 +43,17 @@ def period_passes(monkeypatch):
     period_pass = toral._period_pass
     monkeypatch.setattr(toral, "_period_pass", lambda auto, n, *roofs: built.append(n) or period_pass(auto, n, *roofs))
     return built
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """``calls(owner, name)``: the arguments of every later call of ``owner.name`` the test makes, in call order.
+
+    A method's arguments include the instance.
+    """
+    def spy(owner, name):
+        made = []
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs: made.append(args) or original(*args, **kwargs))
+        return made
+    return spy

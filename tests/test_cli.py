@@ -22,13 +22,14 @@ from friedzeta import (
     TruncationPolicy,
     ValidationError,
     cycle_zeta,
+    fried_check,
     read_orbit_dump,
     orbit_columns,
     read_spectrum,
     ruelle_log_zeta,
     write_spectrum,
 )
-from friedzeta import cli, config, kleinian, toral, variation, zetas
+from friedzeta import cli, config, continuation, kleinian, toral, torsion, variation, zetas
 from friedzeta._record import fields
 from friedzeta.cli import _COMMANDS, _KNOWN_KEYS, _flag_keys, _jsonify, _parse, main
 from friedzeta.config import RunConfig
@@ -242,6 +243,42 @@ class TestFriedCheckCommand:
         assert row["deviation"] <= 1e-12 and row["phase_deviation"] <= 1e-12
         assert not results["tolerance_exceeded"]
         assert csv.read_text().splitlines()[0] == "tau,zeta_modulus,deviation"
+
+    def test_rows_are_per_tau_fried_checks(self, capsys):
+        # a fiber twist and a time change: zeta(0) reads the orbit table, once for the whole grid
+        settings = ["model.matrix=3 2 1 1", "model.roof=const:1 cos:1,0:0.05", "model.time_change=cos:0,1:0.04",
+                    "rep.u_fraction=0.3", "rep.fiber_exponents=0 1", "policy.n_max=10", "tau.grid=0:0.05:4"]
+        assert run("fried-check", *settings) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+        cfg = RunConfig.load(None, settings)
+        model = cfg.model()
+        rep = cfg.character(model.automorphism)
+        taus = cfg.tau_grid(model)
+        reports = [fried_check(model, rep, cfg.policy(model, tau), tau) for tau in taus]
+        want = [{"tau": tau, **{key: getattr(fr, key) for key in rows[0] if key != "tau"}} for tau, fr in zip(taus, reports)]
+        assert rows == json.loads(json.dumps(want, default=_jsonify)) and len(rows) == 4
+
+    def test_length_out_of_range_at_one_tau_exits_as_that_tau_alone(self, capsys):
+        # lengths near the float maximum: at tau = 1 the period-3 orbit lengths leave the float range, and
+        # under a fiber twist zeta(0) reads them
+        settings = ["model.matrix=3 2 1 1", "model.roof=const:4e307 cos:1,0:1e305", "model.time_change=const:1 cos:0,1:0.01",
+                    "rep.u_fraction=0.5", "rep.fiber_exponents=0 1", "policy.n_max=3"]
+        error = "error: orbit lengths at tau=1.0 exceed the floating-point range\n"
+        for grid, code in (("0", 0), ("1", 2), ("0,0.25", 0), ("0,1,0.25", 2)):
+            assert run("fried-check", *settings, f"tau.grid={grid}") == code
+            assert capsys.readouterr().err == ("" if code == 0 else error)
+
+    @pytest.mark.parametrize("tolerance", ["-1", "0", "-0"])
+    def test_tolerance_must_be_positive(self, tolerance, capsys):
+        assert run("fried-check", *CAT_SETTINGS, "policy.n_max=4", f"fried.tolerance={tolerance}") == 1
+        assert capsys.readouterr().err == "error: fried.tolerance must be positive\n"
+
+    def test_one_zeta_at_zero_and_one_torsion_per_command(self, calls, capsys):
+        zeta, torsion_of = calls(torsion, "zeta_at_zero"), calls(torsion, "mapping_torus_torsion")
+        assert run("fried-check", *CAT_SETTINGS, "model.time_change=cos:1,0:0.05", "policy.n_max=10",
+                   "tau.grid=0:0.02:6") == 0
+        assert len(json.loads(capsys.readouterr().out)["results"]["rows"]) == 6
+        assert (len(zeta), len(torsion_of)) == (1, 1)
 
 
 class TestVariationCommand:
@@ -461,6 +498,25 @@ class TestZetaContinue:
             fresh = toral._build_table(model, n)
             for name in ("period", "num1", "num2", "den", "length0", "slope", "class_exps"):
                 assert getattr(table, name).tobytes() == getattr(fresh, name).tobytes()
+
+    def test_each_trace_sum_once_per_command(self, calls, capsys):
+        # lambda = 0 reads fixed-point counts and the other four the orbit table, each to its own depth: one S_m
+        # per lambda, the table's columns of S_m gathered once for all four, and the integers |det(A^m - I)| and
+        # Tr(wedge^k A^m) from one A^m per m for all five
+        settings = ["model.matrix=2 1 1 1", "model.roof=const:1 cos:1,0:0.05 sin:0,1:0.03", "rep.u_fraction=0.5",
+                    "policy.n_max=12", "lambda.grid=0,0.4,0.9,1.4+5i,2"]
+        assert run("zeta-continue", *settings) == 0  # builds the table, whose period passes take powers of A
+        capsys.readouterr()
+        sums, gathers = calls(continuation._TraceStream, "_sum"), calls(continuation._TraceStream, "table")
+        powers = calls(toral.ToralAutomorphism, "power")
+        assert run("zeta-continue", *settings) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+        depths = [max(row["n_used"]) for row in rows]
+        assert len(set(depths[1:])) > 1  # the lambdas stop at different depths
+        for i, depth in enumerate(depths):
+            assert [m for _, lam, m in sums if lam == RunConfig.load(None, settings).lambda_grid()[i]] == list(range(1, depth + 1))
+        assert [m for _, m in gathers] == list(range(1, max(depths[1:]) + 1))
+        assert [n for _, n in powers] == list(range(1, max(depths) + 1))
 
     def test_errors_only_from_periods_read(self, monkeypatch, capsys):
         # period 20 of the cat map holds 228,826,125 fixed points, past the enumeration cap; the default
@@ -867,6 +923,8 @@ MALFORMED = [
     ["fried-check", "tau.grid=,"],
     ["zeta-eval", "lambda.grid=,"],
     ["zeta-continue", "lambda.grid=;"],
+    # a tolerance that is not positive, which once ran and reported every deviation as exceeding it
+    ["fried-check", "fried.tolerance=-1"],
     # a repeated k, which once ran and reported one entry for it (and two CSV rows)
     ["selberg-factorize", "spectrum.count=5", "factorize.k=0,0"],
     ["ledger", "ledger.k_list=0,1,0"],

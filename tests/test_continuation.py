@@ -1,4 +1,5 @@
 import cmath
+import tracemalloc
 
 import pytest
 
@@ -10,6 +11,7 @@ from friedzeta import (
     TrigPolynomial,
     TruncationPolicy,
     cycle_zeta,
+    cycle_zetas,
     dynamical_determinant,
     orbit_columns,
     orbit_records,
@@ -17,8 +19,9 @@ from friedzeta import (
     zeta_at_zero,
 )
 from friedzeta._kernels import birkhoff_sums
-from friedzeta.continuation import trace_sums
-from friedzeta.errors import FriedzetaError
+from friedzeta import toral
+from friedzeta.continuation import _TraceStream, trace_sums
+from friedzeta.errors import CapacityError, ConvergenceError, FriedzetaError
 
 from continuation_oracle import eager_cycle_zeta, eager_trace_sums
 from test_toral import TABLE_CASES, TABLE_CHANGE, TABLE_ROOF
@@ -258,3 +261,128 @@ class TestLazyTracesMatchWholeTable:
         chi = TWISTS["circle and fiber twist"](a.coker_orders)
         for lam in ORACLE_LAMBDAS:
             assert repr(trace_sums(model, chi, lam, 8, 0.1)) == repr(eager_trace_sums(model, chi, lam, 8, 0.1))
+
+
+def _assert_same_bits(got, want):
+    """Two cycle zetas agree bit for bit, determinant by determinant."""
+    assert repr((got.d_values, got.tail_bound, got.reliable)) == repr((want.d_values, want.tail_bound, want.reliable))
+    for d, e in zip(got.determinants, want.determinants):
+        assert repr((d.coefficients, d.value, d.tail_bound, d.reliable, d.warnings, d.n_used)) == \
+            repr((e.coefficients, e.value, e.tail_bound, e.reliable, e.warnings, e.n_used))
+        assert repr(d.traces) == repr(e.traces[: d.n_used])
+
+
+def _loop_outcome(model, rep, lams, policy, tau=0.0):
+    """The whole-table zeta at each lambda in turn, or the error of the first that raises."""
+    zetas = []
+    for lam in lams:
+        zeta = _outcome(lambda: eager_cycle_zeta(model, rep, lam, policy, tau))
+        if isinstance(zeta, tuple):
+            return zeta
+        zetas.append(zeta)
+    return zetas
+
+
+def _assert_grid_is_loop(model, rep, lams, policy, tau=0.0):
+    got = _outcome(lambda: cycle_zetas(model, rep, lams, policy, tau))
+    want = _loop_outcome(model, rep, lams, policy, tau)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for z, w in zip(got, want):
+        _assert_same_bits(z, w)
+
+
+class TestLambdaGrid:
+    """One stream of trace sums over a lambda grid gives, bit for bit, the whole-table expansion at each lambda."""
+
+    @pytest.mark.parametrize("tail_tol", [1e-12, 1e-30])
+    @pytest.mark.parametrize("twist", TWISTS.values(), ids=TWISTS.keys())
+    @pytest.mark.parametrize("matrix, n_max", TABLE_CASES,
+                             ids=[f"{' '.join(str(a) for row in m for a in row)} to {n}" for m, n in TABLE_CASES])
+    def test_grid_matches_oracle_per_lambda(self, matrix, n_max, twist, tail_tol):
+        auto = ToralAutomorphism(matrix)
+        model = SuspensionModel(auto, TABLE_ROOF, TABLE_CHANGE)
+        rep, policy = twist(auto.coker_orders), TruncationPolicy(max_period=n_max, tail_tol=tail_tol)
+        _assert_grid_is_loop(model, rep, ORACLE_LAMBDAS, policy, 0.1)
+        # without the lambdas that raise (lambda = 0 untwisted is the resonance), every value is compared
+        fine = [lam for lam in ORACLE_LAMBDAS if not isinstance(_loop_outcome(model, rep, [lam], policy, 0.1), tuple)]
+        assert len(fine) >= len(ORACLE_LAMBDAS) - 1
+        _assert_grid_is_loop(model, rep, fine, policy, 0.1)
+
+    def test_grid_of_one_is_cycle_zeta(self, perturbed_model, rep_minus):
+        policy = TruncationPolicy(max_period=10)
+        (z,) = cycle_zetas(perturbed_model, rep_minus, [0.7 + 0.2j], policy)
+        assert z == cycle_zeta(perturbed_model, rep_minus, 0.7 + 0.2j, policy)
+
+    def test_error_of_the_first_lambda_that_raises(self, cat):
+        # lambda = -200 and -300 overflow and 0 with the trivial character is the resonance; the grid raises
+        # the error of the first of them, after the lambdas before it, as the per-lambda loop does
+        model = SuspensionModel(cat, TrigPolynomial(1.0, ((1, 0, 0.1, 0.0),)))
+        rep = Character.from_angle_fraction(0.5, cat.coker_orders, (0, 0))
+        policy = TruncationPolicy(max_period=8)
+        grids = ([0.3, -300.0, 2.0, -200.0], [0.3, -200.0, -300.0], [2.0, 0.3, -200.0])
+        for lams in grids:
+            _assert_grid_is_loop(model, rep, lams, policy)
+        messages = [_outcome(lambda: cycle_zetas(model, rep, lams, policy))[1] for lams in grids]
+        assert [("-300" in m, "-200" in m) for m in messages] == [(True, False), (False, True), (False, True)]
+        _assert_grid_is_loop(model, None, [1.0, 0.0, -200.0], policy)
+        assert _outcome(lambda: cycle_zetas(model, None, [1.0, 0.0, -200.0], policy))[0] is ResonanceAtZeroError
+
+    def test_out_of_range_sum_raises_only_where_its_lambda_reads_it(self, cat, rep_minus):
+        model = SuspensionModel(cat, TrigPolynomial(1.0, ((1, 0, 0.1, 0.0),)))
+        stream = _TraceStream(model, rep_minus, (1.0, -300.0), 0.0)
+        # lambda = 1 reads S_1..S_8 and computes none at lambda = -300, where S_3 leaves the float range
+        assert all(cmath.isfinite(stream(0, m)[0]) for m in range(1, 9))
+        assert stream.sums[1] == [] and sorted(stream.columns) == list(range(1, 9))
+        with pytest.raises(ConvergenceError, match=r"lambda=\(-300\+0j\)"):
+            stream(1, 8)
+        assert len(stream.sums[1]) == 2 and len(stream.sums[0]) == 8
+
+    def test_each_lambda_computes_only_the_sums_it_reads(self, cat):
+        # a large imaginary part slows the coefficient decay: the deep lambda does not make the others deeper
+        model = SuspensionModel(cat, TrigPolynomial(1.0, ((1, 0, 0.05, 0.0), (0, 1, 0.0, 0.03))))
+        rep = Character.from_angle_fraction(0.5, cat.coker_orders, (0, 0))
+        lams, policy = (2.0, 0.5 + 6j, 0.4), TruncationPolicy(max_period=12)
+        stream = _TraceStream(model, rep, lams, 0.0)
+        for i, lam in enumerate(lams):
+            dets = [dynamical_determinant(model, rep, k, lam, 12, _stream=(stream, i)) for k in range(3)]
+            assert len(stream.sums[i]) == max(d.n_used for d in dets)
+            _assert_same_bits(cycle_zeta(model, rep, lam, policy), eager_cycle_zeta(model, rep, lam, policy))
+        assert len(stream.sums[1]) > max(len(stream.sums[0]), len(stream.sums[2]))
+        assert sorted(stream.columns) == list(range(1, len(stream.sums[1]) + 1))
+
+    def test_peak_memory_does_not_grow_with_the_grid(self):
+        # each lambda takes one orbit-sized array at a time over the columns gathered once per period, so 64
+        # lambdas read to the same depth peak where 2 do (a (lambda x orbit) array would take 32 times as much)
+        auto = ToralAutomorphism(((3, 2), (1, 1)))
+        model = SuspensionModel(auto, TrigPolynomial(1.0, ((1, 0, 0.05, 0.0), (0, 1, 0.0, 0.0391))))
+        rep = Character.from_angle_fraction(0.3, auto.coker_orders, (0, 1))
+        policy = TruncationPolicy(max_period=9, tail_tol=1e-30)
+        toral.orbit_table(model, 9)
+        peaks = []
+        for count in (2, 64):
+            tracemalloc.start()
+            tracemalloc.reset_peak()
+            try:
+                zetas = cycle_zetas(model, rep, [0.5 + 0.01 * i for i in range(count)], policy)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert {d.n_used for z in zetas for d in z.determinants} == {9}
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_table_errors_only_from_lambdas_that_read_the_table(self, cat, period_passes, monkeypatch):
+        # with a trivial fiber lambda = 0 reads fixed-point counts only; lambda = 1 at a tolerance the
+        # coefficients never meet reads every period to n_max, and period 12 is past the lowered cap
+        monkeypatch.setattr(toral, "MAX_ENUMERATED_POINTS", 1 << 16)
+        model = SuspensionModel(cat, TrigPolynomial(1.0, ((1, 0, 0.0391, 0.0),)))  # a roof no other test uses
+        rep = Character.from_angle_fraction(0.5, cat.coker_orders, (0, 0))
+        policy = TruncationPolicy(max_period=30, tail_tol=1e-30)
+        (z,) = cycle_zetas(model, rep, [0.0], policy)
+        assert z.reliable and period_passes == []
+        alone = _outcome(lambda: cycle_zeta(model, rep, 1.0, policy))
+        assert alone == (CapacityError, "|det(A^n - I)| = 103680 fixed points exceeds the enumeration cap")
+        assert period_passes == list(range(1, 12))
+        assert _outcome(lambda: cycle_zetas(model, rep, [0.0, 1.0], policy)) == alone

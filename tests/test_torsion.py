@@ -3,18 +3,23 @@ import pytest
 
 from friedzeta import (
     BasedChainComplex,
+    CapacityError,
     Character,
     NotAcyclicError,
+    SuspensionModel,
     ToralAutomorphism,
+    TrigPolynomial,
     TruncationPolicy,
     ValidationError,
     chain_torsion,
     fried_check,
+    fried_checks,
     is_acyclic,
     mapping_cone_complex,
     mapping_torus_torsion,
 )
 from friedzeta import torsion
+from friedzeta.errors import FriedzetaError
 from friedzeta.torsion import FRIED_EXPONENT
 
 
@@ -223,3 +228,58 @@ class TestFried:
         r0 = fried_check(cat_family, rep_minus, pol, tau=0.0)
         r1 = fried_check(cat_family, rep_minus, pol, tau=0.1)
         assert r0.torsion_modulus == r1.torsion_modulus
+
+
+def _outcome(check):
+    """The reports, or ``(error type, message)`` where the check raises."""
+    try:
+        return check()
+    except FriedzetaError as exc:
+        return type(exc), str(exc)
+
+
+def _per_tau(model, rep, taus, max_period):
+    """``fried_check`` at each tau in turn, each with its own entropy, or the error of the first that raises."""
+    reports = []
+    for tau in taus:
+        policy = TruncationPolicy(max_period=max_period, entropy=model.default_entropy(tau))
+        report = _outcome(lambda: fried_check(model, rep, policy, tau))
+        if isinstance(report, tuple):
+            return report
+        reports.append(report)
+    return reports
+
+
+class TestFriedChecks:
+    """One zeta(0) and one torsion for a tau grid give what a fried_check per tau gives."""
+
+    A = ToralAutomorphism(((3, 2), (1, 1)))  # coker(A - I) = Z/2, so a fiber twist exists
+
+    @pytest.mark.parametrize("fiber", [(0, 0), (0, 1)], ids=["circle twist", "fiber twist"])
+    def test_grid_is_per_tau_calls(self, fiber):
+        model = SuspensionModel(self.A, TrigPolynomial.cosine((1, 0), 0.05, constant=1.0),
+                                TrigPolynomial.cosine((0, 1), 0.04))
+        rep = Character.from_angle_fraction(0.3, self.A.coker_orders, fiber)
+        taus = (0.0, 0.05, 0.1, -0.2)
+        policy = TruncationPolicy(max_period=10, entropy=model.default_entropy(0.0))
+        assert fried_checks(model, rep, policy, taus) == _per_tau(model, rep, taus, 10)
+        assert fried_checks(model, rep, policy, taus[1:2]) == [fried_check(model, rep, policy, taus[1])]
+
+    def test_length_out_of_range_at_a_later_tau(self):
+        # lengths near the float maximum: at tau = 1 the effective roof doubles and the period-3 orbit lengths
+        # leave the float range; under a fiber twist zeta(0) reads them, so that tau raises as it does alone
+        model = SuspensionModel(self.A, TrigPolynomial(4e307, ((1, 0, 1e305, 0.0),)),
+                                TrigPolynomial(1.0, ((0, 1, 0.01, 0.0),)))
+        rep = Character.from_angle_fraction(0.5, self.A.coker_orders, (0, 1))
+        policy = TruncationPolicy(max_period=3, entropy=1.0)
+        alone = _per_tau(model, rep, (1.0,), 3)
+        assert alone == (CapacityError, "orbit lengths at tau=1.0 exceed the floating-point range")
+        assert _per_tau(model, rep, (0.0, 1.0), 3) == alone
+        assert _outcome(lambda: fried_checks(model, rep, policy, (0.0, 0.25, 1.0))) == alone
+        assert fried_checks(model, rep, policy, (0.0, 0.25)) == _per_tau(model, rep, (0.0, 0.25), 3)
+        # a circle twist reads fixed-point counts only, at every tau
+        circle = Character.from_angle_fraction(0.5, self.A.coker_orders, (0, 0))
+        assert fried_checks(model, circle, policy, (0.0, 1.0)) == _per_tau(model, circle, (0.0, 1.0), 3)
+
+    def test_empty_grid_gives_no_reports(self, cat_model, rep_minus, policy14):
+        assert fried_checks(cat_model, rep_minus, policy14, ()) == []
