@@ -2,7 +2,9 @@
 
 Per point, the step loop runs sequentially and each trig term is added in
 declaration order, so every sum is reproducible bit for bit.  No command
-calls it: it is the period pass's test oracle and a perfbench trace target.
+calls :func:`birkhoff_sums`: it is the period pass's test oracle and a
+perfbench trace target.  :func:`trig_values` also evaluates the roof in the
+orbit table's union pass over small periods.
 """
 
 from __future__ import annotations

@@ -115,7 +115,7 @@ class _TraceStream:
         self.integers: list[tuple[int, int, int, int]] = []  # per m: |det(A^m - I)|, Tr(wedge^k A^m) for k = 0, 1, 2
         self.sums: list[list[complex]] = [[] for _ in self.lams]  # per lam: S_1, S_2, ... as far as it read
         self.columns: dict[int, tuple] = {}  # per m read from the table: (m/p, lengths, fiber values or None, p)
-        self.lengths = None  # orbit lengths at tau, as deep as the last period read from the table
+        self.lengths: list[np.ndarray] = []  # per period read from the table: its orbit lengths at tau
 
     def reads_table(self, lam: complex) -> bool:
         """Whether ``S_m`` at ``lam`` sums over the orbit table rather than taking the fixed-point count."""
@@ -134,10 +134,13 @@ class _TraceStream:
         return self.integers[m - 1][1 + k] * (s / count)
 
     def table(self, m: int) -> OrbitTable:
-        """The orbit table to period ``m``, with its lengths at ``tau`` checked finite (else :class:`CapacityError`)."""
+        """The orbit table to period ``m``, with its lengths at ``tau`` checked finite (else :class:`CapacityError`).
+
+        Each period's lengths are computed and checked once, when the stream first reads that period.
+        """
         table = orbit_table(self.model, m)
-        if self.lengths is None or len(self.lengths) < len(table.period):
-            self.lengths = table.lengths(self.tau)
+        for p in range(len(self.lengths) + 1, m + 1):
+            self.lengths.append(table.lengths(self.tau, table.period_slice(p)))
         return table
 
     def _sum(self, lam: complex, m: int) -> complex:
@@ -173,13 +176,14 @@ class _TraceStream:
         """The ``lam``-free columns of ``S_m`` over the rows of the periods ``p | m``, in order, gathered once."""
         if m not in self.columns:
             table = self.table(m)
-            rows = [table.period_slice(p) for p in range(1, m + 1) if m % p == 0]
+            divisors = [p for p in range(1, m + 1) if m % p == 0]
+            rows = [table.period_slice(p) for p in divisors]
             period = np.concatenate([table.period[r] for r in rows])
             k = m // period  # a point of least period p | m has r_m = (m/p) * length
             fiber = None
             if not self.fiber_trivial:
                 fiber = self.representation.fiber_values(k[:, None] * np.concatenate([table.class_exps[r] for r in rows]))
-            self.columns[m] = (k, np.concatenate([self.lengths[r] for r in rows]), fiber, period)
+            self.columns[m] = (k, np.concatenate([self.lengths[p - 1] for p in divisors]), fiber, period)
         return self.columns[m]
 
 

@@ -8,13 +8,16 @@ Every consumer reads one :class:`OrbitTable` per model, which grows by
 whole periods as deeper periods are asked for;
 :func:`fixed_points`, :func:`primitive_orbits`, :func:`homology_class` and
 :func:`orbit_records` serve only test oracles and perfbench trace targets.
-The table is built in one pass per period over the fixed points of ``A^n``
-in Smith coordinates ``(i, j)``.  There ``A`` is a successor permutation
-whose cycles pointer doubling labels.  The successor, the point and every
-roof phase are linear in ``(i, j)``, so each is an outer sum of two
-per-axis residue vectors.  The roof is summed per cycle; when the common
-denominator fits in one block, its values are gathered from one cos and one
-sin table per period.
+The table is built by passes over the fixed points of ``A^n`` in Smith
+coordinates ``(i, j)``.  There ``A`` is a successor permutation whose
+cycles pointer doubling labels, and the roof is summed per cycle.  A
+request that adds several periods builds those of at most
+``_UNION_POINTS`` fixed points together, in one pass over the union of
+their points; each other period takes a pass of its own.  In that pass the
+successor, the point and every roof phase are linear in ``(i, j)``, so each
+is an outer sum of two per-axis residue vectors; when the common
+denominator fits in one block, the roof's values are gathered from one cos
+and one sin table per period.
 """
 
 from __future__ import annotations
@@ -24,9 +27,11 @@ import math
 import re
 import warnings
 from functools import cached_property, lru_cache
+from itertools import islice
 
 import numpy as np
 
+from ._kernels import trig_values
 from ._record import fields, record
 from .errors import CapacityError, ValidationError, ascii_line
 from .trig import TWO_PI, TrigPolynomial
@@ -58,6 +63,10 @@ MAX_DENOMINATOR = 1 << 31
 MAX_ENUMERATED_POINTS = 1 << 27
 # Fixed points per block of a period pass: bounds its int64 and float temporaries.
 _PASS_BLOCK = 1 << 16
+# New periods of at most this many fixed points share one pass (the cat map's periods 1-8).  Measured on
+# the cat map to period 10, 2,500 builds faster than 1,000 or 6,000: a small period's own pass is mostly
+# fixed per-call work, while the shared pass costs more per point.
+_UNION_POINTS = 2500
 
 ORBIT_DUMP_HEADER = "#fried-orbits v1"
 # A dump holds printable ASCII, tabs and LF or CRLF line ends; any other byte is refused.
@@ -66,7 +75,7 @@ _CONTROL_BYTE = re.compile(rb"[\x00-\x08\x0a-\x1f\x7f]")  # within a line: every
 _FIRST_ORBIT_LINE = re.compile(rb"^[ \t]*([^#\s][^\n]*)", re.M)
 # a '#' after a field, which np.loadtxt would take for the start of a comment
 _INLINE_HASH = re.compile(rb"^[ \t]*[^#\s][^\n]*#", re.M)
-_INT64_MIN = np.iinfo(np.int64).min
+_INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +629,7 @@ def _period_pass(auto: ToralAutomorphism, n: int, roof: TrigPolynomial | None = 
     row[heads] = np.arange(len(heads), dtype=np.int32)
     row = row[label]
     del label
-    key = np.full(len(heads) + 1, np.iinfo(np.int64).max)
+    key = np.full(len(heads) + 1, _INT64_MAX)
     length, slope = np.zeros(len(heads) + 1), np.zeros(len(heads) + 1)
     w = ((v[0][0] * stride, v[0][1]), (v[1][0] * stride, v[1][1]))  # x = w (i, j) mod d2
     # every phase is a residue k mod d2: tables of cos and sin at k * (2 pi / d2) give the same bits as
@@ -649,23 +658,98 @@ def _period_pass(auto: ToralAutomorphism, n: int, roof: TrigPolynomial | None = 
     return key // d2, key % d2, d2, length, slope
 
 
-def _class_columns(auto: ToralAutomorphism, n: int, num1, num2, den: int) -> np.ndarray:
-    """:func:`homology_class` fiber exponents of period-``n`` points, one row per point.
+def _union_pass(auto: ToralAutomorphism, lattices: dict, roof: TrigPolynomial | None = None,
+                time_change: TrigPolynomial | None = None):
+    """Table columns of several periods in one pass over the union of their fixed points.
 
+    ``lattices`` maps each period ``n`` to ``_fixed_point_lattice(auto, n)``,
+    at most ``_PASS_BLOCK`` points in all.  Point ``(i, j)`` of period ``n``
+    is union index ``start_n + i * d2 + j``.  The integers of each period
+    (its successor map, the map from ``(i, j)`` to ``x``, its class maps)
+    are one column of ``params``, gathered to one value per point or orbit,
+    so each step of :func:`_period_pass` is one array operation for all
+    periods.
+    Pointer doubling runs the rounds of the deepest period; more rounds
+    leave a shallower cycle's smallest index as its label.  A cycle is a
+    primitive orbit when its size, a count of its label, is its period.
+    The roof is one cos or sin per point per term.  Returns
+    ``(period, num1, num2, den, length0, slope, class_exps)`` sorted by
+    ``(period, num1, num2)``: per period, bit for bit the rows of
+    :func:`_period_pass` and :func:`_class_columns`.
+    """
+    params = []
+    for n, (d1, d2, v) in lattices.items():
+        stride = d2 // d1
+        c1, c2, r1, r2 = _index_map(auto, 1, d1, d2, v)
+        params.append((n, d1 * d2, d1, d2, c1 % d2, c2 % d2, r1 % d1, r2 % d1, v[0][0] * stride % d2,
+                      v[0][1] % d2, v[1][0] * stride % d2, v[1][1] % d2,
+                      *(w for factor in _class_maps(auto, n, d2) for w in factor)))
+    params = np.array(params, dtype=np.int64).T
+    count = params[1]
+    which = np.repeat(np.arange(len(count)), count)  # the period of each point, as a column of params
+    index = np.arange(len(which))
+    start = (np.cumsum(count) - count)[which]
+    n, _, d1, d2, c1, c2, r1, r2, w11, w12, w21, w22 = params[:12, which]
+    i, j = np.divmod(index - start, d2)
+    succ = (c1 * i + c2 * j) % d2 + (r1 * i + r2 * j) % d1 * d2 + start
+    label = index.copy()
+    rounds = (max(lattices) - 1).bit_length()
+    for r in range(rounds):
+        np.minimum(label, label.take(succ), out=label)
+        if r + 1 < rounds:
+            succ = succ.take(succ)
+    heads = np.flatnonzero(np.bincount(label, minlength=len(index)) == n)
+    row = np.full(len(index), len(heads))  # a spare row for the points of smaller period
+    row[heads] = np.arange(len(heads))
+    row = row[label]
+    key = np.full(len(heads) + 1, _INT64_MAX)
+    length, slope = np.zeros(len(heads) + 1), np.zeros(len(heads) + 1)
+    x1, x2 = (w11 * i + w12 * j) % d2, (w21 * i + w22 * j) % d2
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        np.minimum.at(key, row, x1 * d2 + x2)
+        if roof is not None:
+            r = trig_values(*roof.arrays(), x1, x2, d2)
+            np.add.at(length, row, r)
+            if time_change is not None:
+                np.add.at(slope, row, r * trig_values(*time_change.arrays(), x1, x2, d2))
+    period, den, maps = n[heads], d2[heads], params[12:, which[heads]]
+    order = np.lexsort((key[:-1], period))  # heads ascend by period: this sorts within each period
+    key, length, slope = key[order], length[order], slope[order]
+    finite = np.isfinite(length) & np.isfinite(slope)
+    if not finite.all():
+        raise CapacityError(f"orbit lengths of period {period[~finite][0]} exceed the floating-point range")
+    num1, num2 = key // den, key % den
+    class_exps = np.stack([(w1 * num1 + w2 * num2) % mod // den for w1, w2, mod in maps.reshape(-1, 3, len(den))],
+                          axis=1)
+    return period, num1, num2, den, length, slope, class_exps
+
+
+def _class_maps(auto: ToralAutomorphism, n: int, den: int):
+    """``(w1, w2, mod)`` per Smith factor of ``coker(A - I)``, for :func:`homology_class` of period-``n`` points.
+
+    The fiber exponent of ``x / den`` is ``(w1 x1 + w2 x2) mod mod // den``:
     ``y = U (A^n - I) x / den mod order`` (``U`` from the Smith form of
-    ``A - I``) is exact with ``U (A^n - I)`` reduced mod ``den * order``;
-    products use Python integers where int64 could overflow.
+    ``A - I``) is exact with ``U (A^n - I)`` reduced mod ``mod = den * order``.
+    A factor of order 1 gives 0.
     """
     an = auto.power(n)
     u, d, _ = auto._coker_snf
-    cols = []
     for row, order in enumerate((d[0][0], d[1][1])):
-        if order <= 1:
+        mod = den * order
+        yield ((u[row][0] * (an[0][0] - 1) + u[row][1] * an[1][0]) % mod,
+               (u[row][0] * an[0][1] + u[row][1] * (an[1][1] - 1)) % mod, mod)
+
+
+def _class_columns(auto: ToralAutomorphism, n: int, num1, num2, den: int) -> np.ndarray:
+    """:func:`homology_class` fiber exponents of period-``n`` points, one row per point.
+
+    Products use Python integers where int64 could overflow.
+    """
+    cols = []
+    for w1, w2, mod in _class_maps(auto, n, den):
+        if mod == den:  # a factor of order 1
             cols.append(np.zeros(len(num1), dtype=np.int64))
             continue
-        mod = den * order
-        w1 = (u[row][0] * (an[0][0] - 1) + u[row][1] * an[1][0]) % mod
-        w2 = (u[row][0] * an[0][1] + u[row][1] * (an[1][1] - 1)) % mod
         dtype = np.int64 if 2 * mod * den < 1 << 63 else object
         y = (w1 * num1.astype(dtype) + w2 * num2.astype(dtype)) % mod // den
         cols.append(y.astype(np.int64))
@@ -678,19 +762,48 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+def _pass_groups(lattices: dict):
+    """The new periods of ``lattices`` in runs that share one pass, in order.
+
+    Consecutive periods of at most ``_UNION_POINTS`` fixed points join one
+    run until it would pass ``_PASS_BLOCK`` points; a larger period is a run
+    of its own.  A run of one period takes :func:`_period_pass`, the others
+    :func:`_union_pass`.
+    """
+    run, points = [], 0
+    for n, (d1, d2, _) in lattices.items():
+        count = d1 * d2
+        if run and (count > _UNION_POINTS or points + count > _PASS_BLOCK):
+            yield run
+            run, points = [], 0
+        if count > _UNION_POINTS:
+            yield [n]
+        else:
+            run.append(n)
+            points += count
+    if run:
+        yield run
+
+
 def _orbit_columns(auto: ToralAutomorphism, n_max: int, roof=None, time_change=None, shallower=None):
     """Read-only ``(period, num1, num2, den, length0, slope, class_exps)`` up to ``n_max``.
 
-    One :func:`_period_pass` per period past those of ``shallower``, an
-    :class:`OrbitTable` whose columns the result extends when given.  Every
-    new period's lattice comes first, so a period past the enumeration cap
-    is refused before any pass.  ``length0`` and ``slope`` are 0 without a
-    roof or time change.
+    The periods past those of ``shallower``, an :class:`OrbitTable` whose
+    columns the result extends when given, are built in the runs of
+    :func:`_pass_groups`: small periods share one :func:`_union_pass`, and
+    each other period takes one :func:`_period_pass`.  Every new period's
+    lattice comes first, so a period past the enumeration cap is refused
+    before any pass.  ``length0`` and ``slope`` are 0 without a roof or
+    time change.
     """
     depth, parts = (0, []) if shallower is None else (shallower.n_max, [shallower.columns()])
     lattices = {n: _fixed_point_lattice(auto, n) for n in range(depth + 1, n_max + 1)}
-    for n, lattice in lattices.items():
-        num1, num2, den, length, slope = _period_pass(auto, n, roof, time_change, lattice)
+    for run in _pass_groups(lattices):
+        if len(run) > 1:
+            parts.append(_union_pass(auto, {n: lattices[n] for n in run}, roof, time_change))
+            continue
+        (n,) = run
+        num1, num2, den, length, slope = _period_pass(auto, n, roof, time_change, lattices[n])
         parts.append((np.full(len(num1), n), num1, num2, np.full(len(num1), den), length, slope,
                       _class_columns(auto, n, num1, num2, den)))
     return _read_only(*(np.concatenate(col) for col in zip(*parts)))
@@ -732,11 +845,14 @@ class OrbitTable:
         lo, hi = np.searchsorted(self.period, (n, n + 1))
         return slice(int(lo), int(hi))
 
-    def lengths(self, tau: float = 0.0) -> np.ndarray:
-        """Orbit lengths ``length0 + tau * slope`` at family parameter ``tau``, all finite or a CapacityError."""
+    def lengths(self, tau: float = 0.0, rows: slice = slice(None)) -> np.ndarray:
+        """Orbit lengths ``length0 + tau * slope`` of ``rows`` (all by default) at family parameter ``tau``.
+
+        All are finite, else a :class:`CapacityError`.
+        """
         self.model.require_tau(tau)
         with np.errstate(over="ignore"):
-            lengths = self.length0 + tau * self.slope
+            lengths = self.length0[rows] + tau * self.slope[rows]
         if not np.isfinite(lengths).all():
             raise CapacityError(f"orbit lengths at tau={tau} exceed the floating-point range")
         return lengths
@@ -771,9 +887,9 @@ def orbit_table(model: SuspensionModel, n_max: int) -> OrbitTable:
     period, so a shallower table is a prefix of a deeper one.  A request
     at the built depth returns the cached table, one below it prefix views
     of its columns (the same views for the same depth, so what is kept on
-    them is found again), and one beyond it runs a pass for each new period
-    only.  A pass evaluates the roof (and the time change) once at every
-    fixed point and sums it along each orbit.
+    them is found again), and one beyond it builds the new periods only
+    (:func:`_orbit_columns`).  A pass evaluates the roof (and the time
+    change) once at every fixed point and sums it along each orbit.
     """
     slot = _deepest_table(model)
     table, views = slot
@@ -845,15 +961,21 @@ def write_orbit_dump(path, table: OrbitTable, tau: float = 0.0):
 
     Fields are whitespace separated: period, base point numerators and
     denominator, length (its ``repr``), orientation index, winding and
-    the class exponents.
+    the class exponents.  The period, denominator, index and winding are
+    those of the period, written into one line template per period.
     """
-    epsilon = table.transverse()[0]
-    columns = (table.period, table.num1, table.num2, table.den, table.lengths(tau), epsilon, table.period,
-               *table.class_exps.T)
-    line = " ".join(("%d",) * 4 + ("%r",) + ("%d",) * (len(columns) - 5))  # %r is the length's repr
-    lines = map(line.__mod__, zip(*(column.tolist() for column in columns)))
+    auto = table.model.automorphism
+    rows = zip(table.num1.tolist(), table.num2.tolist(), table.lengths(tau).tolist(),
+               *(column.tolist() for column in table.class_exps.T))
+    exps = " %d" * table.class_exps.shape[1]
+    lines = [ORBIT_DUMP_HEADER]
+    for n in range(1, table.n_max + 1):
+        span = table.period_slice(n)
+        if span.stop > span.start:  # %r is the length's repr
+            line = f"{n} %d %d {table.den[span.start]} %r {orientation_index(auto, n)} {n}{exps}"
+            lines += map(line.__mod__, islice(rows, span.stop - span.start))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join((ORBIT_DUMP_HEADER, *lines)) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_orbit_dump(path) -> OrbitDump:

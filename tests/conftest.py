@@ -38,10 +38,13 @@ def policy14(cat_model):
 
 @pytest.fixture
 def period_passes(monkeypatch):
-    """The period of every ``toral._period_pass`` call the test makes, in call order."""
+    """The periods the test's table builds pass over, in call order: one per ``toral._period_pass`` call and
+    those of each ``toral._union_pass`` call."""
     built = []
-    period_pass = toral._period_pass
+    period_pass, union_pass = toral._period_pass, toral._union_pass
     monkeypatch.setattr(toral, "_period_pass", lambda auto, n, *roofs: built.append(n) or period_pass(auto, n, *roofs))
+    monkeypatch.setattr(toral, "_union_pass",
+                        lambda auto, lattices, *roofs: built.extend(lattices) or union_pass(auto, lattices, *roofs))
     return built
 
 

@@ -518,6 +518,21 @@ class TestZetaContinue:
         assert [m for _, m in gathers] == list(range(1, max(depths[1:]) + 1))
         assert [n for _, n in powers] == list(range(1, max(depths) + 1))
 
+    def test_stream_passes_and_length_checks_once_per_period(self, calls, capsys):
+        # the stream grows the table one period at a time, each by its own pass, and checks the lengths at tau of
+        # each period's rows once: the rows checked are the table's rows, not a prefix per growth; a roof and
+        # time change no other test uses, so no table of this model is built yet
+        settings = ["model.matrix=2 1 1 1", "model.roof=const:1 cos:1,0:0.0419", "model.time_change=cos:0,1:0.0383",
+                    "tau.value=0.2", "rep.u_fraction=0.5", "policy.n_max=12", "lambda.grid=0.5,1.4+2i"]
+        unions, passes = calls(toral, "_union_pass"), calls(toral, "_period_pass")
+        checks = calls(toral.OrbitTable, "lengths")
+        assert run("zeta-continue", *settings) == 0
+        depth = max(n for row in json.loads(capsys.readouterr().out)["results"]["rows"] for n in row["n_used"])
+        assert unions == [] and [n for _, n, *_ in passes] == list(range(1, depth + 1))
+        table = orbit_table(RunConfig.load(None, settings).model(), depth)
+        assert {tau for _, tau, _ in checks} == {0.2}
+        assert sum(len(table.period[rows]) for _, _, rows in checks) == len(table.period)
+
     def test_errors_only_from_periods_read(self, monkeypatch, capsys):
         # period 20 of the cat map holds 228,826,125 fixed points, past the enumeration cap; the default
         # tolerance stops the recursion by period 9, so n_max 30 reads the rows of n_max 14

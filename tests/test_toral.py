@@ -322,6 +322,42 @@ class TestOrbitTable:
             for a, b in zip(got[:2] + got[3:], want[:2] + want[3:]):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("block", [None, 64], ids=["default blocks", "blocks of 64"])
+    @pytest.mark.parametrize("roofs", PASS_ROOFS.values(), ids=PASS_ROOFS.keys())
+    @pytest.mark.parametrize("matrix, n_max", PASS_CASES,
+                             ids=[f"{' '.join(str(a) for row in m for a in row)} to {n}" for m, n in PASS_CASES])
+    def test_union_pass_matches_flat_index_oracle(self, matrix, n_max, roofs, block, monkeypatch):
+        # every period of at most a block shares a union pass here, so runs end at block edges: with the default
+        # blocks the cat map's periods 1-11 are one run; blocks of 64 cut the small periods into runs of a few
+        auto = ToralAutomorphism(matrix)
+        if block is not None:
+            monkeypatch.setattr(toral, "_PASS_BLOCK", block)
+        monkeypatch.setattr(toral, "_UNION_POINTS", toral._PASS_BLOCK)
+        lattices = {n: toral._fixed_point_lattice(auto, n) for n in range(1, n_max + 1)}
+        checked = []
+        for run in toral._pass_groups(lattices):
+            if len(run) == 1 and abs(auto.det_one_minus_power(run[0])) > toral._PASS_BLOCK:
+                continue  # never in a union pass
+            period, *columns, class_exps = toral._union_pass(auto, {n: lattices[n] for n in run}, *roofs)
+            for n in run:
+                num1, num2, den, length, slope = (column[period == n] for column in columns)
+                want = flat_period_pass(auto, n, *roofs)
+                assert (den == want[2]).all()
+                for a, b in zip((num1, num2, length, slope), want[:2] + want[3:]):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                want_class = toral._class_columns(auto, n, *want[:3])
+                assert class_exps[period == n].tobytes() == want_class.tobytes()
+            checked += run
+        assert checked == [n for n in lattices if abs(auto.det_one_minus_power(n)) <= toral._PASS_BLOCK]
+
+    def test_small_periods_share_one_pass(self, calls):
+        # the cat map's periods 1-8 hold 3,554 fixed points and 9 and 10 hold 5,776 and 15,125
+        model = SuspensionModel(ToralAutomorphism(((2, 1), (1, 1))), TrigPolynomial.cosine((1, 0), 0.0379, 1.0))
+        unions, passes = calls(toral, "_union_pass"), calls(toral, "_period_pass")
+        orbit_table(model, 10)
+        assert [list(lattices) for _, lattices, *_ in unions] == [list(range(1, 9))]
+        assert [n for _, n, *_ in passes] == [9, 10]
+
     @pytest.mark.parametrize("matrix, n, bound", [
         (((2, 1), (1, 1)), 13, 26.0),  # 271,441 points, Z_521 x Z_521
         (((0, 1), (1, 3)), 11, 21.6),  # 510,117 points, cyclic: no trig table can pay for itself
