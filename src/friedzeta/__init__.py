@@ -16,7 +16,6 @@ from .characters import (
     char_nu,
     char_sigma,
     dim_sigma,
-    symmetric_trace_expansion,
     tensor_decomposition_check,
 )
 from .continuation import CycleZeta, DynamicalDeterminant, cycle_zeta, cycle_zetas, dynamical_determinant, zeta_at_zero
@@ -63,7 +62,6 @@ from .torsion import (
     chain_torsion,
     fried_check,
     fried_checks,
-    is_acyclic,
     mapping_cone_complex,
     mapping_torus_torsion,
 )

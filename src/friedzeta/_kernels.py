@@ -1,39 +1,22 @@
 """Birkhoff sums of the effective roof over rational points of the torus.
 
 Per point, the step loop runs sequentially and each trig term is added in
-declaration order, so every sum is reproducible bit for bit.  No command
-calls :func:`birkhoff_sums`: it is the period pass's test oracle and a
-perfbench trace target.  :func:`trig_values` also evaluates the roof in the
-orbit table's union pass over small periods.
+declaration order (:func:`friedzeta.toral.trig_values`), so every sum is
+reproducible bit for bit.  No command imports this module:
+:func:`birkhoff_sums` is the period pass's test oracle and a perfbench
+trace target.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .trig import TWO_PI
+from .toral import trig_values
 
-__all__ = ["birkhoff_sums", "trig_values"]
+__all__ = ["birkhoff_sums"]
 
 # Points per block: bounds the per-call temporaries, about ten arrays of this length.
 _KERNEL_BLOCK = 1 << 14
-
-
-def trig_values(constant, k1, k2, cos_amp, sin_amp, x1, x2, den):
-    """Trig polynomial at the points ``(x1, x2) / den``, terms in order.
-
-    A zero amplitude skips its cos or sin; the sum is the same bit for bit.
-    """
-    value = np.full(len(x1), float(constant))
-    for t in range(len(k1)):
-        ph = (TWO_PI / den) * ((k1[t] * x1 + k2[t] * x2) % den)
-        if sin_amp[t] == 0.0:
-            value += cos_amp[t] * np.cos(ph)
-        elif cos_amp[t] == 0.0:
-            value += sin_amp[t] * np.sin(ph)
-        else:
-            value += cos_amp[t] * np.cos(ph) + sin_amp[t] * np.sin(ph)
-    return value
 
 
 def birkhoff_sums(num1, num2, den, matrix, steps, roof, time_change=None, tau=0.0) -> np.ndarray:
@@ -61,19 +44,18 @@ def birkhoff_sums(num1, num2, den, matrix, steps, roof, time_change=None, tau=0.
     if den <= 0:
         raise ValueError("denominator must be positive")
     (a11, a12), (a21, a22) = ((int(a) % den for a in row) for row in matrix)
-    roof_arrays = roof.arrays()
-    change = time_change.arrays() if time_change is not None and tau != 0.0 else None
+    change = time_change if tau != 0.0 else None
     num1 = np.asarray(num1, dtype=np.int64)
     num2 = np.asarray(num2, dtype=np.int64)
     for lo in range(0, n, _KERNEL_BLOCK):
         x1, x2 = num1[lo : lo + _KERNEL_BLOCK], num2[lo : lo + _KERNEL_BLOCK]
         acc = np.zeros(len(x1))
         for _ in range(int(steps)):
-            r = trig_values(*roof_arrays, x1, x2, den)
+            r = trig_values(roof, x1, x2, den)
             if change is None:
                 acc += r
             else:
-                acc += r * (1.0 + tau * trig_values(*change, x1, x2, den))
+                acc += r * (1.0 + tau * trig_values(change, x1, x2, den))
             x1, x2 = (a11 * x1 + a12 * x2) % den, (a21 * x1 + a22 * x2) % den
         out[lo : lo + _KERNEL_BLOCK] = acc
     return out

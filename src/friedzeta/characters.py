@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ._record import record
 from .errors import ValidationError
 from .trig import TWO_PI
@@ -25,13 +23,10 @@ __all__ = [
     "char_nu",
     "char_sigma",
     "char_label",
-    "char_tensor",
     "branching_check",
     "tensor_decomposition_check",
     "dim_sigma",
-    "dim_nu",
     "casimir_constant",
-    "symmetric_trace_expansion",
     "homogeneous_sums",
 ]
 
@@ -147,14 +142,6 @@ def char_label(label: IrrepLabel, element: TorusElement) -> float:
     return char_sigma(label.n0, label.degree, element)
 
 
-def char_tensor(labels, element: TorusElement) -> float:
-    """Character of a tensor product of labels (pointwise product)."""
-    out = 1.0
-    for lab in labels:
-        out *= char_label(lab, element)
-    return out
-
-
 def branching_check(n0: int, p: int, element: TorusElement) -> float:
     """Residual of ``h_p = sum_{2q <= p} sigma_{p-2q}`` characters; ~0."""
     eig = rotation_eigenvalues(element)
@@ -172,10 +159,6 @@ def tensor_decomposition_check(element: TorusElement) -> float:
     return abs(lhs - rhs)
 
 
-def dim_nu(n0: int, l: int) -> int:
-    return math.comb(n0, l)
-
-
 def dim_sigma(n: int, m: int) -> int:
     """Dimension of trace-free symmetric tensors of order m on R^n."""
     if m == 0:
@@ -190,14 +173,3 @@ def casimir_constant(n: int, m: int) -> Fraction:
     from fractions import Fraction  # here, not at the top: no command needs it, and it loads decimal
     return Fraction(n * n, 4) - m * (m + n - 2)
 
-
-def symmetric_trace_expansion(b, r: int) -> float:
-    """``h_r`` of the eigenvalues of a contraction matrix ``b``.
-
-    Partial sums over r converge to ``det(1 - b)^-1`` with geometric tail
-    ``|b|^r / (1 - |b|)`` when the spectral radius is below 1.
-    """
-    b = np.asarray(b)
-    eig = np.linalg.eigvals(b)
-    h = homogeneous_sums(list(eig), r)
-    return complex(h[r]).real

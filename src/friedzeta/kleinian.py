@@ -71,34 +71,11 @@ class CyclicWord:
     """Cyclically reduced word in canonical (lexicographically minimal) rotation.
 
     Letters are nonzero ints: ``+i`` is the i-th generator (1-based),
-    ``-i`` its inverse.  Words compare, order and hash by their letters alone.
+    ``-i`` its inverse.  ``primitive`` is a function of the letters.
     """
 
     letters: tuple[int, ...]
     primitive: bool = True
-
-    def __eq__(self, other):
-        return self.letters == other.letters if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.letters,))
-
-    def __lt__(self, other):
-        return self.letters < other.letters if other.__class__ is self.__class__ else NotImplemented
-
-    @staticmethod
-    def _cyclic_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
-        out = []
-        for x in letters:
-            if x == 0:
-                raise ValidationError("letter 0 is not allowed")
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-        while len(out) >= 2 and out[0] == -out[-1]:
-            out = out[1:-1]
-        return tuple(out)
 
     @staticmethod
     def _min_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -106,12 +83,6 @@ class CyclicWord:
         if n == 0:
             return letters
         return min(letters[i:] + letters[:i] for i in range(n))
-
-    @classmethod
-    def canonical(cls, letters) -> "CyclicWord":
-        reduced = cls._cyclic_reduce(tuple(int(x) for x in letters))
-        canon = cls._min_rotation(reduced)
-        return cls(canon, primitive=_is_primitive(canon))
 
 
 def _is_primitive(letters: tuple[int, ...]) -> bool:

@@ -13,9 +13,10 @@ coordinates ``(i, j)``.  There ``A`` is a successor permutation whose
 cycles pointer doubling labels, and the roof is summed per cycle.  A
 request that adds several periods builds those of at most
 ``_UNION_POINTS`` fixed points together, in one pass over the union of
-their points; each other period takes a pass of its own.  In that pass the
-successor, the point and every roof phase are linear in ``(i, j)``, so each
-is an outer sum of two per-axis residue vectors; when the common
+their points, where :func:`trig_values` evaluates the roof one cos or sin
+per point per term; each other period takes a pass of its own.  In that
+pass the successor, the point and every roof phase are linear in ``(i, j)``,
+so each is an outer sum of two per-axis residue vectors; when the common
 denominator fits in one block, the roof's values are gathered from one cos
 and one sin table per period.
 """
@@ -31,7 +32,6 @@ from itertools import islice
 
 import numpy as np
 
-from ._kernels import trig_values
 from ._record import fields, record
 from .errors import CapacityError, ValidationError, ascii_line
 from .trig import TWO_PI, TrigPolynomial
@@ -52,6 +52,7 @@ __all__ = [
     "orbit_table",
     "homology_class",
     "orientation_index",
+    "trig_values",
     "OrbitDump",
     "write_orbit_dump",
     "read_orbit_dump",
@@ -261,17 +262,6 @@ class ToralAutomorphism:
         y2 = u[1][0] * v[0] + u[1][1] * v[1]
         return (y1 % d[0][0] if d[0][0] > 1 else 0, y2 % d[1][1] if d[1][1] > 1 else 0)
 
-    def wedge_trace_power(self, k: int, m: int) -> int:
-        """Exact ``Tr(wedge^k A^m)`` for k in {0, 1, 2}."""
-        if k == 0:
-            return 1
-        if k == 1:
-            am = self.power(m)
-            return am[0][0] + am[1][1]
-        if k == 2:
-            return self.det ** m
-        raise ValueError("k must be 0, 1 or 2 for a 2-torus base")
-
     def det_one_minus_power(self, m: int) -> int:
         """Exact ``det(A^m - I)`` (nonzero for hyperbolic A)."""
         am = self.power(m)
@@ -373,19 +363,13 @@ class Character:
     def fiber_is_trivial(self) -> bool:
         return all(e == 0 for e in self.fiber_exponents)
 
-    def value(self, exps: tuple[int, ...], winding: int) -> complex:
-        """The character on the class ``(exps, winding)``: the scalar oracle of :meth:`values`."""
-        ang = TWO_PI * sum(
-            (e * y) % d / d for e, y, d in zip(self.fiber_exponents, exps, self.fiber_orders) if d > 1
-        )
-        return self.circle**winding * complex(math.cos(ang), math.sin(ang))
-
     def values(self, class_exps: np.ndarray, winding: np.ndarray) -> np.ndarray:
-        """:meth:`value` over rows of class exponents and an integer array of windings."""
+        """The character on each class ``(class_exps[i], winding[i])``: ``circle**winding`` times
+        ``exp(2 pi i sum (e * y mod d) / d)`` over the Smith factors of order ``d > 1``."""
         return self.circle**winding * self.fiber_values(class_exps)
 
     def fiber_values(self, class_exps: np.ndarray) -> np.ndarray:
-        """The fiber part of :meth:`value` over the rows of an integer array of class exponents."""
+        """The fiber part of :meth:`values` over the rows of an integer array of class exponents."""
         turns = np.zeros(len(class_exps))
         for col, (e, d) in enumerate(zip(self.fiber_exponents, self.fiber_orders)):
             if d > 1:
@@ -496,9 +480,6 @@ class OrbitRecord:
     class_exps: tuple[int, ...]
     winding: int
 
-    def sort_key(self):
-        return (self.length, self.period, self.num1, self.num2)
-
 
 def orientation_index(automorphism, n: int) -> int:
     """Orientation index ``sign(lam_u)^n`` of a period-``n`` orbit.
@@ -543,6 +524,24 @@ def _outer_mod(ci: int, cj: int, i: np.ndarray, j: np.ndarray, m: int, dtype=np.
     s = np.add.outer((ci % m * i % m).astype(dtype), (cj % m * j % m).astype(dtype))
     np.subtract(s, m, out=s, where=s >= m)  # both residues are below m
     return s
+
+
+def trig_values(poly: TrigPolynomial, x1: np.ndarray, x2: np.ndarray, den) -> np.ndarray:
+    """``poly`` at the points ``(x1, x2) / den``: one cos or sin per point per term, terms added in order.
+
+    ``den`` is an int or an array of one denominator per point.  A zero
+    amplitude skips its cos or sin; the sum is the same bit for bit.
+    """
+    value = np.full(len(x1), float(poly.constant))
+    for k1, k2, a, b in poly.terms:
+        ph = (TWO_PI / den) * ((k1 * x1 + k2 * x2) % den)
+        if b == 0.0:
+            value += a * np.cos(ph)
+        elif a == 0.0:
+            value += b * np.sin(ph)
+        else:
+            value += a * np.cos(ph) + b * np.sin(ph)
+    return value
 
 
 def _trig_block(poly: TrigPolynomial, w, i: np.ndarray, j: np.ndarray, m: int, cos, sin) -> np.ndarray:
@@ -615,7 +614,10 @@ def _period_pass(auto: ToralAutomorphism, n: int, roof: TrigPolynomial | None = 
         succ[lo : lo + nxt.size] = nxt.ravel()
     label = np.arange(count, dtype=np.int32)
     rounds = (n - 1).bit_length()
-    for r in range(rounds):  # take reads the int32 index as it is, where indexing would convert it each round
+    # take converts the int32 index to intp, a whole-array transient each round that indexing does without
+    # (numpy 2.4: a peak of 20-21 B/pt for the pass against 15-17), but indexing ran 7-21 % slower on the
+    # cat map at 12 and 13 and on 0 1 1 3 at 11, so take stays
+    for r in range(rounds):
         np.minimum(label, label.take(succ), out=label)
         if r + 1 < rounds:
             succ = succ.take(succ)
@@ -672,7 +674,7 @@ def _union_pass(auto: ToralAutomorphism, lattices: dict, roof: TrigPolynomial | 
     Pointer doubling runs the rounds of the deepest period; more rounds
     leave a shallower cycle's smallest index as its label.  A cycle is a
     primitive orbit when its size, a count of its label, is its period.
-    The roof is one cos or sin per point per term.  Returns
+    The roof is one cos or sin per point per term (:func:`trig_values`).  Returns
     ``(period, num1, num2, den, length0, slope, class_exps)`` sorted by
     ``(period, num1, num2)``: per period, bit for bit the rows of
     :func:`_period_pass` and :func:`_class_columns`.
@@ -708,10 +710,10 @@ def _union_pass(auto: ToralAutomorphism, lattices: dict, roof: TrigPolynomial | 
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         np.minimum.at(key, row, x1 * d2 + x2)
         if roof is not None:
-            r = trig_values(*roof.arrays(), x1, x2, d2)
+            r = trig_values(roof, x1, x2, d2)
             np.add.at(length, row, r)
             if time_change is not None:
-                np.add.at(slope, row, r * trig_values(*time_change.arrays(), x1, x2, d2))
+                np.add.at(slope, row, r * trig_values(time_change, x1, x2, d2))
     period, den, maps = n[heads], d2[heads], params[12:, which[heads]]
     order = np.lexsort((key[:-1], period))  # heads ascend by period: this sorts within each period
     key, length, slope = key[order], length[order], slope[order]

@@ -25,7 +25,6 @@ from .zetas import TruncationPolicy
 __all__ = [
     "BasedChainComplex",
     "TorsionValue",
-    "is_acyclic",
     "chain_torsion",
     "mapping_cone_complex",
     "mapping_torus_torsion",
@@ -105,12 +104,6 @@ def _pivots_and_homology(complex_: BasedChainComplex, rel_tol: float):
     pivots = [[], *(_column_pivot_elimination(b, rel_tol) for b in complex_.boundaries), []]
     homology = [complex_.dims[k] - len(pivots[k]) - len(pivots[k + 1]) for k in range(complex_.top_degree + 1)]
     return pivots, homology
-
-
-def is_acyclic(complex_: BasedChainComplex, rel_tol: float = 1e-10):
-    """Acyclicity flag plus the per-degree homology ranks."""
-    _, homology = _pivots_and_homology(complex_, rel_tol)
-    return all(h == 0 for h in homology), homology
 
 
 @record

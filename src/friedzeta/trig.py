@@ -4,17 +4,15 @@ Roof functions and time changes are finite sums
 
     f(x) = c0 + sum_t  a_t * cos(2*pi*<k_t, x>) + b_t * sin(2*pi*<k_t, x>)
 
-with integer frequency vectors k_t.  Rational points are evaluated through
-the residue of <k, num> modulo the common denominator, which keeps the
-phase argument in [0, 2*pi) and makes evaluation independent of which lift
-of the point is supplied.
+with integer frequency vectors k_t.  The orbit table (:mod:`friedzeta.toral`)
+evaluates them at rational points through the residue of <k, num> modulo the
+common denominator, which keeps the phase argument in [0, 2*pi) and makes
+evaluation independent of which lift of the point is supplied.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from ._record import record
 
@@ -62,22 +60,3 @@ class TrigPolynomial:
     def lower_bound(self) -> float:
         """Certified lower bound: constant minus the l1 norm of the rest."""
         return self.constant - sum(abs(a) + abs(b) for _, _, a, b in self.terms)
-
-    def value_at_rational(self, num1: int, num2: int, den: int) -> float:
-        """The value at ``(num1, num2) / den``, one term at a time: the tests' scalar oracle."""
-        v = self.constant
-        for k1, k2, a, b in self.terms:
-            ph = TWO_PI * ((k1 * num1 + k2 * num2) % den) / den
-            v += a * math.cos(ph) + b * math.sin(ph)
-        return v
-
-    def arrays(self):
-        """Coefficient arrays ``(constant, k1, k2, cos, sin)`` for :mod:`friedzeta._kernels`."""
-        n = len(self.terms)
-        k1 = np.empty(n, dtype=np.int64)
-        k2 = np.empty(n, dtype=np.int64)
-        ca = np.empty(n, dtype=np.float64)
-        sa = np.empty(n, dtype=np.float64)
-        for i, (f1, f2, a, b) in enumerate(self.terms):
-            k1[i], k2[i], ca[i], sa[i] = f1, f2, a, b
-        return self.constant, k1, k2, ca, sa

@@ -24,7 +24,6 @@ length shell actually summed.
 
 from __future__ import annotations
 
-import cmath
 import math
 from contextlib import contextmanager
 from functools import lru_cache
@@ -36,7 +35,7 @@ from .characters import IrrepLabel
 from .errors import CapacityError, ConvergenceError, ValidationError
 from .kleinian import ComplexLengthRecord
 from .summation import block_sum
-from .toral import Character, OrbitDump, OrbitRecord, OrbitTable
+from .toral import Character, OrbitDump, OrbitTable
 from .trig import TWO_PI
 
 __all__ = [
@@ -92,10 +91,6 @@ class ZetaValue:
     policy: TruncationPolicy
     warnings: tuple[str, ...] = ()
 
-    @property
-    def value(self) -> complex:
-        return cmath.exp(self.log_value)
-
 
 # ---------------------------------------------------------------------------
 # Orbit columns, weight groups and λ-free weights
@@ -106,8 +101,8 @@ class ZetaValue:
 class OrbitColumns:
     """Read-only columns of a spectrum, one row per primitive orbit.
 
-    Toral rows keep the order of their table, dump or record list; Kleinian
-    rows are in ``sort_key`` order.  The weight groups fix the order every
+    Toral rows keep the order of their table or dump; Kleinian rows are in
+    ``sort_key`` order.  The weight groups fix the order every
     reduction reads, so the row order only has to be deterministic.
 
     ``rho`` is the twist's value on each orbit and ``epsilon`` its
@@ -142,7 +137,7 @@ class OrbitColumns:
 
 
 def orbit_columns(spectrum, representation=None, tau: float = 0.0) -> OrbitColumns:
-    """Columns of an :class:`OrbitTable` (lengths at ``tau``), an :class:`OrbitDump` or a list of records.
+    """Columns of an :class:`OrbitTable` (lengths at ``tau``), an :class:`OrbitDump` or Kleinian length records.
 
     This is where a spectrum and its twist become the columns every Euler
     product takes.  Toral orbits take a :class:`Character` twist (``None``
@@ -151,19 +146,14 @@ def orbit_columns(spectrum, representation=None, tau: float = 0.0) -> OrbitColum
     if isinstance(spectrum, OrbitTable):
         return _table_columns(spectrum, representation, float(tau))
     if tau:
-        raise ValidationError("tau applies to an orbit table; dumps and records carry their lengths")
+        raise ValidationError("tau applies to an orbit table; dumps and length records carry their lengths")
     if isinstance(spectrum, OrbitDump):
         nan = np.full(len(spectrum), math.nan)
         return _toral_columns(representation, spectrum.class_exps, spectrum.length, spectrum.epsilon, nan, nan,
                               np.zeros(len(spectrum), dtype=np.int64), spectrum.winding)
     records = list(spectrum)
-    if records and all(isinstance(r, OrbitRecord) for r in records):  # the tests' per-record oracles
-        names = ("length", "epsilon", "lam_u", "lam_s", "det_power", "winding")
-        class_exps = np.array([r.class_exps for r in records], dtype=np.int64).reshape(len(records), -1)
-        columns = (np.array([getattr(r, name) for r in records]) for name in names)
-        return _toral_columns(representation, class_exps, *columns)
     if not all(isinstance(r, ComplexLengthRecord) for r in records):
-        raise ValidationError("a spectrum holds OrbitRecord or ComplexLengthRecord rows of one kind")
+        raise ValidationError("a spectrum is an orbit table, an orbit dump or ComplexLengthRecord rows")
     if records and representation is not None:
         raise ValidationError("length records carry their own rho value and take no twist")
     records.sort(key=lambda r: r.sort_key())
@@ -184,7 +174,7 @@ def _toral_columns(representation, class_exps, length, eps, lam_u, lam_s, det_po
     elif isinstance(representation, Character):
         rho = representation.values(class_exps, winding)
     else:
-        raise ValidationError("toral orbit records take a Character twist")
+        raise ValidationError("toral orbits take a Character twist")
     return OrbitColumns(length, rho, eps, np.ones(len(length)), lam_u, lam_s, det_power)
 
 
@@ -554,8 +544,7 @@ def _relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, float]:
     return float(resid.max()), float(rel.max())
 
 
-def factorization_check(cols: OrbitColumns, k: int, lam: complex, policy: TruncationPolicy,
-                        required_tolerance: float | None = None) -> FactorizationReport:
+def factorization_check(cols: OrbitColumns, k: int, lam: complex, policy: TruncationPolicy) -> FactorizationReport:
     """Compare the graded zeta against its Selberg-product factorization.
 
     Per orbit iterate the graded weight is matched against the triple sum
@@ -570,11 +559,6 @@ def factorization_check(cols: OrbitColumns, k: int, lam: complex, policy: Trunca
         raise ValidationError("empty spectrum")
     ell_min = float(cols.length.min())
     tail_estimate = (policy.p_max + 2) ** 2 * math.exp(-(policy.p_max + 1) * ell_min)
-    if required_tolerance is not None and tail_estimate > required_tolerance:
-        raise ConvergenceError(
-            f"insufficient p_max={policy.p_max}: residual estimate {tail_estimate:.3e} "
-            f"exceeds requested tolerance {required_tolerance:.3e}"
-        )
     with _in_float_range(lam):
         lhs, (rhs,) = _factorization_weights(cols, k, policy.j_max, [policy.p_max])
         max_abs, max_rel = _relative_residual(lhs, rhs)

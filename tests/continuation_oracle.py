@@ -22,6 +22,18 @@ from friedzeta.summation import block_sum
 from friedzeta.toral import orbit_table
 
 
+def wedge_trace_power(auto, k: int, m: int) -> int:
+    """Exact ``Tr(wedge^k A^m)`` for k in {0, 1, 2}."""
+    if k == 0:
+        return 1
+    if k == 1:
+        am = auto.power(m)
+        return am[0][0] + am[1][1]
+    if k == 2:
+        return auto.det**m
+    raise ValueError("k must be 0, 1 or 2 for a 2-torus base")
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def eager_trace_sums(model, representation, lam, n_max, tau=0.0):
     """``(S_m, |det(A^m - I)|)`` for m = 1..n_max, all at once."""
@@ -91,7 +103,7 @@ def eager_determinant(model, representation, k, lam, n_max, sums, tail_tol=1e-12
     """The degree-``k`` determinant from the precomputed ``sums`` of :func:`eager_trace_sums`."""
     auto = model.automorphism
     s_values, counts = sums
-    traces = [auto.wedge_trace_power(k, m) * (s_values[m - 1] / counts[m - 1]) for m in range(1, n_max + 1)]
+    traces = [wedge_trace_power(auto, k, m) * (s_values[m - 1] / counts[m - 1]) for m in range(1, n_max + 1)]
     u = 1.0 + 0.0j if representation is None else complex(representation.circle)
     window = max(2, _fiber_order(representation))
     try:

@@ -2,13 +2,14 @@
 
 Every point's successor, coordinates and roof phases come from its flat
 index ``i * d2 + j`` through int64 ``divmod`` and ``%``, and the roof is
-evaluated by :func:`friedzeta._kernels.trig_values`, one cos or sin per point per
-term.
+evaluated by :func:`roof_values`, one cos or sin per point per term, written
+here from the polynomial's terms rather than shared with the package.
 """
+
+import math
 
 import numpy as np
 
-from friedzeta._kernels import trig_values
 from friedzeta.toral import _det, _fixed_point_lattice, _mat_mul
 
 PASS_BLOCK = 1 << 16
@@ -20,6 +21,20 @@ def index_blocks(d1: int, d2: int):
     for lo in range(0, count, PASS_BLOCK):
         k = np.arange(lo, min(lo + PASS_BLOCK, count), dtype=np.int64)
         yield (lo, *np.divmod(k, d2)) if d1 > 1 else (lo, 0, k)
+
+
+def roof_values(poly, x1, x2, den: int):
+    """``poly`` at the points ``(x1, x2) / den``, terms added in order; a zero amplitude skips its cos or sin."""
+    value = np.full(len(x1), float(poly.constant))
+    for k1, k2, a, b in poly.terms:
+        phase = (2.0 * math.pi / den) * ((k1 * x1 + k2 * x2) % den)
+        if b == 0.0:
+            value += a * np.cos(phase)
+        elif a == 0.0:
+            value += b * np.sin(phase)
+        else:
+            value += a * np.cos(phase) + b * np.sin(phase)
+    return value
 
 
 def flat_period_pass(auto, n: int, roof=None, time_change=None):
@@ -56,10 +71,10 @@ def flat_period_pass(auto, n: int, roof=None, time_change=None):
         rows = row[lo : lo + len(j)]
         np.minimum.at(key, rows, x1 * d2 + x2)
         if roof is not None:
-            r = trig_values(*roof.arrays(), x1, x2, d2)
+            r = roof_values(roof, x1, x2, d2)
             np.add.at(length, rows, r)
             if time_change is not None:
-                np.add.at(slope, rows, r * trig_values(*time_change.arrays(), x1, x2, d2))
+                np.add.at(slope, rows, r * roof_values(time_change, x1, x2, d2))
     order = np.argsort(key[:-1])
     key = key[order]
     return key // d2, key % d2, d2, length[order], slope[order]

@@ -24,7 +24,6 @@ from friedzeta import (
     cycle_zeta,
     fried_check,
     read_orbit_dump,
-    orbit_columns,
     read_spectrum,
     ruelle_log_zeta,
     write_spectrum,
@@ -36,6 +35,7 @@ from friedzeta.config import RunConfig
 from friedzeta.toral import orbit_table
 
 from dump_oracle import read_lines_dump, read_records_dump
+from scalar_oracle import columns_from_records
 
 CAT_SETTINGS = [
     "model.matrix=2 1 1 1",
@@ -107,7 +107,7 @@ class TestZetaEval:
         recs = orbit_records(model, 8)
         rep = Character.from_angle_fraction(0.5)
         for row, lam in zip(ruelle_rows, (4.0, 5.0)):
-            direct = ruelle_log_zeta(orbit_columns(recs, rep), lam, pol)
+            direct = ruelle_log_zeta(columns_from_records(recs, rep), lam, pol)
             assert row["log_value_re"] == direct.log_value.real
             assert row["log_value_im"] == direct.log_value.imag
         header = csv.read_text().splitlines()[0]
@@ -853,7 +853,7 @@ class TestOrbitDumpPipeline:
         model = SuspensionModel(ToralAutomorphism(((2, 1), (1, 1))), TrigPolynomial.const(1.0))
         pol = TruncationPolicy(max_period=6, entropy=0.963)
         # dump carries no twist application; trivial rho on read-back
-        direct = ruelle_log_zeta(orbit_columns(orbit_records(model, 6)), 4.0, pol)
+        direct = ruelle_log_zeta(columns_from_records(orbit_records(model, 6)), 4.0, pol)
         assert rows[0]["log_value_re"] == pytest.approx(direct.log_value.real, rel=1e-12)
 
     def test_missing_file_exit_1(self):

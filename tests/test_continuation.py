@@ -13,7 +13,6 @@ from friedzeta import (
     cycle_zeta,
     cycle_zetas,
     dynamical_determinant,
-    orbit_columns,
     orbit_records,
     ruelle_log_zeta,
     zeta_at_zero,
@@ -24,6 +23,7 @@ from friedzeta.continuation import _TraceStream, trace_sums
 from friedzeta.errors import CapacityError, ConvergenceError, FriedzetaError
 
 from continuation_oracle import eager_cycle_zeta, eager_trace_sums
+from scalar_oracle import character_value, columns_from_records
 from test_toral import TABLE_CASES, TABLE_CHANGE, TABLE_ROOF
 
 
@@ -63,7 +63,7 @@ class TestTraceSums:
         for m in range(1, 6):
             pts = fixed_points(a, m)
             oracle = sum(
-                chi.value(*homology_class(a, (int(p), int(q)), pts.den, m))
+                character_value(chi, *homology_class(a, (int(p), int(q)), pts.den, m))
                 for p, q in zip(pts.num1, pts.num2)
             )
             assert s[m - 1] == pytest.approx(oracle, abs=1e-9)
@@ -78,7 +78,7 @@ class TestTraceSums:
             pts = fixed_points(a, m)
             lengths = birkhoff_sums(pts.num1, pts.num2, pts.den, a.matrix, m, roofed.roof)
             terms = [
-                cmath.exp(-lam * ell) * chi.value(*homology_class(a, (int(p), int(q)), pts.den, m))
+                cmath.exp(-lam * ell) * character_value(chi, *homology_class(a, (int(p), int(q)), pts.den, m))
                 for p, q, ell in zip(pts.num1, pts.num2, lengths)
             ]
             assert abs(s[m - 1] - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
@@ -189,7 +189,7 @@ class TestContinuationProductAgreement:
         lam = h + 2.0
         pol = TruncationPolicy(max_period=14, j_max=60, entropy=h)
         records = orbit_records(perturbed_model, 14)
-        euler = ruelle_log_zeta(orbit_columns(records, rep_minus), lam, pol)
+        euler = ruelle_log_zeta(columns_from_records(records, rep_minus), lam, pol)
         product = cycle_zeta(perturbed_model, rep_minus, lam, pol).value
         assert abs(product - cmath.exp(euler.log_value)) <= euler.tail_bound
 

@@ -3,6 +3,8 @@ import numpy as np
 from friedzeta import SuspensionModel, ToralAutomorphism, TrigPolynomial, fixed_points
 from friedzeta._kernels import birkhoff_sums
 
+from scalar_oracle import trig_value
+
 CAT = ToralAutomorphism(((2, 1), (1, 1)))
 ROOF = TrigPolynomial(1.0, ((1, 0, 0.05, 0.0), (0, 1, 0.0, 0.04)))
 CHANGE = TrigPolynomial(0.1, ((1, 1, 0.03, 0.0),))
@@ -15,8 +17,8 @@ def reference_birkhoff(num1, num2, den, matrix, steps, roof, change, tau):
         x1, x2 = int(p), int(q)
         acc = 0.0
         for _ in range(steps):
-            r = roof.value_at_rational(x1, x2, den)
-            g = change.value_at_rational(x1, x2, den) if change is not None else 0.0
+            r = trig_value(roof, x1, x2, den)
+            g = trig_value(change, x1, x2, den) if change is not None else 0.0
             acc += r * (1.0 + tau * g)
             x1, x2 = (
                 (matrix[0][0] * x1 + matrix[0][1] * x2) % den,

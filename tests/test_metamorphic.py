@@ -8,7 +8,14 @@ so the two runs must agree to rounding:
 * coboundary: adding ``g o A - g`` to the roof (``g o A`` has frequencies
   ``A^T k``) changes no orbit length;
 * reversal: ``A^-1`` runs the same orbits backwards, so its flow zeta at
-  twist ``u`` is that of ``A`` at ``u * det(A)^winding``.
+  twist ``u`` is that of ``A`` at ``u * det(A)^winding``;
+* cyclic cover: the q-fold cover of the suspension of ``(A, r)`` is the
+  suspension of ``(A^q, r_q)``, ``r_q = sum_{i<q} r o A^i`` (each roof term
+  ``k`` repeated at ``(A^T)^i k``), and ``zeta_cover(u^q)`` is the product of
+  ``zeta(u w)`` over ``w^q = 1``.  A base orbit of period ``p`` lifts to
+  ``gcd(p, q)`` orbits of period ``p / gcd(p, q)``, so the cover to period
+  ``M`` reads the base orbits with ``p / gcd(p, q) <= M``, and the Euler
+  products compare on exactly those rows.
 
 The examples are small hyperbolic matrices with at most ``MAX_POINTS``
 fixed points up to the depth summed.  The length, conjugation and formal
@@ -17,8 +24,18 @@ depth 10 to 12.  Two are wider, at about twice the largest relative
 difference seen over 900 random examples of these strategies: the
 coboundary's cycle expansion (6.9e-15 seen; four matrices gave 5e-15) and
 reversal (4.7e-16 seen, 8.3e-17 absolute; a few matrices gave 2e-17
-absolute).
+absolute).  The cover's cycle expansions read ``A^(2n)`` and converge to
+``tail_tol`` more slowly as ``|lam_u|`` and the roof grow, so they run on
+the cat map and ``1 1 1 0`` under one roof, to at most about a million
+fixed points in one period; near ``lambda = 0`` their agreement is bounded
+by the recursion's rounding, so the grid keeps away from it.  Drawn roofs
+are not used there: one that the first periods' fixed points do not see
+(those of ``1 1 1 0`` up to period 3 are halves) leaves the first
+coefficients at rounding level, and the decay stop then ends a recursion
+at n = 3 before the coefficients that follow (ROADMAP item 15).
 """
+
+import math
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -32,11 +49,12 @@ from friedzeta import (
     TrigPolynomial,
     TruncationPolicy,
     cycle_zeta,
+    cycle_zetas,
     graded_log_zeta,
     orbit_columns,
     ruelle_log_zeta,
 )
-from friedzeta.toral import orbit_table
+from friedzeta.toral import OrbitTable, orbit_table
 
 MAX_POINTS = 4000  # fixed points of A^n summed over n <= n_max
 CONJUGATION_TOL = 5.3e-15  # sorted lengths per period and Ruelle log values
@@ -44,6 +62,8 @@ FORMAL_TOL = 1e-10  # graded values and the cycle expansion under conjugation, r
 COBOUNDARY_LENGTH_TOL = 9e-15
 COBOUNDARY_CYCLE_TOL = 1.5e-14  # relative
 REVERSAL_TOL = 1e-15  # relative
+COVER_TOL = 1e-13  # relative, Euler products and cycle expansions
+COVER_POINTS = 1_000_000  # fixed points of one cover period, at most, in the cycle expansions
 
 EXAMPLES = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -186,6 +206,53 @@ def reversal_difference(matrix, roof_terms, u_fraction):
     return worst
 
 
+def _cover(matrix, roof_terms, q):
+    """The q-fold cyclic cover of the suspension of ``(matrix, _roof(roof_terms))``."""
+    power, frequencies, cover_terms = ((1, 0), (0, 1)), [k for k, _, _ in roof_terms], []
+    for _ in range(q):
+        cover_terms += [(*k, a, b) for k, (_, a, b) in zip(frequencies, roof_terms)]
+        frequencies = [_apply(_transpose(matrix), k) for k in frequencies]
+        power = _mul(power, matrix)
+    return SuspensionModel(ToralAutomorphism(power), TrigPolynomial(q * 1.0, tuple(cover_terms)))
+
+
+def cover_euler_difference(matrix, roof_terms, theta, q=2):
+    """Relative Ruelle difference between the cover at ``u^q`` and the sum over ``w^q = 1`` of the base at ``u w``.
+
+    The cover runs to period ``M = n_max // q`` and the base to ``q M``, on the rows the cover reads.
+    """
+    base, cover = SuspensionModel(ToralAutomorphism(matrix), _roof(roof_terms)), _cover(matrix, roof_terms, q)
+    m = _n_max(base.automorphism) // q
+    table = orbit_table(base, q * m)
+    lifted = table.period // np.gcd(table.period, q) <= m
+    base_rows = OrbitTable(base, q * m, *(column[lifted] for column in table.columns()))
+    policy = TruncationPolicy(max_period=q * m, j_max=40, entropy=base.default_entropy())
+    worst = 0.0
+    for lam in (3.0, 3.0 + 1.0j):
+        x = ruelle_log_zeta(orbit_columns(orbit_table(cover, m), Character.from_angle_fraction(q * theta)),
+                            lam, policy).log_value
+        y = sum(ruelle_log_zeta(orbit_columns(base_rows, Character.from_angle_fraction(theta + w / q)),
+                                lam, policy).log_value for w in range(q))
+        worst = max(worst, abs(x - y) / abs(x))
+    return worst
+
+
+def cover_cycle_differences(matrix, theta, q=2):
+    """Relative differences of the cycle-expansion zetas, cover at ``u^q`` against the product of the base's at
+    ``u w``, at each λ of the grid."""
+    roof_terms = [((1, 0), 0.05, 0.0), ((0, 1), 0.0, 0.04)]
+    base, cover = SuspensionModel(ToralAutomorphism(matrix), _roof(roof_terms)), _cover(matrix, roof_terms, q)
+    depth = 1  # cover periods up to COVER_POINTS fixed points, the base to q times that period
+    while abs(cover.automorphism.lam_u) ** (depth + 1) < COVER_POINTS:
+        depth += 1
+    lams = (0.5, 1.0, 0.5 + 2.0j)
+    policy = TruncationPolicy(max_period=depth, tail_tol=1e-13)
+    covered = cycle_zetas(cover, Character.from_angle_fraction(q * theta), lams, policy)
+    factors = [cycle_zetas(base, Character.from_angle_fraction(theta + w / q), lams,
+                           TruncationPolicy(max_period=q * depth, tail_tol=1e-13)) for w in range(q)]
+    return [abs(z.value - math.prod(f[i].value for f in factors)) / abs(z.value) for i, z in enumerate(covered)]
+
+
 @EXAMPLES
 @given(hyperbolic, unimodular, terms, twists)
 def test_conjugation(matrix, conjugator, roof_terms, u_fraction):
@@ -218,3 +285,15 @@ def test_reversal_needs_the_orientation_twist():
     plain = [ruelle_log_zeta(orbit_columns(orbit_table(model, 6)), lam, policy).log_value for model in models]
     assert abs(plain[0] - plain[1]) > 1e-3
     assert reversal_difference(matrix, [((1, 0), 0.05, 0.0)], None) <= REVERSAL_TOL
+
+
+@EXAMPLES
+@given(hyperbolic, terms, st.floats(0.0, 1.0))
+def test_cyclic_cover_euler_products(matrix, roof_terms, theta):
+    assert cover_euler_difference(matrix, roof_terms, theta) <= COVER_TOL
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([((2, 1), (1, 1)), ((1, 1), (1, 0))]), st.floats(0.0, 1.0))
+def test_cyclic_cover_cycle_expansions(matrix, theta):
+    assert max(cover_cycle_differences(matrix, theta)) <= COVER_TOL

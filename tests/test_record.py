@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import friedzeta
-from friedzeta import ComplexLengthRecord, CyclicWord, SuspensionModel, ToralAutomorphism, TrigPolynomial, toral
+from friedzeta import (ComplexLengthRecord, CyclicWord, SuspensionModel, ToralAutomorphism, TrigPolynomial, kleinian,
+                       toral)
 from friedzeta._record import FrozenRecordError, asdict, fields, record, replace
 from friedzeta.toral import orbit_table
 
@@ -175,12 +176,27 @@ def test_library_import_does_not_freeze():
     assert _fresh_interpreter("import gc, json; import friedzeta.toral; print(json.dumps(gc.get_freeze_count()))") == 0
 
 
-def test_cyclic_words_compare_order_and_hash_by_letters_alone():
-    word, flagged = CyclicWord((1, 2), True), CyclicWord((1, 2), False)
-    assert word == flagged and hash(word) == hash(flagged) == hash(((1, 2),))
-    assert sorted([CyclicWord((2,)), CyclicWord((1, 2)), CyclicWord((-1,))]) == [
-        CyclicWord((-1,)), CyclicWord((1, 2)), CyclicWord((2,))]
-    assert repr(flagged) == "CyclicWord(letters=(1, 2), primitive=False)"
+def test_commands_leave_the_kernel_oracle_unloaded():
+    # friedzeta._kernels is the tests' Birkhoff-sum oracle: neither importing the CLI nor a toral command loads it
+    seen = _fresh_interpreter(
+        "import contextlib, io, json, os, sys; import friedzeta.cli\n"
+        "imported = 'friedzeta._kernels' in sys.modules\n"
+        "argv = ['zeta-eval', '--out', os.devnull]\n"
+        "for item in ('model.matrix=2 1 1 1', 'model.roof=const:1 cos:1,0:0.05 sin:0,1:0.04',\n"
+        "             'model.time_change=const:0 cos:0,1:0.3', 'tau.value=0.1', 'policy.n_max=10', 'lambda.grid=3'):\n"
+        "    argv += ['--set', item]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = friedzeta.cli.main(argv)\n"
+        "print(json.dumps([imported, code, 'friedzeta._kernels' in sys.modules]))")
+    assert seen == [False, 0, False]
+
+
+def test_cyclic_words_are_plain_records():
+    # primitive is a function of the letters, so the generic equality and hash of both fields are those of the letters
+    words = kleinian.enumerate_conjugacy_classes(2, 3)
+    assert len(set(words)) == len({w.letters for w in words}) == len(words)
+    assert all(w == CyclicWord(w.letters, w.primitive) and hash(w) == hash((w.letters, w.primitive)) for w in words)
+    assert repr(CyclicWord((1, 2), False)) == "CyclicWord(letters=(1, 2), primitive=False)"
 
 
 def test_complex_length_record_init_binds_like_the_generic_one():

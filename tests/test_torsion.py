@@ -14,7 +14,6 @@ from friedzeta import (
     chain_torsion,
     fried_check,
     fried_checks,
-    is_acyclic,
     mapping_cone_complex,
     mapping_torus_torsion,
 )
@@ -62,17 +61,16 @@ def random_acyclic_complex(rng, max_pieces=3):
 class TestAcyclicity:
     def test_zero_complex(self):
         c = BasedChainComplex((0, 0), (np.zeros((0, 0)),))
-        assert is_acyclic(c)[0]
+        assert chain_torsion(c).value == 1.0
 
     def test_invertible_map(self):
         c = BasedChainComplex((1, 1), (np.array([[1.0]]),))
-        assert is_acyclic(c)[0]
+        assert chain_torsion(c).value == 1.0
 
     def test_zero_map_not_acyclic(self):
         c = BasedChainComplex((1, 1), (np.array([[0.0]]),))
-        ok, homology = is_acyclic(c)
-        assert not ok
-        assert homology == [1, 1]
+        with pytest.raises(NotAcyclicError, match=r"homology ranks \[1, 1\]"):
+            chain_torsion(c)
 
     def test_dd_zero_enforced(self):
         with pytest.raises(ValidationError):

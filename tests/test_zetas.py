@@ -30,12 +30,13 @@ from friedzeta import (
     zetas,
 )
 from friedzeta._record import replace
-from friedzeta.characters import char_label, char_tensor
+from friedzeta.characters import char_label
 from friedzeta.toral import orbit_table
 from friedzeta.zetas import _class_angles, _det_one_minus_ps, _kleinian_iterates, _shell_tail, orbit_columns
 
 import euler_oracle
 from dump_oracle import read_records_dump
+from scalar_oracle import character_value, columns_from_records
 from test_toral import TABLE_CASES, TABLE_CHANGE, TABLE_ROOF
 
 
@@ -58,7 +59,7 @@ class TestRuelle:
     def test_cat_map_closed_form(self, cat, cat_model, rep_minus, policy14):
         lam = cat_model.default_entropy() + 2.0
         records = orbit_records(cat_model, 14)
-        zv = ruelle_log_zeta(orbit_columns(records, rep_minus), lam, policy14)
+        zv = ruelle_log_zeta(columns_from_records(records, rep_minus), lam, policy14)
         closed = cat_closed_form(lam, rep_minus.circle, cat.lam_u, cat.lam_s)
         assert abs(zv.log_value - closed) < zv.tail_bound
         assert abs(zv.log_value - closed) < 1e-12
@@ -66,15 +67,15 @@ class TestRuelle:
     def test_euler_product_consistency(self, cat_model, rep_minus, policy14):
         lam = cat_model.default_entropy() + 2.0
         records = orbit_records(cat_model, 10)
-        zv = ruelle_log_zeta(orbit_columns(records, rep_minus), lam, policy14)
+        zv = ruelle_log_zeta(columns_from_records(records, rep_minus), lam, policy14)
         product = 1.0 + 0.0j
         for rec in records:
-            rho = rep_minus.value(rec.class_exps, rec.winding)
+            rho = character_value(rep_minus, rec.class_exps, rec.winding)
             product *= 1 - rec.epsilon * rho * cmath.exp(-lam * rec.length)
         assert cmath.exp(zv.log_value) == pytest.approx(product, rel=1e-12)
 
     def test_convergence_region_enforced(self, cat_model, rep_minus, policy14):
-        cols = orbit_columns(orbit_records(cat_model, 3), rep_minus)
+        cols = columns_from_records(orbit_records(cat_model, 3), rep_minus)
         with pytest.raises(ConvergenceError):
             ruelle_log_zeta(cols, 0.5, policy14)
         ruelle_log_zeta(cols, 0.5, policy14, allow_formal=True)
@@ -84,7 +85,7 @@ class TestRuelle:
         tails = []
         for n_max in (6, 9, 12):
             pol = TruncationPolicy(max_period=n_max, entropy=cat_model.default_entropy())
-            zv = ruelle_log_zeta(orbit_columns(orbit_records(cat_model, n_max), rep_minus), lam, pol)
+            zv = ruelle_log_zeta(columns_from_records(orbit_records(cat_model, n_max), rep_minus), lam, pol)
             tails.append(zv.tail_bound)
         assert tails[0] > tails[1] > tails[2] > 0
 
@@ -104,9 +105,9 @@ class TestGraded:
         records = orbit_records(cat_model, 4)
         pol = TruncationPolicy(j_max=1, entropy=cat_model.default_entropy())
         lam = 4.0
-        zv = graded_log_zeta(orbit_columns(records, rep_minus), 0, lam, pol)
+        zv = graded_log_zeta(columns_from_records(records, rep_minus), 0, lam, pol)
         manual = sum(
-            -rep_minus.value(r.class_exps, r.winding)
+            -character_value(rep_minus, r.class_exps, r.winding)
             * cmath.exp(-lam * r.length)
             / abs((1 - r.lam_u) * (1 - r.lam_s))
             for r in records
@@ -117,7 +118,7 @@ class TestGraded:
 class TestAssembly:
     def test_suspension_sign_and_match(self, cat_model, rep_minus, policy14):
         lam = cat_model.default_entropy() + 2.0
-        cols = orbit_columns(orbit_records(cat_model, 10), rep_minus)
+        cols = columns_from_records(orbit_records(cat_model, 10), rep_minus)
         report = assemble_ruelle_from_graded(cols, lam, policy14)
         assert report.global_sign == -1
         assert report.max_residual < 1e-12
@@ -130,7 +131,7 @@ class TestAssembly:
             __import__("friedzeta").ToralAutomorphism(a), TrigPolynomial.const(1.0)
         )
         pol = TruncationPolicy(j_max=10, entropy=model.default_entropy())
-        cols = orbit_columns(orbit_records(model, 6))
+        cols = columns_from_records(orbit_records(model, 6))
         lam = model.default_entropy() + 2.0
         report = assemble_ruelle_from_graded(cols, lam, pol)
         assert report.global_sign == -1
@@ -260,12 +261,6 @@ class TestFactorization:
         slope = np.polyfit(ps, rs, 1)[0]
         assert slope <= -ell_min / 1.5
 
-    def test_insufficient_p_max_raises(self):
-        spectrum = synthetic_spectrum(2.0, 10, 3)
-        pol = TruncationPolicy(j_max=2, p_max=5, entropy=2.0)
-        with pytest.raises(ConvergenceError):
-            factorization_check(orbit_columns(spectrum), 0, 5.0, pol, required_tolerance=1e-10)
-
     def test_theta_zero_coefficient_count(self):
         # at theta=0 the symmetric block sums to r+1 copies per exponent shell,
         # reproducing the expanding-side geometric square
@@ -299,7 +294,7 @@ class TestRecordContracts:
 
 def _loop_rho(rec, rep):
     if isinstance(rec, OrbitRecord):
-        return 1.0 + 0.0j if rep is None else rep.value(rec.class_exps, rec.winding)
+        return 1.0 + 0.0j if rep is None else character_value(rep, rec.class_exps, rec.winding)
     return complex(rec.rho)
 
 
@@ -345,7 +340,7 @@ def loop_selberg(records, labels, lam, j_max):
     terms = []
     for rec in records:
         for j in range(1, j_max + 1):
-            chi = char_tensor(labels, TorusElement(2, j * rec.theta))
+            chi = math.prod(char_label(label, TorusElement(2, j * rec.theta)) for label in labels)
             det_ps = poincare_data(rec.length, rec.theta, j, 0).det_one_minus_ps
             phase = rec.rho**j * cmath.exp(-lam * j * rec.length)
             terms.append(-rec.multiplicity * phase * chi / (j * det_ps))
@@ -442,7 +437,7 @@ class TestArrayPathAgainstLoops:
             model = SuspensionModel(ToralAutomorphism(matrix), TrigPolynomial.const(1.0))
             rep = Character.from_angle_fraction(0.2)
         records = orbit_records(model, 7)
-        cols = orbit_columns(records, rep)
+        cols = columns_from_records(records, rep)
         pol = TruncationPolicy(j_max=12, entropy=model.default_entropy())
         for lam in (model.default_entropy() + 1.5, 4.0 + 2.5j):
             zv = ruelle_log_zeta(cols, lam, pol)
@@ -459,17 +454,17 @@ class TestArrayPathAgainstLoops:
         table = orbit_table(cat_family, 8)
         for tau in (0.0, 0.1):
             from_table = ruelle_log_zeta(orbit_columns(table, rep_minus, tau), 3.5, pol)
-            from_records = ruelle_log_zeta(orbit_columns(orbit_records(cat_family, 8, tau), rep_minus), 3.5, pol)
+            from_records = ruelle_log_zeta(columns_from_records(orbit_records(cat_family, 8, tau), rep_minus), 3.5, pol)
             assert from_table.log_value == from_records.log_value
             assert from_table.tail_bound == from_records.tail_bound
         # a constant roof ties every length within a period; the fiber twist tells the rows apart
         model, rep = _twisted_3211()
         model = SuspensionModel(model.automorphism, TrigPolynomial.const(1.0))
-        a, b = orbit_columns(orbit_table(model, 6), rep), orbit_columns(orbit_records(model, 6), rep)
+        a, b = orbit_columns(orbit_table(model, 6), rep), columns_from_records(orbit_records(model, 6), rep)
         for name in ("length", "rho", "epsilon", "lam_u", "lam_s", "det_power"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
-        in_order = sorted(orbit_records(model, 6), key=lambda r: r.sort_key())
-        assert np.allclose(a.rho, [rep.value(r.class_exps, r.winding) for r in in_order], rtol=0, atol=1e-14)
+        assert np.allclose(a.rho, [character_value(rep, r.class_exps, r.winding) for r in orbit_records(model, 6)],
+                           rtol=0, atol=1e-14)
 
     def test_dump_records(self, cat_family, rep_minus, tmp_path):
         from friedzeta import read_orbit_dump, write_orbit_dump
@@ -482,7 +477,7 @@ class TestArrayPathAgainstLoops:
             zv = ruelle_log_zeta(orbit_columns(back, rep), 3.0, pol)
             assert _close(zv.log_value, loop_ruelle(records, rep, 3.0, 16))
         for name in ("length", "rho", "epsilon", "multiplicity", "lam_u", "lam_s", "det_power"):
-            want = getattr(orbit_columns(records, rep_minus), name)
+            want = getattr(columns_from_records(records, rep_minus), name)
             assert np.array_equal(getattr(orbit_columns(back, rep_minus), name), want, equal_nan=True)
 
     def test_kleinian_graded_and_selberg(self):
@@ -506,7 +501,7 @@ class TestArrayPathAgainstLoops:
         model = SuspensionModel(ToralAutomorphism(((2, 1), (1, 1))),
                                 TrigPolynomial.cosine((1, 0), 0.05, constant=1.0))
         records, spectrum = orbit_records(model, 6), _mixed_spectrum()
-        toral, kleinian = orbit_columns(records, rep_minus), orbit_columns(spectrum)
+        toral, kleinian = columns_from_records(records, rep_minus), orbit_columns(spectrum)
         h = model.default_entropy()
         labels = [IrrepLabel("sigma", 2, 2), IrrepLabel("nu", 1, 2)]
         loop_graded_kept, residual_kept = functools.cache(loop_graded), functools.cache(loop_assembly_residual)
@@ -585,7 +580,7 @@ class TestWeightGroupsAgainstPerOrbitOracle:
         path = tmp_path / "orbits.txt"
         write_orbit_dump(path, table, 0.1)
         return model, [("table", orbit_columns(table, rep, 0.1)),
-                       ("records", orbit_columns(orbit_records(model, n_max, 0.1), rep)),
+                       ("records", columns_from_records(orbit_records(model, n_max, 0.1), rep)),
                        ("dump", orbit_columns(read_orbit_dump(path), rep))]
 
     @staticmethod
@@ -816,7 +811,7 @@ class TestArrayPathGuards:
                 call(too_long)
 
     def test_k_out_of_range(self, cat_model):
-        toral = orbit_columns(orbit_records(cat_model, 3))
+        toral = columns_from_records(orbit_records(cat_model, 3))
         kleinian = orbit_columns(synthetic_spectrum(2.0, 5, 1))
         pol = TruncationPolicy(j_max=3, entropy=2.0)
         for call in (lambda: graded_log_zeta(toral, 3, 4.0, pol),
@@ -826,13 +821,6 @@ class TestArrayPathGuards:
                      lambda: factorization_residual_curve(kleinian, 3, 5.0, pol, [10])):
             with pytest.raises(ValidationError):
                 call()
-
-    def test_insufficient_p_max(self):
-        cols = orbit_columns(synthetic_spectrum(2.0, 10, 3))
-        enough = TruncationPolicy(j_max=2, p_max=40, entropy=2.0)
-        factorization_check(cols, 0, 5.0, enough, required_tolerance=1e-10)
-        with pytest.raises(ConvergenceError, match="insufficient p_max"):
-            factorization_check(cols, 0, 5.0, replace(enough, p_max=5), required_tolerance=1e-10)
 
     def test_array_cells_are_capped(self):
         from friedzeta import CapacityError
@@ -858,18 +846,18 @@ class TestArrayPathGuards:
         records = orbit_records(cat_model, 6)
         pol = TruncationPolicy(j_max=16, entropy=cat_model.default_entropy())
         with pytest.raises(ConvergenceError, match="leaves floating point"):
-            ruelle_log_zeta(orbit_columns(records), -200.0, pol, allow_formal=True)
+            ruelle_log_zeta(columns_from_records(records), -200.0, pol, allow_formal=True)
 
     def test_twist_rules(self, cat_model, rep_minus):
-        records = orbit_records(cat_model, 3)
+        table = orbit_table(cat_model, 3)
         spectrum = synthetic_spectrum(2.0, 5, 1)
         pol = TruncationPolicy(j_max=3, entropy=2.0)
-        cols = orbit_columns(records, rep_minus)
+        cols = orbit_columns(table, rep_minus)
         assert not cols.length.flags.writeable and not cols.rho.flags.writeable
         for call in (lambda: orbit_columns(spectrum, rep_minus),
-                     lambda: orbit_columns(records, 0.5),
-                     lambda: orbit_columns(records + spectrum),
-                     lambda: orbit_columns(records, rep_minus, tau=0.1),
+                     lambda: orbit_columns(table, 0.5),
+                     lambda: orbit_columns(table.records() + spectrum),
+                     lambda: orbit_columns(spectrum, tau=0.1),
                      lambda: selberg_log_zeta(cols, IrrepLabel("nu", 0, 2), 4.0, pol),
                      lambda: factorization_check(orbit_columns(orbit_table(cat_model, 2)), 0, 5.0, pol)):
             with pytest.raises(ValidationError):
