@@ -10,9 +10,9 @@ whole periods as deeper periods are asked for;
 :func:`orbit_records` serve only test oracles and perfbench trace targets.
 The table is built by passes over the fixed points of ``A^n`` in Smith
 coordinates ``(i, j)``.  There ``A`` is a successor permutation whose
-cycles pointer doubling labels, and the roof is summed per cycle.  A
-request that adds several periods builds those of at most
-``_UNION_POINTS`` fixed points together, in one pass over the union of
+cycles pointer doubling labels, and the roof is summed per cycle.  When
+the first two or more periods a request adds each hold at most
+``_UNION_POINTS`` fixed points, they share one pass over the union of
 their points, where :func:`trig_values` evaluates the roof one cos or sin
 per point per term; each other period takes a pass of its own.  In that
 pass the successor, the point and every roof phase are linear in ``(i, j)``,
@@ -28,7 +28,7 @@ import math
 import re
 import warnings
 from functools import cached_property, lru_cache
-from itertools import islice
+from itertools import chain, islice, takewhile
 
 import numpy as np
 
@@ -64,9 +64,10 @@ MAX_DENOMINATOR = 1 << 31
 MAX_ENUMERATED_POINTS = 1 << 27
 # Fixed points per block of a period pass: bounds its int64 and float temporaries.
 _PASS_BLOCK = 1 << 16
-# New periods of at most this many fixed points share one pass (the cat map's periods 1-8).  Measured on
-# the cat map to period 10, 2,500 builds faster than 1,000 or 6,000: a small period's own pass is mostly
-# fixed per-call work, while the shared pass costs more per point.
+# A request's first new periods of at most this many fixed points share one pass (the cat map's periods 1-8).
+# Measured on the cat map to period 10, 2,500 builds faster than 1,000 or 6,000: a small period's own pass is
+# mostly fixed per-call work, while the shared pass costs more per point.  |det(A^n - I)| >= phi^n - 2 for every
+# hyperbolic A, so at most periods 1-16 are that small: a shared pass holds at most 16 * 2,500 points.
 _UNION_POINTS = 2500
 
 ORBIT_DUMP_HEADER = "#fried-orbits v1"
@@ -598,10 +599,11 @@ def _period_pass(auto: ToralAutomorphism, n: int, roof: TrigPolynomial | None = 
     phase ``k . x mod d2`` are linear in ``(i, j)``, so each is an outer sum
     of two per-axis residue vectors.  When ``d2`` is at most a block, the
     phases index one cos and one sin table over ``2 pi / d2 * arange(d2)``.
-    Returns ``(num1, num2, den, length, slope)`` sorted by ``(num1, num2)``:
-    the orbit sums of ``roof`` and of ``roof * time_change`` (0 where absent).
-    A sum beyond the float range is a :class:`CapacityError`.  ``lattice``
-    is ``_fixed_point_lattice(auto, n)`` when the caller has it already.
+    Returns the table columns ``(period, num1, num2, den, length0, slope,
+    class_exps)`` sorted by ``(num1, num2)``: ``length0`` and ``slope`` are
+    the orbit sums of ``roof`` and of ``roof * time_change`` (0 where
+    absent).  ``lattice`` is ``_fixed_point_lattice(auto, n)`` when the
+    caller has it already.
     """
     d1, d2, v = lattice or _fixed_point_lattice(auto, n)
     count, stride = d1 * d2, d2 // d1
@@ -643,7 +645,7 @@ def _period_pass(auto: ToralAutomorphism, n: int, roof: TrigPolynomial | None = 
         cos, sin = np.cos(angle).take, np.sin(angle).take
     else:
         cos, sin = (lambda k: np.cos(k * step)), (lambda k: np.sin(k * step))
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _orbit_columns
         for lo, i, j in _axis_blocks(d1, d2):
             x1, x2 = _outer_mod(*w[0], i, j, d2), _outer_mod(*w[1], i, j, d2)
             rows = row[lo : lo + x1.size]
@@ -654,30 +656,29 @@ def _period_pass(auto: ToralAutomorphism, n: int, roof: TrigPolynomial | None = 
                 if time_change is not None:
                     np.add.at(slope, rows, r * _trig_block(time_change, w, i, j, d2, cos, sin))
     order = np.argsort(key[:-1])
-    key, length, slope = key[order], length[order], slope[order]
-    if not (np.isfinite(length).all() and np.isfinite(slope).all()):
-        raise CapacityError(f"orbit lengths of period {n} exceed the floating-point range")
-    return key // d2, key % d2, d2, length, slope
+    key = key[order]
+    num1, num2 = key // d2, key % d2
+    return (np.full(len(key), n), num1, num2, np.full(len(key), d2), length[order], slope[order],
+            _class_columns(auto, n, num1, num2, d2))
 
 
 def _union_pass(auto: ToralAutomorphism, lattices: dict, roof: TrigPolynomial | None = None,
                 time_change: TrigPolynomial | None = None):
     """Table columns of several periods in one pass over the union of their fixed points.
 
-    ``lattices`` maps each period ``n`` to ``_fixed_point_lattice(auto, n)``,
-    at most ``_PASS_BLOCK`` points in all.  Point ``(i, j)`` of period ``n``
-    is union index ``start_n + i * d2 + j``.  The integers of each period
-    (its successor map, the map from ``(i, j)`` to ``x``, its class maps)
-    are one column of ``params``, gathered to one value per point or orbit,
-    so each step of :func:`_period_pass` is one array operation for all
-    periods.
+    ``lattices`` maps each period ``n`` to ``_fixed_point_lattice(auto, n)``.
+    Point ``(i, j)`` of period ``n`` is union index ``start_n + i * d2 + j``.
+    The integers of each period (its successor map, the map from ``(i, j)``
+    to ``x``, its class maps) are one column of ``params``, gathered to one
+    value per point or orbit, so each step of :func:`_period_pass` is one
+    array operation for all periods.
     Pointer doubling runs the rounds of the deepest period; more rounds
     leave a shallower cycle's smallest index as its label.  A cycle is a
     primitive orbit when its size, a count of its label, is its period.
     The roof is one cos or sin per point per term (:func:`trig_values`).  Returns
     ``(period, num1, num2, den, length0, slope, class_exps)`` sorted by
-    ``(period, num1, num2)``: per period, bit for bit the rows of
-    :func:`_period_pass` and :func:`_class_columns`.
+    ``(period, num1, num2)``: per period, bit for bit the columns of
+    :func:`_period_pass`.
     """
     params = []
     for n, (d1, d2, v) in lattices.items():
@@ -707,7 +708,7 @@ def _union_pass(auto: ToralAutomorphism, lattices: dict, roof: TrigPolynomial | 
     key = np.full(len(heads) + 1, _INT64_MAX)
     length, slope = np.zeros(len(heads) + 1), np.zeros(len(heads) + 1)
     x1, x2 = (w11 * i + w12 * j) % d2, (w21 * i + w22 * j) % d2
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _orbit_columns
         np.minimum.at(key, row, x1 * d2 + x2)
         if roof is not None:
             r = trig_values(roof, x1, x2, d2)
@@ -717,9 +718,6 @@ def _union_pass(auto: ToralAutomorphism, lattices: dict, roof: TrigPolynomial | 
     period, den, maps = n[heads], d2[heads], params[12:, which[heads]]
     order = np.lexsort((key[:-1], period))  # heads ascend by period: this sorts within each period
     key, length, slope = key[order], length[order], slope[order]
-    finite = np.isfinite(length) & np.isfinite(slope)
-    if not finite.all():
-        raise CapacityError(f"orbit lengths of period {period[~finite][0]} exceed the floating-point range")
     num1, num2 = key // den, key % den
     class_exps = np.stack([(w1 * num1 + w2 * num2) % mod // den for w1, w2, mod in maps.reshape(-1, 3, len(den))],
                           axis=1)
@@ -764,50 +762,32 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _pass_groups(lattices: dict):
-    """The new periods of ``lattices`` in runs that share one pass, in order.
-
-    Consecutive periods of at most ``_UNION_POINTS`` fixed points join one
-    run until it would pass ``_PASS_BLOCK`` points; a larger period is a run
-    of its own.  A run of one period takes :func:`_period_pass`, the others
-    :func:`_union_pass`.
-    """
-    run, points = [], 0
-    for n, (d1, d2, _) in lattices.items():
-        count = d1 * d2
-        if run and (count > _UNION_POINTS or points + count > _PASS_BLOCK):
-            yield run
-            run, points = [], 0
-        if count > _UNION_POINTS:
-            yield [n]
-        else:
-            run.append(n)
-            points += count
-    if run:
-        yield run
-
-
 def _orbit_columns(auto: ToralAutomorphism, n_max: int, roof=None, time_change=None, shallower=None):
     """Read-only ``(period, num1, num2, den, length0, slope, class_exps)`` up to ``n_max``.
 
     The periods past those of ``shallower``, an :class:`OrbitTable` whose
-    columns the result extends when given, are built in the runs of
-    :func:`_pass_groups`: small periods share one :func:`_union_pass`, and
-    each other period takes one :func:`_period_pass`.  Every new period's
-    lattice comes first, so a period past the enumeration cap is refused
-    before any pass.  ``length0`` and ``slope`` are 0 without a roof or
-    time change.
+    columns the result extends when given, are built by passes in period
+    order.  When the first two or more new periods each hold at most
+    ``_UNION_POINTS`` fixed points, they share one :func:`_union_pass`;
+    every other new period takes one :func:`_period_pass`.  Every new
+    period's lattice comes first, so a period past the enumeration cap is
+    refused before any pass, and each pass's orbit sums are checked as it
+    returns: a sum beyond the float range is a :class:`CapacityError` naming
+    its period.  ``length0`` and ``slope`` are 0 without a roof or time
+    change.
     """
     depth, parts = (0, []) if shallower is None else (shallower.n_max, [shallower.columns()])
     lattices = {n: _fixed_point_lattice(auto, n) for n in range(depth + 1, n_max + 1)}
-    for run in _pass_groups(lattices):
-        if len(run) > 1:
-            parts.append(_union_pass(auto, {n: lattices[n] for n in run}, roof, time_change))
-            continue
-        (n,) = run
-        num1, num2, den, length, slope = _period_pass(auto, n, roof, time_change, lattices[n])
-        parts.append((np.full(len(num1), n), num1, num2, np.full(len(num1), den), length, slope,
-                      _class_columns(auto, n, num1, num2, den)))
+    small = list(takewhile(lambda n: lattices[n][0] * lattices[n][1] <= _UNION_POINTS, lattices))
+    union = [{n: lattices.pop(n) for n in small}] if len(small) > 1 else []
+    passes = chain((_union_pass(auto, run, roof, time_change) for run in union),
+                   (_period_pass(auto, n, roof, time_change, lattice) for n, lattice in lattices.items()))
+    for columns in passes:
+        period, *_, length, slope, _ = columns
+        finite = np.isfinite(length) & np.isfinite(slope)
+        if not finite.all():
+            raise CapacityError(f"orbit lengths of period {period[~finite][0]} exceed the floating-point range")
+        parts.append(columns)
     return _read_only(*(np.concatenate(col) for col in zip(*parts)))
 
 

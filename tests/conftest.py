@@ -38,8 +38,8 @@ def policy14(cat_model):
 
 @pytest.fixture
 def period_passes(monkeypatch):
-    """The periods the test's table builds pass over, in call order: one per ``toral._period_pass`` call and
-    those of each ``toral._union_pass`` call."""
+    """The periods the test's tables build, in the order their passes build them: those of each
+    ``toral._union_pass`` call (a request's first small periods) and the one of each ``toral._period_pass`` call."""
     built = []
     period_pass, union_pass = toral._period_pass, toral._union_pass
     monkeypatch.setattr(toral, "_period_pass", lambda auto, n, *roofs: built.append(n) or period_pass(auto, n, *roofs))

@@ -233,6 +233,19 @@ PASS_ROOFS = {  # (roof, time change); the last one has negative frequencies and
 }
 
 
+def assert_columns_match_oracle(auto, columns, n_max, roofs):
+    """Each period's rows of the seven table columns are bit for bit the flat-index pass's and their classes'."""
+    period = columns[0]
+    for n in range(1, n_max + 1):
+        num1, num2, den, length, slope = flat_period_pass(auto, n, *roofs)
+        want = (np.full(len(num1), n), num1, num2, np.full(len(num1), den), length, slope,
+                toral._class_columns(auto, n, num1, num2, den))
+        for got, expected in zip(columns, want):
+            got = got[period == n]
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    assert len(period) == np.count_nonzero(period <= n_max)
+
+
 class TestOrbitTable:
     @pytest.fixture(scope="class", params=TABLE_CASES,
                     ids=lambda case: f"{' '.join(str(a) for row in case[0] for a in row)} to {case[1]}")
@@ -315,54 +328,70 @@ class TestOrbitTable:
     @pytest.mark.parametrize("roofs", PASS_ROOFS.values(), ids=PASS_ROOFS.keys())
     @pytest.mark.parametrize("matrix, n_max", PASS_CASES,
                              ids=[f"{' '.join(str(a) for row in m for a in row)} to {n}" for m, n in PASS_CASES])
-    def test_pass_matches_flat_index_oracle(self, matrix, n_max, roofs, block, monkeypatch):
-        # blocks of 64 points cut every row with d2 >= 64 and join whole rows below that
+    def test_pass_matches_flat_index_oracle(self, matrix, n_max, roofs, block, calls, monkeypatch):
+        # no period is small enough to share a pass, so each takes its own per-axis pass; blocks of 64 points cut
+        # every row with d2 >= 64 and join whole rows below that
         auto = ToralAutomorphism(matrix)
+        monkeypatch.setattr(toral, "_UNION_POINTS", 0)
         if block is not None:
             monkeypatch.setattr(toral, "_PASS_BLOCK", block)
-        for n in range(1, n_max + 1):
-            if block is not None and abs(auto.det_one_minus_power(n)) > 1 << 16:
-                continue  # a thousand blocks and up only slow the test down
-            got, want = toral._period_pass(auto, n, *roofs), flat_period_pass(auto, n, *roofs)
-            assert got[2] == want[2]
-            for a, b in zip(got[:2] + got[3:], want[:2] + want[3:]):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            # a thousand blocks and up only slow the test down
+            n_max = max(n for n in range(1, n_max + 1) if abs(auto.det_one_minus_power(n)) <= 1 << 16)
+        unions, passes = calls(toral, "_union_pass"), calls(toral, "_period_pass")
+        columns = toral._orbit_columns(auto, n_max, *roofs)
+        assert unions == [] and [n for _, n, *_ in passes] == list(range(1, n_max + 1))
+        assert_columns_match_oracle(auto, columns, n_max, roofs)
 
     @pytest.mark.parametrize("block", [None, 64], ids=["default blocks", "blocks of 64"])
     @pytest.mark.parametrize("roofs", PASS_ROOFS.values(), ids=PASS_ROOFS.keys())
     @pytest.mark.parametrize("matrix, n_max", PASS_CASES,
                              ids=[f"{' '.join(str(a) for row in m for a in row)} to {n}" for m, n in PASS_CASES])
-    def test_union_pass_matches_flat_index_oracle(self, matrix, n_max, roofs, block, monkeypatch):
-        # every period of at most a block shares a union pass here, so runs end at block edges: with the default
-        # blocks the cat map's periods 1-11 are one run; blocks of 64 cut the small periods into runs of a few
+    def test_union_pass_matches_flat_index_oracle(self, matrix, n_max, roofs, block, calls, monkeypatch):
+        # every period of at most a block is small enough to share a pass, and those are the first periods: with
+        # the default blocks the cat map's periods 1-11 share one union pass, with blocks of 64 its periods 1-4
         auto = ToralAutomorphism(matrix)
         if block is not None:
             monkeypatch.setattr(toral, "_PASS_BLOCK", block)
         monkeypatch.setattr(toral, "_UNION_POINTS", toral._PASS_BLOCK)
-        lattices = {n: toral._fixed_point_lattice(auto, n) for n in range(1, n_max + 1)}
-        checked = []
-        for run in toral._pass_groups(lattices):
-            if len(run) == 1 and abs(auto.det_one_minus_power(run[0])) > toral._PASS_BLOCK:
-                continue  # never in a union pass
-            period, *columns, class_exps = toral._union_pass(auto, {n: lattices[n] for n in run}, *roofs)
-            for n in run:
-                num1, num2, den, length, slope = (column[period == n] for column in columns)
-                want = flat_period_pass(auto, n, *roofs)
-                assert (den == want[2]).all()
-                for a, b in zip((num1, num2, length, slope), want[:2] + want[3:]):
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-                want_class = toral._class_columns(auto, n, *want[:3])
-                assert class_exps[period == n].tobytes() == want_class.tobytes()
-            checked += run
-        assert checked == [n for n in lattices if abs(auto.det_one_minus_power(n)) <= toral._PASS_BLOCK]
+        small = [n for n in range(1, n_max + 1) if abs(auto.det_one_minus_power(n)) <= toral._PASS_BLOCK]
+        unions, passes = calls(toral, "_union_pass"), calls(toral, "_period_pass")
+        columns = toral._orbit_columns(auto, len(small), *roofs)
+        assert [list(lattices) for _, lattices, *_ in unions] == [small] and passes == []
+        assert_columns_match_oracle(auto, columns, len(small), roofs)
 
     def test_small_periods_share_one_pass(self, calls):
         # the cat map's periods 1-8 hold 3,554 fixed points and 9 and 10 hold 5,776 and 15,125
-        model = SuspensionModel(ToralAutomorphism(((2, 1), (1, 1))), TrigPolynomial.cosine((1, 0), 0.0379, 1.0))
+        cat = ToralAutomorphism(((2, 1), (1, 1)))
         unions, passes = calls(toral, "_union_pass"), calls(toral, "_period_pass")
-        orbit_table(model, 10)
+        orbit_table(SuspensionModel(cat, TrigPolynomial.cosine((1, 0), 0.0379, 1.0)), 10)
         assert [list(lattices) for _, lattices, *_ in unions] == [list(range(1, 9))]
         assert [n for _, n, *_ in passes] == [9, 10]
+        # a table grown from depth 3: the small periods it adds, 4-8, share one pass
+        grown = SuspensionModel(cat, TrigPolynomial.cosine((1, 0), 0.0381, 1.0))
+        orbit_table(grown, 3)
+        del unions[:], passes[:]
+        orbit_table(grown, 10)
+        assert [list(lattices) for _, lattices, *_ in unions] == [list(range(4, 9))]
+        assert [n for _, n, *_ in passes] == [9, 10]
+
+    def test_small_periods_come_first_and_fit_one_block(self):
+        # the first new periods of at most _UNION_POINTS fixed points share one union pass, whose points nothing
+        # caps: |det(A^n - I)| >= |lam_u|^n - 2 >= phi^n - 2, so no period from `last` on is that small, and over
+        # every hyperbolic matrix with entries in [-6, 6] the small periods are 1..s, with at most a block of points
+        assert 16 * toral._UNION_POINTS <= toral._PASS_BLOCK
+        phi = (1 + math.sqrt(5)) / 2
+        last = next(n for n in range(1, 100) if phi**n - 2 > toral._UNION_POINTS)
+        entries = range(-6, 7)
+        matrices = [m for m in (((a, b), (c, d)) for a in entries for b in entries for c in entries for d in entries)
+                    if validate_anosov(m).hyperbolic]
+        assert len(matrices) == 504
+        for matrix in matrices:
+            auto = ToralAutomorphism(matrix)
+            assert abs(auto.lam_u) >= phi * (1 - 1e-15)
+            counts = [abs(auto.det_one_minus_power(n)) for n in range(1, last)]
+            small = [n for n, count in enumerate(counts, start=1) if count <= toral._UNION_POINTS]
+            assert small == list(range(1, len(small) + 1))
+            assert sum(counts[: len(small)]) <= toral._PASS_BLOCK
 
     @pytest.mark.parametrize("matrix, n, bound", [
         (((2, 1), (1, 1)), 13, 26.0),  # 271,441 points, Z_521 x Z_521
@@ -430,6 +459,17 @@ class TestLengthsAndVariation:
             table.lengths(0.9)
         with pytest.raises(CapacityError, match="of period 2 exceed the floating-point range"):
             orbit_table(model, 2)
+
+    def test_lengths_checked_as_each_pass_returns(self, cat, calls):
+        # periods 1-8 share a union pass whose lengths, at most 8 * 2.1e307, are finite; period 9's per-axis pass
+        # overflows, and the check of its result names it before period 10 is built
+        model = SuspensionModel(cat, TrigPolynomial.const(2.1e307))
+        assert orbit_table(model, 8).length0.max() == pytest.approx(1.68e308, rel=1e-15)
+        unions, passes = calls(toral, "_union_pass"), calls(toral, "_period_pass")
+        with pytest.raises(CapacityError, match="^orbit lengths of period 9 exceed the floating-point range$"):
+            toral._build_table(model, 10)
+        assert [list(lattices) for _, lattices, *_ in unions] == [list(range(1, 9))]
+        assert [n for _, n, *_ in passes] == [9]
 
     def test_tau_outside_range_rejected(self, cat):
         model = SuspensionModel(cat, TrigPolynomial.const(1.0), TrigPolynomial.const(1.0))
