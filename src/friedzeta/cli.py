@@ -102,8 +102,7 @@ def _zeta_row(kind: str, zv) -> dict:
 
 def cmd_orbits(cfg: RunConfig):
     model = cfg.model()
-    tau = cfg.get_float("tau.value", 0.0)
-    model.require_tau(tau)
+    tau = cfg.tau_value(model)
     policy = cfg.policy(model, tau)
     table = orbit_table(model, policy.max_period)
     out = cfg.get("io.out", required=True)
@@ -141,8 +140,8 @@ def _load_records(cfg: RunConfig):
             policy = replace(policy, max_period=int(dump.period.max()))
         return orbit_columns(dump), "orbit-dump", policy
     _refuse_ignored(cfg, "model", ("selberg.mu",))
-    tau = cfg.get_float("tau.value", 0.0)
     model = cfg.model()
+    tau = cfg.tau_value(model)
     policy = cfg.policy(model, tau)
     table = orbit_table(model, policy.max_period)
     return orbit_columns(table, cfg.character(model.automorphism), tau), "model", policy
@@ -167,7 +166,7 @@ def cmd_zeta_eval(cfg: RunConfig):
 def cmd_zeta_continue(cfg: RunConfig):
     model = cfg.model()
     rep = cfg.character(model.automorphism)
-    tau = cfg.get_float("tau.value", 0.0)
+    tau = cfg.tau_value(model)
     policy = cfg.policy(model, tau)
     rows = []
     lams = cfg.lambda_grid()
@@ -252,7 +251,7 @@ def cmd_variation(cfg: RunConfig):
     model = cfg.model()
     rep = cfg.character(model.automorphism)
     lam = cfg.get_complex("lambda.value", 3.0)
-    taus = cfg.tau_grid(model)
+    taus = cfg.tau_grid(model, scales_time_change=False)
     rows = []
     worst = 0.0
     for tau in taus:

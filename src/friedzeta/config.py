@@ -108,6 +108,11 @@ def _parse_grid(text: str, what: str) -> list[float]:
     return _nonempty(grid, what, text)
 
 
+def _require_time_change(model: SuspensionModel, key: str, taus) -> None:
+    if model.time_change is None and any(taus):
+        raise ValidationError(f"{key}: tau scales model.time_change, which is unset, so a nonzero tau changes nothing")
+
+
 @record
 class RunConfig:
     values: dict[str, str]
@@ -226,11 +231,26 @@ class RunConfig:
             quad_subdiv=quad_subdiv,
         )
 
-    def tau_grid(self, model: SuspensionModel | None = None) -> list[float]:
+    def tau_value(self, model: SuspensionModel) -> float:
+        """``tau.value`` (0 when unset), admissible for ``model`` and refused as :meth:`tau_grid` refuses a node."""
+        tau = model.require_tau(self.get_float("tau.value", 0.0))
+        _require_time_change(model, "tau.value", [tau])
+        return tau
+
+    def tau_grid(self, model: SuspensionModel | None = None, scales_time_change: bool = True) -> list[float]:
+        """``tau.grid``, every node admissible for ``model``.
+
+        ``tau`` scales ``model.time_change``, so without one a nonzero node
+        would change nothing and is refused; ``scales_time_change=False``
+        keeps it, where a command's value at such a node is meaningful
+        (``variation``: the derivative in ``tau`` is then 0).
+        """
         grid = _parse_grid(self.get("tau.grid", "0.0"), "tau.grid")
         if model is not None:
             for t in grid:
                 model.require_tau(t)
+            if scales_time_change:
+                _require_time_change(model, "tau.grid", grid)
         return grid
 
     def lambda_grid(self) -> list[complex]:

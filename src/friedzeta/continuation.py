@@ -11,8 +11,9 @@ The recursion stops once the coefficients have decayed, usually well
 before ``n_max``, so traces are pulled one at a time: ``c_n`` reads
 ``t_n`` only, ``S_n`` reads the orbits of the periods dividing ``n``,
 and the model's orbit table grows to period ``n`` only when ``S_n`` is
-first read.  One stream of sums serves a whole grid of ``lambda``
-(:func:`cycle_zetas`; :func:`cycle_zeta` is a grid of one): the three
+first read (the first read also builds the small periods up to
+``n_max``, in one union pass).  One stream of sums serves a whole grid
+of ``lambda`` (:func:`cycle_zetas`; :func:`cycle_zeta` is a grid of one): the three
 determinants of every ``lambda`` read it, each ``S_n`` is computed once
 per ``lambda`` that reads it, and the ``lambda``-free parts of ``S_n``
 once for the grid.  The cost of a value thus follows the depth its
@@ -35,9 +36,9 @@ import numpy as np
 
 from ._record import record
 from .characters import _reduce_angle
-from .errors import ConvergenceError, ResonanceAtZeroError, ValidationError
+from .errors import CapacityError, ConvergenceError, ResonanceAtZeroError, ValidationError
 from .summation import block_sum
-from .toral import Character, OrbitTable, SuspensionModel, orbit_table
+from .toral import Character, OrbitTable, SuspensionModel, _small_depth, orbit_table
 from .zetas import TruncationPolicy
 
 __all__ = [
@@ -95,7 +96,9 @@ class _TraceStream:
     When the weight is point-independent (``lam = 0`` or constant effective
     roof) and the fiber is trivial, ``S_m`` reduces to the exact fixed-point
     count ``|det(A^m - I)|`` without enumeration.  The other ``lam`` read the
-    table: the first ``S_m`` read grows it to period ``m`` and gathers the
+    table: the first ``S_m`` read grows it to period ``m`` (the first growth
+    also builds the small periods up to ``n_max``, the cap of the command's
+    recursions, in one union pass: see :meth:`table`) and gathers the
     ``lam``-free columns of the rows of the periods ``p | m`` (the multiple
     ``m/p``, the lengths at ``tau``, the fiber values, ``p``) once for the
     grid, and each ``lam`` takes its own exponential over them, so the work
@@ -104,9 +107,9 @@ class _TraceStream:
     one ``A^m`` per ``m``.
     """
 
-    def __init__(self, model: SuspensionModel, representation: Character | None, lams, tau: float):
+    def __init__(self, model: SuspensionModel, representation: Character | None, lams, tau: float, n_max: int):
         model.require_tau(tau)
-        self.model, self.representation, self.tau = model, representation, tau
+        self.model, self.representation, self.tau, self.n_max = model, representation, tau, n_max
         self.lams = [complex(lam) for lam in lams]
         self.fiber_trivial = representation is None or representation.fiber_is_trivial
         self.const_roof = model.roof.is_constant and (
@@ -136,8 +139,17 @@ class _TraceStream:
     def table(self, m: int) -> OrbitTable:
         """The orbit table to period ``m``, with its lengths at ``tau`` checked finite (else :class:`CapacityError`).
 
-        Each period's lengths are computed and checked once, when the stream first reads that period.
+        Each period's lengths are computed and checked once, when the stream first reads that period.  The
+        first growth also builds the small periods up to ``n_max`` (:func:`toral._small_depth`), in one union
+        pass; when one of those past ``m`` is out of the float range it builds to ``m`` only, so an error
+        comes only from a period read.
         """
+        small = 0 if self.lengths else _small_depth(self.model.automorphism, self.n_max)
+        if small > m:
+            try:
+                orbit_table(self.model, small)
+            except CapacityError:  # a length past m is out of the float range: build only the periods read
+                pass
         table = orbit_table(self.model, m)
         for p in range(len(self.lengths) + 1, m + 1):
             self.lengths.append(table.lengths(self.tau, table.period_slice(p)))
@@ -195,7 +207,7 @@ def trace_sums(
     tau: float = 0.0,
 ):
     """Circle-stripped fixed-point sums ``S_m`` and counts for m = 1..n_max (see :class:`_TraceStream`)."""
-    stream = _TraceStream(model, representation, (lam,), tau)
+    stream = _TraceStream(model, representation, (lam,), tau, n_max)
     stream(0, n_max)
     return stream.sums[0], [count for count, *_ in stream.integers]
 
@@ -263,7 +275,7 @@ def dynamical_determinant(
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
-    stream, i = (_TraceStream(model, representation, (lam,), tau), 0) if _stream is None else _stream
+    stream, i = (_TraceStream(model, representation, (lam,), tau, n_max), 0) if _stream is None else _stream
 
     def trace(m: int) -> complex:
         return stream.trace(i, k, m)
@@ -356,12 +368,14 @@ def cycle_zetas(
     Every determinant of every ``lam`` reads the same :class:`_TraceStream`,
     so each ``S_m`` is computed once per ``lam`` that reads it, over columns
     gathered once for the grid; the periods past the deepest stop are never
-    enumerated, and their errors (the enumeration cap, an overflow) never
-    raised.  A ``lam`` raises what :func:`cycle_zeta` raises at it alone,
-    once the ``lam`` before it have their values.
+    enumerated, but for the small periods up to ``policy.max_period`` that
+    the stream's first growth builds in one union pass, and no period past
+    the deepest stop raises its errors (the enumeration cap, an overflow).
+    A ``lam`` raises what :func:`cycle_zeta` raises at it alone, once the
+    ``lam`` before it have their values.
     """
     lams = tuple(lams)
-    stream = _TraceStream(model, representation, lams, tau)
+    stream = _TraceStream(model, representation, lams, tau, policy.max_period)
     zetas = []
     for i, lam in enumerate(lams):
         dets = tuple(
@@ -416,7 +430,8 @@ def zeta_at_zero_at(model: SuspensionModel, representation: Character | None, z:
     float range, to the deepest period ``z`` read, raises the
     :class:`CapacityError` that :func:`zeta_at_zero` raises at ``tau``.
     """
-    stream = _TraceStream(model, representation, (0.0,), tau)
+    depth = max(d.n_used for d in z.determinants)
+    stream = _TraceStream(model, representation, (0.0,), tau, depth)
     if stream.reads_table(0.0):
-        stream.table(max(d.n_used for d in z.determinants))
+        stream.table(depth)
     return z

@@ -14,7 +14,9 @@ cycles pointer doubling labels, and the roof is summed per cycle.  When
 the first two or more periods a request adds each hold at most
 ``_UNION_POINTS`` fixed points, they share one pass over the union of
 their points, where :func:`trig_values` evaluates the roof one cos or sin
-per point per term; each other period takes a pass of its own.  In that
+per point per term; each other period takes a pass of its own.  A
+cycle-expansion stream asks at once for the first small periods up to its
+cap (:func:`_small_depth`), so they share that pass.  In a period's own
 pass the successor, the point and every roof phase are linear in ``(i, j)``,
 so each is an outer sum of two per-axis residue vectors; when the common
 denominator fits in one block, the roof's values are gathered from one cos
@@ -762,6 +764,21 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+def _small_depth(auto: ToralAutomorphism, n_max: int) -> int:
+    """The last period ``s <= n_max`` such that periods ``1..s`` each hold at most ``_UNION_POINTS`` fixed points.
+
+    The counts ``|det(A^n - I)| = |det(A)^n - Tr(A^n) + 1|`` come from the
+    recurrence ``Tr(A^n) = Tr(A) Tr(A^(n-1)) - det(A) Tr(A^(n-2))``, so no
+    power of ``A`` is taken.
+    """
+    (a, b), (c, d) = auto.matrix
+    trace, det = a + d, a * d - b * c
+    before, now, s = 2, trace, 0  # Tr(A^s), Tr(A^(s+1))
+    while s < n_max and abs(det ** (s + 1) - now + 1) <= _UNION_POINTS:
+        before, now, s = now, trace * now - det * before, s + 1
+    return s
+
+
 def _orbit_columns(auto: ToralAutomorphism, n_max: int, roof=None, time_change=None, shallower=None):
     """Read-only ``(period, num1, num2, den, length0, slope, class_exps)`` up to ``n_max``.
 
@@ -769,7 +786,9 @@ def _orbit_columns(auto: ToralAutomorphism, n_max: int, roof=None, time_change=N
     columns the result extends when given, are built by passes in period
     order.  When the first two or more new periods each hold at most
     ``_UNION_POINTS`` fixed points, they share one :func:`_union_pass`;
-    every other new period takes one :func:`_period_pass`.  Every new
+    every other new period takes one :func:`_period_pass`.  So the first
+    request of a cycle-expansion stream, which reaches at least
+    :func:`_small_depth`, builds all the small periods in one pass.  Every new
     period's lattice comes first, so a period past the enumeration cap is
     refused before any pass, and each pass's orbit sums are checked as it
     returns: a sum beyond the float range is a :class:`CapacityError` naming

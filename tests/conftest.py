@@ -38,13 +38,14 @@ def policy14(cat_model):
 
 @pytest.fixture
 def period_passes(monkeypatch):
-    """The periods the test's tables build, in the order their passes build them: those of each
-    ``toral._union_pass`` call (a request's first small periods) and the one of each ``toral._period_pass`` call."""
+    """The passes the test's tables run, in order: ``("union", [periods])`` for each ``toral._union_pass`` call (a
+    request's first small periods) and ``("period", n)`` for each ``toral._period_pass`` call."""
     built = []
     period_pass, union_pass = toral._period_pass, toral._union_pass
-    monkeypatch.setattr(toral, "_period_pass", lambda auto, n, *roofs: built.append(n) or period_pass(auto, n, *roofs))
-    monkeypatch.setattr(toral, "_union_pass",
-                        lambda auto, lattices, *roofs: built.extend(lattices) or union_pass(auto, lattices, *roofs))
+    monkeypatch.setattr(toral, "_period_pass",
+                        lambda auto, n, *roofs: built.append(("period", n)) or period_pass(auto, n, *roofs))
+    monkeypatch.setattr(toral, "_union_pass", lambda auto, lattices, *roofs:
+                        built.append(("union", list(lattices))) or union_pass(auto, lattices, *roofs))
     return built
 
 

@@ -481,8 +481,9 @@ class TestZetaContinue:
 
 
     def test_periods_are_built_as_the_recursion_reads_them(self, period_passes, capsys):
-        # the cycle expansion stops long before n_max: the table holds the periods it read, each built once
-        # a roof no other test uses, so no table of this model is built yet
+        # the cycle expansion stops long before n_max: the table holds periods 1..max(depth, 8), each built
+        # once, the small periods 1-8 (at most 2,500 fixed points each) in one pass and each deeper period read
+        # by a pass of its own; a roof no other test uses, so no table of this model is built yet
         settings = ["model.matrix=2 1 1 1", "model.roof=const:1 cos:1,0:0.0437 sin:0,1:0.0219",
                     "rep.u_fraction=0.5", "policy.n_max=16", "lambda.grid=0,0.3,0.9,1.4+0.5i,2"]
         built = period_passes
@@ -490,10 +491,11 @@ class TestZetaContinue:
         rows = json.loads(capsys.readouterr().out)["results"]["rows"]
         depth = max(n for row in rows for n in row["n_used"])
         assert [len(row["n_used"]) for row in rows] == [3] * 5 and depth < 16
-        assert built == list(range(1, depth + 1))
+        passes = [("union", list(range(1, 9)))] + [("period", n) for n in range(9, depth + 1)]
+        assert built == passes
         model = RunConfig.load(None, settings).model()
         tables = [orbit_table(model, n) for n in range(1, depth + 1)]
-        assert built == list(range(1, depth + 1))
+        assert built == passes
         for n, table in enumerate(tables, start=1):
             fresh = toral._build_table(model, n)
             for name in ("period", "num1", "num2", "den", "length0", "slope", "class_exps"):
@@ -519,16 +521,18 @@ class TestZetaContinue:
         assert [n for _, n in powers] == list(range(1, max(depths) + 1))
 
     def test_stream_passes_and_length_checks_once_per_period(self, calls, capsys):
-        # the stream grows the table one period at a time, each by its own pass, and checks the lengths at tau of
-        # each period's rows once: the rows checked are the table's rows, not a prefix per growth; a roof and
-        # time change no other test uses, so no table of this model is built yet
+        # the stream's first growth builds the small periods 1-8 in one union pass, then grows the table one
+        # period at a time, each by its own pass, and checks the lengths at tau of each period's rows once: the
+        # rows checked are the table's rows, not a prefix per growth; a roof and time change no other test
+        # uses, so no table of this model is built yet
         settings = ["model.matrix=2 1 1 1", "model.roof=const:1 cos:1,0:0.0419", "model.time_change=cos:0,1:0.0383",
                     "tau.value=0.2", "rep.u_fraction=0.5", "policy.n_max=12", "lambda.grid=0.5,1.4+2i"]
         unions, passes = calls(toral, "_union_pass"), calls(toral, "_period_pass")
         checks = calls(toral.OrbitTable, "lengths")
         assert run("zeta-continue", *settings) == 0
         depth = max(n for row in json.loads(capsys.readouterr().out)["results"]["rows"] for n in row["n_used"])
-        assert unions == [] and [n for _, n, *_ in passes] == list(range(1, depth + 1))
+        assert [list(lattices) for _, lattices, *_ in unions] == [list(range(1, 9))]
+        assert [n for _, n, *_ in passes] == list(range(9, depth + 1))
         table = orbit_table(RunConfig.load(None, settings).model(), depth)
         assert {tau for _, tau, _ in checks} == {0.2}
         assert sum(len(table.period[rows]) for _, _, rows in checks) == len(table.period)
@@ -549,6 +553,29 @@ class TestZetaContinue:
         monkeypatch.setattr(toral, "MAX_ENUMERATED_POINTS", 1 << 16)
         assert run("zeta-continue", *settings, "policy.n_max=30", "policy.tail_tol=1e-30") == 2
         assert capsys.readouterr().err == "error: |det(A^n - I)| = 103680 fixed points exceeds the enumeration cap\n"
+
+    def test_small_periods_stop_at_n_max(self, period_passes, capsys):
+        # the cat map's periods 1-8 are small, but n_max 5 caps the stream's union pass; a roof no other test
+        # uses, so no table of this model is built yet
+        settings = ["model.matrix=2 1 1 1", "model.roof=const:1 cos:1,0:0.0427", "rep.u_fraction=0.5",
+                    "policy.n_max=5", "lambda.grid=0.5"]
+        assert run("zeta-continue", *settings) == 0
+        capsys.readouterr()
+        assert period_passes == [("union", [1, 2, 3, 4, 5])]
+
+    def test_small_period_out_of_range_past_the_depth_read(self, period_passes, capsys):
+        # the lengths of period 4 leave the float range; lambda = 1 meets an exact zero at n = 3, so the command
+        # reads periods 1-3 only: the union pass over the small periods 1-8 fails, and the stream builds the
+        # periods it reads instead, exiting as a run that cannot read past period 3
+        settings = ["model.matrix=2 1 1 1", "model.roof=const:5e307 cos:1,0:1e306", "lambda.grid=1"]
+        rows = {}
+        for n_max in (12, 3):
+            assert run("zeta-continue", *settings, f"policy.n_max={n_max}") == 0
+            rows[n_max] = json.loads(capsys.readouterr().out)["results"]["rows"]
+        for row in rows[12] + rows[3]:
+            del row["policy"]
+        assert rows[12] == rows[3] and rows[12][0]["n_used"] == [3, 3, 3]
+        assert period_passes == [("union", list(range(1, 9))), ("period", 1), ("period", 2), ("period", 3)]
 
     @pytest.mark.parametrize("command", ["orbits", "zeta-eval", "variation"])
     def test_whole_table_request_refused_before_any_pass(self, command, period_passes, monkeypatch, tmp_path,
@@ -724,6 +751,22 @@ class TestConfigKeys:
         else:
             message = f"unknown config key {key!r} for {command}"
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command, setting", [("orbits", "tau.value=0.4"), ("zeta-eval", "tau.value=0.4"),
+                                                  ("zeta-continue", "tau.value=0.4"),
+                                                  ("fried-check", "tau.grid=0,0.3,0.7")])
+    def test_tau_without_time_change_is_refused(self, command, setting, tmp_path, capsys):
+        # tau scales model.time_change: without one a nonzero tau changes nothing, and once ran as tau = 0 (a
+        # zero tau stays accepted; variation, whose tau-derivative is then 0, runs in RUNS without a time change)
+        key = setting.split("=")[0]
+        out = tmp_path / "out.txt"
+        assert run(command, *RUNS[command], f"{key}=0", out=out) == 0
+        capsys.readouterr()
+        assert run(command, *RUNS[command], setting, out=out) == 1
+        assert capsys.readouterr().err == (f"error: {key}: tau scales model.time_change, which is unset, "
+                                           "so a nonzero tau changes nothing\n")
+        assert run(command, *RUNS[command], setting, "model.time_change=cos:1,0:0.05", out=out) == 0
+        capsys.readouterr()
 
     @pytest.mark.parametrize("command, source, settings", [
         # the euler benchmark's dump job passes rep.u_fraction, which the dump reader still drops

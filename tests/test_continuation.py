@@ -255,6 +255,24 @@ class TestLazyTracesMatchWholeTable:
                     repr((e.value, e.tail_bound, e.reliable, e.warnings, e.n_used))
                 assert repr(d.traces) == repr(e.traces[: d.n_used])
 
+    @pytest.mark.parametrize("matrix, n_max", TABLE_CASES,
+                             ids=[f"{' '.join(str(a) for row in m for a in row)} to {n}" for m, n in TABLE_CASES])
+    def test_stream_grows_the_whole_table(self, matrix, n_max, period_passes):
+        # the stream's first growth builds the small periods up to n_max in one union pass (1-16 for 1 1 1 0),
+        # then each deeper period it reads in a pass of its own; the table it grows is the whole-table build
+        auto = ToralAutomorphism(matrix)
+        model = SuspensionModel(auto, TABLE_ROOF, TABLE_CHANGE)
+        toral._deepest_table.cache_clear()  # other tests build tables of this model
+        policy = TruncationPolicy(max_period=n_max, tail_tol=1e-30)
+        (z,) = cycle_zetas(model, TWISTS["circle and fiber twist"](auto.coker_orders), [0.5], policy, 0.1)
+        small = toral._small_depth(auto, n_max)
+        depth = max(small, *(d.n_used for d in z.determinants))
+        assert small > 1 and period_passes[0] == ("union", list(range(1, small + 1)))
+        assert period_passes[1:] == [("period", n) for n in range(small + 1, depth + 1)]
+        grown, fresh = toral.orbit_table(model, depth), toral._build_table(model, depth)
+        for name in ("period", "num1", "num2", "den", "length0", "slope", "class_exps"):
+            assert getattr(grown, name).tobytes() == getattr(fresh, name).tobytes()
+
     def test_trace_sums_match_oracle(self):
         a = ToralAutomorphism(((3, 2), (1, 1)))
         model = SuspensionModel(a, TABLE_ROOF, TABLE_CHANGE)
@@ -332,7 +350,7 @@ class TestLambdaGrid:
 
     def test_out_of_range_sum_raises_only_where_its_lambda_reads_it(self, cat, rep_minus):
         model = SuspensionModel(cat, TrigPolynomial(1.0, ((1, 0, 0.1, 0.0),)))
-        stream = _TraceStream(model, rep_minus, (1.0, -300.0), 0.0)
+        stream = _TraceStream(model, rep_minus, (1.0, -300.0), 0.0, 8)
         # lambda = 1 reads S_1..S_8 and computes none at lambda = -300, where S_3 leaves the float range
         assert all(cmath.isfinite(stream(0, m)[0]) for m in range(1, 9))
         assert stream.sums[1] == [] and sorted(stream.columns) == list(range(1, 9))
@@ -345,7 +363,7 @@ class TestLambdaGrid:
         model = SuspensionModel(cat, TrigPolynomial(1.0, ((1, 0, 0.05, 0.0), (0, 1, 0.0, 0.03))))
         rep = Character.from_angle_fraction(0.5, cat.coker_orders, (0, 0))
         lams, policy = (2.0, 0.5 + 6j, 0.4), TruncationPolicy(max_period=12)
-        stream = _TraceStream(model, rep, lams, 0.0)
+        stream = _TraceStream(model, rep, lams, 0.0, 12)
         for i, lam in enumerate(lams):
             dets = [dynamical_determinant(model, rep, k, lam, 12, _stream=(stream, i)) for k in range(3)]
             assert len(stream.sums[i]) == max(d.n_used for d in dets)
@@ -384,5 +402,6 @@ class TestLambdaGrid:
         assert z.reliable and period_passes == []
         alone = _outcome(lambda: cycle_zeta(model, rep, 1.0, policy))
         assert alone == (CapacityError, "|det(A^n - I)| = 103680 fixed points exceeds the enumeration cap")
-        assert period_passes == list(range(1, 12))
+        # the stream's first growth builds the small periods 1-8 in one pass, then each period read its own
+        assert period_passes == [("union", list(range(1, 9))), ("period", 9), ("period", 10), ("period", 11)]
         assert _outcome(lambda: cycle_zetas(model, rep, [0.0, 1.0], policy)) == alone

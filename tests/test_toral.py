@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from itertools import takewhile
 
 import numpy as np
 import pytest
@@ -303,7 +304,10 @@ class TestOrbitTable:
         built = period_passes
         orbit_table(model, 4)
         deep = orbit_table(model, 7)
-        assert built == list(range(1, 8))
+        # periods 1-5 hold at most 2,500 fixed points each, so the first request's share one pass; period 5 is
+        # the second request's only small period, and takes a pass of its own
+        passes = [("union", [1, 2, 3, 4]), ("period", 5), ("period", 6), ("period", 7)]
+        assert built == passes
         assert orbit_table(model, 7) is deep
         for n in range(1, 7):
             table = orbit_table(model, n)
@@ -312,7 +316,7 @@ class TestOrbitTable:
                 col, full = getattr(table, name), getattr(deep, name)
                 assert np.shares_memory(col, full) and not col.flags.writeable
                 assert col.tobytes() == full[: len(col)].tobytes()
-        assert built == list(range(1, 8))
+        assert built == passes
 
     def test_shallower_request_returns_one_view_per_depth(self):
         # what is cached on a table (orbit columns, kept products) is found again by the next request
@@ -392,6 +396,18 @@ class TestOrbitTable:
             small = [n for n, count in enumerate(counts, start=1) if count <= toral._UNION_POINTS]
             assert small == list(range(1, len(small) + 1))
             assert sum(counts[: len(small)]) <= toral._PASS_BLOCK
+
+    def test_small_depth_reads_the_counts(self):
+        # _small_depth takes |det(A^n - I)| from the trace recurrence: the first small periods by the counts of
+        # A^n, cut at n_max
+        entries = range(-4, 5)
+        for matrix in (((a, b), (c, d)) for a in entries for b in entries for c in entries for d in entries):
+            if not validate_anosov(matrix).hyperbolic:
+                continue
+            auto = ToralAutomorphism(matrix)
+            counts = [abs(auto.det_one_minus_power(n)) for n in range(1, 20)]
+            small = len(list(takewhile(lambda count: count <= toral._UNION_POINTS, counts)))
+            assert [toral._small_depth(auto, n) for n in (1, small, 19)] == [min(1, small), small, small]
 
     @pytest.mark.parametrize("matrix, n, bound", [
         (((2, 1), (1, 1)), 13, 26.0),  # 271,441 points, Z_521 x Z_521
