@@ -24,8 +24,13 @@ def block_sum(a: np.ndarray) -> complex | float:
     The array is cut into ``BLOCK``-sized pieces, each piece is summed by
     numpy's pairwise reduction, and the partials are combined by
     ``math.fsum`` (real and imaginary parts apart).  The tree shape depends
-    only on ``len(a)``.
+    only on ``len(a)``.  An array of one block (or none) returns its one
+    partial plus 0.0, which is what ``math.fsum`` of it returns: the same
+    value, with -0.0 read as 0.0.
     """
+    if len(a) <= BLOCK:
+        s = a.sum()
+        return complex(s.real + 0.0, s.imag + 0.0) if np.iscomplexobj(a) else float(s) + 0.0
     partials = [a[i : i + BLOCK].sum() for i in range(0, len(a), BLOCK)]
     if np.iscomplexobj(a):
         return complex(math.fsum(p.real for p in partials), math.fsum(p.imag for p in partials))

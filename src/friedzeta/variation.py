@@ -10,7 +10,8 @@ node's lengths lie between those at 0 and there.  At real λ each node
 exponentiates a real array, not a complex one.  The direct quotient
 it is checked against takes the τ = 0 Euler product once per λ and
 ``j_max``, not once per τ, and the orbit sums read the twist ε·ρ kept on
-the same τ = 0 columns, built once per orbit table and twist.  A separate
+the same τ = 0 columns, built once per orbit table and twist.  The τ
+product's columns share every τ = 0 array that reads no length.  A separate
 matrix-calculus verifier checks the determinant-expansion identity behind
 the wedge-trace form of the same integrand.
 """
@@ -52,20 +53,28 @@ def _orbit_sum(table: OrbitTable, twist, lam: complex, tau_prime: float, j_max: 
 
     The iterate sum ``S_J = sum_{j=1..J} z^j`` is taken by binary splitting,
     ``S_2m = S_m + z^m S_m`` and ``S_2m+1 = S_2m + z^(2m+1)``, reading the bits of
-    ``j_max`` from the top: about ``2 log2(J) + popcount(J)`` array products in
-    place of ``2J``, no division, and no power above ``z^J``.
+    ``j_max`` from the top.  The first round is ``S_2 = z + z^2``, from one
+    product and no copy of ``z``, so ``J >= 2`` takes
+    ``2 floor(log2 J) + popcount(J) - 2`` array products (7 at J = 16) in place
+    of ``2J``, no division, and no power above ``z^J``.  The sum is scaled by
+    ``-slope`` in place.
     """
     lengths = table.length0 + tau_prime * table.slope
     z = twist * (np.exp(-lam.real * lengths) if lam.imag == 0 else np.exp(-lam * lengths))
-    total = z.copy()  # S_1
-    power = z.copy()  # z^m
-    for bit in bin(j_max)[3:]:
-        total += power * total
-        power *= power
+    bits = bin(j_max)[3:]
+    total = z  # S_1
+    if bits:
+        power = z * z  # z^m
+        total = z + power  # S_m, m = 2
+    for i, bit in enumerate(bits):
+        if i:
+            total += power * total
+            power *= power
         if bit == "1":
             power *= z
             total += power
-    return complex(block_sum((-table.slope) * total))
+    total *= -table.slope
+    return complex(block_sum(total))
 
 
 def _simpson(values, h: float) -> complex:

@@ -15,7 +15,8 @@ by one segmented sum, give the (group x iterate) phases
 ``-(multiplicity / j) sum z^j``.  The weights ``eps^j`` (Ruelle),
 ``Tr(wedge^k P^j) / |det(1 - P^j)|`` (graded k, and the sign check) and
 ``chi / det(1 - P_s^j)`` (Selberg) are (group x iterate) tables.  Phases are built once per λ, weights and the Kleinian iterate
-tables once per columns and ``j_max``, all kept on the columns.  The n0 = 2
+tables once per columns and ``j_max``, all kept on the columns; the columns of an orbit table's τ grid share
+the arrays that read no length.  The n0 = 2
 Poincaré data and characters are closed forms; ``poincare_data`` and
 ``char_sigma`` are their references in the tests.
 Tail bounds are Margulis-type geometric estimates anchored on the last
@@ -30,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._record import fields, record
+from ._record import fields, record, replace
 from .characters import IrrepLabel
 from .errors import CapacityError, ConvergenceError, ValidationError
 from .kleinian import ComplexLengthRecord
@@ -110,11 +111,17 @@ class OrbitColumns:
     ``lam_s`` of the transverse return map and ``det_power = det(A)^period``
     (``nan`` eigenvalues for orbit-dump rows); Kleinian rows carry the
     holonomy angle ``theta`` instead.  Arrays derived from the columns (the
-    weight groups, the wedge-trace ratios, the current λ's phases, the
-    Kleinian iterates and the factorization's tables) are kept with them and
-    freed with them, as are
+    weight groups, the signs, the wedge-trace ratios, the current λ's phases,
+    the Kleinian iterates and the factorization's tables) are kept with them
+    and freed with them, as are
     ``variation.direct_quotient``'s τ = 0 Ruelle log and the twist
     ``epsilon * rho`` of ``variation.variation_rhs``.
+
+    The columns of an orbit table at τ ≠ 0 are its τ = 0 columns with other
+    lengths: they hold the τ = 0 arrays themselves, and the arrays derived
+    without reading a length (the groups' order, the signs, the toral
+    ratios) are kept once, on the τ = 0 columns' ``_shared`` store, for the
+    columns of every τ.  Other columns share with no one.
     """
 
     length: np.ndarray
@@ -131,6 +138,7 @@ class OrbitColumns:
             if isinstance(column, np.ndarray):
                 column.flags.writeable = False
         object.__setattr__(self, "_derived", {})
+        object.__setattr__(self, "_shared", self._derived)
 
     def __len__(self) -> int:
         return len(self.length)
@@ -142,6 +150,8 @@ def orbit_columns(spectrum, representation=None, tau: float = 0.0) -> OrbitColum
     This is where a spectrum and its twist become the columns every Euler
     product takes.  Toral orbits take a :class:`Character` twist (``None``
     is trivial); Kleinian records carry their own ``rho`` and take none.
+    The columns of a table at τ ≠ 0 share every array but ``length`` with
+    its τ = 0 columns, which are built once per table and twist.
     """
     if isinstance(spectrum, OrbitTable):
         return _table_columns(spectrum, representation, float(tau))
@@ -165,7 +175,13 @@ def orbit_columns(spectrum, representation=None, tau: float = 0.0) -> OrbitColum
 
 @lru_cache(maxsize=2)  # the tau = 0 columns and the current tau's
 def _table_columns(table: OrbitTable, representation, tau: float) -> OrbitColumns:
-    return _toral_columns(representation, table.class_exps, table.lengths(tau), *table.transverse(), table.period)
+    length = table.lengths(tau)
+    if not tau:
+        return _toral_columns(representation, table.class_exps, length, *table.transverse(), table.period)
+    cols_0 = _table_columns(table, representation, 0.0)
+    cols = replace(cols_0, length=length)
+    object.__setattr__(cols, "_shared", cols_0._shared)
+    return cols
 
 
 def _toral_columns(representation, class_exps, length, eps, lam_u, lam_s, det_power, winding):
@@ -199,18 +215,21 @@ def _in_float_range(lam: complex):
             raise ConvergenceError(f"Euler product at lambda={lam} leaves floating point: {exc}") from None
 
 
-def _kept(cols: OrbitColumns, name: str, key, build):
+def _kept(cols: OrbitColumns, name: str, key, build, shared: bool = False):
     """``build()`` (an array, a tuple of them or a number), kept on ``cols`` until ``name`` has another ``key``.
 
-    Kept arrays are read-only.
+    Kept arrays are read-only.  A ``shared`` one reads no length: it is kept on the ``_shared`` store, found
+    there by the columns of every τ of one table and twist, and listed with ``cols``'s own.
     """
-    kept = cols._derived.get(name)
+    store = cols._shared if shared else cols._derived
+    kept = store.get(name)
     if kept is None or kept[0] != key:
         value = build()
         for array in value if isinstance(value, tuple) else (value,):
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False
-        kept = cols._derived[name] = (key, value)
+        kept = store[name] = (key, value)
+    cols._derived[name] = kept
     return kept[1]
 
 
@@ -224,6 +243,9 @@ def _groups(cols: OrbitColumns):
     (stably, so each group keeps the row order of the columns), ``starts`` holds the first position of
     each group in it and ``rows`` one row of each group.  ``in_shell`` marks, in group order, the rows of
     the last length shell ``(L - 1, L]`` that the tail bound reads.
+
+    The groups read no length, so the columns of every τ of a table share one ``(order, starts, rows)``;
+    ``in_shell`` is built per columns.
     """
     def build():
         if cols.theta is not None:
@@ -238,10 +260,11 @@ def _groups(cols: OrbitColumns):
                 ordered = key[order]
                 first[1:] |= ordered[1:] != ordered[:-1]
             starts = np.flatnonzero(first)
-        top = cols.length.max(initial=-math.inf)
-        return order, starts, order[starts], cols.length[order] > top - 1.0
+        return order, starts, order[starts]
 
-    return _kept(cols, "groups", None, build)
+    order, starts, rows = _kept(cols, "groups", None, build, shared=True)
+    in_shell = _kept(cols, "in_shell", None, lambda: cols.length[order] > cols.length.max(initial=-math.inf) - 1.0)
+    return order, starts, rows, in_shell
 
 
 def _weight_rows(cols: OrbitColumns, j_max: int):
@@ -255,8 +278,11 @@ def _weight_rows(cols: OrbitColumns, j_max: int):
 
 
 def _signs(cols: OrbitColumns, j_max: int) -> np.ndarray:
-    """``eps^j`` per (weight row, iterate): the Ruelle weight and the sign check's target."""
-    return _powers(cols.epsilon[_weight_rows(cols, j_max)], j_max)
+    """``eps^j`` per (weight row, iterate): the Ruelle weight and the sign check's target.
+
+    Built once per ``j_max`` and shared by the columns of every τ of a table.
+    """
+    return _kept(cols, "signs", j_max, lambda: _powers(cols.epsilon[_weight_rows(cols, j_max)], j_max), shared=True)
 
 
 def _group_phases(cols: OrbitColumns, lam: complex, j_max: int):
@@ -322,7 +348,8 @@ def _trace_ratios(cols: OrbitColumns, j_max: int) -> np.ndarray:
     and the sign check, taken on the rows of :func:`_weight_rows`: one per
     weight group, so every row of Kleinian columns.  Toral traces and
     determinants are divided through by ``|lam_u|^j``, which leaves every
-    ratio unchanged and keeps both finite at any ``j``.
+    ratio unchanged and keeps both finite at any ``j``.  Toral ratios read
+    no length and are shared by the columns of every τ of a table.
     """
     def build():
         if cols.theta is None:
@@ -346,7 +373,7 @@ def _trace_ratios(cols: OrbitColumns, j_max: int) -> np.ndarray:
             combine(trace, scale, out=ratio)
         return ratios
 
-    return _kept(cols, "ratios", j_max, build)
+    return _kept(cols, "ratios", j_max, build, shared=cols.theta is None)
 
 
 def _require_convergence(lam: complex, threshold: float, allow_formal: bool, what: str):

@@ -1,5 +1,6 @@
 import cmath
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from friedzeta import (
     variation_rhs,
     wedge_derivative_check,
 )
-from friedzeta import cli, variation, zetas
+from friedzeta import cli, toral, variation, zetas
 from friedzeta.config import RunConfig
 from friedzeta.summation import block_sum
 from friedzeta.toral import orbit_table
@@ -284,6 +285,116 @@ class TestDirectQuotient:
             fresh = cmath.exp(ruelle_log_zeta(orbit_columns(table, rep_minus, 0.1), lam, policy).log_value
                               - ruelle_log_zeta(orbit_columns(table, rep_minus, 0.0), lam, policy).log_value)
             assert direct_quotient(cat_family, rep_minus, lam, 0.1, policy) == fresh
+
+
+def unshared_columns(table, representation, tau):
+    """The columns of ``table`` at ``tau`` built from the table alone, sharing nothing with another tau's."""
+    return zetas._toral_columns(representation, table.class_exps, table.lengths(tau), *table.transverse(),
+                                table.period)
+
+
+def same_bits(got, want):
+    """Arrays, or tuples of them, of one dtype and shape and equal bit for bit."""
+    if isinstance(want, tuple):
+        return len(got) == len(want) and all(same_bits(g, w) for g, w in zip(got, want))
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+SHARED_COLUMNS = ("rho", "epsilon", "lam_u", "lam_s", "det_power", "multiplicity")
+
+
+class TestTauColumnsShareTheTauZeroArrays:
+    @staticmethod
+    def _grid(case):
+        """A case's model, twist, lambda, table and three nonzero tau on its side of 0."""
+        model, rep, lam, tau = case()
+        tau = tau or 0.1
+        return model, rep, lam, orbit_table(model, 10), (tau, tau / 2, 0.7 * tau)
+
+    @pytest.mark.parametrize("case", ONE_GRID_CASES.values(), ids=ONE_GRID_CASES.keys())
+    def test_columns_are_the_tau_zero_objects(self, case):
+        _, rep, _, table, taus = self._grid(case)
+        cols_0 = orbit_columns(table, rep)
+        for tau in taus:
+            cols = orbit_columns(table, rep, tau)
+            assert cols is not cols_0 and same_bits(cols.length, table.lengths(tau))
+            assert all(getattr(cols, name) is getattr(cols_0, name) for name in SHARED_COLUMNS)
+
+    @pytest.mark.parametrize("case", ONE_GRID_CASES.values(), ids=ONE_GRID_CASES.keys())
+    def test_derived_arrays_equal_unshared_ones(self, case):
+        # the tau columns build the groups, signs and ratios first; the tau = 0 columns then find them
+        _, rep, _, table, taus = self._grid(case)
+        zetas._table_columns.cache_clear()
+        for j_max in (1, 5, 16):
+            for tau in (*taus, 0.0):
+                cols, fresh = orbit_columns(table, rep, tau), unshared_columns(table, rep, tau)
+                assert same_bits(zetas._groups(cols), zetas._groups(fresh)), (tau, j_max)
+                assert same_bits(zetas._signs(cols, j_max), zetas._signs(fresh, j_max)), (tau, j_max)
+                assert same_bits(zetas._trace_ratios(cols, j_max), zetas._trace_ratios(fresh, j_max)), (tau, j_max)
+            cols_0 = orbit_columns(table, rep)
+            for tau in taus:
+                cols = orbit_columns(table, rep, tau)
+                assert all(got is want for got, want in zip(zetas._groups(cols)[:3], zetas._groups(cols_0)[:3]))
+                assert zetas._signs(cols, j_max) is zetas._signs(cols_0, j_max)
+                assert zetas._trace_ratios(cols, j_max) is zetas._trace_ratios(cols_0, j_max)
+
+    def test_last_shell_mask_follows_each_tau(self, cat):
+        # lengths (1 + tau) n: below tau = 0 the period-9 orbits join the period-10 ones in the last shell
+        speedup = SuspensionModel(cat, TrigPolynomial.const(1.0), TrigPolynomial.const(1.0))
+        cases = [*ONE_GRID_CASES.values(), lambda: (speedup, None, 3.0, -0.05)]
+        moved = 0
+        for case in cases:
+            _, rep, _, table, taus = self._grid(case)
+            mask_0 = zetas._groups(orbit_columns(table, rep))[3]
+            for tau in taus:
+                order, _, _, mask = zetas._groups(orbit_columns(table, rep, tau))
+                lengths = table.lengths(tau)
+                assert same_bits(mask, lengths[order] > lengths.max() - 1.0), tau
+                moved += not np.array_equal(mask, mask_0)
+        assert moved  # some tau moves an orbit across the shell's edge
+
+    @pytest.mark.parametrize("case", ONE_GRID_CASES.values(), ids=ONE_GRID_CASES.keys())
+    def test_direct_quotient_equals_unshared_products(self, case):
+        model, rep, lam, table, taus = self._grid(case)
+        pol = policy_for(model, max_period=10)
+        for tau in (*taus, 0.0):
+            log_tau = ruelle_log_zeta(unshared_columns(table, rep, tau), lam, pol).log_value
+            log_0 = ruelle_log_zeta(unshared_columns(table, rep, 0.0), lam, pol).log_value
+            assert direct_quotient(model, rep, lam, tau, pol) == cmath.exp(log_tau - log_0), tau
+
+    def test_no_state_leaks_between_tau(self, capsys):
+        # a grid, the grid reversed and each tau alone from cleared caches report the same rows
+        def rows(grid, clear=False):
+            if clear:
+                zetas._table_columns.cache_clear()
+                toral._deepest_table.cache_clear()
+            settings = [*TestDirectQuotient.SETTINGS, f"tau.grid={grid}"]
+            assert cli.main(["variation", *(arg for s in settings for arg in ("--set", s))]) == 0
+            return {row["tau"]: row for row in json.loads(capsys.readouterr().out)["results"]["rows"]}
+
+        taus = ("0.05", "0.1", "0.15")
+        forward, backward = rows(",".join(taus)), rows(",".join(reversed(taus)))
+        alone = {}
+        for tau in taus:
+            alone.update(rows(tau, clear=True))
+        assert len(forward) == 3 and forward == backward == alone
+
+    def test_new_tau_columns_peak_memory_per_orbit(self, cat_family, rep_minus):
+        # once the tau = 0 columns exist, a new tau builds its lengths and nothing else: length0 + tau * slope
+        # peaks at 16 B per orbit; rebuilding rho (16 B) or the transverse columns (32 B) per tau would pass
+        # 20 B, as the columns built anew per tau did at 128.5 B
+        table = orbit_table(cat_family, 10)
+        zetas._table_columns.cache_clear()
+        orbit_columns(table, rep_minus)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            orbit_columns(table, rep_minus, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        orbits = len(table.period)
+        assert orbits == 2622 and peak <= 20 * orbits
 
 
 class TestWedgeDerivativeCheck:
