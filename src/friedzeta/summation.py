@@ -2,9 +2,9 @@
 
 Every Euler product ends in one array in a fixed order, reduced by
 :func:`block_sum`, whose block structure depends only on the array length:
-its (weight group x iterate) terms, whose groups are summed in the row order
-of the orbit columns (a Kleinian group is one row).  Results are therefore
-bit-stable from run to run.
+its (weight group x iterate) terms, with the groups in the row order of the
+orbit columns (a period of an orbit table, a run of a dump, a Kleinian row).
+Results are therefore bit-stable from run to run.
 """
 
 from __future__ import annotations

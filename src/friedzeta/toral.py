@@ -859,17 +859,20 @@ class OrbitTable:
         return lengths
 
     def transverse(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(epsilon, lam_u, lam_s, det_power)`` of ``A^n`` per row, n its period; int64 epsilon and det_power."""
+        """``(epsilon, lam_u, lam_s, det_power)`` of ``A^n`` for n = 0..n_max, indexed by the period n.
+
+        Every orbit of a period has that period's values; epsilon and det_power are int64.
+        """
         auto = self.model.automorphism
         periods = range(self.n_max + 1)
         per_period = ([orientation_index(auto, n) for n in periods], [auto.lam_u**n for n in periods],
                       [auto.lam_s**n for n in periods], [auto.det**n for n in periods])
-        return tuple(np.array(column)[self.period] for column in per_period)
+        return tuple(np.array(column) for column in per_period)
 
     def records(self, tau: float = 0.0) -> list[OrbitRecord]:
         """Row views with lengths at ``tau``, in table order."""
         rows = zip(self.period.tolist(), self.num1.tolist(), self.num2.tolist(), self.den.tolist(),
-                   self.lengths(tau).tolist(), *(column.tolist() for column in self.transverse()),
+                   self.lengths(tau).tolist(), *(column[self.period].tolist() for column in self.transverse()),
                    map(tuple, self.class_exps.tolist()), self.period.tolist())
         return [OrbitRecord(*row) for row in rows]
 

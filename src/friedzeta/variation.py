@@ -10,8 +10,9 @@ node's lengths lie between those at 0 and there.  At real λ each node
 exponentiates a real array, not a complex one.  The direct quotient
 it is checked against takes the τ = 0 Euler product once per λ and
 ``j_max``, not once per τ, and the orbit sums read the twist ε·ρ kept on
-the same τ = 0 columns, built once per orbit table and twist.  The τ
-product's columns share every τ = 0 array that reads no length.  A separate
+the same τ = 0 columns, built once per orbit table and twist from the
+per-period ε.  The τ product's columns hold the τ = 0 twist and weight
+groups and differ only in their lengths.  A separate
 matrix-calculus verifier checks the determinant-expansion identity behind
 the wedge-trace form of the same integrand.
 """
@@ -121,7 +122,8 @@ def variation_rhs(
     if tau != 0.0:  # the integral over [0, 0] is 0: no orbit sum is taken
         # eps * rho does not depend on tau: one array per table and twist, kept on the tau = 0 columns
         cols_0 = orbit_columns(table, representation)
-        twist = _kept(cols_0, "twist", None, lambda: cols_0.epsilon * cols_0.rho)
+        twist = _kept(cols_0, "twist", None,
+                      lambda: np.repeat(cols_0.epsilon, np.diff(cols_0.starts, append=len(cols_0))) * cols_0.rho)
         # node 2i of this grid is bit for bit node i of the grid of quad_subdiv panels
         nodes = [tau * i / panels for i in range(panels + 1)]
         # the one length check for every node: tau * panels / panels can round one ulp past tau

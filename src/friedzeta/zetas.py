@@ -6,17 +6,18 @@ of phases times λ-free weights, so values are reproducible bit for bit.
 
 The products share one shape, ``-sum_gamma sum_j (m / j) z^j w_j`` with
 ``z = rho exp(-lam len)`` and a λ-free weight ``w_j``, and one reduction, by
-weight group: the rows whose λ-free inputs are equal.  Toral rows group by
-orientation index, eigenvalues of the return map and ``det(A)^n``, one
-group per period of an orbit table; Kleinian weights differ per orbit, so
-each Kleinian row is its own group, in row order.  Per λ, one exp per orbit
-gives ``z``; ``j_max`` vector products ``z^j`` in group order, each followed
-by one segmented sum, give the (group x iterate) phases
+weight group: a run of rows whose λ-free inputs are equal, as the builder
+of the columns sets them.  An orbit table has one group per period, since
+every orbit of a period has the return map ``A^n``; Kleinian weights differ
+per orbit, so each Kleinian row is its own group.  Per λ, one exp per orbit
+gives ``z``; ``j_max`` vector products ``z^j``, each followed by one
+segmented sum, give the (group x iterate) phases
 ``-(multiplicity / j) sum z^j``.  The weights ``eps^j`` (Ruelle),
 ``Tr(wedge^k P^j) / |det(1 - P^j)|`` (graded k, and the sign check) and
-``chi / det(1 - P_s^j)`` (Selberg) are (group x iterate) tables.  Phases are built once per λ, weights and the Kleinian iterate
-tables once per columns and ``j_max``, all kept on the columns; the columns of an orbit table's τ grid share
-the arrays that read no length.  The n0 = 2
+``chi / det(1 - P_s^j)`` (Selberg) are (group x iterate) tables.  Phases are
+built once per λ, weights and the Kleinian iterate tables once per columns
+and ``j_max``, all kept on the columns; the columns of an orbit table's τ
+grid hold the same per-row twist and per-group arrays.  The n0 = 2
 Poincaré data and characters are closed forms; ``poincare_data`` and
 ``char_sigma`` are their references in the tests.
 Tail bounds are Margulis-type geometric estimates anchored on the last
@@ -100,32 +101,32 @@ class ZetaValue:
 
 @record(eq=False)
 class OrbitColumns:
-    """Read-only columns of a spectrum, one row per primitive orbit.
+    """Read-only columns of a spectrum: one row per primitive orbit, in weight-group order.
 
-    Toral rows keep the order of their table or dump; Kleinian rows are in
-    ``sort_key`` order.  The weight groups fix the order every
-    reduction reads, so the row order only has to be deterministic.
+    A weight group is a run of rows whose λ-free inputs are equal, so every
+    product takes its weights once per group.  ``starts`` holds the first
+    row of each group; ``epsilon`` (the orientation index),
+    ``multiplicity``, the eigenvalues ``lam_u``, ``lam_s`` of the
+    transverse return map and ``det_power = det(A)^period`` hold one value
+    per group.  ``length`` and the twist's value ``rho`` hold one per row,
+    as does the holonomy angle ``theta`` of Kleinian rows, which carry no
+    eigenvalues.  The builder of the columns sets the groups: an orbit
+    table's are the periods it holds, an orbit dump's its runs of equal
+    ``epsilon`` in file order (with ``nan`` eigenvalues), and a Kleinian
+    spectrum's its rows, in ``sort_key`` order.
 
-    ``rho`` is the twist's value on each orbit and ``epsilon`` its
-    orientation index.  Toral rows carry the eigenvalues ``lam_u``,
-    ``lam_s`` of the transverse return map and ``det_power = det(A)^period``
-    (``nan`` eigenvalues for orbit-dump rows); Kleinian rows carry the
-    holonomy angle ``theta`` instead.  Arrays derived from the columns (the
-    weight groups, the signs, the wedge-trace ratios, the current λ's phases,
-    the Kleinian iterates and the factorization's tables) are kept with them
-    and freed with them, as are
-    ``variation.direct_quotient``'s τ = 0 Ruelle log and the twist
-    ``epsilon * rho`` of ``variation.variation_rhs``.
-
-    The columns of an orbit table at τ ≠ 0 are its τ = 0 columns with other
-    lengths: they hold the τ = 0 arrays themselves, and the arrays derived
-    without reading a length (the groups' order, the signs, the toral
-    ratios) are kept once, on the τ = 0 columns' ``_shared`` store, for the
-    columns of every τ.  Other columns share with no one.
+    Arrays derived from the columns (the signs, the wedge-trace ratios, the
+    last length shell, the current λ's phases, the Kleinian iterates and
+    the factorization's tables) are kept with them and freed with them, as
+    are ``variation.direct_quotient``'s τ = 0 Ruelle log and the twist
+    ``epsilon * rho`` of ``variation.variation_rhs``.  The columns of an
+    orbit table at τ ≠ 0 are its τ = 0 columns with other lengths: they
+    hold every τ = 0 array but ``length`` itself.
     """
 
     length: np.ndarray
     rho: np.ndarray
+    starts: np.ndarray
     epsilon: np.ndarray
     multiplicity: np.ndarray
     lam_u: np.ndarray | None = None
@@ -138,7 +139,6 @@ class OrbitColumns:
             if isinstance(column, np.ndarray):
                 column.flags.writeable = False
         object.__setattr__(self, "_derived", {})
-        object.__setattr__(self, "_shared", self._derived)
 
     def __len__(self) -> int:
         return len(self.length)
@@ -158,9 +158,10 @@ def orbit_columns(spectrum, representation=None, tau: float = 0.0) -> OrbitColum
     if tau:
         raise ValidationError("tau applies to an orbit table; dumps and length records carry their lengths")
     if isinstance(spectrum, OrbitDump):
-        nan = np.full(len(spectrum), math.nan)
-        return _toral_columns(representation, spectrum.class_exps, spectrum.length, spectrum.epsilon, nan, nan,
-                              np.zeros(len(spectrum), dtype=np.int64), spectrum.winding)
+        starts = _runs(spectrum.epsilon)
+        nan = np.full(len(starts), math.nan)
+        return _toral_columns(representation, spectrum.class_exps, spectrum.winding, spectrum.length, starts,
+                              spectrum.epsilon[starts], nan, nan, np.zeros(len(starts), dtype=np.int64))
     records = list(spectrum)
     if not all(isinstance(r, ComplexLengthRecord) for r in records):
         raise ValidationError("a spectrum is an orbit table, an orbit dump or ComplexLengthRecord rows")
@@ -170,33 +171,41 @@ def orbit_columns(spectrum, representation=None, tau: float = 0.0) -> OrbitColum
     rows = np.array([(r.length, r.theta, r.multiplicity) for r in records], dtype=float)
     length, theta, multiplicity = rows.reshape(-1, 3).T
     rho = np.array([r.rho for r in records], dtype=complex)
-    return OrbitColumns(length, rho, np.ones(len(records)), multiplicity, theta=theta)
+    return OrbitColumns(length, rho, np.arange(len(records)), np.ones(len(records)), multiplicity, theta=theta)
+
+
+def _runs(key: np.ndarray) -> np.ndarray:
+    """The first row of each run of equal values in ``key``, a column with no zero."""
+    return np.flatnonzero(np.diff(key, prepend=0))
 
 
 @lru_cache(maxsize=2)  # the tau = 0 columns and the current tau's
 def _table_columns(table: OrbitTable, representation, tau: float) -> OrbitColumns:
     length = table.lengths(tau)
-    if not tau:
-        return _toral_columns(representation, table.class_exps, length, *table.transverse(), table.period)
-    cols_0 = _table_columns(table, representation, 0.0)
-    cols = replace(cols_0, length=length)
-    object.__setattr__(cols, "_shared", cols_0._shared)
-    return cols
+    if tau:
+        return replace(_table_columns(table, representation, 0.0), length=length)
+    starts = _runs(table.period)
+    per_period = (column[table.period[starts]] for column in table.transverse())
+    return _toral_columns(representation, table.class_exps, table.period, length, starts, *per_period)
 
 
-def _toral_columns(representation, class_exps, length, eps, lam_u, lam_s, det_power, winding):
+def _toral_columns(representation, class_exps, winding, length, starts, eps, lam_u, lam_s, det_power):
     if representation is None:
         rho = np.ones(len(length), dtype=complex)
     elif isinstance(representation, Character):
         rho = representation.values(class_exps, winding)
     else:
         raise ValidationError("toral orbits take a Character twist")
-    return OrbitColumns(length, rho, eps, np.ones(len(length)), lam_u, lam_s, det_power)
+    return OrbitColumns(length, rho, starts, eps, np.ones(len(starts)), lam_u, lam_s, det_power)
 
 
-def _powers(base: np.ndarray, j_max: int) -> np.ndarray:
-    """``base**j`` for j = 1..j_max along a new last axis, by repeated multiplication."""
-    _require_cells(base.size * j_max)
+def _powers(cols: OrbitColumns, base: np.ndarray, j_max: int) -> np.ndarray:
+    """``base**j`` for j = 1..j_max along a new last axis, by repeated multiplication.
+
+    ``base`` holds a value per row or per weight group of ``cols``; either way the (orbit x iterate) cap is
+    checked first, so it refuses the same requests however many groups there are.
+    """
+    _require_cells(len(cols) * j_max)
     return np.cumprod(np.broadcast_to(base[:, None], (len(base), j_max)), axis=1)
 
 
@@ -215,99 +224,51 @@ def _in_float_range(lam: complex):
             raise ConvergenceError(f"Euler product at lambda={lam} leaves floating point: {exc}") from None
 
 
-def _kept(cols: OrbitColumns, name: str, key, build, shared: bool = False):
-    """``build()`` (an array, a tuple of them or a number), kept on ``cols`` until ``name`` has another ``key``.
-
-    Kept arrays are read-only.  A ``shared`` one reads no length: it is kept on the ``_shared`` store, found
-    there by the columns of every τ of one table and twist, and listed with ``cols``'s own.
-    """
-    store = cols._shared if shared else cols._derived
-    kept = store.get(name)
+def _kept(cols: OrbitColumns, name: str, key, build):
+    """``build()`` (an array, a tuple of them or a number), kept read-only on ``cols`` until ``name`` has another
+    ``key``."""
+    kept = cols._derived.get(name)
     if kept is None or kept[0] != key:
         value = build()
         for array in value if isinstance(value, tuple) else (value,):
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False
-        kept = store[name] = (key, value)
-    cols._derived[name] = kept
+        kept = cols._derived[name] = (key, value)
     return kept[1]
 
 
-def _groups(cols: OrbitColumns):
-    """``(order, starts, rows, in_shell)``: the weight groups of the columns, built once per columns.
-
-    A toral weight group is the rows whose λ-free inputs (``epsilon``, ``lam_u``, ``lam_s``, ``det_power``,
-    ``multiplicity``) are equal, compared bit for bit so that the ``nan`` eigenvalues of dump rows tie: a
-    table has one group per period, a dump one per orientation index.  Kleinian weights differ per orbit,
-    so each Kleinian row is a group of its own, in row order.  ``order`` sorts the rows into group order
-    (stably, so each group keeps the row order of the columns), ``starts`` holds the first position of
-    each group in it and ``rows`` one row of each group.  ``in_shell`` marks, in group order, the rows of
-    the last length shell ``(L - 1, L]`` that the tail bound reads.
-
-    The groups read no length, so the columns of every τ of a table share one ``(order, starts, rows)``;
-    ``in_shell`` is built per columns.
-    """
-    def build():
-        if cols.theta is not None:
-            order = starts = np.arange(len(cols))
-        else:
-            inputs = (cols.multiplicity, cols.det_power, cols.lam_s, cols.lam_u, cols.epsilon)
-            keys = [key.view(np.int64) if key.dtype == np.float64 else key for key in inputs]
-            order = np.lexsort(keys)
-            first = np.zeros(len(order), dtype=bool)
-            first[:1] = True
-            for key in keys:
-                ordered = key[order]
-                first[1:] |= ordered[1:] != ordered[:-1]
-            starts = np.flatnonzero(first)
-        return order, starts, order[starts]
-
-    order, starts, rows = _kept(cols, "groups", None, build, shared=True)
-    in_shell = _kept(cols, "in_shell", None, lambda: cols.length[order] > cols.length.max(initial=-math.inf) - 1.0)
-    return order, starts, rows, in_shell
-
-
-def _weight_rows(cols: OrbitColumns, j_max: int):
-    """The rows the λ-free weights are taken on: one per weight group.
-
-    The columns are first held to the (orbit x iterate) cap, so the cap refuses the same requests however
-    many groups there are.
-    """
-    _require_cells(len(cols) * j_max)
-    return _groups(cols)[2]
+def _last_shell(cols: OrbitColumns) -> np.ndarray:
+    """The rows of the last length shell ``(L - 1, L]``, which the tail bound reads; built once per columns."""
+    return _kept(cols, "last_shell", None, lambda: cols.length > cols.length.max(initial=-math.inf) - 1.0)
 
 
 def _signs(cols: OrbitColumns, j_max: int) -> np.ndarray:
-    """``eps^j`` per (weight row, iterate): the Ruelle weight and the sign check's target.
-
-    Built once per ``j_max`` and shared by the columns of every τ of a table.
-    """
-    return _kept(cols, "signs", j_max, lambda: _powers(cols.epsilon[_weight_rows(cols, j_max)], j_max), shared=True)
+    """``eps^j`` per (weight group, iterate): the Ruelle weight and the sign check's target."""
+    return _kept(cols, "signs", j_max, lambda: _powers(cols, cols.epsilon, j_max))
 
 
 def _group_phases(cols: OrbitColumns, lam: complex, j_max: int):
     """``Phi[g, j] = -(m_g / j) sum_{gamma in g} z^j``, ``z = rho exp(-lam len)``, per (weight group, iterate).
 
-    Built once per ``lam`` from one exp per orbit, ``j_max`` vector products ``z^j`` in group order and,
-    after each, one segmented sum over the groups; no (orbit x iterate) array is built.  Returned with
-    two magnitudes per group: ``m_g sum |z|`` over its rows in the last length shell, which the tail
-    bound reads, and ``m_g max |z^j_max| / j_max``, which the iterate-truncation warning reads.
+    Built once per ``lam`` from one exp per orbit, ``j_max`` vector products ``z^j`` and, after each, one
+    segmented sum over the groups; no (orbit x iterate) array is built.  Returned with two magnitudes per
+    group: ``m_g sum |z|`` over its rows in the last length shell, which the tail bound reads, and
+    ``m_g max |z^j_max| / j_max``, which the iterate-truncation warning reads.
     """
     def build():
         _require_cells(len(cols) * j_max)
-        order, starts, rows, in_shell = _groups(cols)
-        z = (cols.rho * np.exp(-lam * cols.length))[order]
+        starts = cols.starts
+        z = cols.rho * np.exp(-lam * cols.length)
         sums = np.empty((len(starts), j_max), dtype=complex)
         power = z.copy()
         sums[:, 0] = np.add.reduceat(power, starts)
         for j in range(1, j_max):
             power *= z
             sums[:, j] = np.add.reduceat(power, starts)
-        multiplicity = cols.multiplicity[rows]
-        sums *= -multiplicity[:, None]
+        sums *= -cols.multiplicity[:, None]
         sums *= 1.0 / np.arange(1, j_max + 1)
-        shell = np.add.reduceat(np.where(in_shell, np.abs(z), 0.0), starts) * multiplicity
-        last = np.maximum.reduceat(np.abs(power), starts) * multiplicity / j_max
+        shell = np.add.reduceat(np.where(_last_shell(cols), np.abs(z), 0.0), starts) * cols.multiplicity
+        last = np.maximum.reduceat(np.abs(power), starts) * cols.multiplicity / j_max
         return sums, shell, last
 
     return _kept(cols, "group_phases", (lam, j_max), build)
@@ -318,7 +279,7 @@ def _kleinian_iterates(cols: OrbitColumns, j_max: int):
     if len(cols) and j_max * float(cols.length.max()) > 300.0:
         raise ValidationError("j*ell too large: expanding block overflows doubles")
     cos = np.cos(np.arange(1, j_max + 1) * cols.theta[:, None])
-    return _powers(np.exp(-cols.length), j_max), _powers(np.exp(cols.length), j_max), cos
+    return _powers(cols, np.exp(-cols.length), j_max), _powers(cols, np.exp(cols.length), j_max), cos
 
 
 def _class_angles(cols: OrbitColumns, j_max: int) -> np.ndarray:
@@ -342,24 +303,22 @@ def _det_one_minus_ps(a, c):
 
 
 def _trace_ratios(cols: OrbitColumns, j_max: int) -> np.ndarray:
-    """``Tr(wedge^k P^j) / |det(1 - P^j)|`` per (k, weight row, iterate), k = 0..dim, built once per ``j_max``.
+    """``Tr(wedge^k P^j) / |det(1 - P^j)|`` per (k, weight group, iterate), k = 0..dim, built once per ``j_max``.
 
     The one λ-free array of the graded terms, the factorization's left side
-    and the sign check, taken on the rows of :func:`_weight_rows`: one per
-    weight group, so every row of Kleinian columns.  Toral traces and
-    determinants are divided through by ``|lam_u|^j``, which leaves every
-    ratio unchanged and keeps both finite at any ``j``.  Toral ratios read
-    no length and are shared by the columns of every τ of a table.
+    and the sign check: one row per weight group, so every row of Kleinian
+    columns.  Toral traces and determinants are divided through by
+    ``|lam_u|^j``, which leaves every ratio unchanged and keeps both finite
+    at any ``j``.
     """
     def build():
         if cols.theta is None:
             if np.isnan(cols.lam_u).any():
                 raise ValidationError("record lacks eigenvalue data (orbit dump round-trip)")
-            rows = _weight_rows(cols, j_max)
-            r = _powers(1.0 / cols.lam_u[rows], j_max)  # lam_u^-j
-            s = _powers(cols.lam_s[rows], j_max)
+            r = _powers(cols, 1.0 / cols.lam_u, j_max)  # lam_u^-j
+            s = _powers(cols, cols.lam_s, j_max)
             r_abs = np.abs(r)
-            traces = (r_abs, s * r_abs + np.sign(r), _powers(cols.det_power[rows], j_max) * r_abs)
+            traces = (r_abs, s * r_abs + np.sign(r), _powers(cols, cols.det_power, j_max) * r_abs)
             # |det| = |r - 1| |s - 1|; a reciprocal, then products
             scale, combine = 1.0 / (np.abs(r - 1.0) * np.abs(s - 1.0)), np.multiply
         else:
@@ -373,7 +332,7 @@ def _trace_ratios(cols: OrbitColumns, j_max: int) -> np.ndarray:
             combine(trace, scale, out=ratio)
         return ratios
 
-    return _kept(cols, "ratios", j_max, build, shared=cols.theta is None)
+    return _kept(cols, "ratios", j_max, build)
 
 
 def _require_convergence(lam: complex, threshold: float, allow_formal: bool, what: str):

@@ -28,10 +28,15 @@ def powers(base, j_max):
     return np.cumprod(np.broadcast_to(base[:, None], (len(base), j_max)), axis=1)
 
 
+def per_row(cols, values):
+    """A column of one value per weight group of ``cols``, repeated onto every row of the group."""
+    return np.repeat(values, np.diff(cols.starts, append=len(cols)))
+
+
 def terms(cols, base, j_max):
     """``-multiplicity base^j / j`` per (orbit, iterate)."""
     out = powers(base, j_max)
-    out *= -cols.multiplicity[:, None]
+    out *= -per_row(cols, cols.multiplicity)[:, None]
     out *= 1.0 / np.arange(1, j_max + 1)
     return out
 
@@ -51,10 +56,10 @@ def trace_ratios(cols, j_max):
         return zetas._trace_ratios(cols, j_max)
     if np.isnan(cols.lam_u).any():
         raise ValidationError("record lacks eigenvalue data (orbit dump round-trip)")
-    r = powers(1.0 / cols.lam_u, j_max)
-    s = powers(cols.lam_s, j_max)
+    r = powers(1.0 / per_row(cols, cols.lam_u), j_max)
+    s = powers(per_row(cols, cols.lam_s), j_max)
     r_abs = np.abs(r)
-    traces = (r_abs, s * r_abs + np.sign(r), powers(cols.det_power, j_max) * r_abs)
+    traces = (r_abs, s * r_abs + np.sign(r), powers(per_row(cols, cols.det_power), j_max) * r_abs)
     scale = 1.0 / (np.abs(r - 1.0) * np.abs(s - 1.0))
     return np.array([trace * scale for trace in traces])
 
@@ -86,7 +91,7 @@ def zeta_value(cols, array, lam, kind, policy):
 
 def ruelle(cols, lam, policy):
     lam = complex(lam)
-    base = cols.epsilon * cols.rho * np.exp(-lam * cols.length)
+    base = per_row(cols, cols.epsilon) * cols.rho * np.exp(-lam * cols.length)
     return zeta_value(cols, terms(cols, base, policy.j_max), lam, "ruelle", policy)
 
 
@@ -118,4 +123,4 @@ def assembly_residual(cols, j_max):
     ratios = trace_ratios(cols, j_max)
     alt = sum((-1.0) ** k * ratio for k, ratio in enumerate(ratios))
     s = (-1) ** ((len(ratios) - 1) // 2)
-    return float(np.abs(alt - s * powers(cols.epsilon, j_max)).max())
+    return float(np.abs(alt - s * powers(per_row(cols, cols.epsilon), j_max)).max())

@@ -29,8 +29,16 @@ def trig_value(poly, num1: int, num2: int, den: int) -> float:
 
 
 def columns_from_records(records, representation=None):
-    """The columns of ``records`` in list order, twisted by a ``Character`` (``None`` is trivial)."""
-    names = ("length", "epsilon", "lam_u", "lam_s", "det_power", "winding")
+    """The columns of ``records`` in list order, twisted by a ``Character`` (``None`` is trivial).
+
+    A weight group is a run of records with equal transverse data (``nan`` eigenvalues tie), its values read
+    from its first record.
+    """
+    names = ("epsilon", "lam_u", "lam_s", "det_power")
+    keys = [tuple(getattr(r, name) for name in names) for r in records]
+    starts = [i for i, key in enumerate(keys)
+              if not i or any(a != b and not (a != a and b != b) for a, b in zip(key, keys[i - 1]))]
+    per_group = (np.array([keys[i][k] for i in starts]) for k in range(len(names)))
     class_exps = np.array([r.class_exps for r in records], dtype=np.int64).reshape(len(records), -1)
-    columns = (np.array([getattr(r, name) for r in records]) for name in names)
-    return _toral_columns(representation, class_exps, *columns)
+    winding, length = (np.array([getattr(r, name) for r in records]) for name in ("winding", "length"))
+    return _toral_columns(representation, class_exps, winding, length, np.array(starts, dtype=np.intp), *per_group)

@@ -272,15 +272,18 @@ class TestOrbitTable:
             assert np.max(np.abs(table.length0[rows] - want) / want) <= 1e-13
         assert np.max(np.abs(table.slope - slopes) / np.abs(table.length0)) <= 1e-13
 
-    def test_transverse_rows_match_per_orbit_data(self, built):
+    def test_transverse_holds_one_value_per_period(self, built):
         model, table, _ = built
         auto = model.automorphism
         epsilon, lam_u, lam_s, det_power = table.transverse()
         assert epsilon.dtype == det_power.dtype == np.int64
-        assert len(epsilon) == len(lam_u) == len(lam_s) == len(det_power) == len(table.period)
-        for i, n in enumerate(table.period.tolist()):
-            assert epsilon[i] == orientation_index(auto, n)
-            assert (lam_u[i], lam_s[i], det_power[i]) == (auto.lam_u**n, auto.lam_s**n, auto.det**n)
+        assert len(epsilon) == len(lam_u) == len(lam_s) == len(det_power) == table.n_max + 1
+        for n in range(table.n_max + 1):
+            assert epsilon[n] == orientation_index(auto, n)
+            assert (lam_u[n], lam_s[n], det_power[n]) == (auto.lam_u**n, auto.lam_s**n, auto.det**n)
+        for rec in table.records():  # records() reads each row's values at its period
+            n = rec.period
+            assert (rec.epsilon, rec.lam_u, rec.lam_s, rec.det_power) == (epsilon[n], lam_u[n], lam_s[n], det_power[n])
 
     def test_orbit_count_identity(self, built):
         model, table, _ = built
@@ -562,11 +565,11 @@ class TestOrientationAndWedge:
 
     def test_wedge_traces(self, cat_model):
         _, lam_u, lam_s, det_power = orbit_table(cat_model, 1).transverse()
-        assert lam_u[0] + lam_s[0] == pytest.approx(3.0)  # Tr A
-        assert det_power[0] == 1
+        assert lam_u[1] + lam_s[1] == pytest.approx(3.0)  # Tr A
+        assert det_power[1] == 1
 
     def test_alternating_identity(self, cat_model):
-        _, lam_u, lam_s, det_power = orbit_table(cat_model, 10).transverse()
+        _, lam_u, lam_s, det_power = (column[1:] for column in orbit_table(cat_model, 10).transverse())
         for j in (1, 2, 3):
             alt = 1 - (lam_u**j + lam_s**j) + det_power.astype(float) ** j
             assert alt == pytest.approx((1 - lam_u**j) * (1 - lam_s**j), rel=1e-12)

@@ -289,8 +289,10 @@ class TestDirectQuotient:
 
 def unshared_columns(table, representation, tau):
     """The columns of ``table`` at ``tau`` built from the table alone, sharing nothing with another tau's."""
-    return zetas._toral_columns(representation, table.class_exps, table.lengths(tau), *table.transverse(),
-                                table.period)
+    starts = zetas._runs(table.period)
+    per_period = (column[table.period[starts]] for column in table.transverse())
+    return zetas._toral_columns(representation, table.class_exps, table.period, table.lengths(tau), starts,
+                                *per_period)
 
 
 def same_bits(got, want):
@@ -300,7 +302,7 @@ def same_bits(got, want):
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-SHARED_COLUMNS = ("rho", "epsilon", "lam_u", "lam_s", "det_power", "multiplicity")
+SHARED_COLUMNS = ("rho", "starts", "epsilon", "multiplicity", "lam_u", "lam_s", "det_power")
 
 
 class TestTauColumnsShareTheTauZeroArrays:
@@ -322,21 +324,15 @@ class TestTauColumnsShareTheTauZeroArrays:
 
     @pytest.mark.parametrize("case", ONE_GRID_CASES.values(), ids=ONE_GRID_CASES.keys())
     def test_derived_arrays_equal_unshared_ones(self, case):
-        # the tau columns build the groups, signs and ratios first; the tau = 0 columns then find them
+        # the tau columns are built first, so the tau = 0 columns they share are built on their behalf
         _, rep, _, table, taus = self._grid(case)
         zetas._table_columns.cache_clear()
         for j_max in (1, 5, 16):
             for tau in (*taus, 0.0):
                 cols, fresh = orbit_columns(table, rep, tau), unshared_columns(table, rep, tau)
-                assert same_bits(zetas._groups(cols), zetas._groups(fresh)), (tau, j_max)
+                assert all(same_bits(getattr(cols, name), getattr(fresh, name)) for name in SHARED_COLUMNS), tau
                 assert same_bits(zetas._signs(cols, j_max), zetas._signs(fresh, j_max)), (tau, j_max)
                 assert same_bits(zetas._trace_ratios(cols, j_max), zetas._trace_ratios(fresh, j_max)), (tau, j_max)
-            cols_0 = orbit_columns(table, rep)
-            for tau in taus:
-                cols = orbit_columns(table, rep, tau)
-                assert all(got is want for got, want in zip(zetas._groups(cols)[:3], zetas._groups(cols_0)[:3]))
-                assert zetas._signs(cols, j_max) is zetas._signs(cols_0, j_max)
-                assert zetas._trace_ratios(cols, j_max) is zetas._trace_ratios(cols_0, j_max)
 
     def test_last_shell_mask_follows_each_tau(self, cat):
         # lengths (1 + tau) n: below tau = 0 the period-9 orbits join the period-10 ones in the last shell
@@ -345,11 +341,11 @@ class TestTauColumnsShareTheTauZeroArrays:
         moved = 0
         for case in cases:
             _, rep, _, table, taus = self._grid(case)
-            mask_0 = zetas._groups(orbit_columns(table, rep))[3]
+            mask_0 = zetas._last_shell(orbit_columns(table, rep))
             for tau in taus:
-                order, _, _, mask = zetas._groups(orbit_columns(table, rep, tau))
+                mask = zetas._last_shell(orbit_columns(table, rep, tau))
                 lengths = table.lengths(tau)
-                assert same_bits(mask, lengths[order] > lengths.max() - 1.0), tau
+                assert same_bits(mask, lengths > lengths.max() - 1.0), tau
                 moved += not np.array_equal(mask, mask_0)
         assert moved  # some tau moves an orbit across the shell's edge
 

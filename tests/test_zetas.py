@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from friedzeta import (
 )
 from friedzeta._record import replace
 from friedzeta.characters import char_label
-from friedzeta.toral import orbit_table
+from friedzeta.toral import orbit_table, orientation_index
 from friedzeta.zetas import _class_angles, _det_one_minus_ps, _kleinian_iterates, _shell_tail, orbit_columns
 
 import euler_oracle
@@ -461,7 +462,7 @@ class TestArrayPathAgainstLoops:
         model, rep = _twisted_3211()
         model = SuspensionModel(model.automorphism, TrigPolynomial.const(1.0))
         a, b = orbit_columns(orbit_table(model, 6), rep), columns_from_records(orbit_records(model, 6), rep)
-        for name in ("length", "rho", "epsilon", "lam_u", "lam_s", "det_power"):
+        for name in ("length", "rho", "starts", "epsilon", "lam_u", "lam_s", "det_power"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
         assert np.allclose(a.rho, [character_value(rep, r.class_exps, r.winding) for r in orbit_records(model, 6)],
                            rtol=0, atol=1e-14)
@@ -476,7 +477,7 @@ class TestArrayPathAgainstLoops:
         for rep in (None, rep_minus):
             zv = ruelle_log_zeta(orbit_columns(back, rep), 3.0, pol)
             assert _close(zv.log_value, loop_ruelle(records, rep, 3.0, 16))
-        for name in ("length", "rho", "epsilon", "multiplicity", "lam_u", "lam_s", "det_power"):
+        for name in ("length", "rho", "starts", "epsilon", "multiplicity", "lam_u", "lam_s", "det_power"):
             want = getattr(columns_from_records(records, rep_minus), name)
             assert np.array_equal(getattr(orbit_columns(back, rep_minus), name), want, equal_nan=True)
 
@@ -619,8 +620,7 @@ class TestWeightGroupsAgainstPerOrbitOracle:
     @pytest.mark.parametrize("spectrum", [_mixed_spectrum, _synthetic_200], ids=["mixed", "synthetic_200"])
     def test_kleinian_products_match_the_oracle(self, spectrum, j_max):
         cols = orbit_columns(spectrum())
-        order, starts, rows, _ = zetas._groups(cols)  # one group per row, in row order
-        assert all(np.array_equal(index, np.arange(len(cols))) for index in (order, starts, rows))
+        assert np.array_equal(cols.starts, np.arange(len(cols)))  # one group per row
         pol = TruncationPolicy(j_max=j_max, p_max=24, entropy=2.0)
         for lam in (2.3, 4.0, 4.0 - 1.5j):
             self._agree(ruelle_log_zeta(cols, lam, pol), euler_oracle.ruelle(cols, lam, pol))
@@ -654,11 +654,69 @@ class TestWeightGroupsAgainstPerOrbitOracle:
         for lam in (3.0, 4.0 + 1j):
             assemble_ruelle_from_graded(cols, lam, pol)
             ruelle_log_zeta(cols, lam, pol)
-        groups = len(cols._derived["groups"][1][1])
+        groups = len(cols.starts)
         assert groups == 8 < len(cols)
         assert cols._derived["ratios"][1].shape == (3, groups, 16)
         assert cols._derived["group_phases"][1][0].shape == (groups, 16)
         assert "phases" not in cols._derived
+
+
+class TestWeightGroupContract:
+    """The builder of the columns sets the weight groups: a table's periods, a dump's runs of equal epsilon in
+    file order, a Kleinian spectrum's rows."""
+
+    def test_table_groups_are_its_periods(self):
+        # -2 -1 -1 -1 has no primitive period-2 orbit: periods 1 and 3..10 hold orbits, nine groups
+        model = SuspensionModel(ToralAutomorphism(((-2, -1), (-1, -1))), TABLE_ROOF)
+        auto, table = model.automorphism, orbit_table(model, 10)
+        cols = orbit_columns(table, Character.from_angle_fraction(0.3))
+        periods = table.period[cols.starts]
+        assert periods.tolist() == [1, *range(3, 11)]
+        assert np.array_equal(euler_oracle.per_row(cols, periods), table.period)
+        assert cols.epsilon.tolist() == [orientation_index(auto, n) for n in periods.tolist()]
+        assert cols.lam_u.tolist() == [auto.lam_u**n for n in periods.tolist()]
+        assert cols.lam_s.tolist() == [auto.lam_s**n for n in periods.tolist()]
+        assert cols.det_power.tolist() == [auto.det**n for n in periods.tolist()]
+        assert cols.multiplicity.tolist() == [1.0] * 9
+
+    @pytest.mark.parametrize("matrix", [((2, 1), (1, 1)), ((-2, -1), (-1, -1))], ids=["cat", "negative"])
+    def test_shuffled_dump_gives_the_sorted_value(self, matrix, tmp_path):
+        from friedzeta import read_orbit_dump, write_orbit_dump
+
+        model = SuspensionModel(ToralAutomorphism(matrix), TABLE_ROOF)
+        sorted_path, shuffled_path = tmp_path / "sorted.txt", tmp_path / "shuffled.txt"
+        write_orbit_dump(sorted_path, orbit_table(model, 8))
+        header, *lines = sorted_path.read_text().splitlines()
+        np.random.default_rng(8).shuffle(lines)
+        shuffled_path.write_text("\n".join([header, *lines]) + "\n")
+        rep = Character.from_angle_fraction(0.3)
+        pol = TruncationPolicy(j_max=16, entropy=model.default_entropy())
+        sorted_cols, shuffled_cols = (orbit_columns(read_orbit_dump(path), rep)
+                                      for path in (sorted_path, shuffled_path))
+        # epsilon is 1 on every cat-map line; on -2 -1 -1 -1 it is (-1)^n, so periods 1 and 3 (there is no
+        # period-2 orbit) make one run and 4..8 one each
+        assert len(sorted_cols.starts) == (1 if matrix[0][0] > 0 else 6) <= len(shuffled_cols.starts)
+        for lam in (model.default_entropy() + 0.5, 4.0 + 2.5j):
+            want, scale = euler_oracle.ruelle(sorted_cols, lam, pol)
+            assert abs(ruelle_log_zeta(shuffled_cols, lam, pol).log_value - want.log_value) <= GROUP_TOL * scale
+
+    def test_kleinian_groups_are_its_rows(self):
+        cols = orbit_columns(_synthetic_200())
+        assert np.array_equal(cols.starts, np.arange(len(cols)))
+        assert len(cols.epsilon) == len(cols.multiplicity) == len(cols)
+
+    def test_table_columns_hold_little_per_orbit(self, cat, rep_minus):
+        # a row holds its length (8 B) and rho (16 B); per-row copies of the transverse data held 64.1 B
+        table = orbit_table(SuspensionModel(cat, TABLE_ROOF), 13)
+        zetas._table_columns.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cols = orbit_columns(table, rep_minus)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(cols) > 30_000 and held <= 32 * len(cols)
 
 
 def per_call_factorization_weights(cols, k, j_max, p_values):
@@ -761,7 +819,8 @@ class TestKeptFactorizationTables:
         for j_max in range(1, 41):
             n = int(rng.integers(1, 200))
             cols = zetas.OrbitColumns(rng.uniform(0.5, 5.0, n), rng.normal(size=n) + 1j * rng.normal(size=n),
-                                      np.ones(n), rng.integers(1, 4, n).astype(float), theta=np.zeros(n))
+                                      np.arange(n), np.ones(n), rng.integers(1, 4, n).astype(float),
+                                      theta=np.zeros(n))
             z = cols.rho * np.exp(-lam * cols.length)
             divided, power = np.empty((n, j_max), dtype=complex), z.copy()
             divided[:, 0] = power
