@@ -21,7 +21,7 @@ grid hold the same per-row twist and per-group arrays.  The n0 = 2
 Poincaré data and characters are closed forms; ``poincare_data`` and
 ``char_sigma`` are their references in the tests.
 Tail bounds are Margulis-type geometric estimates anchored on the last
-length shell actually summed.
+length shell actually summed, in units of the shortest length.
 """
 
 from __future__ import annotations
@@ -238,8 +238,9 @@ def _kept(cols: OrbitColumns, name: str, key, build):
 
 
 def _last_shell(cols: OrbitColumns) -> np.ndarray:
-    """The rows of the last length shell ``(L - 1, L]``, which the tail bound reads; built once per columns."""
-    return _kept(cols, "last_shell", None, lambda: cols.length > cols.length.max(initial=-math.inf) - 1.0)
+    """The rows of the last length shell ``(L - l_min, L]``, which the tail bound reads; built once per columns."""
+    return _kept(cols, "last_shell", None,
+                 lambda: cols.length > cols.length.max(initial=-math.inf) - cols.length.min(initial=math.inf))
 
 
 def _signs(cols: OrbitColumns, j_max: int) -> np.ndarray:
@@ -342,14 +343,14 @@ def _require_convergence(lam: complex, threshold: float, allow_formal: bool, wha
         )
 
 
-def _shell_tail(top: float, shell: float, sigma: float, h: float) -> float:
-    """Twice the magnitude ``shell`` summed in the shell ``(top-1, top]``, continued at rate
-    ``exp(-(sigma - h))`` per unit length.
+def _shell_tail(length: np.ndarray, shell: float, sigma: float, h: float) -> float:
+    """Twice the magnitude ``shell`` summed in the last shell ``(L - l_min, L]`` of ``length``, continued at rate
+    ``exp(-(sigma - h) l_min)`` per shell: in units of the shortest length, so the unit of time cancels.
     """
     if sigma <= h:
         return math.inf
-    q = math.exp(-(sigma - h))
-    base = shell if shell > 0 else math.exp(-(sigma - h) * top)
+    q = math.exp(-(sigma - h) * float(length.min()))
+    base = shell if shell > 0 else math.exp(-(sigma - h) * float(length.max()))
     return 2.0 * base * q / (1.0 - q)
 
 
@@ -364,8 +365,7 @@ def _group_value(cols: OrbitColumns, weights: np.ndarray, lam: complex, kind: st
     magnitude = np.abs(weights)
     tail, warnings = 0.0, ("empty spectrum",)
     if len(cols):
-        top = float(cols.length.max())
-        tail = _shell_tail(top, float((shell * magnitude[:, 0]).sum()), lam.real, policy.entropy)
+        tail = _shell_tail(cols.length, float((shell * magnitude[:, 0]).sum()), lam.real, policy.entropy)
         warnings = ()
     worst_last = float((last * magnitude[:, -1]).max(initial=0.0))
     if worst_last > policy.tail_tol:

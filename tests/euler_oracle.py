@@ -65,14 +65,15 @@ def trace_ratios(cols, j_max):
 
 
 def tail_bound(lengths, first_terms_abs, sigma, h):
-    """Twice the magnitude in the last length shell ``(L-1, L]``, continued at rate ``exp(-(sigma - h))``."""
+    """Twice the magnitude in the last length shell ``(L - l_min, L]``, continued at rate ``exp(-(sigma - h) l_min)``
+    per shell, ``l_min`` the shortest length."""
     if not len(lengths):
         return 0.0
     if sigma <= h:
         return math.inf
-    top = float(lengths.max())
-    shell = sum(first_terms_abs[lengths > top - 1.0].tolist())
-    q = math.exp(-(sigma - h))
+    top, width = float(lengths.max()), float(lengths.min())
+    shell = sum(first_terms_abs[lengths > top - width].tolist())
+    q = math.exp(-(sigma - h) * width)
     base = shell if shell > 0 else math.exp(-(sigma - h) * top)
     return 2.0 * base * q / (1.0 - q)
 

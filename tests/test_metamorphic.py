@@ -9,6 +9,10 @@ so the two runs must agree to rounding:
   ``A^T k``) changes no orbit length;
 * reversal: ``A^-1`` runs the same orbits backwards, so its flow zeta at
   twist ``u`` is that of ``A`` at ``u * det(A)^winding``;
+* unit of time: the roof ``c r`` at ``lambda / c`` is the roof ``r`` at
+  ``lambda`` timed in another unit; for ``c = 2^-k`` every length, the
+  entropy and ``lambda * length`` scale exactly, so each product's log, tail
+  bound and warnings agree bit for bit;
 * cyclic cover: the q-fold cover of the suspension of ``(A, r)`` is the
   suspension of ``(A^q, r_q)``, ``r_q = sum_{i<q} r o A^i`` (each roof term
   ``k`` repeated at ``(A^T)^i k``), and ``zeta_cover(u^q)`` is the product of
@@ -208,6 +212,28 @@ def reversal_difference(matrix, roof_terms, u_fraction):
     return worst
 
 
+def time_unit_rows(matrix, roof_terms, u_fraction, k):
+    """Each Euler product's ``(log, tail, warnings)`` over the λ grid, on the roof ``r`` and on ``c r`` at
+    ``lambda / c``, ``c = 2^-k``.
+
+    Scaling by a power of two is exact, so the lengths, the entropy and every ``lambda * length`` of the
+    second suspension are those of the first in another unit of time, bit for bit.
+    """
+    c = 2.0 ** -k
+    auto, rep, roof = ToralAutomorphism(matrix), _character(u_fraction), _roof(roof_terms)
+    scaled = TrigPolynomial(c * roof.constant, tuple((k1, k2, c * a, c * b) for k1, k2, a, b in roof.terms))
+    n_max, lams = _n_max(auto), _euler_lambdas(SuspensionModel(auto, roof))
+    rows = ([], [])
+    for model, unit, out in zip((SuspensionModel(auto, roof), SuspensionModel(auto, scaled)), (1.0, c), rows):
+        policy = TruncationPolicy(max_period=n_max, entropy=model.default_entropy())
+        cols = orbit_columns(orbit_table(model, n_max), rep)
+        for lam in lams:
+            values = [ruelle_log_zeta(cols, lam / unit, policy)]
+            values += [graded_log_zeta(cols, degree, lam / unit, policy) for degree in range(3)]
+            out += [(v.log_value, v.tail_bound, v.warnings) for v in values]
+    return rows
+
+
 def _cover(matrix, roof_terms, q):
     """The q-fold cyclic cover of the suspension of ``(matrix, _roof(roof_terms))``."""
     power, frequencies, cover_terms = ((1, 0), (0, 1)), [k for k, _, _ in roof_terms], []
@@ -287,6 +313,13 @@ def test_reversal_needs_the_orientation_twist():
     plain = [ruelle_log_zeta(orbit_columns(orbit_table(model, 6)), lam, policy).log_value for model in models]
     assert abs(plain[0] - plain[1]) > 1e-3
     assert reversal_difference(matrix, [((1, 0), 0.05, 0.0)], None) <= REVERSAL_TOL
+
+
+@EXAMPLES
+@given(hyperbolic, terms, twists, st.integers(1, 8))
+def test_unit_of_time(matrix, roof_terms, u_fraction, k):
+    plain, scaled = time_unit_rows(matrix, roof_terms, u_fraction, k)
+    assert repr(plain) == repr(scaled)
 
 
 @EXAMPLES

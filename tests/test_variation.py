@@ -335,7 +335,8 @@ class TestTauColumnsShareTheTauZeroArrays:
                 assert same_bits(zetas._trace_ratios(cols, j_max), zetas._trace_ratios(fresh, j_max)), (tau, j_max)
 
     def test_last_shell_mask_follows_each_tau(self, cat):
-        # lengths (1 + tau) n: below tau = 0 the period-9 orbits join the period-10 ones in the last shell
+        # lengths (1 + tau) n: the shell (L - l_min, L] scales with them, so this mask stays; the cat map's, 3 2 1 1's
+        # and tau = 0's move orbits across the edge
         speedup = SuspensionModel(cat, TrigPolynomial.const(1.0), TrigPolynomial.const(1.0))
         cases = [*ONE_GRID_CASES.values(), lambda: (speedup, None, 3.0, -0.05)]
         moved = 0
@@ -345,7 +346,7 @@ class TestTauColumnsShareTheTauZeroArrays:
             for tau in taus:
                 mask = zetas._last_shell(orbit_columns(table, rep, tau))
                 lengths = table.lengths(tau)
-                assert same_bits(mask, lengths > lengths.max() - 1.0), tau
+                assert same_bits(mask, lengths > lengths.max() - lengths.min()), tau
                 moved += not np.array_equal(mask, mask_0)
         assert moved  # some tau moves an orbit across the shell's edge
 

@@ -91,7 +91,7 @@ class TestRuelle:
         assert tails[0] > tails[1] > tails[2] > 0
 
     def test_tail_bound_infinite_below_entropy(self):
-        assert _shell_tail(1.0, 0.5, 1.0, 2.0) == math.inf
+        assert _shell_tail(np.array([1.0]), 0.5, 1.0, 2.0) == math.inf
 
 
 class TestGraded:
