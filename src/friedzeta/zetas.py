@@ -345,13 +345,13 @@ def _require_convergence(lam: complex, threshold: float, allow_formal: bool, wha
 
 def _shell_tail(length: np.ndarray, shell: float, sigma: float, h: float) -> float:
     """Twice the magnitude ``shell`` summed in the last shell ``(L - l_min, L]`` of ``length``, continued at rate
-    ``exp(-(sigma - h) l_min)`` per shell: in units of the shortest length, so the unit of time cancels.
-    """
-    if sigma <= h:
+    ``q = exp(-(sigma - h) l_min)`` per shell: in units of the shortest length, so the unit of time cancels.
+    ``1 - q`` is ``-expm1``, so a short ``l_min`` keeps its digits; a rate of exactly 1 bounds nothing."""
+    x = (sigma - h) * float(length.min())
+    if x <= 0.0:
         return math.inf
-    q = math.exp(-(sigma - h) * float(length.min()))
     base = shell if shell > 0 else math.exp(-(sigma - h) * float(length.max()))
-    return 2.0 * base * q / (1.0 - q)
+    return 2.0 * base * math.exp(-x) / -math.expm1(-x)
 
 
 def _group_value(cols: OrbitColumns, weights: np.ndarray, lam: complex, kind: str, policy: TruncationPolicy):

@@ -69,13 +69,13 @@ def tail_bound(lengths, first_terms_abs, sigma, h):
     per shell, ``l_min`` the shortest length."""
     if not len(lengths):
         return 0.0
-    if sigma <= h:
-        return math.inf
     top, width = float(lengths.max()), float(lengths.min())
+    x = (sigma - h) * width
+    if x <= 0.0:
+        return math.inf
     shell = sum(first_terms_abs[lengths > top - width].tolist())
-    q = math.exp(-(sigma - h) * width)
     base = shell if shell > 0 else math.exp(-(sigma - h) * top)
-    return 2.0 * base * q / (1.0 - q)
+    return 2.0 * base * math.exp(-x) / -math.expm1(-x)
 
 
 def zeta_value(cols, array, lam, kind, policy):

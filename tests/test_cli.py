@@ -171,6 +171,13 @@ class TestZetaEval:
         row = [r for r in payload["results"]["rows"] if r["zeta_kind"] == "ruelle"][0]
         assert row["log_value_re"] == pytest.approx(math.log(1 - math.exp(-3.0)), rel=1e-12)
 
+    def test_tiny_spectrum_length_exits_with_an_error_line(self, tmp_path, capsys):
+        # the Ruelle tail's rate exp(-(3 - 2) * 1e-17) rounds to 1; the graded products then leave floating point
+        spec = tmp_path / "tiny.txt"
+        write_spectrum(spec, [ComplexLengthRecord(length=1e-17, theta=0.0), ComplexLengthRecord(length=1.0, theta=0.0)])
+        assert run("zeta-eval", f"io.spectrum={spec}", "lambda.grid=3") == 2
+        assert capsys.readouterr().err.startswith("error: Euler product at lambda=(3+0j) leaves floating point")
+
 
 ZETA_ROW_KEYS = {"zeta_kind", "lambda_re", "lambda_im", "log_value_re", "log_value_im",
                  "tail_bound", "tail_kind", "policy", "warnings"}

@@ -93,6 +93,18 @@ class TestRuelle:
     def test_tail_bound_infinite_below_entropy(self):
         assert _shell_tail(np.array([1.0]), 0.5, 1.0, 2.0) == math.inf
 
+    @pytest.mark.parametrize("shortest, finite", [(1e-17, True), (5e-324, False)])
+    def test_tail_bound_of_a_tiny_shortest_length(self, shortest, finite):
+        # exp(-(sigma - h) l_min) rounds to 1 at both lengths; the rate of 1e-17 keeps its digits through expm1,
+        # and a rate that is exactly 1 bounds nothing
+        records = [ComplexLengthRecord(length=shortest, theta=0.0), ComplexLengthRecord(length=1.0, theta=0.0)]
+        cols = orbit_columns(records)
+        policy = TruncationPolicy(entropy=2.0)
+        zv = ruelle_log_zeta(cols, 3.0, policy)
+        assert math.isfinite(zv.log_value.real)
+        assert math.isfinite(zv.tail_bound) is finite and zv.tail_bound > 1e16
+        assert zv.tail_bound == pytest.approx(euler_oracle.ruelle(cols, 3.0, policy)[0].tail_bound, rel=GROUP_TOL)
+
 
 class TestGraded:
     def test_single_orbit_k0_weight(self):
