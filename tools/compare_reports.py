@@ -2,14 +2,15 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/compare_reports.py PARENT_SRC CHANGE_SRC [--seeds 0 17] [--size full]
+    python3 tools/compare_reports.py PARENT_SRC CHANGE_SRC [--seeds 0 17]
 
 Each ``*_SRC`` is a ``src`` directory that ``friedzeta`` is imported from.  For
-each workload and seed, the jobs of ``perfbench/workloads.build`` (its untimed
-preparation first) run once per tree in one scratch directory, emptied between
-the trees, so both runs name the same paths.  A job differs when its exit code,
-its stderr, its JSON report without ``timing_seconds`` or another file it wrote
-differs.  Prints one line per workload and seed, and exits 1 if any job differs.
+each workload and seed, the full-size jobs of ``perfbench/workloads.build``
+(its untimed preparation first) run once per tree in one scratch directory,
+emptied between the trees, so both runs name the same paths.  A job differs
+when its exit code, its stderr, its JSON report without ``timing_seconds`` or
+another file it wrote differs.  Prints one line per workload and seed, and
+exits 1 if any job differs.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
 
-def outputs(src: Path, name: str, seed: int, size: str, work: Path) -> dict:
+def outputs(src: Path, name: str, seed: int, work: Path) -> dict:
     """Per job: exit code and stderr; then every file the jobs wrote, reports without ``timing_seconds``."""
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir()
-    load = workloads.build(name, seed, work, size)
+    load = workloads.build(name, seed, work)
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
     got = {}
     for job in load.prepare + load.jobs:
@@ -54,14 +55,13 @@ def main() -> int:
     parser.add_argument("parent_src", type=Path)
     parser.add_argument("change_src", type=Path)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 17])
-    parser.add_argument("--size", default="full", choices=sorted(workloads.SIZES))
     args = parser.parse_args()
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp) / "work"
         for name in workloads.WORKLOADS:
             for seed in args.seeds:
-                parent, change = (outputs(src, name, seed, args.size, work)
+                parent, change = (outputs(src, name, seed, work)
                                   for src in (args.parent_src, args.change_src))
                 diffs = sorted(key for key in parent.keys() | change.keys() if parent.get(key) != change.get(key))
                 differ += bool(diffs)
