@@ -122,8 +122,8 @@ def variation_rhs(
     if tau != 0.0:  # the integral over [0, 0] is 0: no orbit sum is taken
         # eps * rho does not depend on tau: one array per table and twist, kept on the tau = 0 columns
         cols_0 = orbit_columns(table, representation)
-        twist = _kept(cols_0, "twist", None,
-                      lambda: np.repeat(cols_0.epsilon, np.diff(cols_0.starts, append=len(cols_0))) * cols_0.rho)
+        twist = _kept(cols_0, "twist", None, lambda: np.repeat(
+            cols_0.epsilon, np.append(cols_0.starts[1:], len(cols_0)) - cols_0.starts) * cols_0.rho)
         # node 2i of this grid is bit for bit node i of the grid of quad_subdiv panels
         nodes = [tau * i / panels for i in range(panels + 1)]
         # the one length check for every node: tau * panels / panels can round one ulp past tau

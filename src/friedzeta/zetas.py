@@ -176,7 +176,7 @@ def orbit_columns(spectrum, representation=None, tau: float = 0.0) -> OrbitColum
 
 def _runs(key: np.ndarray) -> np.ndarray:
     """The first row of each run of equal values in ``key``, a column with no zero."""
-    return np.flatnonzero(np.diff(key, prepend=0))
+    return np.flatnonzero(key != np.concatenate(([0], key[:-1])))
 
 
 @lru_cache(maxsize=2)  # the tau = 0 columns and the current tau's
@@ -203,10 +203,10 @@ def _powers(cols: OrbitColumns, base: np.ndarray, j_max: int) -> np.ndarray:
     """``base**j`` for j = 1..j_max along a new last axis, by repeated multiplication.
 
     ``base`` holds a value per row or per weight group of ``cols``; either way the (orbit x iterate) cap is
-    checked first, so it refuses the same requests however many groups there are.
-    """
+    checked first, so it refuses the same requests however many groups there are."""
     _require_cells(len(cols) * j_max)
-    return np.cumprod(np.broadcast_to(base[:, None], (len(base), j_max)), axis=1)
+    powers = base[:, None].repeat(j_max, axis=1)
+    return powers.cumprod(axis=1, out=powers)
 
 
 def _require_cells(cells: int):
