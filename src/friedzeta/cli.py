@@ -24,7 +24,7 @@ import time
 
 from ._record import asdict, record, replace
 from .config import RunConfig
-from .continuation import cycle_zetas
+from .continuation import cycle_zetas, toral_log_zetas
 from .errors import FriedzetaError, ValidationError
 from .kleinian import (
     disc_separation_report,
@@ -88,8 +88,9 @@ def _zeta_row(kind: str, zv) -> dict:
         "log_value_re": zv.log_value.real,
         "log_value_im": zv.log_value.imag,
         "tail_bound": zv.tail_bound,
-        "tail_kind": "heuristic",
+        "tail_kind": zv.tail_kind,
         "policy": asdict(zv.policy),
+        **({} if zv.n_used is None else {"n_used": zv.n_used}),
         "warnings": list(zv.warnings),
     }
 
@@ -118,43 +119,48 @@ def _refuse_ignored(cfg: RunConfig, source: str, ignored: tuple[str, ...]):
 
 
 def _load_records(cfg: RunConfig):
-    """Orbit columns, source name and truncation policy of the spectrum source.
+    """Orbit columns, source name and truncation policy of a kleinian file or an orbit dump.
 
-    The source is a kleinian file, an orbit dump or the model section; a
-    key the source does not read is refused.  A set ``policy.n_max`` drops
+    A key the source does not read is refused.  A set ``policy.n_max`` drops
     the dump's orbits of longer period; without it the policy's depth is
     the dump's deepest period.  The entropy defaults to 2 for a kleinian
-    file and to the model's own at ``tau.value``; a dump needs it set.
+    file; a dump needs it set.
     """
     if cfg.get("io.spectrum"):
         cols = orbit_columns(read_spectrum(cfg.require_path("io.spectrum")))
         _refuse_ignored(cfg, "io.spectrum", ("model.", "rep.", "tau.value", "io.orbits", "policy.n_max"))
         return cols, "spectrum", cfg.policy(entropy=2.0)
-    if cfg.get("io.orbits"):
-        dump = read_orbit_dump(cfg.require_path("io.orbits"))
-        _refuse_ignored(cfg, "io.orbits", ("model.", "tau.value", "selberg.mu"))
-        policy = cfg.policy()
-        if cfg.get("policy.n_max") is not None:
-            dump = dump.up_to(policy.max_period)
-        elif len(dump):
-            policy = replace(policy, max_period=int(dump.period.max()))
-        return orbit_columns(dump), "orbit-dump", policy
-    _refuse_ignored(cfg, "model", ("selberg.mu",))
-    model = cfg.model()
-    tau = cfg.tau_value(model)
-    policy = cfg.policy(model, tau)
-    table = orbit_table(model, policy.max_period)
-    return orbit_columns(table, cfg.character(model.automorphism), tau), "model", policy
+    dump = read_orbit_dump(cfg.require_path("io.orbits"))
+    _refuse_ignored(cfg, "io.orbits", ("model.", "tau.value", "selberg.mu"))
+    policy = cfg.policy()
+    if cfg.get("policy.n_max") is not None:
+        dump = dump.up_to(policy.max_period)
+    elif len(dump):
+        policy = replace(policy, max_period=int(dump.period.max()))
+    return orbit_columns(dump), "orbit-dump", policy
 
 
 def cmd_zeta_eval(cfg: RunConfig):
-    cols, source, policy = _load_records(cfg)
+    """Euler products of the model (partial sums of its trace series), an orbit dump or a kleinian file.
+
+    The model's entropy defaults to its own at ``tau.value``; its rows carry the depth ``n_used`` each read.
+    """
     allow = cfg.get_bool("zeta.allow_formal", False)
     rows = []
+    if not (cfg.get("io.spectrum") or cfg.get("io.orbits")):
+        _refuse_ignored(cfg, "model", ("selberg.mu", "policy.j_max"))
+        model = cfg.model()
+        tau = cfg.tau_value(model)
+        policy = cfg.policy(model, tau)
+        values = toral_log_zetas(model, cfg.character(model.automorphism), cfg.lambda_grid(), policy, tau, allow)
+        for row in values:
+            rows += [_zeta_row(kind, zv) for kind, zv in zip(("ruelle", "graded0", "graded1", "graded2"), row)]
+        return {"rows": rows, "source": "model"}, _zeta_csv(rows)
+    cols, source, policy = _load_records(cfg)
     for lam in cfg.lambda_grid():
         rows.append(_zeta_row("ruelle", ruelle_log_zeta(cols, lam, policy, allow)))
-        if source != "orbit-dump":
-            for k in range(3 if source == "model" else 5):
+        if source == "spectrum":
+            for k in range(5):
                 rows.append(_zeta_row(f"graded{k}", graded_log_zeta(cols, k, lam, policy, allow)))
         mu_raw = cfg.get("selberg.mu")
         if mu_raw:
@@ -336,8 +342,7 @@ _KNOWN_KEYS = {command: keys | {"io.report"} for command, keys in {
     "fried-check": _MODEL_KEYS | {"policy.n_max", "policy.tail_tol", "tau.grid", "fried.tolerance", "io.csv"},
     "selberg-factorize": _SPECTRUM_KEYS | {"policy.j_max", "policy.p_max", "io.spectrum", "lambda.value",
                                            "factorize.k", "factorize.p_grid", "io.csv"},
-    "variation": _MODEL_KEYS | {"policy.n_max", "policy.j_max", "policy.entropy", "policy.quad_subdiv",
-                                "lambda.value", "tau.grid"},
+    "variation": _MODEL_KEYS | {"policy.n_max", "policy.entropy", "policy.quad_subdiv", "lambda.value", "tau.grid"},
     "ledger": {"ledger.k_list", "ledger.h0", "ledger.h1", "ledger.selberg_cases"},
     "spectrum-gen": _SPECTRUM_KEYS | {"spectrum.kind", "spectrum.generators", "spectrum.l_max", "io.out"},
 }.items()}

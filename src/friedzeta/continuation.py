@@ -1,4 +1,4 @@
-"""Cycle-expansion determinants: analytic continuation of the zeta to 0.
+"""Cycle-expansion determinants and the toral Euler products, both from one stream of trace sums.
 
 Each graded determinant is the exponential-of-trace generating function
 ``d_k = sum_n c_n`` with the standard trace-to-coefficient recursion
@@ -25,6 +25,14 @@ The circle part ``u`` of the twist is factored out of the traces
 (``t_m = u^m * t_hat_m``) and restored as ``c_n = u^n * c_hat_n``; with
 constant roofs the stripped recursion then telescopes to exact zeros in
 floating point, which is what the exact identity checks rely on.
+
+The same traces give the Euler products of the suspension
+(:func:`toral_log_zetas`): every orbit of period ``p`` has return map
+``A^p``, so the graded product regroups by ``m = p j`` into the partial sums
+``log Z_k = -sum_{m <= M} u^m t_m / m`` of the trace series, one exp per
+(orbit, iterate) cell with ``p j <= M``.  Their tails past ``M`` have a
+closed-form bound that reads no orbit, so each depth is known before the
+table is built.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from .characters import _reduce_angle
 from .errors import CapacityError, ConvergenceError, ResonanceAtZeroError, ValidationError
 from .summation import block_sum
 from .toral import Character, OrbitTable, SuspensionModel, _small_depth, orbit_table
-from .zetas import TruncationPolicy
+from .zetas import TruncationPolicy, ZetaValue, _require_convergence
 
 __all__ = [
     "DynamicalDeterminant",
@@ -51,10 +59,13 @@ __all__ = [
     "zeta_at_zero_at",
     "check_resonance_at_zero",
     "trace_sums",
+    "toral_log_zetas",
 ]
 
 # A determinant below this modulus at its own lambda is a zero: a resonance at 0, else a pole or zero of zeta
 RESONANCE_TOL = 1e-9
+# A certified series tail is evaluated in floats within a few ulps; this factor covers the rounding
+TAIL_MARGIN = 1.0 + 1e-12
 
 
 @record
@@ -435,3 +446,94 @@ def zeta_at_zero_at(model: SuspensionModel, representation: Character | None, z:
     if stream.reads_table(0.0):
         stream.table(depth)
     return z
+
+
+# ---------------------------------------------------------------------------
+# Euler products as partial sums of the trace series
+# ---------------------------------------------------------------------------
+
+
+def _certified_tail(k: int, rate: float, log_lam_u: float, depth: int) -> float:
+    """A bound on ``sum_{m > depth} |t_m^(k)| / m``, for ``x = exp(-rate)`` and ``q = |lam_u| x < 1``.
+
+    ``|S_m| <= |det(A^m - I)| x^m`` and ``|Tr(wedge^k A^m)| <= 1``, or ``q^m / x^m + 1`` for k = 1, so the
+    tail is at most ``(q^(M+1) / (1 - q) + x^(M+1) / (1 - x)) / (M + 1)`` for k = 1 and
+    ``x^(M+1) / ((1 - x) (M + 1))`` for k = 0 and 2, with ``1 - x`` and ``1 - q`` taken by ``expm1``.
+    """
+    n = depth + 1
+    tail = math.exp(-rate * n) / -math.expm1(-rate)
+    if k == 1:
+        tail += math.exp((log_lam_u - rate) * n) / -math.expm1(log_lam_u - rate)
+    return TAIL_MARGIN * tail / n
+
+
+def _series_depths(rate: float, log_lam_u: float, policy: TruncationPolicy) -> list[tuple[int, float | None]]:
+    """``(depth, certified tail or None)`` for k = 0, 1, 2 at ``rate = Re(lam) r_min``.
+
+    Each depth is the smallest whose bound is at most ``policy.tail_tol``, capped at ``policy.max_period``;
+    where ``q >= 1`` there is no bound, and every depth is ``max_period``.
+    """
+    if rate <= log_lam_u:
+        return [(policy.max_period, None)] * 3
+    plan = []
+    for k in range(3):
+        for depth in range(1, policy.max_period + 1):
+            tail = _certified_tail(k, rate, log_lam_u, depth)
+            if tail <= policy.tail_tol:
+                break
+        plan.append((depth, tail))
+    return plan
+
+
+def _log_series(stream: _TraceStream, i: int, k: int, depth: int) -> tuple[complex, float]:
+    """``-sum_{m <= depth} u^m t_m^(k) / m`` at the ``i``-th ``lam`` of ``stream``, and its last term's modulus."""
+    u = 1.0 + 0.0j if stream.representation is None else complex(stream.representation.circle)
+    terms = [u**m * stream.trace(i, k, m) / m for m in range(1, depth + 1)]
+    value = -complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    if not cmath.isfinite(value):
+        raise OverflowError
+    return value, abs(terms[-1])
+
+
+def toral_log_zetas(
+    model: SuspensionModel,
+    representation: Character | None,
+    lams,
+    policy: TruncationPolicy,
+    tau: float = 0.0,
+    allow_formal: bool = False,
+) -> list[tuple[ZetaValue, ...]]:
+    """Per ``lam`` of ``lams``: the Ruelle and the graded 0, 1 and 2 log zetas, as partial sums of the trace series.
+
+    ``log Z_k = -sum_{m <= M} u^m t_m^(k) / m`` over one :class:`_TraceStream` for the grid; the Ruelle log
+    is ``-(log Z_0 - log Z_1 + log Z_2)``, since per cell the alternating sum of the weights is ``-eps^j``.
+    Re(lam) must exceed ``policy.entropy`` unless ``allow_formal``.  With ``x = exp(-Re(lam) r_min)``,
+    ``r_min = model.min_effective_roof(tau)``, and ``q = |lam_u| x < 1``, each (lam, k) stops at its certified
+    depth (:func:`_series_depths`) and the Ruelle tail is the sum of the three; where ``q >= 1`` every row reads
+    to ``max_period`` and its tail is the modulus of its last term, a heuristic.
+    """
+    lams = [complex(lam) for lam in lams]
+    for lam in lams:
+        _require_convergence(lam, policy.entropy, allow_formal, "orbit zeta")
+    r_min, log_lam_u = model.min_effective_roof(tau), math.log(abs(model.automorphism.lam_u))
+    plans = [_series_depths(lam.real * r_min, log_lam_u, policy) for lam in lams]
+    stream = _TraceStream(model, representation, lams, tau, max(depth for plan in plans for depth, _ in plan))
+    deepest = [depth for lam, plan in zip(lams, plans) if stream.reads_table(lam) for depth, _ in plan]
+    if deepest:
+        stream.table(max(deepest))
+    rows = []
+    for i, (lam, plan) in enumerate(zip(lams, plans)):
+        graded = []
+        for k, (depth, tail) in enumerate(plan):
+            try:
+                value, last = _log_series(stream, i, k, depth)
+            except (ConvergenceError, OverflowError, ValueError):
+                raise ConvergenceError(f"Euler product at lambda={lam} leaves floating point") from None
+            graded.append(ZetaValue(value, last if tail is None else tail, lam, f"graded[{k}]", policy,
+                                    tail_kind="heuristic" if tail is None else "certified", n_used=depth))
+        g0, g1, g2 = graded
+        ruelle = ZetaValue(-(g0.log_value - g1.log_value + g2.log_value),
+                           g0.tail_bound + g1.tail_bound + g2.tail_bound, lam, "ruelle", policy,
+                           tail_kind=g1.tail_kind, n_used=max(g.n_used for g in graded))
+        rows.append((ruelle, *graded))
+    return rows

@@ -10,6 +10,7 @@ exponential orbit growth.
 from __future__ import annotations
 
 import math
+import sys
 from cmath import phase, sqrt as csqrt
 
 import numpy as np
@@ -40,6 +41,8 @@ SPECTRUM_HEADER = "#fried-spectrum v1 n0=2"
 MAX_WALKED_WORDS = 1 << 20
 # Records of a synthetic spectrum, each one root solve in Python.
 MAX_SYNTHETIC_RECORDS = 1 << 18
+# exp of more than this is past the largest double
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @record
@@ -267,12 +270,15 @@ def synthetic_spectrum(
     """
     if h <= 0:
         raise ValidationError("entropy h must be positive")
-    if count < 0:
-        raise ValidationError("count must be >= 0")
+    if count < 0 or seed < 0:
+        raise ValidationError("count and seed must be >= 0")
     if count > MAX_SYNTHETIC_RECORDS:
         raise CapacityError(f"{count} synthetic records exceed the cap of {MAX_SYNTHETIC_RECORDS}")
     rng = np.random.default_rng(seed)
     ell_lo = max(min_length, 1.5 / h)
+    if not h * ell_lo < LOG_FLOAT_MAX:  # also a non-finite h or min_length
+        raise ValidationError(f"exp(h * max(min_length, 1.5 / h)) = exp({h * ell_lo!r}) leaves the float range; "
+                              "lower h or min_length")
     k0 = math.ceil(math.exp(h * ell_lo) / ell_lo)
     jitter = rng.uniform(0.95, 1.05, size=count)
     angles = rng.uniform(-math.pi, math.pi, size=count)

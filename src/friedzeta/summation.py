@@ -1,9 +1,10 @@
 """Deterministic compensated summation.
 
-Every Euler product ends in one array in a fixed order, reduced by
-:func:`block_sum`, whose block structure depends only on the array length:
-its (weight group x iterate) terms, with the groups in the row order of the
-orbit columns (a period of an orbit table, a run of a dump, a Kleinian row).
+Every Euler product over orbit columns ends in one array in a fixed order,
+reduced by :func:`block_sum`, whose block structure depends only on the
+array length: its (weight group x iterate) terms, with the groups in the
+row order of the columns (a run of a dump, a Kleinian row); so do a trace
+sum and a variation node, over a table's rows or (orbit, iterate) cells.
 Results are therefore bit-stable from run to run.
 """
 

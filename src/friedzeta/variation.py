@@ -3,23 +3,24 @@
 The log-derivative of the flow zeta in the family parameter is an orbit
 sum weighted by the orbit integrals of the time-change symbol; its
 parameter integral is evaluated by composite Simpson quadrature with a
-Richardson doubling check.  Each node's iterate sum is taken by binary
-splitting, one array expression per bit of ``j_max``.  The orbit lengths are
-checked once per τ, at the outermost node: rounding is monotone, so every
-node's lengths lie between those at 0 and there.  At real λ each node
-exponentiates a real array, not a complex one.  The direct quotient
-it is checked against takes the τ = 0 Euler product once per λ and
-``j_max``, not once per τ, and the orbit sums read the twist ε·ρ kept on
-the same τ = 0 columns, built once per orbit table and twist from the
-per-period ε.  The τ product's columns hold the τ = 0 twist and weight
-groups and differ only in their lengths.  A separate
-matrix-calculus verifier checks the determinant-expansion identity behind
-the wedge-trace form of the same integrand.
+Richardson doubling check.  The sum runs over the (orbit, iterate) cells
+``(gamma, j)`` with ``p j <= n_max``, the truncation of the trace series
+(``continuation.toral_log_zetas``): per node one exponential over one flat
+array of cells, at real λ of a real array, one product with a kept weight
+and one compensated sum.  The cells, ``j`` times each orbit's length and
+slope and the weights are built once per orbit table and twist.  The orbit
+lengths are checked once per τ, at the outermost node: rounding is
+monotone, so every node's lengths lie between those at 0 and there.  The
+direct quotient it is checked against sums the same cells with the Ruelle
+weight, at τ and, once per λ, at 0.  A separate matrix-calculus verifier
+checks the determinant-expansion identity behind the wedge-trace form of
+the same integrand.
 """
 
 from __future__ import annotations
 
 import cmath
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .errors import ConvergenceError, ValidationError
 from .summation import block_sum
 from .toral import Character, OrbitTable, SuspensionModel, orbit_table
 from .wedge import compound_derivative, compound_matrix
-from .zetas import TruncationPolicy, _in_float_range, _kept, orbit_columns, ruelle_log_zeta
+from .zetas import TruncationPolicy, _in_float_range, _require_convergence
 
 __all__ = [
     "variation_rhs",
@@ -39,43 +40,53 @@ __all__ = [
 ]
 
 
-def _orbit_sum(table: OrbitTable, twist, lam: complex, tau_prime: float, j_max: int) -> complex:
-    """``sum_gamma (int_gamma q) sum_j eps^j rho^j exp(-lam*j*len(tau'))``.
+@record(eq=False)
+class _Cells:
+    """The (orbit, iterate) cells ``p j <= n_max`` of an orbit table under a twist, and their λ-free factors.
 
-    The lengths ``length0 + tau' * slope`` are bit for bit those of
-    ``table.lengths(tau')``, unchecked: the caller checks them once at a node
-    at least as far from 0 as ``tau'`` on its side, and since rounding is
-    monotone in ``tau'``, every length here lies between its values there and
-    at 0, so all are finite.  At ``Im(lam) = 0`` the exponent is real, and the
-    exponential is taken of the real array ``-Re(lam) * len``: the value of the
-    complex one up to its rounding (within an ulp), at a fraction of its cost,
-    and one value whether ``lam`` is a float or a complex with either sign of
-    zero.  Complex ``lam`` keeps the complex exponential.
-
-    The iterate sum ``S_J = sum_{j=1..J} z^j`` is taken by binary splitting,
-    ``S_2m = S_m + z^m S_m`` and ``S_2m+1 = S_2m + z^(2m+1)``, reading the bits of
-    ``j_max`` from the top.  The first round is ``S_2 = z + z^2``, from one
-    product and no copy of ``z``, so ``J >= 2`` takes
-    ``2 floor(log2 J) + popcount(J) - 2`` array products (7 at J = 16) in place
-    of ``2J``, no division, and no power above ``z^J``.  The sum is scaled by
-    ``-slope`` in place.
+    ``j_length0`` and ``j_slope`` are ``j`` times the orbit's length at τ = 0 and its τ-derivative, so
+    ``j_length0 + t * j_slope`` is ``j len(t)``; ``slope_weight`` is ``-slope (eps rho)^j``, the variation
+    integrand's weight, and ``ruelle_weight`` ``-(eps rho)^j / j``, the Ruelle product's.  ``log_0`` keeps the
+    latest λ's Ruelle log at τ = 0.
     """
-    lengths = table.length0 + tau_prime * table.slope
-    z = twist * (np.exp(-lam.real * lengths) if lam.imag == 0 else np.exp(-lam * lengths))
-    bits = bin(j_max)[3:]
-    total = z  # S_1
-    if bits:
-        power = z * z  # z^m
-        total = z + power  # S_m, m = 2
-    for i, bit in enumerate(bits):
-        if i:
-            total += power * total
-            power *= power
-        if bit == "1":
-            power *= z
-            total += power
-    total *= -table.slope
-    return complex(block_sum(total))
+
+    j_length0: np.ndarray
+    j_slope: np.ndarray
+    slope_weight: np.ndarray
+    ruelle_weight: np.ndarray
+    log_0: dict
+
+
+@lru_cache(maxsize=1)
+def _cells(table: OrbitTable, representation: Character | None) -> _Cells:
+    """The cells of ``table`` under ``representation``, row by row and ``j = 1..n_max // p`` within a row."""
+    iterates = table.n_max // table.period
+    row = np.repeat(np.arange(len(iterates)), iterates)
+    j = np.arange(1, len(row) + 1) - np.repeat(np.cumsum(iterates) - iterates, iterates)
+    twist = table.transverse()[0][table.period].astype(complex)  # eps of each orbit's period
+    if representation is not None:
+        twist *= representation.values(table.class_exps, table.period)
+    power = twist[row] ** j
+    slope = table.slope[row]
+    return _Cells(j * table.length0[row], j * slope, -slope * power, -power / j, {})
+
+
+def _cell_sum(cells: _Cells, weight: np.ndarray, lam: complex, t: float) -> complex:
+    """``sum_cells weight exp(-lam j len(t))``.
+
+    The lengths are unchecked: the caller checks them once at a τ at least as far from 0 as ``t`` on its
+    side.  At ``Im(lam) = 0`` the exponential is taken of the real array ``-Re(lam) j len``: the value of the
+    complex one up to its rounding, at a fraction of its cost, and one value whether ``lam`` is a float or a
+    complex with either sign of zero.
+    """
+    phase = cells.j_slope * t
+    phase += cells.j_length0
+    if lam.imag == 0:
+        phase *= -lam.real
+        np.exp(phase, out=phase)
+    else:
+        phase = np.exp(-lam * phase)
+    return complex(block_sum(phase * weight))
 
 
 def _simpson(values, h: float) -> complex:
@@ -104,8 +115,9 @@ def variation_rhs(
 ) -> VariationResult:
     """Predicted ratio ``zeta_tau(lam) / zeta_0(lam)`` from the orbit sums.
 
-    Evaluates ``exp(-lam * integral_0^tau G(t) dt)`` where ``G`` is the
-    orbit sum of :func:`_orbit_sum`, with composite Simpson quadrature on
+    Evaluates ``exp(-lam * integral_0^tau G(t) dt)`` where
+    ``G(t) = -sum_{p j <= n_max} slope (eps rho)^j exp(-lam j len(t))`` over
+    the (orbit, iterate) cells, with composite Simpson quadrature on
     ``2 * policy.quad_subdiv`` panels.  The rule on ``policy.quad_subdiv``
     panels reads the even nodes of the same grid, and the two ratios must
     agree to ``richardson_tol``.
@@ -120,10 +132,6 @@ def variation_rhs(
     panels = 2 * policy.quad_subdiv
     integral = integral_coarse = 0.0
     if tau != 0.0:  # the integral over [0, 0] is 0: no orbit sum is taken
-        # eps * rho does not depend on tau: one array per table and twist, kept on the tau = 0 columns
-        cols_0 = orbit_columns(table, representation)
-        twist = _kept(cols_0, "twist", None, lambda: np.repeat(
-            cols_0.epsilon, np.append(cols_0.starts[1:], len(cols_0)) - cols_0.starts) * cols_0.rho)
         # node 2i of this grid is bit for bit node i of the grid of quad_subdiv panels
         nodes = [tau * i / panels for i in range(panels + 1)]
         # the one length check for every node: tau * panels / panels can round one ulp past tau
@@ -131,7 +139,8 @@ def variation_rhs(
         # an overflowing orbit sum raises the Euler product's ConvergenceError, not a warning and an inf
         # that passes Richardson
         with _in_float_range(lam):
-            values = [_orbit_sum(table, twist, lam, t, policy.j_max) for t in nodes]
+            cells = _cells(table, representation)
+            values = [_cell_sum(cells, cells.slope_weight, lam, t) for t in nodes]
         integral = _simpson(values, tau / panels)
         integral_coarse = _simpson(values[::2], tau / policy.quad_subdiv)
     try:
@@ -153,19 +162,23 @@ def direct_quotient(
     tau: float,
     policy: TruncationPolicy,
 ) -> complex:
-    """Reference ratio from two truncated Euler products over the columns of one orbit table.
+    """Reference ratio ``exp(L_tau - L_0)``, ``L`` the Ruelle log over the cells ``p j <= n_max``.
 
-    The τ = 0 log is kept on the τ = 0 columns per ``(lam, j_max)``, so a τ
-    grid takes that product once.  The τ product still runs first, under this
-    τ's policy, and the τ = 0 product runs whenever none is kept, so each
-    raises what it raised when both ran per τ.
+    ``L = -sum (eps rho)^j exp(-lam j len) / j``, the Ruelle series at depth ``n_max``.  ``L_0`` is kept per
+    table, twist and λ, so a τ grid takes it once.  ``L_tau`` is taken first, and ``L_0`` whenever none is
+    kept, so each raises what it raised when both ran per τ.
     """
+    lam = complex(lam)
+    _require_convergence(lam, policy.entropy, False, "orbit zeta")
     table = orbit_table(model, policy.max_period)
-    log_tau = ruelle_log_zeta(orbit_columns(table, representation, tau), lam, policy).log_value
-    cols_0 = orbit_columns(table, representation, 0.0)
-    log_0 = _kept(cols_0, "ruelle_log", (lam, policy.j_max),
-                  lambda: ruelle_log_zeta(cols_0, lam, policy).log_value)
-    return cmath.exp(log_tau - log_0)
+    table.lengths(tau)  # refuses an inadmissible tau, or lengths there past the float range
+    with _in_float_range(lam):
+        cells = _cells(table, representation)
+        log_tau = _cell_sum(cells, cells.ruelle_weight, lam, tau)
+        if lam not in cells.log_0:
+            cells.log_0.clear()
+            cells.log_0[lam] = _cell_sum(cells, cells.ruelle_weight, lam, 0.0)
+    return cmath.exp(log_tau - cells.log_0[lam])
 
 
 # ---------------------------------------------------------------------------

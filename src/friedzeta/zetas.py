@@ -1,4 +1,4 @@
-"""Truncated Euler products: Ruelle, graded and Selberg zeta functions.
+"""Truncated Euler products of orbit dumps and Kleinian spectra: Ruelle, graded and Selberg zeta functions.
 
 Every product takes :class:`OrbitColumns`, built once per spectrum by
 :func:`orbit_columns`, and ends in one :func:`~friedzeta.summation.block_sum`
@@ -7,32 +7,34 @@ of phases times λ-free weights, so values are reproducible bit for bit.
 The products share one shape, ``-sum_gamma sum_j (m / j) z^j w_j`` with
 ``z = rho exp(-lam len)`` and a λ-free weight ``w_j``, and one reduction, by
 weight group: a run of rows whose λ-free inputs are equal, as the builder
-of the columns sets them.  An orbit table has one group per period, since
-every orbit of a period has the return map ``A^n``; Kleinian weights differ
-per orbit, so each Kleinian row is its own group.  Per λ, one exp per orbit
-gives ``z``; ``j_max`` vector products ``z^j``, each followed by one
-segmented sum, give the (group x iterate) phases
-``-(multiplicity / j) sum z^j``.  The weights ``eps^j`` (Ruelle),
-``Tr(wedge^k P^j) / |det(1 - P^j)|`` (graded k, and the sign check) and
+of the columns sets them.  An orbit dump has one group per run of equal
+orientation index; Kleinian weights differ per orbit, so each Kleinian row
+is its own group.  Per λ, one exp per orbit gives ``z``; ``j_max`` vector
+products ``z^j``, each followed by one segmented sum, give the (group x
+iterate) phases ``-(multiplicity / j) sum z^j``.  The weights ``eps^j``
+(Ruelle), ``Tr(wedge^k P^j) / |det(1 - P^j)|`` (graded k, and the sign
+check; Kleinian rows only, as a dump carries no eigenvalues) and
 ``chi / det(1 - P_s^j)`` (Selberg) are (group x iterate) tables.  Phases are
 built once per λ, weights and the Kleinian iterate tables once per columns
-and ``j_max``, all kept on the columns; the columns of an orbit table's τ
-grid hold the same per-row twist and per-group arrays.  The n0 = 2
-Poincaré data and characters are closed forms; ``poincare_data`` and
-``char_sigma`` are their references in the tests.
+and ``j_max``, all kept on the columns.  The n0 = 2 Poincaré data and
+characters are closed forms; ``poincare_data`` and ``char_sigma`` are their
+references in the tests.
 Tail bounds are Margulis-type geometric estimates anchored on the last
 length shell actually summed, in units of the shortest length.
+
+An orbit table of a model takes none of this: its Euler products are partial
+sums of the trace series (``continuation.toral_log_zetas``), and the
+variation formula sums the same (orbit, iterate) cells (``variation``).
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from functools import lru_cache
 
 import numpy as np
 
-from ._record import fields, record, replace
+from ._record import fields, record
 from .characters import IrrepLabel
 from .errors import CapacityError, ConvergenceError, ValidationError
 from .kleinian import ComplexLengthRecord
@@ -84,7 +86,11 @@ class TruncationPolicy:
 
 @record
 class ZetaValue:
-    """Log-domain zeta value with its truncation tail estimate."""
+    """Log-domain zeta value with its truncation tail estimate.
+
+    ``tail_kind`` is ``certified`` where ``tail_bound`` is a proven bound; ``n_used``, the depth of a trace
+    series (``continuation.toral_log_zetas``), is None for an Euler product over columns.
+    """
 
     log_value: complex
     tail_bound: float
@@ -92,6 +98,8 @@ class ZetaValue:
     kind: str
     policy: TruncationPolicy
     warnings: tuple[str, ...] = ()
+    tail_kind: str = "heuristic"
+    n_used: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -101,27 +109,20 @@ class ZetaValue:
 
 @record(eq=False)
 class OrbitColumns:
-    """Read-only columns of a spectrum: one row per primitive orbit, in weight-group order.
+    """Read-only columns of an orbit dump or a Kleinian spectrum: one row per primitive orbit, in weight-group order.
 
     A weight group is a run of rows whose λ-free inputs are equal, so every
     product takes its weights once per group.  ``starts`` holds the first
-    row of each group; ``epsilon`` (the orientation index),
-    ``multiplicity``, the eigenvalues ``lam_u``, ``lam_s`` of the
-    transverse return map and ``det_power = det(A)^period`` hold one value
-    per group.  ``length`` and the twist's value ``rho`` hold one per row,
-    as does the holonomy angle ``theta`` of Kleinian rows, which carry no
-    eigenvalues.  The builder of the columns sets the groups: an orbit
-    table's are the periods it holds, an orbit dump's its runs of equal
-    ``epsilon`` in file order (with ``nan`` eigenvalues), and a Kleinian
+    row of each group; ``epsilon`` (the orientation index) and
+    ``multiplicity`` hold one value per group.  ``length`` and the twist's
+    value ``rho`` hold one per row, as does the holonomy angle ``theta`` of
+    Kleinian rows.  The builder of the columns sets the groups: an orbit
+    dump's are its runs of equal ``epsilon`` in file order, and a Kleinian
     spectrum's its rows, in ``sort_key`` order.
 
     Arrays derived from the columns (the signs, the wedge-trace ratios, the
     last length shell, the current λ's phases, the Kleinian iterates and
-    the factorization's tables) are kept with them and freed with them, as
-    are ``variation.direct_quotient``'s τ = 0 Ruelle log and the twist
-    ``epsilon * rho`` of ``variation.variation_rhs``.  The columns of an
-    orbit table at τ ≠ 0 are its τ = 0 columns with other lengths: they
-    hold every τ = 0 array but ``length`` itself.
+    the factorization's tables) are kept with them and freed with them.
     """
 
     length: np.ndarray
@@ -129,9 +130,6 @@ class OrbitColumns:
     starts: np.ndarray
     epsilon: np.ndarray
     multiplicity: np.ndarray
-    lam_u: np.ndarray | None = None
-    lam_s: np.ndarray | None = None
-    det_power: np.ndarray | None = None
     theta: np.ndarray | None = None
 
     def __post_init__(self):
@@ -144,27 +142,22 @@ class OrbitColumns:
         return len(self.length)
 
 
-def orbit_columns(spectrum, representation=None, tau: float = 0.0) -> OrbitColumns:
-    """Columns of an :class:`OrbitTable` (lengths at ``tau``), an :class:`OrbitDump` or Kleinian length records.
+def orbit_columns(spectrum, representation=None) -> OrbitColumns:
+    """Columns of an :class:`OrbitDump` or of Kleinian length records.
 
     This is where a spectrum and its twist become the columns every Euler
-    product takes.  Toral orbits take a :class:`Character` twist (``None``
+    product takes.  Dump orbits take a :class:`Character` twist (``None``
     is trivial); Kleinian records carry their own ``rho`` and take none.
-    The columns of a table at τ ≠ 0 share every array but ``length`` with
-    its τ = 0 columns, which are built once per table and twist.
     """
-    if isinstance(spectrum, OrbitTable):
-        return _table_columns(spectrum, representation, float(tau))
-    if tau:
-        raise ValidationError("tau applies to an orbit table; dumps and length records carry their lengths")
     if isinstance(spectrum, OrbitDump):
         starts = _runs(spectrum.epsilon)
-        nan = np.full(len(starts), math.nan)
         return _toral_columns(representation, spectrum.class_exps, spectrum.winding, spectrum.length, starts,
-                              spectrum.epsilon[starts], nan, nan, np.zeros(len(starts), dtype=np.int64))
+                              spectrum.epsilon[starts])
+    if isinstance(spectrum, OrbitTable):
+        raise ValidationError("an orbit table's Euler products are its trace series: continuation.toral_log_zetas")
     records = list(spectrum)
     if not all(isinstance(r, ComplexLengthRecord) for r in records):
-        raise ValidationError("a spectrum is an orbit table, an orbit dump or ComplexLengthRecord rows")
+        raise ValidationError("a spectrum is an orbit dump or ComplexLengthRecord rows")
     if records and representation is not None:
         raise ValidationError("length records carry their own rho value and take no twist")
     records.sort(key=lambda r: r.sort_key())
@@ -179,24 +172,14 @@ def _runs(key: np.ndarray) -> np.ndarray:
     return np.flatnonzero(key != np.concatenate(([0], key[:-1])))
 
 
-@lru_cache(maxsize=2)  # the tau = 0 columns and the current tau's
-def _table_columns(table: OrbitTable, representation, tau: float) -> OrbitColumns:
-    length = table.lengths(tau)
-    if tau:
-        return replace(_table_columns(table, representation, 0.0), length=length)
-    starts = _runs(table.period)
-    per_period = (column[table.period[starts]] for column in table.transverse())
-    return _toral_columns(representation, table.class_exps, table.period, length, starts, *per_period)
-
-
-def _toral_columns(representation, class_exps, winding, length, starts, eps, lam_u, lam_s, det_power):
+def _toral_columns(representation, class_exps, winding, length, starts, eps) -> OrbitColumns:
     if representation is None:
         rho = np.ones(len(length), dtype=complex)
     elif isinstance(representation, Character):
         rho = representation.values(class_exps, winding)
     else:
         raise ValidationError("toral orbits take a Character twist")
-    return OrbitColumns(length, rho, starts, eps, np.ones(len(starts)), lam_u, lam_s, det_power)
+    return OrbitColumns(length, rho, starts, eps, np.ones(len(starts)))
 
 
 def _powers(cols: OrbitColumns, base: np.ndarray, j_max: int) -> np.ndarray:
@@ -304,33 +287,24 @@ def _det_one_minus_ps(a, c):
 
 
 def _trace_ratios(cols: OrbitColumns, j_max: int) -> np.ndarray:
-    """``Tr(wedge^k P^j) / |det(1 - P^j)|`` per (k, weight group, iterate), k = 0..dim, built once per ``j_max``.
+    """``Tr(wedge^k P^j) / |det(1 - P^j)|`` per (k, Kleinian row, iterate), k = 0..4, built once per ``j_max``.
 
     The one λ-free array of the graded terms, the factorization's left side
-    and the sign check: one row per weight group, so every row of Kleinian
-    columns.  Toral traces and determinants are divided through by
-    ``|lam_u|^j``, which leaves every ratio unchanged and keeps both finite
-    at any ``j``.
+    and the sign check.  Toral columns come from a dump, which carries no
+    eigenvalues.
     """
+    if cols.theta is None:
+        raise ValidationError("record lacks eigenvalue data (orbit dump round-trip)")
+
     def build():
-        if cols.theta is None:
-            if np.isnan(cols.lam_u).any():
-                raise ValidationError("record lacks eigenvalue data (orbit dump round-trip)")
-            r = _powers(cols, 1.0 / cols.lam_u, j_max)  # lam_u^-j
-            s = _powers(cols, cols.lam_s, j_max)
-            r_abs = np.abs(r)
-            traces = (r_abs, s * r_abs + np.sign(r), _powers(cols, cols.det_power, j_max) * r_abs)
-            # |det| = |r - 1| |s - 1|; a reciprocal, then products
-            scale, combine = 1.0 / (np.abs(r - 1.0) * np.abs(s - 1.0)), np.multiply
-        else:
-            a, b, c, _ = _iterates(cols, j_max)
-            e1 = 2.0 * (a + b) * c  # 4 cosh(j l) cos(j theta)
-            traces = (1.0, e1, a * a + b * b + 4.0 * c * c, e1, 1.0)
-            # the correctly rounded quotient: the factorization's residual reads it at the rounding floor
-            scale, combine = np.abs(_det_one_minus_ps(a, c) * _det_one_minus_ps(b, c)), np.divide
+        a, b, c, _ = _iterates(cols, j_max)
+        e1 = 2.0 * (a + b) * c  # 4 cosh(j l) cos(j theta)
+        traces = (1.0, e1, a * a + b * b + 4.0 * c * c, e1, 1.0)
+        # the correctly rounded quotient: the factorization's residual reads it at the rounding floor
+        scale = np.abs(_det_one_minus_ps(a, c) * _det_one_minus_ps(b, c))
         ratios = np.empty((len(traces),) + scale.shape)
         for ratio, trace in zip(ratios, traces):
-            combine(trace, scale, out=ratio)
+            np.divide(trace, scale, out=ratio)
         return ratios
 
     return _kept(cols, "ratios", j_max, build)

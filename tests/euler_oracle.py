@@ -1,4 +1,4 @@
-"""The per-orbit Euler products that the weight-group reduction replaced, kept as its references.
+"""Per-orbit Euler products, kept as the references of the weight-group reduction and of the trace series.
 
 Each product builds the full (orbit x iterate) array of its terms: powers by
 ``np.cumprod``, ``-multiplicity base^j / j`` per cell, the wedge-trace ratios
@@ -9,11 +9,19 @@ them per orbit), the Selberg weights ``chi / det(1 - P_s^j)``, one
 from the j = 1 column and the iterate-truncation warning from the j = j_max
 column.  Each returns its :class:`~friedzeta.zetas.ZetaValue` and the sum of
 its term magnitudes, the scale its rounding is read against.
+
+Toral rows come from :func:`table_columns` or :func:`records_columns`, which
+keep the eigenvalues a dump lacks.  Given a ``depth`` M, the Ruelle and
+graded products keep the cells with ``period * j <= M`` only: the truncation
+of the trace series that the model's products (``continuation.toral_log_zetas``)
+read; without one they keep ``j <= j_max`` on every row, the truncation of
+the products over orbit columns.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +29,51 @@ from friedzeta import zetas
 from friedzeta.errors import ValidationError
 from friedzeta.summation import block_sum
 from friedzeta.zetas import ZetaValue
+
+
+@dataclass
+class ToralColumns:
+    """The rows of an orbit table or of an ``OrbitRecord`` list, with one weight group per run of equal
+    transverse data: what toral :class:`~friedzeta.zetas.OrbitColumns` held before they lost the eigenvalues."""
+
+    length: np.ndarray
+    rho: np.ndarray
+    period: np.ndarray
+    starts: np.ndarray
+    epsilon: np.ndarray
+    multiplicity: np.ndarray
+    lam_u: np.ndarray
+    lam_s: np.ndarray
+    det_power: np.ndarray
+    theta = None
+
+    def __len__(self):
+        return len(self.length)
+
+
+def _rho(representation, class_exps, winding):
+    return np.ones(len(winding), dtype=complex) if representation is None else \
+        representation.values(class_exps, winding)
+
+
+def table_columns(table, representation=None, tau=0.0):
+    """The columns of an orbit table at ``tau``: one weight group per period."""
+    starts = np.flatnonzero(table.period != np.concatenate(([0], table.period[:-1])))
+    eps, lam_u, lam_s, det_power = (column[table.period[starts]] for column in table.transverse())
+    return ToralColumns(table.lengths(tau), _rho(representation, table.class_exps, table.period), table.period,
+                        starts, eps, np.ones(len(starts)), lam_u, lam_s, det_power)
+
+
+def records_columns(records, representation=None):
+    """The columns of ``OrbitRecord`` rows in list order, one weight group per record."""
+    def column(name, dtype=float):
+        return np.array([getattr(r, name) for r in records], dtype=dtype)
+
+    class_exps = np.array([r.class_exps for r in records], dtype=np.int64).reshape(len(records), -1)
+    winding = column("winding", np.int64)
+    return ToralColumns(column("length"), _rho(representation, class_exps, winding), column("period", np.int64),
+                        np.arange(len(records)), column("epsilon"), np.ones(len(records)), column("lam_u"),
+                        column("lam_s"), column("det_power"))
 
 
 def powers(base, j_max):
@@ -46,15 +99,21 @@ def phases(cols, lam, j_max):
     return terms(cols, cols.rho * np.exp(-lam * cols.length), j_max)
 
 
+def cells(cols, depth):
+    """1 on the (orbit, iterate) cells with ``period * j <= depth``, 0 elsewhere, ``j = 1..depth``."""
+    return (cols.period[:, None] * np.arange(1, depth + 1) <= depth).astype(float)
+
+
 def trace_ratios(cols, j_max):
     """``Tr(wedge^k P^j) / |det(1 - P^j)|`` per (k, orbit, iterate).
 
-    Toral ratios (k = 0..2) are divided through by ``|lam_u|^j``; Kleinian
-    ones (k = 0..4) are ``zetas._trace_ratios``, one row per orbit.
+    Toral ratios (k = 0..2) are divided through by ``|lam_u|^j``, which keeps
+    them finite at any ``j``; Kleinian ones (k = 0..4) are ``zetas._trace_ratios``,
+    one row per orbit.
     """
     if cols.theta is not None:
         return zetas._trace_ratios(cols, j_max)
-    if np.isnan(cols.lam_u).any():
+    if not isinstance(cols, ToralColumns):
         raise ValidationError("record lacks eigenvalue data (orbit dump round-trip)")
     r = powers(1.0 / per_row(cols, cols.lam_u), j_max)
     s = powers(per_row(cols, cols.lam_s), j_max)
@@ -90,16 +149,25 @@ def zeta_value(cols, array, lam, kind, policy):
     return value, float(np.abs(array).sum())
 
 
-def ruelle(cols, lam, policy):
+def ruelle(cols, lam, policy, depth=None):
+    """The Ruelle product over ``j <= policy.j_max``, or over the cells ``period * j <= depth``."""
     lam = complex(lam)
+    j_max = policy.j_max if depth is None else depth
     base = per_row(cols, cols.epsilon) * cols.rho * np.exp(-lam * cols.length)
-    return zeta_value(cols, terms(cols, base, policy.j_max), lam, "ruelle", policy)
+    array = terms(cols, base, j_max)
+    if depth is not None:
+        array *= cells(cols, depth)
+    return zeta_value(cols, array, lam, "ruelle", policy)
 
 
-def graded(cols, k, lam, policy):
+def graded(cols, k, lam, policy, depth=None):
+    """The degree-``k`` graded product over ``j <= policy.j_max``, or over the cells ``period * j <= depth``."""
     lam = complex(lam)
-    ratios = trace_ratios(cols, policy.j_max)
-    return zeta_value(cols, phases(cols, lam, policy.j_max) * ratios[k], lam, f"graded[{k}]", policy)
+    j_max = policy.j_max if depth is None else depth
+    array = phases(cols, lam, j_max) * trace_ratios(cols, j_max)[k]
+    if depth is not None:
+        array *= cells(cols, depth)
+    return zeta_value(cols, array, lam, f"graded[{k}]", policy)
 
 
 def selberg(cols, labels, lam, policy):

@@ -1,8 +1,8 @@
 """One-orbit-at-a-time references for the toral array code.
 
 A character on one homology class, a trig polynomial at one rational point,
-and :class:`~friedzeta.zetas.OrbitColumns` built from a list of
-:class:`~friedzeta.toral.OrbitRecord` rows, one attribute read per record.
+and the :class:`~friedzeta.zetas.OrbitColumns` an orbit dump of a list of
+:class:`~friedzeta.toral.OrbitRecord` rows gives, one attribute read per record.
 """
 
 import math
@@ -29,16 +29,14 @@ def trig_value(poly, num1: int, num2: int, den: int) -> float:
 
 
 def columns_from_records(records, representation=None):
-    """The columns of ``records`` in list order, twisted by a ``Character`` (``None`` is trivial).
+    """The columns of ``records`` in list order, as an orbit dump of them gives, twisted by a ``Character``
+    (``None`` is trivial).
 
-    A weight group is a run of records with equal transverse data (``nan`` eigenvalues tie), its values read
-    from its first record.
+    A weight group is a run of records with equal orientation index, its value read from its first record.
     """
-    names = ("epsilon", "lam_u", "lam_s", "det_power")
-    keys = [tuple(getattr(r, name) for name in names) for r in records]
-    starts = [i for i, key in enumerate(keys)
-              if not i or any(a != b and not (a != a and b != b) for a, b in zip(key, keys[i - 1]))]
-    per_group = (np.array([keys[i][k] for i in starts]) for k in range(len(names)))
+    epsilon = [r.epsilon for r in records]
+    starts = [i for i, eps in enumerate(epsilon) if not i or eps != epsilon[i - 1]]
     class_exps = np.array([r.class_exps for r in records], dtype=np.int64).reshape(len(records), -1)
     winding, length = (np.array([getattr(r, name) for r in records]) for name in ("winding", "length"))
-    return _toral_columns(representation, class_exps, winding, length, np.array(starts, dtype=np.intp), *per_group)
+    return _toral_columns(representation, class_exps, winding, length, np.array(starts, dtype=np.intp),
+                          np.array([epsilon[i] for i in starts]))

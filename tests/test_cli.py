@@ -32,6 +32,7 @@ from friedzeta import cli, config, continuation, kleinian, toral, torsion, varia
 from friedzeta._record import fields
 from friedzeta.cli import _COMMANDS, _KNOWN_KEYS, _flag_keys, _jsonify, _parse, main
 from friedzeta.config import RunConfig
+from friedzeta.continuation import toral_log_zetas
 from friedzeta.toral import orbit_table
 
 from dump_oracle import read_lines_dump, read_records_dump
@@ -106,10 +107,16 @@ class TestZetaEval:
         pol = TruncationPolicy(max_period=8, entropy=model.default_entropy())
         recs = orbit_records(model, 8)
         rep = Character.from_angle_fraction(0.5)
-        for row, lam in zip(ruelle_rows, (4.0, 5.0)):
+        for lam in (4.0, 5.0):
+            values = toral_log_zetas(model, rep, [lam], pol)[0]
+            got = [r for r in rows if r["lambda_re"] == lam]
+            assert [r["zeta_kind"] for r in got] == ["ruelle", "graded0", "graded1", "graded2"]
+            for row, zv in zip(got, values):
+                assert complex(row["log_value_re"], row["log_value_im"]) == zv.log_value
+                assert (row["tail_bound"], row["tail_kind"], row["n_used"]) == (zv.tail_bound, "certified", zv.n_used)
+            # the product over j <= j_max of every orbit to period 8 differs from the series by cells past its depth
             direct = ruelle_log_zeta(columns_from_records(recs, rep), lam, pol)
-            assert row["log_value_re"] == direct.log_value.real
-            assert row["log_value_im"] == direct.log_value.imag
+            assert abs(values[0].log_value - direct.log_value) <= values[0].tail_bound + direct.tail_bound
         header = csv.read_text().splitlines()[0]
         assert header == "lambda_re,lambda_im,log_zeta_re,log_zeta_im,tail"
 
@@ -180,7 +187,7 @@ class TestZetaEval:
 
 
 ZETA_ROW_KEYS = {"zeta_kind", "lambda_re", "lambda_im", "log_value_re", "log_value_im",
-                 "tail_bound", "tail_kind", "policy", "warnings"}
+                 "tail_bound", "tail_kind", "policy", "n_used", "warnings"}
 CONTINUE_ROW_KEYS = {"zeta_kind", "lambda_re", "lambda_im", "log_value_re", "log_value_im",
                      "tail_bound", "tail_kind", "d_values", "reliable", "policy", "n_used", "warnings"}
 
@@ -194,7 +201,39 @@ def test_zeta_row_schema(command, keys, capsys):
     assert rows
     for row in rows:
         assert set(row) == keys
-        assert row["tail_kind"] == "heuristic"
+        assert row["tail_kind"] == ("certified" if command == "zeta-eval" else "heuristic")
+
+
+def test_rows_without_a_bound_run_to_n_max(capsys):
+    # q = lam_u exp(-Re(lambda) r_min) >= 1 at lambda = 0.8 under a low entropy, and at lambda = -0.5 under
+    # --allow-formal: those rows read to n_max with a finite heuristic tail, and the report holds no Infinity
+    assert run("zeta-eval", *CAT_SETTINGS, "policy.n_max=6", "policy.entropy=0.1", "lambda.grid=0.8,4") == 0
+    rows = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)["results"]["rows"]
+    assert [(r["lambda_re"], r["tail_kind"]) for r in rows] == [(0.8, "heuristic")] * 4 + [(4.0, "certified")] * 4
+    assert all(r["n_used"] == 6 and 0 < r["tail_bound"] for r in rows[:4])
+    assert main(["zeta-eval", "--allow-formal", *(a for s in [*CAT_SETTINGS, "policy.n_max=6", "lambda.grid=-0.5"]
+                                                   for a in ("--set", s))]) == 0
+    rows = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)["results"]["rows"]
+    assert all(r["tail_kind"] == "heuristic" and r["n_used"] == 6 for r in rows) and len(rows) == 4
+
+
+def test_zeta_eval_builds_its_table_once_to_the_deepest_row(calls, capsys):
+    # a roof no other test uses, so no table of this model is built yet
+    builds = calls(toral, "_build_table")
+    settings = ["model.matrix=2 1 1 1", "model.roof=const:1 cos:1,0:0.0417", "policy.n_max=12"]
+    assert run("zeta-eval", *settings, "lambda.grid=4,5,6.5") == 0
+    rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+    deepest = max(r["n_used"] for r in rows)
+    assert deepest < 12 and [(n_max, shallower) for _, n_max, shallower in builds] == [(deepest, None)]
+
+
+def test_variation_builds_no_period_twice(calls, capsys):
+    builds = calls(toral, "_build_table")
+    settings = ["model.matrix=2 1 1 1", "model.roof=const:1 cos:1,0:0.0419", "model.time_change=cos:1,0:0.05",
+                "policy.n_max=9", "tau.grid=0.05,0.1,0.15"]
+    assert run("variation", *settings) == 0
+    assert len(json.loads(capsys.readouterr().out)["results"]["rows"]) == 3
+    assert [(n_max, shallower) for _, n_max, shallower in builds] == [(9, None)]
 
 
 class TestFriedCheckCommand:
@@ -592,6 +631,8 @@ class TestZetaContinue:
         # so no table of this model is built yet
         monkeypatch.setattr(toral, "MAX_ENUMERATED_POINTS", 1 << 16)
         settings = ["model.matrix=2 1 1 1", "model.roof=const:1 cos:1,0:0.0373", "policy.n_max=12"]
+        if command == "zeta-eval":  # near the entropy no certified tail is below tail_tol before period 12
+            settings.append("lambda.grid=1.2")
         out = tmp_path / "orbits.txt" if command == "orbits" else None
         assert run(command, *settings, out=out) == 2
         assert capsys.readouterr().err == "error: |det(A^n - I)| = 103680 fixed points exceeds the enumeration cap\n"
@@ -654,6 +695,7 @@ REFUSED = [
     ("zeta-eval", "io.spectrum", "io.orbits={orbits}"),
     ("zeta-eval", "io.spectrum", "policy.n_max=3"),
     ("zeta-eval", "model", "selberg.mu=sigma:2*nu:1"),
+    ("zeta-eval", "model", "policy.j_max=200"),
 ]
 
 
@@ -666,7 +708,7 @@ UNREAD_POLICY = {
     "zeta-continue": ("j_max=2", "p_max=5", "entropy=9", "quad_subdiv=4"),
     "fried-check": ("j_max=2", "p_max=5", "entropy=9", "quad_subdiv=4"),
     "selberg-factorize": ("n_max=3", "entropy=9", "tail_tol=1e-3", "quad_subdiv=4"),
-    "variation": ("p_max=5", "tail_tol=1e-3"),
+    "variation": ("j_max=4", "p_max=5", "tail_tol=1e-3"),
 }
 UNREAD = [(command, None, f"policy.{s}") for command, fields in UNREAD_POLICY.items() for s in fields]
 UNREAD += [(command, None, "policy.workers=2") for command in _KNOWN_KEYS]
@@ -832,6 +874,21 @@ def _run_module(*args: str) -> subprocess.CompletedProcess:
                           env={**os.environ, "PYTHONPATH": path})
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("spectrum.seed=-1", "count and seed must be >= 0"),
+    ("spectrum.h=1e300", "exp(h * max(min_length, 1.5 / h)) = exp(1e+300) leaves the float range"),
+    ("spectrum.min_length=1e308", "exp(h * max(min_length, 1.5 / h)) = exp(inf) leaves the float range"),
+    ("spectrum.h=1e-320", "exp(h * max(min_length, 1.5 / h)) = exp(inf) leaves the float range"),
+])
+def test_synthetic_spectrum_input_is_one_error_line(setting, message, tmp_path):
+    # each once ended spectrum-gen and selberg-factorize in a traceback from numpy or math
+    for command in ("spectrum-gen", "selberg-factorize"):
+        proc = _run_module("-m", "friedzeta", command, "--set", setting, "--out", str(tmp_path / "out.txt"))
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr, command
+        assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1, command
+        assert proc.stdout == "" and not (tmp_path / "out.txt").exists()
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["zeta-eval", "-h"]], ids=" ".join)
 def test_module_help_exits_0_on_stdout(argv):
     proc = _run_module("-m", "friedzeta", *argv)
@@ -923,7 +980,11 @@ class TestOrbitDumpPipeline:
         entropy = "policy.entropy=1.0"
         deep_at_4 = log_zeta(f"io.orbits={dumps[8]}", "policy.n_max=4", entropy)
         assert deep_at_4 == log_zeta(f"io.orbits={dumps[4]}", entropy)
-        assert deep_at_4 == pytest.approx(log_zeta("model.matrix=2 1 1 1", roof, "policy.n_max=4", entropy), rel=1e-12)
+        # the model's series reads the cells p j <= 4; the dump's product every j <= j_max of periods 1-4: both
+        # differ from the whole series by cells with p j > 4, which the series' certified tail bounds
+        assert run("zeta-eval", "model.matrix=2 1 1 1", roof, "policy.n_max=4", entropy, "lambda.grid=3") == 0
+        row = json.loads(capsys.readouterr().out)["results"]["rows"][0]
+        assert abs(deep_at_4 - row["log_value_re"]) <= 2 * row["tail_bound"]
         # without the key every row is read, whatever the policy's default depth
         assert log_zeta(f"io.orbits={dumps[8]}", entropy) == log_zeta(f"io.orbits={dumps[8]}", "policy.n_max=8",
                                                                         entropy) != deep_at_4
@@ -1264,18 +1325,6 @@ class TestInputBoundary:
         err = capsys.readouterr().err
         assert err == f"error: {out}: No such file or directory\n"
 
-    def test_graded_weights_finite_at_large_j(self, capsys):
-        # lam_u^(6 * 200) overflows a double; the weights are taken divided through by it
-        settings = ["model.matrix=2 1 1 1", "policy.n_max=6", "policy.j_max=200", "lambda.grid=3"]
-        assert run("zeta-eval", *settings) == 0
-        rows = json.loads(capsys.readouterr().out)["results"]["rows"]
-        assert [r["zeta_kind"] for r in rows] == ["ruelle", "graded0", "graded1", "graded2"]
-        assert all(math.isfinite(r["log_value_re"]) and math.isfinite(r["tail_bound"]) for r in rows)
-        # the assembly identity log zeta = -(log Z_0 - log Z_1 + log Z_2) still holds
-        by_kind = {r["zeta_kind"]: r["log_value_re"] for r in rows}
-        assembled = -(by_kind["graded0"] - by_kind["graded1"] + by_kind["graded2"])
-        assert by_kind["ruelle"] == pytest.approx(assembled, rel=1e-12)
-
     def test_resonance_at_zero_same_error_as_fried_check(self, capsys):
         trivial = ["model.matrix=2 1 1 1", "rep.u_fraction=0", "policy.n_max=6"]
         assert run("zeta-continue", *trivial, "lambda.grid=0") == 2
@@ -1301,7 +1350,9 @@ class TestInputBoundary:
     def test_length_beyond_float_range_exit_2(self, command, tmp_path, capsys):
         # the period-2 orbit sums overflow a double; orbits once wrote inf into the dump and exited 0
         out = tmp_path / "out.txt"
-        grid = ["lambda.grid=4", "policy.entropy=1.0"] if command == "zeta-eval" else []
+        # at lambda = 4 the certified tail of these lengths is 0 past period 1, so zeta-eval would read period 1
+        # alone; at lambda = -1 (no tail bound) it reads every period to n_max
+        grid = ["lambda.grid=-1", "zeta.allow_formal=true"] if command == "zeta-eval" else []
         roof = "model.roof=const:1e308 cos:1,0:1e307"
         assert run(command, "model.matrix=2 1 1 1", roof, "policy.n_max=4", *grid, out=out) == 2
         assert capsys.readouterr().err == "error: orbit lengths of period 2 exceed the floating-point range\n"
@@ -1339,7 +1390,7 @@ class TestInputBoundary:
         assert len(config._parse_grid(f"0:1e-6:{config.MAX_GRID_POINTS}", "tau.grid")) == config.MAX_GRID_POINTS
 
     def test_variation_out_of_range_exit_2(self, capsys):
-        settings = ["policy.n_max=4", "tau.grid=0,0.01", "model.time_change=const:17625462.0"]
+        settings = ["policy.n_max=4", "tau.grid=0,0.01", "model.time_change=const:35250924.0"]
         assert run("variation", "model.matrix=2 1 1 1", *settings) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: variation at lambda")

@@ -12,14 +12,18 @@ so the two runs must agree to rounding:
 * unit of time: the roof ``c r`` at ``lambda / c`` is the roof ``r`` at
   ``lambda`` timed in another unit; for ``c = 2^-k`` every length, the
   entropy and ``lambda * length`` scale exactly, so each product's log, tail
-  bound and warnings agree bit for bit;
+  bound and depth agree bit for bit;
 * cyclic cover: the q-fold cover of the suspension of ``(A, r)`` is the
   suspension of ``(A^q, r_q)``, ``r_q = sum_{i<q} r o A^i`` (each roof term
   ``k`` repeated at ``(A^T)^i k``), and ``zeta_cover(u^q)`` is the product of
-  ``zeta(u w)`` over ``w^q = 1``.  A base orbit of period ``p`` lifts to
-  ``gcd(p, q)`` orbits of period ``p / gcd(p, q)``, so the cover to period
-  ``M`` reads the base orbits with ``p / gcd(p, q) <= M``, and the Euler
-  products compare on exactly those rows.
+  ``zeta(u w)`` over ``w^q = 1``.  The cover's m-th trace is the base's
+  (qm)-th, and the sum over ``w`` keeps the base terms of ``q | n`` only, so
+  the Euler products compare as trace series, the cover's to depth ``M``
+  and the base's to ``q M``.
+
+The Euler products are the partial sums of the trace series that
+``toral_log_zetas`` takes; each relation keeps the entropy, ``|lam_u|`` and
+the certified roof bound, so both sides stop at the same depths.
 
 The examples are small hyperbolic matrices with at most ``MAX_POINTS``
 fixed points up to the depth summed.  The length, conjugation and formal
@@ -54,13 +58,12 @@ from friedzeta import (
     ToralAutomorphism,
     TrigPolynomial,
     TruncationPolicy,
+    continuation,
     cycle_zeta,
     cycle_zetas,
-    graded_log_zeta,
-    orbit_columns,
-    ruelle_log_zeta,
 )
-from friedzeta.toral import OrbitTable, orbit_table
+from friedzeta.continuation import toral_log_zetas
+from friedzeta.toral import orbit_table
 
 MAX_POINTS = 4000  # fixed points of A^n summed over n <= n_max
 CONJUGATION_TOL = 5.3e-15  # sorted lengths per period and Ruelle log values
@@ -162,14 +165,13 @@ def conjugation_differences(matrix, conjugator, roof_terms, u_fraction):
                                - np.sort(tables[1].length0[tables[1].period == n])).max(initial=0.0))
                   for n in range(1, n_max + 1))
     policy = TruncationPolicy(max_period=n_max, entropy=models[0].default_entropy())
-    columns = [orbit_columns(table, rep) for table in tables]
     ruelle = formal = 0.0
-    for lam in _euler_lambdas(models[0]):
-        x, y = (ruelle_log_zeta(cols, lam, policy).log_value for cols in columns)
-        ruelle = max(ruelle, abs(x - y))
-        for k in range(3):
-            x, y = (graded_log_zeta(cols, k, lam, policy).log_value for cols in columns)
-            formal = max(formal, abs(x - y) / max(1.0, abs(x)))
+    values = [toral_log_zetas(model, rep, _euler_lambdas(models[0]), policy) for model in models]
+    for rows_a, rows_b in zip(*values):
+        assert [zv.n_used for zv in rows_a] == [zv.n_used for zv in rows_b]
+        ruelle = max(ruelle, abs(rows_a[0].log_value - rows_b[0].log_value))
+        for x, y in zip(rows_a[1:], rows_b[1:]):
+            formal = max(formal, abs(x.log_value - y.log_value) / max(1.0, abs(x.log_value)))
     for lam in (0.5, 0.3 + 0.7j):
         x, y = (_cycle_log(model, rep, lam, n_max) for model in models)
         assert (x is None) == (y is None)
@@ -204,16 +206,16 @@ def reversal_difference(matrix, roof_terms, u_fraction):
     models = [SuspensionModel(auto, _roof(roof_terms)) for auto in (backward, forward)]
     twists = (Character.from_angle_fraction(u), Character.from_angle_fraction(u + shift))
     policy = TruncationPolicy(max_period=n_max, entropy=models[0].default_entropy())
-    columns = [orbit_columns(orbit_table(model, n_max), rep) for model, rep in zip(models, twists)]
+    values = [toral_log_zetas(model, rep, _euler_lambdas(models[0]), policy) for model, rep in zip(models, twists)]
     worst = 0.0
-    for lam in _euler_lambdas(models[0]):
-        x, y = (ruelle_log_zeta(cols, lam, policy).log_value for cols in columns)
+    for rows_a, rows_b in zip(*values):
+        x, y = rows_a[0].log_value, rows_b[0].log_value
         worst = max(worst, abs(x - y) / abs(x))
     return worst
 
 
 def time_unit_rows(matrix, roof_terms, u_fraction, k):
-    """Each Euler product's ``(log, tail, warnings)`` over the λ grid, on the roof ``r`` and on ``c r`` at
+    """Each Euler product's ``(log, tail, depth)`` over the λ grid, on the roof ``r`` and on ``c r`` at
     ``lambda / c``, ``c = 2^-k``.
 
     Scaling by a power of two is exact, so the lengths, the entropy and every ``lambda * length`` of the
@@ -226,11 +228,8 @@ def time_unit_rows(matrix, roof_terms, u_fraction, k):
     rows = ([], [])
     for model, unit, out in zip((SuspensionModel(auto, roof), SuspensionModel(auto, scaled)), (1.0, c), rows):
         policy = TruncationPolicy(max_period=n_max, entropy=model.default_entropy())
-        cols = orbit_columns(orbit_table(model, n_max), rep)
-        for lam in lams:
-            values = [ruelle_log_zeta(cols, lam / unit, policy)]
-            values += [graded_log_zeta(cols, degree, lam / unit, policy) for degree in range(3)]
-            out += [(v.log_value, v.tail_bound, v.warnings) for v in values]
+        for values in toral_log_zetas(model, rep, [lam / unit for lam in lams], policy):
+            out += [(v.log_value, v.tail_bound, v.tail_kind, v.n_used) for v in values]
     return rows
 
 
@@ -244,25 +243,26 @@ def _cover(matrix, roof_terms, q):
     return SuspensionModel(ToralAutomorphism(power), TrigPolynomial(q * 1.0, tuple(cover_terms)))
 
 
+def _ruelle_series(model, rep, lam, depth):
+    """The Ruelle log as the partial sum of the trace series to ``depth``: ``-(log Z_0 - log Z_1 + log Z_2)``."""
+    stream = continuation._TraceStream(model, rep, (lam,), 0.0, depth)
+    graded = [continuation._log_series(stream, 0, k, depth)[0] for k in range(3)]
+    return -(graded[0] - graded[1] + graded[2])
+
+
 def cover_euler_difference(matrix, roof_terms, theta, q=2):
     """Relative Ruelle difference between the cover at ``u^q`` and the sum over ``w^q = 1`` of the base at ``u w``.
 
-    The cover runs to period ``M = n_max // q`` and the base to ``q M``, on the rows the cover reads.  At q = 2
-    the difference is relative to the cover's log; at q = 3 to the sum of the base logs' moduli, since three
-    base logs can cancel to a cover log far below each of them.
+    The cover's series runs to depth ``M = n_max // q`` and the base's to ``q M``.  At q = 2 the difference is
+    relative to the cover's log; at q = 3 to the sum of the base logs' moduli, since three base logs can cancel
+    to a cover log far below each of them.
     """
     base, cover = SuspensionModel(ToralAutomorphism(matrix), _roof(roof_terms)), _cover(matrix, roof_terms, q)
     m = _n_max(base.automorphism) // q
-    table = orbit_table(base, q * m)
-    lifted = table.period // np.gcd(table.period, q) <= m
-    base_rows = OrbitTable(base, q * m, *(column[lifted] for column in table.columns()))
-    policy = TruncationPolicy(max_period=q * m, j_max=40, entropy=base.default_entropy())
     worst = 0.0
     for lam in (3.0, 3.0 + 1.0j):
-        x = ruelle_log_zeta(orbit_columns(orbit_table(cover, m), Character.from_angle_fraction(q * theta)),
-                            lam, policy).log_value
-        logs = [ruelle_log_zeta(orbit_columns(base_rows, Character.from_angle_fraction(theta + w / q)),
-                                lam, policy).log_value for w in range(q)]
+        x = _ruelle_series(cover, Character.from_angle_fraction(q * theta), lam, m)
+        logs = [_ruelle_series(base, Character.from_angle_fraction(theta + w / q), lam, q * m) for w in range(q)]
         worst = max(worst, abs(x - sum(logs)) / (abs(x) if q == 2 else sum(map(abs, logs))))
     return worst
 
@@ -312,7 +312,7 @@ def test_reversal_needs_the_orientation_twist():
     models = [SuspensionModel(ToralAutomorphism(m), TrigPolynomial.const(1.0)) for m in (_inverse(matrix), matrix)]
     policy = TruncationPolicy(max_period=6, entropy=models[0].default_entropy())
     lam = policy.entropy + 0.5
-    plain = [ruelle_log_zeta(orbit_columns(orbit_table(model, 6)), lam, policy).log_value for model in models]
+    plain = [toral_log_zetas(model, None, [lam], policy)[0][0].log_value for model in models]
     assert abs(plain[0] - plain[1]) > 1e-3
     assert reversal_difference(matrix, [((1, 0), 0.05, 0.0)], None) <= REVERSAL_TOL
 

@@ -1,7 +1,6 @@
 import cmath
 import functools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from friedzeta import (
     TruncationPolicy,
     assemble_ruelle_from_graded,
     char_sigma,
+    continuation,
     factorization_check,
     factorization_residual_curve,
     graded_log_zeta,
@@ -32,7 +32,8 @@ from friedzeta import (
 )
 from friedzeta._record import replace
 from friedzeta.characters import char_label
-from friedzeta.toral import orbit_table, orientation_index
+from friedzeta.continuation import toral_log_zetas
+from friedzeta.toral import orbit_table
 from friedzeta.zetas import _class_angles, _det_one_minus_ps, _kleinian_iterates, _shell_tail, orbit_columns
 
 import euler_oracle
@@ -60,10 +61,13 @@ class TestRuelle:
     def test_cat_map_closed_form(self, cat, cat_model, rep_minus, policy14):
         lam = cat_model.default_entropy() + 2.0
         records = orbit_records(cat_model, 14)
-        zv = ruelle_log_zeta(columns_from_records(records, rep_minus), lam, policy14)
         closed = cat_closed_form(lam, rep_minus.circle, cat.lam_u, cat.lam_s)
+        zv = ruelle_log_zeta(columns_from_records(records, rep_minus), lam, policy14)
         assert abs(zv.log_value - closed) < zv.tail_bound
         assert abs(zv.log_value - closed) < 1e-12
+        series = toral_log_zetas(cat_model, rep_minus, [lam], policy14)[0][0]
+        # the Ruelle tail is the sum of three graded tails, each at most tail_tol
+        assert series.tail_kind == "certified" and abs(series.log_value - closed) <= series.tail_bound <= 3e-12
 
     def test_euler_product_consistency(self, cat_model, rep_minus, policy14):
         lam = cat_model.default_entropy() + 2.0
@@ -115,41 +119,35 @@ class TestGraded:
         assert zv.log_value.real == pytest.approx(expected, rel=1e-14)
 
     def test_weight_is_inverse_det_for_k0(self, cat_model, rep_minus):
+        # the cells p j <= 4 of the orbits of periods 1..4, one term each
         records = orbit_records(cat_model, 4)
-        pol = TruncationPolicy(j_max=1, entropy=cat_model.default_entropy())
+        pol = TruncationPolicy(max_period=4, entropy=cat_model.default_entropy())
         lam = 4.0
-        zv = graded_log_zeta(columns_from_records(records, rep_minus), 0, lam, pol)
+        zv = toral_log_zetas(cat_model, rep_minus, [lam], pol)[0][1]
+        assert zv.n_used == 4
         manual = sum(
-            -character_value(rep_minus, r.class_exps, r.winding)
-            * cmath.exp(-lam * r.length)
-            / abs((1 - r.lam_u) * (1 - r.lam_s))
-            for r in records
+            -character_value(rep_minus, r.class_exps, r.winding) ** j
+            * cmath.exp(-lam * j * r.length)
+            / (j * abs((1 - r.lam_u**j) * (1 - r.lam_s**j)))
+            for r in records for j in range(1, 4 // r.period + 1)
         )
         assert zv.log_value == pytest.approx(manual, rel=1e-13)
 
 
 class TestAssembly:
-    def test_suspension_sign_and_match(self, cat_model, rep_minus, policy14):
-        lam = cat_model.default_entropy() + 2.0
-        cols = columns_from_records(orbit_records(cat_model, 10), rep_minus)
-        report = assemble_ruelle_from_graded(cols, lam, policy14)
-        assert report.global_sign == -1
-        assert report.max_residual < 1e-12
-        direct = ruelle_log_zeta(cols, lam, policy14)
-        assert abs(report.log_zeta - direct.log_value) < 1e-12
-
-    def test_negative_eigenvalue_model(self):
-        a = ((-2, -1), (-1, -1))
-        model = SuspensionModel(
-            __import__("friedzeta").ToralAutomorphism(a), TrigPolynomial.const(1.0)
-        )
-        pol = TruncationPolicy(j_max=10, entropy=model.default_entropy())
-        cols = columns_from_records(orbit_records(model, 6))
+    @pytest.mark.parametrize("matrix", [((2, 1), (1, 1)), ((-2, -1), (-1, -1))], ids=["cat", "negative"])
+    def test_suspension_sign_and_match(self, matrix, rep_minus):
+        # the graded series assemble to the Ruelle one with the sign -1 = (-1)^(dim / 2): per cell,
+        # -sum_k (-1)^k Tr(wedge^k P^j) / |det(1 - P^j)| is eps^j, the Ruelle product's weight
+        model = SuspensionModel(ToralAutomorphism(matrix), TrigPolynomial.const(1.0))
         lam = model.default_entropy() + 2.0
-        report = assemble_ruelle_from_graded(cols, lam, pol)
-        assert report.global_sign == -1
-        direct = ruelle_log_zeta(cols, lam, pol)
-        assert abs(report.log_zeta - direct.log_value) < 1e-12
+        pol = TruncationPolicy(max_period=10, entropy=model.default_entropy())
+        records = orbit_records(model, 10)
+        ruelle, *graded = toral_log_zetas(model, rep_minus, [lam], pol)[0]
+        assert ruelle.log_value == -(graded[0].log_value - graded[1].log_value + graded[2].log_value)
+        assert euler_oracle.assembly_residual(euler_oracle.records_columns(records, rep_minus), 10) < 1e-12
+        direct = ruelle_log_zeta(columns_from_records(records, rep_minus), lam, replace(pol, j_max=40))
+        assert abs(ruelle.log_value - direct.log_value) <= ruelle.tail_bound + direct.tail_bound
 
     def test_kleinian_sign_positive(self):
         spectrum = synthetic_spectrum(2.0, 30, 5)
@@ -329,20 +327,25 @@ def _fsum(terms):
     return total, math.fsum(abs(t) for t in terms)
 
 
-def loop_ruelle(records, rep, lam, j_max):
+def _iterates(rec, j_max, depth):
+    """``j = 1..j_max``, or the cells ``period * j <= depth`` of a toral record."""
+    return range(1, (j_max if depth is None else depth // rec.period) + 1)
+
+
+def loop_ruelle(records, rep, lam, j_max, depth=None):
     terms = []
     for rec in records:
         eps = rec.epsilon if isinstance(rec, OrbitRecord) else 1
         base = eps * _loop_rho(rec, rep) * cmath.exp(-lam * rec.length)
-        terms += [-getattr(rec, "multiplicity", 1) * base**j / j for j in range(1, j_max + 1)]
+        terms += [-getattr(rec, "multiplicity", 1) * base**j / j for j in _iterates(rec, j_max, depth)]
     return _fsum(terms)
 
 
-def loop_graded(records, rep, k, lam, j_max):
+def loop_graded(records, rep, k, lam, j_max, depth=None):
     terms = []
     for rec in records:
         rho = _loop_rho(rec, rep)
-        for j in range(1, j_max + 1):
+        for j in _iterates(rec, j_max, depth):
             weight = _loop_wedge_trace(rec, j, k) / abs(_loop_det_one_minus_p(rec, j))
             phase = rho**j * cmath.exp(-lam * j * rec.length)
             terms.append(-getattr(rec, "multiplicity", 1) * phase * weight / j)
@@ -439,7 +442,7 @@ class TestArrayPathAgainstLoops:
     """The array reductions agree with the per-record loops they replaced."""
 
     @pytest.mark.parametrize("source", ["cat_half", "twisted_3211", "negative", "det_minus_one"])
-    def test_toral_ruelle_and_graded(self, source, cat_model, rep_minus):
+    def test_toral_series(self, source, cat_model, rep_minus):
         if source == "cat_half":
             roof = TrigPolynomial.cosine((1, 0), 0.05, constant=1.0)
             model, rep = SuspensionModel(cat_model.automorphism, roof), rep_minus
@@ -450,34 +453,21 @@ class TestArrayPathAgainstLoops:
             model = SuspensionModel(ToralAutomorphism(matrix), TrigPolynomial.const(1.0))
             rep = Character.from_angle_fraction(0.2)
         records = orbit_records(model, 7)
-        cols = columns_from_records(records, rep)
-        pol = TruncationPolicy(j_max=12, entropy=model.default_entropy())
+        pol = TruncationPolicy(max_period=7, entropy=model.default_entropy())
         for lam in (model.default_entropy() + 1.5, 4.0 + 2.5j):
-            zv = ruelle_log_zeta(cols, lam, pol)
+            ruelle, *graded = toral_log_zetas(model, rep, [lam], pol)[0]
+            loops = [loop_graded(records, rep, k, lam, None, zv.n_used) for k, zv in enumerate(graded)]
+            for zv, loop in zip(graded, loops):
+                assert _close(zv.log_value, loop)
+            assembled = -(loops[0][0] - loops[1][0] + loops[2][0])
+            assert _close(ruelle.log_value, (assembled, sum(scale for _, scale in loops)))
+            if len({zv.n_used for zv in graded}) == 1:  # one depth: the Ruelle series' own cells
+                assert _close(ruelle.log_value, loop_ruelle(records, rep, lam, None, ruelle.n_used))
+            zv = ruelle_log_zeta(columns_from_records(records, rep), lam, replace(pol, j_max=12))
             assert _close(zv.log_value, loop_ruelle(records, rep, lam, 12))
-            for k in range(3):
-                zv = graded_log_zeta(cols, k, lam, pol)
-                assert _close(zv.log_value, loop_graded(records, rep, k, lam, 12))
-        assert assemble_ruelle_from_graded(cols, 4.0, pol).max_residual == pytest.approx(
+        assert euler_oracle.assembly_residual(euler_oracle.records_columns(records), 12) == pytest.approx(
             loop_assembly_residual(records, 12), abs=1e-14
         )
-
-    def test_model_columns_match_record_columns(self, cat_family, rep_minus):
-        pol = TruncationPolicy(j_max=10, entropy=cat_family.default_entropy(0.1))
-        table = orbit_table(cat_family, 8)
-        for tau in (0.0, 0.1):
-            from_table = ruelle_log_zeta(orbit_columns(table, rep_minus, tau), 3.5, pol)
-            from_records = ruelle_log_zeta(columns_from_records(orbit_records(cat_family, 8, tau), rep_minus), 3.5, pol)
-            assert from_table.log_value == from_records.log_value
-            assert from_table.tail_bound == from_records.tail_bound
-        # a constant roof ties every length within a period; the fiber twist tells the rows apart
-        model, rep = _twisted_3211()
-        model = SuspensionModel(model.automorphism, TrigPolynomial.const(1.0))
-        a, b = orbit_columns(orbit_table(model, 6), rep), columns_from_records(orbit_records(model, 6), rep)
-        for name in ("length", "rho", "starts", "epsilon", "lam_u", "lam_s", "det_power"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
-        assert np.allclose(a.rho, [character_value(rep, r.class_exps, r.winding) for r in orbit_records(model, 6)],
-                           rtol=0, atol=1e-14)
 
     def test_dump_records(self, cat_family, rep_minus, tmp_path):
         from friedzeta import read_orbit_dump, write_orbit_dump
@@ -489,9 +479,9 @@ class TestArrayPathAgainstLoops:
         for rep in (None, rep_minus):
             zv = ruelle_log_zeta(orbit_columns(back, rep), 3.0, pol)
             assert _close(zv.log_value, loop_ruelle(records, rep, 3.0, 16))
-        for name in ("length", "rho", "starts", "epsilon", "multiplicity", "lam_u", "lam_s", "det_power"):
+        for name in ("length", "rho", "starts", "epsilon", "multiplicity"):
             want = getattr(columns_from_records(records, rep_minus), name)
-            assert np.array_equal(getattr(orbit_columns(back, rep_minus), name), want, equal_nan=True)
+            assert np.array_equal(getattr(orbit_columns(back, rep_minus), name), want)
 
     def test_kleinian_graded_and_selberg(self):
         spectrum = _mixed_spectrum()
@@ -511,24 +501,12 @@ class TestArrayPathAgainstLoops:
 
     def test_graded_factors_kept_per_grid(self, rep_minus):
         """One columns object across a λ grid and a j_max change: kept ratios and phases are never stale."""
-        model = SuspensionModel(ToralAutomorphism(((2, 1), (1, 1))),
-                                TrigPolynomial.cosine((1, 0), 0.05, constant=1.0))
-        records, spectrum = orbit_records(model, 6), _mixed_spectrum()
-        toral, kleinian = columns_from_records(records, rep_minus), orbit_columns(spectrum)
-        h = model.default_entropy()
+        spectrum = _mixed_spectrum()
+        kleinian = orbit_columns(spectrum)
         labels = [IrrepLabel("sigma", 2, 2), IrrepLabel("nu", 1, 2)]
         loop_graded_kept, residual_kept = functools.cache(loop_graded), functools.cache(loop_assembly_residual)
         for j_max in (12, 5, 12):
-            pol, kpol = TruncationPolicy(j_max=j_max, entropy=h), TruncationPolicy(j_max=j_max, entropy=2.0)
-            for lam in (h + 1.5, 4.0 + 2.5j, h + 1.5):
-                graded = [loop_graded_kept(tuple(records), rep_minus, k, lam, j_max) for k in range(3)]
-                for k in range(3):
-                    assert _close(graded_log_zeta(toral, k, lam, pol).log_value, graded[k])
-                assembled = -sum((-1) ** k * value for k, (value, _) in enumerate(graded))
-                scale = sum(scale for _, scale in graded)
-                report = assemble_ruelle_from_graded(toral, lam, pol)
-                assert abs(report.log_zeta - assembled) <= ORACLE_TOL * scale
-                assert report.max_residual == pytest.approx(residual_kept(tuple(records), j_max), abs=1e-14)
+            kpol = TruncationPolicy(j_max=j_max, entropy=2.0)
             for lam in (3.2, 4.0 - 1.5j, 3.2):
                 for k in range(5):
                     zv = graded_log_zeta(kleinian, k, lam, kpol)
@@ -583,17 +561,15 @@ class TestWeightGroupsAgainstPerOrbitOracle:
 
     @staticmethod
     def _sources(matrix, n_max, tmp_path):
-        """(name, columns) from an orbit table, a record list and a dump, with a roof, a time change at
-        tau = 0.1 and a fiber twist."""
+        """(name, columns) from a record list and a dump, with a roof, a time change at tau = 0.1 and a fiber
+        twist."""
         from friedzeta import read_orbit_dump, write_orbit_dump
 
         model = SuspensionModel(ToralAutomorphism(matrix), TABLE_ROOF, TABLE_CHANGE)
         rep = Character.from_angle_fraction(0.3, model.automorphism.coker_orders, (1, 1))
-        table = orbit_table(model, n_max)
         path = tmp_path / "orbits.txt"
-        write_orbit_dump(path, table, 0.1)
-        return model, [("table", orbit_columns(table, rep, 0.1)),
-                       ("records", columns_from_records(orbit_records(model, n_max, 0.1), rep)),
+        write_orbit_dump(path, orbit_table(model, n_max), 0.1)
+        return model, [("records", columns_from_records(orbit_records(model, n_max, 0.1), rep)),
                        ("dump", orbit_columns(read_orbit_dump(path), rep))]
 
     @staticmethod
@@ -615,18 +591,10 @@ class TestWeightGroupsAgainstPerOrbitOracle:
         for name, cols in sources:
             for lam in (h + 0.3, h + 1.5, 4.0 + 2.5j):
                 self._agree(ruelle_log_zeta(cols, lam, pol), euler_oracle.ruelle(cols, lam, pol))
-                if name == "dump":
-                    continue
-                graded = [euler_oracle.graded(cols, k, lam, pol) for k in range(3)]
-                for k in range(3):
-                    self._agree(graded_log_zeta(cols, k, lam, pol), graded[k])
-                report = assemble_ruelle_from_graded(cols, lam, pol)
-                assert report.max_residual == euler_oracle.assembly_residual(cols, j_max)
-                assembled = -sum((-1) ** k * value.log_value for k, (value, _) in enumerate(graded))
-                assert abs(report.log_zeta - assembled) <= GROUP_TOL * sum(scale for _, scale in graded)
-            if name == "dump":
+            for call in (lambda: graded_log_zeta(cols, 0, h + 1.5, pol),
+                         lambda: assemble_ruelle_from_graded(cols, h + 1.5, pol)):
                 with pytest.raises(ValidationError, match="eigenvalue data"):
-                    graded_log_zeta(cols, 0, h + 1.5, pol)
+                    call()
 
     @pytest.mark.parametrize("j_max", [1, 5, 16, 17])
     @pytest.mark.parametrize("spectrum", [_mixed_spectrum, _synthetic_200], ids=["mixed", "synthetic_200"])
@@ -659,37 +627,23 @@ class TestWeightGroupsAgainstPerOrbitOracle:
             assert got.warnings and got.warnings == want[0].warnings
 
     def test_no_orbit_by_iterate_array_per_lambda(self, tmp_path):
-        # every array kept on toral columns has one row per weight group (one per period), never one per orbit
-        _, sources = self._sources(((2, 1), (1, 1)), 8, tmp_path)
-        cols = sources[0][1]
+        # every array kept on toral columns has one row per weight group, never one per orbit: -2 -1 -1 -1
+        # alternates its orientation index with the period, so a dump has one group per run of equal index
+        _, sources = self._sources(((-2, -1), (-1, -1)), 8, tmp_path)
+        cols = sources[1][1]
         pol = TruncationPolicy(max_period=8, j_max=16, entropy=1.0)
         for lam in (3.0, 4.0 + 1j):
-            assemble_ruelle_from_graded(cols, lam, pol)
             ruelle_log_zeta(cols, lam, pol)
         groups = len(cols.starts)
-        assert groups == 8 < len(cols)
-        assert cols._derived["ratios"][1].shape == (3, groups, 16)
+        assert groups == 6 < len(cols)
+        assert cols._derived["signs"][1].shape == (groups, 16)
         assert cols._derived["group_phases"][1][0].shape == (groups, 16)
         assert "phases" not in cols._derived
 
 
 class TestWeightGroupContract:
-    """The builder of the columns sets the weight groups: a table's periods, a dump's runs of equal epsilon in
-    file order, a Kleinian spectrum's rows."""
-
-    def test_table_groups_are_its_periods(self):
-        # -2 -1 -1 -1 has no primitive period-2 orbit: periods 1 and 3..10 hold orbits, nine groups
-        model = SuspensionModel(ToralAutomorphism(((-2, -1), (-1, -1))), TABLE_ROOF)
-        auto, table = model.automorphism, orbit_table(model, 10)
-        cols = orbit_columns(table, Character.from_angle_fraction(0.3))
-        periods = table.period[cols.starts]
-        assert periods.tolist() == [1, *range(3, 11)]
-        assert np.array_equal(euler_oracle.per_row(cols, periods), table.period)
-        assert cols.epsilon.tolist() == [orientation_index(auto, n) for n in periods.tolist()]
-        assert cols.lam_u.tolist() == [auto.lam_u**n for n in periods.tolist()]
-        assert cols.lam_s.tolist() == [auto.lam_s**n for n in periods.tolist()]
-        assert cols.det_power.tolist() == [auto.det**n for n in periods.tolist()]
-        assert cols.multiplicity.tolist() == [1.0] * 9
+    """The builder of the columns sets the weight groups: a dump's runs of equal epsilon in file order, a Kleinian
+    spectrum's rows."""
 
     @pytest.mark.parametrize("matrix", [((2, 1), (1, 1)), ((-2, -1), (-1, -1))], ids=["cat", "negative"])
     def test_shuffled_dump_gives_the_sorted_value(self, matrix, tmp_path):
@@ -716,19 +670,6 @@ class TestWeightGroupContract:
         cols = orbit_columns(_synthetic_200())
         assert np.array_equal(cols.starts, np.arange(len(cols)))
         assert len(cols.epsilon) == len(cols.multiplicity) == len(cols)
-
-    def test_table_columns_hold_little_per_orbit(self, cat, rep_minus):
-        # a row holds its length (8 B) and rho (16 B); per-row copies of the transverse data held 64.1 B
-        table = orbit_table(SuspensionModel(cat, TABLE_ROOF), 13)
-        zetas._table_columns.cache_clear()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            cols = orbit_columns(table, rep_minus)
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert len(cols) > 30_000 and held <= 32 * len(cols)
 
 
 def per_call_factorization_weights(cols, k, j_max, p_values):
@@ -882,11 +823,9 @@ class TestArrayPathGuards:
                 call(too_long)
 
     def test_k_out_of_range(self, cat_model):
-        toral = columns_from_records(orbit_records(cat_model, 3))
         kleinian = orbit_columns(synthetic_spectrum(2.0, 5, 1))
         pol = TruncationPolicy(j_max=3, entropy=2.0)
-        for call in (lambda: graded_log_zeta(toral, 3, 4.0, pol),
-                     lambda: graded_log_zeta(kleinian, 5, 4.0, pol),
+        for call in (lambda: graded_log_zeta(kleinian, 5, 4.0, pol),
                      lambda: graded_log_zeta(kleinian, -1, 4.0, pol),
                      lambda: factorization_check(kleinian, 3, 5.0, pol),
                      lambda: factorization_residual_curve(kleinian, 3, 5.0, pol, [10])):
@@ -903,15 +842,13 @@ class TestArrayPathGuards:
         with pytest.raises(CapacityError):
             factorization_residual_curve(cols, 0, 5.0, replace(pol, j_max=1), [10_000_000])
         # toral columns reduce per weight group, yet orbits x j_max is refused before any group or power is built
-        toral = orbit_columns(orbit_table(SuspensionModel(ToralAutomorphism(((2, 1), (1, 1))),
-                                                          TrigPolynomial.const(1.0)), 6))
+        model = SuspensionModel(ToralAutomorphism(((2, 1), (1, 1))), TrigPolynomial.const(1.0))
+        toral = columns_from_records(orbit_records(model, 6))
         j_max = zetas.MAX_CELLS // len(toral) + 1
         message = f"^{len(toral) * j_max} array cells exceed the cap of {zetas.MAX_CELLS}"
-        for call in (lambda: ruelle_log_zeta(toral, 3.0, replace(pol, j_max=j_max)),
-                     lambda: graded_log_zeta(toral, 1, 3.0, replace(pol, j_max=j_max))):
-            with pytest.raises(CapacityError, match=message):
-                call()
-            assert toral._derived == {}
+        with pytest.raises(CapacityError, match=message):
+            ruelle_log_zeta(toral, 3.0, replace(pol, j_max=j_max))
+        assert toral._derived == {}
 
     def test_overflow_is_convergence_error(self, cat_model):
         records = orbit_records(cat_model, 6)
@@ -919,17 +856,116 @@ class TestArrayPathGuards:
         with pytest.raises(ConvergenceError, match="leaves floating point"):
             ruelle_log_zeta(columns_from_records(records), -200.0, pol, allow_formal=True)
 
-    def test_twist_rules(self, cat_model, rep_minus):
+    def test_twist_rules(self, cat_model, rep_minus, tmp_path):
+        from friedzeta import read_orbit_dump, write_orbit_dump
+
         table = orbit_table(cat_model, 3)
+        write_orbit_dump(tmp_path / "orbits.txt", table)
+        dump = read_orbit_dump(tmp_path / "orbits.txt")
         spectrum = synthetic_spectrum(2.0, 5, 1)
         pol = TruncationPolicy(j_max=3, entropy=2.0)
-        cols = orbit_columns(table, rep_minus)
+        cols = orbit_columns(dump, rep_minus)
         assert not cols.length.flags.writeable and not cols.rho.flags.writeable
         for call in (lambda: orbit_columns(spectrum, rep_minus),
-                     lambda: orbit_columns(table, 0.5),
+                     lambda: orbit_columns(dump, 0.5),
+                     lambda: orbit_columns(table),
                      lambda: orbit_columns(table.records() + spectrum),
-                     lambda: orbit_columns(spectrum, tau=0.1),
                      lambda: selberg_log_zeta(cols, IrrepLabel("nu", 0, 2), 4.0, pol),
-                     lambda: factorization_check(orbit_columns(orbit_table(cat_model, 2)), 0, 5.0, pol)):
+                     lambda: factorization_check(cols, 0, 5.0, pol)):
             with pytest.raises(ValidationError):
                 call()
+
+
+SERIES_TOL = 1e-14  # relative, or relative to the sum of term magnitudes where the terms cancel
+
+
+def _series_cases():
+    """(id, model, twist) over the table cases, with a roof, a time change, and circle and fiber twists."""
+    for matrix, n_max in TABLE_CASES:
+        model = SuspensionModel(ToralAutomorphism(matrix), TABLE_ROOF, TABLE_CHANGE)
+        orders = model.automorphism.coker_orders
+        for name, rep in (("circle and fiber", Character.from_angle_fraction(0.3, orders, (1, 1))),
+                          ("circle", Character.from_angle_fraction(-0.45)), ("trivial", None)):
+            yield pytest.param(model, rep, n_max, id=f"{' '.join(str(a) for row in matrix for a in row)}, {name}")
+
+
+class TestTraceSeries:
+    """The model's Euler products as partial sums of the trace series, against the per-orbit oracle truncated at
+    ``period * j <= M``, and their certified tails."""
+
+    @pytest.mark.parametrize("model, rep, n_max", _series_cases())
+    def test_rows_match_the_oracle(self, model, rep, n_max):
+        h = model.default_entropy(0.1)
+        pol = TruncationPolicy(max_period=n_max, entropy=h)
+        cols = euler_oracle.table_columns(orbit_table(model, n_max), rep, 0.1)
+        lams = (h + 0.3, h + 1.5, 4.0 + 2.5j)
+        for lam, (ruelle, *graded) in zip(lams, toral_log_zetas(model, rep, lams, pol, 0.1)):
+            oracles = [euler_oracle.graded(cols, k, lam, pol, depth=zv.n_used) for k, zv in enumerate(graded)]
+            for k, (zv, (want, scale)) in enumerate(zip(graded, oracles)):
+                error = abs(zv.log_value - want.log_value)
+                assert error <= SERIES_TOL * abs(want.log_value) or error <= SERIES_TOL * scale, (lam, k)
+                assert (zv.lam, zv.kind, zv.tail_kind) == (lam, want.kind, "certified")
+            assembled = -(oracles[0][0].log_value - oracles[1][0].log_value + oracles[2][0].log_value)
+            error = abs(ruelle.log_value - assembled)
+            assert error <= SERIES_TOL * max(abs(assembled), sum(scale for _, scale in oracles)), lam
+            assert ruelle.n_used == max(zv.n_used for zv in graded) <= n_max
+            if len({zv.n_used for zv in graded}) == 1:  # one depth: the Ruelle oracle's cells
+                want, scale = euler_oracle.ruelle(cols, lam, pol, depth=ruelle.n_used)
+                assert abs(ruelle.log_value - want.log_value) <= SERIES_TOL * scale, lam
+
+    @pytest.mark.parametrize("model, rep, n_max", _series_cases())
+    def test_certified_tail_bounds_the_error(self, model, rep, n_max):
+        # on a grid of lambda and M, the bound is at least the distance to the series 4 periods deeper, up to the
+        # rounding of the two sums
+        r_min, log_lam_u = model.min_effective_roof(0.1), math.log(abs(model.automorphism.lam_u))
+        h = model.default_entropy(0.1)
+        lams = (h + 0.2, h + 0.6, h + 1.5, h + 3.0, complex(h + 1.0, 2.0))
+        stream = continuation._TraceStream(model, rep, lams, 0.1, n_max)
+        for i, lam in enumerate(lams):
+            rate = complex(lam).real * r_min
+            assert rate > log_lam_u  # q < 1 above the default entropy
+            for k in range(3):
+                for depth in range(1, n_max - 3):
+                    value, _ = continuation._log_series(stream, i, k, depth)
+                    deeper, _ = continuation._log_series(stream, i, k, depth + 4)
+                    bound = continuation._certified_tail(k, rate, log_lam_u, depth)
+                    assert abs(value - deeper) <= bound + 2**-52 * abs(deeper), (lam, k, depth)
+
+    def test_each_row_stops_at_its_smallest_certified_depth(self, rep_minus):
+        model = SuspensionModel(ToralAutomorphism(((2, 1), (1, 1))), TABLE_ROOF)
+        pol = TruncationPolicy(max_period=14, entropy=model.default_entropy())
+        rate, log_lam_u = 4.0 * model.min_effective_roof(0.0), math.log(model.automorphism.lam_u)
+        ruelle, *graded = toral_log_zetas(model, rep_minus, [4.0], pol)[0]
+        for k, zv in enumerate(graded):
+            tails = [continuation._certified_tail(k, rate, log_lam_u, depth) for depth in range(1, 15)]
+            assert zv.n_used == 1 + next(i for i, tail in enumerate(tails) if tail <= pol.tail_tol) < 14
+            assert zv.tail_bound == tails[zv.n_used - 1]
+        assert graded[0].n_used == graded[2].n_used < graded[1].n_used == ruelle.n_used
+        assert ruelle.tail_bound == sum(zv.tail_bound for zv in graded)
+
+    @pytest.mark.parametrize("entropy, lam", [(0.1, 0.8), (0.1, 0.9 + 1.0j), (None, -0.5)])
+    def test_no_bound_where_q_is_one_or_more(self, entropy, lam, rep_minus):
+        # a low policy entropy or allow_formal admits a lambda with q = lam_u exp(-Re(lambda) r_min) >= 1: every
+        # row reads to n_max, with the modulus of its last term as a finite heuristic tail
+        model = SuspensionModel(ToralAutomorphism(((2, 1), (1, 1))), TABLE_ROOF)
+        assert complex(lam).real * model.min_effective_roof(0.0) <= math.log(model.automorphism.lam_u)
+        pol = TruncationPolicy(max_period=7, entropy=entropy or model.default_entropy())
+        rows = toral_log_zetas(model, rep_minus, [lam], pol, allow_formal=entropy is None)[0]
+        cols = euler_oracle.table_columns(orbit_table(model, 7), rep_minus)
+        for k, zv in enumerate(rows[1:]):
+            want, scale = euler_oracle.graded(cols, k, lam, pol, depth=7)
+            assert abs(zv.log_value - want.log_value) <= SERIES_TOL * scale
+        for zv in rows:
+            assert (zv.tail_kind, zv.n_used) == ("heuristic", 7) and 0 < zv.tail_bound < math.inf
+
+    def test_graded_oracle_weights_finite_at_large_j(self):
+        # lam_u^(6 * 200) overflows a double; the oracle's weights are taken divided through by it, so the products
+        # over columns that the series replaced stay finite at any j_max
+        model = SuspensionModel(ToralAutomorphism(((2, 1), (1, 1))), TrigPolynomial.const(1.0))
+        pol = TruncationPolicy(max_period=6, j_max=200, entropy=model.default_entropy())
+        cols = euler_oracle.table_columns(orbit_table(model, 6))
+        graded = [euler_oracle.graded(cols, k, 3.0, pol)[0] for k in range(3)]
+        assert all(math.isfinite(abs(g.log_value)) for g in graded)
+        # the assembly identity log zeta = -(log Z_0 - log Z_1 + log Z_2) still holds
+        assembled = -(graded[0].log_value - graded[1].log_value + graded[2].log_value)
+        assert euler_oracle.ruelle(cols, 3.0, pol)[0].log_value == pytest.approx(assembled, rel=1e-12)

@@ -9,14 +9,17 @@ each workload and seed, the full-size jobs of ``perfbench/workloads.build``
 (its untimed preparation first) run once per tree in one scratch directory,
 emptied between the trees, so both runs name the same paths.  A job differs
 when its exit code, its stderr, its JSON report without ``timing_seconds`` or
-another file it wrote differs.  Prints one line per workload and seed, and
-exits 1 if any job differs.
+another file it wrote differs.  Prints one line per workload and seed, then,
+for each report that differs, the largest relative difference of each
+numeric field over the leaves both reports hold, and exits 1 if any job
+differs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -50,6 +53,22 @@ def outputs(src: Path, name: str, seed: int, work: Path) -> dict:
     return got
 
 
+def relative_differences(a, b, field: str = "", out: dict | None = None) -> dict[str, float]:
+    """The largest ``|a - b| / max(|a|, |b|)`` per field name over the numeric leaves two decoded reports hold
+    at the same path (a complex value's parts are ``field.re`` and ``field.im``)."""
+    out = {} if out is None else out
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in a.keys() & b.keys():
+            relative_differences(a[key], b[key], f"{field}.{key}" if key in ("re", "im") else key, out)
+    elif isinstance(a, list) and isinstance(b, list):
+        for x, y in zip(a, b):
+            relative_differences(x, y, field, out)
+    elif a != b and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)):
+        rel = abs(a - b) / max(abs(a), abs(b)) if math.isfinite(a) and math.isfinite(b) else math.inf
+        out[field] = max(out.get(field, 0.0), rel)
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", type=Path)
@@ -66,6 +85,12 @@ def main() -> int:
                 diffs = sorted(key for key in parent.keys() | change.keys() if parent.get(key) != change.get(key))
                 differ += bool(diffs)
                 print(f"{name} seed {seed}: {len(parent)} outputs, " + (f"differ: {diffs}" if diffs else "identical"))
+                for key in diffs:
+                    if isinstance(parent.get(key), dict) and isinstance(change.get(key), dict):
+                        by_field = sorted(relative_differences(parent[key], change[key]).items(),
+                                          key=lambda item: -item[1])
+                        print(f"  {key}: largest relative difference by numeric field: "
+                              + (", ".join(f"{name} {rel:.2g}" for name, rel in by_field) or "none"))
     return 1 if differ else 0
 
 
