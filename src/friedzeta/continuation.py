@@ -45,7 +45,7 @@ import numpy as np
 from ._record import record
 from .characters import _reduce_angle
 from .errors import CapacityError, ConvergenceError, ResonanceAtZeroError, ValidationError
-from .summation import block_sum
+from .summation import block_sum, fsum_complex
 from .toral import Character, OrbitTable, SuspensionModel, _small_depth, orbit_table
 from .zetas import TruncationPolicy, ZetaValue, _require_convergence
 
@@ -240,13 +240,7 @@ def _plemelj_smithies(trace, tail_tol: float, n_max: int, window: int):
     reliable = True
     for n in range(1, n_max + 1):
         traces.append(trace(n))
-        parts_re = []
-        parts_im = []
-        for m in range(1, n + 1):
-            prod = traces[m - 1] * coeffs[n - m]
-            parts_re.append(prod.real)
-            parts_im.append(prod.imag)
-        c = -complex(math.fsum(parts_re), math.fsum(parts_im)) / n
+        c = -fsum_complex([traces[m - 1] * coeffs[n - m] for m in range(1, n + 1)]) / n
         coeffs.append(c)
         if n >= 4 and abs(coeffs[n]) > abs(coeffs[n - 1]) >= tail_tol:
             reliable = False
@@ -295,15 +289,11 @@ def dynamical_determinant(
     window = max(2, _fiber_order(representation))
     try:
         traces, coeffs, tail, reliable, warnings = _plemelj_smithies(trace, tail_tol, n_max, window)
-        u_pow = 1.0 + 0.0j
-        re_parts = []
-        im_parts = []
-        for n, c in enumerate(coeffs):
-            term = u_pow * c
-            re_parts.append(term.real)
-            im_parts.append(term.imag)
+        terms, u_pow = [], 1.0 + 0.0j
+        for c in coeffs:
+            terms.append(u_pow * c)
             u_pow *= u
-        value = complex(math.fsum(re_parts), math.fsum(im_parts))
+        value = fsum_complex(terms)
     except (OverflowError, ValueError):  # math.fsum met inf - inf or overflowed
         raise _out_of_range(lam) from None
     if not cmath.isfinite(value):
@@ -489,7 +479,7 @@ def _log_series(stream: _TraceStream, i: int, k: int, depth: int) -> tuple[compl
     """``-sum_{m <= depth} u^m t_m^(k) / m`` at the ``i``-th ``lam`` of ``stream``, and its last term's modulus."""
     u = 1.0 + 0.0j if stream.representation is None else complex(stream.representation.circle)
     terms = [u**m * stream.trace(i, k, m) / m for m in range(1, depth + 1)]
-    value = -complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    value = -fsum_complex(terms)
     if not cmath.isfinite(value):
         raise OverflowError
     return value, abs(terms[-1])

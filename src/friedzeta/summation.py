@@ -3,9 +3,11 @@
 Every Euler product over orbit columns ends in one array in a fixed order,
 reduced by :func:`block_sum`, whose block structure depends only on the
 array length: its (weight group x iterate) terms, with the groups in the
-row order of the columns (a run of a dump, a Kleinian row); so do a trace
+row order of the columns (a whole dump, a Kleinian row); so do a trace
 sum and a variation node, over a table's rows or (orbit, iterate) cells.
-Results are therefore bit-stable from run to run.
+Results are therefore bit-stable from run to run.  Short lists of complex
+terms (the block partials, a coefficient recursion's products, a series'
+terms) are summed by :func:`fsum_complex`, correctly rounded part by part.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 
 import numpy as np
 
-__all__ = ["block_sum", "BLOCK"]
+__all__ = ["block_sum", "fsum_complex", "BLOCK"]
 
 BLOCK = 1 << 15
 
@@ -33,6 +35,10 @@ def block_sum(a: np.ndarray) -> complex | float:
         s = a.sum()
         return complex(s.real + 0.0, s.imag + 0.0) if np.iscomplexobj(a) else float(s) + 0.0
     partials = [a[i : i + BLOCK].sum() for i in range(0, len(a), BLOCK)]
-    if np.iscomplexobj(a):
-        return complex(math.fsum(p.real for p in partials), math.fsum(p.imag for p in partials))
-    return math.fsum(partials)
+    return fsum_complex(partials) if np.iscomplexobj(a) else math.fsum(partials)
+
+
+def fsum_complex(terms) -> complex:
+    """``math.fsum`` of the real and of the imaginary parts of a sequence of complex ``terms``, apart; it raises
+    what ``math.fsum`` raises (OverflowError past the float range, ValueError on ``inf - inf``)."""
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))

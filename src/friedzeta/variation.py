@@ -27,7 +27,7 @@ import numpy as np
 from ._record import record
 from .errors import ConvergenceError, ValidationError
 from .summation import block_sum
-from .toral import Character, OrbitTable, SuspensionModel, orbit_table
+from .toral import Character, OrbitTable, SuspensionModel, orbit_table, ruelle_factors
 from .wedge import compound_derivative, compound_matrix
 from .zetas import TruncationPolicy, _in_float_range, _require_convergence
 
@@ -45,8 +45,8 @@ class _Cells:
     """The (orbit, iterate) cells ``p j <= n_max`` of an orbit table under a twist, and their λ-free factors.
 
     ``j_length0`` and ``j_slope`` are ``j`` times the orbit's length at τ = 0 and its τ-derivative, so
-    ``j_length0 + t * j_slope`` is ``j len(t)``; ``slope_weight`` is ``-slope (eps rho)^j``, the variation
-    integrand's weight, and ``ruelle_weight`` ``-(eps rho)^j / j``, the Ruelle product's.  ``log_0`` keeps the
+    ``j_length0 + t * j_slope`` is ``j len(t)``; ``slope_weight`` is ``-slope (eps chi)^j``, the variation
+    integrand's weight, and ``ruelle_weight`` ``-(eps chi)^j / j``, the Ruelle product's.  ``log_0`` keeps the
     latest λ's Ruelle log at τ = 0.
     """
 
@@ -63,10 +63,8 @@ def _cells(table: OrbitTable, representation: Character | None) -> _Cells:
     iterates = table.n_max // table.period
     row = np.repeat(np.arange(len(iterates)), iterates)
     j = np.arange(1, len(row) + 1) - np.repeat(np.cumsum(iterates) - iterates, iterates)
-    twist = table.transverse()[0][table.period].astype(complex)  # eps of each orbit's period
-    if representation is not None:
-        twist *= representation.values(table.class_exps, table.period)
-    power = twist[row] ** j
+    rho = ruelle_factors(representation, table.transverse()[0][table.period], table.class_exps, table.period)
+    power = rho[row] ** j
     slope = table.slope[row]
     return _Cells(j * table.length0[row], j * slope, -slope * power, -power / j, {})
 
@@ -116,17 +114,14 @@ def variation_rhs(
     """Predicted ratio ``zeta_tau(lam) / zeta_0(lam)`` from the orbit sums.
 
     Evaluates ``exp(-lam * integral_0^tau G(t) dt)`` where
-    ``G(t) = -sum_{p j <= n_max} slope (eps rho)^j exp(-lam j len(t))`` over
+    ``G(t) = -sum_{p j <= n_max} slope (eps chi)^j exp(-lam j len(t))`` over
     the (orbit, iterate) cells, with composite Simpson quadrature on
     ``2 * policy.quad_subdiv`` panels.  The rule on ``policy.quad_subdiv``
     panels reads the even nodes of the same grid, and the two ratios must
     agree to ``richardson_tol``.
     """
     lam = complex(lam)
-    if lam.real <= policy.entropy:
-        raise ConvergenceError(
-            f"Re(lambda)={lam.real} outside convergence region Re > {policy.entropy}"
-        )
+    _require_convergence(lam, policy.entropy, False, "variation")
     model.require_tau(tau)
     table = orbit_table(model, policy.max_period)
     panels = 2 * policy.quad_subdiv
@@ -164,7 +159,7 @@ def direct_quotient(
 ) -> complex:
     """Reference ratio ``exp(L_tau - L_0)``, ``L`` the Ruelle log over the cells ``p j <= n_max``.
 
-    ``L = -sum (eps rho)^j exp(-lam j len) / j``, the Ruelle series at depth ``n_max``.  ``L_0`` is kept per
+    ``L = -sum (eps chi)^j exp(-lam j len) / j``, the Ruelle series at depth ``n_max``.  ``L_0`` is kept per
     table, twist and λ, so a τ grid takes it once.  ``L_tau`` is taken first, and ``L_0`` whenever none is
     kept, so each raises what it raised when both ran per τ.
     """

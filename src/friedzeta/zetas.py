@@ -7,15 +7,16 @@ of phases times λ-free weights, so values are reproducible bit for bit.
 The products share one shape, ``-sum_gamma sum_j (m / j) z^j w_j`` with
 ``z = rho exp(-lam len)`` and a λ-free weight ``w_j``, and one reduction, by
 weight group: a run of rows whose λ-free inputs are equal, as the builder
-of the columns sets them.  An orbit dump has one group per run of equal
-orientation index; Kleinian weights differ per orbit, so each Kleinian row
-is its own group.  Per λ, one exp per orbit gives ``z``; ``j_max`` vector
-products ``z^j``, each followed by one segmented sum, give the (group x
-iterate) phases ``-(multiplicity / j) sum z^j``.  The weights ``eps^j``
-(Ruelle), ``Tr(wedge^k P^j) / |det(1 - P^j)|`` (graded k, and the sign
+of the columns sets them.  ``rho`` is the orbit's Ruelle factor, its
+orientation index times the twist's value (``toral.ruelle_factors``), so
+the Ruelle weight is 1 and an orbit dump is one group; Kleinian weights
+differ per orbit, so each Kleinian row is its own group.  Per λ, one exp
+per orbit gives ``z``; ``j_max`` vector products ``z^j``, each followed by
+one segmented sum, give the (group x iterate) phases ``-(m / j) sum z^j``.
+The weights ``Tr(wedge^k P^j) / |det(1 - P^j)|`` (graded k, and the sign
 check; Kleinian rows only, as a dump carries no eigenvalues) and
 ``chi / det(1 - P_s^j)`` (Selberg) are (group x iterate) tables.  Phases are
-built once per λ, weights and the Kleinian iterate tables once per columns
+built once per λ, weights and the Kleinian iterate table once per columns
 and ``j_max``, all kept on the columns.  The n0 = 2 Poincaré data and
 characters are closed forms; ``poincare_data`` and ``char_sigma`` are their
 references in the tests.
@@ -39,7 +40,7 @@ from .characters import IrrepLabel
 from .errors import CapacityError, ConvergenceError, ValidationError
 from .kleinian import ComplexLengthRecord
 from .summation import block_sum
-from .toral import Character, OrbitDump, OrbitTable
+from .toral import OrbitDump, OrbitTable, ruelle_factors
 from .trig import TWO_PI
 
 __all__ = [
@@ -60,7 +61,7 @@ __all__ = [
 N0 = 2  # transverse rotation rank for the hyperbolic 3-manifold model
 # orbits x iterates (x orders) per product: bounds the power loop and the Kleinian iterate tables alike
 MAX_CELLS = 1 << 24
-# |sum_k (-1)^k Tr(wedge^k P^j) / |det(1 - P^j)| - eps^j| above this breaks the sign convention
+# |sum_k (-1)^k Tr(wedge^k P^j) / |det(1 - P^j)| - s| above this breaks the sign convention
 RESIDUAL_TOL = 1e-12
 
 
@@ -113,22 +114,21 @@ class OrbitColumns:
 
     A weight group is a run of rows whose λ-free inputs are equal, so every
     product takes its weights once per group.  ``starts`` holds the first
-    row of each group; ``epsilon`` (the orientation index) and
-    ``multiplicity`` hold one value per group.  ``length`` and the twist's
-    value ``rho`` hold one per row, as does the holonomy angle ``theta`` of
+    row of each group and ``multiplicity`` one value per group.  ``length``
+    and the Ruelle factor ``rho`` (the orientation index times the twist's
+    value) hold one per row, as does the holonomy angle ``theta`` of
     Kleinian rows.  The builder of the columns sets the groups: an orbit
-    dump's are its runs of equal ``epsilon`` in file order, and a Kleinian
-    spectrum's its rows, in ``sort_key`` order.
+    dump is one group in file order (none when empty), and a Kleinian
+    spectrum's are its rows, in ``sort_key`` order.
 
-    Arrays derived from the columns (the signs, the wedge-trace ratios, the
-    last length shell, the current λ's phases, the Kleinian iterates and
-    the factorization's tables) are kept with them and freed with them.
+    Arrays derived from the columns (the wedge-trace ratios, the last
+    length shell, the current λ's phases, the Kleinian iterates and the
+    factorization's tables) are kept with them and freed with them.
     """
 
     length: np.ndarray
     rho: np.ndarray
     starts: np.ndarray
-    epsilon: np.ndarray
     multiplicity: np.ndarray
     theta: np.ndarray | None = None
 
@@ -146,13 +146,14 @@ def orbit_columns(spectrum, representation=None) -> OrbitColumns:
     """Columns of an :class:`OrbitDump` or of Kleinian length records.
 
     This is where a spectrum and its twist become the columns every Euler
-    product takes.  Dump orbits take a :class:`Character` twist (``None``
-    is trivial); Kleinian records carry their own ``rho`` and take none.
+    product takes.  Dump orbits take a :class:`~friedzeta.toral.Character`
+    twist (``None`` is trivial); Kleinian records carry their own ``rho``
+    and take none.
     """
     if isinstance(spectrum, OrbitDump):
-        starts = _runs(spectrum.epsilon)
-        return _toral_columns(representation, spectrum.class_exps, spectrum.winding, spectrum.length, starts,
-                              spectrum.epsilon[starts])
+        rho = ruelle_factors(representation, spectrum.epsilon, spectrum.class_exps, spectrum.winding)
+        starts = np.zeros(min(len(spectrum), 1), dtype=np.intp)
+        return OrbitColumns(spectrum.length, rho, starts, np.ones(len(starts)))
     if isinstance(spectrum, OrbitTable):
         raise ValidationError("an orbit table's Euler products are its trace series: continuation.toral_log_zetas")
     records = list(spectrum)
@@ -164,32 +165,7 @@ def orbit_columns(spectrum, representation=None) -> OrbitColumns:
     rows = np.array([(r.length, r.theta, r.multiplicity) for r in records], dtype=float)
     length, theta, multiplicity = rows.reshape(-1, 3).T
     rho = np.array([r.rho for r in records], dtype=complex)
-    return OrbitColumns(length, rho, np.arange(len(records)), np.ones(len(records)), multiplicity, theta=theta)
-
-
-def _runs(key: np.ndarray) -> np.ndarray:
-    """The first row of each run of equal values in ``key``, a column with no zero."""
-    return np.flatnonzero(key != np.concatenate(([0], key[:-1])))
-
-
-def _toral_columns(representation, class_exps, winding, length, starts, eps) -> OrbitColumns:
-    if representation is None:
-        rho = np.ones(len(length), dtype=complex)
-    elif isinstance(representation, Character):
-        rho = representation.values(class_exps, winding)
-    else:
-        raise ValidationError("toral orbits take a Character twist")
-    return OrbitColumns(length, rho, starts, eps, np.ones(len(starts)))
-
-
-def _powers(cols: OrbitColumns, base: np.ndarray, j_max: int) -> np.ndarray:
-    """``base**j`` for j = 1..j_max along a new last axis, by repeated multiplication.
-
-    ``base`` holds a value per row or per weight group of ``cols``; either way the (orbit x iterate) cap is
-    checked first, so it refuses the same requests however many groups there are."""
-    _require_cells(len(cols) * j_max)
-    powers = base[:, None].repeat(j_max, axis=1)
-    return powers.cumprod(axis=1, out=powers)
+    return OrbitColumns(length, rho, np.arange(len(records)), multiplicity, theta=theta)
 
 
 def _require_cells(cells: int):
@@ -226,11 +202,6 @@ def _last_shell(cols: OrbitColumns) -> np.ndarray:
                  lambda: cols.length > cols.length.max(initial=-math.inf) - cols.length.min(initial=math.inf))
 
 
-def _signs(cols: OrbitColumns, j_max: int) -> np.ndarray:
-    """``eps^j`` per (weight group, iterate): the Ruelle weight and the sign check's target."""
-    return _kept(cols, "signs", j_max, lambda: _powers(cols, cols.epsilon, j_max))
-
-
 def _group_phases(cols: OrbitColumns, lam: complex, j_max: int):
     """``Phi[g, j] = -(m_g / j) sum_{gamma in g} z^j``, ``z = rho exp(-lam len)``, per (weight group, iterate).
 
@@ -258,27 +229,33 @@ def _group_phases(cols: OrbitColumns, lam: complex, j_max: int):
     return _kept(cols, "group_phases", (lam, j_max), build)
 
 
-def _kleinian_iterates(cols: OrbitColumns, j_max: int):
-    """``(exp(-j l), exp(j l), cos(j theta))`` per (orbit, iterate) of a Kleinian spectrum."""
-    if len(cols) and j_max * float(cols.length.max()) > 300.0:
-        raise ValidationError("j*ell too large: expanding block overflows doubles")
-    cos = np.cos(np.arange(1, j_max + 1) * cols.theta[:, None])
-    return _powers(cols, np.exp(-cols.length), j_max), _powers(cols, np.exp(cols.length), j_max), cos
+def _iterates(cols: OrbitColumns, j_max: int):
+    """``(exp(-j l), exp(j l), cos(j theta), x)`` per (orbit, iterate) of a Kleinian spectrum, once per ``j_max``.
 
-
-def _class_angles(cols: OrbitColumns, j_max: int) -> np.ndarray:
-    """``j theta`` reduced exactly into (-pi, pi] as ``TorusElement`` does: the angle characters take.
-
+    ``x`` is ``j theta`` reduced exactly into (-pi, pi] as ``TorusElement`` does: the angle characters take.
     The Poincaré map rotates by the unreduced angle, as in ``poincare_data``.
     """
-    x = np.fmod(np.arange(1, j_max + 1) * cols.theta[:, None], TWO_PI)  # fmod is exact
-    x = np.where(x > math.pi, x - TWO_PI, x)
-    return np.where(x <= -math.pi, x + TWO_PI, x)
+    def build():
+        if len(cols) and j_max * float(cols.length.max()) > 300.0:
+            raise ValidationError("j*ell too large: expanding block overflows doubles")
+        _require_cells(len(cols) * j_max)
+        contracting, expanding = (np.exp(sign * cols.length)[:, None].repeat(j_max, axis=1).cumprod(axis=1)
+                                  for sign in (-1.0, 1.0))  # the powers by repeated multiplication
+        angles = np.arange(1, j_max + 1) * cols.theta[:, None]
+        x = np.fmod(angles, TWO_PI)  # fmod is exact
+        x = np.where(x > math.pi, x - TWO_PI, x)
+        return contracting, expanding, np.cos(angles), np.where(x <= -math.pi, x + TWO_PI, x)
+
+    return _kept(cols, "iterates", j_max, build)
 
 
-def _iterates(cols: OrbitColumns, j_max: int):
-    """``_kleinian_iterates`` and ``_class_angles``, built once per ``j_max``."""
-    return _kept(cols, "iterates", j_max, lambda: (*_kleinian_iterates(cols, j_max), _class_angles(cols, j_max)))
+def _require_kleinian(cols: OrbitColumns, what: str, nonempty: bool = False):
+    """Refuse columns without a Kleinian row's eigenvalue data, as an orbit dump's are, and where ``nonempty``
+    columns without a row."""
+    if cols.theta is None:
+        raise ValidationError(f"{what} take complex-length records (n0 = 2): an orbit dump lacks eigenvalue data")
+    if nonempty and not len(cols):
+        raise ValidationError("empty spectrum")
 
 
 def _det_one_minus_ps(a, c):
@@ -290,11 +267,9 @@ def _trace_ratios(cols: OrbitColumns, j_max: int) -> np.ndarray:
     """``Tr(wedge^k P^j) / |det(1 - P^j)|`` per (k, Kleinian row, iterate), k = 0..4, built once per ``j_max``.
 
     The one λ-free array of the graded terms, the factorization's left side
-    and the sign check.  Toral columns come from a dump, which carries no
-    eigenvalues.
+    and the sign check.
     """
-    if cols.theta is None:
-        raise ValidationError("record lacks eigenvalue data (orbit dump round-trip)")
+    _require_kleinian(cols, "graded zetas")
 
     def build():
         a, b, c, _ = _iterates(cols, j_max)
@@ -312,9 +287,7 @@ def _trace_ratios(cols: OrbitColumns, j_max: int) -> np.ndarray:
 
 def _require_convergence(lam: complex, threshold: float, allow_formal: bool, what: str):
     if not allow_formal and lam.real <= threshold:
-        raise ConvergenceError(
-            f"Re(lambda)={lam.real} outside convergence region Re > {threshold} for {what}"
-        )
+        raise ConvergenceError(f"Re(lambda)={lam.real} outside convergence region Re > {threshold} for {what}")
 
 
 def _shell_tail(length: np.ndarray, shell: float, sigma: float, h: float) -> float:
@@ -357,13 +330,13 @@ def ruelle_log_zeta(cols: OrbitColumns, lam: complex, policy: TruncationPolicy,
                     allow_formal: bool = False) -> ZetaValue:
     """Log of the twisted flow zeta over primitive orbits.
 
-    ``log zeta = -sum_gamma sum_j (1/j) eps^j rho^j exp(-lam*j*len)``;
+    ``log zeta = -sum_gamma sum_j (1/j) rho^j exp(-lam*j*len)``, ``rho`` the Ruelle factor, so the weight is 1;
     requires ``Re(lam) > policy.entropy`` unless ``allow_formal``.
     """
     lam = complex(lam)
     _require_convergence(lam, policy.entropy, allow_formal, "orbit zeta")
     with _in_float_range(lam):
-        return _group_value(cols, _signs(cols, policy.j_max), lam, "ruelle", policy)
+        return _group_value(cols, np.ones((len(cols.starts), policy.j_max)), lam, "ruelle", policy)
 
 
 def graded_log_zeta(cols: OrbitColumns, k: int, lam: complex, policy: TruncationPolicy,
@@ -397,17 +370,17 @@ def assemble_ruelle_from_graded(cols: OrbitColumns, lam: complex, policy: Trunca
 
     Per orbit iterate, ``sum_k (-1)^k Tr(wedge^k P^j) = det(1 - P^j)``
     exactly, so ``eps^j = s * sign det(1 - P^j)`` for one global sign
-    ``s = (-1)^(transverse dim / 2)``.  The assembled value is
+    ``s = (-1)^(transverse dim / 2)``; a Kleinian orbit's ``eps`` is 1, so
+    the alternating sum is checked against ``s``.  The assembled value is
     ``s * sum_k (-1)^k log Z_k``.
     """
-    if not len(cols):
-        raise ValidationError("cannot assemble over an empty spectrum")
+    _require_kleinian(cols, "assemblies", nonempty=True)
     with _in_float_range(lam):
         ratios = _trace_ratios(cols, policy.j_max)
         dim = len(ratios) - 1
         s = (-1) ** (dim // 2)
         alt = sum((-1.0) ** k * ratio for k, ratio in enumerate(ratios))
-        max_residual = float(np.abs(alt - s * _signs(cols, policy.j_max)).max())
+        max_residual = float(np.abs(alt - s).max())
     if max_residual > RESIDUAL_TOL:
         raise ValidationError(
             f"orientation convention violated: per-orbit residual {max_residual} > {RESIDUAL_TOL}"
@@ -424,11 +397,6 @@ def _label_character(label: IrrepLabel, x: np.ndarray) -> np.ndarray:
     if label.kind == "nu" and label.degree == 1 or label.kind == "sigma" and label.degree > 0:
         return 2.0 * np.cos(label.degree * x)
     return np.ones_like(x)
-
-
-def _require_kleinian(cols: OrbitColumns, what: str):
-    if cols.theta is None:
-        raise ValidationError(f"{what} take complex-length records (n0 = 2)")
 
 
 def selberg_log_zeta(cols: OrbitColumns, mu, lam: complex, policy: TruncationPolicy,
@@ -514,9 +482,7 @@ def factorization_check(cols: OrbitColumns, k: int, lam: complex, policy: Trunca
     product.
     """
     lam = complex(lam)
-    _require_kleinian(cols, "factorization checks")
-    if not len(cols):
-        raise ValidationError("empty spectrum")
+    _require_kleinian(cols, "factorization checks", nonempty=True)
     ell_min = float(cols.length.min())
     tail_estimate = (policy.p_max + 2) ** 2 * math.exp(-(policy.p_max + 1) * ell_min)
     with _in_float_range(lam):
@@ -532,9 +498,7 @@ def factorization_residual_curve(cols: OrbitColumns, k, lam, policy, p_values):
     p_values = [int(p) for p in p_values]
     if not p_values:
         return []
-    _require_kleinian(cols, "factorization checks")
-    if not len(cols):
-        raise ValidationError("empty spectrum")
+    _require_kleinian(cols, "factorization checks", nonempty=True)
     with _in_float_range(complex(lam)):
         lhs, rhs_by_p = _factorization_weights(cols, k, policy.j_max, p_values)
         return [(p, _relative_residual(lhs, rhs)[1]) for p, rhs in zip(p_values, rhs_by_p)]

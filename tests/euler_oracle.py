@@ -86,6 +86,12 @@ def per_row(cols, values):
     return np.repeat(values, np.diff(cols.starts, append=len(cols)))
 
 
+def epsilon(cols):
+    """The orientation index per row that ``rho`` leaves out: :class:`ToralColumns` hold it per group, while
+    ``zetas.OrbitColumns`` carry it in ``rho`` (and a Kleinian row's is 1), so there it is 1."""
+    return per_row(cols, cols.epsilon) if isinstance(cols, ToralColumns) else np.ones(len(cols))
+
+
 def terms(cols, base, j_max):
     """``-multiplicity base^j / j`` per (orbit, iterate)."""
     out = powers(base, j_max)
@@ -153,7 +159,7 @@ def ruelle(cols, lam, policy, depth=None):
     """The Ruelle product over ``j <= policy.j_max``, or over the cells ``period * j <= depth``."""
     lam = complex(lam)
     j_max = policy.j_max if depth is None else depth
-    base = per_row(cols, cols.epsilon) * cols.rho * np.exp(-lam * cols.length)
+    base = epsilon(cols) * cols.rho * np.exp(-lam * cols.length)
     array = terms(cols, base, j_max)
     if depth is not None:
         array *= cells(cols, depth)
@@ -192,4 +198,4 @@ def assembly_residual(cols, j_max):
     ratios = trace_ratios(cols, j_max)
     alt = sum((-1.0) ** k * ratio for k, ratio in enumerate(ratios))
     s = (-1) ** ((len(ratios) - 1) // 2)
-    return float(np.abs(alt - s * powers(per_row(cols, cols.epsilon), j_max)).max())
+    return float(np.abs(alt - s * powers(epsilon(cols), j_max)).max())

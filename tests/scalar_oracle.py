@@ -9,8 +9,9 @@ import math
 
 import numpy as np
 
+from friedzeta.toral import ruelle_factors
 from friedzeta.trig import TWO_PI
-from friedzeta.zetas import _toral_columns
+from friedzeta.zetas import OrbitColumns
 
 
 def character_value(chi, exps, winding: int) -> complex:
@@ -32,11 +33,12 @@ def columns_from_records(records, representation=None):
     """The columns of ``records`` in list order, as an orbit dump of them gives, twisted by a ``Character``
     (``None`` is trivial).
 
-    A weight group is a run of records with equal orientation index, its value read from its first record.
+    The records are one weight group (none when there are none), and ``rho`` is each record's Ruelle factor:
+    its orientation index times the twist's value on its class.
     """
-    epsilon = [r.epsilon for r in records]
-    starts = [i for i, eps in enumerate(epsilon) if not i or eps != epsilon[i - 1]]
     class_exps = np.array([r.class_exps for r in records], dtype=np.int64).reshape(len(records), -1)
-    winding, length = (np.array([getattr(r, name) for r in records]) for name in ("winding", "length"))
-    return _toral_columns(representation, class_exps, winding, length, np.array(starts, dtype=np.intp),
-                          np.array([epsilon[i] for i in starts]))
+    epsilon, winding, length = (np.array([getattr(r, name) for r in records])
+                                for name in ("epsilon", "winding", "length"))
+    groups = min(len(records), 1)
+    return OrbitColumns(length, ruelle_factors(representation, epsilon, class_exps, winding),
+                        np.zeros(groups, dtype=np.intp), np.ones(groups))

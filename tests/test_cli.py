@@ -441,9 +441,12 @@ class TestSelbergFactorizeCommand:
 
     def test_iterates_are_built_once_per_run(self, monkeypatch, capsys):
         # the check and the residual curve of every k read one set of kept arrays
-        calls = []
-        build = zetas._kleinian_iterates
-        monkeypatch.setattr(zetas, "_kleinian_iterates", lambda *args: calls.append(args) or build(*args))
+        calls, kept = [], zetas._kept
+
+        def counting(cols, name, key, build):
+            return kept(cols, name, key, (lambda: calls.append(key) or build()) if name == "iterates" else build)
+
+        monkeypatch.setattr(zetas, "_kept", counting)
         assert run("selberg-factorize", "spectrum.count=20", "factorize.k=0,1,2") == 0
         capsys.readouterr()
         assert len(calls) == 1
@@ -874,16 +877,19 @@ def _run_module(*args: str) -> subprocess.CompletedProcess:
                           env={**os.environ, "PYTHONPATH": path})
 
 
-@pytest.mark.parametrize("setting, message", [
-    ("spectrum.seed=-1", "count and seed must be >= 0"),
-    ("spectrum.h=1e300", "exp(h * max(min_length, 1.5 / h)) = exp(1e+300) leaves the float range"),
-    ("spectrum.min_length=1e308", "exp(h * max(min_length, 1.5 / h)) = exp(inf) leaves the float range"),
-    ("spectrum.h=1e-320", "exp(h * max(min_length, 1.5 / h)) = exp(inf) leaves the float range"),
+@pytest.mark.parametrize("settings, message", [
+    (["spectrum.seed=-1"], "count and seed must be >= 0"),
+    (["spectrum.h=1e300"], "exp(h * max(min_length, 1.5 / h)) = exp(1e+300) leaves the float range"),
+    (["spectrum.min_length=1e308"], "exp(h * max(min_length, 1.5 / h)) = exp(inf) leaves the float range"),
+    (["spectrum.h=1e-320"], "exp(h * max(min_length, 1.5 / h)) = exp(inf) leaves the float range"),
+    # exp(h * l) = e^1.5 at l = 1.5 / h, but the first count exp(h * l) / l is past the float range
+    (["spectrum.h=1e308", "spectrum.min_length=0"], "exp(h * 1.5e-308) / 1.5e-308 leaves the float range"),
 ])
-def test_synthetic_spectrum_input_is_one_error_line(setting, message, tmp_path):
+def test_synthetic_spectrum_input_is_one_error_line(settings, message, tmp_path):
     # each once ended spectrum-gen and selberg-factorize in a traceback from numpy or math
+    sets = [arg for setting in settings for arg in ("--set", setting)]
     for command in ("spectrum-gen", "selberg-factorize"):
-        proc = _run_module("-m", "friedzeta", command, "--set", setting, "--out", str(tmp_path / "out.txt"))
+        proc = _run_module("-m", "friedzeta", command, *sets, "--out", str(tmp_path / "out.txt"))
         assert proc.returncode == 1 and "Traceback" not in proc.stderr, command
         assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1, command
         assert proc.stdout == "" and not (tmp_path / "out.txt").exists()

@@ -34,7 +34,7 @@ from friedzeta._record import replace
 from friedzeta.characters import char_label
 from friedzeta.continuation import toral_log_zetas
 from friedzeta.toral import orbit_table
-from friedzeta.zetas import _class_angles, _det_one_minus_ps, _kleinian_iterates, _shell_tail, orbit_columns
+from friedzeta.zetas import _det_one_minus_ps, _shell_tail, orbit_columns
 
 import euler_oracle
 from dump_oracle import read_records_dump
@@ -479,7 +479,7 @@ class TestArrayPathAgainstLoops:
         for rep in (None, rep_minus):
             zv = ruelle_log_zeta(orbit_columns(back, rep), 3.0, pol)
             assert _close(zv.log_value, loop_ruelle(records, rep, 3.0, 16))
-        for name in ("length", "rho", "starts", "epsilon", "multiplicity"):
+        for name in ("length", "rho", "starts", "multiplicity"):
             want = getattr(columns_from_records(records, rep_minus), name)
             assert np.array_equal(getattr(orbit_columns(back, rep_minus), name), want)
 
@@ -536,7 +536,7 @@ class TestArrayPathAgainstLoops:
         # characters see j*theta reduced as TorusElement reduces it, bit for bit
         cols = orbit_columns(_mixed_spectrum())
         expected = [[TorusElement(2, j * theta).angles[0] for j in range(1, 41)] for theta in cols.theta]
-        assert np.array_equal(_class_angles(cols, 40), np.array(expected))
+        assert np.array_equal(zetas._iterates(cols, 40)[3], np.array(expected))
 
     def test_empty_spectrum(self):
         pol = TruncationPolicy(j_max=4, entropy=2.0)
@@ -628,22 +628,21 @@ class TestWeightGroupsAgainstPerOrbitOracle:
 
     def test_no_orbit_by_iterate_array_per_lambda(self, tmp_path):
         # every array kept on toral columns has one row per weight group, never one per orbit: -2 -1 -1 -1
-        # alternates its orientation index with the period, so a dump has one group per run of equal index
+        # alternates its orientation index with the period, which rho carries, so a dump is still one group
         _, sources = self._sources(((-2, -1), (-1, -1)), 8, tmp_path)
         cols = sources[1][1]
         pol = TruncationPolicy(max_period=8, j_max=16, entropy=1.0)
         for lam in (3.0, 4.0 + 1j):
             ruelle_log_zeta(cols, lam, pol)
-        groups = len(cols.starts)
-        assert groups == 6 < len(cols)
-        assert cols._derived["signs"][1].shape == (groups, 16)
-        assert cols._derived["group_phases"][1][0].shape == (groups, 16)
+        assert len(cols.starts) == 1 < len(cols)
+        assert set(cols._derived) == {"last_shell", "group_phases"}
+        assert cols._derived["group_phases"][1][0].shape == (1, 16)
         assert "phases" not in cols._derived
 
 
 class TestWeightGroupContract:
-    """The builder of the columns sets the weight groups: a dump's runs of equal epsilon in file order, a Kleinian
-    spectrum's rows."""
+    """The builder of the columns sets the weight groups: a dump is one, in file order; a Kleinian spectrum's are
+    its rows."""
 
     @pytest.mark.parametrize("matrix", [((2, 1), (1, 1)), ((-2, -1), (-1, -1))], ids=["cat", "negative"])
     def test_shuffled_dump_gives_the_sorted_value(self, matrix, tmp_path):
@@ -659,9 +658,9 @@ class TestWeightGroupContract:
         pol = TruncationPolicy(j_max=16, entropy=model.default_entropy())
         sorted_cols, shuffled_cols = (orbit_columns(read_orbit_dump(path), rep)
                                       for path in (sorted_path, shuffled_path))
-        # epsilon is 1 on every cat-map line; on -2 -1 -1 -1 it is (-1)^n, so periods 1 and 3 (there is no
-        # period-2 orbit) make one run and 4..8 one each
-        assert len(sorted_cols.starts) == (1 if matrix[0][0] > 0 else 6) <= len(shuffled_cols.starts)
+        # epsilon is 1 on every cat-map line and (-1)^n on -2 -1 -1 -1; either way rho carries it, and the lines
+        # in any order are one group
+        assert len(sorted_cols.starts) == len(shuffled_cols.starts) == 1
         for lam in (model.default_entropy() + 0.5, 4.0 + 2.5j):
             want, scale = euler_oracle.ruelle(sorted_cols, lam, pol)
             assert abs(ruelle_log_zeta(shuffled_cols, lam, pol).log_value - want.log_value) <= GROUP_TOL * scale
@@ -669,20 +668,21 @@ class TestWeightGroupContract:
     def test_kleinian_groups_are_its_rows(self):
         cols = orbit_columns(_synthetic_200())
         assert np.array_equal(cols.starts, np.arange(len(cols)))
-        assert len(cols.epsilon) == len(cols.multiplicity) == len(cols)
+        assert len(cols.multiplicity) == len(cols)
 
 
 def per_call_factorization_weights(cols, k, j_max, p_values):
-    """The factorization weights built afresh on every call from the per-iterate helpers: the oracle of the
-    kept tables."""
+    """The factorization weights built afresh on every call, from the iterates of a copy of ``cols`` that keeps
+    nothing: the oracle of the kept tables."""
     if not 0 <= k <= 2:
         raise ValidationError("k must be in 0..n0")
     if min(p_values) < 0:
         raise ValidationError("truncation orders must be positive")
-    a, b, c = _kleinian_iterates(cols, j_max)
+    fresh = zetas.OrbitColumns(cols.length, cols.rho, cols.starts, cols.multiplicity, theta=cols.theta)
+    a, b, c, x = zetas._iterates(fresh, j_max)
     traces = (1.0, 2.0 * (a + b) * c, a * a + b * b + 4.0 * c * c)
     lhs = traces[k] / np.abs(_det_one_minus_ps(a, c) * _det_one_minus_ps(b, c))
-    c_class = np.cos(_class_angles(cols, j_max))
+    c_class = np.cos(x)
     nu = (1.0, 2.0 * c_class, 1.0)
     ang = sum(a ** (2 + k - 2 * l) * nu[l] * nu[k - l] for l in range(k + 1))
     top = max(p_values)
@@ -772,7 +772,7 @@ class TestKeptFactorizationTables:
         for j_max in range(1, 41):
             n = int(rng.integers(1, 200))
             cols = zetas.OrbitColumns(rng.uniform(0.5, 5.0, n), rng.normal(size=n) + 1j * rng.normal(size=n),
-                                      np.arange(n), np.ones(n), rng.integers(1, 4, n).astype(float),
+                                      np.arange(n), rng.integers(1, 4, n).astype(float),
                                       theta=np.zeros(n))
             z = cols.rho * np.exp(-lam * cols.length)
             divided, power = np.empty((n, j_max), dtype=complex), z.copy()
