@@ -80,7 +80,13 @@ def _zeta_csv(rows: list[dict]):
     return "lambda_re,lambda_im,log_zeta_re,log_zeta_im,tail", [[r[f] for f in fields] for r in rows]
 
 
-def _zeta_row(kind: str, zv) -> dict:
+# The policy fields each zeta-eval source reads, which its rows echo
+_POLICY_FIELDS = {"model": ("max_period", "entropy", "tail_tol"),
+                  "orbit-dump": ("max_period", "j_max", "entropy", "tail_tol"),
+                  "spectrum": ("j_max", "entropy", "tail_tol")}
+
+
+def _zeta_row(kind: str, zv, source: str) -> dict:
     return {
         "zeta_kind": kind,
         "lambda_re": zv.lam.real,
@@ -89,7 +95,7 @@ def _zeta_row(kind: str, zv) -> dict:
         "log_value_im": zv.log_value.imag,
         "tail_bound": zv.tail_bound,
         "tail_kind": zv.tail_kind,
-        "policy": asdict(zv.policy),
+        "policy": {name: getattr(zv.policy, name) for name in _POLICY_FIELDS[source]},
         **({} if zv.n_used is None else {"n_used": zv.n_used}),
         "warnings": list(zv.warnings),
     }
@@ -154,18 +160,18 @@ def cmd_zeta_eval(cfg: RunConfig):
         policy = cfg.policy(model, tau)
         values = toral_log_zetas(model, cfg.character(model.automorphism), cfg.lambda_grid(), policy, tau, allow)
         for row in values:
-            rows += [_zeta_row(kind, zv) for kind, zv in zip(("ruelle", "graded0", "graded1", "graded2"), row)]
+            rows += [_zeta_row(kind, zv, "model") for kind, zv in zip(("ruelle", "graded0", "graded1", "graded2"), row)]
         return {"rows": rows, "source": "model"}, _zeta_csv(rows)
     cols, source, policy = _load_records(cfg)
     for lam in cfg.lambda_grid():
-        rows.append(_zeta_row("ruelle", ruelle_log_zeta(cols, lam, policy, allow)))
+        rows.append(_zeta_row("ruelle", ruelle_log_zeta(cols, lam, policy, allow), source))
         if source == "spectrum":
             for k in range(5):
-                rows.append(_zeta_row(f"graded{k}", graded_log_zeta(cols, k, lam, policy, allow)))
+                rows.append(_zeta_row(f"graded{k}", graded_log_zeta(cols, k, lam, policy, allow), source))
         mu_raw = cfg.get("selberg.mu")
         if mu_raw:
             zv = selberg_log_zeta(cols, cfg.selberg_mu(), lam, policy, allow)
-            rows.append(_zeta_row(f"selberg[{mu_raw}]", zv))
+            rows.append(_zeta_row(f"selberg[{mu_raw}]", zv, source))
     return {"rows": rows, "source": source}, _zeta_csv(rows)
 
 
@@ -450,9 +456,10 @@ def main(argv=None) -> int:
         if unknown:
             raise ValidationError(f"unknown config key {', '.join(map(repr, unknown))} for {command}")
         results, csv = _COMMANDS[command](cfg)
-        Report(command, cfg.values, results, time.perf_counter() - t0).write(cfg.get("io.report"))
-        if csv and cfg.get("io.csv"):
+        report = Report(command, cfg.values, results, time.perf_counter() - t0)
+        if csv and cfg.get("io.csv"):  # first, so a run whose CSV cannot be written prints no report
             _write_csv(cfg.get("io.csv"), *csv)
+        report.write(cfg.get("io.report"))
         return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

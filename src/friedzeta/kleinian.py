@@ -281,7 +281,7 @@ def synthetic_spectrum(
                               "lower h or min_length")
     if not h * ell_lo - math.log(ell_lo) < LOG_FLOAT_MAX:  # ell_lo > 0 here, as h is finite
         raise ValidationError(f"exp(h * {ell_lo!r}) / {ell_lo!r} leaves the float range; lower h")
-    k0 =math.ceil(math.exp(h * ell_lo) / ell_lo)
+    k0 = math.ceil(math.exp(h * ell_lo) / ell_lo)
     jitter = rng.uniform(0.95, 1.05, size=count)
     angles = rng.uniform(-math.pi, math.pi, size=count)
     lengths = [_solve_counting(h, k0 + (k + 1) * jitter[k], ell_lo) for k in range(count)]

@@ -6,8 +6,7 @@ array length: its (weight group x iterate) terms, with the groups in the
 row order of the columns (a whole dump, a Kleinian row); so do a trace
 sum and a variation node, over a table's rows or (orbit, iterate) cells.
 Results are therefore bit-stable from run to run.  Short lists of complex
-terms (the block partials, a coefficient recursion's products, a series'
-terms) are summed by :func:`fsum_complex`, correctly rounded part by part.
+terms (block partials, products, series terms) go through :func:`fsum_complex`.
 """
 
 from __future__ import annotations
@@ -39,6 +38,5 @@ def block_sum(a: np.ndarray) -> complex | float:
 
 
 def fsum_complex(terms) -> complex:
-    """``math.fsum`` of the real and of the imaginary parts of a sequence of complex ``terms``, apart; it raises
-    what ``math.fsum`` raises (OverflowError past the float range, ValueError on ``inf - inf``)."""
+    """``math.fsum`` of the real and of the imaginary parts of a sequence of complex ``terms``, apart."""
     return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))

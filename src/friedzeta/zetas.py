@@ -212,18 +212,17 @@ def _group_phases(cols: OrbitColumns, lam: complex, j_max: int):
     """
     def build():
         _require_cells(len(cols) * j_max)
-        starts = cols.starts
         z = cols.rho * np.exp(-lam * cols.length)
-        sums = np.empty((len(starts), j_max), dtype=complex)
+        sums = np.empty((len(cols.starts), j_max), dtype=complex)
         power = z.copy()
-        sums[:, 0] = np.add.reduceat(power, starts)
+        sums[:, 0] = np.add.reduceat(power, cols.starts)
         for j in range(1, j_max):
             power *= z
-            sums[:, j] = np.add.reduceat(power, starts)
+            sums[:, j] = np.add.reduceat(power, cols.starts)
         sums *= -cols.multiplicity[:, None]
         sums *= 1.0 / np.arange(1, j_max + 1)
-        shell = np.add.reduceat(np.where(_last_shell(cols), np.abs(z), 0.0), starts) * cols.multiplicity
-        last = np.maximum.reduceat(np.abs(power), starts) * cols.multiplicity / j_max
+        shell = np.add.reduceat(np.where(_last_shell(cols), np.abs(z), 0.0), cols.starts) * cols.multiplicity
+        last = np.maximum.reduceat(np.abs(power), cols.starts) * cols.multiplicity / j_max
         return sums, shell, last
 
     return _kept(cols, "group_phases", (lam, j_max), build)
@@ -250,8 +249,7 @@ def _iterates(cols: OrbitColumns, j_max: int):
 
 
 def _require_kleinian(cols: OrbitColumns, what: str, nonempty: bool = False):
-    """Refuse columns without a Kleinian row's eigenvalue data, as an orbit dump's are, and where ``nonempty``
-    columns without a row."""
+    """Refuse columns without Kleinian eigenvalue data (a dump's) and, where ``nonempty``, columns without a row."""
     if cols.theta is None:
         raise ValidationError(f"{what} take complex-length records (n0 = 2): an orbit dump lacks eigenvalue data")
     if nonempty and not len(cols):

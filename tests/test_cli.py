@@ -192,16 +192,38 @@ CONTINUE_ROW_KEYS = {"zeta_kind", "lambda_re", "lambda_im", "log_value_re", "log
                      "tail_bound", "tail_kind", "d_values", "reliable", "policy", "n_used", "warnings"}
 
 
-@pytest.mark.parametrize(
-    "command, keys", [("zeta-eval", ZETA_ROW_KEYS), ("zeta-continue", CONTINUE_ROW_KEYS)]
-)
-def test_zeta_row_schema(command, keys, capsys):
-    assert run(command, *CAT_SETTINGS, "policy.n_max=6", "lambda.grid=4,5") == 0
+@pytest.mark.parametrize("command, source, keys, policy", [
+    ("zeta-eval", "model", ZETA_ROW_KEYS, {"max_period", "entropy", "tail_tol"}),
+    ("zeta-eval", "io.orbits", ZETA_ROW_KEYS - {"n_used"}, {"max_period", "j_max", "entropy", "tail_tol"}),
+    ("zeta-eval", "io.spectrum", ZETA_ROW_KEYS - {"n_used"}, {"j_max", "entropy", "tail_tol"}),
+    ("zeta-continue", "model", CONTINUE_ROW_KEYS, set(fields(TruncationPolicy))),
+])
+def test_zeta_row_schema(command, source, keys, policy, tmp_path, capsys):
+    # a zeta-eval row's policy holds the fields its source reads: a dump and a kleinian file take no depth
+    # of the trace series, a spectrum no n_max, and none of them p_max or quad_subdiv
+    settings, path = [*CAT_SETTINGS, "policy.n_max=6"], tmp_path / "source.txt"
+    if source == "io.orbits":
+        assert run("orbits", *settings, out=path) == 0
+        settings = [f"io.orbits={path}", "policy.entropy=1.0"]
+    elif source == "io.spectrum":
+        write_spectrum(path, kleinian.synthetic_spectrum(2.0, 20, 7))
+        settings = [f"io.spectrum={path}"]
+    capsys.readouterr()
+    assert run(command, *settings, "lambda.grid=4,5") == 0
     rows = json.loads(capsys.readouterr().out)["results"]["rows"]
     assert rows
     for row in rows:
-        assert set(row) == keys
-        assert row["tail_kind"] == ("certified" if command == "zeta-eval" else "heuristic")
+        assert set(row) == keys and set(row["policy"]) == policy
+        assert row["tail_kind"] == ("certified" if (command, source) == ("zeta-eval", "model") else "heuristic")
+
+
+def test_a_csv_that_cannot_be_written_leaves_no_report(tmp_path, capsys):
+    # the CSV is written before the report, so exit 1 comes with its one error line and no report
+    report = tmp_path / "report.json"
+    assert run("zeta-continue", *CAT_SETTINGS, "policy.n_max=4", "lambda.grid=4", f"io.report={report}",
+               csv=tmp_path) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {tmp_path}: Is a directory\n" and not report.exists()
 
 
 def test_rows_without_a_bound_run_to_n_max(capsys):
