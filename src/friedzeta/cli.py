@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import sys
 import time
 
@@ -58,13 +59,8 @@ class Report:
     results: dict
     timing_seconds: float
 
-    def write(self, path: str | None):
-        payload = json.dumps(vars(self), indent=2, default=_jsonify)  # the fields, in order
-        if path:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-        else:
-            print(payload)
+    def text(self) -> str:
+        return json.dumps(vars(self), indent=2, default=_jsonify) + "\n"  # the fields, in order
 
 
 def _jsonify(obj):
@@ -80,13 +76,16 @@ def _zeta_csv(rows: list[dict]):
     return "lambda_re,lambda_im,log_zeta_re,log_zeta_im,tail", [[r[f] for f in fields] for r in rows]
 
 
-# The policy fields each zeta-eval source reads, which its rows echo
-_POLICY_FIELDS = {"model": ("max_period", "entropy", "tail_tol"),
-                  "orbit-dump": ("max_period", "j_max", "entropy", "tail_tol"),
-                  "spectrum": ("j_max", "entropy", "tail_tol")}
+# The zeta-eval keys each source refuses, as it does not read them; an entry ending in "." covers its section
+_REFUSED = {"model": ("selberg.mu", "policy.j_max"),
+            "orbit-dump": ("model.", "tau.value", "selberg.mu"),
+            "spectrum": ("model.", "rep.", "tau.value", "io.orbits", "policy.n_max")}
 
 
 def _zeta_row(kind: str, zv, source: str) -> dict:
+    """A row of ``zv``, whose policy holds the fields (``max_period`` for ``policy.n_max``) ``source`` reads."""
+    read = {key.replace("n_max", "max_period") for key in _KNOWN_KEYS["zeta-eval"]
+            if not key.startswith(_REFUSED[source])}
     return {
         "zeta_kind": kind,
         "lambda_re": zv.lam.real,
@@ -95,7 +94,7 @@ def _zeta_row(kind: str, zv, source: str) -> dict:
         "log_value_im": zv.log_value.imag,
         "tail_bound": zv.tail_bound,
         "tail_kind": zv.tail_kind,
-        "policy": {name: getattr(zv.policy, name) for name in _POLICY_FIELDS[source]},
+        "policy": {name: value for name, value in asdict(zv.policy).items() if f"policy.{name}" in read},
         **({} if zv.n_used is None else {"n_used": zv.n_used}),
         "warnings": list(zv.warnings),
     }
@@ -134,10 +133,10 @@ def _load_records(cfg: RunConfig):
     """
     if cfg.get("io.spectrum"):
         cols = orbit_columns(read_spectrum(cfg.require_path("io.spectrum")))
-        _refuse_ignored(cfg, "io.spectrum", ("model.", "rep.", "tau.value", "io.orbits", "policy.n_max"))
+        _refuse_ignored(cfg, "io.spectrum", _REFUSED["spectrum"])
         return cols, "spectrum", cfg.policy(entropy=2.0)
     dump = read_orbit_dump(cfg.require_path("io.orbits"))
-    _refuse_ignored(cfg, "io.orbits", ("model.", "tau.value", "selberg.mu"))
+    _refuse_ignored(cfg, "io.orbits", _REFUSED["orbit-dump"])
     policy = cfg.policy()
     if cfg.get("policy.n_max") is not None:
         dump = dump.up_to(policy.max_period)
@@ -154,7 +153,7 @@ def cmd_zeta_eval(cfg: RunConfig):
     allow = cfg.get_bool("zeta.allow_formal", False)
     rows = []
     if not (cfg.get("io.spectrum") or cfg.get("io.orbits")):
-        _refuse_ignored(cfg, "model", ("selberg.mu", "policy.j_max"))
+        _refuse_ignored(cfg, "model", _REFUSED["model"])
         model = cfg.model()
         tau = cfg.tau_value(model)
         policy = cfg.policy(model, tau)
@@ -213,19 +212,7 @@ def cmd_fried_check(cfg: RunConfig):
     worst = 0.0
     for tau, fr in zip(taus, fried_checks(model, rep, cfg.policy(model, taus[0]), taus)):
         worst = max(worst, fr.deviation)
-        rows.append(
-            {
-                "tau": tau,
-                "zeta_modulus": fr.zeta_modulus,
-                "torsion_modulus": fr.torsion_modulus,
-                "deviation": fr.deviation,
-                "exponent": fr.exponent,
-                "reliable": fr.reliable,
-                "zeta_value": fr.zeta_value,
-                "torsion_value": fr.torsion_value,
-                "phase_deviation": fr.phase_deviation,
-            }
-        )
+        rows.append({"tau": tau, **asdict(fr)})
     results = {"rows": rows, "max_deviation": worst, "tolerance": tolerance, "tolerance_exceeded": worst > tolerance}
     csv_rows = [[r["tau"], r["zeta_modulus"], r["deviation"]] for r in rows]
     return results, ("tau,zeta_modulus,deviation", csv_rows)
@@ -310,12 +297,7 @@ def cmd_spectrum_gen(cfg: RunConfig):
         _refuse_ignored(cfg, kind, tuple(_SPECTRUM_KEYS))
         gens = cfg.generators()
         records = schottky_spectrum(gens, cfg.get_int("spectrum.l_max", 4))
-        disc = disc_separation_report(gens)
-        results["disc_separation"] = {
-            "applicable": disc.applicable,
-            "separated": disc.separated,
-            "min_gap": disc.min_gap,
-        }
+        results["disc_separation"] = asdict(disc_separation_report(gens))
     else:
         raise ValidationError(f"unknown spectrum.kind {kind!r}")
     out = cfg.get("io.out", required=True)
@@ -435,11 +417,26 @@ def _parse(argv: list[str]) -> tuple[str, str | None, list[str]] | str:
     return command, config, sets + flag_sets
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(map(repr, row)) + "\n")
+def _csv_text(header: str, rows) -> str:
+    return "".join(line + "\n" for line in [header, *(",".join(map(repr, row)) for row in rows)])
+
+
+def _write_outputs(outputs: list[tuple[str | None, str]]) -> None:
+    """Write each ``(path, text)``, a ``None`` path (the last) to stdout.  Every file is opened before any is
+    written, and if one cannot be, those opened are removed: a run that fails here leaves no output."""
+    files = []
+    try:
+        for path, _ in outputs:
+            files.append(open(path, "w", encoding="utf-8") if path else sys.stdout)
+    except OSError:
+        for fh in files:
+            fh.close()
+            os.remove(fh.name)
+        raise
+    for fh, (_, text) in zip(files, outputs):
+        fh.write(text)
+        if fh is not sys.stdout:
+            fh.close()
 
 
 def main(argv=None) -> int:
@@ -456,10 +453,9 @@ def main(argv=None) -> int:
         if unknown:
             raise ValidationError(f"unknown config key {', '.join(map(repr, unknown))} for {command}")
         results, csv = _COMMANDS[command](cfg)
-        report = Report(command, cfg.values, results, time.perf_counter() - t0)
-        if csv and cfg.get("io.csv"):  # first, so a run whose CSV cannot be written prints no report
-            _write_csv(cfg.get("io.csv"), *csv)
-        report.write(cfg.get("io.report"))
+        report = Report(command, cfg.values, results, time.perf_counter() - t0).text()
+        outputs = [(cfg.get("io.csv"), _csv_text(*csv))] if csv and cfg.get("io.csv") else []
+        _write_outputs(outputs + [(cfg.get("io.report"), report)])
         return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

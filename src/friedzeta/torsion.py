@@ -218,10 +218,10 @@ def mapping_torus_torsion(automorphism: ToralAutomorphism, character: Character)
 class FriedReport:
     zeta_modulus: float
     torsion_modulus: float
-    exponent: int
     deviation: float
-    zeta_value: complex
+    exponent: int
     reliable: bool
+    zeta_value: complex
     torsion_value: complex
     phase_deviation: float
 

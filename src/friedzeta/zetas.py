@@ -238,12 +238,14 @@ def _iterates(cols: OrbitColumns, j_max: int):
         if len(cols) and j_max * float(cols.length.max()) > 300.0:
             raise ValidationError("j*ell too large: expanding block overflows doubles")
         _require_cells(len(cols) * j_max)
-        contracting, expanding = (np.exp(sign * cols.length)[:, None].repeat(j_max, axis=1).cumprod(axis=1)
-                                  for sign in (-1.0, 1.0))  # the powers by repeated multiplication
-        angles = np.arange(1, j_max + 1) * cols.theta[:, None]
-        x = np.fmod(angles, TWO_PI)  # fmod is exact
+        contracting, expanding = (np.exp(sign * cols.length)[:, None].repeat(j_max, axis=1) for sign in (-1.0, 1.0))
+        for powers in (contracting, expanding):  # the powers by repeated multiplication, in place
+            powers.cumprod(axis=1, out=powers)
+        x = np.arange(1, j_max + 1) * cols.theta[:, None]  # the angles j theta
+        cos = np.cos(x)
+        np.fmod(x, TWO_PI, out=x)  # fmod is exact
         x = np.where(x > math.pi, x - TWO_PI, x)
-        return contracting, expanding, np.cos(angles), np.where(x <= -math.pi, x + TWO_PI, x)
+        return contracting, expanding, cos, np.where(x <= -math.pi, x + TWO_PI, x)
 
     return _kept(cols, "iterates", j_max, build)
 
@@ -302,6 +304,8 @@ def _shell_tail(length: np.ndarray, shell: float, sigma: float, h: float) -> flo
 def _group_value(cols: OrbitColumns, weights: np.ndarray, lam: complex, kind: str, policy: TruncationPolicy):
     """Sum ``Phi * weights`` over (weight group, iterate), with the tail from the last length shell.
 
+    ``weights`` holds a value per (group, iterate), or one column per group that broadcasts over the iterates.
+
     An orbit's j = 1 and j = j_max terms are ``|m z|`` and ``|m z^j_max| / j_max`` times its group's
     weight, so the tail and the truncation warning read :func:`_group_phases`' per-group magnitudes.  A
     j = j_max term above ``tail_tol`` is flagged: the iterate truncation could then dominate the length tail.
@@ -334,7 +338,7 @@ def ruelle_log_zeta(cols: OrbitColumns, lam: complex, policy: TruncationPolicy,
     lam = complex(lam)
     _require_convergence(lam, policy.entropy, allow_formal, "orbit zeta")
     with _in_float_range(lam):
-        return _group_value(cols, np.ones((len(cols.starts), policy.j_max)), lam, "ruelle", policy)
+        return _group_value(cols, np.ones((len(cols.starts), 1)), lam, "ruelle", policy)  # broadcast over j
 
 
 def graded_log_zeta(cols: OrbitColumns, k: int, lam: complex, policy: TruncationPolicy,

@@ -217,13 +217,21 @@ def test_zeta_row_schema(command, source, keys, policy, tmp_path, capsys):
         assert row["tail_kind"] == ("certified" if (command, source) == ("zeta-eval", "model") else "heuristic")
 
 
-def test_a_csv_that_cannot_be_written_leaves_no_report(tmp_path, capsys):
-    # the CSV is written before the report, so exit 1 comes with its one error line and no report
-    report = tmp_path / "report.json"
-    assert run("zeta-continue", *CAT_SETTINGS, "policy.n_max=4", "lambda.grid=4", f"io.report={report}",
-               csv=tmp_path) == 1
+@pytest.mark.parametrize("unwritable, reason", [("io.csv", "Is a directory"), ("io.report", "Is a directory"),
+                                                ("io.csv", "No such file or directory"),
+                                                ("io.report", "No such file or directory")])
+def test_an_output_that_cannot_be_written_leaves_none(unwritable, reason, tmp_path, capsys):
+    # every output is opened before any is written, so exit 1 comes with its one error line and no file
+    paths = {"io.csv": tmp_path / "out.csv", "io.report": tmp_path / "report.json"}
+    bad = tmp_path if reason == "Is a directory" else tmp_path / "missing" / "out.txt"
+    settings = [f"{key}={bad if key == unwritable else path}" for key, path in paths.items()]
+    assert run("zeta-continue", *CAT_SETTINGS, "policy.n_max=4", "lambda.grid=4", *settings) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err == f"error: {tmp_path}: Is a directory\n" and not report.exists()
+    assert out == "" and err == f"error: {bad}: {reason}\n"
+    assert not any(path.exists() for path in paths.values())
+    # the CSV alone, with the report printed: nothing printed
+    assert run("zeta-continue", *CAT_SETTINGS, "policy.n_max=4", "lambda.grid=4", f"io.csv={bad}") == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_rows_without_a_bound_run_to_n_max(capsys):
@@ -1269,8 +1277,8 @@ def _record_fields_differ(obj):
 def test_report_bytes_are_the_dataclass_encoding(command, source_files, tmp_path, monkeypatch, capsys):
     # the report is encoded from its four fields; a deep copy of them is the oracle
     reports = []
-    write = cli.Report.write
-    monkeypatch.setattr(cli.Report, "write", lambda self, path: reports.append(self) or write(self, path))
+    text = cli.Report.text
+    monkeypatch.setattr(cli.Report, "text", lambda self: reports.append(self) or text(self))
     settings = [s.format(spectrum=source_files["io.spectrum"]) for s in RUNS[command]]
     path = tmp_path / "report.json"
     assert run(command, *settings, f"io.report={path}", out=tmp_path / "out.txt") == 0
@@ -1398,6 +1406,16 @@ class TestInputBoundary:
         assert err.startswith("error: ") and "exceed the cap of" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize("source", ["io.orbits", "io.spectrum"])
+    def test_j_max_beyond_the_cell_cap_exit_2(self, source, source_files, capsys):
+        # rows x j_max cells are refused before any (group x iterate) array is built; a Ruelle weight of
+        # j_max columns once was, so a 20-digit j_max ended in a numpy traceback
+        settings = [f"{source}={source_files[source]}", "policy.entropy=1", "lambda.grid=4"]
+        assert run("zeta-eval", *settings, "policy.j_max=12345678901234567890") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "array cells exceed the cap of" in err
+        assert err.count("\n") == 1
 
     def test_quad_subdiv_beyond_its_cap_exit_2(self, monkeypatch, capsys):
         # 2 * 2048 + 1 nodes: once a Simpson grid of any size was built, and a large one ran for minutes

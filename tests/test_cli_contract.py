@@ -142,6 +142,9 @@ def _refuse_constant(name):
 @given(sets=SETTINGS, config=st.one_of(st.sampled_from(CONFIGS), CONFIG_BYTES))
 # exp(h * l) is e^1.5 at l = 1.5 / h, but the first count exp(h * l) / l is past the float range
 @example(sets={"spectrum.h": "1e308", "spectrum.min_length": "0"}, config=None)
+# rows x j_max cells past the cap, refused before any array of j_max columns is built
+@example(sets={"io.orbits": "{dump}", "policy.entropy": "1", "policy.j_max": "12345678901234567890",
+               "lambda.grid": "4"}, config=None)
 def test_every_run_exits_0_1_or_2_with_one_error_line(files, command, sets, config):
     if isinstance(config, bytes):
         with open(files["drawn"], "wb") as fh:

@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -837,8 +838,12 @@ class TestArrayPathGuards:
 
         cols = orbit_columns(synthetic_spectrum(2.0, 2, 1))
         pol = TruncationPolicy(j_max=10_000_000, entropy=2.0)
+        tracemalloc.start()
         with pytest.raises(CapacityError):
             ruelle_log_zeta(cols, 3.0, pol)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1_000_000  # refused before any array of j_max columns is built
         with pytest.raises(CapacityError):
             factorization_residual_curve(cols, 0, 5.0, replace(pol, j_max=1), [10_000_000])
         # toral columns reduce per weight group, yet orbits x j_max is refused before any group or power is built
