@@ -36,7 +36,7 @@ from .kleinian import (
 from .ledgers import condition_enumerate, resonance_multiplicity_ledger, selberg_order_ledger
 from .toral import orbit_table, read_orbit_dump, write_orbit_dump
 from .torsion import fried_checks
-from .variation import direct_quotient, variation_rhs
+from .variation import direct_quotient, dump_log_zetas, variation_rhs
 from .zetas import (
     TruncationPolicy,
     factorization_check,
@@ -78,14 +78,19 @@ def _zeta_csv(rows: list[dict]):
 
 # The zeta-eval keys each source refuses, as it does not read them; an entry ending in "." covers its section
 _REFUSED = {"model": ("selberg.mu", "policy.j_max"),
-            "orbit-dump": ("model.", "tau.value", "selberg.mu"),
+            "orbit-dump": ("model.", "tau.value", "selberg.mu", "policy.j_max", "policy.tail_tol"),
             "spectrum": ("model.", "rep.", "tau.value", "io.orbits", "policy.n_max")}
 
 
+def _policy_echo(policy: TruncationPolicy, command: str, source: str | None = None) -> dict:
+    """The fields of ``policy`` that ``command`` (from a zeta-eval ``source``) reads: those of its ``policy.*``
+    keys (``max_period`` for ``policy.n_max``) that the source does not refuse."""
+    read = {key.removeprefix("policy.").replace("n_max", "max_period") for key in _KNOWN_KEYS[command]
+            if key.startswith("policy.") and not key.startswith(_REFUSED.get(source, ()))}
+    return {name: value for name, value in asdict(policy).items() if name in read}
+
+
 def _zeta_row(kind: str, zv, source: str) -> dict:
-    """A row of ``zv``, whose policy holds the fields (``max_period`` for ``policy.n_max``) ``source`` reads."""
-    read = {key.replace("n_max", "max_period") for key in _KNOWN_KEYS["zeta-eval"]
-            if not key.startswith(_REFUSED[source])}
     return {
         "zeta_kind": kind,
         "lambda_re": zv.lam.real,
@@ -94,7 +99,7 @@ def _zeta_row(kind: str, zv, source: str) -> dict:
         "log_value_im": zv.log_value.imag,
         "tail_bound": zv.tail_bound,
         "tail_kind": zv.tail_kind,
-        "policy": {name: value for name, value in asdict(zv.policy).items() if f"policy.{name}" in read},
+        "policy": _policy_echo(zv.policy, "zeta-eval", source),
         **({} if zv.n_used is None else {"n_used": zv.n_used}),
         "warnings": list(zv.warnings),
     }
@@ -123,54 +128,43 @@ def _refuse_ignored(cfg: RunConfig, source: str, ignored: tuple[str, ...]):
             raise ValidationError(f"config key {key!r} does not apply to the {source} source")
 
 
-def _load_records(cfg: RunConfig):
-    """Orbit columns, source name and truncation policy of a kleinian file or an orbit dump.
-
-    A key the source does not read is refused.  A set ``policy.n_max`` drops
-    the dump's orbits of longer period; without it the policy's depth is
-    the dump's deepest period.  The entropy defaults to 2 for a kleinian
-    file; a dump needs it set.
-    """
-    if cfg.get("io.spectrum"):
-        cols = orbit_columns(read_spectrum(cfg.require_path("io.spectrum")))
-        _refuse_ignored(cfg, "io.spectrum", _REFUSED["spectrum"])
-        return cols, "spectrum", cfg.policy(entropy=2.0)
-    dump = read_orbit_dump(cfg.require_path("io.orbits"))
-    _refuse_ignored(cfg, "io.orbits", _REFUSED["orbit-dump"])
-    policy = cfg.policy()
-    if cfg.get("policy.n_max") is not None:
-        dump = dump.up_to(policy.max_period)
-    elif len(dump):
-        policy = replace(policy, max_period=int(dump.period.max()))
-    return orbit_columns(dump), "orbit-dump", policy
-
-
 def cmd_zeta_eval(cfg: RunConfig):
     """Euler products of the model (partial sums of its trace series), an orbit dump or a kleinian file.
 
-    The model's entropy defaults to its own at ``tau.value``; its rows carry the depth ``n_used`` each read.
+    The model's entropy defaults to its own at ``tau.value`` and a kleinian file's to 2; a dump needs it set.
+    A dump sums its cells ``p j <= policy.n_max``, by default its deepest period.  The model's and the dump's
+    rows carry the depth ``n_used`` each read.
     """
     allow = cfg.get_bool("zeta.allow_formal", False)
-    rows = []
-    if not (cfg.get("io.spectrum") or cfg.get("io.orbits")):
-        _refuse_ignored(cfg, "model", _REFUSED["model"])
+    values = []
+    if cfg.get("io.spectrum"):
+        source = "spectrum"
+        cols = orbit_columns(read_spectrum(cfg.require_path("io.spectrum")))
+        _refuse_ignored(cfg, "io.spectrum", _REFUSED[source])
+        policy = cfg.policy(entropy=2.0)
+        for lam in cfg.lambda_grid():
+            values.append(("ruelle", ruelle_log_zeta(cols, lam, policy, allow)))
+            values += [(f"graded{k}", graded_log_zeta(cols, k, lam, policy, allow)) for k in range(5)]
+            mu_raw = cfg.get("selberg.mu")
+            if mu_raw:
+                values.append((f"selberg[{mu_raw}]", selberg_log_zeta(cols, cfg.selberg_mu(), lam, policy, allow)))
+    elif cfg.get("io.orbits"):
+        source = "orbit-dump"
+        dump = read_orbit_dump(cfg.require_path("io.orbits"))
+        _refuse_ignored(cfg, "io.orbits", _REFUSED[source])
+        policy = cfg.policy()
+        if cfg.get("policy.n_max") is None and len(dump):
+            policy = replace(policy, max_period=int(dump.period.max()))
+        values = [("ruelle", zv) for zv in dump_log_zetas(dump, cfg.lambda_grid(), policy, allow)]
+    else:
+        source = "model"
+        _refuse_ignored(cfg, "model", _REFUSED[source])
         model = cfg.model()
         tau = cfg.tau_value(model)
         policy = cfg.policy(model, tau)
-        values = toral_log_zetas(model, cfg.character(model.automorphism), cfg.lambda_grid(), policy, tau, allow)
-        for row in values:
-            rows += [_zeta_row(kind, zv, "model") for kind, zv in zip(("ruelle", "graded0", "graded1", "graded2"), row)]
-        return {"rows": rows, "source": "model"}, _zeta_csv(rows)
-    cols, source, policy = _load_records(cfg)
-    for lam in cfg.lambda_grid():
-        rows.append(_zeta_row("ruelle", ruelle_log_zeta(cols, lam, policy, allow), source))
-        if source == "spectrum":
-            for k in range(5):
-                rows.append(_zeta_row(f"graded{k}", graded_log_zeta(cols, k, lam, policy, allow), source))
-        mu_raw = cfg.get("selberg.mu")
-        if mu_raw:
-            zv = selberg_log_zeta(cols, cfg.selberg_mu(), lam, policy, allow)
-            rows.append(_zeta_row(f"selberg[{mu_raw}]", zv, source))
+        for row in toral_log_zetas(model, cfg.character(model.automorphism), cfg.lambda_grid(), policy, tau, allow):
+            values += zip(("ruelle", "graded0", "graded1", "graded2"), row)
+    rows = [_zeta_row(kind, zv, source) for kind, zv in values]
     return {"rows": rows, "source": source}, _zeta_csv(rows)
 
 
@@ -193,7 +187,7 @@ def cmd_zeta_continue(cfg: RunConfig):
                 "tail_kind": "heuristic",
                 "d_values": list(z.d_values),
                 "reliable": z.reliable,
-                "policy": asdict(policy),
+                "policy": _policy_echo(policy, "zeta-continue"),
                 "n_used": [d.n_used for d in z.determinants],
                 "warnings": list(dict.fromkeys(w for d in z.determinants for w in d.warnings)),
             }

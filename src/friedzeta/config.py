@@ -208,13 +208,14 @@ class RunConfig:
 
     def policy(self, model: SuspensionModel | None = None, tau: float = 0.0,
                entropy: float | None = None) -> TruncationPolicy:
-        """The ``policy.*`` keys; an unset entropy is ``entropy``, else the model's at ``tau``.
+        """The ``policy.*`` keys that are set, over :class:`TruncationPolicy`'s defaults; an unset entropy is
+        ``entropy``, else the model's at ``tau``.
 
         ``policy.quad_subdiv`` is capped like a grid: its ``2 * quad_subdiv + 1`` quadrature nodes at
         ``MAX_GRID_POINTS``.
         """
-        quad_subdiv = self.get_int("policy.quad_subdiv", 16)
-        if 2 * quad_subdiv + 1 > MAX_GRID_POINTS:
+        quad_subdiv = self.get_int("policy.quad_subdiv")
+        if quad_subdiv is not None and 2 * quad_subdiv + 1 > MAX_GRID_POINTS:
             raise CapacityError(f"policy.quad_subdiv: {2 * quad_subdiv + 1} quadrature nodes exceed the cap "
                                 f"of {MAX_GRID_POINTS}")
         entropy = self.get_float("policy.entropy", entropy)
@@ -222,14 +223,10 @@ class RunConfig:
             if model is None:
                 raise ValidationError("policy.entropy is required without a model section")
             entropy = model.default_entropy(tau)
-        return TruncationPolicy(
-            max_period=self.get_int("policy.n_max", 12),
-            j_max=self.get_int("policy.j_max", 16),
-            p_max=self.get_int("policy.p_max", 60),
-            entropy=entropy,
-            tail_tol=self.get_float("policy.tail_tol", 1e-12),
-            quad_subdiv=quad_subdiv,
-        )
+        fields = {"max_period": self.get_int("policy.n_max"), "j_max": self.get_int("policy.j_max"),
+                  "p_max": self.get_int("policy.p_max"), "entropy": entropy,
+                  "tail_tol": self.get_float("policy.tail_tol"), "quad_subdiv": quad_subdiv}
+        return TruncationPolicy(**{name: value for name, value in fields.items() if value is not None})
 
     def tau_value(self, model: SuspensionModel) -> float:
         """``tau.value`` (0 when unset), admissible for ``model`` and refused as :meth:`tau_grid` refuses a node."""

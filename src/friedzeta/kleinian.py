@@ -354,11 +354,11 @@ def write_spectrum(path, records: list[ComplexLengthRecord]):
 
 
 def read_spectrum(path) -> list[ComplexLengthRecord]:
-    """Read a ``#fried-spectrum v1`` file; a malformed line raises a ValidationError naming ``path:line``."""
+    """Read a file headed ``SPECTRUM_HEADER``; a malformed line raises a ValidationError naming ``path:line``."""
     records = []
     with open(path, "rb") as fh:
         header = ascii_line(path, 1, fh.readline()).strip()
-        if not header.startswith("#fried-spectrum v1"):
+        if header != SPECTRUM_HEADER:
             raise ValidationError(f"bad spectrum header: {header!r}")
         for lineno, raw in enumerate(fh, start=2):
             line = ascii_line(path, lineno, raw).strip()

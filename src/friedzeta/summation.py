@@ -2,10 +2,10 @@
 
 Every Euler product over orbit columns ends in one array in a fixed order,
 reduced by :func:`block_sum`, whose block structure depends only on the
-array length: its (weight group x iterate) terms, with the groups in the
-row order of the columns (a whole dump, a Kleinian row); so do a trace
-sum and a variation node, over a table's rows or (orbit, iterate) cells.
-Results are therefore bit-stable from run to run.  Short lists of complex
+array length: its (orbit x iterate) terms, in the row order of the columns;
+so do a trace sum, a variation node and a dump's Euler product, over a
+table's rows or (orbit, iterate) cells.  Results are therefore bit-stable
+from run to run.  Short lists of complex
 terms (block partials, products, series terms) go through :func:`fsum_complex`.
 """
 

@@ -966,11 +966,6 @@ class OrbitDump:
     def __len__(self) -> int:
         return len(self.length)
 
-    def up_to(self, n_max: int) -> OrbitDump:
-        """The orbits of period at most ``n_max``."""
-        keep = self.period <= n_max
-        return OrbitDump(*_read_only(*(getattr(self, name)[keep] for name in fields(self))))
-
 
 def write_orbit_dump(path, table: OrbitTable, tau: float = 0.0):
     """Write ``#fried-orbits v1``: one orbit of ``table`` per line, in table order, lengths at ``tau``.

@@ -1,4 +1,4 @@
-"""Variation of the zeta along time-change families.
+"""Variation of the zeta along time-change families, and the Ruelle series of an orbit dump.
 
 The log-derivative of the flow zeta in the family parameter is an orbit
 sum weighted by the orbit integrals of the time-change symbol; its
@@ -12,7 +12,8 @@ slope and the weights are built once per orbit table and twist.  The orbit
 lengths are checked once per τ, at the outermost node: rounding is
 monotone, so every node's lengths lie between those at 0 and there.  The
 direct quotient it is checked against sums the same cells with the Ruelle
-weight, at τ and, once per λ, at 0.  A separate matrix-calculus verifier
+weight, at τ and, once per λ, at 0; an orbit dump's Euler products are that
+Ruelle sum over the dump's cells.  A separate matrix-calculus verifier
 checks the determinant-expansion identity behind the wedge-trace form of
 the same integrand.
 """
@@ -27,11 +28,13 @@ import numpy as np
 from ._record import record
 from .errors import ConvergenceError, ValidationError
 from .summation import block_sum
-from .toral import Character, OrbitTable, SuspensionModel, orbit_table, ruelle_factors
+from .toral import Character, OrbitDump, OrbitTable, SuspensionModel, orbit_table, ruelle_factors
 from .wedge import compound_derivative, compound_matrix
-from .zetas import TruncationPolicy, _in_float_range, _require_convergence
+from .zetas import (TruncationPolicy, ZetaValue, _in_float_range, _last_shell, _require_cells, _require_convergence,
+                    _shell_tail)
 
 __all__ = [
+    "dump_log_zetas",
     "variation_rhs",
     "VariationResult",
     "direct_quotient",
@@ -42,31 +45,43 @@ __all__ = [
 
 @record(eq=False)
 class _Cells:
-    """The (orbit, iterate) cells ``p j <= n_max`` of an orbit table under a twist, and their λ-free factors.
+    """The (orbit, iterate) cells ``p j <= n_max`` of orbit rows under their Ruelle factors and their λ-free factors.
 
     ``j_length0`` and ``j_slope`` are ``j`` times the orbit's length at τ = 0 and its τ-derivative, so
     ``j_length0 + t * j_slope`` is ``j len(t)``; ``slope_weight`` is ``-slope (eps chi)^j``, the variation
-    integrand's weight, and ``ruelle_weight`` ``-(eps chi)^j / j``, the Ruelle product's.  ``log_0`` keeps the
-    latest λ's Ruelle log at τ = 0.
+    integrand's weight, and ``ruelle_weight`` ``-(eps chi)^j / j``, the Ruelle product's.  Rows without a
+    slope (a dump's) have neither slope array.  ``log_0`` keeps the latest λ's Ruelle log at τ = 0.
     """
 
     j_length0: np.ndarray
-    j_slope: np.ndarray
-    slope_weight: np.ndarray
+    j_slope: np.ndarray | None
+    slope_weight: np.ndarray | None
     ruelle_weight: np.ndarray
     log_0: dict
 
 
-@lru_cache(maxsize=1)
-def _cells(table: OrbitTable, representation: Character | None) -> _Cells:
-    """The cells of ``table`` under ``representation``, row by row and ``j = 1..n_max // p`` within a row."""
-    iterates = table.n_max // table.period
+def _build_cells(period: np.ndarray, length0: np.ndarray, rho: np.ndarray, n_max: int,
+                 slope: np.ndarray | None = None) -> _Cells:
+    """The cells of the rows ``(period, length0, rho)`` and, where given, ``slope``: row by row and
+    ``j = 1..n_max // p`` within a row.  Their count is checked against ``MAX_CELLS`` before any is built, summed
+    in floating point, which is exact to 2^53 and cannot wrap as int64 can."""
+    iterates = n_max // period
+    _require_cells(int(iterates.sum(dtype=float)))
     row = np.repeat(np.arange(len(iterates)), iterates)
     j = np.arange(1, len(row) + 1) - np.repeat(np.cumsum(iterates) - iterates, iterates)
-    rho = ruelle_factors(representation, table.transverse()[0][table.period], table.class_exps, table.period)
     power = rho[row] ** j
-    slope = table.slope[row]
-    return _Cells(j * table.length0[row], j * slope, -slope * power, -power / j, {})
+    j_slope = slope_weight = None
+    if slope is not None:
+        slope = slope[row]
+        j_slope, slope_weight = j * slope, -slope * power
+    return _Cells(j * length0[row], j_slope, slope_weight, -power / j, {})
+
+
+@lru_cache(maxsize=1)
+def _cells(table: OrbitTable, representation: Character | None) -> _Cells:
+    """The cells of ``table`` under ``representation``."""
+    rho = ruelle_factors(representation, table.transverse()[0][table.period], table.class_exps, table.period)
+    return _build_cells(table.period, table.length0, rho, table.n_max, table.slope)
 
 
 def _cell_sum(cells: _Cells, weight: np.ndarray, lam: complex, t: float) -> complex:
@@ -77,8 +92,7 @@ def _cell_sum(cells: _Cells, weight: np.ndarray, lam: complex, t: float) -> comp
     complex one up to its rounding, at a fraction of its cost, and one value whether ``lam`` is a float or a
     complex with either sign of zero.
     """
-    phase = cells.j_slope * t
-    phase += cells.j_length0
+    phase = cells.j_length0.copy() if t == 0.0 else cells.j_slope * t + cells.j_length0
     if lam.imag == 0:
         phase *= -lam.real
         np.exp(phase, out=phase)
@@ -174,6 +188,30 @@ def direct_quotient(
             cells.log_0.clear()
             cells.log_0[lam] = _cell_sum(cells, cells.ruelle_weight, lam, 0.0)
     return cmath.exp(log_tau - cells.log_0[lam])
+
+
+def dump_log_zetas(dump: OrbitDump, lams, policy: TruncationPolicy, allow_formal: bool = False) -> list[ZetaValue]:
+    """The untwisted Ruelle log ``-sum_{p j <= M} eps^j exp(-lam j len) / j`` of an orbit dump at each λ of ``lams``.
+
+    ``M`` is ``policy.max_period``, each value's ``n_used``: a deeper ``M`` than the dump's deepest period, where
+    its cells are incomplete, is refused.  The tail is the heuristic of the last length shell summed.
+    """
+    depth, deepest = policy.max_period, int(dump.period.max(initial=0))
+    if len(dump) and depth > deepest:
+        raise ValidationError(f"n_max = {depth} is above the dump's deepest period {deepest}, where its cells are "
+                              "incomplete")
+    cells = _build_cells(dump.period, dump.length, dump.epsilon, min(depth, deepest))  # none in an empty dump
+    length = dump.length[dump.period <= depth]
+    last = _last_shell(length)
+    values = []
+    for lam in map(complex, lams):
+        _require_convergence(lam, policy.entropy, allow_formal, "orbit zeta")
+        with _in_float_range(lam):
+            log_value = _cell_sum(cells, cells.ruelle_weight, lam, 0.0)
+            tail = _shell_tail(length, float(np.exp(-lam.real * length[last]).sum()), lam.real, policy.entropy)
+        warnings = () if len(length) else ("empty spectrum",)
+        values.append(ZetaValue(log_value, tail, lam, "ruelle", policy, warnings, n_used=depth))
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,26 @@
-"""Truncated Euler products of orbit dumps and Kleinian spectra: Ruelle, graded and Selberg zeta functions.
+"""Truncated Euler products of Kleinian spectra: Ruelle, graded and Selberg zeta functions.
 
 Every product takes :class:`OrbitColumns`, built once per spectrum by
 :func:`orbit_columns`, and ends in one :func:`~friedzeta.summation.block_sum`
 of phases times λ-free weights, so values are reproducible bit for bit.
 
 The products share one shape, ``-sum_gamma sum_j (m / j) z^j w_j`` with
-``z = rho exp(-lam len)`` and a λ-free weight ``w_j``, and one reduction, by
-weight group: a run of rows whose λ-free inputs are equal, as the builder
-of the columns sets them.  ``rho`` is the orbit's Ruelle factor, its
-orientation index times the twist's value (``toral.ruelle_factors``), so
-the Ruelle weight is 1 and an orbit dump is one group; Kleinian weights
-differ per orbit, so each Kleinian row is its own group.  Per λ, one exp
-per orbit gives ``z``; ``j_max`` vector products ``z^j``, each followed by
-one segmented sum, give the (group x iterate) phases ``-(m / j) sum z^j``.
-The weights ``Tr(wedge^k P^j) / |det(1 - P^j)|`` (graded k, and the sign
-check; Kleinian rows only, as a dump carries no eigenvalues) and
-``chi / det(1 - P_s^j)`` (Selberg) are (group x iterate) tables.  Phases are
-built once per λ, weights and the Kleinian iterate table once per columns
-and ``j_max``, all kept on the columns.  The n0 = 2 Poincaré data and
+``z = rho exp(-lam len)`` and a λ-free weight ``w_j``, summed over (orbit,
+iterate) with ``j <= j_max``.  Per λ, one exp per orbit gives ``z`` and
+``j_max`` vector products ``z^j`` give the phases ``-(m / j) z^j``.  The
+weights ``Tr(wedge^k P^j) / |det(1 - P^j)|`` (graded k, and the sign check)
+and ``chi / det(1 - P_s^j)`` (Selberg) are (orbit x iterate) tables.  Phases
+are built once per λ, weights and the iterate table once per columns and
+``j_max``, all kept on the columns.  The n0 = 2 Poincaré data and
 characters are closed forms; ``poincare_data`` and ``char_sigma`` are their
 references in the tests.
 Tail bounds are Margulis-type geometric estimates anchored on the last
 length shell actually summed, in units of the shortest length.
 
-An orbit table of a model takes none of this: its Euler products are partial
-sums of the trace series (``continuation.toral_log_zetas``), and the
-variation formula sums the same (orbit, iterate) cells (``variation``).
+Toral orbits take none of this: a model's Euler products are partial sums
+of the trace series (``continuation.toral_log_zetas``), and an orbit dump's
+and the variation formula's sum the same (orbit, iterate) cells
+``p j <= n_max`` (``variation``).
 """
 
 from __future__ import annotations
@@ -40,7 +35,6 @@ from .characters import IrrepLabel
 from .errors import CapacityError, ConvergenceError, ValidationError
 from .kleinian import ComplexLengthRecord
 from .summation import block_sum
-from .toral import OrbitDump, OrbitTable, ruelle_factors
 from .trig import TWO_PI
 
 __all__ = [
@@ -59,7 +53,7 @@ __all__ = [
 ]
 
 N0 = 2  # transverse rotation rank for the hyperbolic 3-manifold model
-# orbits x iterates (x orders) per product: bounds the power loop and the Kleinian iterate tables alike
+# (orbit, iterate) cells (x orders) per product: bounds the power loop, the iterate tables and a dump's cells alike
 MAX_CELLS = 1 << 24
 # |sum_k (-1)^k Tr(wedge^k P^j) / |det(1 - P^j)| - s| above this breaks the sign convention
 RESIDUAL_TOL = 1e-12
@@ -89,8 +83,8 @@ class TruncationPolicy:
 class ZetaValue:
     """Log-domain zeta value with its truncation tail estimate.
 
-    ``tail_kind`` is ``certified`` where ``tail_bound`` is a proven bound; ``n_used``, the depth of a trace
-    series (``continuation.toral_log_zetas``), is None for an Euler product over columns.
+    ``tail_kind`` is ``certified`` where ``tail_bound`` is a proven bound; ``n_used``, the depth ``M`` of a
+    model's or a dump's sum over the cells ``p j <= M``, is None for an Euler product over columns.
     """
 
     log_value: complex
@@ -104,68 +98,46 @@ class ZetaValue:
 
 
 # ---------------------------------------------------------------------------
-# Orbit columns, weight groups and λ-free weights
+# Orbit columns and λ-free weights
 # ---------------------------------------------------------------------------
 
 
 @record(eq=False)
 class OrbitColumns:
-    """Read-only columns of an orbit dump or a Kleinian spectrum: one row per primitive orbit, in weight-group order.
+    """Read-only columns of a Kleinian spectrum: one row per primitive orbit, in ``sort_key`` order.
 
-    A weight group is a run of rows whose λ-free inputs are equal, so every
-    product takes its weights once per group.  ``starts`` holds the first
-    row of each group and ``multiplicity`` one value per group.  ``length``
-    and the Ruelle factor ``rho`` (the orientation index times the twist's
-    value) hold one per row, as does the holonomy angle ``theta`` of
-    Kleinian rows.  The builder of the columns sets the groups: an orbit
-    dump is one group in file order (none when empty), and a Kleinian
-    spectrum's are its rows, in ``sort_key`` order.
+    ``length``, the factor ``rho``, ``multiplicity`` and the holonomy angle
+    ``theta`` hold one value per row.
 
-    Arrays derived from the columns (the wedge-trace ratios, the last
-    length shell, the current λ's phases, the Kleinian iterates and the
-    factorization's tables) are kept with them and freed with them.
+    Arrays derived from the columns (the wedge-trace ratios, the current
+    λ's phases, the iterates and the factorization's tables) are kept with
+    them and freed with them.
     """
 
     length: np.ndarray
     rho: np.ndarray
-    starts: np.ndarray
     multiplicity: np.ndarray
-    theta: np.ndarray | None = None
+    theta: np.ndarray
 
     def __post_init__(self):
-        for column in (getattr(self, name) for name in fields(self)):
-            if isinstance(column, np.ndarray):
-                column.flags.writeable = False
+        for name in fields(self):
+            getattr(self, name).flags.writeable = False
         object.__setattr__(self, "_derived", {})
 
     def __len__(self) -> int:
         return len(self.length)
 
 
-def orbit_columns(spectrum, representation=None) -> OrbitColumns:
-    """Columns of an :class:`OrbitDump` or of Kleinian length records.
-
-    This is where a spectrum and its twist become the columns every Euler
-    product takes.  Dump orbits take a :class:`~friedzeta.toral.Character`
-    twist (``None`` is trivial); Kleinian records carry their own ``rho``
-    and take none.
-    """
-    if isinstance(spectrum, OrbitDump):
-        rho = ruelle_factors(representation, spectrum.epsilon, spectrum.class_exps, spectrum.winding)
-        starts = np.zeros(min(len(spectrum), 1), dtype=np.intp)
-        return OrbitColumns(spectrum.length, rho, starts, np.ones(len(starts)))
-    if isinstance(spectrum, OrbitTable):
-        raise ValidationError("an orbit table's Euler products are its trace series: continuation.toral_log_zetas")
+def orbit_columns(spectrum) -> OrbitColumns:
+    """Columns of Kleinian length records, each carrying its own ``rho``: the columns every Euler product takes."""
     records = list(spectrum)
     if not all(isinstance(r, ComplexLengthRecord) for r in records):
-        raise ValidationError("a spectrum is an orbit dump or ComplexLengthRecord rows")
-    if records and representation is not None:
-        raise ValidationError("length records carry their own rho value and take no twist")
+        raise ValidationError("a spectrum is ComplexLengthRecord rows")
     records.sort(key=lambda r: r.sort_key())
     rows = np.array([(r.length, r.theta, r.multiplicity) for r in records], dtype=float)
     length, theta, multiplicity = rows.reshape(-1, 3).T
     rho = np.array([r.rho for r in records], dtype=complex)
-    return OrbitColumns(length, rho, np.arange(len(records)), multiplicity, theta=theta)
+    return OrbitColumns(length, rho, multiplicity, theta)
 
 
 def _require_cells(cells: int):
@@ -184,52 +156,45 @@ def _in_float_range(lam: complex):
 
 
 def _kept(cols: OrbitColumns, name: str, key, build):
-    """``build()`` (an array, a tuple of them or a number), kept read-only on ``cols`` until ``name`` has another
-    ``key``."""
+    """``build()`` (an array or a tuple of them), kept read-only on ``cols`` until ``name`` has another ``key``."""
     kept = cols._derived.get(name)
     if kept is None or kept[0] != key:
         value = build()
         for array in value if isinstance(value, tuple) else (value,):
-            if isinstance(array, np.ndarray):
-                array.flags.writeable = False
+            array.flags.writeable = False
         kept = cols._derived[name] = (key, value)
     return kept[1]
 
 
-def _last_shell(cols: OrbitColumns) -> np.ndarray:
-    """The rows of the last length shell ``(L - l_min, L]``, which the tail bound reads; built once per columns."""
-    return _kept(cols, "last_shell", None,
-                 lambda: cols.length > cols.length.max(initial=-math.inf) - cols.length.min(initial=math.inf))
+def _last_shell(length: np.ndarray) -> np.ndarray:
+    """The rows of the last length shell ``(L - l_min, L]`` of ``length``, which the tail bound reads."""
+    return length > length.max(initial=-math.inf) - length.min(initial=math.inf)
 
 
-def _group_phases(cols: OrbitColumns, lam: complex, j_max: int):
-    """``Phi[g, j] = -(m_g / j) sum_{gamma in g} z^j``, ``z = rho exp(-lam len)``, per (weight group, iterate).
+def _phases(cols: OrbitColumns, lam: complex, j_max: int):
+    """``Phi[gamma, j] = -(m / j) z^j``, ``z = rho exp(-lam len)``, per (orbit, iterate).
 
-    Built once per ``lam`` from one exp per orbit, ``j_max`` vector products ``z^j`` and, after each, one
-    segmented sum over the groups; no (orbit x iterate) array is built.  Returned with two magnitudes per
-    group: ``m_g sum |z|`` over its rows in the last length shell, which the tail bound reads, and
-    ``m_g max |z^j_max| / j_max``, which the iterate-truncation warning reads.
+    Built once per ``lam`` from one exp per orbit and ``j_max`` vector products ``z^j``.  Returned with ``m |z|``
+    on the rows of the last length shell (0 elsewhere), which the tail bound reads.
     """
     def build():
         _require_cells(len(cols) * j_max)
         z = cols.rho * np.exp(-lam * cols.length)
-        sums = np.empty((len(cols.starts), j_max), dtype=complex)
+        phases = np.empty((len(cols), j_max), dtype=complex)
         power = z.copy()
-        sums[:, 0] = np.add.reduceat(power, cols.starts)
+        phases[:, 0] = power
         for j in range(1, j_max):
             power *= z
-            sums[:, j] = np.add.reduceat(power, cols.starts)
-        sums *= -cols.multiplicity[:, None]
-        sums *= 1.0 / np.arange(1, j_max + 1)
-        shell = np.add.reduceat(np.where(_last_shell(cols), np.abs(z), 0.0), cols.starts) * cols.multiplicity
-        last = np.maximum.reduceat(np.abs(power), cols.starts) * cols.multiplicity / j_max
-        return sums, shell, last
+            phases[:, j] = power
+        phases *= -cols.multiplicity[:, None]
+        phases *= 1.0 / np.arange(1, j_max + 1)
+        return phases, np.where(_last_shell(cols.length), np.abs(z), 0.0) * cols.multiplicity
 
-    return _kept(cols, "group_phases", (lam, j_max), build)
+    return _kept(cols, "phases", (lam, j_max), build)
 
 
 def _iterates(cols: OrbitColumns, j_max: int):
-    """``(exp(-j l), exp(j l), cos(j theta), x)`` per (orbit, iterate) of a Kleinian spectrum, once per ``j_max``.
+    """``(exp(-j l), exp(j l), cos(j theta), x)`` per (orbit, iterate), once per ``j_max``.
 
     ``x`` is ``j theta`` reduced exactly into (-pi, pi] as ``TorusElement`` does: the angle characters take.
     The Poincaré map rotates by the unreduced angle, as in ``poincare_data``.
@@ -250,11 +215,8 @@ def _iterates(cols: OrbitColumns, j_max: int):
     return _kept(cols, "iterates", j_max, build)
 
 
-def _require_kleinian(cols: OrbitColumns, what: str, nonempty: bool = False):
-    """Refuse columns without Kleinian eigenvalue data (a dump's) and, where ``nonempty``, columns without a row."""
-    if cols.theta is None:
-        raise ValidationError(f"{what} take complex-length records (n0 = 2): an orbit dump lacks eigenvalue data")
-    if nonempty and not len(cols):
+def _require_rows(cols: OrbitColumns):
+    if not len(cols):
         raise ValidationError("empty spectrum")
 
 
@@ -264,13 +226,11 @@ def _det_one_minus_ps(a, c):
 
 
 def _trace_ratios(cols: OrbitColumns, j_max: int) -> np.ndarray:
-    """``Tr(wedge^k P^j) / |det(1 - P^j)|`` per (k, Kleinian row, iterate), k = 0..4, built once per ``j_max``.
+    """``Tr(wedge^k P^j) / |det(1 - P^j)|`` per (k, orbit, iterate), k = 0..4, built once per ``j_max``.
 
     The one λ-free array of the graded terms, the factorization's left side
     and the sign check.
     """
-    _require_kleinian(cols, "graded zetas")
-
     def build():
         a, b, c, _ = _iterates(cols, j_max)
         e1 = 2.0 * (a + b) * c  # 4 cosh(j l) cos(j theta)
@@ -293,7 +253,10 @@ def _require_convergence(lam: complex, threshold: float, allow_formal: bool, wha
 def _shell_tail(length: np.ndarray, shell: float, sigma: float, h: float) -> float:
     """Twice the magnitude ``shell`` summed in the last shell ``(L - l_min, L]`` of ``length``, continued at rate
     ``q = exp(-(sigma - h) l_min)`` per shell: in units of the shortest length, so the unit of time cancels.
-    ``1 - q`` is ``-expm1``, so a short ``l_min`` keeps its digits; a rate of exactly 1 bounds nothing."""
+    ``1 - q`` is ``-expm1``, so a short ``l_min`` keeps its digits; a rate of exactly 1 bounds nothing, and no
+    length leaves no tail."""
+    if not len(length):
+        return 0.0
     x = (sigma - h) * float(length.min())
     if x <= 0.0:
         return math.inf
@@ -301,22 +264,19 @@ def _shell_tail(length: np.ndarray, shell: float, sigma: float, h: float) -> flo
     return 2.0 * base * math.exp(-x) / -math.expm1(-x)
 
 
-def _group_value(cols: OrbitColumns, weights: np.ndarray, lam: complex, kind: str, policy: TruncationPolicy):
-    """Sum ``Phi * weights`` over (weight group, iterate), with the tail from the last length shell.
+def _value(cols: OrbitColumns, weights: np.ndarray, lam: complex, kind: str, policy: TruncationPolicy):
+    """Sum ``Phi * weights`` over (orbit, iterate), with the tail from the last length shell.
 
-    ``weights`` holds a value per (group, iterate), or one column per group that broadcasts over the iterates.
+    ``weights`` holds a value per (orbit, iterate), or one column per orbit that broadcasts over the iterates.
 
-    An orbit's j = 1 and j = j_max terms are ``|m z|`` and ``|m z^j_max| / j_max`` times its group's
-    weight, so the tail and the truncation warning read :func:`_group_phases`' per-group magnitudes.  A
+    An orbit's j = 1 term is ``|m z|`` times its weight, so the tail reads :func:`_phases`' shell magnitudes.  A
     j = j_max term above ``tail_tol`` is flagged: the iterate truncation could then dominate the length tail.
     """
-    phases, shell, last = _group_phases(cols, lam, policy.j_max)
+    phases, shell = _phases(cols, lam, policy.j_max)
     magnitude = np.abs(weights)
-    tail, warnings = 0.0, ("empty spectrum",)
-    if len(cols):
-        tail = _shell_tail(cols.length, float((shell * magnitude[:, 0]).sum()), lam.real, policy.entropy)
-        warnings = ()
-    worst_last = float((last * magnitude[:, -1]).max(initial=0.0))
+    tail = _shell_tail(cols.length, float((shell * magnitude[:, 0]).sum()), lam.real, policy.entropy)
+    warnings = () if len(cols) else ("empty spectrum",)
+    worst_last = float((np.abs(phases[:, -1]) * magnitude[:, -1]).max(initial=0.0))
     if worst_last > policy.tail_tol:
         warnings += (f"iterate truncation: largest j={policy.j_max} term is {worst_last:.2e}; "
                      "increase j_max or tail_tol",)
@@ -338,7 +298,7 @@ def ruelle_log_zeta(cols: OrbitColumns, lam: complex, policy: TruncationPolicy,
     lam = complex(lam)
     _require_convergence(lam, policy.entropy, allow_formal, "orbit zeta")
     with _in_float_range(lam):
-        return _group_value(cols, np.ones((len(cols.starts), 1)), lam, "ruelle", policy)  # broadcast over j
+        return _value(cols, np.ones((len(cols), 1)), lam, "ruelle", policy)  # broadcast over j
 
 
 def graded_log_zeta(cols: OrbitColumns, k: int, lam: complex, policy: TruncationPolicy,
@@ -355,7 +315,7 @@ def graded_log_zeta(cols: OrbitColumns, k: int, lam: complex, policy: Truncation
         ratios = _trace_ratios(cols, policy.j_max)
         if not 0 <= k < len(ratios):
             raise ValidationError(f"k must be in 0..{len(ratios) - 1}")
-        return _group_value(cols, ratios[k], lam, f"graded[{k}]", policy)
+        return _value(cols, ratios[k], lam, f"graded[{k}]", policy)
 
 
 @record
@@ -376,7 +336,7 @@ def assemble_ruelle_from_graded(cols: OrbitColumns, lam: complex, policy: Trunca
     the alternating sum is checked against ``s``.  The assembled value is
     ``s * sum_k (-1)^k log Z_k``.
     """
-    _require_kleinian(cols, "assemblies", nonempty=True)
+    _require_rows(cols)
     with _in_float_range(lam):
         ratios = _trace_ratios(cols, policy.j_max)
         dim = len(ratios) - 1
@@ -413,11 +373,10 @@ def selberg_log_zeta(cols: OrbitColumns, mu, lam: complex, policy: TruncationPol
     lam = complex(lam)
     _require_convergence(lam, float(N0), allow_formal, "Selberg zeta")
     labels = (mu,) if isinstance(mu, IrrepLabel) else tuple(mu)
-    _require_kleinian(cols, "Selberg zetas")
     with _in_float_range(lam):
         a, _, c, x = _iterates(cols, policy.j_max)
         chi = np.prod([_label_character(label, x) for label in labels], axis=0)
-        return _group_value(cols, chi / _det_one_minus_ps(a, c), lam, "selberg", policy)
+        return _value(cols, chi / _det_one_minus_ps(a, c), lam, "selberg", policy)
 
 
 @record
@@ -484,13 +443,13 @@ def factorization_check(cols: OrbitColumns, k: int, lam: complex, policy: Trunca
     product.
     """
     lam = complex(lam)
-    _require_kleinian(cols, "factorization checks", nonempty=True)
+    _require_rows(cols)
     ell_min = float(cols.length.min())
     tail_estimate = (policy.p_max + 2) ** 2 * math.exp(-(policy.p_max + 1) * ell_min)
     with _in_float_range(lam):
         lhs, (rhs,) = _factorization_weights(cols, k, policy.j_max, [policy.p_max])
         max_abs, max_rel = _relative_residual(lhs, rhs)
-        phases = _group_phases(cols, lam, policy.j_max)[0]
+        phases = _phases(cols, lam, policy.j_max)[0]
         log_lhs, log_rhs = (complex(block_sum((phases * w).ravel())) for w in (lhs, rhs))
     return FactorizationReport(k, lam, policy.p_max, log_lhs, log_rhs, max_abs, max_rel, tail_estimate)
 
@@ -500,7 +459,7 @@ def factorization_residual_curve(cols: OrbitColumns, k, lam, policy, p_values):
     p_values = [int(p) for p in p_values]
     if not p_values:
         return []
-    _require_kleinian(cols, "factorization checks", nonempty=True)
+    _require_rows(cols)
     with _in_float_range(complex(lam)):
         lhs, rhs_by_p = _factorization_weights(cols, k, policy.j_max, p_values)
         return [(p, _relative_residual(lhs, rhs)[1]) for p, rhs in zip(p_values, rhs_by_p)]

@@ -1,4 +1,4 @@
-"""Per-orbit Euler products, kept as the references of the weight-group reduction and of the trace series.
+"""Per-orbit Euler products, kept as the references of the Kleinian products, the trace series and a dump's cells.
 
 Each product builds the full (orbit x iterate) array of its terms: powers by
 ``np.cumprod``, ``-multiplicity base^j / j`` per cell, the wedge-trace ratios
@@ -14,8 +14,8 @@ Toral rows come from :func:`table_columns` or :func:`records_columns`, which
 keep the eigenvalues a dump lacks.  Given a ``depth`` M, the Ruelle and
 graded products keep the cells with ``period * j <= M`` only: the truncation
 of the trace series that the model's products (``continuation.toral_log_zetas``)
-read; without one they keep ``j <= j_max`` on every row, the truncation of
-the products over orbit columns.
+and a dump's (``variation.dump_log_zetas``) read; without one they keep
+``j <= j_max`` on every row, the truncation of the products over orbit columns.
 """
 
 from __future__ import annotations
@@ -26,22 +26,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from friedzeta import zetas
-from friedzeta.errors import ValidationError
 from friedzeta.summation import block_sum
 from friedzeta.zetas import ZetaValue
 
 
 @dataclass
 class ToralColumns:
-    """The rows of an orbit table or of an ``OrbitRecord`` list, with one weight group per run of equal
-    transverse data: what toral :class:`~friedzeta.zetas.OrbitColumns` held before they lost the eigenvalues."""
+    """The rows of an orbit table or of an ``OrbitRecord`` list, with their transverse data per row."""
 
     length: np.ndarray
     rho: np.ndarray
     period: np.ndarray
-    starts: np.ndarray
     epsilon: np.ndarray
-    multiplicity: np.ndarray
     lam_u: np.ndarray
     lam_s: np.ndarray
     det_power: np.ndarray
@@ -50,6 +46,10 @@ class ToralColumns:
     def __len__(self):
         return len(self.length)
 
+    @property
+    def multiplicity(self):
+        return np.ones(len(self))
+
 
 def _rho(representation, class_exps, winding):
     return np.ones(len(winding), dtype=complex) if representation is None else \
@@ -57,23 +57,20 @@ def _rho(representation, class_exps, winding):
 
 
 def table_columns(table, representation=None, tau=0.0):
-    """The columns of an orbit table at ``tau``: one weight group per period."""
-    starts = np.flatnonzero(table.period != np.concatenate(([0], table.period[:-1])))
-    eps, lam_u, lam_s, det_power = (column[table.period[starts]] for column in table.transverse())
+    """The columns of an orbit table at ``tau``."""
     return ToralColumns(table.lengths(tau), _rho(representation, table.class_exps, table.period), table.period,
-                        starts, eps, np.ones(len(starts)), lam_u, lam_s, det_power)
+                        *(column[table.period] for column in table.transverse()))
 
 
 def records_columns(records, representation=None):
-    """The columns of ``OrbitRecord`` rows in list order, one weight group per record."""
+    """The columns of ``OrbitRecord`` rows in list order."""
     def column(name, dtype=float):
         return np.array([getattr(r, name) for r in records], dtype=dtype)
 
     class_exps = np.array([r.class_exps for r in records], dtype=np.int64).reshape(len(records), -1)
     winding = column("winding", np.int64)
     return ToralColumns(column("length"), _rho(representation, class_exps, winding), column("period", np.int64),
-                        np.arange(len(records)), column("epsilon"), np.ones(len(records)), column("lam_u"),
-                        column("lam_s"), column("det_power"))
+                        column("epsilon"), column("lam_u"), column("lam_s"), column("det_power"))
 
 
 def powers(base, j_max):
@@ -81,21 +78,15 @@ def powers(base, j_max):
     return np.cumprod(np.broadcast_to(base[:, None], (len(base), j_max)), axis=1)
 
 
-def per_row(cols, values):
-    """A column of one value per weight group of ``cols``, repeated onto every row of the group."""
-    return np.repeat(values, np.diff(cols.starts, append=len(cols)))
-
-
 def epsilon(cols):
-    """The orientation index per row that ``rho`` leaves out: :class:`ToralColumns` hold it per group, while
-    ``zetas.OrbitColumns`` carry it in ``rho`` (and a Kleinian row's is 1), so there it is 1."""
-    return per_row(cols, cols.epsilon) if isinstance(cols, ToralColumns) else np.ones(len(cols))
+    """The orientation index per row that ``rho`` leaves out: a Kleinian row's is 1."""
+    return cols.epsilon if isinstance(cols, ToralColumns) else np.ones(len(cols))
 
 
 def terms(cols, base, j_max):
     """``-multiplicity base^j / j`` per (orbit, iterate)."""
     out = powers(base, j_max)
-    out *= -per_row(cols, cols.multiplicity)[:, None]
+    out *= -cols.multiplicity[:, None]
     out *= 1.0 / np.arange(1, j_max + 1)
     return out
 
@@ -119,12 +110,10 @@ def trace_ratios(cols, j_max):
     """
     if cols.theta is not None:
         return zetas._trace_ratios(cols, j_max)
-    if not isinstance(cols, ToralColumns):
-        raise ValidationError("record lacks eigenvalue data (orbit dump round-trip)")
-    r = powers(1.0 / per_row(cols, cols.lam_u), j_max)
-    s = powers(per_row(cols, cols.lam_s), j_max)
+    r = powers(1.0 / cols.lam_u, j_max)
+    s = powers(cols.lam_s, j_max)
     r_abs = np.abs(r)
-    traces = (r_abs, s * r_abs + np.sign(r), powers(per_row(cols, cols.det_power), j_max) * r_abs)
+    traces = (r_abs, s * r_abs + np.sign(r), powers(cols.det_power, j_max) * r_abs)
     scale = 1.0 / (np.abs(r - 1.0) * np.abs(s - 1.0))
     return np.array([trace * scale for trace in traces])
 

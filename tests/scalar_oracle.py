@@ -1,17 +1,16 @@
 """One-orbit-at-a-time references for the toral array code.
 
 A character on one homology class, a trig polynomial at one rational point,
-and the :class:`~friedzeta.zetas.OrbitColumns` an orbit dump of a list of
-:class:`~friedzeta.toral.OrbitRecord` rows gives, one attribute read per record.
+and the :class:`~friedzeta.toral.OrbitDump` an orbit dump of a list of
+:class:`~friedzeta.toral.OrbitRecord` rows reads back, one attribute read per record.
 """
 
 import math
 
 import numpy as np
 
-from friedzeta.toral import ruelle_factors
+from friedzeta.toral import OrbitDump
 from friedzeta.trig import TWO_PI
-from friedzeta.zetas import OrbitColumns
 
 
 def character_value(chi, exps, winding: int) -> complex:
@@ -29,16 +28,11 @@ def trig_value(poly, num1: int, num2: int, den: int) -> float:
     return v
 
 
-def columns_from_records(records, representation=None):
-    """The columns of ``records`` in list order, as an orbit dump of them gives, twisted by a ``Character``
-    (``None`` is trivial).
+def dump_from_records(records):
+    """The columns a dump of ``records`` reads back, in list order."""
+    def column(name, dtype=np.int64):
+        return np.array([getattr(r, name) for r in records], dtype=dtype)
 
-    The records are one weight group (none when there are none), and ``rho`` is each record's Ruelle factor:
-    its orientation index times the twist's value on its class.
-    """
     class_exps = np.array([r.class_exps for r in records], dtype=np.int64).reshape(len(records), -1)
-    epsilon, winding, length = (np.array([getattr(r, name) for r in records])
-                                for name in ("epsilon", "winding", "length"))
-    groups = min(len(records), 1)
-    return OrbitColumns(length, ruelle_factors(representation, epsilon, class_exps, winding),
-                        np.zeros(groups, dtype=np.intp), np.ones(groups))
+    return OrbitDump(*map(column, ("period", "num1", "num2", "den")), column("length", float), column("epsilon"),
+                     column("winding"), class_exps)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from friedzeta import (
     fried_check,
     read_orbit_dump,
     read_spectrum,
-    ruelle_log_zeta,
     write_spectrum,
 )
 from friedzeta import cli, config, continuation, kleinian, toral, torsion, variation, zetas
@@ -35,8 +35,8 @@ from friedzeta.config import RunConfig
 from friedzeta.continuation import toral_log_zetas
 from friedzeta.toral import orbit_table
 
+import euler_oracle
 from dump_oracle import read_lines_dump, read_records_dump
-from scalar_oracle import columns_from_records
 
 CAT_SETTINGS = [
     "model.matrix=2 1 1 1",
@@ -115,7 +115,7 @@ class TestZetaEval:
                 assert complex(row["log_value_re"], row["log_value_im"]) == zv.log_value
                 assert (row["tail_bound"], row["tail_kind"], row["n_used"]) == (zv.tail_bound, "certified", zv.n_used)
             # the product over j <= j_max of every orbit to period 8 differs from the series by cells past its depth
-            direct = ruelle_log_zeta(columns_from_records(recs, rep), lam, pol)
+            direct, _ = euler_oracle.ruelle(euler_oracle.records_columns(recs, rep), lam, pol)
             assert abs(values[0].log_value - direct.log_value) <= values[0].tail_bound + direct.tail_bound
         header = csv.read_text().splitlines()[0]
         assert header == "lambda_re,lambda_im,log_zeta_re,log_zeta_im,tail"
@@ -194,13 +194,14 @@ CONTINUE_ROW_KEYS = {"zeta_kind", "lambda_re", "lambda_im", "log_value_re", "log
 
 @pytest.mark.parametrize("command, source, keys, policy", [
     ("zeta-eval", "model", ZETA_ROW_KEYS, {"max_period", "entropy", "tail_tol"}),
-    ("zeta-eval", "io.orbits", ZETA_ROW_KEYS - {"n_used"}, {"max_period", "j_max", "entropy", "tail_tol"}),
+    ("zeta-eval", "io.orbits", ZETA_ROW_KEYS, {"max_period", "entropy"}),
     ("zeta-eval", "io.spectrum", ZETA_ROW_KEYS - {"n_used"}, {"j_max", "entropy", "tail_tol"}),
-    ("zeta-continue", "model", CONTINUE_ROW_KEYS, set(fields(TruncationPolicy))),
+    ("zeta-continue", "model", CONTINUE_ROW_KEYS, {"max_period", "tail_tol"}),
 ])
 def test_zeta_row_schema(command, source, keys, policy, tmp_path, capsys):
-    # a zeta-eval row's policy holds the fields its source reads: a dump and a kleinian file take no depth
-    # of the trace series, a spectrum no n_max, and none of them p_max or quad_subdiv
+    # a row's policy holds the fields its command and source read: the model and a dump sum their cells p j <= n_max
+    # (the model to the depth tail_tol sets), a kleinian file every j <= j_max of its rows, and zeta-continue reads
+    # its coefficients to n_max or tail_tol
     settings, path = [*CAT_SETTINGS, "policy.n_max=6"], tmp_path / "source.txt"
     if source == "io.orbits":
         assert run("orbits", *settings, out=path) == 0
@@ -721,6 +722,8 @@ REFUSED = [
     ("zeta-eval", "io.orbits", "model.time_change=cos:1,0:0.05"),
     ("zeta-eval", "io.orbits", "tau.value=0.3"),
     ("zeta-eval", "io.orbits", "selberg.mu=sigma:2*nu:1"),
+    ("zeta-eval", "io.orbits", "policy.j_max=12345678901234567890"),
+    ("zeta-eval", "io.orbits", "policy.tail_tol=1e-3"),
     ("zeta-eval", "io.spectrum", "model.roof=const:7"),
     ("zeta-eval", "io.spectrum", "tau.value=0.3"),
     ("zeta-eval", "io.spectrum", "rep.u_fraction=0.5"),
@@ -767,6 +770,15 @@ RUNS = {
 
 
 class TestConfigKeys:
+    @pytest.mark.parametrize("setting, field, value", [
+        ("policy.n_max=7", "max_period", 7), ("policy.j_max=9", "j_max", 9), ("policy.p_max=5", "p_max", 5),
+        ("policy.tail_tol=1e-3", "tail_tol", 1e-3), ("policy.quad_subdiv=4", "quad_subdiv", 4),
+    ])
+    def test_policy_key_sets_its_field_over_the_defaults(self, setting, field, value):
+        # the defaults live in TruncationPolicy alone: a config sets the fields of the keys it holds, no other
+        assert RunConfig.load(None, []).policy(entropy=1.5) == TruncationPolicy(entropy=1.5)
+        assert RunConfig.load(None, [setting]).policy(entropy=1.5) == TruncationPolicy(entropy=1.5, **{field: value})
+
     def test_unknown_key_is_one_error_line(self, capsys):
         settings = ["policy.n_max=4", "polcy.j_max=3", "lambda.grid=9"]
         assert run("zeta-eval", *CAT_SETTINGS, *settings) == 1
@@ -995,9 +1007,10 @@ class TestOrbitDumpPipeline:
 
         model = SuspensionModel(ToralAutomorphism(((2, 1), (1, 1))), TrigPolynomial.const(1.0))
         pol = TruncationPolicy(max_period=6, entropy=0.963)
-        # dump carries no twist application; trivial rho on read-back
-        direct = ruelle_log_zeta(columns_from_records(orbit_records(model, 6)), 4.0, pol)
+        # the dump drops the twist: its row is the untwisted sum over the cells p j <= 6
+        direct, _ = euler_oracle.ruelle(euler_oracle.records_columns(orbit_records(model, 6)), 4.0, pol, depth=6)
         assert rows[0]["log_value_re"] == pytest.approx(direct.log_value.real, rel=1e-12)
+        assert rows[0]["n_used"] == 6 and rows[0]["warnings"] == []
 
     def test_missing_file_exit_1(self):
         assert run("zeta-eval", "io.orbits=/nonexistent", "lambda.grid=4.0") == 1
@@ -1016,7 +1029,7 @@ class TestOrbitDumpPipeline:
         entropy = "policy.entropy=1.0"
         deep_at_4 = log_zeta(f"io.orbits={dumps[8]}", "policy.n_max=4", entropy)
         assert deep_at_4 == log_zeta(f"io.orbits={dumps[4]}", entropy)
-        # the model's series reads the cells p j <= 4; the dump's product every j <= j_max of periods 1-4: both
+        # the model's series and the dump both read cells p j <= 4, the model only to its certified depth: both
         # differ from the whole series by cells with p j > 4, which the series' certified tail bounds
         assert run("zeta-eval", "model.matrix=2 1 1 1", roof, "policy.n_max=4", entropy, "lambda.grid=3") == 0
         row = json.loads(capsys.readouterr().out)["results"]["rows"][0]
@@ -1031,11 +1044,43 @@ class TestOrbitDumpPipeline:
         empty.write_text("#fried-orbits v1\n", encoding="ascii")
         capsys.readouterr()
         depths = []
-        # the dump's deepest period, a set n_max, and the default for a dump without orbits
-        for settings in ([f"io.orbits={dump}"], [f"io.orbits={dump}", "policy.n_max=3"], [f"io.orbits={empty}"]):
+        # the dump's deepest period, a set n_max, and for a dump without orbits, which has no cells at any depth,
+        # the default or a set n_max of any size
+        for settings in ([f"io.orbits={dump}"], [f"io.orbits={dump}", "policy.n_max=3"], [f"io.orbits={empty}"],
+                         [f"io.orbits={empty}", f"policy.n_max={10**30}"]):
             assert run("zeta-eval", *settings, "policy.entropy=1.0", "lambda.grid=4") == 0
-            depths.append(json.loads(capsys.readouterr().out)["results"]["rows"][0]["policy"]["max_period"])
-        assert depths == [5, 3, 12]
+            row = json.loads(capsys.readouterr().out)["results"]["rows"][0]
+            assert row["n_used"] == row["policy"]["max_period"]
+            depths.append(row["n_used"])
+        assert depths == [5, 3, 12, 10**30]
+
+    @pytest.mark.parametrize("n_max", [6, 20])
+    def test_n_max_beyond_the_deepest_period_exit_1(self, n_max, tmp_path, capsys):
+        # the cells p j <= n_max past the dump's deepest period are missing from it, so the sum would be short
+        dump = tmp_path / "orbits.txt"
+        assert run("orbits", *CAT_SETTINGS, "policy.n_max=5", out=dump) == 0
+        capsys.readouterr()
+        assert run("zeta-eval", f"io.orbits={dump}", f"policy.n_max={n_max}", "policy.entropy=1.0",
+                   "lambda.grid=4") == 1
+        assert capsys.readouterr().err == (f"error: n_max = {n_max} is above the dump's deepest period 5, where its "
+                                           "cells are incomplete\n")
+
+    def test_huge_period_exit_2_before_any_cell(self, tmp_path, capsys):
+        # a period-10^12 line makes 10^12 the depth, at which the period-1 orbit alone has 10^12 cells: they are
+        # counted against the cap before any cell array is built
+        dump = tmp_path / "orbits.txt"
+        assert run("orbits", *CAT_SETTINGS, "policy.n_max=3", out=dump) == 0
+        with open(dump, "a", encoding="ascii") as fh:
+            fh.write("1000000000000 0 0 1 1.0 1 1000000000000 0 0\n")
+        capsys.readouterr()
+        tracemalloc.start()
+        code = run("zeta-eval", f"io.orbits={dump}", "policy.entropy=1.0", "lambda.grid=4")
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and "array cells exceed the cap of" in err
+        assert err.count("\n") == 1
+        assert peak < 2_000_000
 
 
 class TestSchottkyFactorizePipeline:
@@ -1112,6 +1157,9 @@ MALFORMED_FILES = [
     ("io.orbits", "#fried-orbits v1", "1 0 0 1 1.0 1 1 0 0 caf\u00e9"),
     ("io.spectrum", "#fried-spectrum v1 n0=2", "1.5 0.1 1 a b"),
     ("io.spectrum", "#fried-spectrum v1 n0=2", "1.5 0.1 1 a b c"),
+    # a header other than the one format: once read as an n0 = 2 v1 spectrum
+    ("io.spectrum", "#fried-spectrum v1 n0=4", VALID_LINE["io.spectrum"]),
+    ("io.spectrum", "#fried-spectrum v17", VALID_LINE["io.spectrum"]),
 ]
 # every malformed dump of MALFORMED_FILES, and a wrong header
 DUMP_ERRORS = [(header, line) for key, header, line in MALFORMED_FILES if key == "io.orbits"]
@@ -1317,7 +1365,8 @@ class TestInputBoundary:
         settings = [f"{key}={path}", "lambda.grid=4", "policy.entropy=1.0"]
         assert run("zeta-eval", *settings) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}:4: ")
+        bad_header = key == "io.spectrum" and header != kleinian.SPECTRUM_HEADER
+        assert err.startswith(f"error: bad spectrum header: {header!r}\n" if bad_header else f"error: {path}:4: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
@@ -1407,10 +1456,11 @@ class TestInputBoundary:
         assert err.count("\n") == 1
         assert not (tmp_path / "out.txt").exists()
 
-    @pytest.mark.parametrize("source", ["io.orbits", "io.spectrum"])
+    @pytest.mark.parametrize("source", ["io.spectrum"])
     def test_j_max_beyond_the_cell_cap_exit_2(self, source, source_files, capsys):
-        # rows x j_max cells are refused before any (group x iterate) array is built; a Ruelle weight of
-        # j_max columns once was, so a 20-digit j_max ended in a numpy traceback
+        # rows x j_max cells are refused before any (orbit x iterate) array is built; a Ruelle weight of j_max
+        # columns once was, so a 20-digit j_max ended in a numpy traceback (a dump, which sums its cells
+        # p j <= n_max, refuses policy.j_max: REFUSED)
         settings = [f"{source}={source_files[source]}", "policy.entropy=1", "lambda.grid=4"]
         assert run("zeta-eval", *settings, "policy.j_max=12345678901234567890") == 2
         err = capsys.readouterr().err

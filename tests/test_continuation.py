@@ -14,7 +14,6 @@ from friedzeta import (
     cycle_zetas,
     dynamical_determinant,
     orbit_records,
-    ruelle_log_zeta,
     zeta_at_zero,
 )
 from friedzeta._kernels import birkhoff_sums
@@ -23,7 +22,8 @@ from friedzeta.continuation import _TraceStream, trace_sums
 from friedzeta.errors import CapacityError, ConvergenceError, FriedzetaError
 
 from continuation_oracle import eager_cycle_zeta, eager_trace_sums
-from scalar_oracle import character_value, columns_from_records
+import euler_oracle
+from scalar_oracle import character_value
 from test_toral import TABLE_CASES, TABLE_CHANGE, TABLE_ROOF
 
 
@@ -189,7 +189,7 @@ class TestContinuationProductAgreement:
         lam = h + 2.0
         pol = TruncationPolicy(max_period=14, j_max=60, entropy=h)
         records = orbit_records(perturbed_model, 14)
-        euler = ruelle_log_zeta(columns_from_records(records, rep_minus), lam, pol)
+        euler, _ = euler_oracle.ruelle(euler_oracle.records_columns(records, rep_minus), lam, pol)
         product = cycle_zeta(perturbed_model, rep_minus, lam, pol).value
         assert abs(product - cmath.exp(euler.log_value)) <= euler.tail_bound
 

@@ -29,23 +29,30 @@ from friedzeta import (
     ruelle_log_zeta,
     selberg_log_zeta,
     synthetic_spectrum,
+    variation,
     zetas,
 )
-from friedzeta._record import replace
+from friedzeta._record import fields, replace
 from friedzeta.characters import char_label
 from friedzeta.continuation import toral_log_zetas
-from friedzeta.toral import orbit_table
+from friedzeta.toral import OrbitDump, orbit_table, read_orbit_dump, write_orbit_dump
+from friedzeta.variation import direct_quotient, dump_log_zetas
 from friedzeta.zetas import _det_one_minus_ps, _shell_tail, orbit_columns
 
 import euler_oracle
 from dump_oracle import read_records_dump
-from scalar_oracle import character_value, columns_from_records
+from scalar_oracle import character_value, dump_from_records
 from test_toral import TABLE_CASES, TABLE_CHANGE, TABLE_ROOF
 
 
 def cat_closed_form(lam, u, lam_u, lam_s):
     z = u * cmath.exp(-lam)
     return cmath.log((1 - z * lam_u) * (1 - z * lam_s) / (1 - z) ** 2)
+
+
+def dump_row(records, lam, policy, allow_formal=False):
+    """The Ruelle row at ``lam`` of a dump of ``records``, which sums its cells ``p j <= policy.max_period``."""
+    return dump_log_zetas(dump_from_records(records), [lam], policy, allow_formal)[0]
 
 
 class TestRuelle:
@@ -61,38 +68,37 @@ class TestRuelle:
 
     def test_cat_map_closed_form(self, cat, cat_model, rep_minus, policy14):
         lam = cat_model.default_entropy() + 2.0
-        records = orbit_records(cat_model, 14)
-        closed = cat_closed_form(lam, rep_minus.circle, cat.lam_u, cat.lam_s)
-        zv = ruelle_log_zeta(columns_from_records(records, rep_minus), lam, policy14)
+        # a dump drops the twist: its cells p j <= 14 meet the closed form at u = 1
+        zv = dump_row(orbit_records(cat_model, 14), lam, policy14)
+        closed = cat_closed_form(lam, 1.0, cat.lam_u, cat.lam_s)
         assert abs(zv.log_value - closed) < zv.tail_bound
         assert abs(zv.log_value - closed) < 1e-12
+        closed = cat_closed_form(lam, rep_minus.circle, cat.lam_u, cat.lam_s)
         series = toral_log_zetas(cat_model, rep_minus, [lam], policy14)[0][0]
         # the Ruelle tail is the sum of three graded tails, each at most tail_tol
         assert series.tail_kind == "certified" and abs(series.log_value - closed) <= series.tail_bound <= 3e-12
 
-    def test_euler_product_consistency(self, cat_model, rep_minus, policy14):
+    def test_euler_product_consistency(self, cat_model, policy14):
         lam = cat_model.default_entropy() + 2.0
         records = orbit_records(cat_model, 10)
-        zv = ruelle_log_zeta(columns_from_records(records, rep_minus), lam, policy14)
+        zv = dump_row(records, lam, replace(policy14, max_period=10))
         product = 1.0 + 0.0j
         for rec in records:
-            rho = character_value(rep_minus, rec.class_exps, rec.winding)
-            product *= 1 - rec.epsilon * rho * cmath.exp(-lam * rec.length)
+            product *= 1 - rec.epsilon * cmath.exp(-lam * rec.length)
         assert cmath.exp(zv.log_value) == pytest.approx(product, rel=1e-12)
 
-    def test_convergence_region_enforced(self, cat_model, rep_minus, policy14):
-        cols = columns_from_records(orbit_records(cat_model, 3), rep_minus)
+    def test_convergence_region_enforced(self, cat_model, policy14):
+        records, pol = orbit_records(cat_model, 3), replace(policy14, max_period=3)
         with pytest.raises(ConvergenceError):
-            ruelle_log_zeta(cols, 0.5, policy14)
-        ruelle_log_zeta(cols, 0.5, policy14, allow_formal=True)
+            dump_row(records, 0.5, pol)
+        dump_row(records, 0.5, pol, allow_formal=True)
 
-    def test_tail_bound_decreases(self, cat_model, rep_minus):
+    def test_tail_bound_decreases(self, cat_model):
         lam = cat_model.default_entropy() + 2.0
         tails = []
         for n_max in (6, 9, 12):
             pol = TruncationPolicy(max_period=n_max, entropy=cat_model.default_entropy())
-            zv = ruelle_log_zeta(columns_from_records(orbit_records(cat_model, n_max), rep_minus), lam, pol)
-            tails.append(zv.tail_bound)
+            tails.append(dump_row(orbit_records(cat_model, n_max), lam, pol).tail_bound)
         assert tails[0] > tails[1] > tails[2] > 0
 
     def test_tail_bound_infinite_below_entropy(self):
@@ -108,7 +114,7 @@ class TestRuelle:
         zv = ruelle_log_zeta(cols, 3.0, policy)
         assert math.isfinite(zv.log_value.real)
         assert math.isfinite(zv.tail_bound) is finite and zv.tail_bound > 1e16
-        assert zv.tail_bound == pytest.approx(euler_oracle.ruelle(cols, 3.0, policy)[0].tail_bound, rel=GROUP_TOL)
+        assert zv.tail_bound == pytest.approx(euler_oracle.ruelle(cols, 3.0, policy)[0].tail_bound, rel=ORDER_TOL)
 
 
 class TestGraded:
@@ -147,7 +153,7 @@ class TestAssembly:
         ruelle, *graded = toral_log_zetas(model, rep_minus, [lam], pol)[0]
         assert ruelle.log_value == -(graded[0].log_value - graded[1].log_value + graded[2].log_value)
         assert euler_oracle.assembly_residual(euler_oracle.records_columns(records, rep_minus), 10) < 1e-12
-        direct = ruelle_log_zeta(columns_from_records(records, rep_minus), lam, replace(pol, j_max=40))
+        direct, _ = euler_oracle.ruelle(euler_oracle.records_columns(records, rep_minus), lam, replace(pol, j_max=40))
         assert abs(ruelle.log_value - direct.log_value) <= ruelle.tail_bound + direct.tail_bound
 
     def test_kleinian_sign_positive(self):
@@ -281,20 +287,6 @@ class TestFactorization:
         pol = TruncationPolicy(j_max=1, p_max=200, entropy=2.0)
         report = factorization_check(orbit_columns(rec), 0, 5.0, pol)
         assert report.max_rel_residual < 1e-12
-
-
-class TestRecordContracts:
-    def test_dump_records_lack_eigendata_for_graded(self, cat_family, tmp_path):
-        from friedzeta import read_orbit_dump, write_orbit_dump
-
-        path = tmp_path / "orbits.txt"
-        write_orbit_dump(path, orbit_table(cat_family, 3))
-        cols = orbit_columns(read_orbit_dump(path))
-        pol = TruncationPolicy(j_max=2, entropy=1.0)
-        ruelle_log_zeta(cols, 4.0, pol)  # fine: needs no eigenvalues
-        with pytest.raises(ValidationError):
-            graded_log_zeta(cols, 0, 4.0, pol)
-
 
 
 # ---------------------------------------------------------------------------
@@ -464,25 +456,23 @@ class TestArrayPathAgainstLoops:
             assert _close(ruelle.log_value, (assembled, sum(scale for _, scale in loops)))
             if len({zv.n_used for zv in graded}) == 1:  # one depth: the Ruelle series' own cells
                 assert _close(ruelle.log_value, loop_ruelle(records, rep, lam, None, ruelle.n_used))
-            zv = ruelle_log_zeta(columns_from_records(records, rep), lam, replace(pol, j_max=12))
-            assert _close(zv.log_value, loop_ruelle(records, rep, lam, 12))
+            zv = dump_row(records, lam, pol)  # untwisted
+            assert _close(zv.log_value, loop_ruelle(records, None, lam, None, 7))
         assert euler_oracle.assembly_residual(euler_oracle.records_columns(records), 12) == pytest.approx(
             loop_assembly_residual(records, 12), abs=1e-14
         )
 
-    def test_dump_records(self, cat_family, rep_minus, tmp_path):
-        from friedzeta import read_orbit_dump, write_orbit_dump
-
+    def test_dump_records(self, cat_family, tmp_path):
         path = tmp_path / "orbits.txt"
         write_orbit_dump(path, orbit_table(cat_family, 8), 0.05)
         back, records = read_orbit_dump(path), read_records_dump(path)
-        pol = TruncationPolicy(j_max=16, entropy=1.0)
-        for rep in (None, rep_minus):
-            zv = ruelle_log_zeta(orbit_columns(back, rep), 3.0, pol)
-            assert _close(zv.log_value, loop_ruelle(records, rep, 3.0, 16))
-        for name in ("length", "rho", "starts", "multiplicity"):
-            want = getattr(columns_from_records(records, rep_minus), name)
-            assert np.array_equal(getattr(orbit_columns(back, rep_minus), name), want)
+        lams = (3.0, 4.0 - 1.5j)
+        for depth in (8, 5, 1):
+            values = dump_log_zetas(back, lams, TruncationPolicy(max_period=depth, entropy=1.0))
+            for lam, zv in zip(lams, values, strict=True):
+                assert _close(zv.log_value, loop_ruelle(records, None, lam, None, depth))
+        for name in fields(OrbitDump):
+            assert np.array_equal(getattr(back, name), getattr(dump_from_records(records), name))
 
     def test_kleinian_graded_and_selberg(self):
         spectrum = _mixed_spectrum()
@@ -554,54 +544,45 @@ class TestArrayPathAgainstLoops:
                 call()
 
 
-GROUP_TOL = 1e-14  # relative to the sum of term magnitudes: the weight groups change only the summation order
+ORDER_TOL = 1e-14  # relative to the sum of term magnitudes: the reductions change only the summation order
 
 
-class TestWeightGroupsAgainstPerOrbitOracle:
-    """Products reduced per weight group agree with the per-orbit (orbit x iterate) arrays they replaced."""
-
-    @staticmethod
-    def _sources(matrix, n_max, tmp_path):
-        """(name, columns) from a record list and a dump, with a roof, a time change at tau = 0.1 and a fiber
-        twist."""
-        from friedzeta import read_orbit_dump, write_orbit_dump
-
-        model = SuspensionModel(ToralAutomorphism(matrix), TABLE_ROOF, TABLE_CHANGE)
-        rep = Character.from_angle_fraction(0.3, model.automorphism.coker_orders, (1, 1))
-        path = tmp_path / "orbits.txt"
-        write_orbit_dump(path, orbit_table(model, n_max), 0.1)
-        return model, [("records", columns_from_records(orbit_records(model, n_max, 0.1), rep)),
-                       ("dump", orbit_columns(read_orbit_dump(path), rep))]
+class TestProductsAgainstPerOrbitOracle:
+    """The products agree with the per-orbit (orbit x iterate) arrays of the oracle."""
 
     @staticmethod
     def _agree(got, want):
         value, scale = want
-        assert abs(got.log_value - value.log_value) <= GROUP_TOL * scale
-        assert got.tail_bound == pytest.approx(value.tail_bound, rel=GROUP_TOL)
+        assert abs(got.log_value - value.log_value) <= ORDER_TOL * scale
+        assert got.tail_bound == pytest.approx(value.tail_bound, rel=ORDER_TOL)
         assert got.warnings == value.warnings
         assert (got.lam, got.kind) == (value.lam, value.kind)
 
-    @pytest.mark.parametrize("j_max", [1, 5, 16, 17])
+    @pytest.mark.parametrize("depth", [1, 3, 8])
     @pytest.mark.parametrize("matrix, n_max", [(matrix, min(n_max, 8)) for matrix, n_max in TABLE_CASES],
                              ids=lambda case: " ".join(str(a) for row in case for a in row)
                              if isinstance(case, tuple) else str(case))
-    def test_products_match_the_oracle(self, matrix, n_max, j_max, tmp_path):
-        model, sources = self._sources(matrix, n_max, tmp_path)
-        h = model.default_entropy(0.1)
-        pol = TruncationPolicy(max_period=n_max, j_max=j_max, entropy=h)
-        for name, cols in sources:
-            for lam in (h + 0.3, h + 1.5, 4.0 + 2.5j):
-                self._agree(ruelle_log_zeta(cols, lam, pol), euler_oracle.ruelle(cols, lam, pol))
-            for call in (lambda: graded_log_zeta(cols, 0, h + 1.5, pol),
-                         lambda: assemble_ruelle_from_graded(cols, h + 1.5, pol)):
-                with pytest.raises(ValidationError, match="eigenvalue data"):
-                    call()
+    def test_dump_rows_match_the_oracle(self, matrix, n_max, depth, tmp_path):
+        # a dump written at tau = 0.1 sums its cells p j <= M: the untwisted oracle's truncation at depth M, with
+        # its tail; no iterate is cut short, so nothing is flagged
+        model = SuspensionModel(ToralAutomorphism(matrix), TABLE_ROOF, TABLE_CHANGE)
+        path = tmp_path / "orbits.txt"
+        write_orbit_dump(path, orbit_table(model, n_max), 0.1)
+        depth, h = min(depth, n_max), model.default_entropy(0.1)
+        pol = TruncationPolicy(max_period=depth, entropy=h)
+        cols = euler_oracle.table_columns(orbit_table(model, depth), None, 0.1)
+        lams = (h + 0.3, h + 1.5, 4.0 + 2.5j)
+        for lam, got in zip(lams, dump_log_zetas(read_orbit_dump(path), lams, pol), strict=True):
+            want, scale = euler_oracle.ruelle(cols, lam, pol, depth=depth)
+            assert abs(got.log_value - want.log_value) <= ORDER_TOL * scale
+            assert got.tail_bound == pytest.approx(want.tail_bound, rel=ORDER_TOL)
+            assert (got.lam, got.kind, got.tail_kind, got.n_used, got.warnings) == (lam, "ruelle", "heuristic",
+                                                                                    depth, ())
 
     @pytest.mark.parametrize("j_max", [1, 5, 16, 17])
     @pytest.mark.parametrize("spectrum", [_mixed_spectrum, _synthetic_200], ids=["mixed", "synthetic_200"])
     def test_kleinian_products_match_the_oracle(self, spectrum, j_max):
         cols = orbit_columns(spectrum())
-        assert np.array_equal(cols.starts, np.arange(len(cols)))  # one group per row
         pol = TruncationPolicy(j_max=j_max, p_max=24, entropy=2.0)
         for lam in (2.3, 4.0, 4.0 - 1.5j):
             self._agree(ruelle_log_zeta(cols, lam, pol), euler_oracle.ruelle(cols, lam, pol))
@@ -613,63 +594,40 @@ class TestWeightGroupsAgainstPerOrbitOracle:
             report = assemble_ruelle_from_graded(cols, lam, pol)
             assert report.max_residual == euler_oracle.assembly_residual(cols, j_max)
             assembled = sum((-1) ** k * value.log_value for k, (value, _) in enumerate(graded))
-            assert abs(report.log_zeta - assembled) <= GROUP_TOL * sum(scale for _, scale in graded)
+            assert abs(report.log_zeta - assembled) <= ORDER_TOL * sum(scale for _, scale in graded)
             for k in range(3):
                 check = factorization_check(cols, k, lam, pol)
                 (lhs, lhs_scale), (rhs, rhs_scale) = euler_oracle.factorization_logs(cols, k, lam, pol)
-                assert abs(check.log_lhs - lhs) <= GROUP_TOL * lhs_scale
-                assert abs(check.log_rhs - rhs) <= GROUP_TOL * rhs_scale
+                assert abs(check.log_lhs - lhs) <= ORDER_TOL * lhs_scale
+                assert abs(check.log_rhs - rhs) <= ORDER_TOL * rhs_scale
 
-    def test_truncation_warnings_fire_on_both(self, tmp_path):
-        model, sources = self._sources(((2, 1), (1, 1)), 6, tmp_path)
-        pol = TruncationPolicy(max_period=6, j_max=1, entropy=model.default_entropy(0.1))
-        for _, cols in sources:
-            got, want = ruelle_log_zeta(cols, 2.0, pol), euler_oracle.ruelle(cols, 2.0, pol)
-            assert got.warnings and got.warnings == want[0].warnings
-
-    def test_no_orbit_by_iterate_array_per_lambda(self, tmp_path):
-        # every array kept on toral columns has one row per weight group, never one per orbit: -2 -1 -1 -1
-        # alternates its orientation index with the period, which rho carries, so a dump is still one group
-        _, sources = self._sources(((-2, -1), (-1, -1)), 8, tmp_path)
-        cols = sources[1][1]
-        pol = TruncationPolicy(max_period=8, j_max=16, entropy=1.0)
-        for lam in (3.0, 4.0 + 1j):
-            ruelle_log_zeta(cols, lam, pol)
-        assert len(cols.starts) == 1 < len(cols)
-        assert set(cols._derived) == {"last_shell", "group_phases"}
-        assert cols._derived["group_phases"][1][0].shape == (1, 16)
-        assert "phases" not in cols._derived
+    def test_dump_cells_built_once_per_grid(self, calls):
+        # the cells and their weights are lambda-free: one build serves every lambda of the grid
+        built = calls(variation, "_build_cells")
+        model = SuspensionModel(ToralAutomorphism(((-2, -1), (-1, -1))), TABLE_ROOF)
+        pol = TruncationPolicy(max_period=8, entropy=model.default_entropy())
+        dump_log_zetas(dump_from_records(orbit_records(model, 8)), [3.0, 4.0 + 1j, 5.0], pol)
+        assert len(built) == 1
 
 
-class TestWeightGroupContract:
-    """The builder of the columns sets the weight groups: a dump is one, in file order; a Kleinian spectrum's are
-    its rows."""
+class TestDumpLineOrder:
+    """A dump's rows sum its cells in file order, so its lines may come in any order."""
 
     @pytest.mark.parametrize("matrix", [((2, 1), (1, 1)), ((-2, -1), (-1, -1))], ids=["cat", "negative"])
     def test_shuffled_dump_gives_the_sorted_value(self, matrix, tmp_path):
-        from friedzeta import read_orbit_dump, write_orbit_dump
-
         model = SuspensionModel(ToralAutomorphism(matrix), TABLE_ROOF)
         sorted_path, shuffled_path = tmp_path / "sorted.txt", tmp_path / "shuffled.txt"
         write_orbit_dump(sorted_path, orbit_table(model, 8))
         header, *lines = sorted_path.read_text().splitlines()
         np.random.default_rng(8).shuffle(lines)
         shuffled_path.write_text("\n".join([header, *lines]) + "\n")
-        rep = Character.from_angle_fraction(0.3)
-        pol = TruncationPolicy(j_max=16, entropy=model.default_entropy())
-        sorted_cols, shuffled_cols = (orbit_columns(read_orbit_dump(path), rep)
-                                      for path in (sorted_path, shuffled_path))
-        # epsilon is 1 on every cat-map line and (-1)^n on -2 -1 -1 -1; either way rho carries it, and the lines
-        # in any order are one group
-        assert len(sorted_cols.starts) == len(shuffled_cols.starts) == 1
-        for lam in (model.default_entropy() + 0.5, 4.0 + 2.5j):
-            want, scale = euler_oracle.ruelle(sorted_cols, lam, pol)
-            assert abs(ruelle_log_zeta(shuffled_cols, lam, pol).log_value - want.log_value) <= GROUP_TOL * scale
-
-    def test_kleinian_groups_are_its_rows(self):
-        cols = orbit_columns(_synthetic_200())
-        assert np.array_equal(cols.starts, np.arange(len(cols)))
-        assert len(cols.multiplicity) == len(cols)
+        pol = TruncationPolicy(max_period=8, entropy=model.default_entropy())
+        # epsilon is 1 on every cat-map line and (-1)^n on -2 -1 -1 -1
+        cols = euler_oracle.table_columns(orbit_table(model, 8))
+        lams = (model.default_entropy() + 0.5, 4.0 + 2.5j)
+        for lam, got in zip(lams, dump_log_zetas(read_orbit_dump(shuffled_path), lams, pol), strict=True):
+            want, scale = euler_oracle.ruelle(cols, lam, pol, depth=8)
+            assert abs(got.log_value - want.log_value) <= ORDER_TOL * scale
 
 
 def per_call_factorization_weights(cols, k, j_max, p_values):
@@ -679,7 +637,7 @@ def per_call_factorization_weights(cols, k, j_max, p_values):
         raise ValidationError("k must be in 0..n0")
     if min(p_values) < 0:
         raise ValidationError("truncation orders must be positive")
-    fresh = zetas.OrbitColumns(cols.length, cols.rho, cols.starts, cols.multiplicity, theta=cols.theta)
+    fresh = zetas.OrbitColumns(cols.length, cols.rho, cols.multiplicity, cols.theta)
     a, b, c, x = zetas._iterates(fresh, j_max)
     traces = (1.0, 2.0 * (a + b) * c, a * a + b * b + 4.0 * c * c)
     lhs = traces[k] / np.abs(_det_one_minus_ps(a, c) * _det_one_minus_ps(b, c))
@@ -744,21 +702,21 @@ class TestKeptFactorizationTables:
         cols = orbit_columns(_mixed_spectrum())
         pol = TruncationPolicy(j_max=8, p_max=20, entropy=2.0)
         graded_log_zeta(cols, 1, 5.0, pol)
-        ratios, phases = cols._derived["ratios"][1], cols._derived["group_phases"][1]
+        ratios, phases = cols._derived["ratios"][1], cols._derived["phases"][1]
         assert ratios.shape == (5, len(cols), 8)
         selberg_log_zeta(cols, IrrepLabel("sigma", 1, 2), 5.0, pol)
         assemble_ruelle_from_graded(cols, 5.0, pol)
         lhs, _ = zetas._factorization_weights(cols, 2, 8, [20])
         assert lhs.base is ratios and np.array_equal(lhs, ratios[2])
         factorization_check(cols, 2, 5.0, pol)
-        assert cols._derived["ratios"][1] is ratios and cols._derived["group_phases"][1] is phases
+        assert cols._derived["ratios"][1] is ratios and cols._derived["phases"][1] is phases
 
     def test_kept_arrays_are_read_only(self):
         cols = orbit_columns(_mixed_spectrum())
         pol = TruncationPolicy(j_max=8, p_max=20, entropy=2.0)
         factorization_check(cols, 1, 5.0, pol)
         selberg_log_zeta(cols, IrrepLabel("sigma", 1, 2), 5.0, pol)
-        assert {"iterates", "ratios", "factorization", "shells", "group_phases"} <= cols._derived.keys()
+        assert {"iterates", "ratios", "factorization", "shells", "phases"} <= cols._derived.keys()
         for _, value in cols._derived.values():
             for array in value if isinstance(value, tuple) else (value,):
                 assert not array.flags.writeable
@@ -766,15 +724,13 @@ class TestKeptFactorizationTables:
                     array[...] = 0.0
 
     def test_terms_scale_by_reciprocal_bit_for_bit(self):
-        # numpy divides a complex array by j + 0i as a product with 1/j, so the reciprocal row loses no bit;
-        # Kleinian rows are one-row weight groups, so their phases are the per-orbit terms themselves
+        # numpy divides a complex array by j + 0i as a product with 1/j, so the reciprocal row loses no bit
         rng = np.random.default_rng(35)
         lam = 0.3 + 0.2j
         for j_max in range(1, 41):
             n = int(rng.integers(1, 200))
             cols = zetas.OrbitColumns(rng.uniform(0.5, 5.0, n), rng.normal(size=n) + 1j * rng.normal(size=n),
-                                      np.arange(n), rng.integers(1, 4, n).astype(float),
-                                      theta=np.zeros(n))
+                                      rng.integers(1, 4, n).astype(float), np.zeros(n))
             z = cols.rho * np.exp(-lam * cols.length)
             divided, power = np.empty((n, j_max), dtype=complex), z.copy()
             divided[:, 0] = power
@@ -783,7 +739,7 @@ class TestKeptFactorizationTables:
                 divided[:, j] = power
             divided *= -cols.multiplicity[:, None]
             divided /= np.arange(1, j_max + 1)
-            assert zetas._group_phases(cols, lam, j_max)[0].tobytes() == divided.tobytes(), j_max
+            assert zetas._phases(cols, lam, j_max)[0].tobytes() == divided.tobytes(), j_max
 
 
 class TestArrayPathGuards:
@@ -794,18 +750,6 @@ class TestArrayPathGuards:
                      lambda: graded_log_zeta(cols, 2, 1.5, pol),
                      lambda: selberg_log_zeta(cols, IrrepLabel("nu", 1, 2), 1.9, pol)):
             with pytest.raises(ConvergenceError):
-                call()
-
-    def test_dump_records_lack_eigendata(self, cat_family, tmp_path):
-        from friedzeta import read_orbit_dump, write_orbit_dump
-
-        path = tmp_path / "orbits.txt"
-        write_orbit_dump(path, orbit_table(cat_family, 3))
-        cols = orbit_columns(read_orbit_dump(path))
-        pol = TruncationPolicy(j_max=2, entropy=1.0)
-        for call in (lambda: graded_log_zeta(cols, 1, 4.0, pol),
-                     lambda: assemble_ruelle_from_graded(cols, 4.0, pol)):
-            with pytest.raises(ValidationError, match="eigenvalue data"):
                 call()
 
     def test_expanding_block_limit(self):
@@ -846,39 +790,38 @@ class TestArrayPathGuards:
         assert peak < 1_000_000  # refused before any array of j_max columns is built
         with pytest.raises(CapacityError):
             factorization_residual_curve(cols, 0, 5.0, replace(pol, j_max=1), [10_000_000])
-        # toral columns reduce per weight group, yet orbits x j_max is refused before any group or power is built
-        model = SuspensionModel(ToralAutomorphism(((2, 1), (1, 1))), TrigPolynomial.const(1.0))
-        toral = columns_from_records(orbit_records(model, 6))
-        j_max = zetas.MAX_CELLS // len(toral) + 1
-        message = f"^{len(toral) * j_max} array cells exceed the cap of {zetas.MAX_CELLS}"
-        with pytest.raises(CapacityError, match=message):
-            ruelle_log_zeta(toral, 3.0, replace(pol, j_max=j_max))
-        assert toral._derived == {}
+        # a dump's cells p j <= M are counted before any is built: at M = 10^12 its period-1 row alone has 10^12
+        ints = np.array([1, 10**12])
+        dump = OrbitDump(ints, *np.zeros((2, 2), dtype=np.int64), np.ones(2, dtype=np.int64), np.ones(2),
+                         np.ones(2, dtype=np.int64), ints, np.zeros((2, 2), dtype=np.int64))
+        tracemalloc.start()
+        with pytest.raises(CapacityError, match=f"^{10**12 + 1} array cells exceed the cap of {zetas.MAX_CELLS}"):
+            dump_log_zetas(dump, [3.0], replace(pol, max_period=10**12))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_overflow_is_convergence_error(self, cat_model):
-        records = orbit_records(cat_model, 6)
-        pol = TruncationPolicy(j_max=16, entropy=cat_model.default_entropy())
+        pol = TruncationPolicy(max_period=6, entropy=cat_model.default_entropy())
         with pytest.raises(ConvergenceError, match="leaves floating point"):
-            ruelle_log_zeta(columns_from_records(records), -200.0, pol, allow_formal=True)
+            dump_row(orbit_records(cat_model, 6), -200.0, pol, allow_formal=True)
 
-    def test_twist_rules(self, cat_model, rep_minus, tmp_path):
-        from friedzeta import read_orbit_dump, write_orbit_dump
-
+    def test_columns_take_length_records_only(self, cat_model, tmp_path):
+        # toral orbits make no columns: a dump's and a model's Euler products sum their cells p j <= M, and a
+        # graded or Selberg product has no toral input
         table = orbit_table(cat_model, 3)
         write_orbit_dump(tmp_path / "orbits.txt", table)
-        dump = read_orbit_dump(tmp_path / "orbits.txt")
         spectrum = synthetic_spectrum(2.0, 5, 1)
-        pol = TruncationPolicy(j_max=3, entropy=2.0)
-        cols = orbit_columns(dump, rep_minus)
-        assert not cols.length.flags.writeable and not cols.rho.flags.writeable
-        for call in (lambda: orbit_columns(spectrum, rep_minus),
-                     lambda: orbit_columns(dump, 0.5),
-                     lambda: orbit_columns(table),
-                     lambda: orbit_columns(table.records() + spectrum),
-                     lambda: selberg_log_zeta(cols, IrrepLabel("nu", 0, 2), 4.0, pol),
-                     lambda: factorization_check(cols, 0, 5.0, pol)):
-            with pytest.raises(ValidationError):
+        cols = orbit_columns(spectrum)
+        assert not any(getattr(cols, name).flags.writeable for name in fields(cols))
+        for call in (lambda: orbit_columns(read_orbit_dump(tmp_path / "orbits.txt")), lambda: orbit_columns(table)):
+            with pytest.raises(TypeError):
                 call()
+        with pytest.raises(ValidationError, match="ComplexLengthRecord rows"):
+            orbit_columns(table.records() + spectrum)
+        # the toral twist is a Character
+        with pytest.raises(ValidationError, match="Character twist"):
+            direct_quotient(cat_model, 0.5, 4.0, 0.0, TruncationPolicy(max_period=3, entropy=1.0))
 
 
 SERIES_TOL = 1e-14  # relative, or relative to the sum of term magnitudes where the terms cancel
