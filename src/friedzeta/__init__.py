@@ -71,7 +71,6 @@ from .zetas import (
     OrbitColumns,
     TruncationPolicy,
     ZetaValue,
-    assemble_ruelle_from_graded,
     factorization_check,
     factorization_residual_curve,
     graded_log_zeta,

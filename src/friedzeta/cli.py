@@ -90,7 +90,7 @@ def _policy_echo(policy: TruncationPolicy, command: str, source: str | None = No
     return {name: value for name, value in asdict(policy).items() if name in read}
 
 
-def _zeta_row(kind: str, zv, source: str) -> dict:
+def _zeta_row(kind: str, zv, policy: dict) -> dict:
     return {
         "zeta_kind": kind,
         "lambda_re": zv.lam.real,
@@ -99,7 +99,7 @@ def _zeta_row(kind: str, zv, source: str) -> dict:
         "log_value_im": zv.log_value.imag,
         "tail_bound": zv.tail_bound,
         "tail_kind": zv.tail_kind,
-        "policy": _policy_echo(zv.policy, "zeta-eval", source),
+        "policy": policy,
         **({} if zv.n_used is None else {"n_used": zv.n_used}),
         "warnings": list(zv.warnings),
     }
@@ -164,7 +164,8 @@ def cmd_zeta_eval(cfg: RunConfig):
         policy = cfg.policy(model, tau)
         for row in toral_log_zetas(model, cfg.character(model.automorphism), cfg.lambda_grid(), policy, tau, allow):
             values += zip(("ruelle", "graded0", "graded1", "graded2"), row)
-    rows = [_zeta_row(kind, zv, source) for kind, zv in values]
+    echo = _policy_echo(policy, "zeta-eval", source)
+    rows = [_zeta_row(kind, zv, echo) for kind, zv in values]
     return {"rows": rows, "source": source}, _zeta_csv(rows)
 
 

@@ -37,6 +37,7 @@ table is built.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 
@@ -461,17 +462,16 @@ def _series_depths(rate: float, log_lam_u: float, policy: TruncationPolicy) -> l
     """``(depth, certified tail or None)`` for k = 0, 1, 2 at ``rate = Re(lam) r_min``.
 
     Each depth is the smallest whose bound is at most ``policy.tail_tol``, capped at ``policy.max_period``;
-    where ``q >= 1`` there is no bound, and every depth is ``max_period``.
+    where ``q >= 1`` there is no bound, and every depth is ``max_period``.  The bound falls as the depth grows, so
+    each depth is found by bisection, in O(log ``max_period``) bounds.
     """
     if rate <= log_lam_u:
         return [(policy.max_period, None)] * 3
     plan = []
     for k in range(3):
-        for depth in range(1, policy.max_period + 1):
-            tail = _certified_tail(k, rate, log_lam_u, depth)
-            if tail <= policy.tail_tol:
-                break
-        plan.append((depth, tail))
+        depth = 1 + bisect.bisect_left(range(1, policy.max_period), True,
+                                       key=lambda m: _certified_tail(k, rate, log_lam_u, m) <= policy.tail_tol)
+        plan.append((depth, _certified_tail(k, rate, log_lam_u, depth)))
     return plan
 
 
@@ -519,11 +519,11 @@ def toral_log_zetas(
                 value, last = _log_series(stream, i, k, depth)
             except (ConvergenceError, OverflowError, ValueError):
                 raise ConvergenceError(f"Euler product at lambda={lam} leaves floating point") from None
-            graded.append(ZetaValue(value, last if tail is None else tail, lam, f"graded[{k}]", policy,
+            graded.append(ZetaValue(value, last if tail is None else tail, lam, f"graded[{k}]",
                                     tail_kind="heuristic" if tail is None else "certified", n_used=depth))
         g0, g1, g2 = graded
         ruelle = ZetaValue(-(g0.log_value - g1.log_value + g2.log_value),
-                           g0.tail_bound + g1.tail_bound + g2.tail_bound, lam, "ruelle", policy,
+                           g0.tail_bound + g1.tail_bound + g2.tail_bound, lam, "ruelle",
                            tail_kind=g1.tail_kind, n_used=max(g.n_used for g in graded))
         rows.append((ruelle, *graded))
     return rows

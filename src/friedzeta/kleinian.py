@@ -178,15 +178,15 @@ def complex_length(matrix) -> tuple[float, float]:
 
 @record
 class ComplexLengthRecord:
-    """Closed geodesic datum: length, holonomy angle, multiplicity."""
+    """Closed geodesic datum: length, holonomy angle, multiplicity and label.  Its Poincaré map
+    ``diag(e^-ell R_theta, e^ell R_theta)`` enters the zetas through these alone: no scalar twist, no sign."""
 
     length: float
     theta: float
     multiplicity: int = 1
     label: str = ""
-    rho: complex = 1.0 + 0.0j
 
-    def __init__(self, length, theta, multiplicity=1, label="", rho=1.0 + 0.0j):
+    def __init__(self, length, theta, multiplicity=1, label=""):
         # written out, not the record's generic __init__: spectra build these by keyword, by the thousand
         if not (math.isfinite(length) and length > 0):
             raise ValidationError(f"length must be positive and finite, got {length!r}")
@@ -194,8 +194,7 @@ class ComplexLengthRecord:
             raise ValidationError(f"theta must be finite, got {theta!r}")
         if multiplicity < 1:
             raise ValidationError("multiplicity must be >= 1")
-        self.__dict__.update(length=length, theta=_reduce_angle(theta), multiplicity=multiplicity, label=label,
-                             rho=rho)
+        self.__dict__.update(length=length, theta=_reduce_angle(theta), multiplicity=multiplicity, label=label)
 
     def sort_key(self):
         return (self.length, self.label)

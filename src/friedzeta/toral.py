@@ -43,7 +43,6 @@ __all__ = [
     "SuspensionModel",
     "OrbitRecord",
     "Character",
-    "ruelle_factors",
     "AnosovDiagnostics",
     "smith_normal_form",
     "validate_anosov",
@@ -380,17 +379,6 @@ class Character:
                 turns += (e * class_exps[:, col]) % d / d
         ang = TWO_PI * turns
         return np.cos(ang) + 1j * np.sin(ang)
-
-
-def ruelle_factors(representation: Character | None, epsilon: np.ndarray, class_exps: np.ndarray,
-                   winding: np.ndarray) -> np.ndarray:
-    """``epsilon * chi`` per orbit, the factor whose powers weigh its iterates in the Ruelle zeta: its orientation
-    index times the twist's value (``None`` is trivial) on its class ``(class_exps, winding)``."""
-    if representation is None:
-        return epsilon.astype(complex)
-    if not isinstance(representation, Character):
-        raise ValidationError("toral orbits take a Character twist")
-    return epsilon * representation.values(class_exps, winding)
 
 
 # ---------------------------------------------------------------------------

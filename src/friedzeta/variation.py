@@ -28,7 +28,7 @@ import numpy as np
 from ._record import record
 from .errors import ConvergenceError, ValidationError
 from .summation import block_sum
-from .toral import Character, OrbitDump, OrbitTable, SuspensionModel, orbit_table, ruelle_factors
+from .toral import Character, OrbitDump, OrbitTable, SuspensionModel, orbit_table
 from .wedge import compound_derivative, compound_matrix
 from .zetas import (TruncationPolicy, ZetaValue, _in_float_range, _last_shell, _require_cells, _require_convergence,
                     _shell_tail)
@@ -45,7 +45,7 @@ __all__ = [
 
 @record(eq=False)
 class _Cells:
-    """The (orbit, iterate) cells ``p j <= n_max`` of orbit rows under their Ruelle factors and their λ-free factors.
+    """The (orbit, iterate) cells ``p j <= n_max`` of orbit rows and their λ-free factors.
 
     ``j_length0`` and ``j_slope`` are ``j`` times the orbit's length at τ = 0 and its τ-derivative, so
     ``j_length0 + t * j_slope`` is ``j len(t)``; ``slope_weight`` is ``-slope (eps chi)^j``, the variation
@@ -79,8 +79,10 @@ def _build_cells(period: np.ndarray, length0: np.ndarray, rho: np.ndarray, n_max
 
 @lru_cache(maxsize=1)
 def _cells(table: OrbitTable, representation: Character | None) -> _Cells:
-    """The cells of ``table`` under ``representation``."""
-    rho = ruelle_factors(representation, table.transverse()[0][table.period], table.class_exps, table.period)
+    """The cells of ``table`` under ``representation`` (None is trivial): ``rho`` is ``eps`` times ``chi`` per orbit."""
+    rho = table.transverse()[0][table.period].astype(complex)
+    if representation is not None:
+        rho *= representation.values(table.class_exps, table.period)
     return _build_cells(table.period, table.length0, rho, table.n_max, table.slope)
 
 
@@ -210,7 +212,7 @@ def dump_log_zetas(dump: OrbitDump, lams, policy: TruncationPolicy, allow_formal
             log_value = _cell_sum(cells, cells.ruelle_weight, lam, 0.0)
             tail = _shell_tail(length, float(np.exp(-lam.real * length[last]).sum()), lam.real, policy.entropy)
         warnings = () if len(length) else ("empty spectrum",)
-        values.append(ZetaValue(log_value, tail, lam, "ruelle", policy, warnings, n_used=depth))
+        values.append(ZetaValue(log_value, tail, lam, "ruelle", warnings, n_used=depth))
     return values
 
 

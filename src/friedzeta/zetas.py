@@ -5,11 +5,11 @@ Every product takes :class:`OrbitColumns`, built once per spectrum by
 of phases times λ-free weights, so values are reproducible bit for bit.
 
 The products share one shape, ``-sum_gamma sum_j (m / j) z^j w_j`` with
-``z = rho exp(-lam len)`` and a λ-free weight ``w_j``, summed over (orbit,
+``z = exp(-lam len)`` and a λ-free weight ``w_j``, summed over (orbit,
 iterate) with ``j <= j_max``.  Per λ, one exp per orbit gives ``z`` and
 ``j_max`` vector products ``z^j`` give the phases ``-(m / j) z^j``.  The
-weights ``Tr(wedge^k P^j) / |det(1 - P^j)|`` (graded k, and the sign check)
-and ``chi / det(1 - P_s^j)`` (Selberg) are (orbit x iterate) tables.  Phases
+weights ``Tr(wedge^k P^j) / |det(1 - P^j)|`` (graded k) and
+``chi / det(1 - P_s^j)`` (Selberg) are (orbit x iterate) tables.  Phases
 are built once per λ, weights and the iterate table once per columns and
 ``j_max``, all kept on the columns.  The n0 = 2 Poincaré data and
 characters are closed forms; ``poincare_data`` and ``char_sigma`` are their
@@ -44,8 +44,6 @@ __all__ = [
     "orbit_columns",
     "ruelle_log_zeta",
     "graded_log_zeta",
-    "assemble_ruelle_from_graded",
-    "AssemblyReport",
     "selberg_log_zeta",
     "factorization_check",
     "factorization_residual_curve",
@@ -55,8 +53,6 @@ __all__ = [
 N0 = 2  # transverse rotation rank for the hyperbolic 3-manifold model
 # (orbit, iterate) cells (x orders) per product: bounds the power loop, the iterate tables and a dump's cells alike
 MAX_CELLS = 1 << 24
-# |sum_k (-1)^k Tr(wedge^k P^j) / |det(1 - P^j)| - s| above this breaks the sign convention
-RESIDUAL_TOL = 1e-12
 
 
 @record
@@ -91,7 +87,6 @@ class ZetaValue:
     tail_bound: float
     lam: complex
     kind: str
-    policy: TruncationPolicy
     warnings: tuple[str, ...] = ()
     tail_kind: str = "heuristic"
     n_used: int | None = None
@@ -106,8 +101,8 @@ class ZetaValue:
 class OrbitColumns:
     """Read-only columns of a Kleinian spectrum: one row per primitive orbit, in ``sort_key`` order.
 
-    ``length``, the factor ``rho``, ``multiplicity`` and the holonomy angle
-    ``theta`` hold one value per row.
+    ``length``, ``multiplicity`` and the holonomy angle ``theta`` hold one
+    value per row.
 
     Arrays derived from the columns (the wedge-trace ratios, the current
     λ's phases, the iterates and the factorization's tables) are kept with
@@ -115,7 +110,6 @@ class OrbitColumns:
     """
 
     length: np.ndarray
-    rho: np.ndarray
     multiplicity: np.ndarray
     theta: np.ndarray
 
@@ -129,15 +123,14 @@ class OrbitColumns:
 
 
 def orbit_columns(spectrum) -> OrbitColumns:
-    """Columns of Kleinian length records, each carrying its own ``rho``: the columns every Euler product takes."""
+    """Columns of Kleinian length records: the columns every Euler product takes."""
     records = list(spectrum)
     if not all(isinstance(r, ComplexLengthRecord) for r in records):
         raise ValidationError("a spectrum is ComplexLengthRecord rows")
     records.sort(key=lambda r: r.sort_key())
     rows = np.array([(r.length, r.theta, r.multiplicity) for r in records], dtype=float)
     length, theta, multiplicity = rows.reshape(-1, 3).T
-    rho = np.array([r.rho for r in records], dtype=complex)
-    return OrbitColumns(length, rho, multiplicity, theta)
+    return OrbitColumns(length, multiplicity, theta)
 
 
 def _require_cells(cells: int):
@@ -172,14 +165,14 @@ def _last_shell(length: np.ndarray) -> np.ndarray:
 
 
 def _phases(cols: OrbitColumns, lam: complex, j_max: int):
-    """``Phi[gamma, j] = -(m / j) z^j``, ``z = rho exp(-lam len)``, per (orbit, iterate).
+    """``Phi[gamma, j] = -(m / j) z^j``, ``z = exp(-lam len)``, per (orbit, iterate).
 
     Built once per ``lam`` from one exp per orbit and ``j_max`` vector products ``z^j``.  Returned with ``m |z|``
     on the rows of the last length shell (0 elsewhere), which the tail bound reads.
     """
     def build():
         _require_cells(len(cols) * j_max)
-        z = cols.rho * np.exp(-lam * cols.length)
+        z = np.exp(-lam * cols.length)
         phases = np.empty((len(cols), j_max), dtype=complex)
         power = z.copy()
         phases[:, 0] = power
@@ -228,8 +221,7 @@ def _det_one_minus_ps(a, c):
 def _trace_ratios(cols: OrbitColumns, j_max: int) -> np.ndarray:
     """``Tr(wedge^k P^j) / |det(1 - P^j)|`` per (k, orbit, iterate), k = 0..4, built once per ``j_max``.
 
-    The one λ-free array of the graded terms, the factorization's left side
-    and the sign check.
+    The one λ-free array of the graded terms and the factorization's left side.
     """
     def build():
         a, b, c, _ = _iterates(cols, j_max)
@@ -280,7 +272,7 @@ def _value(cols: OrbitColumns, weights: np.ndarray, lam: complex, kind: str, pol
     if worst_last > policy.tail_tol:
         warnings += (f"iterate truncation: largest j={policy.j_max} term is {worst_last:.2e}; "
                      "increase j_max or tail_tol",)
-    return ZetaValue(complex(block_sum((phases * weights).ravel())), tail, lam, kind, policy, warnings)
+    return ZetaValue(complex(block_sum((phases * weights).ravel())), tail, lam, kind, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +282,9 @@ def _value(cols: OrbitColumns, weights: np.ndarray, lam: complex, kind: str, pol
 
 def ruelle_log_zeta(cols: OrbitColumns, lam: complex, policy: TruncationPolicy,
                     allow_formal: bool = False) -> ZetaValue:
-    """Log of the twisted flow zeta over primitive orbits.
+    """Log of the flow zeta over primitive orbits.
 
-    ``log zeta = -sum_gamma sum_j (1/j) rho^j exp(-lam*j*len)``, ``rho`` the Ruelle factor, so the weight is 1;
+    ``log zeta = -sum_gamma sum_j (m/j) exp(-lam*j*len)``, so the weight is 1;
     requires ``Re(lam) > policy.entropy`` unless ``allow_formal``.
     """
     lam = complex(lam)
@@ -305,9 +297,9 @@ def graded_log_zeta(cols: OrbitColumns, k: int, lam: complex, policy: Truncation
                     allow_formal: bool = False) -> ZetaValue:
     """Log of the degree-``k`` graded zeta.
 
-    Orbit-iterate weights ``Tr(wedge^k P^j) / |det(1 - P^j)|`` carry no
-    orientation index; signs are reconciled against the flow zeta only in
-    :func:`assemble_ruelle_from_graded`.
+    Orbit-iterate weights ``Tr(wedge^k P^j) / |det(1 - P^j)|``.  A geodesic's
+    ``det(1 - P^j)`` is positive, so ``sum_k (-1)^k`` of the weights is 1
+    and ``sum_k (-1)^k log Z_k`` is the flow zeta's log.
     """
     lam = complex(lam)
     _require_convergence(lam, policy.entropy, allow_formal, "graded zeta")
@@ -316,40 +308,6 @@ def graded_log_zeta(cols: OrbitColumns, k: int, lam: complex, policy: Truncation
         if not 0 <= k < len(ratios):
             raise ValidationError(f"k must be in 0..{len(ratios) - 1}")
         return _value(cols, ratios[k], lam, f"graded[{k}]", policy)
-
-
-@record
-class AssemblyReport:
-    log_zeta: complex
-    global_sign: int
-    max_residual: float
-    graded_logs: tuple[complex, ...]
-
-
-def assemble_ruelle_from_graded(cols: OrbitColumns, lam: complex, policy: TruncationPolicy,
-                                allow_formal: bool = False) -> AssemblyReport:
-    """Rebuild the flow zeta from graded zetas and machine-check the signs.
-
-    Per orbit iterate, ``sum_k (-1)^k Tr(wedge^k P^j) = det(1 - P^j)``
-    exactly, so ``eps^j = s * sign det(1 - P^j)`` for one global sign
-    ``s = (-1)^(transverse dim / 2)``; a Kleinian orbit's ``eps`` is 1, so
-    the alternating sum is checked against ``s``.  The assembled value is
-    ``s * sum_k (-1)^k log Z_k``.
-    """
-    _require_rows(cols)
-    with _in_float_range(lam):
-        ratios = _trace_ratios(cols, policy.j_max)
-        dim = len(ratios) - 1
-        s = (-1) ** (dim // 2)
-        alt = sum((-1.0) ** k * ratio for k, ratio in enumerate(ratios))
-        max_residual = float(np.abs(alt - s).max())
-    if max_residual > RESIDUAL_TOL:
-        raise ValidationError(
-            f"orientation convention violated: per-orbit residual {max_residual} > {RESIDUAL_TOL}"
-        )
-    graded = tuple(graded_log_zeta(cols, k, lam, policy, allow_formal).log_value for k in range(dim + 1))
-    log_zeta = s * sum((-1) ** k * g for k, g in enumerate(graded))
-    return AssemblyReport(log_zeta, s, max_residual, graded)
 
 
 def _label_character(label: IrrepLabel, x: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 Every trace sum ``S_1..S_n_max`` is computed from the orbit table up to
 ``n_max`` before the recursion reads any of them, and each determinant
 builds all ``n_max`` traces; the recursion and its stop are those of
-:mod:`friedzeta.continuation`.
+:mod:`friedzeta.continuation`.  :func:`linear_series_depths` is the scan
+over every depth that the series-depth bisection replaced.
 """
 
 import cmath
@@ -14,6 +15,7 @@ import numpy as np
 from friedzeta.continuation import (
     CycleZeta,
     DynamicalDeterminant,
+    _certified_tail,
     _fiber_order,
     _out_of_range,
     check_resonance_at_zero,
@@ -133,3 +135,17 @@ def eager_cycle_zeta(model, representation, lam, policy, tau=0.0):
     check_resonance_at_zero(dets)
     value = dets[1].value / (dets[0].value * dets[2].value)
     return CycleZeta(value, abs(value), dets, all(d.reliable for d in dets))
+
+
+def linear_series_depths(rate, log_lam_u, policy):
+    """``continuation._series_depths`` by a scan of the certified tail at every depth up to ``policy.max_period``."""
+    if rate <= log_lam_u:
+        return [(policy.max_period, None)] * 3
+    plan = []
+    for k in range(3):
+        for depth in range(1, policy.max_period + 1):
+            tail = _certified_tail(k, rate, log_lam_u, depth)
+            if tail <= policy.tail_tol:
+                break
+        plan.append((depth, tail))
+    return plan

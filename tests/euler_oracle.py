@@ -35,7 +35,7 @@ class ToralColumns:
     """The rows of an orbit table or of an ``OrbitRecord`` list, with their transverse data per row."""
 
     length: np.ndarray
-    rho: np.ndarray
+    chi: np.ndarray
     period: np.ndarray
     epsilon: np.ndarray
     lam_u: np.ndarray
@@ -51,14 +51,14 @@ class ToralColumns:
         return np.ones(len(self))
 
 
-def _rho(representation, class_exps, winding):
+def _chi(representation, class_exps, winding):
     return np.ones(len(winding), dtype=complex) if representation is None else \
         representation.values(class_exps, winding)
 
 
 def table_columns(table, representation=None, tau=0.0):
     """The columns of an orbit table at ``tau``."""
-    return ToralColumns(table.lengths(tau), _rho(representation, table.class_exps, table.period), table.period,
+    return ToralColumns(table.lengths(tau), _chi(representation, table.class_exps, table.period), table.period,
                         *(column[table.period] for column in table.transverse()))
 
 
@@ -69,7 +69,7 @@ def records_columns(records, representation=None):
 
     class_exps = np.array([r.class_exps for r in records], dtype=np.int64).reshape(len(records), -1)
     winding = column("winding", np.int64)
-    return ToralColumns(column("length"), _rho(representation, class_exps, winding), column("period", np.int64),
+    return ToralColumns(column("length"), _chi(representation, class_exps, winding), column("period", np.int64),
                         column("epsilon"), column("lam_u"), column("lam_s"), column("det_power"))
 
 
@@ -79,8 +79,13 @@ def powers(base, j_max):
 
 
 def epsilon(cols):
-    """The orientation index per row that ``rho`` leaves out: a Kleinian row's is 1."""
+    """The orientation index per row: a Kleinian row's is 1."""
     return cols.epsilon if isinstance(cols, ToralColumns) else np.ones(len(cols))
+
+
+def twist(cols):
+    """The twist's value per row: a Kleinian row takes none."""
+    return cols.chi if isinstance(cols, ToralColumns) else np.ones(len(cols), dtype=complex)
 
 
 def terms(cols, base, j_max):
@@ -92,8 +97,8 @@ def terms(cols, base, j_max):
 
 
 def phases(cols, lam, j_max):
-    """``-multiplicity rho^j exp(-lam j len) / j`` per (orbit, iterate): the λ-dependent factor of a term."""
-    return terms(cols, cols.rho * np.exp(-lam * cols.length), j_max)
+    """``-multiplicity chi^j exp(-lam j len) / j`` per (orbit, iterate): the λ-dependent factor of a term."""
+    return terms(cols, twist(cols) * np.exp(-lam * cols.length), j_max)
 
 
 def cells(cols, depth):
@@ -140,7 +145,7 @@ def zeta_value(cols, array, lam, kind, policy):
         warnings += (f"iterate truncation: largest j={policy.j_max} term is {worst_last:.2e}; "
                      "increase j_max or tail_tol",)
     tail = tail_bound(cols.length, np.abs(array[:, 0]), lam.real, policy.entropy)
-    value = ZetaValue(complex(block_sum(array.ravel())), tail, lam, kind, policy, warnings)
+    value = ZetaValue(complex(block_sum(array.ravel())), tail, lam, kind, warnings)
     return value, float(np.abs(array).sum())
 
 
@@ -148,7 +153,7 @@ def ruelle(cols, lam, policy, depth=None):
     """The Ruelle product over ``j <= policy.j_max``, or over the cells ``period * j <= depth``."""
     lam = complex(lam)
     j_max = policy.j_max if depth is None else depth
-    base = epsilon(cols) * cols.rho * np.exp(-lam * cols.length)
+    base = epsilon(cols) * twist(cols) * np.exp(-lam * cols.length)
     array = terms(cols, base, j_max)
     if depth is not None:
         array *= cells(cols, depth)

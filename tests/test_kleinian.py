@@ -297,19 +297,15 @@ class TestSchottky:
 
 
 class TestSpectrumFile:
-    def test_round_trip(self, tmp_path):
-        records = synthetic_spectrum(2.0, 40, 11)
+    @pytest.mark.parametrize("source", ["synthetic", "schottky"])
+    def test_round_trip(self, source, tmp_path):
+        # whole records compare equal, so a record field the file drops fails here
+        records = synthetic_spectrum(2.0, 40, 11) if source == "synthetic" else schottky_spectrum(standard_schottky(), 4)
+        assert source == "synthetic" or any("." in r.label for r in records)  # dotted letter words
         path = tmp_path / "spec.txt"
         write_spectrum(path, records)
-        text = path.read_text()
-        assert text.startswith("#fried-spectrum v1 n0=2\n")
-        back = read_spectrum(path)
-        assert len(back) == len(records)
-        for a, b in zip(records, back):
-            assert a.length == b.length
-            assert a.theta == b.theta
-            assert a.multiplicity == b.multiplicity
-            assert a.label == b.label
+        assert path.read_text().startswith("#fried-spectrum v1 n0=2\n")
+        assert read_spectrum(path) == sorted(records, key=lambda r: r.sort_key())
 
     def test_record_validation(self):
         with pytest.raises(Exception):

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friedzeta import (
     Character,
@@ -18,7 +20,6 @@ from friedzeta import (
     TorusElement,
     TrigPolynomial,
     TruncationPolicy,
-    assemble_ruelle_from_graded,
     char_sigma,
     continuation,
     factorization_check,
@@ -36,10 +37,11 @@ from friedzeta._record import fields, replace
 from friedzeta.characters import char_label
 from friedzeta.continuation import toral_log_zetas
 from friedzeta.toral import OrbitDump, orbit_table, read_orbit_dump, write_orbit_dump
-from friedzeta.variation import direct_quotient, dump_log_zetas
+from friedzeta.variation import dump_log_zetas
 from friedzeta.zetas import _det_one_minus_ps, _shell_tail, orbit_columns
 
 import euler_oracle
+from continuation_oracle import linear_series_depths
 from dump_oracle import read_records_dump
 from scalar_oracle import character_value, dump_from_records
 from test_toral import TABLE_CASES, TABLE_CHANGE, TABLE_ROOF
@@ -141,6 +143,16 @@ class TestGraded:
         assert zv.log_value == pytest.approx(manual, rel=1e-13)
 
 
+def assert_graded_assemble_to_ruelle(cols, lam, pol):
+    """A geodesic's ``det(1 - P^j)`` is positive, so ``sum_k (-1)^k Tr(wedge^k P^j) / |det(1 - P^j)|`` is 1 on every
+    (orbit, iterate), and the alternating sum of the graded logs is the Ruelle log."""
+    alternating = sum((-1.0) ** k * ratio for k, ratio in enumerate(zetas._trace_ratios(cols, pol.j_max)))
+    assert np.abs(alternating - 1.0).max(initial=0.0) <= 1e-12
+    ruelle = ruelle_log_zeta(cols, lam, pol).log_value
+    assembled = sum((-1) ** k * graded_log_zeta(cols, k, lam, pol).log_value for k in range(5))
+    assert abs(ruelle - assembled) <= 1e-13 * abs(ruelle)
+
+
 class TestAssembly:
     @pytest.mark.parametrize("matrix", [((2, 1), (1, 1)), ((-2, -1), (-1, -1))], ids=["cat", "negative"])
     def test_suspension_sign_and_match(self, matrix, rep_minus):
@@ -159,9 +171,7 @@ class TestAssembly:
     def test_kleinian_sign_positive(self):
         spectrum = synthetic_spectrum(2.0, 30, 5)
         pol = TruncationPolicy(j_max=6, entropy=2.0)
-        report = assemble_ruelle_from_graded(orbit_columns(spectrum), 4.0, pol)
-        assert report.global_sign == 1
-        assert report.max_residual < 1e-12
+        assert_graded_assemble_to_ruelle(orbit_columns(spectrum), 4.0, pol)
 
 
 class TestSelberg:
@@ -296,10 +306,9 @@ class TestFactorization:
 # ---------------------------------------------------------------------------
 
 
-def _loop_rho(rec, rep):
-    if isinstance(rec, OrbitRecord):
-        return 1.0 + 0.0j if rep is None else character_value(rep, rec.class_exps, rec.winding)
-    return complex(rec.rho)
+def _loop_chi(rec, rep):
+    """The twist's value on a toral record's class; a Kleinian record takes none (``rep`` None)."""
+    return 1.0 + 0.0j if rep is None else character_value(rep, rec.class_exps, rec.winding)
 
 
 def _loop_det_one_minus_p(rec, j):
@@ -329,7 +338,7 @@ def loop_ruelle(records, rep, lam, j_max, depth=None):
     terms = []
     for rec in records:
         eps = rec.epsilon if isinstance(rec, OrbitRecord) else 1
-        base = eps * _loop_rho(rec, rep) * cmath.exp(-lam * rec.length)
+        base = eps * _loop_chi(rec, rep) * cmath.exp(-lam * rec.length)
         terms += [-getattr(rec, "multiplicity", 1) * base**j / j for j in _iterates(rec, j_max, depth)]
     return _fsum(terms)
 
@@ -337,10 +346,10 @@ def loop_ruelle(records, rep, lam, j_max, depth=None):
 def loop_graded(records, rep, k, lam, j_max, depth=None):
     terms = []
     for rec in records:
-        rho = _loop_rho(rec, rep)
+        chi = _loop_chi(rec, rep)
         for j in _iterates(rec, j_max, depth):
             weight = _loop_wedge_trace(rec, j, k) / abs(_loop_det_one_minus_p(rec, j))
-            phase = rho**j * cmath.exp(-lam * j * rec.length)
+            phase = chi**j * cmath.exp(-lam * j * rec.length)
             terms.append(-getattr(rec, "multiplicity", 1) * phase * weight / j)
     return _fsum(terms)
 
@@ -351,7 +360,7 @@ def loop_selberg(records, labels, lam, j_max):
         for j in range(1, j_max + 1):
             chi = math.prod(char_label(label, TorusElement(2, j * rec.theta)) for label in labels)
             det_ps = poincare_data(rec.length, rec.theta, j, 0).det_one_minus_ps
-            phase = rec.rho**j * cmath.exp(-lam * j * rec.length)
+            phase = cmath.exp(-lam * j * rec.length)
             terms.append(-rec.multiplicity * phase * chi / (j * det_ps))
     return _fsum(terms)
 
@@ -375,7 +384,7 @@ def loop_factorization(records, k, lam, j_max, p_max):
             rhs = math.exp(-(2 + k) * j * ell) / pd0.det_one_minus_ps * ang * sym
             max_abs = max(max_abs, abs(lhs - rhs))
             max_rel = max(max_rel, abs(lhs - rhs) / abs(lhs))
-            phase = -rec.multiplicity * rec.rho**j * cmath.exp(-lam * j * ell) / j
+            phase = -rec.multiplicity * cmath.exp(-lam * j * ell) / j
             lhs_terms.append(phase * lhs)
             rhs_terms.append(phase * rhs)
     (log_lhs, scale), (log_rhs, _) = _fsum(lhs_terms), _fsum(rhs_terms)
@@ -410,21 +419,19 @@ def _twisted_3211():
 
 
 def _mixed_spectrum():
-    """Multiplicities above 1, rho != 1, theta = 0 and theta = pi among synthetic records."""
+    """Multiplicities above 1, theta = 0 and theta = pi among synthetic records."""
     hand = [
-        ComplexLengthRecord(length=1.1, theta=0.0, multiplicity=3, rho=0.6 + 0.8j, label="a"),
-        ComplexLengthRecord(length=1.3, theta=math.pi, multiplicity=2, rho=-1.0 + 0.0j, label="b"),
-        ComplexLengthRecord(length=1.7, theta=0.4, multiplicity=1, rho=1j, label="c"),
+        ComplexLengthRecord(length=1.1, theta=0.0, multiplicity=3, label="a"),
+        ComplexLengthRecord(length=1.3, theta=math.pi, multiplicity=2, label="b"),
+        ComplexLengthRecord(length=1.7, theta=0.4, multiplicity=1, label="c"),
     ]
-    synthetic = [replace(r, multiplicity=1 + i % 3, rho=cmath.exp(0.7j * i))
-                 for i, r in enumerate(synthetic_spectrum(2.0, 25, 11))]
+    synthetic = [replace(r, multiplicity=1 + i % 3) for i, r in enumerate(synthetic_spectrum(2.0, 25, 11))]
     return hand + synthetic
 
 
 def _synthetic_200():
-    """200 synthetic records with multiplicities 1..3 and rho on the unit circle."""
-    return [replace(r, multiplicity=1 + i % 3, rho=cmath.exp(0.7j * i))
-            for i, r in enumerate(synthetic_spectrum(2.0, 200, 3))]
+    """200 synthetic records with multiplicities 1..3."""
+    return [replace(r, multiplicity=1 + i % 3) for i, r in enumerate(synthetic_spectrum(2.0, 200, 3))]
 
 
 SELBERG_LABELS = ([IrrepLabel("sigma", 0, 2)], [IrrepLabel("sigma", 3, 2)],
@@ -487,8 +494,8 @@ class TestArrayPathAgainstLoops:
             for labels in SELBERG_LABELS:
                 zv = selberg_log_zeta(cols, labels, lam, pol)
                 assert _close(zv.log_value, loop_selberg(spectrum, labels, lam, 8))
-        report = assemble_ruelle_from_graded(cols, 3.2, pol)
-        assert report.max_residual == pytest.approx(loop_assembly_residual(spectrum, 8), abs=1e-13)
+            assert_graded_assemble_to_ruelle(cols, lam, pol)
+        assert euler_oracle.assembly_residual(cols, 8) == pytest.approx(loop_assembly_residual(spectrum, 8), abs=1e-13)
 
     def test_graded_factors_kept_per_grid(self, rep_minus):
         """One columns object across a λ grid and a j_max change: kept ratios and phases are never stale."""
@@ -504,8 +511,9 @@ class TestArrayPathAgainstLoops:
                     assert _close(zv.log_value, loop_graded_kept(tuple(spectrum), None, k, lam, j_max))
                 zv = selberg_log_zeta(kleinian, labels, lam, kpol)
                 assert _close(zv.log_value, loop_selberg(spectrum, labels, lam, j_max))
-                report = assemble_ruelle_from_graded(kleinian, lam, kpol)
-                assert report.max_residual == pytest.approx(residual_kept(tuple(spectrum), j_max), abs=1e-13)
+                assert_graded_assemble_to_ruelle(kleinian, lam, kpol)
+                assert euler_oracle.assembly_residual(kleinian, j_max) == pytest.approx(
+                    residual_kept(tuple(spectrum), j_max), abs=1e-13)
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_factorization(self, k):
@@ -538,8 +546,7 @@ class TestArrayPathAgainstLoops:
             assert zv.warnings == ("empty spectrum",)
         assert factorization_residual_curve(empty, 0, 5.0, pol, []) == []
         for call in (lambda: factorization_check(empty, 0, 5.0, pol),
-                     lambda: factorization_residual_curve(empty, 0, 5.0, pol, [10]),
-                     lambda: assemble_ruelle_from_graded(empty, 3.0, pol)):
+                     lambda: factorization_residual_curve(empty, 0, 5.0, pol, [10])):
             with pytest.raises(ValidationError):
                 call()
 
@@ -591,10 +598,8 @@ class TestProductsAgainstPerOrbitOracle:
                 self._agree(graded_log_zeta(cols, k, lam, pol), graded[k])
             for labels in SELBERG_LABELS:
                 self._agree(selberg_log_zeta(cols, labels, lam, pol), euler_oracle.selberg(cols, labels, lam, pol))
-            report = assemble_ruelle_from_graded(cols, lam, pol)
-            assert report.max_residual == euler_oracle.assembly_residual(cols, j_max)
-            assembled = sum((-1) ** k * value.log_value for k, (value, _) in enumerate(graded))
-            assert abs(report.log_zeta - assembled) <= ORDER_TOL * sum(scale for _, scale in graded)
+            assert euler_oracle.assembly_residual(cols, j_max) <= 1e-12
+            assert_graded_assemble_to_ruelle(cols, lam, pol)
             for k in range(3):
                 check = factorization_check(cols, k, lam, pol)
                 (lhs, lhs_scale), (rhs, rhs_scale) = euler_oracle.factorization_logs(cols, k, lam, pol)
@@ -637,7 +642,7 @@ def per_call_factorization_weights(cols, k, j_max, p_values):
         raise ValidationError("k must be in 0..n0")
     if min(p_values) < 0:
         raise ValidationError("truncation orders must be positive")
-    fresh = zetas.OrbitColumns(cols.length, cols.rho, cols.multiplicity, cols.theta)
+    fresh = zetas.OrbitColumns(cols.length, cols.multiplicity, cols.theta)
     a, b, c, x = zetas._iterates(fresh, j_max)
     traces = (1.0, 2.0 * (a + b) * c, a * a + b * b + 4.0 * c * c)
     lhs = traces[k] / np.abs(_det_one_minus_ps(a, c) * _det_one_minus_ps(b, c))
@@ -705,7 +710,7 @@ class TestKeptFactorizationTables:
         ratios, phases = cols._derived["ratios"][1], cols._derived["phases"][1]
         assert ratios.shape == (5, len(cols), 8)
         selberg_log_zeta(cols, IrrepLabel("sigma", 1, 2), 5.0, pol)
-        assemble_ruelle_from_graded(cols, 5.0, pol)
+        ruelle_log_zeta(cols, 5.0, pol)
         lhs, _ = zetas._factorization_weights(cols, 2, 8, [20])
         assert lhs.base is ratios and np.array_equal(lhs, ratios[2])
         factorization_check(cols, 2, 5.0, pol)
@@ -729,9 +734,8 @@ class TestKeptFactorizationTables:
         lam = 0.3 + 0.2j
         for j_max in range(1, 41):
             n = int(rng.integers(1, 200))
-            cols = zetas.OrbitColumns(rng.uniform(0.5, 5.0, n), rng.normal(size=n) + 1j * rng.normal(size=n),
-                                      rng.integers(1, 4, n).astype(float), np.zeros(n))
-            z = cols.rho * np.exp(-lam * cols.length)
+            cols = zetas.OrbitColumns(rng.uniform(0.5, 5.0, n), rng.integers(1, 4, n).astype(float), np.zeros(n))
+            z = np.exp(-lam * cols.length)
             divided, power = np.empty((n, j_max), dtype=complex), z.copy()
             divided[:, 0] = power
             for j in range(1, j_max):  # powers by in-place products, as the phases take them
@@ -760,7 +764,6 @@ class TestArrayPathGuards:
             lambda pol: graded_log_zeta(cols, 2, 3.0, pol),
             lambda pol: selberg_log_zeta(cols, IrrepLabel("sigma", 1, 2), 3.0, pol),
             lambda pol: factorization_check(cols, 2, 5.0, pol),
-            lambda pol: assemble_ruelle_from_graded(cols, 3.0, pol),
         )
         for call in calls:
             call(fine)
@@ -819,9 +822,6 @@ class TestArrayPathGuards:
                 call()
         with pytest.raises(ValidationError, match="ComplexLengthRecord rows"):
             orbit_columns(table.records() + spectrum)
-        # the toral twist is a Character
-        with pytest.raises(ValidationError, match="Character twist"):
-            direct_quotient(cat_model, 0.5, 4.0, 0.0, TruncationPolicy(max_period=3, entropy=1.0))
 
 
 SERIES_TOL = 1e-14  # relative, or relative to the sum of term magnitudes where the terms cancel
@@ -890,6 +890,23 @@ class TestTraceSeries:
             assert zv.tail_bound == tails[zv.n_used - 1]
         assert graded[0].n_used == graded[2].n_used < graded[1].n_used == ruelle.n_used
         assert ruelle.tail_bound == sum(zv.tail_bound for zv in graded)
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_lam_u=st.floats(0.01, 5.0), tail_tol_exp=st.floats(-30.0, -1.0), max_period=st.integers(1, 3000),
+           gap=st.one_of(st.floats(-2.0, 3.0), st.floats(-6.0, 0.0).map(lambda e: 10.0**e)))
+    def test_series_depths_match_the_linear_scan(self, log_lam_u, tail_tol_exp, max_period, gap):
+        # rate - log lam_u = gap: q >= 1 at gap <= 0, and a slow fall of the tail for a tiny gap
+        pol = TruncationPolicy(max_period=max_period, tail_tol=10.0**tail_tol_exp)
+        rate = log_lam_u + gap
+        assert continuation._series_depths(rate, log_lam_u, pol) == linear_series_depths(rate, log_lam_u, pol)
+
+    def test_series_depths_read_log_max_period_tails(self, calls):
+        # the parent scan read 244,400 tails here; the bisection reads O(log max_period) of them
+        log_lam_u, pol = math.log((3 + math.sqrt(5)) / 2), TruncationPolicy(max_period=10**12)
+        want = linear_series_depths(log_lam_u + 1e-4, log_lam_u, pol)
+        tails = calls(continuation, "_certified_tail")
+        assert continuation._series_depths(log_lam_u + 1e-4, log_lam_u, pol) == want
+        assert len(tails) <= 3 * (math.ceil(math.log2(pol.max_period)) + 2)
 
     @pytest.mark.parametrize("entropy, lam", [(0.1, 0.8), (0.1, 0.9 + 1.0j), (None, -0.5)])
     def test_no_bound_where_q_is_one_or_more(self, entropy, lam, rep_minus):
