@@ -113,6 +113,7 @@ def _zeta_row(kind: str, zv, policy: dict) -> dict:
 
 def cmd_orbits(cfg: RunConfig):
     model = cfg.model()
+    cfg.character(model.automorphism)  # checked, though a dump does not record the twist
     tau = cfg.tau_value(model)
     policy = cfg.policy(model, tau)
     table = orbit_table(model, policy.max_period)
@@ -152,6 +153,7 @@ def cmd_zeta_eval(cfg: RunConfig):
         source = "orbit-dump"
         dump = read_orbit_dump(cfg.require_path("io.orbits"))
         _refuse_ignored(cfg, "io.orbits", _REFUSED[source])
+        cfg.twist(dump.class_exps.shape[1])  # checked against the file's class exponents; not yet applied
         policy = cfg.policy()
         if cfg.get("policy.n_max") is None and len(dump):
             policy = replace(policy, max_period=int(dump.period.max()))

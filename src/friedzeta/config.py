@@ -192,19 +192,20 @@ class RunConfig:
         time_change = parse_trig(tc_raw) if tc_raw else None
         return SuspensionModel(auto, roof, time_change)
 
-    def character(self, automorphism: ToralAutomorphism) -> Character:
+    def twist(self, factors: int) -> tuple[float, tuple[int, ...]]:
+        """``rep.u_fraction``, an angle fraction in [-1, 1], and ``rep.fiber_exponents``, ``factors`` integers
+        (all 0 when unset)."""
         frac = self.get_float("rep.u_fraction", 0.0)
         if not -1.0 <= frac <= 1.0:
             raise ValidationError(f"rep.u_fraction = {frac!r} is not an angle fraction in [-1, 1]")
-        exps_raw = self.get("rep.fiber_exponents", "")
-        orders = automorphism.coker_orders
-        if exps_raw.strip():
-            exps = tuple(_number(x, "rep.fiber_exponents", int) for x in exps_raw.split())
-            if len(exps) != len(orders):
-                raise ValidationError("rep.fiber_exponents length must match coker factor count")
-        else:
-            exps = tuple(0 for _ in orders)
-        return Character.from_angle_fraction(frac, orders, exps)
+        exps = tuple(_number(x, "rep.fiber_exponents", int) for x in self.get("rep.fiber_exponents", "").split())
+        if exps and len(exps) != factors:
+            raise ValidationError(f"rep.fiber_exponents needs {factors} integers, one per factor of coker(A - I)")
+        return frac, exps or (0,) * factors
+
+    def character(self, automorphism: ToralAutomorphism) -> Character:
+        frac, exps = self.twist(len(automorphism.coker_orders))
+        return Character.from_angle_fraction(frac, automorphism.coker_orders, exps)
 
     def policy(self, model: SuspensionModel | None = None, tau: float = 0.0,
                entropy: float | None = None) -> TruncationPolicy:

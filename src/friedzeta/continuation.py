@@ -40,6 +40,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -67,6 +68,7 @@ __all__ = [
 RESONANCE_TOL = 1e-9
 # A certified series tail is evaluated in floats within a few ulps; this factor covers the rounding
 TAIL_MARGIN = 1.0 + 1e-12
+LOG_TINY = math.log(sys.float_info.min)  # exp below this exponent is subnormal, and loses precision
 
 
 @record
@@ -99,54 +101,49 @@ def _out_of_range(lam: complex) -> ConvergenceError:
 class _TraceStream:
     """Circle-stripped fixed-point sums ``S_m`` over a grid of ``lam``, each computed the first time its ``lam`` reads it.
 
-    ``S_m = sum_{x in Fix(A^m)} exp(-lam * r_m(x)) * fiber(x)`` where
-    ``r_m`` is the effective-roof Birkhoff sum and ``fiber`` the finite
-    character part of the twist (the circle part is excluded).  A point of
-    least period ``p | m`` lies on a primitive orbit with ``r_m = (m/p) *
-    length`` and ``fiber(x) = fiber(class)^(m/p)``, so the sum runs over the
-    orbit table: ``S_m = sum_{p | m} p sum_{period p} exp(-lam (m/p) l) fiber^(m/p)``.
-    When the weight is point-independent (``lam = 0`` or constant effective
-    roof) and the fiber is trivial, ``S_m`` reduces to the exact fixed-point
-    count ``|det(A^m - I)|`` without enumeration.  The other ``lam`` read the
-    table: the first ``S_m`` read grows it to period ``m`` (the first growth
-    also builds the small periods up to ``n_max``, the cap of the command's
-    recursions, in one union pass: see :meth:`table`) and gathers the
-    ``lam``-free columns of the rows of the periods ``p | m`` (the multiple
-    ``m/p``, the lengths at ``tau``, the fiber values, ``p``) once for the
-    grid, and each ``lam`` takes its own exponential over them, so the work
-    follows the depth each ``lam`` reads and the memory the table, not the
-    grid.  The integers ``|det(A^m - I)|`` and ``Tr(wedge^k A^m)`` come from
-    one ``A^m`` per ``m``.
+    ``S_m = sum_{x in Fix(A^m)} exp(-lam * r_m(x)) * fiber(x)``, where ``r_m`` is the effective-roof Birkhoff sum
+    and ``fiber`` the finite character part of the twist (its circle part, ``circle``, is excluded), is one sum
+    ``sum p * fiber * exp(-lam * k * length)`` over ``lam``-free columns.  A point of least period ``p | m`` lies
+    on a primitive orbit with ``r_m = (m/p) * length`` and ``fiber(x) = fiber(class)^(m/p)``, so the columns are
+    the orbit table's rows of the periods ``p | m``, with ``k = m/p``.  Where the weight does not depend on the
+    point (``lam = 0`` or a constant effective roof ``r_bar``) and the fiber is trivial, they are one row that
+    enumerates nothing: the ``|det(A^m - I)|`` fixed points, each with ``r_m = m * r_bar``.  The other ``lam``
+    read the table: the first ``S_m`` read grows it to period ``m`` (the first growth also builds the small
+    periods up to ``n_max``, the cap of the command's recursions, in one union pass: see :meth:`table`) and
+    gathers the columns of ``S_m`` once for the grid, and each ``lam`` takes its own exponential over them, so
+    the work follows the depth each ``lam`` reads and the memory the table, not the grid.  The integers
+    ``|det(A^m - I)|`` and ``Tr(wedge^k A^m)`` come from the automorphism's trace recurrence; a count past the
+    float range enters ``S_m`` in log space and ``t_m`` through an exact integer ratio.
     """
 
     def __init__(self, model: SuspensionModel, representation: Character | None, lams, tau: float, n_max: int):
         model.require_tau(tau)
         self.model, self.representation, self.tau, self.n_max = model, representation, tau, n_max
         self.lams = [complex(lam) for lam in lams]
+        self.circle = 1.0 + 0.0j if representation is None else complex(representation.circle)
         self.fiber_trivial = representation is None or representation.fiber_is_trivial
-        self.const_roof = model.roof.is_constant and (
-            tau == 0.0 or model.time_change is None or model.time_change.is_constant
-        )
+        scaled = tau != 0.0 and model.time_change is not None
+        self.const_roof = model.roof.is_constant and (not scaled or model.time_change.is_constant)
+        self.r_bar = np.array([model.roof.constant * (1.0 + tau * model.time_change.constant if scaled else 1.0)])
         self.integers: list[tuple[int, int, int, int]] = []  # per m: |det(A^m - I)|, Tr(wedge^k A^m) for k = 0, 1, 2
         self.sums: list[list[complex]] = [[] for _ in self.lams]  # per lam: S_1, S_2, ... as far as it read
         self.columns: dict[int, tuple] = {}  # per m read from the table: (m/p, lengths, fiber values or None, p)
         self.lengths: list[np.ndarray] = []  # per period read from the table: its orbit lengths at tau
 
     def reads_table(self, lam: complex) -> bool:
-        """Whether ``S_m`` at ``lam`` sums over the orbit table rather than taking the fixed-point count."""
+        """Whether ``S_m`` at ``lam`` sums over the orbit table rather than over one row of fixed points."""
         return not (self.fiber_trivial and (lam == 0 or self.const_roof))
 
-    def __call__(self, i: int, m: int) -> tuple[complex, int]:
-        """``(S_m, |det(A^m - I)|)`` at the ``i``-th ``lam``; its sums below ``m`` are computed first."""
+    def trace(self, i: int, k: int, m: int) -> complex:
+        """``t_m = Tr(wedge^k A^m) * S_m / |det(A^m - I)|`` at the ``i``-th ``lam``, circle part stripped; the sums
+        below ``m`` at that ``lam`` are computed first."""
         sums = self.sums[i]
         while len(sums) < m:
             sums.append(self._sum(self.lams[i], len(sums) + 1))
-        return sums[m - 1], self.integers[m - 1][0]
-
-    def trace(self, i: int, k: int, m: int) -> complex:
-        """``t_m = Tr(wedge^k A^m) * S_m / |det(A^m - I)|`` at the ``i``-th ``lam``, circle part stripped."""
-        s, count = self(i, m)
-        return self.integers[m - 1][1 + k] * (s / count)
+        count, wedge = self.integers[m - 1][0], self.integers[m - 1][1 + k]
+        if count > sys.float_info.max:
+            return wedge / count * sums[m - 1]
+        return wedge * (sums[m - 1] / count)
 
     def table(self, m: int) -> OrbitTable:
         """The orbit table to period ``m``, with its lengths at ``tau`` checked finite (else :class:`CapacityError`).
@@ -168,30 +165,23 @@ class _TraceStream:
         return table
 
     def _sum(self, lam: complex, m: int) -> complex:
-        while len(self.integers) < m:
-            am = self.model.automorphism.power(len(self.integers) + 1)
-            trace, det = am[0][0] + am[1][1], am[0][0] * am[1][1] - am[0][1] * am[1][0]
-            self.integers.append((abs(det - trace + 1), 1, trace, det))  # det(A^m - I) = det A^m - Tr A^m + 1
+        auto = self.model.automorphism
+        for n in range(len(self.integers) + 1, m + 1):
+            self.integers.append((abs(auto.det_one_minus_power(n)), 1, auto.trace_power(n), auto.det**n))
         if self.reads_table(lam):
             k, lengths, fiber, period = self._columns(m)
-            with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported as ConvergenceError
-                terms = -lam * k
-                terms *= lengths
-                np.exp(terms, out=terms)
-                if fiber is not None:
-                    terms *= fiber
-                terms *= period
-            s = complex(block_sum(terms))
-        elif lam == 0:
-            s = complex(self.integers[m - 1][0])
-        else:
-            r0 = self.model.roof.constant
-            if self.tau != 0.0 and self.model.time_change is not None:
-                r0 *= 1.0 + self.tau * self.model.time_change.constant
-            try:
-                s = self.integers[m - 1][0] * cmath.exp(-lam * r0 * m)
-            except (OverflowError, ValueError):
-                raise _out_of_range(lam) from None
+        else:  # one row: the |det(A^m - I)| fixed points, each with r_m = m * r_bar
+            k, lengths, fiber, period = m, self.r_bar, None, self.integers[m - 1][0]
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported as ConvergenceError
+            terms = -lam * k
+            terms *= lengths
+            if lengths is self.r_bar and (period > sys.float_info.max or terms.real[0] < LOG_TINY):
+                terms, period = terms + math.log(period), 1  # the one row's count or weight past the normal floats
+            np.exp(terms, out=terms)
+            if fiber is not None:
+                terms *= fiber
+            terms *= period
+        s = complex(block_sum(terms))
         if not cmath.isfinite(s):
             raise _out_of_range(lam)
         return s
@@ -220,7 +210,7 @@ def trace_sums(
 ):
     """Circle-stripped fixed-point sums ``S_m`` and counts for m = 1..n_max (see :class:`_TraceStream`)."""
     stream = _TraceStream(model, representation, (lam,), tau, n_max)
-    stream(0, n_max)
+    stream.trace(0, 0, n_max)
     return stream.sums[0], [count for count, *_ in stream.integers]
 
 
@@ -286,7 +276,7 @@ def dynamical_determinant(
     def trace(m: int) -> complex:
         return stream.trace(i, k, m)
 
-    u = 1.0 + 0.0j if representation is None else complex(representation.circle)
+    u = stream.circle
     window = max(2, _fiber_order(representation))
     try:
         traces, coeffs, tail, reliable, warnings = _plemelj_smithies(trace, tail_tol, n_max, window)
@@ -477,7 +467,7 @@ def _series_depths(rate: float, log_lam_u: float, policy: TruncationPolicy) -> l
 
 def _log_series(stream: _TraceStream, i: int, k: int, depth: int) -> tuple[complex, float]:
     """``-sum_{m <= depth} u^m t_m^(k) / m`` at the ``i``-th ``lam`` of ``stream``, and its last term's modulus."""
-    u = 1.0 + 0.0j if stream.representation is None else complex(stream.representation.circle)
+    u = stream.circle
     terms = [u**m * stream.trace(i, k, m) / m for m in range(1, depth + 1)]
     value = -fsum_complex(terms)
     if not cmath.isfinite(value):

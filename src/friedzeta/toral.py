@@ -64,6 +64,8 @@ __all__ = [
 # int64 kernels multiply residues below the denominator, so den**2 must fit.
 MAX_DENOMINATOR = 1 << 31
 MAX_ENUMERATED_POINTS = 1 << 27
+# Every Tr(A^m) read is kept (a trace stream keeps |det(A^m - I)| too): m < 5,900 on the cat map, 3.3 MB of traces.
+MAX_TRACE_BITS = 1 << 13
 # Fixed points per block of a period pass: bounds its int64 and float temporaries.
 _PASS_BLOCK = 1 << 16
 # A request's first new periods of at most this many fixed points share one pass (the cat map's periods 1-8).
@@ -265,10 +267,24 @@ class ToralAutomorphism:
         y2 = u[1][0] * v[0] + u[1][1] * v[1]
         return (y1 % d[0][0] if d[0][0] > 1 else 0, y2 % d[1][1] if d[1][1] > 1 else 0)
 
+    @cached_property
+    def _traces(self) -> list[int]:  # Tr(A^m) for m = 0, 1, ... as far as trace_power has read
+        return [2, self.matrix[0][0] + self.matrix[1][1]]
+
+    def trace_power(self, m: int) -> int:
+        """Exact ``Tr(A^m)``, one step of ``Tr(A^(m+1)) = Tr(A) Tr(A^m) - det(A) Tr(A^(m-1))`` per new ``m``."""
+        traces, det = self._traces, self.det
+        while len(traces) <= m:
+            step = traces[1] * traces[-1] - det * traces[-2]
+            if step.bit_length() > MAX_TRACE_BITS:
+                raise CapacityError(f"Tr(A^{len(traces)}) exceeds the {MAX_TRACE_BITS}-bit cap on exact traces: "
+                                    "lower policy.n_max or move lambda away from the entropy")
+            traces.append(step)
+        return traces[m]
+
     def det_one_minus_power(self, m: int) -> int:
-        """Exact ``det(A^m - I)`` (nonzero for hyperbolic A)."""
-        am = self.power(m)
-        return _det(((am[0][0] - 1, am[0][1]), (am[1][0], am[1][1] - 1)))
+        """Exact ``det(A^m - I) = det(A)^m - Tr(A^m) + 1`` (nonzero for hyperbolic A)."""
+        return self.det**m - self.trace_power(m) + 1
 
 
 @record
@@ -765,18 +781,8 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _small_depth(auto: ToralAutomorphism, n_max: int) -> int:
-    """The last period ``s <= n_max`` such that periods ``1..s`` each hold at most ``_UNION_POINTS`` fixed points.
-
-    The counts ``|det(A^n - I)| = |det(A)^n - Tr(A^n) + 1|`` come from the
-    recurrence ``Tr(A^n) = Tr(A) Tr(A^(n-1)) - det(A) Tr(A^(n-2))``, so no
-    power of ``A`` is taken.
-    """
-    (a, b), (c, d) = auto.matrix
-    trace, det = a + d, a * d - b * c
-    before, now, s = 2, trace, 0  # Tr(A^s), Tr(A^(s+1))
-    while s < n_max and abs(det ** (s + 1) - now + 1) <= _UNION_POINTS:
-        before, now, s = now, trace * now - det * before, s + 1
-    return s
+    """The last period ``s <= n_max`` such that periods ``1..s`` each hold at most ``_UNION_POINTS`` fixed points."""
+    return next((n - 1 for n in range(1, n_max + 1) if abs(auto.det_one_minus_power(n)) > _UNION_POINTS), n_max)
 
 
 def _orbit_columns(auto: ToralAutomorphism, n_max: int, roof=None, time_change=None, shallower=None):

@@ -346,7 +346,6 @@ class FactorizationReport:
     log_rhs: complex
     max_abs_residual: float
     max_rel_residual: float
-    tail_estimate: float
 
 
 def _factorization_weights(cols: OrbitColumns, k: int, j_max: int, p_values):
@@ -402,14 +401,12 @@ def factorization_check(cols: OrbitColumns, k: int, lam: complex, policy: Trunca
     """
     lam = complex(lam)
     _require_rows(cols)
-    ell_min = float(cols.length.min())
-    tail_estimate = (policy.p_max + 2) ** 2 * math.exp(-(policy.p_max + 1) * ell_min)
     with _in_float_range(lam):
         lhs, (rhs,) = _factorization_weights(cols, k, policy.j_max, [policy.p_max])
         max_abs, max_rel = _relative_residual(lhs, rhs)
         phases = _phases(cols, lam, policy.j_max)[0]
         log_lhs, log_rhs = (complex(block_sum((phases * w).ravel())) for w in (lhs, rhs))
-    return FactorizationReport(k, lam, policy.p_max, log_lhs, log_rhs, max_abs, max_rel, tail_estimate)
+    return FactorizationReport(k, lam, policy.p_max, log_lhs, log_rhs, max_abs, max_rel)
 
 
 def factorization_residual_curve(cols: OrbitColumns, k, lam, policy, p_values):

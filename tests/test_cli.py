@@ -120,6 +120,24 @@ class TestZetaEval:
         header = csv.read_text().splitlines()[0]
         assert header == "lambda_re,lambda_im,log_zeta_re,log_zeta_im,tail"
 
+    def test_rows_near_the_entropy_read_past_the_float_range_of_the_counts(self, capsys):
+        # the certified depths 886, 1,390 and 3,225 pass m = 738, where the cat map's |det(A^m - I)| leaves the
+        # float range; each row lies within its tail of log det(I - e^(-lam) wedge^k A)
+        assert run("zeta-eval", "model.matrix=2 1 1 1", "lambda.grid=0.99,0.98,0.97", "policy.n_max=5000") == 0
+        rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+        assert [row["n_used"] for row in rows if row["zeta_kind"] == "graded1"] == [886, 1390, 3225]
+        for row in rows:
+            z = math.exp(-row["lambda_re"])
+            graded = (math.log1p(-z), math.log1p(z * z - 3.0 * z), math.log1p(-z))
+            want = {"ruelle": graded[1] - graded[0] - graded[2], **{f"graded{k}": g for k, g in enumerate(graded)}}
+            assert abs(complex(row["log_value_re"], row["log_value_im"]) - want[row["zeta_kind"]]) <= row["tail_bound"]
+
+    def test_series_past_the_trace_width_cap_exit_2(self, capsys):
+        # a depth of about 5e8 at this lambda: the kept traces stop it at period 5,900 with one error line
+        assert run("zeta-eval", "model.matrix=2 1 1 1", "lambda.grid=0.9625", "policy.n_max=1000000000") == 2
+        assert capsys.readouterr().err == ("error: Tr(A^5900) exceeds the 8192-bit cap on exact traces: lower "
+                                           "policy.n_max or move lambda away from the entropy\n")
+
     def test_lambda_zero_without_flag_exit_2(self, tmp_path):
         assert run("zeta-eval", *CAT_SETTINGS, "lambda.grid=0") == 2
 
@@ -584,13 +602,13 @@ class TestZetaContinue:
     def test_each_trace_sum_once_per_command(self, calls, capsys):
         # lambda = 0 reads fixed-point counts and the other four the orbit table, each to its own depth: one S_m
         # per lambda, the table's columns of S_m gathered once for all four, and the integers |det(A^m - I)| and
-        # Tr(wedge^k A^m) from one A^m per m for all five
+        # Tr(wedge^k A^m) from the automorphism's trace recurrence, one step per m for all five and no power of A
         settings = ["model.matrix=2 1 1 1", "model.roof=const:1 cos:1,0:0.05 sin:0,1:0.03", "rep.u_fraction=0.5",
                     "policy.n_max=12", "lambda.grid=0,0.4,0.9,1.4+5i,2"]
         assert run("zeta-continue", *settings) == 0  # builds the table, whose period passes take powers of A
         capsys.readouterr()
         sums, gathers = calls(continuation._TraceStream, "_sum"), calls(continuation._TraceStream, "table")
-        powers = calls(toral.ToralAutomorphism, "power")
+        powers, traces = calls(toral.ToralAutomorphism, "power"), calls(toral.ToralAutomorphism, "trace_power")
         assert run("zeta-continue", *settings) == 0
         rows = json.loads(capsys.readouterr().out)["results"]["rows"]
         depths = [max(row["n_used"]) for row in rows]
@@ -598,7 +616,10 @@ class TestZetaContinue:
         for i, depth in enumerate(depths):
             assert [m for _, lam, m in sums if lam == RunConfig.load(None, settings).lambda_grid()[i]] == list(range(1, depth + 1))
         assert [m for _, m in gathers] == list(range(1, max(depths[1:]) + 1))
-        assert [n for _, n in powers] == list(range(1, max(depths) + 1))
+        assert powers == []
+        (auto,) = {id(auto): auto for auto, _ in traces}.values()  # the command's one automorphism
+        assert max(m for _, m in traces) == max(depths)  # a list that grows by one step per new m
+        assert auto._traces == [a + d for (a, _), (_, d) in map(auto.power, range(max(depths) + 1))]
 
     def test_stream_passes_and_length_checks_once_per_period(self, calls, capsys):
         # the stream's first growth builds the small periods 1-8 in one union pass, then grows the table one
@@ -1349,6 +1370,20 @@ class TestInputBoundary:
         assert err.count("\n") == 1
         assert "Traceback" not in err
         assert "unknown config key" not in err  # refused for its value, not for a key the command lacks
+
+    @pytest.mark.parametrize("setting", ["rep.u_fraction=abc", "rep.u_fraction=1.5", "rep.fiber_exponents=x y z",
+                                         "rep.fiber_exponents=0 0 0", "rep.fiber_exponents=0"])
+    def test_malformed_twist_is_refused_where_no_value_reads_it(self, setting, source_files, tmp_path, capsys):
+        # orbits writes no twist, and the dump source does not apply one yet: each still parses rep.* as the
+        # model commands do, the exponents one per class exponent of the file, and writes nothing on refusal
+        out = tmp_path / "refused.txt"
+        assert run("orbits", *CAT_SETTINGS, "policy.n_max=3", setting, out=out) == 1
+        assert not out.exists()
+        assert run("zeta-eval", f"io.orbits={source_files['io.orbits']}", "policy.entropy=1.0", "lambda.grid=4",
+                   setting) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line.split(":")[0] for line in captured.err.splitlines()] == ["error", "error"]
 
     def test_repeated_p_grid_entry_is_its_own_curve_point(self, tmp_path, capsys):
         csv = tmp_path / "curve.csv"

@@ -1,5 +1,7 @@
 import cmath
+import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -18,7 +20,7 @@ from friedzeta import (
 )
 from friedzeta._kernels import birkhoff_sums
 from friedzeta import toral
-from friedzeta.continuation import _TraceStream, trace_sums
+from friedzeta.continuation import _TraceStream, toral_log_zetas, trace_sums
 from friedzeta.errors import CapacityError, ConvergenceError, FriedzetaError
 
 from continuation_oracle import eager_cycle_zeta, eager_trace_sums
@@ -82,6 +84,84 @@ class TestTraceSums:
                 for p, q, ell in zip(pts.num1, pts.num2, lengths)
             ]
             assert abs(s[m - 1] - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
+
+
+# Constant-roof models: (matrix, roof constant, time-change constant, tau), so r_bar = r0 (1 + tau g0)
+CONSTANT_ROOFS = [(((2, 1), (1, 1)), 1.0, None, 0.0), (((1, 1), (1, 0)), 1.0, None, 0.0),
+                  (((3, 2), (1, 1)), 1.0, None, 0.0), (((2, 1), (1, 1)), 1.3, 0.2, 0.3),
+                  (((3, 2), (1, 1)), 0.8, -0.5, 0.4)]
+
+
+def _constant_roof(matrix, r0, g0, tau):
+    """The model and its effective roof ``r_bar``."""
+    model = SuspensionModel(ToralAutomorphism(matrix), TrigPolynomial.const(r0),
+                            None if g0 is None else TrigPolynomial.const(g0))
+    return model, r0 * (1.0 + tau * g0) if g0 is not None and tau else r0
+
+
+def _log_det(auto, k, z):
+    """``log det(I - z wedge^k A)`` as the sum of ``log(1 - z mu)`` over the eigenvalues ``mu`` of ``wedge^k A``, the
+    branch the trace series takes, each term accurate to rounding where ``z mu`` is small."""
+    logs = (complex(0.5 * math.log1p(abs(w) ** 2 - 2.0 * w.real), math.atan2(-w.imag, 1.0 - w.real))
+            for w in (z * mu for mu in ((1.0,), (auto.lam_u, auto.lam_s), (float(auto.det),))[k]))
+    return sum(logs)
+
+
+class TestConstantRoofClosedForm:
+    """With a constant effective roof ``r_bar`` and a trivial fiber, ``S_m = |det(A^m - I)| e^(-lam r_bar m)`` and
+    ``log Z_k(lam) = log det(I - u e^(-lam r_bar) wedge^k A)``, each read without the orbit table."""
+
+    @pytest.mark.parametrize("case", CONSTANT_ROOFS, ids=str)
+    @pytest.mark.parametrize("u_fraction", [0.0, 0.3])
+    def test_euler_rows_lie_within_their_tails(self, case, u_fraction):
+        # near the entropy the cat map's depth passes m = 738, where |det(A^m - I)| leaves the float range
+        model, r_bar = _constant_roof(*case)
+        tau, auto, rep = case[3], model.automorphism, Character.from_angle_fraction(u_fraction)
+        h = model.default_entropy(tau)
+        policy = TruncationPolicy(max_period=5000, entropy=h)
+        lams = [h + 0.03, h + 3.0, complex(h + 0.5, 2.0)]
+        for lam, (ruelle, *graded) in zip(lams, toral_log_zetas(model, rep, lams, policy, tau)):
+            z = rep.circle * cmath.exp(-lam * r_bar)
+            want = [_log_det(auto, k, z) for k in range(3)]
+            for k, (zv, log_z) in enumerate(zip(graded, want)):
+                assert zv.tail_kind == "certified" and abs(zv.log_value - log_z) <= zv.tail_bound, (lam, k)
+            assert abs(ruelle.log_value + want[0] - want[1] + want[2]) <= ruelle.tail_bound
+            if lam == lams[0] and case[:2] == (((2, 1), (1, 1)), 1.0):
+                assert ruelle.n_used > 738
+
+    @pytest.mark.parametrize("case", CONSTANT_ROOFS, ids=str)
+    @pytest.mark.parametrize("u_fraction", [0.0, 0.3])
+    def test_determinants_are_the_characteristic_polynomials(self, case, u_fraction):
+        model, r_bar = _constant_roof(*case)
+        tau, (a, b), (c, d) = case[3], *model.automorphism.matrix
+        rep = Character.from_angle_fraction(u_fraction)
+        lams = [0.5, 2.0, 1.0 + 1.0j]
+        for lam, zeta in zip(lams, cycle_zetas(model, rep, lams, TruncationPolicy(max_period=30), tau)):
+            z = rep.circle * cmath.exp(-lam * r_bar)
+            want = (1 - z, 1 - z * (a + d) + z * z * (a * d - b * c), 1 - z * (a * d - b * c))
+            for got, det in zip(zeta.d_values, want):
+                assert abs(got - det) <= 1e-12 * abs(det), (lam, got, det)
+
+    @pytest.mark.parametrize("case", CONSTANT_ROOFS, ids=str)
+    def test_trace_sums_are_the_weighted_counts(self, case):
+        model, r_bar = _constant_roof(*case)
+        tau, auto = case[3], model.automorphism
+        for lam in (0.0, 1.7, 0.9 - 2.5j):
+            sums, counts = trace_sums(model, None, lam, 40, tau)
+            assert counts == [abs(auto.det_one_minus_power(m)) for m in range(1, 41)]
+            for m, (s, count) in enumerate(zip(sums, counts), start=1):
+                assert abs(s - count * cmath.exp(-lam * r_bar * m)) <= 1e-13 * abs(s), (lam, m)
+
+    def test_trace_sums_past_the_float_range_of_the_counts(self):
+        # from m = 738 on, the cat map's |det(A^m - I)| exceeds the largest float; S_m = count e^(-lam m) does not
+        model, lam = SuspensionModel(ToralAutomorphism(((2, 1), (1, 1))), TrigPolynomial.const(1.0)), 0.99
+        sums, counts = trace_sums(model, None, lam, 900)
+        assert float(counts[736]) < math.inf and counts[737] > 2**1024
+        with localcontext() as context:
+            context.prec = 40
+            for m in range(700, 901):
+                want = Decimal(counts[m - 1]) * (-Decimal(lam) * m).exp()
+                assert abs(sums[m - 1] - float(want)) <= 1e-12 * float(want), m
 
 
 class TestDeterminants:
@@ -352,10 +432,11 @@ class TestLambdaGrid:
         model = SuspensionModel(cat, TrigPolynomial(1.0, ((1, 0, 0.1, 0.0),)))
         stream = _TraceStream(model, rep_minus, (1.0, -300.0), 0.0, 8)
         # lambda = 1 reads S_1..S_8 and computes none at lambda = -300, where S_3 leaves the float range
-        assert all(cmath.isfinite(stream(0, m)[0]) for m in range(1, 9))
+        assert all(cmath.isfinite(stream.trace(0, 0, m)) for m in range(1, 9))
+        assert all(map(cmath.isfinite, stream.sums[0])) and len(stream.sums[0]) == 8
         assert stream.sums[1] == [] and sorted(stream.columns) == list(range(1, 9))
         with pytest.raises(ConvergenceError, match=r"lambda=\(-300\+0j\)"):
-            stream(1, 8)
+            stream.trace(1, 0, 8)
         assert len(stream.sums[1]) == 2 and len(stream.sums[0]) == 8
 
     def test_each_lambda_computes_only_the_sums_it_reads(self, cat):

@@ -117,6 +117,29 @@ class TestSmithNormalForm:
         assert sorted(a.coker_orders) == [1, 2]
 
 
+class TestTraceRecurrence:
+    def test_recurrence_matches_the_powers(self):
+        # Tr(A^m) and det(A^m - I) from the recurrence, read in a mixed order, against A^m itself
+        entries = range(-3, 4)
+        for matrix in (((a, b), (c, d)) for a in entries for b in entries for c in entries for d in entries):
+            if not validate_anosov(matrix).hyperbolic:
+                continue
+            auto = ToralAutomorphism(matrix)
+            for m in (7, *range(61), 60):
+                am = auto.power(m)
+                assert auto.trace_power(m) == am[0][0] + am[1][1]
+                assert auto.det_one_minus_power(m) == (am[0][0] - 1) * (am[1][1] - 1) - am[0][1] * am[1][0]
+            assert len(auto._traces) == 61  # one step per new m
+
+    def test_traces_past_the_width_cap_are_refused(self):
+        # the kept traces grow like m^2 bits; the golden mean's, the slowest growth, pass the cap at period 11,800
+        auto = ToralAutomorphism(((1, 1), (1, 0)))
+        for m in (10**9, 11800):
+            with pytest.raises(CapacityError, match=r"^Tr\(A\^11800\) exceeds the 8192-bit cap"):
+                auto.trace_power(m)
+        assert len(auto._traces) == 11800 and auto._traces[-1].bit_length() <= toral.MAX_TRACE_BITS
+
+
 class TestFixedPoints:
     @pytest.mark.parametrize("n,expected", [(1, 1), (2, 5), (4, 45)])
     def test_cat_counts(self, cat, n, expected):
